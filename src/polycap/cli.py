@@ -205,10 +205,21 @@ def cmd_caption(args) -> int:
         if args.split not in manifests:
             raise ValidationError(f"split {args.split!r} not present in {args.manifest}")
         audio_ids = list(manifests[args.split].audio_ids)
+        missing = [
+            f"{audio_id}: missing embedding file {audio_id}.aemb"
+            for audio_id in audio_ids
+            if not (embeddings_dir / f"{audio_id}.aemb").is_file()
+        ]
+        if missing:
+            raise ValidationError(
+                f"split {args.split!r} lists audios without embeddings in {embeddings_dir}",
+                items=missing,
+            )
     else:
         audio_ids = sorted(p.stem for p in embeddings_dir.glob("*.aemb"))
     if not audio_ids:
         raise ValidationError(f"no embeddings to caption in {embeddings_dir}")
+    stopwords = {lang: load_stopwords(lang) for lang in languages}
 
     cfg = decoding.DecodeConfig(
         beam_size=args.beam_size, max_len=args.max_len, length_norm=args.length_norm
@@ -220,8 +231,7 @@ def cmd_caption(args) -> int:
         for audio_id in audio_ids:
             seq = corpus_mod.load_embedding(embeddings_dir / f"{audio_id}.aemb", audio_id)
             for lang in languages:
-                stopwords = load_stopwords(lang)
-                result = decoding.caption_audio(model, seq.data, lang, cfg, stopwords)
+                result = decoding.caption_audio(model, seq.data, lang, cfg, stopwords[lang])
                 sink.write(
                     json.dumps(
                         {

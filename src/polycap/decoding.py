@@ -15,9 +15,8 @@ from typing import Callable
 
 import numpy as np
 
-from polycap import autodiff as ad
 from polycap.errors import ValidationError
-from polycap.model import MultilingualModel
+from polycap.model import IncrementalDecoder, MultilingualModel
 from polycap.text import Language, StopwordList, Vocabulary
 
 # step function: (k, t) int prefix matrix -> (k, vocab) log-probability rows
@@ -38,17 +37,6 @@ class DecodeConfig:
         return asdict(self)
 
 
-@dataclass
-class BeamHypothesis:
-    ids: tuple[int, ...]
-    log_prob: float
-    finished: bool = False
-
-    def normalized_score(self, exponent: float) -> float:
-        steps = len(self.ids) - 1  # emitted tokens, EOS included, BOS not
-        return self.log_prob / (steps**exponent)
-
-
 @dataclass(frozen=True)
 class DecodeResult:
     tokens: list[str]
@@ -57,25 +45,30 @@ class DecodeResult:
     normalized_score: float
 
 
-def _allowed_scores(
-    hyp: BeamHypothesis,
-    row: np.ndarray,
-    vocab: Vocabulary,
-    stopwords: frozenset[str],
-    max_len: int,
-) -> dict[int, float]:
-    """Candidate token -> step log-prob for one hypothesis."""
-    words_emitted = len(hyp.ids) - 1
-    out = {vocab.eos_id: float(row[vocab.eos_id])}
-    if words_emitted >= max_len:
-        return out
-    used = {vocab.tokens[i] for i in hyp.ids[1:]}
-    for tok_id in vocab.word_ids:
-        surface = vocab.tokens[tok_id]
-        if surface in used and surface not in stopwords:
-            continue
-        out[tok_id] = float(row[tok_id])
-    return out
+def _normalized(log_prob: float, ids: tuple[int, ...], exponent: float) -> float:
+    steps = len(ids) - 1  # emitted tokens, EOS included, BOS not
+    return log_prob / (steps**exponent)
+
+
+def _best_candidates(scores: np.ndarray, allowed: np.ndarray, ids: np.ndarray, n: int) -> np.ndarray:
+    """Flat (row * vocab + token) indices of the n best allowed candidates,
+    ordered by (-log_prob, id tuple).
+
+    A partition finds the n-th best score; every allowed entry at least that
+    good is then sorted exactly, so ties keep the lexicographic order. An
+    allowed candidate may score -inf and still take a slot; a disallowed one
+    never does.
+    """
+    flat = scores.ravel()
+    picks = np.flatnonzero(allowed.ravel())
+    if len(picks) > n:
+        values = flat[picks]
+        kth = np.partition(values, len(picks) - n)[len(picks) - n]
+        picks = picks[values >= kth]
+    parents, tokens = np.divmod(picks, scores.shape[1])
+    # lexsort's last key is the primary one: score, then prefix ids, then token
+    order = np.lexsort((tokens, *ids[parents].T[::-1], -flat[picks]))
+    return picks[order[:n]]
 
 
 def beam_search(
@@ -87,68 +80,84 @@ def beam_search(
     """Best finished hypothesis under the no-repeat constraint.
 
     step_fn maps a (k, t) matrix of BOS-prefixed id rows to (k, vocab)
-    log-probability rows for the next token.
+    log-probability rows for the next token. The k active hypotheses are
+    arrays: their id rows, log-probs and a (k, vocab) boolean ban of the
+    non-stopword words each has used. A round scores the (k, vocab)
+    candidate matrix, sends every EOS column to the finished pool and keeps
+    the best beam_size word candidates; the survivors' ban rows are gathered
+    by parent and the chosen word is set.
     """
-    return beam_search_nbest(step_fn, vocab, stopwords, cfg, n=1)[0]
-
-
-def beam_search_nbest(
-    step_fn: StepFn,
-    vocab: Vocabulary,
-    stopwords: StopwordList | frozenset[str] | None,
-    cfg: DecodeConfig,
-    n: int = 1,
-) -> list[DecodeResult]:
-    """Top-n finished hypotheses by normalized score (n=1 is the main surface)."""
     stop_set = frozenset() if stopwords is None else frozenset(getattr(stopwords, "words", stopwords))
-    active = [BeamHypothesis(ids=(vocab.bos_id,), log_prob=0.0)]
-    finished: list[BeamHypothesis] = []
+    is_word = np.zeros(vocab.size, dtype=bool)
+    is_word[np.array(vocab.word_ids)] = True
+    is_stop = np.fromiter((t in stop_set for t in vocab.tokens), dtype=bool, count=vocab.size)
+    bannable = is_word & ~is_stop
+
+    ids = np.full((1, 1), vocab.bos_id, dtype=np.int64)
+    log_prob = np.zeros(1)
+    banned = np.zeros((1, vocab.size), dtype=bool)
+    finished: list[tuple[tuple[int, ...], float]] = []
     # every round appends one token; +1 round lets max_len-word hyps take EOS
-    for _ in range(cfg.max_len + 1):
-        if not active:
+    for words in range(cfg.max_len + 1):
+        rows = np.asarray(step_fn(ids), dtype=np.float64)
+        ended = np.column_stack([ids, np.full(len(ids), vocab.eos_id)])
+        finished.extend(zip(map(tuple, ended.tolist()), (log_prob + rows[:, vocab.eos_id]).tolist()))
+        if words == cfg.max_len:
             break
-        rows = step_fn(np.array([h.ids for h in active], dtype=np.int64))
-        candidates: list[BeamHypothesis] = []
-        for hyp, row in zip(active, rows):
-            for tok_id, logp in _allowed_scores(hyp, row, vocab, stop_set, cfg.max_len).items():
-                new = BeamHypothesis(
-                    ids=hyp.ids + (tok_id,),
-                    log_prob=hyp.log_prob + logp,
-                    finished=tok_id == vocab.eos_id,
-                )
-                if new.finished:
-                    finished.append(new)
-                else:
-                    candidates.append(new)
-        candidates.sort(key=lambda h: (-h.log_prob, h.ids))
-        active = candidates[: cfg.beam_size]
-    ranked = sorted(finished, key=lambda h: (-h.normalized_score(cfg.length_norm), h.ids))
-    return [
-        DecodeResult(
-            tokens=vocab.decode(h.ids),
-            token_ids=h.ids,
-            log_prob=h.log_prob,
-            normalized_score=h.normalized_score(cfg.length_norm),
-        )
-        for h in ranked[: max(1, n)]
-    ]
+        allowed = is_word & ~banned
+        scores = log_prob[:, None] + rows
+        picks = _best_candidates(scores, allowed, ids, cfg.beam_size)
+        if len(picks) == 0:
+            break
+        parents, tokens = np.divmod(picks, vocab.size)
+        ids = np.column_stack([ids[parents], tokens])
+        log_prob = scores.ravel()[picks]
+        banned = banned[parents]
+        banned[np.arange(len(picks)), tokens] = bannable[tokens]
+    best_ids, best_log_prob = min(
+        finished, key=lambda f: (-_normalized(f[1], f[0], cfg.length_norm), f[0])
+    )
+    return DecodeResult(
+        tokens=vocab.decode(best_ids),
+        token_ids=best_ids,
+        log_prob=best_log_prob,
+        normalized_score=_normalized(best_log_prob, best_ids, cfg.length_norm),
+    )
 
 
 def model_step_fn(
     model: MultilingualModel, audio: np.ndarray, language: Language
 ) -> StepFn:
-    """Adapt a model + one audio sequence into a beam-search step function."""
+    """Adapt a model + one audio sequence into a cached beam-search step function.
+
+    Rows equal the log-softmax of `MultilingualModel.forward` on the same
+    prefixes (eval mode). When every prefix extends a row of the previous
+    call by one token (matched on prefix[:-1]), the per-row cache is gathered
+    by parent and only the new position is computed; any other call rebuilds
+    the cache from its prefixes.
+    """
     audio = np.asarray(audio, dtype=np.float64)
     if audio.ndim != 2:
         raise ValidationError("model_step_fn expects a single (frames, dim) sequence")
+    decoder = IncrementalDecoder(model, audio, language)
+    previous: dict[tuple[int, ...], int] = {}  # last call's rows -> cache row
 
     def step(prefixes: np.ndarray) -> np.ndarray:
-        k = prefixes.shape[0]
-        tiled = np.broadcast_to(audio, (k, *audio.shape))
-        with ad.no_grad():
-            logits = model.forward(tiled, prefixes, language, mode="eval")
-        last = logits.data[:, -1, :]
-        shifted = last - last.max(axis=-1, keepdims=True)
+        nonlocal previous
+        prefixes = np.asarray(prefixes, dtype=np.int64)
+        if prefixes.ndim != 2 or prefixes.shape[1] < 1:
+            raise ValidationError("step expects a (k, t) prefix matrix with t >= 1")
+        known, previous = previous, {}  # stays empty if this call fails midway
+        parents = [known.get(tuple(row)) for row in prefixes[:, :-1].tolist()]
+        if None in parents:
+            decoder.reset(len(prefixes))
+            for column in prefixes[:, :-1].T:
+                decoder.advance(column)
+        else:
+            decoder.reorder(np.array(parents, dtype=np.intp))
+        logits = decoder.advance(prefixes[:, -1])
+        previous = {tuple(row): i for i, row in enumerate(prefixes.tolist())}
+        shifted = logits - logits.max(axis=-1, keepdims=True)
         return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
     return step

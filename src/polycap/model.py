@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
+import sys
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -84,13 +86,15 @@ class MixupDraw:
             raise ValidationError(f"mixup lambda {self.lam} outside [0, 1]")
 
 
-def _uniform_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
+def _uniform_init(rng: np.random.Generator | None, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
+    if rng is None:  # a loader fills every parameter
+        return np.empty(shape)
     bound = 1.0 / math.sqrt(fan_in)
     return rng.uniform(-bound, bound, size=shape)
 
 
 class Linear:
-    def __init__(self, rng: np.random.Generator, d_in: int, d_out: int):
+    def __init__(self, rng: np.random.Generator | None, d_in: int, d_out: int):
         self.weight = Tensor(_uniform_init(rng, (d_in, d_out), d_in), requires_grad=True)
         self.bias = Tensor(np.zeros(d_out), requires_grad=True)
 
@@ -127,7 +131,7 @@ def _dropout(x: Tensor, p: float, train: bool, rng: np.random.Generator | None) 
 
 
 class MultiHeadAttention:
-    def __init__(self, rng: np.random.Generator, d_model: int, n_heads: int, p_drop: float):
+    def __init__(self, rng: np.random.Generator | None, d_model: int, n_heads: int, p_drop: float):
         self.n_heads = n_heads
         self.d_head = d_model // n_heads
         self.p_drop = p_drop
@@ -161,6 +165,26 @@ class MultiHeadAttention:
         ctx = (attn @ v).swapaxes(1, 2).reshape(b, t, d)
         return self.wo(ctx)
 
+    # -- incremental decoding (eval mode, flat (rows, d_model) inputs) --
+
+    def keys_values(self, x: Tensor, rows: int) -> tuple[np.ndarray, np.ndarray]:
+        """Keys and values of `x` (rows * length, d_model), each shaped
+        (rows, n_heads, length, d_head)."""
+
+        def split(y: Tensor) -> np.ndarray:
+            return y.data.reshape(rows, -1, self.n_heads, self.d_head).swapaxes(1, 2)
+
+        return split(self.wk(x)), split(self.wv(x))
+
+    def attend(self, query: Tensor, keys: np.ndarray, values: np.ndarray) -> Tensor:
+        """One query row per sequence against cached keys and values (from
+        `keys_values`; a leading axis of 1 broadcasts over the rows)."""
+        rows, d = query.shape
+        q = self.wq(query).reshape(rows, self.n_heads, 1, self.d_head)
+        scores = (q @ Tensor(keys).swapaxes(-1, -2)) * (1.0 / math.sqrt(self.d_head))
+        attn = ad.softmax(scores, axis=-1)
+        return self.wo((attn @ Tensor(values)).reshape(rows, d))
+
     def params(self) -> list[tuple[str, Tensor]]:
         out = []
         for name, lin in (("wq", self.wq), ("wk", self.wk), ("wv", self.wv), ("wo", self.wo)):
@@ -171,7 +195,7 @@ class MultiHeadAttention:
 class DecoderLayer:
     """Post-norm decoder block: masked self-attention, cross-attention, GELU FF."""
 
-    def __init__(self, rng: np.random.Generator, cfg: ModelConfig):
+    def __init__(self, rng: np.random.Generator | None, cfg: ModelConfig):
         d = cfg.d_model
         self.p_drop = cfg.trunk_dropout
         self.self_attn = MultiHeadAttention(rng, d, cfg.n_heads, cfg.trunk_dropout)
@@ -189,6 +213,18 @@ class DecoderLayer:
         x = self.norm2(x + _dropout(h, self.p_drop, train, rng))
         h = self.w2(_dropout(ad.gelu(self.w1(x)), self.p_drop, train, rng))
         return self.norm3(x + _dropout(h, self.p_drop, train, rng))
+
+    def step(self, x, keys, values, memory_keys, memory_values):
+        """Eval-mode block for one new position per row: x is (rows, d_model);
+        keys/values hold the earlier positions' self-attention cache. Returns
+        the block output and the cache extended by the new position."""
+        new_keys, new_values = self.self_attn.keys_values(x, x.shape[0])
+        keys = np.concatenate([keys, new_keys], axis=2)
+        values = np.concatenate([values, new_values], axis=2)
+        x = self.norm1(x + self.self_attn.attend(x, keys, values))
+        x = self.norm2(x + self.cross_attn.attend(x, memory_keys, memory_values))
+        x = self.norm3(x + self.w2(ad.gelu(self.w1(x))))
+        return x, keys, values
 
     def params(self) -> list[tuple[str, Tensor]]:
         out = []
@@ -208,7 +244,7 @@ class DecoderLayer:
 class LanguageHead:
     """Per-language token embedding and output classifier (untied)."""
 
-    def __init__(self, rng: np.random.Generator, language: Language, vocab: Vocabulary, d_model: int):
+    def __init__(self, rng: np.random.Generator | None, language: Language, vocab: Vocabulary, d_model: int):
         self.language = language
         self.vocab = vocab
         self.embedding = Tensor(
@@ -237,10 +273,25 @@ class MultilingualModel:
     """Shared trunk plus one head per registered language."""
 
     def __init__(self, config: ModelConfig, vocabs: Mapping[Language, Vocabulary], seed: int = 0):
+        self._build(config, vocabs, np.random.default_rng(seed))
+
+    @classmethod
+    def _unfilled(cls, config: ModelConfig, vocabs: Mapping[Language, Vocabulary]) -> "MultilingualModel":
+        """Weight matrices allocated but not initialized, for a loader that
+        fills every parameter."""
+        model = cls.__new__(cls)
+        model._build(config, vocabs, None)
+        return model
+
+    def _build(
+        self,
+        config: ModelConfig,
+        vocabs: Mapping[Language, Vocabulary],
+        rng: np.random.Generator | None,
+    ) -> None:
         if not vocabs:
             raise ValidationError("model needs at least one language head")
         self.config = config
-        rng = np.random.default_rng(seed)
         self.frontend = Linear(rng, config.d_in, config.d_model)
         self.layers = [DecoderLayer(rng, config) for _ in range(config.n_layers)]
         # heads initialized in stable language order so seeds are reproducible
@@ -371,6 +422,59 @@ class MultilingualModel:
         return head.classifier(x)
 
 
+class IncrementalDecoder:
+    """Eval-mode next-token logits for one audio sequence in one language,
+    one new position per call (incremental decoding, Shazeer 2019).
+
+    The front-end output and every layer's cross-attention keys/values are
+    computed once, at construction. Each layer's self-attention keys/values
+    of the positions decoded so far are cached per row, so `advance` runs only
+    the new position through the trunk and the classifier. `reorder` gathers
+    the cached rows by parent index, as a beam keeps, drops or duplicates
+    hypotheses. The logits equal `MultilingualModel.forward` on the full
+    prefixes up to floating-point rounding.
+    """
+
+    def __init__(self, model: MultilingualModel, audio: np.ndarray, language: Language):
+        self.model = model
+        self.head = model.head(language)
+        with ad.no_grad():
+            memory = model.encode_audio(audio, None, False, None)
+            self.memory = [layer.cross_attn.keys_values(memory, 1) for layer in model.layers]
+        self.reset(1)
+
+    def reset(self, rows: int) -> None:
+        """Drop the cache: the next `advance` is position 0 of `rows` rows."""
+        cfg = self.model.config
+        empty = np.zeros((rows, cfg.n_heads, 0, cfg.d_model // cfg.n_heads))
+        self.keys = [empty] * cfg.n_layers
+        self.values = [empty] * cfg.n_layers
+        self.length = 0
+
+    def reorder(self, parents: np.ndarray) -> None:
+        """Row i of the cache becomes the old row parents[i]."""
+        self.keys = [k[parents] for k in self.keys]
+        self.values = [v[parents] for v in self.values]
+
+    def advance(self, ids: np.ndarray) -> np.ndarray:
+        """Append one token id per row; return (rows, vocab) next-token logits."""
+        if self.length >= self.model.config.max_len:
+            raise SequenceTooLongError(
+                f"target length {self.length + 1} exceeds max_len {self.model.config.max_len}"
+            )
+        scale = math.sqrt(self.model.config.d_model)
+        with ad.no_grad():
+            x = ad.embedding(self.head.embedding, ids) * scale
+            x = x + Tensor(self.model.pos_encoding[self.length])
+            for i, layer in enumerate(self.model.layers):
+                x, self.keys[i], self.values[i] = layer.step(
+                    x, self.keys[i], self.values[i], *self.memory[i]
+                )
+            logits = self.head.classifier(x).data
+        self.length += 1
+        return logits
+
+
 # -- parameter accounting ----------------------------------------------
 
 
@@ -495,44 +599,60 @@ def save_checkpoint(model: MultilingualModel, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> MultilingualModel:
-    """Rebuild a model from a checkpoint, bit-exactly."""
-    raw = Path(path).read_bytes()
-    if raw[:4] != CKPT_MAGIC:
-        raise ValidationError(f"{path}: not a checkpoint file (bad magic)")
-    version, meta_len = struct.unpack("<II", raw[4:12])
-    if version != CKPT_VERSION:
-        raise ValidationError(f"{path}: unsupported checkpoint version {version}")
-    offset = 12
-    meta = json.loads(raw[offset : offset + meta_len].decode("utf-8"))
-    offset += meta_len
-    config = ModelConfig.from_dict(meta["model_config"])
-    vocabs = {
-        Language.parse(code): Vocabulary.from_json(json.dumps(doc))
-        for code, doc in meta["vocabs"].items()
-    }
-    model = MultilingualModel(config, vocabs, seed=0)
-    params = model.named_parameters()
-    (n_tensors,) = struct.unpack("<I", raw[offset : offset + 4])
-    offset += 4
-    seen = set()
-    for _ in range(n_tensors):
-        (name_len,) = struct.unpack("<I", raw[offset : offset + 4])
-        offset += 4
-        name = raw[offset : offset + name_len].decode("utf-8")
-        offset += name_len
-        (ndim,) = struct.unpack("<I", raw[offset : offset + 4])
-        offset += 4
-        shape = struct.unpack(f"<{ndim}I", raw[offset : offset + 4 * ndim])
-        offset += 4 * ndim
-        count = int(np.prod(shape)) if ndim else 1
-        data = np.frombuffer(raw[offset : offset + 8 * count], dtype="<f8").reshape(shape)
-        offset += 8 * count
-        if name not in params:
-            raise ValidationError(f"{path}: unexpected tensor {name!r}")
-        if params[name].data.shape != data.shape:
-            raise ValidationError(f"{path}: shape mismatch for {name!r}")
-        params[name].data = data.copy()
-        seen.add(name)
+    """Rebuild a model from a checkpoint, bit-exactly.
+
+    Each tensor is read straight into its parameter array. Every read is
+    bounds-checked against the file size, so a truncated file, trailing bytes
+    or a tensor that does not match the model fail as ValidationError.
+    """
+    path = Path(path)
+    with path.open("rb") as f:
+        size = os.fstat(f.fileno()).st_size
+
+        def need(n: int, what: str) -> None:
+            if f.tell() + n > size:
+                raise ValidationError(f"{path}: truncated checkpoint (reading {what})")
+
+        def read(n: int, what: str) -> bytes:
+            need(n, what)
+            return f.read(n)
+
+        def read_u32(what: str) -> int:
+            return struct.unpack("<I", read(4, what))[0]
+
+        if f.read(4) != CKPT_MAGIC:
+            raise ValidationError(f"{path}: not a checkpoint file (bad magic)")
+        version, meta_len = struct.unpack("<II", read(8, "header"))
+        if version != CKPT_VERSION:
+            raise ValidationError(f"{path}: unsupported checkpoint version {version}")
+        try:
+            meta = json.loads(read(meta_len, "metadata").decode("utf-8"))
+            config = ModelConfig.from_dict(meta["model_config"])
+            vocabs = {
+                Language.parse(code): Vocabulary.from_json(json.dumps(doc))
+                for code, doc in meta["vocabs"].items()
+            }
+        except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError, AttributeError) as exc:
+            raise ValidationError(f"{path}: bad checkpoint metadata ({exc!r})") from exc
+        model = MultilingualModel._unfilled(config, vocabs)
+        params = model.named_parameters()
+        seen = set()
+        for _ in range(read_u32("tensor count")):
+            name = read(read_u32("tensor name length"), "tensor name").decode("utf-8", "replace")
+            if name not in params or name in seen:
+                raise ValidationError(f"{path}: unexpected or repeated tensor {name!r}")
+            ndim = read_u32(f"{name} rank")
+            shape = struct.unpack(f"<{ndim}I", read(4 * ndim, f"{name} shape"))
+            target = params[name].data
+            if target.shape != shape:
+                raise ValidationError(f"{path}: shape mismatch for {name!r}")
+            need(target.nbytes, name)
+            f.readinto(memoryview(target).cast("B"))
+            if sys.byteorder == "big":
+                target.byteswap(inplace=True)
+            seen.add(name)
+        if f.tell() != size:
+            raise ValidationError(f"{path}: {size - f.tell()} trailing bytes after the last tensor")
     missing = set(params) - seen
     if missing:
         raise ValidationError(f"{path}: missing tensors", items=sorted(missing))

@@ -1,7 +1,8 @@
 """Independent reference implementations used only to check the production
 code: a literal transcription of the CIDEr-D formula, exhaustive constrained
-sequence search, and central finite differences. These deliberately share no
-code with the package paths they verify.
+sequence search, an object-per-hypothesis beam search, and central finite
+differences. These deliberately share no code with the package paths they
+verify.
 """
 
 from __future__ import annotations
@@ -144,6 +145,50 @@ def greedy_constrained_decode(
     consider(prefix, total, row)
     best = min(terminations, key=lambda t: (-t[0], t[1]))
     return best[1], best[0]
+
+
+def reference_beam_search(
+    step_fn,
+    vocab,
+    stopwords: frozenset[str],
+    beam_size: int,
+    max_len: int,
+    length_norm: float,
+) -> tuple[tuple[int, ...], float, float]:
+    """Object-per-hypothesis constrained beam search, the loop form of
+    polycap.decoding.beam_search. Returns (ids, log_prob, normalized score).
+
+    Each round expands every active hypothesis by EOS (to the finished pool)
+    and by every word it has not used (stopwords exempt; only EOS once the
+    word budget is spent), then keeps the beam_size best candidates by
+    (-log_prob, id tuple). The finished hypothesis with the best normalized
+    score wins, ties to the smaller id tuple.
+    """
+
+    def normalized(ids, log_prob):
+        return log_prob / ((len(ids) - 1) ** length_norm)
+
+    active = [((vocab.bos_id,), 0.0)]
+    finished = []
+    for _ in range(max_len + 1):
+        if not active:
+            break
+        rows = step_fn(np.array([ids for ids, _ in active], dtype=np.int64))
+        candidates = []
+        for (ids, log_prob), row in zip(active, rows):
+            finished.append((ids + (vocab.eos_id,), log_prob + float(row[vocab.eos_id])))
+            if len(ids) - 1 >= max_len:
+                continue
+            used = {vocab.tokens[i] for i in ids[1:]}
+            for tok in vocab.word_ids:
+                surface = vocab.tokens[tok]
+                if surface in used and surface not in stopwords:
+                    continue
+                candidates.append((ids + (tok,), log_prob + float(row[tok])))
+        candidates.sort(key=lambda c: (-c[1], c[0]))
+        active = candidates[:beam_size]
+    ids, log_prob = min(finished, key=lambda f: (-normalized(*f), f[0]))
+    return ids, log_prob, normalized(ids, log_prob)
 
 
 def finite_difference_grads(loss_fn, params: dict, h: float = 1e-5) -> dict:

@@ -164,6 +164,23 @@ class TestTrainCaptionEval:
             assert scores["cider_d_raw"] >= 0.0
             assert scores["sbert_sim_pct"] is None
 
+    def test_caption_manifest_missing_embedding_exits_2_with_items(self, tmp_path, capsys):
+        manifest, emb_dir = write_corpus(tmp_path)
+        config = write_train_config(tmp_path, manifest, emb_dir, epochs=1)
+        assert main(["train", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
+        (emb_dir / "test01.aemb").unlink()
+        capsys.readouterr()
+        code = main([
+            "caption", "--checkpoint", str(tmp_path / "run" / "checkpoint.ackp"),
+            "--embeddings-dir", str(emb_dir), "--manifest", str(manifest),
+            "--split", "test", "--out", str(tmp_path / "cap"),
+        ])
+        assert code == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "ValidationError"
+        assert payload["items"] == ["test01: missing embedding file test01.aemb"]
+        assert not (tmp_path / "cap" / "captions.jsonl").exists()
+
     def test_train_smoke_loss_collapses(self, tmp_path):
         # 10-item monolingual corpus, 200 epochs: final loss < 10% of initial
         manifest, emb_dir = write_corpus(tmp_path, n_items=10, languages=("en",))

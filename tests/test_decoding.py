@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import tiny_model_config, word_vocab
-from oracles import exhaustive_constrained_search, greedy_constrained_decode
+from oracles import exhaustive_constrained_search, greedy_constrained_decode, reference_beam_search
+from polycap import autodiff as ad
+from polycap import model as model_mod
 from polycap.decoding import DecodeConfig, beam_search, caption_audio, model_step_fn
 from polycap.errors import ValidationError
-from polycap.model import MultilingualModel
+from polycap.model import MultilingualModel, SequenceTooLongError
 from polycap.text import Language
 
 
@@ -122,6 +124,147 @@ class TestOracleEquivalence:
             got = beam_search(step, vocab, None, DecodeConfig(beam_size=1, max_len=5))
             want_ids, _ = greedy_constrained_decode(step, vocab, frozenset(), 5, 1.0)
             assert got.token_ids == want_ids
+
+
+def tied_table_scorer(vocab_size, seed, levels=3, p_inf=0.0):
+    """Context-dependent tables drawn from a few values, so candidates tie
+    exactly; with p_inf, some entries are -inf but still allowed."""
+    cache = {}
+
+    def step(prefixes):
+        rows = []
+        for p in prefixes:
+            key = tuple(int(x) for x in p)
+            if key not in cache:
+                local = np.random.default_rng((hash(key) ^ seed) % (2**63))
+                row = -local.integers(0, levels, size=vocab_size).astype(np.float64)
+                row[local.random(vocab_size) < p_inf] = -np.inf
+                cache[key] = row
+            rows.append(cache[key])
+        return np.array(rows)
+
+    return step
+
+
+class TestReferenceEquivalence:
+    def test_matches_object_search_on_randomized_battery(self):
+        rng = np.random.default_rng(7)
+        for trial in range(1200):
+            n_words = int(rng.integers(1, 7))
+            vocab = word_vocab([f"t{i}" for i in range(n_words)])
+            stopwords = frozenset(f"t{i}" for i in range(n_words) if rng.random() < 0.3)
+            kind = trial % 4
+            if kind == 0:
+                step = table_scorer(vocab.size, seed=trial, concentration=float(rng.uniform(0.5, 3.0)))
+            elif kind == 1:
+                step = tied_table_scorer(vocab.size, seed=trial, levels=int(rng.integers(1, 4)))
+            elif kind == 2:
+                step = tied_table_scorer(vocab.size, seed=trial, levels=2, p_inf=0.3)
+            else:
+                # context-independent: equal words tie at every depth; some words impossible
+                words = {f"t{i}": float(rng.choice([0.1, 0.2])) for i in range(n_words) if rng.random() < 0.8}
+                step = constant_scorer(vocab, {**words, "<eos>": float(rng.choice([0.1, 0.2]))})
+            cfg = DecodeConfig(
+                beam_size=int(rng.integers(1, 6)),
+                max_len=int(rng.integers(1, 6)),
+                length_norm=float(rng.choice([0.0, 0.7, 1.0])),
+            )
+            got = beam_search(step, vocab, stopwords, cfg)
+            want_ids, want_log_prob, want_norm = reference_beam_search(
+                step, vocab, stopwords, cfg.beam_size, cfg.max_len, cfg.length_norm
+            )
+            assert got.token_ids == want_ids, (trial, cfg)
+            assert got.log_prob == want_log_prob, (trial, cfg)
+            assert got.normalized_score == want_norm, (trial, cfg)
+
+    def test_matches_object_search_on_models(self):
+        rng = np.random.default_rng(12)
+        for trial in range(4):
+            vocab = word_vocab([f"w{i}" for i in range(int(rng.integers(3, 9)))])
+            cfg = tiny_model_config(d_in=5, d_model=16, n_layers=2, n_heads=2, d_ff=24)
+            model = MultilingualModel(cfg, {Language.EN: vocab}, seed=trial)
+            audio = rng.normal(size=(4, 5))
+            stopwords = frozenset({"w0"})
+            got = beam_search(
+                model_step_fn(model, audio, Language.EN), vocab, stopwords, DecodeConfig(3, 6)
+            )
+            want_ids, want_log_prob, _ = reference_beam_search(
+                model_step_fn(model, audio, Language.EN), vocab, stopwords, 3, 6, 1.0
+            )
+            assert got.token_ids == want_ids
+            assert got.log_prob == want_log_prob
+
+
+class TestCachedScorer:
+    @staticmethod
+    def _setup(seed, n_layers=2):
+        rng = np.random.default_rng(seed)
+        vocab = word_vocab([f"w{i}" for i in range(9)])
+        cfg = tiny_model_config(d_in=5, d_model=16, n_layers=n_layers, n_heads=4, d_ff=24, max_len=8)
+        model = MultilingualModel(cfg, {Language.EN: vocab}, seed=seed)
+        audio = rng.normal(size=(int(rng.integers(1, 6)), 5))
+        return rng, vocab, model, audio
+
+    @staticmethod
+    def _full(model, audio, prefixes):
+        with ad.no_grad():
+            logits = model.forward(
+                np.broadcast_to(audio, (len(prefixes), *audio.shape)), prefixes, Language.EN
+            ).data[:, -1, :]
+        shifted = logits - logits.max(axis=-1, keepdims=True)
+        return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+    def test_rows_match_full_forward_on_random_prefix_trees(self):
+        for trial in range(8):
+            rng, vocab, model, audio = self._setup(trial)
+            step = model_step_fn(model, audio, Language.EN)
+            prefixes = np.full((1, 1), vocab.bos_id, dtype=np.int64)
+            for _ in range(model.config.max_len):
+                got = step(prefixes)
+                np.testing.assert_allclose(got, self._full(model, audio, prefixes), rtol=0, atol=1e-12)
+                # next call: parents reordered, duplicated or dropped; the beam grows and shrinks
+                rows = int(rng.integers(1, 7))
+                parents = rng.integers(0, len(prefixes), size=rows)
+                tokens = rng.integers(0, vocab.size, size=rows)
+                prefixes = np.column_stack([prefixes[parents], tokens])
+
+    def test_rebuild_path_stays_exact(self):
+        rng, vocab, model, audio = self._setup(3)
+        step = model_step_fn(model, audio, Language.EN)
+        bos = vocab.bos_id
+        calls = [
+            [[bos, 4, 5]],  # first call: longer than one token
+            [[bos, 4, 5, 6], [bos, 4, 5, 7]],  # extends: incremental
+            [[bos, 6, 5, 6, 9]],  # same length + 1 but a new parent: rebuild
+            [[bos, 4]],  # shorter: rebuild
+            [[bos, 4], [bos, 4]],  # same length, duplicates: rebuild
+            [[bos, 4, 8], [bos, 4, 4]],  # extends duplicates
+        ]
+        for prefixes in calls:
+            prefixes = np.array(prefixes, dtype=np.int64)
+            np.testing.assert_allclose(
+                step(prefixes), self._full(model, audio, prefixes), rtol=0, atol=1e-12
+            )
+        too_long = np.full((2, model.config.max_len + 1), bos, dtype=np.int64)
+        with pytest.raises(SequenceTooLongError):
+            step(too_long)
+        # a failed call leaves no stale cache behind
+        prefixes = np.array([[bos, 4, 8, 1]], dtype=np.int64)
+        np.testing.assert_allclose(step(prefixes), self._full(model, audio, prefixes), rtol=0, atol=1e-12)
+
+    def test_beam_search_builds_the_cache_once(self, monkeypatch):
+        _, vocab, model, audio = self._setup(5)
+        resets = []
+        original = model_mod.IncrementalDecoder.reset
+
+        def counting_reset(self, rows):
+            resets.append(rows)
+            original(self, rows)
+
+        monkeypatch.setattr(model_mod.IncrementalDecoder, "reset", counting_reset)
+        step = model_step_fn(model, audio, Language.EN)
+        beam_search(step, vocab, None, DecodeConfig(beam_size=3, max_len=6))
+        assert resets == [1, 1]  # construction, then the BOS call
 
 
 class TestNoRepeatProperty:

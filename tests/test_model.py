@@ -249,6 +249,7 @@ class TestCheckpoint:
         assert set(a) == set(b)
         for name in a:
             assert np.array_equal(a[name].data, b[name].data), name
+            assert b[name].data.flags.writeable and b[name].data.flags.owndata, name
         # saving the loaded model reproduces the file byte for byte
         save_checkpoint(loaded, tmp_path / "again.ackp")
         assert (tmp_path / "again.ackp").read_bytes() == path.read_bytes()
@@ -257,6 +258,24 @@ class TestCheckpoint:
         path = tmp_path / "bad.ackp"
         path.write_bytes(b"not a checkpoint")
         with pytest.raises(ValidationError):
+            load_checkpoint(path)
+
+    def test_truncated_file_is_validation_error(self, tmp_path, tiny_model):
+        path = tmp_path / "m.ackp"
+        save_checkpoint(tiny_model, path)
+        raw = path.read_bytes()
+        meta_end = 12 + int.from_bytes(raw[8:12], "little")
+        # inside the header, the metadata, a tensor header, a tensor body, the last byte
+        for cut in (6, 10, meta_end - 3, meta_end + 2, meta_end + 9, len(raw) // 2, len(raw) - 1):
+            path.write_bytes(raw[:cut])
+            with pytest.raises(ValidationError):
+                load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path, tiny_model):
+        path = tmp_path / "m.ackp"
+        save_checkpoint(tiny_model, path)
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(ValidationError, match="trailing"):
             load_checkpoint(path)
 
     def test_accented_vocabulary_roundtrips(self, tmp_path):
