@@ -224,7 +224,7 @@ class Tensor:
 
         def backward(g):
             full = np.zeros(shape, dtype=np.float64)
-            full[idx] = g
+            np.add.at(full, idx, g)  # a repeated index gets every gradient
             self._accumulate(full)
 
         return Tensor._make(out_data, (self,), backward)
@@ -271,15 +271,6 @@ def log(t: Tensor) -> Tensor:
         t._accumulate(g / t.data)
 
     return Tensor._make(np.log(t.data), (t,), backward)
-
-
-def tanh(t: Tensor) -> Tensor:
-    out_data = np.tanh(t.data)
-
-    def backward(g):
-        t._accumulate(g * (1.0 - out_data * out_data))
-
-    return Tensor._make(out_data, (t,), backward)
 
 
 def relu(t: Tensor) -> Tensor:

@@ -22,7 +22,7 @@ import polycap
 from polycap import corpus as corpus_mod
 from polycap import decoding, evaluation, model as model_mod, training
 from polycap.errors import ToolkitError, ValidationError
-from polycap.text import Language, build_vocabulary, load_stopwords, tokenize
+from polycap.text import Language, Vocabulary, build_vocabulary, load_stopwords, tokenize
 
 
 def _sha256_file(path: Path) -> str:
@@ -70,6 +70,19 @@ def _parse_languages(spec: str) -> list[Language]:
     return [Language.parse(c) for c in codes]
 
 
+def _build_vocabularies(
+    index: corpus_mod.CorpusIndex, languages: list[Language], min_count: int
+) -> dict[Language, Vocabulary]:
+    """One vocabulary per language from the tokenized captions of `index`."""
+    return {
+        lang: build_vocabulary(
+            [tokenize(c) for record in index.manifest.records(lang) for c in record.captions],
+            min_count=min_count,
+        )
+        for lang in languages
+    }
+
+
 # -- commands ----------------------------------------------------------------
 
 
@@ -77,16 +90,9 @@ def cmd_prepare(args) -> int:
     languages = _parse_languages(args.languages)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    manifests = corpus_mod.load_manifests(args.manifest)
-    if args.split not in manifests:
-        raise ValidationError(f"split {args.split!r} not present in {args.manifest}")
     index = corpus_mod.CorpusIndex.from_paths(args.manifest, args.embeddings_dir, args.split, languages)
     vocab_files = {}
-    for lang in languages:
-        tokenized = [
-            tokenize(c) for record in index.manifest.records(lang) for c in record.captions
-        ]
-        vocab = build_vocabulary(tokenized, min_count=args.min_count)
+    for lang, vocab in _build_vocabularies(index, languages, args.min_count).items():
         path = out_dir / f"vocab.{lang.value}.json"
         vocab.save(path)
         vocab_files[lang.value] = {"path": path.name, "size": vocab.size}
@@ -173,12 +179,7 @@ def cmd_train(args) -> int:
             f"embedding dim {train_index.embed_dim} does not match model d_in {model_cfg.d_in}"
         )
 
-    vocabs = {}
-    for lang in languages:
-        tokenized = [
-            tokenize(c) for record in train_index.manifest.records(lang) for c in record.captions
-        ]
-        vocabs[lang] = build_vocabulary(tokenized, min_count=doc.get("min_count", 1))
+    vocabs = _build_vocabularies(train_index, languages, doc.get("min_count", 1))
     model = model_mod.MultilingualModel(model_cfg, vocabs, seed=train_cfg.seed)
 
     trainer = training.Trainer(model, train_index, train_cfg, val_corpus=val_index)
@@ -201,10 +202,7 @@ def cmd_caption(args) -> int:
     languages = _parse_languages(args.languages) if args.languages else list(model.languages)
     embeddings_dir = Path(args.embeddings_dir)
     if args.manifest:
-        manifests = corpus_mod.load_manifests(args.manifest)
-        if args.split not in manifests:
-            raise ValidationError(f"split {args.split!r} not present in {args.manifest}")
-        audio_ids = list(manifests[args.split].audio_ids)
+        audio_ids = list(corpus_mod.load_split(args.manifest, args.split).audio_ids)
         missing = [
             f"{audio_id}: missing embedding file {audio_id}.aemb"
             for audio_id in audio_ids
@@ -259,16 +257,35 @@ def cmd_caption(args) -> int:
 
 
 def _read_captions_jsonl(path: Path) -> dict[Language, dict[str, str]]:
+    """Captions by language and audio id. Every malformed line is reported,
+    itemized, in one ValidationError."""
     out: dict[Language, dict[str, str]] = {}
+    problems: list[str] = []
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         if not line.strip():
             continue
         try:
             obj = json.loads(line)
-            lang = Language.parse(obj["language"])
-            out.setdefault(lang, {})[obj["audio_id"]] = obj["caption"]
-        except (json.JSONDecodeError, KeyError) as exc:
-            raise ValidationError(f"{path}:{lineno}: bad caption record ({exc})") from exc
+        except json.JSONDecodeError as exc:
+            problems.append(f"line {lineno}: invalid JSON ({exc.msg})")
+            continue
+        if not isinstance(obj, dict):
+            problems.append(f"line {lineno}: not a JSON object")
+            continue
+        audio_id, code, caption = obj.get("audio_id"), obj.get("language"), obj.get("caption")
+        if not isinstance(audio_id, str) or not audio_id:
+            problems.append(f"line {lineno}: audio_id must be a non-empty string")
+        elif not isinstance(code, str):
+            problems.append(f"line {lineno}: language must be a string")
+        elif not isinstance(caption, str):
+            problems.append(f"line {lineno}: caption must be a string")
+        else:
+            try:
+                out.setdefault(Language.parse(code), {})[audio_id] = caption
+            except ValidationError as exc:
+                problems.append(f"line {lineno}: {exc.message}")
+    if problems:
+        raise ValidationError(f"captions file {path} failed validation", items=problems)
     if not out:
         raise ValidationError(f"{path}: no caption records")
     return out
@@ -276,10 +293,7 @@ def _read_captions_jsonl(path: Path) -> dict[Language, dict[str, str]]:
 
 def cmd_eval(args) -> int:
     candidates = _read_captions_jsonl(Path(args.captions))
-    manifests = corpus_mod.load_manifests(args.manifest)
-    if args.split not in manifests:
-        raise ValidationError(f"split {args.split!r} not present in {args.manifest}")
-    manifest = manifests[args.split]
+    manifest = corpus_mod.load_split(args.manifest, args.split)
     references = {
         lang: {r.audio_id: list(r.captions) for r in manifest.records(lang)}
         for lang in candidates

@@ -214,6 +214,14 @@ def load_manifests(path: str | Path) -> dict[str, CaptionManifest]:
     return {split: CaptionManifest(split=split, entries=entries) for split, entries in per_split.items()}
 
 
+def load_split(path: str | Path, split: str) -> CaptionManifest:
+    """The manifest of one split; a split absent from the file is an error."""
+    manifests = load_manifests(path)
+    if split not in manifests:
+        raise ValidationError(f"split {split!r} not present in {path}")
+    return manifests[split]
+
+
 @dataclass(frozen=True)
 class CorpusStats:
     """Table-1 style statistics for one (language, split) pair."""
@@ -301,10 +309,7 @@ class CorpusIndex:
         split: str,
         languages: Sequence[Language],
     ) -> "CorpusIndex":
-        manifests = load_manifests(manifest_path)
-        if split not in manifests:
-            raise ValidationError(f"split {split!r} not present in {manifest_path}")
-        manifest = manifests[split]
+        manifest = load_split(manifest_path, split)
         embeddings_dir = Path(embeddings_dir)
         embeddings: dict[str, np.ndarray] = {}
         problems: list[str] = []

@@ -10,7 +10,7 @@ under length normalization wins. Ties break on lexicographic token ids.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, replace
 from typing import Callable
 
 import numpy as np
@@ -171,13 +171,6 @@ def caption_audio(
     stopwords: StopwordList | frozenset[str] | None,
 ) -> DecodeResult:
     """Decode one caption for one (audio, language) pair."""
-    vocab = model.vocab(language)
-    effective = cfg
-    if cfg.max_len > model.config.max_len - 1:
-        # the model scores at most max_len positions (BOS included)
-        effective = DecodeConfig(
-            beam_size=cfg.beam_size,
-            max_len=model.config.max_len - 1,
-            length_norm=cfg.length_norm,
-        )
-    return beam_search(model_step_fn(model, audio, language), vocab, stopwords, effective)
+    # the model scores at most max_len positions (BOS included)
+    cfg = replace(cfg, max_len=min(cfg.max_len, model.config.max_len - 1))
+    return beam_search(model_step_fn(model, audio, language), model.vocab(language), stopwords, cfg)

@@ -197,15 +197,24 @@ class HttpEmbedder:
         try:
             with urllib.request.urlopen(request, timeout=self.timeout) as response:
                 body = json.loads(response.read().decode("utf-8"))
-        except (urllib.error.URLError, json.JSONDecodeError, OSError) as exc:
+        except (urllib.error.URLError, UnicodeDecodeError, json.JSONDecodeError, OSError) as exc:
             raise EmbedderError(f"embedding service failed: {exc}") from exc
-        vectors = body.get("vectors")
+        vectors = body.get("vectors") if isinstance(body, dict) else None
         if not isinstance(vectors, list) or len(vectors) != len(texts):
             raise EmbedderError(
                 f"embedding service returned {len(vectors) if isinstance(vectors, list) else 'no'}"
                 f" vectors for {len(texts)} texts"
             )
-        return _normalize_rows(np.asarray(vectors, dtype=np.float64), texts)
+        try:
+            matrix = np.asarray(vectors)
+        except ValueError as exc:  # ragged rows
+            raise EmbedderError(f"embedding service returned ragged vectors ({exc})") from exc
+        if matrix.ndim != 2 or matrix.dtype.kind not in "iuf":
+            raise EmbedderError("embedding service returned vectors that are not rows of numbers")
+        matrix = matrix.astype(np.float64)
+        if not np.isfinite(matrix).all():
+            raise EmbedderError("embedding service returned non-finite vector values")
+        return _normalize_rows(matrix, texts)
 
 
 def _embed_with_item_context(

@@ -148,42 +148,36 @@ class MultiHeadAttention:
         train: bool,
         rng: np.random.Generator | None,
     ) -> Tensor:
-        b, t, d = query.shape
-        s = memory.shape[1]
+        return self.attend(query, *self.keys_values(memory), additive_mask, train, rng)
 
-        def split(x: Tensor, length: int) -> Tensor:
-            return x.reshape(b, length, self.n_heads, self.d_head).swapaxes(1, 2)
+    def _split_heads(self, y: Tensor) -> Tensor:
+        """(b, t, d_model) -> (b, n_heads, t, d_head); a flat (rows, d_model)
+        input is one position per row: (rows, n_heads, 1, d_head)."""
+        return y.reshape(y.shape[0], -1, self.n_heads, self.d_head).swapaxes(1, 2)
 
-        q = split(self.wq(query), t)
-        k = split(self.wk(memory), s)
-        v = split(self.wv(memory), s)
-        scores = (q @ k.swapaxes(-1, -2)) * (1.0 / math.sqrt(self.d_head))
+    def keys_values(self, memory: Tensor) -> tuple[Tensor, Tensor]:
+        """Keys and values of `memory`, each split into heads."""
+        return self._split_heads(self.wk(memory)), self._split_heads(self.wv(memory))
+
+    def attend(
+        self,
+        query: Tensor,
+        keys: Tensor,
+        values: Tensor,
+        additive_mask: np.ndarray | None,
+        train: bool,
+        rng: np.random.Generator | None,
+    ) -> Tensor:
+        """Scaled dot-product attention of `query`, (b, t, d_model) or flat
+        (rows, d_model), over keys/values from `keys_values`; a leading axis
+        of 1 on the keys/values broadcasts over the batch."""
+        q = self._split_heads(self.wq(query))
+        scores = (q @ keys.swapaxes(-1, -2)) * (1.0 / math.sqrt(self.d_head))
         if additive_mask is not None:
             scores = scores + Tensor(additive_mask)
         attn = ad.softmax(scores, axis=-1)
         attn = _dropout(attn, self.p_drop, train, rng)
-        ctx = (attn @ v).swapaxes(1, 2).reshape(b, t, d)
-        return self.wo(ctx)
-
-    # -- incremental decoding (eval mode, flat (rows, d_model) inputs) --
-
-    def keys_values(self, x: Tensor, rows: int) -> tuple[np.ndarray, np.ndarray]:
-        """Keys and values of `x` (rows * length, d_model), each shaped
-        (rows, n_heads, length, d_head)."""
-
-        def split(y: Tensor) -> np.ndarray:
-            return y.data.reshape(rows, -1, self.n_heads, self.d_head).swapaxes(1, 2)
-
-        return split(self.wk(x)), split(self.wv(x))
-
-    def attend(self, query: Tensor, keys: np.ndarray, values: np.ndarray) -> Tensor:
-        """One query row per sequence against cached keys and values (from
-        `keys_values`; a leading axis of 1 broadcasts over the rows)."""
-        rows, d = query.shape
-        q = self.wq(query).reshape(rows, self.n_heads, 1, self.d_head)
-        scores = (q @ Tensor(keys).swapaxes(-1, -2)) * (1.0 / math.sqrt(self.d_head))
-        attn = ad.softmax(scores, axis=-1)
-        return self.wo((attn @ Tensor(values)).reshape(rows, d))
+        return self.wo((attn @ values).swapaxes(1, 2).reshape(query.shape))
 
     def params(self) -> list[tuple[str, Tensor]]:
         out = []
@@ -218,11 +212,13 @@ class DecoderLayer:
         """Eval-mode block for one new position per row: x is (rows, d_model);
         keys/values hold the earlier positions' self-attention cache. Returns
         the block output and the cache extended by the new position."""
-        new_keys, new_values = self.self_attn.keys_values(x, x.shape[0])
-        keys = np.concatenate([keys, new_keys], axis=2)
-        values = np.concatenate([values, new_values], axis=2)
-        x = self.norm1(x + self.self_attn.attend(x, keys, values))
-        x = self.norm2(x + self.cross_attn.attend(x, memory_keys, memory_values))
+        new_keys, new_values = self.self_attn.keys_values(x)
+        keys = np.concatenate([keys, new_keys.data], axis=2)
+        values = np.concatenate([values, new_values.data], axis=2)
+        h = self.self_attn.attend(x, Tensor(keys), Tensor(values), None, False, None)
+        x = self.norm1(x + h)
+        h = self.cross_attn.attend(x, memory_keys, memory_values, None, False, None)
+        x = self.norm2(x + h)
         x = self.norm3(x + self.w2(ad.gelu(self.w1(x))))
         return x, keys, values
 
@@ -348,11 +344,7 @@ class MultilingualModel:
     # -- forward -------------------------------------------------------
 
     def encode_audio(
-        self,
-        audio: np.ndarray,
-        frame_mask: np.ndarray | None,
-        train: bool,
-        rng: np.random.Generator | None,
+        self, audio: np.ndarray, train: bool, rng: np.random.Generator | None
     ) -> Tensor:
         """Project raw audio embeddings through the dropout/dense/ReLU front-end."""
         x = Tensor(np.asarray(audio, dtype=np.float64))
@@ -402,13 +394,11 @@ class MultilingualModel:
                 elif mixup.lam < 1.0:
                     frame_mask = frame_mask | frame_mask[mixup.partner]
 
-        memory = self.encode_audio(audio, frame_mask, train, rng)
+        memory = self.encode_audio(audio, train, rng)
 
-        scale = math.sqrt(self.config.d_model)
-        tok = ad.embedding(head.embedding, target_ids) * scale
+        tok = ad.embedding(head.embedding, target_ids) * math.sqrt(self.config.d_model)
         if mixup is not None:
-            partner_tok = ad.embedding(head.embedding, target_ids[mixup.partner]) * scale
-            tok = tok * mixup.lam + partner_tok * (1.0 - mixup.lam)
+            tok = tok * mixup.lam + tok[mixup.partner] * (1.0 - mixup.lam)
         x = tok + Tensor(self.pos_encoding[:t])
         x = _dropout(x, self.config.trunk_dropout, train, rng)
 
@@ -439,8 +429,8 @@ class IncrementalDecoder:
         self.model = model
         self.head = model.head(language)
         with ad.no_grad():
-            memory = model.encode_audio(audio, None, False, None)
-            self.memory = [layer.cross_attn.keys_values(memory, 1) for layer in model.layers]
+            memory = model.encode_audio(audio, False, None)
+            self.memory = [layer.cross_attn.keys_values(memory[None]) for layer in model.layers]
         self.reset(1)
 
     def reset(self, rows: int) -> None:

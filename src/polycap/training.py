@@ -120,17 +120,6 @@ def smoothed_cross_entropy(
     return (per_pos * Tensor(mask)).sum() / n_valid
 
 
-def mixup_embeddings(a: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray:
-    """Convex combination lam*a + (1-lam)*b of two same-shape embedding batches."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValidationError(f"mixup shape mismatch: {a.shape} vs {b.shape}")
-    if not 0.0 <= lam <= 1.0:
-        raise ValidationError(f"mixup lambda {lam} outside [0, 1]")
-    return lam * a + (1.0 - lam) * b
-
-
 def draw_mixup(
     batch_size: int, alpha: float, rng: np.random.Generator, fixed_lambda: float | None = None
 ) -> MixupDraw:

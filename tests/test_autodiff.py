@@ -45,7 +45,7 @@ class TestBasicOps:
         x = Tensor(rng.normal(size=(4, 3)) + 0.5, requires_grad=True)
 
         def loss():
-            return (ad.tanh(x) * ad.gelu(x) + ad.exp(x * 0.1) + ad.relu(x)).sum()
+            return (ad.gelu(x) + ad.exp(x * 0.1) + ad.relu(x)).sum()
 
         check_grads(loss, {"x": x})
 
@@ -90,7 +90,8 @@ class TestBasicOps:
         x = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
 
         def loss():
-            return (x[1:3, ::2] * 3.0).sum()
+            # a repeated row index must accumulate, as in ad.embedding
+            return (x[1:3, ::2] * 3.0).sum() + (x[np.array([0, 0, 3])] ** 2).sum()
 
         check_grads(loss, {"x": x})
 

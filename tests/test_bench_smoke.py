@@ -10,12 +10,11 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["train", "caption", "prepare_eval"])
-def test_smoke_run_is_correct(workload):
+def smoke_run(workload: str, trace: int) -> dict:
     proc = subprocess.run(
         [
             sys.executable, "perfbench/run.py", "--workload", workload,
-            "--seed", "1", "--smoke", "--seconds", "1", "--trace", "0",
+            "--seed", "1", "--smoke", "--seconds", "1", "--trace", str(trace),
         ],  # fmt: skip
         cwd=ROOT,
         capture_output=True,
@@ -27,3 +26,17 @@ def test_smoke_run_is_correct(workload):
     assert result["correct"] is True, proc.stdout
     assert result["failed"] == 0
     assert result["attempted"] > 0
+    return result
+
+
+@pytest.mark.parametrize("workload", ["train", "caption", "prepare_eval"])
+def test_smoke_run_is_correct(workload):
+    smoke_run(workload, trace=0)
+
+
+def test_traced_train_fills_every_layer_metric():
+    # the tracer labels spans by polycap's entry points; a refactor that
+    # bypasses one of them would leave its layer reading zero
+    metrics = smoke_run("train", trace=1)["metrics"]
+    for name in ("self_attn", "cross_attn", "frontend", "ff", "norm", "head"):
+        assert metrics[f"model.{name}_s"]["value"] > 0, name

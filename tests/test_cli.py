@@ -240,6 +240,33 @@ class TestEvalToyIdentity:
         report = json.loads((out / "eval_report.json").read_text())
         assert report["scores"]["en"]["cider_d_raw"] == 10.0
 
+    def test_malformed_caption_lines_exit_2_with_items(self, tmp_path, capsys):
+        manifest, _ = write_corpus(tmp_path)
+        good = {"audio_id": "train00", "language": "en", "caption": "enm0 enfa"}
+        lines = [
+            json.dumps(good),
+            "[1, 2]",
+            json.dumps(good | {"language": 5}),
+            json.dumps(good | {"audio_id": ["a"]}),
+            json.dumps(good | {"caption": 5}),
+        ]
+        captions_path = tmp_path / "captions.jsonl"
+        captions_path.write_text("\n".join(lines) + "\n", "utf-8")
+        for argv in (
+            ["eval", "--manifest", str(manifest), "--split", "train", "--out", str(tmp_path / "e")],
+            ["compare-langs", "--endpoint", "http://127.0.0.1:9/unused"],
+        ):
+            capsys.readouterr()
+            assert main([*argv, "--captions", str(captions_path)]) == 2
+            payload = json.loads(capsys.readouterr().err)
+            assert payload["error"] == "ValidationError"
+            assert payload["items"] == [
+                "line 2: not a JSON object",
+                "line 3: language must be a string",
+                "line 4: audio_id must be a non-empty string",
+                "line 5: caption must be a string",
+            ]
+
 
 class TestParams:
     def test_default_vocab_sizes_table(self, tmp_path, capsys):

@@ -1,5 +1,7 @@
+import io
 import json
 import threading
+import urllib.request
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
@@ -292,6 +294,24 @@ class TestHttpEmbedder:
         client = HttpEmbedder("http://127.0.0.1:9/nope", timeout=0.2)
         with pytest.raises(EmbedderError):
             client.embed_batch(["x"], Language.EN)
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b"[[1.0, 0.0], [0.0, 1.0]]",  # not an object
+            b'{"vectors": [[1.0, 0.0], [1.0]]}',  # ragged
+            b'{"vectors": [[1.0, "a"], [0.0, 1.0]]}',  # non-numeric
+            b'{"vectors": [[1.0, null], [0.0, 1.0]]}',
+            b'{"vectors": [1.0, 0.0]}',  # numbers, not rows
+            b'{"vectors": [[NaN, 1.0], [0.0, 1.0]]}',
+            b'{"vectors": [[Infinity, 1.0], [0.0, 1.0]]}',
+            b"\xff\xfe",  # not UTF-8
+        ],
+    )
+    def test_malformed_response_is_embedder_error(self, monkeypatch, body):
+        monkeypatch.setattr(urllib.request, "urlopen", lambda request, timeout: io.BytesIO(body))
+        with pytest.raises(EmbedderError):
+            HttpEmbedder("http://embedder.invalid/embed").embed_batch(["x", "y"], Language.EN)
 
 
 class TestEvaluateCaptions:

@@ -7,7 +7,7 @@ import pytest
 from conftest import synthetic_corpus, tiny_model_config
 from polycap.autodiff import Tensor
 from polycap.errors import ValidationError
-from polycap.model import MultilingualModel
+from polycap.model import MixupDraw, MultilingualModel
 from polycap.text import Language
 from polycap.training import (
     AdamW,
@@ -16,7 +16,6 @@ from polycap.training import (
     Trainer,
     cosine_lr,
     draw_mixup,
-    mixup_embeddings,
     smoothed_cross_entropy,
     spec_mask,
 )
@@ -61,19 +60,15 @@ class TestSmoothedCrossEntropy:
 
 
 class TestMixup:
-    def test_lambda_one_returns_a_exactly(self):
-        rng = np.random.default_rng(1)
-        a, b = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
-        assert np.array_equal(mixup_embeddings(a, b, 1.0), a)
-
-    def test_half_mix_of_constants(self):
-        a = np.zeros((2, 3))
-        b = np.full((2, 3), 2.0)
-        assert np.array_equal(mixup_embeddings(a, b, 0.5), np.ones((2, 3)))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValidationError):
-            mixup_embeddings(np.zeros((2, 3)), np.zeros((3, 2)), 0.5)
+    def test_half_mix_of_constants(self, tiny_model):
+        # zeros mixed half and half with twos is ones; equal token rows mix to themselves
+        audio = np.stack([np.zeros((3, 6)), np.full((3, 6), 2.0)])
+        ids = np.array([[1, 4, 5], [1, 4, 5]])
+        mixed = tiny_model.forward(
+            audio, ids, Language.EN, mode="eval", mixup=MixupDraw(lam=0.5, partner=np.array([1, 0]))
+        ).data
+        plain = tiny_model.forward(np.ones((2, 3, 6)), ids, Language.EN, mode="eval").data
+        assert np.array_equal(mixed, plain)
 
     def test_beta_draw_statistics(self):
         rng = np.random.default_rng(777)
