@@ -81,9 +81,18 @@ class Tensor:
         return float(self.data)
 
     def _accumulate(self, grad: np.ndarray) -> None:
+        """Add `grad` into this tensor's gradient.
+
+        The first gradient is taken over without a copy. That is safe because
+        every backward hands each parent a buffer that no other live tensor
+        holds: a fresh array, or a view of the child's own gradient, which the
+        child no longer reads once its backward has run. `__add__` is the one
+        op that routes one `g` to two parents, and it copies for the second.
+        """
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+            self.grad = grad
+        else:
+            self.grad += grad
 
     def backward(self) -> None:
         """Reverse-accumulate gradients from a scalar output."""
@@ -126,7 +135,10 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(_unbroadcast(g, self.shape))
             if other.requires_grad:
-                other._accumulate(_unbroadcast(g, other.shape))
+                g_other = _unbroadcast(g, other.shape)
+                if self.requires_grad and np.may_share_memory(g_other, g):
+                    g_other = g_other.copy()
+                other._accumulate(g_other)
 
         return Tensor._make(out_data, (self, other), backward)
 
@@ -185,6 +197,8 @@ class Tensor:
 
     def __matmul__(self, other):
         other = self._coerce(other)
+        if self.ndim > 2 and other.ndim == 2:
+            return self._matmul_rows(other)
         out_data = self.data @ other.data
 
         def backward(g):
@@ -196,6 +210,25 @@ class Tensor:
                 other._accumulate(_unbroadcast(grad_b, other.shape))
 
         return Tensor._make(out_data, (self, other), backward)
+
+    def _matmul_rows(self, weight: "Tensor") -> "Tensor":
+        """(..., d_in) @ (d_in, d_out) as one product over the flattened rows.
+
+        Both gradients are single 2-D products as well; the weight gradient
+        sums over every row inside the product instead of building one
+        (d_in, d_out) slice per leading index and summing those.
+        """
+        d_in, d_out = weight.shape
+        out_data = (self.data.reshape(-1, d_in) @ weight.data).reshape(self.shape[:-1] + (d_out,))
+
+        def backward(g):
+            g_rows = g.reshape(-1, d_out)
+            if self.requires_grad:
+                self._accumulate((g_rows @ weight.data.T).reshape(self.shape))
+            if weight.requires_grad:
+                weight._accumulate(self.data.reshape(-1, d_in).T @ g_rows)
+
+        return Tensor._make(out_data, (self, weight), backward)
 
     # -- shape ops ----------------------------------------------------
 

@@ -135,11 +135,19 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def _load_train_config(path: Path) -> dict:
+def _read_config(path: Path) -> dict:
+    text = corpus_mod.read_text(path, "config")
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
         raise ValidationError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValidationError(f"config {path} is not a JSON object")
+    return doc
+
+
+def _load_train_config(path: Path) -> dict:
+    doc = _read_config(path)
     for key in ("data", "languages"):
         if key not in doc:
             raise ValidationError(f"config missing required key {key!r}")
@@ -165,15 +173,15 @@ def cmd_train(args) -> int:
     out_dir = Path(args.out or doc.get("out_dir", "run"))
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    train_index = corpus_mod.CorpusIndex.from_paths(
-        manifest_path, embeddings_dir, data.get("train_split", "train"), languages
-    )
+    manifests = corpus_mod.load_manifests(manifest_path)
+
+    def index(split: str) -> corpus_mod.CorpusIndex:
+        manifest = corpus_mod.select_split(manifests, split, manifest_path)
+        return corpus_mod.CorpusIndex.from_manifest(manifest, embeddings_dir, languages)
+
+    train_index = index(data.get("train_split", "train"))
     val_split = data.get("val_split")
-    val_index = (
-        corpus_mod.CorpusIndex.from_paths(manifest_path, embeddings_dir, val_split, languages)
-        if val_split
-        else None
-    )
+    val_index = index(val_split) if val_split else None
     if train_index.embed_dim != model_cfg.d_in:
         raise ValidationError(
             f"embedding dim {train_index.embed_dim} does not match model d_in {model_cfg.d_in}"
@@ -261,7 +269,7 @@ def _read_captions_jsonl(path: Path) -> dict[Language, dict[str, str]]:
     itemized, in one ValidationError."""
     out: dict[Language, dict[str, str]] = {}
     problems: list[str] = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(corpus_mod.read_text(path, "captions file").splitlines(), start=1):
         if not line.strip():
             continue
         try:
@@ -345,7 +353,7 @@ def _parse_vocab_sizes(spec: str) -> dict[Language, int]:
 
 
 def cmd_params(args) -> int:
-    config = model_mod.ModelConfig.from_dict(json.loads(Path(args.config).read_text()) if args.config else {})
+    config = model_mod.ModelConfig.from_dict(_read_config(Path(args.config)) if args.config else {})
     vocab_sizes = _parse_vocab_sizes(args.vocab_sizes)
     multi = model_mod.param_report(config, vocab_sizes)
     monos = [model_mod.param_report(config, {lang: size}) for lang, size in vocab_sizes.items()]

@@ -162,6 +162,14 @@ class CaptionManifest:
             ) from None
 
 
+def read_text(path: str | Path, what: str) -> str:
+    """A UTF-8 input file's text; a missing or undecodable file is a ValidationError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read {what} {path}: {exc}") from exc
+
+
 def load_manifests(path: str | Path) -> dict[str, CaptionManifest]:
     """Read a JSON-Lines manifest into per-split manifests.
 
@@ -171,7 +179,7 @@ def load_manifests(path: str | Path) -> dict[str, CaptionManifest]:
     path = Path(path)
     per_split: dict[str, dict[str, dict[Language, tuple[str, ...]]]] = {}
     problems: list[str] = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path, "manifest").splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
@@ -214,12 +222,18 @@ def load_manifests(path: str | Path) -> dict[str, CaptionManifest]:
     return {split: CaptionManifest(split=split, entries=entries) for split, entries in per_split.items()}
 
 
-def load_split(path: str | Path, split: str) -> CaptionManifest:
-    """The manifest of one split; a split absent from the file is an error."""
-    manifests = load_manifests(path)
+def select_split(
+    manifests: Mapping[str, CaptionManifest], split: str, source: str | Path = "manifest"
+) -> CaptionManifest:
+    """The manifest of one split; a split absent from `source` is an error."""
     if split not in manifests:
-        raise ValidationError(f"split {split!r} not present in {path}")
+        raise ValidationError(f"split {split!r} not present in {source}")
     return manifests[split]
+
+
+def load_split(path: str | Path, split: str) -> CaptionManifest:
+    """The manifest of one split of the file at `path`."""
+    return select_split(load_manifests(path), split, path)
 
 
 @dataclass(frozen=True)
@@ -237,9 +251,7 @@ def compute_stats(
     manifests: Mapping[str, CaptionManifest], language: Language, split: str
 ) -> CorpusStats:
     """Average caption length in tokens and unique-token count for a pair."""
-    if split not in manifests:
-        raise ValidationError(f"split {split!r} not present in manifest")
-    manifest = manifests[split]
+    manifest = select_split(manifests, split)
     lengths: list[int] = []
     types: set[str] = set()
     for record in manifest.records(language):
@@ -309,7 +321,16 @@ class CorpusIndex:
         split: str,
         languages: Sequence[Language],
     ) -> "CorpusIndex":
-        manifest = load_split(manifest_path, split)
+        return cls.from_manifest(load_split(manifest_path, split), embeddings_dir, languages)
+
+    @classmethod
+    def from_manifest(
+        cls,
+        manifest: CaptionManifest,
+        embeddings_dir: str | Path,
+        languages: Sequence[Language],
+    ) -> "CorpusIndex":
+        """An index over an already loaded split, reading its embeddings."""
         embeddings_dir = Path(embeddings_dir)
         embeddings: dict[str, np.ndarray] = {}
         problems: list[str] = []
@@ -324,6 +345,6 @@ class CorpusIndex:
                 problems.append(f"{audio_id}: {exc.message}")
         if problems:
             raise ValidationError(
-                f"corpus validation failed for split {split!r}", items=problems
+                f"corpus validation failed for split {manifest.split!r}", items=problems
             )
         return cls(manifest=manifest, embeddings=embeddings, languages=tuple(languages))

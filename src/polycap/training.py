@@ -21,7 +21,7 @@ import numpy as np
 from polycap import autodiff as ad
 from polycap.autodiff import Tensor
 from polycap.corpus import CorpusIndex, sample_caption
-from polycap.errors import ValidationError
+from polycap.errors import RuntimeFailure, ValidationError
 from polycap.model import MixupDraw, MultilingualModel
 from polycap.text import Language, tokenize
 
@@ -194,17 +194,27 @@ class AdamW:
     ) -> None:
         for name, p in named_params.items():
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            st = self.state.setdefault(
-                name, {"m": np.zeros_like(p.data), "v": np.zeros_like(p.data), "t": 0}
-            )
+            st = self.state.get(name)
+            if st is None:
+                st = self.state[name] = {"m": np.zeros_like(p.data), "v": np.zeros_like(p.data), "t": 0}
             st["t"] += 1
-            st["m"] = self.b1 * st["m"] + (1.0 - self.b1) * g
-            st["v"] = self.b2 * st["v"] + (1.0 - self.b2) * g * g
-            m_hat = st["m"] / (1.0 - self.b1 ** st["t"])
-            v_hat = st["v"] / (1.0 - self.b2 ** st["t"])
-            p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            # In place, in the textbook order of operations, so the result is
+            # bit-identical to m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
+            # p = p - lr*m_hat / (sqrt(v_hat) + eps); p = p - lr*wd*p.
+            m, v = st["m"], st["v"]
+            m *= self.b1
+            m += (1.0 - self.b1) * g
+            v *= self.b2
+            v += (1.0 - self.b2) * g * g
+            update = m / (1.0 - self.b1 ** st["t"])
+            update *= lr
+            denom = v / (1.0 - self.b2 ** st["t"])
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            update /= denom
+            p.data = p.data - update  # a new array: callers may hold the old one
             if name in decay_names and weight_decay > 0.0:
-                p.data = p.data - lr * weight_decay * p.data
+                p.data -= lr * weight_decay * p.data
 
 
 def zero_grads(named_params: Mapping[str, Tensor]) -> None:
@@ -311,7 +321,20 @@ class Trainer:
         batch_order = self.rng_order.permutation(len(batches))
         return [batches[i] for i in batch_order]
 
-    def _train_batch(self, language: Language, audio_ids: list[str], lr: float) -> float:
+    def _train_batch(
+        self,
+        language: Language,
+        audio_ids: list[str],
+        lr: float,
+        epoch: int | None = None,
+        batch_index: int | None = None,
+    ) -> float:
+        """One update on one batch; returns its loss.
+
+        A non-finite loss raises RuntimeFailure before any gradient is taken,
+        so the weights and optimizer state stay as they were. `epoch` and
+        `batch_index` only locate the batch in that error.
+        """
         cfg = self.cfg
         corpus = self.corpus
         captions = [
@@ -346,11 +369,25 @@ class Trainer:
             loss_b = smoothed_cross_entropy(logits, targets[mixup.partner], eps, vocab.pad_id)
             loss = loss_a * mixup.lam + loss_b * (1.0 - mixup.lam)
 
+        value = loss.item()
+        if not math.isfinite(value):
+            raise RuntimeFailure(
+                f"non-finite training loss {value} at epoch {epoch}, batch {batch_index}, "
+                f"language {language.value!r}",
+                items=[
+                    {
+                        "epoch": epoch,
+                        "batch_index": batch_index,
+                        "language": language.value,
+                        "audio_ids": list(audio_ids),
+                    }
+                ],
+            )
         params = self.model.named_parameters(language)
         zero_grads(params)
         loss.backward()
         self.optimizer.step(params, lr, cfg.weight_decay, self.decay_names)
-        return loss.item()
+        return value
 
     def run_epoch(self, epoch: int) -> EpochMetrics:
         """One multilingual epoch: each (audio, language) pair exactly once."""
@@ -360,8 +397,8 @@ class Trainer:
         losses = []
         per_language: dict[str, int] = {}
         visited: list[tuple[str, str]] = []
-        for language, audio_ids in batches:
-            losses.append(self._train_batch(language, audio_ids, lr))
+        for batch_index, (language, audio_ids) in enumerate(batches):
+            losses.append(self._train_batch(language, audio_ids, lr, epoch, batch_index))
             per_language[language.value] = per_language.get(language.value, 0) + len(audio_ids)
             visited.extend((a, language.value) for a in audio_ids)
         val_loss = self.evaluate_loss(self.val_corpus) if self.val_corpus is not None else None

@@ -96,6 +96,87 @@ class TestBasicOps:
         check_grads(loss, {"x": x})
 
 
+class TestFlatRowMatmul:
+    """N-D input times a 2-D weight: one product over the flattened rows."""
+
+    def test_three_d_input_with_bias(self):
+        rng = np.random.default_rng(8)
+        x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+        b = Tensor(rng.normal(size=(5,)), requires_grad=True)
+
+        def loss():
+            return ((x @ w + b) ** 2).sum()
+
+        check_grads(loss, {"x": x, "w": w, "b": b})
+
+    def test_four_d_input_with_bias(self):
+        rng = np.random.default_rng(9)
+        x = Tensor(rng.normal(size=(2, 3, 4, 5)), requires_grad=True)
+        w = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+        b = Tensor(rng.normal(size=(3,)), requires_grad=True)
+
+        def loss():
+            return ((x @ w + b) ** 2).sum()
+
+        check_grads(loss, {"x": x, "w": w, "b": b})
+
+    def test_non_contiguous_inputs(self):
+        # (B, H, T, d) heads merged back as attention does, and a swapped view
+        rng = np.random.default_rng(10)
+        heads = Tensor(rng.normal(size=(2, 3, 4, 2)), requires_grad=True)
+        w = Tensor(rng.normal(size=(6, 5)), requires_grad=True)
+        v = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+        b = Tensor(rng.normal(size=(5,)), requires_grad=True)
+
+        def loss():
+            merged = heads.swapaxes(1, 2).reshape(2, 4, 6)
+            swapped = heads.swapaxes(1, 2)  # (2, 4, 3, 2), not C-contiguous
+            assert not swapped.data.flags.c_contiguous
+            return ((merged @ w + b) ** 2).sum() + ((swapped @ v.swapaxes(0, 1)) ** 2).sum()
+
+        check_grads(loss, {"heads": heads, "w": w, "v": v, "b": b})
+
+    def test_gradients_match_batched_then_summed(self):
+        rng = np.random.default_rng(11)
+        x = Tensor(rng.normal(size=(4, 7, 6)), requires_grad=True)
+        w = Tensor(rng.normal(size=(6, 9)), requires_grad=True)
+        g = rng.normal(size=(4, 7, 9))
+        ((x @ w) * Tensor(g)).sum().backward()
+        batched_w = ad._unbroadcast(np.swapaxes(x.data, -1, -2) @ g, w.shape)
+        batched_x = g @ w.data.T
+        assert np.max(np.abs(w.grad - batched_w)) <= 1e-12
+        assert np.max(np.abs(x.grad - batched_x)) <= 1e-12
+        assert np.max(np.abs((x @ w).data - x.data @ w.data)) <= 1e-12
+
+
+class TestGradientOwnership:
+    def test_add_parents_get_independent_gradients(self):
+        rng = np.random.default_rng(12)
+        a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        b = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        c, d = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
+        # a is used twice: its second gradient must not leak into b's
+        (((a + b) * Tensor(c)).sum() + (a * Tensor(d)).sum()).backward()
+        assert np.array_equal(b.grad, c)
+        assert np.array_equal(a.grad, c + d)
+        assert not np.may_share_memory(a.grad, b.grad)
+
+    def test_self_add_doubles_gradient(self):
+        rng = np.random.default_rng(13)
+        x = Tensor(rng.normal(size=(2, 5)), requires_grad=True)
+        g = rng.normal(size=(2, 5))
+        ((x + x) * Tensor(g)).sum().backward()
+        assert np.array_equal(x.grad, 2.0 * g)
+
+    def test_second_backward_adds_to_taken_over_gradient(self):
+        x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        first = (x.reshape(3, 2) * 2.0).sum()
+        first.backward()
+        (x * 3.0).sum().backward()
+        assert np.array_equal(x.grad, np.full((2, 3), 5.0))
+
+
 class TestEngineBehavior:
     def test_backward_requires_scalar(self):
         x = Tensor(np.ones((2, 2)), requires_grad=True)

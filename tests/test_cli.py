@@ -196,6 +196,23 @@ class TestTrainCaptionEval:
         assert len(rows) == 200
         assert rows[-1]["train_loss"] < 0.1 * rows[0]["train_loss"]
 
+    def test_manifest_loaded_once_with_val_split(self, tmp_path, monkeypatch):
+        from polycap import corpus
+
+        manifest, emb_dir = write_corpus(tmp_path)
+        config_path = write_train_config(tmp_path, manifest, emb_dir, epochs=1)
+        config = json.loads(config_path.read_text())
+        config["data"]["val_split"] = "test"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        loads = []
+        real_load = corpus.load_manifests
+        monkeypatch.setattr(corpus, "load_manifests", lambda path: loads.append(path) or real_load(path))
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(config_path), "--out", str(out)]) == 0
+        assert len(loads) == 1
+        rows = [json.loads(l) for l in (out / "metrics.jsonl").read_text().splitlines()]
+        assert rows[0]["val_loss"] is not None
+
     def test_bad_config_exits_2(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{\"languages\": []}", encoding="utf-8")
@@ -326,6 +343,26 @@ class TestCompareLangs:
             assert doc["similarity_pct"]["en"] == pytest.approx(100.0)
         finally:
             server.shutdown()
+
+
+class TestUnreadableInputs:
+    @pytest.mark.parametrize("command", ["eval", "stats", "prepare", "params"])
+    def test_missing_or_bad_input_file_exits_2(self, command, tmp_path, capsys):
+        manifest, emb_dir = write_corpus(tmp_path)
+        nope = str(tmp_path / "nope.jsonl")
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json", encoding="utf-8")
+        out = ["--out", str(tmp_path / "o")]
+        argv = {
+            "eval": ["--captions", nope, "--manifest", str(manifest), *out],
+            "stats": ["--manifest", nope, "--languages", "en"],
+            "prepare": ["--manifest", nope, "--embeddings-dir", str(emb_dir), "--languages", "en", *out],
+            "params": ["--config", str(bad)],
+        }[command]
+        assert main([command, *argv]) == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "ValidationError"
+        assert (str(bad) if command == "params" else nope) in payload["message"]
 
 
 class TestCliSurface:

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import synthetic_corpus, tiny_model_config
 from polycap.autodiff import Tensor
-from polycap.errors import ValidationError
+from polycap.errors import RuntimeFailure, ValidationError
 from polycap.model import MixupDraw, MultilingualModel
 from polycap.text import Language
 from polycap.training import (
@@ -190,6 +190,57 @@ class TestAdamW:
         assert opt.state["a"]["t"] == 2
         assert opt.state["b"]["t"] == 1
 
+    def test_matches_textbook_update_bitwise_with_idle_head(self):
+        rng = np.random.default_rng(0)
+        b1, b2, eps, lr, wd = 0.8, 0.99, 1e-6, 0.05, 0.3
+        names = ("trunk.weight", "trunk.bias", "heads.en.weight", "heads.fr.weight")
+        decay = frozenset({"trunk.weight", "heads.en.weight", "heads.fr.weight"})
+        params = {n: Tensor(rng.normal(size=(3, 4)), requires_grad=True) for n in names}
+        ref = {n: {"p": p.data.copy(), "m": 0.0, "v": 0.0, "t": 0} for n, p in params.items()}
+        opt = AdamW(betas=(b1, b2), eps=eps)
+        for step, head in enumerate(("en", "en", "fr", "en", "en")):
+            stepped = {n: p for n, p in params.items() if not n.startswith("heads.") or f".{head}." in n}
+            idle = {
+                n: (st["t"], st["m"].copy(), st["v"].copy())
+                for n, st in opt.state.items()
+                if n not in stepped
+            }
+            for name, p in stepped.items():
+                p.grad = rng.normal(size=p.shape) * (step + 1)
+                r = ref[name]
+                r["t"] += 1
+                r["m"] = b1 * r["m"] + (1.0 - b1) * p.grad
+                r["v"] = b2 * r["v"] + (1.0 - b2) * p.grad * p.grad
+                m_hat = r["m"] / (1.0 - b1 ** r["t"])
+                v_hat = r["v"] / (1.0 - b2 ** r["t"])
+                r["p"] = r["p"] - lr * m_hat / (np.sqrt(v_hat) + eps)
+                if name in decay:
+                    r["p"] = r["p"] - lr * wd * r["p"]
+            opt.step(stepped, lr=lr, weight_decay=wd, decay_names=decay)
+            for name, p in params.items():
+                assert np.array_equal(p.data, ref[name]["p"]), (step, name)
+            for name, (t, m, v) in idle.items():
+                st = opt.state[name]
+                assert st["t"] == t, (step, name)
+                assert np.array_equal(st["m"], m) and np.array_equal(st["v"], v), (step, name)
+        assert opt.state["heads.fr.weight"]["t"] == 1
+        assert opt.state["heads.en.weight"]["t"] == 4
+
+    def test_seen_names_keep_their_state(self, monkeypatch):
+        p = Tensor(np.ones((2, 3)), requires_grad=True)
+        p.grad = np.full((2, 3), 0.5)
+        opt = AdamW()
+        opt.step({"w": p}, lr=0.1, weight_decay=0.0, decay_names=frozenset())
+        st = opt.state["w"]
+        m, v = st["m"], st["v"]
+        calls = []
+        real_zeros_like = np.zeros_like
+        monkeypatch.setattr(np, "zeros_like", lambda *a, **k: calls.append(a) or real_zeros_like(*a, **k))
+        opt.step({"w": p}, lr=0.1, weight_decay=0.0, decay_names=frozenset())
+        assert calls == []
+        assert opt.state["w"] is st and st["m"] is m and st["v"] is v
+        assert st["t"] == 2
+
 
 def make_trainer(languages, tcfg=None, n_items=6, seed=0, model_seed=1):
     index, vocabs = synthetic_corpus(languages, n_items=n_items, seed=seed)
@@ -258,6 +309,26 @@ class TestEpochLoop:
         model = MultilingualModel(cfg, {Language.EN: vocabs[Language.EN]}, seed=0)
         with pytest.raises(ValidationError):
             Trainer(model, index, TrainConfig(epochs=1, specaug=None, mixup_alpha=0.0))
+
+
+class TestNonFiniteLoss:
+    def test_inf_weights_raise_before_any_update(self):
+        trainer, index = make_trainer([Language.EN, Language.FR], n_items=4)
+        params = trainer.model.named_parameters()
+        params["frontend.weight"].data[0, 0] = np.inf
+        before = {n: p.data.copy() for n, p in params.items()}
+        with np.errstate(invalid="ignore", over="ignore"), pytest.raises(RuntimeFailure) as info:
+            trainer.run_epoch(3)
+        err = info.value
+        assert err.exit_code == 3
+        assert "epoch 3, batch 0" in err.message
+        (item,) = err.items
+        assert (item["epoch"], item["batch_index"]) == (3, 0)
+        assert item["language"] in ("en", "fr") and f"'{item['language']}'" in err.message
+        assert len(item["audio_ids"]) == 2 and set(item["audio_ids"]) <= set(index.audio_ids)
+        for name, p in trainer.model.named_parameters().items():
+            assert np.array_equal(p.data, before[name]), name
+        assert trainer.optimizer.state == {}
 
 
 class TestRecipeIdentities:
