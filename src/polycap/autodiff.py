@@ -1,8 +1,9 @@
 """Minimal reverse-mode automatic differentiation over float64 numpy arrays.
 
 Just enough machinery for a transformer decoder: broadcast-aware arithmetic,
-matmul, reductions, a few pointwise nonlinearities, embedding lookup and
-gather. Everything runs in 64-bit so finite-difference gradient checks are
+matmul, reductions, ReLU, embedding lookup, and one node each, with a
+closed-form gradient, for GELU, softmax, log-softmax and LayerNorm.
+Everything runs in 64-bit so finite-difference gradient checks are
 meaningful and training is bit-for-bit reproducible.
 """
 
@@ -73,9 +74,6 @@ class Tensor:
     @property
     def ndim(self) -> int:
         return self.data.ndim
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     def item(self) -> float:
         return float(self.data)
@@ -185,16 +183,6 @@ class Tensor:
     def __rtruediv__(self, other):
         return self._coerce(other) / self
 
-    def __pow__(self, exponent: float):
-        if not isinstance(exponent, (int, float)):
-            raise TypeError("only scalar exponents are supported")
-        out_data = self.data**exponent
-
-        def backward(g):
-            self._accumulate(g * exponent * self.data ** (exponent - 1))
-
-        return Tensor._make(out_data, (self,), backward)
-
     def __matmul__(self, other):
         other = self._coerce(other)
         if self.ndim > 2 and other.ndim == 2:
@@ -269,41 +257,14 @@ class Tensor:
         shape = self.shape
 
         def backward(g):
-            if axis is None:
-                self._accumulate(np.broadcast_to(g, shape).copy())
-                return
-            if not keepdims:
+            if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
             self._accumulate(np.broadcast_to(g, shape).copy())
 
         return Tensor._make(out_data, (self,), backward)
 
-    def mean(self, axis=None, keepdims: bool = False):
-        if axis is None:
-            count = self.data.size
-        else:
-            axes = axis if isinstance(axis, tuple) else (axis,)
-            count = int(np.prod([self.shape[a] for a in axes]))
-        return self.sum(axis=axis, keepdims=keepdims) / count
-
 
 # -- pointwise functions ---------------------------------------------
-
-
-def exp(t: Tensor) -> Tensor:
-    out_data = np.exp(t.data)
-
-    def backward(g):
-        t._accumulate(g * out_data)
-
-    return Tensor._make(out_data, (t,), backward)
-
-
-def log(t: Tensor) -> Tensor:
-    def backward(g):
-        t._accumulate(g / t.data)
-
-    return Tensor._make(np.log(t.data), (t,), backward)
 
 
 def relu(t: Tensor) -> Tensor:
@@ -315,26 +276,64 @@ def relu(t: Tensor) -> Tensor:
     return Tensor._make(np.where(mask, t.data, 0.0), (t,), backward)
 
 
-def erf(t: Tensor) -> Tensor:
-    def backward(g):
-        t._accumulate(g * (2.0 / math.sqrt(math.pi)) * np.exp(-t.data * t.data))
-
-    return Tensor._make(sp_special.erf(t.data), (t,), backward)
-
-
 def gelu(t: Tensor) -> Tensor:
     """Exact GELU: x * Phi(x) with the Gaussian CDF via erf."""
-    return t * (erf(t / math.sqrt(2.0)) + 1.0) * 0.5
+    x = t.data
+    cdf2 = sp_special.erf(x / math.sqrt(2.0)) + 1.0  # 2 * Phi(x)
+
+    def backward(g):
+        # d/dx x*Phi(x) = Phi(x) + x * phi(x), phi the standard normal density
+        t._accumulate(g * (cdf2 * 0.5 + x * np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)))
+
+    return Tensor._make(x * cdf2 * 0.5, (t,), backward)
 
 
 def log_softmax(t: Tensor, axis: int = -1) -> Tensor:
-    # Detaching the max keeps the gradient exact: d(logsumexp)/d(max) = 0.
-    shifted = t - Tensor(t.data.max(axis=axis, keepdims=True))
-    return shifted - log(exp(shifted).sum(axis=axis, keepdims=True))
+    shifted = t.data - t.data.max(axis=axis, keepdims=True)
+    out_data = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+
+    def backward(g):
+        grad = np.exp(out_data)
+        grad *= g.sum(axis=axis, keepdims=True)
+        np.subtract(g, grad, out=grad)
+        t._accumulate(grad)
+
+    return Tensor._make(out_data, (t,), backward)
 
 
 def softmax(t: Tensor, axis: int = -1) -> Tensor:
-    return exp(log_softmax(t, axis=axis))
+    out_data = np.exp(t.data - t.data.max(axis=axis, keepdims=True))
+    out_data /= out_data.sum(axis=axis, keepdims=True)
+
+    def backward(g):
+        grad = g * out_data
+        grad -= out_data * grad.sum(axis=axis, keepdims=True)
+        t._accumulate(grad)
+
+    return Tensor._make(out_data, (t,), backward)
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
+    """Normalize over the last axis, then scale by `gain` and shift by `bias`."""
+    centered = x.data - x.data.mean(axis=-1, keepdims=True)
+    inv_std = ((centered * centered).mean(axis=-1, keepdims=True) + eps) ** -0.5
+    normed = centered * inv_std
+    out_data = normed * gain.data + bias.data
+
+    def backward(g):
+        if gain.requires_grad:
+            gain._accumulate(_unbroadcast(g * normed, gain.shape))
+        if bias.requires_grad:
+            bias._accumulate(_unbroadcast(g, bias.shape))
+        if x.requires_grad:
+            g_normed = g * gain.data
+            grad = normed * (g_normed * normed).mean(axis=-1, keepdims=True)
+            grad += g_normed.mean(axis=-1, keepdims=True)
+            np.subtract(g_normed, grad, out=grad)
+            grad *= inv_std
+            x._accumulate(grad)
+
+    return Tensor._make(out_data, (x, gain, bias), backward)
 
 
 # -- lookups ----------------------------------------------------------
@@ -352,16 +351,3 @@ def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
 
     return Tensor._make(out_data, (weight,), backward)
 
-
-def gather_last(t: Tensor, ids: np.ndarray) -> Tensor:
-    """Pick one entry along the last axis: out[b, s] = t[b, s, ids[b, s]]."""
-    ids = np.asarray(ids)
-    expanded = np.expand_dims(ids, -1)
-    out_data = np.take_along_axis(t.data, expanded, axis=-1)[..., 0]
-
-    def backward(g):
-        full = np.zeros(t.shape, dtype=np.float64)
-        np.put_along_axis(full, expanded, np.expand_dims(g, -1), axis=-1)
-        t._accumulate(full)
-
-    return Tensor._make(out_data, (t,), backward)

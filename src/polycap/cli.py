@@ -148,9 +148,18 @@ def _read_config(path: Path) -> dict:
 
 def _load_train_config(path: Path) -> dict:
     doc = _read_config(path)
-    for key in ("data", "languages"):
-        if key not in doc:
-            raise ValidationError(f"config missing required key {key!r}")
+    problems = [f"missing required key {key!r}" for key in ("data", "languages") if key not in doc]
+    data = doc.get("data", {})
+    if not isinstance(data, dict):
+        problems.append("'data' must be an object")
+    elif "data" in doc:
+        problems += [
+            f"'data.{key}' must be a path string"
+            for key in ("manifest", "embeddings_dir")
+            if not isinstance(data.get(key), str)
+        ]
+    if problems:
+        raise ValidationError(f"bad train config {path}", items=problems)
     return doc
 
 

@@ -26,7 +26,6 @@ from polycap.text import Language, tokenize
 
 AEMB_MAGIC = b"AEMB"
 AEMB_VERSION = 1
-PRODUCTION_EMBED_DIM = 768  # channel count emitted by the production audio encoder
 
 SPLITS = ("train", "val", "test")
 

@@ -15,6 +15,7 @@ from typing import Callable
 
 import numpy as np
 
+from polycap import autodiff as ad
 from polycap.errors import ValidationError
 from polycap.model import IncrementalDecoder, MultilingualModel
 from polycap.text import Language, StopwordList, Vocabulary
@@ -157,8 +158,7 @@ def model_step_fn(
             decoder.reorder(np.array(parents, dtype=np.intp))
         logits = decoder.advance(prefixes[:, -1])
         previous = {tuple(row): i for i, row in enumerate(prefixes.tolist())}
-        shifted = logits - logits.max(axis=-1, keepdims=True)
-        return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+        return ad.log_softmax(ad.Tensor(logits)).data
 
     return step
 

@@ -112,10 +112,7 @@ class LayerNorm:
         self.eps = eps
 
     def __call__(self, x: Tensor) -> Tensor:
-        mu = x.mean(axis=-1, keepdims=True)
-        centered = x - mu
-        var = (centered * centered).mean(axis=-1, keepdims=True)
-        return centered * ((var + self.eps) ** -0.5) * self.gain + self.bias
+        return ad.layer_norm(x, self.gain, self.bias, self.eps)
 
     def params(self) -> list[tuple[str, Tensor]]:
         return [("gain", self.gain), ("bias", self.bias)]
@@ -596,7 +593,11 @@ def load_checkpoint(path: str | Path) -> MultilingualModel:
     or a tensor that does not match the model fail as ValidationError.
     """
     path = Path(path)
-    with path.open("rb") as f:
+    try:
+        f = path.open("rb")
+    except OSError as exc:
+        raise ValidationError(f"cannot read checkpoint {path}: {exc}") from exc
+    with f:
         size = os.fstat(f.fileno()).st_size
 
         def need(n: int, what: str) -> None:

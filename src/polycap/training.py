@@ -94,30 +94,39 @@ class TrainConfig:
 
 
 def smoothed_cross_entropy(
-    logits: Tensor, target_ids: np.ndarray, eps: float, pad_id: int
+    logits: Tensor, target_ids: np.ndarray, eps: float, pad_id: int, mixup: MixupDraw | None = None
 ) -> Tensor:
     """Mean cross-entropy against eps-smoothed one-hot targets.
 
     The true class gets 1-eps, the remaining eps is spread over the other
     vocab entries. Pad positions contribute nothing; the mean runs over
-    non-pad positions only.
+    non-pad positions only. With a mixup draw the loss is
+    lam * CE(targets) + (1 - lam) * CE(targets[partner]), each term averaged
+    over its own non-pad positions, scored from one log-softmax.
     """
     if not 0.0 <= eps < 1.0:
         raise ValidationError(f"eps={eps} outside [0, 1)")
     target_ids = np.asarray(target_ids)
-    mask = (target_ids != pad_id).astype(np.float64)
-    n_valid = mask.sum()
-    if n_valid == 0:
-        raise ValidationError("all-pad batch: no target positions to score")
-    vocab = logits.shape[-1]
-    logp = ad.log_softmax(logits, axis=-1)
-    picked = ad.gather_last(logp, np.where(target_ids == pad_id, 0, target_ids))
-    if eps == 0.0:
-        per_pos = -picked
+    if mixup is None:
+        target_sets = [(1.0, target_ids)]
     else:
-        off = eps / (vocab - 1)
-        per_pos = -(picked * (1.0 - eps - off) + logp.sum(axis=-1) * off)
-    return (per_pos * Tensor(mask)).sum() / n_valid
+        target_sets = [(mixup.lam, target_ids), (1.0 - mixup.lam, target_ids[mixup.partner])]
+    weights = []  # per position: the set's share over its non-pad count
+    for share, ids in target_sets:
+        mask = ids != pad_id
+        n_valid = mask.sum()
+        if n_valid == 0:
+            raise ValidationError("all-pad batch: no target positions to score")
+        weights.append(share * mask / n_valid)
+    # the loss is sum(coef * logp), coef minus the weighted smoothed targets:
+    # off on every entry, 1 - eps on each set's target entry
+    off = eps / (logits.shape[-1] - 1)
+    coef = np.empty(logits.shape)
+    coef[...] = (-off * sum(weights))[..., None]
+    positions = tuple(np.indices(target_ids.shape))
+    for (_, ids), weight in zip(target_sets, weights):
+        coef[(*positions, ids)] -= (1.0 - eps - off) * weight
+    return (ad.log_softmax(logits, axis=-1) * Tensor(coef)).sum()
 
 
 def draw_mixup(
@@ -361,13 +370,7 @@ class Trainer:
             rng=self.rng_dropout,
             mixup=mixup,
         )
-        eps = cfg.label_smoothing_eps
-        if mixup is None or mixup.lam == 1.0:
-            loss = smoothed_cross_entropy(logits, targets, eps, vocab.pad_id)
-        else:
-            loss_a = smoothed_cross_entropy(logits, targets, eps, vocab.pad_id)
-            loss_b = smoothed_cross_entropy(logits, targets[mixup.partner], eps, vocab.pad_id)
-            loss = loss_a * mixup.lam + loss_b * (1.0 - mixup.lam)
+        loss = smoothed_cross_entropy(logits, targets, cfg.label_smoothing_eps, vocab.pad_id, mixup)
 
         value = loss.item()
         if not math.isfinite(value):

