@@ -22,6 +22,7 @@ import polycap
 from polycap import corpus as corpus_mod
 from polycap import decoding, evaluation, model as model_mod, training
 from polycap.errors import ToolkitError, ValidationError
+from polycap.files import atomic_write
 from polycap.text import Language, Vocabulary, build_vocabulary, load_stopwords, tokenize
 
 
@@ -46,7 +47,8 @@ def _digest(path: Path) -> str:
 
 
 def _dump_json(obj, path: Path) -> None:
-    path.write_text(json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=2) + "\n", "utf-8")
+    with atomic_write(path) as f:
+        f.write(json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=2) + "\n")
 
 
 def write_run_manifest(
@@ -158,6 +160,12 @@ def _load_train_config(path: Path) -> dict:
             for key in ("manifest", "embeddings_dir")
             if not isinstance(data.get(key), str)
         ]
+    languages = doc.get("languages", [])
+    if not isinstance(languages, list) or not all(isinstance(code, str) for code in languages):
+        problems.append("'languages' must be a list of language codes")
+    problems += [
+        f"'{key}' must be an object" for key in ("model", "train") if not isinstance(doc.get(key, {}), dict)
+    ]
     if problems:
         raise ValidationError(f"bad train config {path}", items=problems)
     return doc
@@ -242,11 +250,11 @@ def cmd_caption(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / "captions.jsonl"
-    with out_path.open("w", encoding="utf-8") as sink:
+    with atomic_write(out_path) as sink:
         for audio_id in audio_ids:
             seq = corpus_mod.load_embedding(embeddings_dir / f"{audio_id}.aemb", audio_id)
-            for lang in languages:
-                result = decoding.caption_audio(model, seq.data, lang, cfg, stopwords[lang])
+            results = decoding.caption_clip(model, seq.data, languages, cfg, stopwords)
+            for lang, result in zip(languages, results):
                 sink.write(
                     json.dumps(
                         {

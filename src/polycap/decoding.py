@@ -6,12 +6,17 @@ candidates; EOS is always available and terminates a hypothesis. Hypotheses
 that reach the word budget may only take EOS (scored normally). Finished
 hypotheses go to a pool that never competes for beam slots, and the best one
 under length normalization wins. Ties break on lexicographic token ids.
+
+Independent searches can step in lockstep, one group each, so one scorer
+call serves them all: `caption_clip` searches every language of a clip
+together through the model's shared trunk. A single search is the one-group
+case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, asdict, replace
-from typing import Callable
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -22,6 +27,9 @@ from polycap.text import Language, StopwordList, Vocabulary
 
 # step function: (k, t) int prefix matrix -> (k, vocab) log-probability rows
 StepFn = Callable[[np.ndarray], np.ndarray]
+# grouped step function: one (k_g, t) prefix matrix per group -> one
+# (k_g, vocab_g) row matrix per group; a group may have k_g = 0 rows
+GroupStepFn = Callable[[list[np.ndarray]], list[np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -72,95 +80,181 @@ def _best_candidates(scores: np.ndarray, allowed: np.ndarray, ids: np.ndarray, n
     return picks[order[:n]]
 
 
+class _Beam:
+    """One group's search state. The k active hypotheses are arrays: their
+    BOS-prefixed id rows, log-probs and a (k, vocab) boolean ban of the
+    non-stopword words each has used. Finished hypotheses go to a pool."""
+
+    def __init__(self, vocab: Vocabulary, stopwords: StopwordList | frozenset[str] | None):
+        stop_set = frozenset() if stopwords is None else frozenset(getattr(stopwords, "words", stopwords))
+        self.vocab = vocab
+        self.is_word = np.zeros(vocab.size, dtype=bool)
+        self.is_word[np.array(vocab.word_ids)] = True
+        is_stop = np.fromiter((t in stop_set for t in vocab.tokens), dtype=bool, count=vocab.size)
+        self.bannable = self.is_word & ~is_stop
+        self.ids = np.full((1, 1), vocab.bos_id, dtype=np.int64)
+        self.log_prob = np.zeros(1)
+        self.banned = np.zeros((1, vocab.size), dtype=bool)
+        self.finished: list[tuple[tuple[int, ...], float]] = []
+
+    def finish(self, rows: np.ndarray) -> None:
+        """Send every active hypothesis, ended by EOS, to the finished pool."""
+        ended = np.column_stack([self.ids, np.full(len(self.ids), self.vocab.eos_id)])
+        self.finished.extend(
+            zip(map(tuple, ended.tolist()), (self.log_prob + rows[:, self.vocab.eos_id]).tolist())
+        )
+
+    def extend(self, rows: np.ndarray, beam_size: int) -> None:
+        """Keep the beam_size best word candidates; the survivors' ban rows
+        are gathered by parent and the chosen word is set. With no allowed
+        candidate the beam is left with zero rows."""
+        scores = self.log_prob[:, None] + rows
+        picks = _best_candidates(scores, self.is_word & ~self.banned, self.ids, beam_size)
+        parents, tokens = np.divmod(picks, self.vocab.size)
+        self.ids = np.column_stack([self.ids[parents], tokens])
+        self.log_prob = scores.ravel()[picks]
+        self.banned = self.banned[parents]
+        self.banned[np.arange(len(picks)), tokens] = self.bannable[tokens]
+
+    def result(self, length_norm: float) -> DecodeResult:
+        best_ids, best_log_prob = min(
+            self.finished, key=lambda f: (-_normalized(f[1], f[0], length_norm), f[0])
+        )
+        return DecodeResult(
+            tokens=self.vocab.decode(best_ids),
+            token_ids=best_ids,
+            log_prob=best_log_prob,
+            normalized_score=_normalized(best_log_prob, best_ids, length_norm),
+        )
+
+
+def grouped_beam_search(
+    step_fn: GroupStepFn,
+    vocabs: Sequence[Vocabulary],
+    stopwords: Sequence[StopwordList | frozenset[str] | None],
+    cfg: DecodeConfig,
+) -> list[DecodeResult]:
+    """Best finished hypothesis of each of G independent searches, stepped
+    in lockstep under the no-repeat constraint.
+
+    step_fn maps G (k_g, t) matrices of BOS-prefixed id rows to G (k_g,
+    vocab_g) log-probability rows for the next token, so one call scores
+    every group's hypotheses. Each group keeps its own ids, ban mask,
+    finished pool and tie-break. A round sends every EOS column to the
+    finished pool and keeps each group's best beam_size word candidates. A
+    group left without candidates goes on with zero rows; the search ends
+    when every group has none, or after the word budget.
+    """
+    beams = [_Beam(vocab, stop) for vocab, stop in zip(vocabs, stopwords, strict=True)]
+    # every round appends one token; +1 round lets max_len-word hyps take EOS
+    for words in range(cfg.max_len + 1):
+        rows = [
+            np.asarray(r, dtype=np.float64).reshape(len(beam.ids), beam.vocab.size)
+            for beam, r in zip(beams, step_fn([beam.ids for beam in beams]), strict=True)
+        ]
+        for beam, group_rows in zip(beams, rows):
+            beam.finish(group_rows)
+        if words == cfg.max_len:
+            break
+        for beam, group_rows in zip(beams, rows):
+            beam.extend(group_rows, cfg.beam_size)
+        if not any(len(beam.ids) for beam in beams):
+            break
+    return [beam.result(cfg.length_norm) for beam in beams]
+
+
 def beam_search(
     step_fn: StepFn,
     vocab: Vocabulary,
     stopwords: StopwordList | frozenset[str] | None,
     cfg: DecodeConfig,
 ) -> DecodeResult:
-    """Best finished hypothesis under the no-repeat constraint.
+    """Best finished hypothesis under the no-repeat constraint: the
+    one-group `grouped_beam_search`. step_fn maps a (k, t) matrix of
+    BOS-prefixed id rows to (k, vocab) log-probability rows; it is never
+    called with zero rows."""
+    return grouped_beam_search(lambda prefixes: [step_fn(prefixes[0])], [vocab], [stopwords], cfg)[0]
 
-    step_fn maps a (k, t) matrix of BOS-prefixed id rows to (k, vocab)
-    log-probability rows for the next token. The k active hypotheses are
-    arrays: their id rows, log-probs and a (k, vocab) boolean ban of the
-    non-stopword words each has used. A round scores the (k, vocab)
-    candidate matrix, sends every EOS column to the finished pool and keeps
-    the best beam_size word candidates; the survivors' ban rows are gathered
-    by parent and the chosen word is set.
+
+def grouped_model_step_fn(
+    model: MultilingualModel, audio: np.ndarray, languages: Sequence[Language]
+) -> GroupStepFn:
+    """Adapt a model + one audio sequence into a cached grouped step
+    function, one group per language, that scores every group in one pass
+    through the shared trunk.
+
+    Group g's rows equal the log-softmax of `MultilingualModel.forward` in
+    languages[g] on the same prefixes (eval mode). When every prefix of a
+    group extends a row of that group in the previous call by one token
+    (matched on prefix[:-1]), the per-row cache is gathered by parent and
+    only the new position is computed; any other call rebuilds the cache from
+    its prefixes. Every group's prefixes have the same length; a group may
+    have zero rows.
     """
-    stop_set = frozenset() if stopwords is None else frozenset(getattr(stopwords, "words", stopwords))
-    is_word = np.zeros(vocab.size, dtype=bool)
-    is_word[np.array(vocab.word_ids)] = True
-    is_stop = np.fromiter((t in stop_set for t in vocab.tokens), dtype=bool, count=vocab.size)
-    bannable = is_word & ~is_stop
+    audio = np.asarray(audio, dtype=np.float64)
+    if audio.ndim != 2:
+        raise ValidationError("the model scorer expects a single (frames, dim) audio sequence")
+    decoder = IncrementalDecoder(model, audio, languages)
+    vocab_sizes = [model.vocab(lang).size for lang in languages]
+    # per group: the last call's rows -> their cache row
+    previous: list[dict[tuple[int, ...], int]] = [{} for _ in languages]
 
-    ids = np.full((1, 1), vocab.bos_id, dtype=np.int64)
-    log_prob = np.zeros(1)
-    banned = np.zeros((1, vocab.size), dtype=bool)
-    finished: list[tuple[tuple[int, ...], float]] = []
-    # every round appends one token; +1 round lets max_len-word hyps take EOS
-    for words in range(cfg.max_len + 1):
-        rows = np.asarray(step_fn(ids), dtype=np.float64)
-        ended = np.column_stack([ids, np.full(len(ids), vocab.eos_id)])
-        finished.extend(zip(map(tuple, ended.tolist()), (log_prob + rows[:, vocab.eos_id]).tolist()))
-        if words == cfg.max_len:
-            break
-        allowed = is_word & ~banned
-        scores = log_prob[:, None] + rows
-        picks = _best_candidates(scores, allowed, ids, cfg.beam_size)
-        if len(picks) == 0:
-            break
-        parents, tokens = np.divmod(picks, vocab.size)
-        ids = np.column_stack([ids[parents], tokens])
-        log_prob = scores.ravel()[picks]
-        banned = banned[parents]
-        banned[np.arange(len(picks)), tokens] = bannable[tokens]
-    best_ids, best_log_prob = min(
-        finished, key=lambda f: (-_normalized(f[1], f[0], cfg.length_norm), f[0])
-    )
-    return DecodeResult(
-        tokens=vocab.decode(best_ids),
-        token_ids=best_ids,
-        log_prob=best_log_prob,
-        normalized_score=_normalized(best_log_prob, best_ids, cfg.length_norm),
-    )
+    def step(prefixes: Sequence[np.ndarray]) -> list[np.ndarray]:
+        nonlocal previous
+        prefixes = [np.asarray(p, dtype=np.int64) for p in prefixes]
+        if len(prefixes) != len(languages) or any(p.ndim != 2 or p.shape[1] < 1 for p in prefixes):
+            raise ValidationError(
+                f"step expects {len(languages)} (k, t) prefix matrices with t >= 1"
+            )
+        lengths = sorted({p.shape[1] for p in prefixes})
+        if len(lengths) > 1:
+            raise ValidationError(f"groups step in lockstep but have prefix lengths {lengths}")
+        known, previous = previous, [{} for _ in languages]  # stays empty if this call fails midway
+        if not any(len(p) for p in prefixes):
+            return [np.empty((0, size)) for size in vocab_sizes]
+        parents = [
+            [group.get(tuple(row)) for row in p[:, :-1].tolist()] for group, p in zip(known, prefixes)
+        ]
+        if any(None in group for group in parents):
+            decoder.reset([len(p) for p in prefixes])
+            for column in range(lengths[0] - 1):
+                decoder.advance([p[:, column] for p in prefixes])
+        else:
+            decoder.reorder([np.array(group, dtype=np.intp) for group in parents])
+        logits = decoder.advance([p[:, -1] for p in prefixes])
+        previous = [{tuple(row): i for i, row in enumerate(p.tolist())} for p in prefixes]
+        return [ad.log_softmax(ad.Tensor(group)).data for group in logits]
+
+    return step
 
 
 def model_step_fn(
     model: MultilingualModel, audio: np.ndarray, language: Language
 ) -> StepFn:
-    """Adapt a model + one audio sequence into a cached beam-search step function.
+    """Adapt a model + one audio sequence into a cached beam-search step
+    function: the one-group `grouped_model_step_fn`."""
+    step = grouped_model_step_fn(model, audio, [language])
+    return lambda prefixes: step([prefixes])[0]
 
-    Rows equal the log-softmax of `MultilingualModel.forward` on the same
-    prefixes (eval mode). When every prefix extends a row of the previous
-    call by one token (matched on prefix[:-1]), the per-row cache is gathered
-    by parent and only the new position is computed; any other call rebuilds
-    the cache from its prefixes.
-    """
-    audio = np.asarray(audio, dtype=np.float64)
-    if audio.ndim != 2:
-        raise ValidationError("model_step_fn expects a single (frames, dim) sequence")
-    decoder = IncrementalDecoder(model, audio, language)
-    previous: dict[tuple[int, ...], int] = {}  # last call's rows -> cache row
 
-    def step(prefixes: np.ndarray) -> np.ndarray:
-        nonlocal previous
-        prefixes = np.asarray(prefixes, dtype=np.int64)
-        if prefixes.ndim != 2 or prefixes.shape[1] < 1:
-            raise ValidationError("step expects a (k, t) prefix matrix with t >= 1")
-        known, previous = previous, {}  # stays empty if this call fails midway
-        parents = [known.get(tuple(row)) for row in prefixes[:, :-1].tolist()]
-        if None in parents:
-            decoder.reset(len(prefixes))
-            for column in prefixes[:, :-1].T:
-                decoder.advance(column)
-        else:
-            decoder.reorder(np.array(parents, dtype=np.intp))
-        logits = decoder.advance(prefixes[:, -1])
-        previous = {tuple(row): i for i, row in enumerate(prefixes.tolist())}
-        return ad.log_softmax(ad.Tensor(logits)).data
-
-    return step
+def caption_clip(
+    model: MultilingualModel,
+    audio: np.ndarray,
+    languages: Sequence[Language],
+    cfg: DecodeConfig,
+    stopwords_by_language: Mapping[Language, StopwordList | frozenset[str] | None],
+) -> list[DecodeResult]:
+    """Decode one caption per language for one audio sequence; the languages
+    are searched in lockstep through the shared trunk. A language missing
+    from stopwords_by_language has no stopwords."""
+    # the model scores at most max_len positions (BOS included)
+    cfg = replace(cfg, max_len=min(cfg.max_len, model.config.max_len - 1))
+    return grouped_beam_search(
+        grouped_model_step_fn(model, audio, languages),
+        [model.vocab(lang) for lang in languages],
+        [stopwords_by_language.get(lang) for lang in languages],
+        cfg,
+    )
 
 
 def caption_audio(
@@ -170,7 +264,6 @@ def caption_audio(
     cfg: DecodeConfig,
     stopwords: StopwordList | frozenset[str] | None,
 ) -> DecodeResult:
-    """Decode one caption for one (audio, language) pair."""
-    # the model scores at most max_len positions (BOS included)
-    cfg = replace(cfg, max_len=min(cfg.max_len, model.config.max_len - 1))
-    return beam_search(model_step_fn(model, audio, language), model.vocab(language), stopwords, cfg)
+    """Decode one caption for one (audio, language) pair: the one-language
+    `caption_clip`."""
+    return caption_clip(model, audio, [language], cfg, {language: stopwords})[0]

@@ -25,6 +25,7 @@ import numpy as np
 from polycap import autodiff as ad
 from polycap.autodiff import Tensor
 from polycap.errors import ValidationError
+from polycap.files import atomic_write
 from polycap.text import Language, Vocabulary
 
 FROZEN_ENCODER_PARAMS = 28_000_000  # reporting constant; the audio encoder is external
@@ -68,6 +69,8 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "ModelConfig":
+        if not isinstance(d, Mapping):
+            raise ValidationError(f"bad model config: expected an object, got {type(d).__name__}")
         try:
             return cls(**dict(d))
         except TypeError as exc:
@@ -410,54 +413,73 @@ class MultilingualModel:
 
 
 class IncrementalDecoder:
-    """Eval-mode next-token logits for one audio sequence in one language,
-    one new position per call (incremental decoding, Shazeer 2019).
+    """Eval-mode next-token logits for one audio sequence in G language
+    groups, one new position per call (incremental decoding, Shazeer 2019).
 
     The front-end output and every layer's cross-attention keys/values are
-    computed once, at construction. Each layer's self-attention keys/values
-    of the positions decoded so far are cached per row, so `advance` runs only
-    the new position through the trunk and the classifier. `reorder` gathers
-    the cached rows by parent index, as a beam keeps, drops or duplicates
-    hypotheses. The logits equal `MultilingualModel.forward` on the full
-    prefixes up to floating-point rounding.
+    computed once per clip, at construction, and serve every group. Each
+    group's rows look up their own language's embedding; `advance` stacks the
+    rows of all groups, runs the new position once through the shared trunk
+    and slices the output by group for each language's classifier. Each
+    layer's self-attention keys/values of the positions decoded so far are
+    cached per row, group after group. `reorder` gathers a group's cached rows
+    by parent index, as a beam keeps, drops or duplicates hypotheses. The
+    logits equal `MultilingualModel.forward` on the full prefixes up to
+    floating-point rounding.
     """
 
-    def __init__(self, model: MultilingualModel, audio: np.ndarray, language: Language):
+    def __init__(self, model: MultilingualModel, audio: np.ndarray, languages: Sequence[Language]):
         self.model = model
-        self.head = model.head(language)
+        self.heads = [model.head(language) for language in languages]
         with ad.no_grad():
             memory = model.encode_audio(audio, False, None)
             self.memory = [layer.cross_attn.keys_values(memory[None]) for layer in model.layers]
-        self.reset(1)
+        self.reset([1] * len(self.heads))
 
-    def reset(self, rows: int) -> None:
-        """Drop the cache: the next `advance` is position 0 of `rows` rows."""
+    def reset(self, rows: Sequence[int]) -> None:
+        """Drop the cache: the next `advance` is position 0 of rows[g] rows
+        in group g."""
         cfg = self.model.config
-        empty = np.zeros((rows, cfg.n_heads, 0, cfg.d_model // cfg.n_heads))
+        self.rows = list(rows)
+        empty = np.zeros((sum(self.rows), cfg.n_heads, 0, cfg.d_model // cfg.n_heads))
         self.keys = [empty] * cfg.n_layers
         self.values = [empty] * cfg.n_layers
         self.length = 0
 
-    def reorder(self, parents: np.ndarray) -> None:
-        """Row i of the cache becomes the old row parents[i]."""
-        self.keys = [k[parents] for k in self.keys]
-        self.values = [v[parents] for v in self.values]
+    def reorder(self, parents: Sequence[np.ndarray]) -> None:
+        """Row i of group g becomes that group's old row parents[g][i]."""
+        offsets = np.cumsum([0, *self.rows[:-1]])
+        rows = np.concatenate(
+            [offset + np.asarray(p, dtype=np.intp) for offset, p in zip(offsets, parents)]
+        )
+        self.keys = [k[rows] for k in self.keys]
+        self.values = [v[rows] for v in self.values]
+        self.rows = [len(p) for p in parents]
 
-    def advance(self, ids: np.ndarray) -> np.ndarray:
-        """Append one token id per row; return (rows, vocab) next-token logits."""
+    def advance(self, ids: Sequence[np.ndarray]) -> list[np.ndarray]:
+        """Append one token id per row of each group; return each group's
+        (rows, vocab) next-token logits."""
+        if [len(group) for group in ids] != self.rows:
+            raise ValidationError(f"expected {self.rows} ids per group, got {[len(g) for g in ids]}")
         if self.length >= self.model.config.max_len:
             raise SequenceTooLongError(
                 f"target length {self.length + 1} exceeds max_len {self.model.config.max_len}"
             )
         scale = math.sqrt(self.model.config.d_model)
         with ad.no_grad():
-            x = ad.embedding(self.head.embedding, ids) * scale
+            x = Tensor(np.concatenate(
+                [ad.embedding(head.embedding, group).data for head, group in zip(self.heads, ids)]
+            )) * scale
             x = x + Tensor(self.model.pos_encoding[self.length])
             for i, layer in enumerate(self.model.layers):
                 x, self.keys[i], self.values[i] = layer.step(
                     x, self.keys[i], self.values[i], *self.memory[i]
                 )
-            logits = self.head.classifier(x).data
+            ends = np.cumsum(self.rows)
+            logits = [
+                head.classifier(Tensor(x.data[end - n : end])).data
+                for head, n, end in zip(self.heads, self.rows, ends)
+            ]
         self.length += 1
         return logits
 
@@ -562,7 +584,8 @@ def size_comparison(mono_reports: Sequence[ParamReport], multi_report: ParamRepo
 
 
 def save_checkpoint(model: MultilingualModel, path: str | Path) -> None:
-    """Single-container checkpoint: JSON meta block + named float64 tensors."""
+    """Single-container checkpoint: JSON meta block + named float64 tensors,
+    written atomically."""
     meta = {
         "model_config": model.config.to_dict(),
         "languages": [lang.value for lang in model.languages],
@@ -582,7 +605,8 @@ def save_checkpoint(model: MultilingualModel, path: str | Path) -> None:
         blob.append(struct.pack("<I", arr.ndim))
         blob.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         blob.append(arr.tobytes())
-    Path(path).write_bytes(b"".join(blob))
+    with atomic_write(path, binary=True) as f:
+        f.writelines(blob)
 
 
 def load_checkpoint(path: str | Path) -> MultilingualModel:

@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from polycap.errors import ValidationError
+from polycap.files import atomic_write
 
 PAD_TOKEN = "<pad>"
 BOS_TOKEN = "<bos>"
@@ -134,7 +135,8 @@ class Vocabulary:
         return cls.from_tokens(tokens)
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json() + "\n", encoding="utf-8")
+        with atomic_write(path) as f:
+            f.write(self.to_json() + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":

@@ -79,6 +79,8 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "TrainConfig":
+        if not isinstance(d, Mapping):
+            raise ValidationError(f"bad training config: expected an object, got {type(d).__name__}")
         d = dict(d)
         try:
             if "specaug" in d and d["specaug"] is not None:

@@ -43,3 +43,9 @@ def test_traced_train_fills_every_layer_metric():
     # softmax, log-softmax, LayerNorm, GELU and the loss's log-softmax are one
     # node each; a primitive composed again from elementwise nodes grows this
     assert metrics["autodiff.graph_nodes"]["value"] <= 109
+
+
+def test_traced_caption_run_is_correct():
+    # the tracer wraps polycap's decoding entry points and reads their
+    # arguments; a traced caption run must still decode and check clean
+    smoke_run("caption", trace=1)

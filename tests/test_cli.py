@@ -238,6 +238,25 @@ class TestTrainCaptionEval:
         assert payload["error"] == "ValidationError"
         assert payload["items"] == items
 
+    @pytest.mark.parametrize(
+        "key, value, items",
+        [
+            ("languages", 5, ["'languages' must be a list of language codes"]),
+            ("model", "x", ["'model' must be an object"]),
+            ("train", "x", ["'train' must be an object"]),
+        ],
+        ids=["languages_int", "model_string", "train_string"],
+    )
+    def test_malformed_config_shape_exits_2_with_items(self, tmp_path, capsys, key, value, items):
+        manifest, emb_dir = write_corpus(tmp_path)
+        config_path = write_train_config(tmp_path, manifest, emb_dir)
+        config = json.loads(config_path.read_text()) | {key: value}
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["train", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "ValidationError"
+        assert payload["items"] == items
+
     def test_typoed_config_key_is_validation_error(self, tmp_path, capsys):
         manifest, emb_dir = write_corpus(tmp_path)
         config_path = write_train_config(tmp_path, manifest, emb_dir)
@@ -404,7 +423,7 @@ class TestCliSurface:
         def broken(*args, **kwargs):
             raise RuntimeError("decoder fault")
 
-        monkeypatch.setattr(decoding, "caption_audio", broken)
+        monkeypatch.setattr(decoding, "caption_clip", broken)
         code = main([
             "caption", "--checkpoint", str(tmp_path / "m.ackp"), "--embeddings-dir", str(emb_dir),
             "--out", str(tmp_path / "o"),

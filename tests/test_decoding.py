@@ -7,7 +7,15 @@ from conftest import tiny_model_config, word_vocab
 from oracles import exhaustive_constrained_search, greedy_constrained_decode, reference_beam_search
 from polycap import autodiff as ad
 from polycap import model as model_mod
-from polycap.decoding import DecodeConfig, beam_search, caption_audio, model_step_fn
+from polycap.decoding import (
+    DecodeConfig,
+    beam_search,
+    caption_audio,
+    caption_clip,
+    grouped_beam_search,
+    grouped_model_step_fn,
+    model_step_fn,
+)
 from polycap.errors import ValidationError
 from polycap.model import MultilingualModel, SequenceTooLongError
 from polycap.text import Language
@@ -264,7 +272,7 @@ class TestCachedScorer:
         monkeypatch.setattr(model_mod.IncrementalDecoder, "reset", counting_reset)
         step = model_step_fn(model, audio, Language.EN)
         beam_search(step, vocab, None, DecodeConfig(beam_size=3, max_len=6))
-        assert resets == [1, 1]  # construction, then the BOS call
+        assert resets == [[1], [1]]  # construction, then the BOS call; one group of 1 row
 
 
 class TestNoRepeatProperty:
@@ -359,3 +367,139 @@ class TestModelAdapter:
     def test_rejects_batched_audio(self, tiny_model):
         with pytest.raises(ValidationError):
             model_step_fn(tiny_model, np.zeros((2, 3, 6)), Language.EN)
+
+
+def multilingual_model(rng, n_languages, seed, max_len=8):
+    """A tiny model whose heads have different vocabulary sizes."""
+    vocabs = {
+        lang: word_vocab([f"{lang.value}{i}" for i in range(int(rng.integers(2, 9)))])
+        for lang in list(Language)[:n_languages]
+    }
+    cfg = tiny_model_config(d_in=5, d_model=16, n_layers=2, n_heads=2, d_ff=24, max_len=max_len)
+    return MultilingualModel(cfg, vocabs, seed=seed)
+
+
+def random_stopwords(rng, vocab):
+    return frozenset(t for t in (vocab.tokens[i] for i in vocab.word_ids) if rng.random() < 0.3)
+
+
+class TestLockstep:
+    """G language groups of one clip searched together through the shared trunk
+    give each group what its own serial search gives."""
+
+    def test_groups_match_serial_captions(self):
+        rng = np.random.default_rng(60)
+        for trial in range(40):
+            model = multilingual_model(rng, int(rng.integers(2, 5)), seed=trial)
+            audio = rng.normal(size=(int(rng.integers(1, 6)), 5))
+            # groups may repeat a language
+            languages = [model.languages[i] for i in rng.integers(0, len(model.languages), size=int(rng.integers(1, 5)))]
+            stopwords = {
+                lang: random_stopwords(rng, model.vocab(lang)) if trial % 2 else None
+                for lang in model.languages
+            }
+            cfg = DecodeConfig(beam_size=int(rng.integers(1, 6)), max_len=int(rng.integers(1, 9)))
+            got = caption_clip(model, audio, languages, cfg, stopwords)
+            for lang, result in zip(languages, got, strict=True):
+                want = caption_audio(model, audio, lang, cfg, stopwords[lang])
+                assert result.token_ids == want.token_ids, (trial, lang)
+                assert abs(result.log_prob - want.log_prob) <= 1e-12, (trial, lang)
+
+    def test_stacked_rows_match_serial_rows(self):
+        rng = np.random.default_rng(61)
+        for trial in range(6):
+            model = multilingual_model(rng, 4, seed=trial)
+            audio = rng.normal(size=(int(rng.integers(1, 6)), 5))
+            languages = [model.languages[i] for i in rng.integers(0, 4, size=int(rng.integers(2, 5)))]
+            stacked = grouped_model_step_fn(model, audio, languages)
+            serial = [model_step_fn(model, audio, lang) for lang in languages]
+            vocabs = [model.vocab(lang) for lang in languages]
+            prefixes = [np.full((1, 1), v.bos_id, dtype=np.int64) for v in vocabs]
+            for _ in range(model.config.max_len):
+                got = stacked(prefixes)
+                for rows, step, p, v in zip(got, serial, prefixes, vocabs, strict=True):
+                    assert rows.shape == (len(p), v.size)
+                    if len(p):
+                        np.testing.assert_allclose(rows, step(p), rtol=0, atol=1e-12)
+                # next call: each group's parents reordered, duplicated or
+                # dropped, down to zero rows at times
+                nxt = []
+                for p, v in zip(prefixes, vocabs):
+                    rows = int(rng.integers(0, 6)) if len(p) else 0
+                    parents = rng.integers(0, max(len(p), 1), size=rows)
+                    nxt.append(np.column_stack([p[parents], rng.integers(0, v.size, size=rows)]))
+                prefixes = nxt
+
+    def test_one_group_is_bit_identical_to_the_single_search(self):
+        rng = np.random.default_rng(62)
+        for trial in range(10):
+            model = multilingual_model(rng, 2, seed=trial)
+            audio = rng.normal(size=(4, 5))
+            lang = model.languages[trial % 2]
+            vocab = model.vocab(lang)
+            stopwords = random_stopwords(rng, vocab)
+            cfg = DecodeConfig(beam_size=int(rng.integers(1, 6)), max_len=6)
+            want = beam_search(model_step_fn(model, audio, lang), vocab, stopwords, cfg)
+            grouped = grouped_beam_search(
+                grouped_model_step_fn(model, audio, [lang]), [vocab], [stopwords], cfg
+            )
+            assert grouped == [want]
+            assert caption_clip(model, audio, [lang], cfg, {lang: stopwords}) == [want]
+            assert caption_audio(model, audio, lang, cfg, stopwords) == want
+
+    def test_table_scorers_as_groups_match_reference_search(self):
+        rng = np.random.default_rng(63)
+        for trial in range(300):
+            vocabs, stopwords, steps = [], [], []
+            for g in range(int(rng.integers(1, 5))):
+                n_words = int(rng.integers(1, 7))
+                vocab = word_vocab([f"t{i}" for i in range(n_words)])
+                vocabs.append(vocab)
+                stopwords.append(frozenset(f"t{i}" for i in range(n_words) if rng.random() < 0.3))
+                seed = trial * 8 + g
+                if g % 2:
+                    steps.append(tied_table_scorer(vocab.size, seed=seed, levels=2, p_inf=0.3))
+                else:
+                    steps.append(table_scorer(vocab.size, seed=seed))
+            cfg = DecodeConfig(
+                beam_size=int(rng.integers(1, 6)),
+                max_len=int(rng.integers(1, 6)),
+                length_norm=float(rng.choice([0.0, 0.7, 1.0])),
+            )
+            got = grouped_beam_search(
+                lambda prefixes: [step(p) for step, p in zip(steps, prefixes)], vocabs, stopwords, cfg
+            )
+            for result, step, vocab, stop in zip(got, steps, vocabs, stopwords, strict=True):
+                want_ids, want_log_prob, want_norm = reference_beam_search(
+                    step, vocab, stop, cfg.beam_size, cfg.max_len, cfg.length_norm
+                )
+                assert result.token_ids == want_ids, (trial, cfg)
+                assert result.log_prob == want_log_prob, (trial, cfg)
+                assert result.normalized_score == want_norm, (trial, cfg)
+
+    def test_front_end_runs_once_per_clip(self, monkeypatch):
+        rng = np.random.default_rng(64)
+        model = multilingual_model(rng, 4, seed=0)
+        calls = []
+        original = MultilingualModel.encode_audio
+
+        def counting_encode(self, *args, **kwargs):
+            calls.append(1)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(MultilingualModel, "encode_audio", counting_encode)
+        for g in range(1, 5):
+            calls.clear()
+            caption_clip(model, rng.normal(size=(3, 5)), model.languages[:g], DecodeConfig(2, 5), {})
+            assert len(calls) == 1, g
+
+    def test_step_rejects_misshapen_groups(self):
+        rng = np.random.default_rng(65)
+        model = multilingual_model(rng, 2, seed=0)
+        step = grouped_model_step_fn(model, rng.normal(size=(3, 5)), model.languages)
+        bos = [np.full((1, 1), model.vocab(lang).bos_id) for lang in model.languages]
+        with pytest.raises(ValidationError):
+            step(bos[:1])  # one matrix for two groups
+        with pytest.raises(ValidationError):
+            step([bos[0], np.column_stack([bos[1], bos[1]])])  # lengths differ
+        assert [len(rows) for rows in step([bos[0], bos[1][:0]])] == [1, 0]

@@ -7,7 +7,7 @@ import pytest
 from conftest import synthetic_corpus, tiny_model_config
 from polycap.autodiff import Tensor
 from polycap.errors import RuntimeFailure, ValidationError
-from polycap.model import MixupDraw, MultilingualModel
+from polycap.model import MixupDraw, ModelConfig, MultilingualModel
 from polycap.text import Language
 from polycap.training import (
     AdamW,
@@ -422,3 +422,10 @@ class TestValidationLoss:
         history = trainer.fit()
         assert all(m.val_loss is not None and np.isfinite(m.val_loss) for m in history)
         assert trainer.evaluate_loss(val_index) == pytest.approx(trainer.evaluate_loss(val_index))
+
+
+@pytest.mark.parametrize("doc", ["x", 5, None, ["epochs"]], ids=["string", "int", "null", "list"])
+@pytest.mark.parametrize("config_cls", [ModelConfig, TrainConfig], ids=["model", "train"])
+def test_config_from_non_object_is_validation_error(config_cls, doc):
+    with pytest.raises(ValidationError, match="expected an object"):
+        config_cls.from_dict(doc)
