@@ -1,8 +1,9 @@
 """Minimal reverse-mode automatic differentiation over float64 numpy arrays.
 
-Just enough machinery for a transformer decoder: broadcast-aware arithmetic,
-matmul, reductions, ReLU, embedding lookup, and one node each, with a
-closed-form gradient, for GELU, softmax, log-softmax and LayerNorm.
+Just enough machinery for a transformer decoder: broadcast-aware addition and
+multiplication, indexing, sums, ReLU, embedding lookup, and one node each,
+with a closed-form gradient, for GELU, log-softmax, LayerNorm, a `Linear`
+layer and multi-head attention.
 Everything runs in 64-bit so finite-difference gradient checks are
 meaningful and training is bit-for-bit reproducible.
 """
@@ -71,10 +72,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
     def item(self) -> float:
         return float(self.data)
 
@@ -140,20 +137,6 @@ class Tensor:
 
         return Tensor._make(out_data, (self, other), backward)
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        def backward(g):
-            self._accumulate(-g)
-
-        return Tensor._make(-self.data, (self,), backward)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) + (-self)
-
     def __mul__(self, other):
         other = self._coerce(other)
         out_data = self.data * other.data
@@ -166,78 +149,7 @@ class Tensor:
 
         return Tensor._make(out_data, (self, other), backward)
 
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        out_data = self.data / other.data
-
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(g / other.data, self.shape))
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(-g * self.data / (other.data * other.data), other.shape))
-
-        return Tensor._make(out_data, (self, other), backward)
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
-    def __matmul__(self, other):
-        other = self._coerce(other)
-        if self.ndim > 2 and other.ndim == 2:
-            return self._matmul_rows(other)
-        out_data = self.data @ other.data
-
-        def backward(g):
-            if self.requires_grad:
-                grad_a = g @ np.swapaxes(other.data, -1, -2)
-                self._accumulate(_unbroadcast(grad_a, self.shape))
-            if other.requires_grad:
-                grad_b = np.swapaxes(self.data, -1, -2) @ g
-                other._accumulate(_unbroadcast(grad_b, other.shape))
-
-        return Tensor._make(out_data, (self, other), backward)
-
-    def _matmul_rows(self, weight: "Tensor") -> "Tensor":
-        """(..., d_in) @ (d_in, d_out) as one product over the flattened rows.
-
-        Both gradients are single 2-D products as well; the weight gradient
-        sums over every row inside the product instead of building one
-        (d_in, d_out) slice per leading index and summing those.
-        """
-        d_in, d_out = weight.shape
-        out_data = (self.data.reshape(-1, d_in) @ weight.data).reshape(self.shape[:-1] + (d_out,))
-
-        def backward(g):
-            g_rows = g.reshape(-1, d_out)
-            if self.requires_grad:
-                self._accumulate((g_rows @ weight.data.T).reshape(self.shape))
-            if weight.requires_grad:
-                weight._accumulate(self.data.reshape(-1, d_in).T @ g_rows)
-
-        return Tensor._make(out_data, (self, weight), backward)
-
-    # -- shape ops ----------------------------------------------------
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], tuple):
-            shape = shape[0]
-        old_shape = self.shape
-        out_data = self.data.reshape(shape)
-
-        def backward(g):
-            self._accumulate(g.reshape(old_shape))
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def swapaxes(self, a: int, b: int):
-        out_data = np.swapaxes(self.data, a, b)
-
-        def backward(g):
-            self._accumulate(np.swapaxes(g, a, b))
-
-        return Tensor._make(out_data, (self,), backward)
+    # -- indexing -----------------------------------------------------
 
     def __getitem__(self, idx):
         out_data = self.data[idx]
@@ -301,18 +213,6 @@ def log_softmax(t: Tensor, axis: int = -1) -> Tensor:
     return Tensor._make(out_data, (t,), backward)
 
 
-def softmax(t: Tensor, axis: int = -1) -> Tensor:
-    out_data = np.exp(t.data - t.data.max(axis=axis, keepdims=True))
-    out_data /= out_data.sum(axis=axis, keepdims=True)
-
-    def backward(g):
-        grad = g * out_data
-        grad -= out_data * grad.sum(axis=axis, keepdims=True)
-        t._accumulate(grad)
-
-    return Tensor._make(out_data, (t,), backward)
-
-
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
     """Normalize over the last axis, then scale by `gain` and shift by `bias`."""
     centered = x.data - x.data.mean(axis=-1, keepdims=True)
@@ -334,6 +234,78 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
             x._accumulate(grad)
 
     return Tensor._make(out_data, (x, gain, bias), backward)
+
+
+# -- products ---------------------------------------------------------
+
+
+def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """x @ weight + bias over the last axis of x, as one product over the
+    flattened rows of x. The backward is two flat products and a row sum."""
+    d_in, d_out = weight.shape
+    rows = x.data.reshape(-1, d_in)
+    out_data = rows @ weight.data
+    out_data += bias.data
+
+    def backward(g):
+        g_rows = g.reshape(-1, d_out)
+        if bias.requires_grad:
+            bias._accumulate(g_rows.sum(axis=0))
+        if x.requires_grad:
+            x._accumulate((g_rows @ weight.data.T).reshape(x.shape))
+        if weight.requires_grad:
+            weight._accumulate(rows.T @ g_rows)
+
+    return Tensor._make(out_data.reshape(x.shape[:-1] + (d_out,)), (x, weight, bias), backward)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, additive_mask=None, keep=None) -> Tensor:
+    """Multi-head scaled dot-product attention as one node.
+
+    q is (b, t, d), or flat (rows, d) with one position per row; k and v are
+    (b or 1, s, d), and a leading 1 broadcasts over the b queries. The node
+    splits d into n_heads heads, scales the scores by 1/sqrt(d / n_heads), adds
+    the numpy `additive_mask` (broadcast to the (b, n_heads, t, s) scores),
+    takes the softmax over s, multiplies it by the dropout multipliers `keep`
+    (shaped like the scores), sums the values with those weights and merges
+    the heads back to q's shape. The backward is the closed-form attention
+    backward of FlashAttention (Dao et al. 2022) without the tiling: with P
+    the softmax, the score gradient is P * (dP - rowsum(dP * P)).
+    """
+    d_head = q.shape[-1] // n_heads
+    scale = 1.0 / math.sqrt(d_head)
+
+    def split(y: np.ndarray) -> np.ndarray:  # (n, t, d) -> (n, n_heads, t, d_head)
+        return y.reshape(y.shape[0], -1, n_heads, d_head).swapaxes(1, 2)
+
+    def merge(y: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+        return y.swapaxes(1, 2).reshape(shape)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    scores = (qh @ kh.swapaxes(-1, -2)) * scale
+    if additive_mask is not None:
+        scores += additive_mask
+    probs = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    probs /= probs.sum(axis=-1, keepdims=True)
+    weights = probs if keep is None else probs * keep
+
+    def backward(g):
+        g_heads = split(g)
+        if v.requires_grad:
+            v._accumulate(merge(_unbroadcast(weights.swapaxes(-1, -2) @ g_heads, vh.shape), v.shape))
+        g_scores = g_heads @ vh.swapaxes(-1, -2)
+        if keep is not None:
+            g_scores *= keep
+        g_scores *= probs
+        g_scores -= probs * g_scores.sum(axis=-1, keepdims=True)
+        g_scores *= scale
+        if q.requires_grad:
+            q._accumulate(merge(g_scores @ kh, q.shape))
+        if k.requires_grad:
+            g_keys = _unbroadcast(qh.swapaxes(-1, -2) @ g_scores, kh.swapaxes(-1, -2).shape)
+            k._accumulate(merge(g_keys.swapaxes(-1, -2), k.shape))
+
+    return Tensor._make(merge(weights @ vh, q.shape), (q, k, v), backward)
 
 
 # -- lookups ----------------------------------------------------------

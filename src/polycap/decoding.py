@@ -89,7 +89,7 @@ class _Beam:
         stop_set = frozenset() if stopwords is None else frozenset(getattr(stopwords, "words", stopwords))
         self.vocab = vocab
         self.is_word = np.zeros(vocab.size, dtype=bool)
-        self.is_word[np.array(vocab.word_ids)] = True
+        self.is_word[np.asarray(vocab.word_ids, dtype=np.intp)] = True
         is_stop = np.fromiter((t in stop_set for t in vocab.tokens), dtype=bool, count=vocab.size)
         self.bannable = self.is_word & ~is_stop
         self.ids = np.full((1, 1), vocab.bos_id, dtype=np.int64)

@@ -7,6 +7,8 @@ structured diagnostics on stderr. ``exit_code`` follows the CLI contract:
 
 from __future__ import annotations
 
+import numbers
+
 
 class ToolkitError(Exception):
     """Base class for all structured toolkit errors."""
@@ -35,3 +37,13 @@ class RuntimeFailure(ToolkitError):
     """An operation failed after inputs were accepted."""
 
     exit_code = 3
+
+
+def is_integer(value) -> bool:
+    """An integer, not a bool: a config's JSON `2.0` or `true` is no count."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """A real number, not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)

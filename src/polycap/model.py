@@ -24,7 +24,7 @@ import numpy as np
 
 from polycap import autodiff as ad
 from polycap.autodiff import Tensor
-from polycap.errors import ValidationError
+from polycap.errors import ValidationError, is_integer, is_real
 from polycap.files import atomic_write
 from polycap.text import Language, Vocabulary
 
@@ -55,14 +55,20 @@ class ModelConfig:
     max_len: int = 40
 
     def __post_init__(self):
-        if self.d_model % self.n_heads != 0:
-            raise ValidationError(f"d_model={self.d_model} not divisible by n_heads={self.n_heads}")
+        problems = []
+        dims = (("d_in", 1), ("d_model", 1), ("n_layers", 0), ("n_heads", 1), ("d_ff", 1), ("max_len", 1))
+        for name, low in dims:
+            value = getattr(self, name)
+            if not is_integer(value) or value < low:
+                problems.append(f"{name}={value!r} must be an integer >= {low}")
         for name in ("trunk_dropout", "frontend_dropout"):
             p = getattr(self, name)
-            if not 0.0 <= p < 1.0:
-                raise ValidationError(f"{name}={p} outside [0, 1)")
-        if min(self.d_in, self.d_model, self.n_heads, self.d_ff, self.max_len) < 1 or self.n_layers < 0:
-            raise ValidationError("model dimensions must be positive")
+            if not is_real(p) or not 0.0 <= p < 1.0:
+                problems.append(f"{name}={p!r} must be a number in [0, 1)")
+        if not problems and self.d_model % self.n_heads != 0:
+            problems.append(f"d_model={self.d_model} not divisible by n_heads={self.n_heads}")
+        if problems:
+            raise ValidationError("bad model config", items=problems)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -102,7 +108,7 @@ class Linear:
         self.bias = Tensor(np.zeros(d_out), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return x @ self.weight + self.bias
+        return ad.linear(x, self.weight, self.bias)
 
     def params(self) -> list[tuple[str, Tensor]]:
         return [("weight", self.weight), ("bias", self.bias)]
@@ -121,19 +127,25 @@ class LayerNorm:
         return [("gain", self.gain), ("bias", self.bias)]
 
 
-def _dropout(x: Tensor, p: float, train: bool, rng: np.random.Generator | None) -> Tensor:
+def _keep_mask(
+    shape: tuple[int, ...], p: float, train: bool, rng: np.random.Generator | None
+) -> np.ndarray | None:
+    """Inverted-dropout multipliers, 0 or 1/(1-p); None when dropout is off."""
     if not train or p <= 0.0:
-        return x
+        return None
     if rng is None:
         raise ValidationError("training-mode forward with dropout needs an RNG")
-    keep = (rng.random(x.shape) >= p) / (1.0 - p)
-    return x * Tensor(keep)
+    return (rng.random(shape) >= p) / (1.0 - p)
+
+
+def _dropout(x: Tensor, p: float, train: bool, rng: np.random.Generator | None) -> Tensor:
+    keep = _keep_mask(x.shape, p, train, rng)
+    return x if keep is None else x * Tensor(keep)
 
 
 class MultiHeadAttention:
     def __init__(self, rng: np.random.Generator | None, d_model: int, n_heads: int, p_drop: float):
         self.n_heads = n_heads
-        self.d_head = d_model // n_heads
         self.p_drop = p_drop
         self.wq = Linear(rng, d_model, d_model)
         self.wk = Linear(rng, d_model, d_model)
@@ -150,14 +162,9 @@ class MultiHeadAttention:
     ) -> Tensor:
         return self.attend(query, *self.keys_values(memory), additive_mask, train, rng)
 
-    def _split_heads(self, y: Tensor) -> Tensor:
-        """(b, t, d_model) -> (b, n_heads, t, d_head); a flat (rows, d_model)
-        input is one position per row: (rows, n_heads, 1, d_head)."""
-        return y.reshape(y.shape[0], -1, self.n_heads, self.d_head).swapaxes(1, 2)
-
     def keys_values(self, memory: Tensor) -> tuple[Tensor, Tensor]:
-        """Keys and values of `memory`, each split into heads."""
-        return self._split_heads(self.wk(memory)), self._split_heads(self.wv(memory))
+        """Projected keys and values of `memory`, (b, s, d_model) each."""
+        return self.wk(memory), self.wv(memory)
 
     def attend(
         self,
@@ -171,13 +178,10 @@ class MultiHeadAttention:
         """Scaled dot-product attention of `query`, (b, t, d_model) or flat
         (rows, d_model), over keys/values from `keys_values`; a leading axis
         of 1 on the keys/values broadcasts over the batch."""
-        q = self._split_heads(self.wq(query))
-        scores = (q @ keys.swapaxes(-1, -2)) * (1.0 / math.sqrt(self.d_head))
-        if additive_mask is not None:
-            scores = scores + Tensor(additive_mask)
-        attn = ad.softmax(scores, axis=-1)
-        attn = _dropout(attn, self.p_drop, train, rng)
-        return self.wo((attn @ values).swapaxes(1, 2).reshape(query.shape))
+        q = self.wq(query)
+        t = q.shape[1] if len(q.shape) == 3 else 1
+        keep = _keep_mask((q.shape[0], self.n_heads, t, keys.shape[1]), self.p_drop, train, rng)
+        return self.wo(ad.attention(q, keys, values, self.n_heads, additive_mask, keep))
 
     def params(self) -> list[tuple[str, Tensor]]:
         out = []
@@ -210,11 +214,12 @@ class DecoderLayer:
 
     def step(self, x, keys, values, memory_keys, memory_values):
         """Eval-mode block for one new position per row: x is (rows, d_model);
-        keys/values hold the earlier positions' self-attention cache. Returns
-        the block output and the cache extended by the new position."""
+        keys/values, (rows, t, d_model), hold the earlier positions'
+        self-attention cache. Returns the block output and the cache extended
+        by the new position."""
         new_keys, new_values = self.self_attn.keys_values(x)
-        keys = np.concatenate([keys, new_keys.data], axis=2)
-        values = np.concatenate([values, new_values.data], axis=2)
+        keys = np.concatenate([keys, new_keys.data[:, None]], axis=1)
+        values = np.concatenate([values, new_values.data[:, None]], axis=1)
         h = self.self_attn.attend(x, Tensor(keys), Tensor(values), None, False, None)
         x = self.norm1(x + h)
         h = self.cross_attn.attend(x, memory_keys, memory_values, None, False, None)
@@ -441,7 +446,7 @@ class IncrementalDecoder:
         in group g."""
         cfg = self.model.config
         self.rows = list(rows)
-        empty = np.zeros((sum(self.rows), cfg.n_heads, 0, cfg.d_model // cfg.n_heads))
+        empty = np.zeros((sum(self.rows), 0, cfg.d_model))
         self.keys = [empty] * cfg.n_layers
         self.values = [empty] * cfg.n_layers
         self.length = 0

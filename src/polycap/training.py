@@ -21,7 +21,8 @@ import numpy as np
 from polycap import autodiff as ad
 from polycap.autodiff import Tensor
 from polycap.corpus import CorpusIndex, sample_caption
-from polycap.errors import RuntimeFailure, ValidationError
+from polycap.errors import RuntimeFailure, ValidationError, is_integer, is_real
+from polycap.files import atomic_write
 from polycap.model import MixupDraw, MultilingualModel
 from polycap.text import Language, tokenize
 
@@ -61,16 +62,24 @@ class TrainConfig:
     val_caption_mode: str = "first"  # "first" or "sample"
 
     def __post_init__(self):
+        problems = []
         if self.lr0 <= 0:
-            raise ValidationError(f"lr0 must be positive, got {self.lr0}")
+            problems.append(f"lr0 must be positive, got {self.lr0}")
         if not 0.0 <= self.label_smoothing_eps < 1.0:
-            raise ValidationError(f"label_smoothing_eps={self.label_smoothing_eps} outside [0, 1)")
+            problems.append(f"label_smoothing_eps={self.label_smoothing_eps} outside [0, 1)")
         if self.mixup_alpha < 0:
-            raise ValidationError(f"mixup_alpha must be >= 0, got {self.mixup_alpha}")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValidationError("epochs and batch_size must be >= 1")
+            problems.append(f"mixup_alpha must be >= 0, got {self.mixup_alpha}")
+        for name, low in (("epochs", 1), ("batch_size", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not is_integer(value) or value < low:
+                problems.append(f"{name}={value!r} must be an integer >= {low}")
+        betas = self.adam_betas
+        if len(betas) != 2 or not all(is_real(b) and 0.0 <= b < 1.0 for b in betas):
+            problems.append(f"adam_betas={list(betas)!r} must be a pair of numbers in [0, 1)")
         if self.val_caption_mode not in ("first", "sample"):
-            raise ValidationError(f"bad val_caption_mode {self.val_caption_mode!r}")
+            problems.append(f"bad val_caption_mode {self.val_caption_mode!r}")
+        if problems:
+            raise ValidationError("bad training config", items=problems)
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -448,17 +457,15 @@ class Trainer:
         return float(np.mean(losses))
 
     def fit(self, metrics_path: str | Path | None = None) -> list[EpochMetrics]:
-        """Train for cfg.epochs epochs, optionally appending a JSONL metrics log."""
+        """Train for cfg.epochs epochs. With a metrics path, the JSONL log of
+        every finished epoch is rewritten atomically after each epoch."""
         history = []
-        sink = Path(metrics_path).open("w", encoding="utf-8") if metrics_path else None
-        try:
-            for epoch in range(self.cfg.epochs):
-                metrics = self.run_epoch(epoch)
-                history.append(metrics)
-                if sink is not None:
-                    sink.write(json.dumps(metrics.to_log_dict(), sort_keys=True) + "\n")
-                    sink.flush()
-        finally:
-            if sink is not None:
-                sink.close()
+        lines = []
+        for epoch in range(self.cfg.epochs):
+            metrics = self.run_epoch(epoch)
+            history.append(metrics)
+            if metrics_path:
+                lines.append(json.dumps(metrics.to_log_dict(), sort_keys=True) + "\n")
+                with atomic_write(metrics_path) as f:
+                    f.writelines(lines)
         return history

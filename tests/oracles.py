@@ -1,9 +1,10 @@
 """Independent reference implementations used only to check the production
 code: a literal transcription of the CIDEr-D formula, exhaustive constrained
 sequence search, an object-per-hypothesis beam search, central finite
-differences, and the softmax, log-softmax, LayerNorm and GELU spelled out as
-chains of elementwise steps with the chain rule run back through each step. These deliberately share no code with the package paths they
-verify.
+differences, and the softmax, log-softmax, LayerNorm, GELU and multi-head
+attention spelled out as chains of separate steps with the chain rule run back
+through each step. These deliberately share no code with the package paths
+they verify.
 """
 
 from __future__ import annotations
@@ -266,3 +267,51 @@ def composed_gelu(x: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     out = x * cdf2 * 0.5
     g_u = g * x * 0.5 * (2.0 / math.sqrt(math.pi)) * np.exp(-u * u)
     return out, g * cdf2 * 0.5 + g_u / math.sqrt(2.0)
+
+
+def composed_attention(
+    q: np.ndarray,
+    k: np.ndarray,
+    v: np.ndarray,
+    n_heads: int,
+    mask: np.ndarray | None,
+    keep: np.ndarray | None,
+    g: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Value and (q, k, v) gradients of sum(g * attention), one step at a
+    time: head split, batched query-key products, scale, additive mask,
+    softmax, dropout multipliers, batched products with the values, head
+    merge. q is (b, t, d) or flat (rows, d), one position per row; k and v
+    are (b or 1, s, d), and a leading 1 is repeated over the b queries."""
+    d_head = q.shape[-1] // n_heads
+    b = q.shape[0]
+
+    def split(x):  # (n, t, d) -> (n, heads, t, d_head)
+        return np.transpose(x.reshape(x.shape[0], -1, n_heads, d_head), (0, 2, 1, 3))
+
+    def merge(x, shape):
+        return np.transpose(x, (0, 2, 1, 3)).reshape(shape)
+
+    qh = split(q)
+    kh = np.repeat(split(k), b // k.shape[0], axis=0)
+    vh = np.repeat(split(v), b // v.shape[0], axis=0)
+    raw = np.matmul(qh, np.transpose(kh, (0, 1, 3, 2)))
+    scaled = raw / math.sqrt(d_head)
+    masked = scaled if mask is None else scaled + mask
+    probs, _ = composed_softmax(masked, np.zeros_like(masked))
+    dropped = probs if keep is None else probs * keep
+    out = merge(np.matmul(dropped, vh), q.shape)
+
+    g_out = split(g)
+    g_vh = np.matmul(np.transpose(dropped, (0, 1, 3, 2)), g_out)
+    g_dropped = np.matmul(g_out, np.transpose(vh, (0, 1, 3, 2)))
+    g_probs = g_dropped if keep is None else g_dropped * keep
+    _, g_masked = composed_softmax(masked, g_probs)
+    g_raw = g_masked / math.sqrt(d_head)
+    g_qh = np.matmul(g_raw, kh)
+    g_kh = np.matmul(np.transpose(g_raw, (0, 1, 3, 2)), qh)
+
+    def fold(grad, like):  # a repeated batch axis collects every copy's gradient
+        return merge(grad.reshape(like.shape[0], -1, *grad.shape[1:]).sum(axis=1), like.shape)
+
+    return out, merge(g_qh, q.shape), fold(g_kh, k), fold(g_vh, v)

@@ -26,20 +26,9 @@ class TestBasicOps:
         c = Tensor(rng.normal(size=(3, 1)), requires_grad=True)
 
         def loss():
-            return ((a * b - c) / (b * b + 1.0) + 2.0 * a).sum()
+            return ((a * b + c) * (b * b + 1.0) + a * 2.0).sum()
 
         check_grads(loss, {"a": a, "b": b, "c": c})
-
-    def test_matmul_batched(self):
-        rng = np.random.default_rng(1)
-        a = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
-        w = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
-        b = Tensor(rng.normal(size=(2, 5, 3)), requires_grad=True)
-
-        def loss():
-            return ((a @ w) @ b).sum()
-
-        check_grads(loss, {"a": a, "w": w, "b": b})
 
     def test_pointwise_chain(self):
         rng = np.random.default_rng(2)
@@ -62,9 +51,11 @@ class TestBasicOps:
         check_grads(loss, {"x": x})
 
     def test_softmax_rows_sum_to_one(self):
-        x = Tensor(np.random.default_rng(4).normal(size=(3, 7)) * 10)
-        rows = ad.softmax(x, axis=-1).data
-        assert np.allclose(rows.sum(axis=-1), 1.0)
+        # with every value 1, each attention output is the sum of its softmax row
+        rng = np.random.default_rng(4)
+        q, k = Tensor(rng.normal(size=(1, 3, 4)) * 10), Tensor(rng.normal(size=(1, 7, 4)) * 10)
+        rows = ad.attention(q, k, Tensor(np.ones((1, 7, 4))), 2).data
+        assert np.allclose(rows, 1.0)
 
     def test_embedding_scatter_accumulates(self):
         rng = np.random.default_rng(5)
@@ -77,13 +68,12 @@ class TestBasicOps:
 
         check_grads(loss, {"w": w})
 
-    def test_reductions_and_reshape(self):
+    def test_reductions(self):
         rng = np.random.default_rng(6)
         x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
 
         def loss():
-            y = x.sum(axis=-1, keepdims=True) * 0.25
-            z = (x - y).reshape(6, 4).swapaxes(0, 1)
+            z = x + x.sum(axis=-1, keepdims=True) * -0.25
             return (z * z).sum() + x.sum(axis=(0, 1)).sum() * 0.25
 
         check_grads(loss, {"x": x})
@@ -101,15 +91,26 @@ class TestBasicOps:
 
 
 class TestFusedNodes:
-    """Softmax, log-softmax, LayerNorm and GELU are one node each with a
-    closed-form gradient; they match finite differences and the old chains of
-    elementwise nodes (tests/oracles.py)."""
+    """Log-softmax, LayerNorm, GELU, Linear and attention are one node each
+    with a closed-form gradient; they match finite differences and the old
+    chains of elementwise nodes (tests/oracles.py)."""
 
     def test_one_node_each(self):
-        x = Tensor(np.random.default_rng(20).normal(size=(2, 3, 4)), requires_grad=True)
+        rng = np.random.default_rng(20)
+        x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+        k = Tensor(rng.normal(size=(1, 5, 4)), requires_grad=True)
         gain = Tensor(np.ones(4), requires_grad=True)
         bias = Tensor(np.zeros(4), requires_grad=True)
-        for out in (ad.softmax(x), ad.log_softmax(x), ad.gelu(x), ad.layer_norm(x, gain, bias, 1e-5)):
+        weight = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
+        mask = np.triu(np.full((3, 5), -1e9), k=1)
+        keep = (rng.random((2, 2, 3, 5)) >= 0.5) * 2.0
+        for out in (
+            ad.log_softmax(x),
+            ad.gelu(x),
+            ad.layer_norm(x, gain, bias, 1e-5),
+            ad.linear(x, weight, bias),
+            ad.attention(x, k, k, 2, mask, keep),
+        ):
             assert all(p._parents == () for p in out._parents)
 
     def test_layer_norm_gradients(self):
@@ -126,15 +127,18 @@ class TestFusedNodes:
 
     def test_masked_softmax_gradients(self):
         rng = np.random.default_rng(22)
-        x = Tensor(rng.normal(size=(2, 2, 3, 4)), requires_grad=True)
-        mask = Tensor(np.triu(np.full((3, 4), -1e9), k=1))
-        w = Tensor(rng.normal(size=(2, 2, 3, 4)))
+        q = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+        k = Tensor(rng.normal(size=(2, 4, 4)), requires_grad=True)
+        v = Tensor(rng.normal(size=(2, 4, 4)), requires_grad=True)
+        mask = np.triu(np.full((3, 4), -1e9), k=1)
+        w = Tensor(rng.normal(size=(2, 3, 4)))
 
         def loss():
-            return (ad.softmax(x + mask, axis=-1) * w).sum()
+            return (ad.attention(q, k, v, 2, mask) * w).sum()
 
-        check_grads(loss, {"x": x})
-        assert np.all(ad.softmax(x + mask).data[..., 0, 1:] == 0.0)
+        check_grads(loss, {"q": q, "k": k, "v": v})
+        # the first query sees only the first key: masked weights are exactly 0
+        assert np.array_equal(ad.attention(q, k, v, 2, mask).data[:, 0], v.data[:, 0])
 
     def test_log_softmax_gradients(self):
         rng = np.random.default_rng(23)
@@ -173,14 +177,10 @@ class TestFusedNodes:
         data[..., 3:] += -1e9  # masked entries, as attention has
         g = rng.normal(size=data.shape)
         x = Tensor(data, requires_grad=True)
-        for fused, composed in (
-            (ad.softmax, oracles.composed_softmax),
-            (ad.log_softmax, oracles.composed_log_softmax),
-        ):
-            out, (grad,) = self._forward_and_grads(lambda: fused(x, axis=-1), x, g=g)
-            want_out, want_grad = composed(data, g)
-            self._assert_close(out, want_out)
-            self._assert_close(grad, want_grad)
+        out, (grad,) = self._forward_and_grads(lambda: ad.log_softmax(x, axis=-1), x, g=g)
+        want_out, want_grad = oracles.composed_log_softmax(data, g)
+        self._assert_close(out, want_out)
+        self._assert_close(grad, want_grad)
 
         x = Tensor(rng.normal(size=(3, 7)) * 2.0, requires_grad=True)
         g = rng.normal(size=x.shape)
@@ -201,7 +201,8 @@ class TestFusedNodes:
 
 
 class TestFlatRowMatmul:
-    """N-D input times a 2-D weight: one product over the flattened rows."""
+    """ad.linear: an N-D input times a 2-D weight plus a bias, as one product
+    over the flattened rows."""
 
     def test_three_d_input_with_bias(self):
         rng = np.random.default_rng(8)
@@ -210,7 +211,7 @@ class TestFlatRowMatmul:
         b = Tensor(rng.normal(size=(5,)), requires_grad=True)
 
         def loss():
-            y = x @ w + b
+            y = ad.linear(x, w, b)
             return (y * y).sum()
 
         check_grads(loss, {"x": x, "w": w, "b": b})
@@ -222,39 +223,99 @@ class TestFlatRowMatmul:
         b = Tensor(rng.normal(size=(3,)), requires_grad=True)
 
         def loss():
-            y = x @ w + b
+            y = ad.linear(x, w, b)
             return (y * y).sum()
 
         check_grads(loss, {"x": x, "w": w, "b": b})
 
     def test_non_contiguous_inputs(self):
-        # (B, H, T, d) heads merged back as attention does, and a swapped view
         rng = np.random.default_rng(10)
-        heads = Tensor(rng.normal(size=(2, 3, 4, 2)), requires_grad=True)
-        w = Tensor(rng.normal(size=(6, 5)), requires_grad=True)
-        v = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+        big = Tensor(rng.normal(size=(2, 4, 7)), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
         b = Tensor(rng.normal(size=(5,)), requires_grad=True)
 
         def loss():
-            merged = heads.swapaxes(1, 2).reshape(2, 4, 6)
-            swapped = heads.swapaxes(1, 2)  # (2, 4, 3, 2), not C-contiguous
-            assert not swapped.data.flags.c_contiguous
-            y, z = merged @ w + b, swapped @ v.swapaxes(0, 1)
-            return (y * y).sum() + (z * z).sum()
+            x = big[:, 1:, ::2]  # (2, 3, 4), not C-contiguous
+            assert not x.data.flags.c_contiguous
+            y = ad.linear(x, w, b)
+            return (y * y).sum()
 
-        check_grads(loss, {"heads": heads, "w": w, "v": v, "b": b})
+        check_grads(loss, {"big": big, "w": w, "b": b})
 
     def test_gradients_match_batched_then_summed(self):
         rng = np.random.default_rng(11)
-        x = Tensor(rng.normal(size=(4, 7, 6)), requires_grad=True)
-        w = Tensor(rng.normal(size=(6, 9)), requires_grad=True)
-        g = rng.normal(size=(4, 7, 9))
-        ((x @ w) * Tensor(g)).sum().backward()
-        batched_w = ad._unbroadcast(np.swapaxes(x.data, -1, -2) @ g, w.shape)
-        batched_x = g @ w.data.T
-        assert np.max(np.abs(w.grad - batched_w)) <= 1e-12
-        assert np.max(np.abs(x.grad - batched_x)) <= 1e-12
-        assert np.max(np.abs((x @ w).data - x.data @ w.data)) <= 1e-12
+        three_d, four_d = rng.normal(size=(4, 7, 6)), rng.normal(size=(2, 3, 5, 6))
+        strided = rng.normal(size=(4, 7, 12))[..., ::2]  # not C-contiguous
+        for data in (three_d, four_d, strided):
+            x = Tensor(data, requires_grad=True)
+            w = Tensor(rng.normal(size=(6, 9)), requires_grad=True)
+            b = Tensor(rng.normal(size=(9,)), requires_grad=True)
+            g = rng.normal(size=data.shape[:-1] + (9,))
+            out = ad.linear(x, w, b)
+            (out * Tensor(g)).sum().backward()
+            lead = tuple(range(data.ndim - 1))
+            batched_w = (np.swapaxes(data, -1, -2) @ g).sum(axis=lead[:-1])
+            assert np.max(np.abs(w.grad - batched_w)) <= 1e-12
+            assert np.max(np.abs(x.grad - g @ w.data.T)) <= 1e-12
+            assert np.max(np.abs(b.grad - g.sum(axis=lead))) <= 1e-12
+            assert np.max(np.abs(out.data - (data @ w.data + b.data))) <= 1e-12
+
+
+class TestAttention:
+    """ad.attention: head split, scaled scores, additive mask, softmax,
+    dropout keep-mask, weighted sum and head merge as one node."""
+
+    N_HEADS = 2
+    # name -> (q shape, leading k/v axis, key positions); d_model 4 in 2 heads
+    CASES = {
+        "causal": ((2, 3, 4), 2, 3),
+        "frame_mask": ((2, 3, 4), 2, 5),
+        "broadcast_kv": ((3, 2, 4), 1, 4),
+        "flat_rows": ((3, 4), 1, 5),
+        "causal_dropout": ((2, 3, 4), 2, 3),
+    }
+
+    def _case(self, name: str):
+        """q, k, v arrays, additive mask and keep-mask of one named case."""
+        rng = np.random.default_rng(30)
+        q_shape, kv_batch, s = self.CASES[name]
+        b, t = q_shape[0], (q_shape[1] if len(q_shape) == 3 else 1)
+        q = rng.normal(size=q_shape)
+        k, v = rng.normal(size=(kv_batch, s, 4)), rng.normal(size=(kv_batch, s, 4))
+        mask = keep = None
+        if name.startswith("causal"):
+            mask = np.triu(np.full((t, s), -1e9), k=1)[None, None]
+        if name == "frame_mask":
+            valid = np.ones((b, s), dtype=bool)
+            valid[1, 3:] = False
+            mask = np.where(valid, 0.0, -1e9)[:, None, None, :]
+        if name.endswith("dropout"):
+            keep = (rng.random((b, self.N_HEADS, t, s)) >= 0.3) / 0.7
+        return q, k, v, mask, keep
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_finite_differences(self, name):
+        q, k, v, mask, keep = self._case(name)
+        q, k, v = (Tensor(a, requires_grad=True) for a in (q, k, v))
+        w = Tensor(np.random.default_rng(40).normal(size=q.shape))
+
+        def loss():
+            return (ad.attention(q, k, v, self.N_HEADS, mask, keep) * w).sum()
+
+        check_grads(loss, {"q": q, "k": k, "v": v})
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_equal_to_composition(self, name):
+        arrays = self._case(name)
+        q, k, v = (Tensor(a, requires_grad=True) for a in arrays[:3])
+        g = np.random.default_rng(41).normal(size=q.shape)
+        out = ad.attention(q, k, v, self.N_HEADS, *arrays[3:])
+        (out * Tensor(g)).sum().backward()
+        want_out, *want_grads = oracles.composed_attention(*arrays[:3], self.N_HEADS, *arrays[3:], g)
+        assert np.max(np.abs(out.data - want_out)) <= 1e-12
+        for got, want in zip((q.grad, k.grad, v.grad), want_grads):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12
 
 
 class TestGradientOwnership:
@@ -277,11 +338,12 @@ class TestGradientOwnership:
         assert np.array_equal(x.grad, 2.0 * g)
 
     def test_second_backward_adds_to_taken_over_gradient(self):
-        x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-        first = (x.reshape(3, 2) * 2.0).sum()
+        # the first gradient is a reshaped view of the linear node's product
+        x = Tensor(np.arange(6.0).reshape(1, 2, 3), requires_grad=True)
+        first = ad.linear(x, Tensor(np.eye(3) * 2.0), Tensor(np.zeros(3))).sum()
         first.backward()
         (x * 3.0).sum().backward()
-        assert np.array_equal(x.grad, np.full((2, 3), 5.0))
+        assert np.array_equal(x.grad, np.full((1, 2, 3), 5.0))
 
 
 class TestEngineBehavior:

@@ -257,6 +257,17 @@ class TestTrainCaptionEval:
         assert payload["error"] == "ValidationError"
         assert payload["items"] == items
 
+    def test_bad_adam_betas_exits_2_with_items(self, tmp_path, capsys):
+        manifest, emb_dir = write_corpus(tmp_path)
+        config_path = write_train_config(tmp_path, manifest, emb_dir)
+        config = json.loads(config_path.read_text())
+        config["train"]["adam_betas"] = [0.9, 0.99, 0.5]
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["train", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "ValidationError"
+        assert payload["items"] == ["adam_betas=[0.9, 0.99, 0.5] must be a pair of numbers in [0, 1)"]
+
     def test_typoed_config_key_is_validation_error(self, tmp_path, capsys):
         manifest, emb_dir = write_corpus(tmp_path)
         config_path = write_train_config(tmp_path, manifest, emb_dir)
@@ -338,6 +349,23 @@ class TestParams:
 
     def test_bad_vocab_spec(self, tmp_path):
         assert main(["params", "--vocab-sizes", "en=abc"]) == 2
+
+    @pytest.mark.parametrize(
+        "model, item",
+        [
+            ({"n_heads": 0}, "n_heads=0 must be an integer >= 1"),
+            ({"d_ff": 2048.5}, "d_ff=2048.5 must be an integer >= 1"),
+            ({"d_model": 256.0}, "d_model=256.0 must be an integer >= 1"),
+        ],
+        ids=["zero_heads", "fractional_d_ff", "float_d_model"],
+    )
+    def test_bad_model_dimension_exits_2_with_items(self, tmp_path, capsys, model, item):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(model), encoding="utf-8")
+        assert main(["params", "--config", str(path)]) == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "ValidationError"
+        assert payload["items"] == [item]
 
 
 class _Handler(BaseHTTPRequestHandler):

@@ -18,7 +18,7 @@ from polycap.decoding import (
 )
 from polycap.errors import ValidationError
 from polycap.model import MultilingualModel, SequenceTooLongError
-from polycap.text import Language
+from polycap.text import Language, build_vocabulary
 
 
 def constant_scorer(vocab, probs: dict[str, float]):
@@ -367,6 +367,15 @@ class TestModelAdapter:
     def test_rejects_batched_audio(self, tiny_model):
         with pytest.raises(ValidationError):
             model_step_fn(tiny_model, np.zeros((2, 3, 6)), Language.EN)
+
+    def test_vocabulary_without_words_decodes_empty_caption(self):
+        # a min_count above every word's count keeps only the specials
+        vocab = build_vocabulary([["a", "b"]], min_count=5)
+        assert len(vocab.word_ids) == 0
+        model = MultilingualModel(tiny_model_config(), {Language.EN: vocab}, seed=0)
+        result = caption_audio(model, np.ones((3, 6)), Language.EN, DecodeConfig(beam_size=2), None)
+        assert result.tokens == []
+        assert result.token_ids == (vocab.bos_id, vocab.eos_id)
 
 
 def multilingual_model(rng, n_languages, seed, max_len=8):

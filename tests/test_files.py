@@ -6,12 +6,13 @@ import json
 import numpy as np
 import pytest
 
-from conftest import tiny_model_config, word_vocab
+from conftest import synthetic_corpus, tiny_model_config, word_vocab
 from polycap import cli, files
 from polycap.cli import main
 from polycap.corpus import EmbeddingSequence, write_embedding
 from polycap.model import MultilingualModel, load_checkpoint, save_checkpoint
 from polycap.text import Language
+from polycap.training import TrainConfig, Trainer
 
 
 def failing_replace(monkeypatch):
@@ -93,3 +94,25 @@ def test_failed_caption_replace_keeps_previous_captions(tmp_path, monkeypatch):
     assert caption(2) == 3
     assert (out / "captions.jsonl").read_bytes() == before
     assert sorted(p.name for p in out.iterdir()) == ["captions.jsonl", "run_manifest.json"]
+
+
+def test_failed_metrics_replace_keeps_earlier_epochs(tmp_path, monkeypatch):
+    index, vocabs = synthetic_corpus([Language.EN], n_items=4, d_in=6)
+    model = MultilingualModel(tiny_model_config(), vocabs, seed=0)
+    trainer = Trainer(model, index, TrainConfig(epochs=2, batch_size=4, specaug=None, mixup_alpha=0.0))
+    path = tmp_path / "metrics.jsonl"
+    real_replace = files.os.replace
+    written = []
+
+    def replace(src, dst):  # the first epoch's write lands, the second fails
+        if written:
+            raise OSError("replace failed")
+        real_replace(src, dst)
+        written.append(path.read_bytes())
+
+    monkeypatch.setattr(files.os, "replace", replace)
+    with pytest.raises(OSError, match="replace failed"):
+        trainer.fit(path)
+    assert len(written[0].splitlines()) == 1
+    assert path.read_bytes() == written[0]
+    assert list(tmp_path.iterdir()) == [path]

@@ -429,3 +429,24 @@ class TestValidationLoss:
 def test_config_from_non_object_is_validation_error(config_cls, doc):
     with pytest.raises(ValidationError, match="expected an object"):
         config_cls.from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("epochs", 2.5),
+        ("epochs", True),
+        ("batch_size", 2.5),
+        ("batch_size", 0),
+        ("adam_betas", [0.9, 0.99, 0.5]),
+        ("adam_betas", [0.9, 1.0]),
+        ("adam_betas", [0.9, "0.99"]),
+        ("seed", 1.5),
+        ("seed", -1),
+    ],
+)
+def test_train_config_field_types_are_checked(field, value):
+    with pytest.raises(ValidationError) as info:
+        TrainConfig.from_dict({field: value})
+    assert info.value.exit_code == 2
+    assert [item.split("=")[0] for item in info.value.items] == [field]
