@@ -223,6 +223,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_caption(args) -> int:
+    cfg = decoding.DecodeConfig(
+        beam_size=args.beam_size, max_len=args.max_len, length_norm=args.length_norm
+    )
     model = model_mod.load_checkpoint(args.checkpoint)
     languages = _parse_languages(args.languages) if args.languages else list(model.languages)
     embeddings_dir = Path(args.embeddings_dir)
@@ -244,9 +247,6 @@ def cmd_caption(args) -> int:
         raise ValidationError(f"no embeddings to caption in {embeddings_dir}")
     stopwords = {lang: load_stopwords(lang) for lang in languages}
 
-    cfg = decoding.DecodeConfig(
-        beam_size=args.beam_size, max_len=args.max_len, length_norm=args.length_norm
-    )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / "captions.jsonl"

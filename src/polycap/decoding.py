@@ -21,7 +21,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from polycap import autodiff as ad
-from polycap.errors import ValidationError
+from polycap.errors import ValidationError, is_finite, is_integer
 from polycap.model import IncrementalDecoder, MultilingualModel
 from polycap.text import Language, StopwordList, Vocabulary
 
@@ -39,8 +39,15 @@ class DecodeConfig:
     length_norm: float = 1.0  # 1.0 = mean log-probability
 
     def __post_init__(self):
-        if self.beam_size < 1 or self.max_len < 1:
-            raise ValidationError("beam_size and max_len must be >= 1")
+        problems = [
+            f"{name}={value!r} must be an integer >= 1"
+            for name, value in (("beam_size", self.beam_size), ("max_len", self.max_len))
+            if not is_integer(value) or value < 1
+        ]
+        if not is_finite(self.length_norm):
+            problems.append(f"length_norm={self.length_norm!r} must be a finite number")
+        if problems:
+            raise ValidationError("bad decoding config", items=problems)
 
     def to_dict(self) -> dict:
         return asdict(self)

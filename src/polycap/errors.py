@@ -7,6 +7,7 @@ structured diagnostics on stderr. ``exit_code`` follows the CLI contract:
 
 from __future__ import annotations
 
+import math
 import numbers
 
 
@@ -47,3 +48,8 @@ def is_integer(value) -> bool:
 def is_real(value) -> bool:
     """A real number, not a bool."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def is_finite(value) -> bool:
+    """A real number that is neither infinite nor NaN, not a bool."""
+    return is_real(value) and math.isfinite(value)

@@ -18,7 +18,6 @@ import json
 import math
 import urllib.error
 import urllib.request
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping, Protocol, Sequence
 
@@ -41,15 +40,6 @@ class EmbedderError(RuntimeFailure):
         self.item_id = item_id
 
 
-def ngram_counts(tokens: Sequence[str], n_max: int = CIDER_N_MAX) -> Counter:
-    """Counts of all n-grams (as tuples) for n = 1..n_max."""
-    counts: Counter = Counter()
-    for n in range(1, n_max + 1):
-        for i in range(len(tokens) - n + 1):
-            counts[tuple(tokens[i : i + n])] += 1
-    return counts
-
-
 @dataclass(frozen=True)
 class CiderResult:
     corpus_score: float  # raw scale, 0..10
@@ -60,36 +50,10 @@ class CiderResult:
         return self.corpus_score * 100.0
 
 
-def _tfidf_vectors(
-    counts: Counter, df: Mapping[tuple, float], log_n: float
-) -> tuple[list[dict[tuple, float]], list[float]]:
-    """Per-n TF-IDF dictionaries and squared norms for one caption."""
-    vecs: list[dict[tuple, float]] = [dict() for _ in range(CIDER_N_MAX)]
-    norms_sq = [0.0] * CIDER_N_MAX
-    for gram, tf in counts.items():
-        idf = log_n - math.log(max(1.0, df.get(gram, 0.0)))
-        slot = len(gram) - 1
-        w = tf * idf
-        vecs[slot][gram] = w
-        norms_sq[slot] += w * w
-    return vecs, norms_sq
-
-
-def _clipped_cosine(
-    cand_vec: dict[tuple, float],
-    ref_vec: dict[tuple, float],
-    cand_norm_sq: float,
-    ref_norm_sq: float,
-) -> float:
-    if cand_norm_sq == 0.0 or ref_norm_sq == 0.0:
-        return 0.0
-    num = 0.0
-    for gram, w in cand_vec.items():
-        rw = ref_vec.get(gram, 0.0)
-        num += min(w, rw) * rw
-    if num == cand_norm_sq and cand_norm_sq == ref_norm_sq:
-        return 1.0  # identical vectors: exact by definition, avoids sqrt jitter
-    return num / (math.sqrt(cand_norm_sq) * math.sqrt(ref_norm_sq))
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """Sorted distinct keys (a sort is faster than np.unique's hash table)."""
+    keys = np.sort(keys)
+    return keys[np.diff(keys, prepend=-1) != 0]
 
 
 def cider_d(
@@ -100,6 +64,12 @@ def cider_d(
     Document frequencies come from the reference sets of this corpus; every
     candidate needs at least one reference, and at least two items are
     required (IDF is degenerate on a single item).
+
+    Every caption is tokenized once and its n-grams are interned as integer
+    ids, one order at a time; TF-IDF weights, norms, clipped numerators and
+    length penalties are then flat arrays. Each caption's terms are summed in
+    the order its n-grams first occur (n-major, then position), so the scores
+    are bit-identical to scoring caption by caption over n-gram dictionaries.
     """
     if not candidates:
         raise ValidationError("empty corpus: no candidates to score")
@@ -109,33 +79,110 @@ def cider_d(
     if len(candidates) < 2:
         raise ValidationError("CIDEr-D needs at least 2 items (IDF is degenerate otherwise)")
 
-    cand_tokens = {i: tokenize(c) for i, c in candidates.items()}
-    ref_tokens = {i: [tokenize(r) for r in references[i]] for i in candidates}
-    for i, refs in ref_tokens.items():
+    cand_tokens = [tokenize(c) for c in candidates.values()]
+    ref_tokens = [[tokenize(r) for r in references[i]] for i in candidates]
+    for i, refs in zip(candidates, ref_tokens):
         if not refs:
             raise ValidationError(f"item {i!r} has an empty reference list")
 
-    ref_counts = {i: [ngram_counts(r) for r in refs] for i, refs in ref_tokens.items()}
-    df: Counter = Counter()
-    for counts_list in ref_counts.values():
-        seen: set[tuple] = set()
-        for counts in counts_list:
-            seen.update(counts.keys())
-        for gram in seen:
-            df[gram] += 1
-    log_n = math.log(len(candidates))
+    # captions 0..n_items-1 are the candidates (caption i is item i's), the
+    # references follow item by item
+    n_items = len(cand_tokens)
+    captions = cand_tokens + [toks for refs in ref_tokens for toks in refs]
+    n_refs = np.array([len(refs) for refs in ref_tokens])
+    ref_item = np.repeat(np.arange(n_items), n_refs)
+    lengths = np.array([len(toks) for toks in captions])
+    word_ids: dict[str, int] = {}
+    words = np.fromiter(
+        (word_ids.setdefault(w, len(word_ids)) for toks in captions for w in toks),
+        dtype=np.int64,
+        count=int(lengths.sum()),
+    )
 
-    per_item: dict[str, float] = {}
-    for item, ctoks in cand_tokens.items():
-        cvecs, cnorms = _tfidf_vectors(ngram_counts(ctoks), df, log_n)
-        clen = len(ctoks)
-        sims = np.zeros(CIDER_N_MAX)
-        for rtoks, rcounts in zip(ref_tokens[item], ref_counts[item]):
-            rvecs, rnorms = _tfidf_vectors(rcounts, df, log_n)
-            penalty = math.exp(-((clen - len(rtoks)) ** 2) / (2.0 * CIDER_SIGMA**2))
-            for n in range(CIDER_N_MAX):
-                sims[n] += penalty * _clipped_cosine(cvecs[n], rvecs[n], cnorms[n], rnorms[n])
-        per_item[item] = CIDER_SCALE * float(np.mean(sims / len(ref_tokens[item])))
+    # n-gram ids, one order at a time: an n-gram is its (n-1)-gram prefix id
+    # plus the next word, so keys stay below (#prefixes * #words)
+    token_cap = np.repeat(np.arange(len(captions)), lengths)
+    room = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(words))  # tokens left from here
+    starts, ids, n_distinct = np.arange(len(words)), words, len(word_ids)
+    occ_cap, occ_gram, occ_n = [], [], []
+    n_grams = 0
+    for n in range(1, CIDER_N_MAX + 1):
+        if n > 1:
+            keep = room[starts] >= n
+            starts = starts[keep]
+            distinct, ids = np.unique(
+                ids[keep] * len(word_ids) + words[starts + n - 1], return_inverse=True
+            )
+            n_distinct = len(distinct)
+        occ_cap.append(token_cap[starts])
+        occ_gram.append(ids + n_grams)
+        occ_n.append(np.full(len(starts), n - 1))
+        n_grams += n_distinct
+    occ_cap, occ_gram, occ_n = (np.concatenate(a) for a in (occ_cap, occ_gram, occ_n))
+
+    # one entry per (caption, n-gram) with its count, in first-occurrence order
+    occ_key = occ_cap * n_grams + occ_gram
+    by_key = np.argsort(occ_key)
+    run = np.flatnonzero(np.diff(occ_key[by_key], prepend=-1))
+    keys = occ_key[by_key[run]]
+    first = np.minimum.reduceat(by_key, run)
+    tf = np.diff(run, append=len(occ_key))
+    entry_cap = keys // n_grams
+    order = np.argsort(entry_cap * len(occ_key) + first)
+    entry_cap, entry_gram, tf = entry_cap[order], keys[order] % n_grams, tf[order]
+    entry_n = occ_n[first[order]]
+
+    # document frequency: the number of items whose references hold the gram
+    n_cand = int(np.searchsorted(entry_cap, n_items))
+    ref_entry_item = ref_item[entry_cap[n_cand:] - n_items]
+    item_grams = _distinct(ref_entry_item * n_grams + entry_gram[n_cand:]) % n_grams
+    df = np.bincount(item_grams, minlength=n_grams)
+    log_df = np.array([0.0] + [math.log(k) for k in range(1, n_items + 1)])
+    weight = tf * (math.log(n_items) - log_df[df[entry_gram]])
+
+    # np.bincount adds its weights in array order, so every (caption, n) sum
+    # runs left to right over that caption's entries, as the recipe's loop does
+    # (float addition is not associative: the order is part of the result)
+    segment = entry_cap * CIDER_N_MAX + entry_n
+    n_slots = len(captions) * CIDER_N_MAX
+    norms_sq = np.bincount(segment, weight * weight, n_slots).reshape(-1, CIDER_N_MAX)
+
+    # clipped numerators: each reference entry joined to the same n-gram in
+    # its item's candidate, summed in the candidate's entry order
+    cand_keys = entry_cap[:n_cand] * n_grams + entry_gram[:n_cand]
+    by_key = np.argsort(cand_keys)
+    sorted_keys = np.append(cand_keys[by_key], -1)
+    query = ref_entry_item * n_grams + entry_gram[n_cand:]
+    at = np.searchsorted(sorted_keys[:-1], query)
+    found = sorted_keys[at] == query
+    ref_entry = n_cand + np.flatnonzero(found)
+    cand_entry = by_key[at[found]]
+    joined = np.argsort(cand_entry)
+    ref_entry, cand_entry = ref_entry[joined], cand_entry[joined]
+    rw = weight[ref_entry]
+    nums = np.bincount(
+        segment[ref_entry], np.minimum(weight[cand_entry], rw) * rw, n_slots
+    ).reshape(-1, CIDER_N_MAX)[n_items:]
+
+    cand_sq, ref_sq = norms_sq[ref_item], norms_sq[n_items:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cosine = nums / (np.sqrt(cand_sq) * np.sqrt(ref_sq))
+    cosine[(nums == cand_sq) & (cand_sq == ref_sq)] = 1.0  # identical vectors: no sqrt jitter
+    cosine[(cand_sq == 0.0) | (ref_sq == 0.0)] = 0.0
+
+    gap_sq, gap_index = np.unique(
+        (lengths[ref_item] - lengths[n_items:]) ** 2, return_inverse=True
+    )
+    penalty = np.array([math.exp(-int(g) / (2.0 * CIDER_SIGMA**2)) for g in gap_sq])[gap_index]
+
+    # each item's references are added in order, one sum per (item, n)
+    sims = np.bincount(
+        (ref_item[:, None] * CIDER_N_MAX + np.arange(CIDER_N_MAX)).ravel(),
+        (penalty[:, None] * cosine).ravel(),
+        n_items * CIDER_N_MAX,
+    ).reshape(n_items, CIDER_N_MAX)
+    scores = CIDER_SCALE * np.mean(sims / n_refs[:, None], axis=1)
+    per_item = dict(zip(candidates, scores.tolist()))
     return CiderResult(
         corpus_score=float(np.mean(list(per_item.values()))), per_item=per_item
     )

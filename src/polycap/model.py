@@ -590,7 +590,7 @@ def size_comparison(mono_reports: Sequence[ParamReport], multi_report: ParamRepo
 
 def save_checkpoint(model: MultilingualModel, path: str | Path) -> None:
     """Single-container checkpoint: JSON meta block + named float64 tensors,
-    written atomically."""
+    each written straight from its parameter array, atomically."""
     meta = {
         "model_config": model.config.to_dict(),
         "languages": [lang.value for lang in model.languages],
@@ -609,7 +609,7 @@ def save_checkpoint(model: MultilingualModel, path: str | Path) -> None:
         blob.append(name_bytes)
         blob.append(struct.pack("<I", arr.ndim))
         blob.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        blob.append(arr.tobytes())
+        blob.append(memoryview(arr).cast("B"))  # the parameter's own bytes, no copy
     with atomic_write(path, binary=True) as f:
         f.writelines(blob)
 

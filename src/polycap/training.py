@@ -21,7 +21,7 @@ import numpy as np
 from polycap import autodiff as ad
 from polycap.autodiff import Tensor
 from polycap.corpus import CorpusIndex, sample_caption
-from polycap.errors import RuntimeFailure, ValidationError, is_integer, is_real
+from polycap.errors import RuntimeFailure, ValidationError, is_finite, is_integer, is_real
 from polycap.files import atomic_write
 from polycap.model import MixupDraw, MultilingualModel
 from polycap.text import Language, tokenize
@@ -63,12 +63,19 @@ class TrainConfig:
 
     def __post_init__(self):
         problems = []
-        if self.lr0 <= 0:
-            problems.append(f"lr0 must be positive, got {self.lr0}")
-        if not 0.0 <= self.label_smoothing_eps < 1.0:
-            problems.append(f"label_smoothing_eps={self.label_smoothing_eps} outside [0, 1)")
-        if self.mixup_alpha < 0:
-            problems.append(f"mixup_alpha must be >= 0, got {self.mixup_alpha}")
+        for name, ok, rule in (
+            ("lr0", lambda v: v > 0, "a finite number > 0"),
+            ("weight_decay", lambda v: v >= 0, "a finite number >= 0"),
+            ("label_smoothing_eps", lambda v: 0 <= v < 1, "a number in [0, 1)"),
+            ("mixup_alpha", lambda v: v >= 0, "a finite number >= 0"),
+            ("mixup_lambda", lambda v: 0 <= v <= 1, "null or a number in [0, 1]"),
+            ("adam_eps", lambda v: v > 0, "a finite number > 0"),
+        ):
+            value = getattr(self, name)
+            if name == "mixup_lambda" and value is None:
+                continue
+            if not (is_finite(value) and ok(value)):
+                problems.append(f"{name}={value!r} must be {rule}")
         for name, low in (("epochs", 1), ("batch_size", 1), ("seed", 0)):
             value = getattr(self, name)
             if not is_integer(value) or value < low:
@@ -76,6 +83,10 @@ class TrainConfig:
         betas = self.adam_betas
         if len(betas) != 2 or not all(is_real(b) and 0.0 <= b < 1.0 for b in betas):
             problems.append(f"adam_betas={list(betas)!r} must be a pair of numbers in [0, 1)")
+        if self.specaug is not None:
+            for name, value in asdict(self.specaug).items():
+                if not is_integer(value) or value < 0:
+                    problems.append(f"specaug.{name}={value!r} must be an integer >= 0")
         if self.val_caption_mode not in ("first", "sample"):
             problems.append(f"bad val_caption_mode {self.val_caption_mode!r}")
         if problems:

@@ -1,7 +1,8 @@
 """Independent reference implementations used only to check the production
-code: a literal transcription of the CIDEr-D formula, exhaustive constrained
-sequence search, an object-per-hypothesis beam search, central finite
-differences, and the softmax, log-softmax, LayerNorm, GELU and multi-head
+code: a literal transcription of the CIDEr-D formula, the caption-by-caption
+dictionary CIDEr-D scorer that the array scorer must match bit for bit,
+exhaustive constrained sequence search, an object-per-hypothesis beam search,
+central finite differences, and the softmax, log-softmax, LayerNorm, GELU and multi-head
 attention spelled out as chains of separate steps with the chain rule run back
 through each step. These deliberately share no code with the package paths
 they verify.
@@ -11,9 +12,14 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from typing import Mapping, Sequence
 
 import numpy as np
 from scipy import special
+
+from polycap.errors import ValidationError
+from polycap.evaluation import CIDER_N_MAX, CIDER_SCALE, CIDER_SIGMA, CiderResult
+from polycap.text import tokenize
 
 
 def bruteforce_cider_d(
@@ -61,6 +67,98 @@ def bruteforce_cider_d(
             per_n.append(acc / len(ref_tokens[item]))
         scores[item] = 10.0 * sum(per_n) / n_max
     return scores
+
+
+def ngram_counts(tokens: Sequence[str], n_max: int = CIDER_N_MAX) -> Counter:
+    """Counts of all n-grams (as tuples) for n = 1..n_max."""
+    counts: Counter = Counter()
+    for n in range(1, n_max + 1):
+        for i in range(len(tokens) - n + 1):
+            counts[tuple(tokens[i : i + n])] += 1
+    return counts
+
+
+def _tfidf_vectors(
+    counts: Counter, df: Mapping[tuple, float], log_n: float
+) -> tuple[list[dict[tuple, float]], list[float]]:
+    """Per-n TF-IDF dictionaries and squared norms for one caption."""
+    vecs: list[dict[tuple, float]] = [dict() for _ in range(CIDER_N_MAX)]
+    norms_sq = [0.0] * CIDER_N_MAX
+    for gram, tf in counts.items():
+        idf = log_n - math.log(max(1.0, df.get(gram, 0.0)))
+        slot = len(gram) - 1
+        w = tf * idf
+        vecs[slot][gram] = w
+        norms_sq[slot] += w * w
+    return vecs, norms_sq
+
+
+def _clipped_cosine(
+    cand_vec: dict[tuple, float],
+    ref_vec: dict[tuple, float],
+    cand_norm_sq: float,
+    ref_norm_sq: float,
+) -> float:
+    if cand_norm_sq == 0.0 or ref_norm_sq == 0.0:
+        return 0.0
+    num = 0.0
+    for gram, w in cand_vec.items():
+        rw = ref_vec.get(gram, 0.0)
+        num += min(w, rw) * rw
+    if num == cand_norm_sq and cand_norm_sq == ref_norm_sq:
+        return 1.0  # identical vectors: exact by definition, avoids sqrt jitter
+    return num / (math.sqrt(cand_norm_sq) * math.sqrt(ref_norm_sq))
+
+
+def dict_cider_d(
+    candidates: Mapping[str, str], references: Mapping[str, Sequence[str]]
+) -> CiderResult:
+    """Corpus and per-item CIDEr-D on the raw 0..10 scale, scored caption by
+    caption over n-gram dictionaries: the recipe `evaluation.cider_d` must
+    reproduce bit for bit.
+
+    Document frequencies come from the reference sets of this corpus; every
+    candidate needs at least one reference, and at least two items are
+    required (IDF is degenerate on a single item).
+    """
+    if not candidates:
+        raise ValidationError("empty corpus: no candidates to score")
+    missing = sorted(set(candidates) - set(references))
+    if missing:
+        raise ValidationError("candidates without references", items=missing)
+    if len(candidates) < 2:
+        raise ValidationError("CIDEr-D needs at least 2 items (IDF is degenerate otherwise)")
+
+    cand_tokens = {i: tokenize(c) for i, c in candidates.items()}
+    ref_tokens = {i: [tokenize(r) for r in references[i]] for i in candidates}
+    for i, refs in ref_tokens.items():
+        if not refs:
+            raise ValidationError(f"item {i!r} has an empty reference list")
+
+    ref_counts = {i: [ngram_counts(r) for r in refs] for i, refs in ref_tokens.items()}
+    df: Counter = Counter()
+    for counts_list in ref_counts.values():
+        seen: set[tuple] = set()
+        for counts in counts_list:
+            seen.update(counts.keys())
+        for gram in seen:
+            df[gram] += 1
+    log_n = math.log(len(candidates))
+
+    per_item: dict[str, float] = {}
+    for item, ctoks in cand_tokens.items():
+        cvecs, cnorms = _tfidf_vectors(ngram_counts(ctoks), df, log_n)
+        clen = len(ctoks)
+        sims = np.zeros(CIDER_N_MAX)
+        for rtoks, rcounts in zip(ref_tokens[item], ref_counts[item]):
+            rvecs, rnorms = _tfidf_vectors(rcounts, df, log_n)
+            penalty = math.exp(-((clen - len(rtoks)) ** 2) / (2.0 * CIDER_SIGMA**2))
+            for n in range(CIDER_N_MAX):
+                sims[n] += penalty * _clipped_cosine(cvecs[n], rvecs[n], cnorms[n], rnorms[n])
+        per_item[item] = CIDER_SCALE * float(np.mean(sims / len(ref_tokens[item])))
+    return CiderResult(
+        corpus_score=float(np.mean(list(per_item.values()))), per_item=per_item
+    )
 
 
 def exhaustive_constrained_search(

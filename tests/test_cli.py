@@ -268,6 +268,21 @@ class TestTrainCaptionEval:
         assert payload["error"] == "ValidationError"
         assert payload["items"] == ["adam_betas=[0.9, 0.99, 0.5] must be a pair of numbers in [0, 1)"]
 
+    def test_bad_train_values_exit_2_with_items(self, tmp_path, capsys):
+        manifest, emb_dir = write_corpus(tmp_path)
+        config_path = write_train_config(tmp_path, manifest, emb_dir)
+        config = json.loads(config_path.read_text())
+        config["train"] |= {"lr0": float("nan"), "specaug": {"n_time_masks": 2.5}}
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["train", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "ValidationError"
+        assert payload["items"] == [
+            "lr0=nan must be a finite number > 0",
+            "specaug.n_time_masks=2.5 must be an integer >= 0",
+        ]
+        assert not (tmp_path / "o" / "checkpoint.ackp").exists()
+
     def test_typoed_config_key_is_validation_error(self, tmp_path, capsys):
         manifest, emb_dir = write_corpus(tmp_path)
         config_path = write_train_config(tmp_path, manifest, emb_dir)
@@ -458,6 +473,20 @@ class TestCliSurface:
         ])
         assert code == 3
         assert json.loads(capsys.readouterr().err) == {"error": "RuntimeError", "message": "decoder fault"}
+
+    def test_non_finite_length_norm_exits_2(self, tmp_path, capsys):
+        _, emb_dir = write_corpus(tmp_path)
+        vocabs = {Language.EN: word_vocab(["enfa", "enfb"])}
+        save_checkpoint(MultilingualModel(tiny_model_config(d_in=8), vocabs), tmp_path / "m.ackp")
+        code = main([
+            "caption", "--checkpoint", str(tmp_path / "m.ackp"), "--embeddings-dir", str(emb_dir),
+            "--length-norm", "nan", "--out", str(tmp_path / "o"),
+        ])
+        assert code == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "ValidationError"
+        assert payload["items"] == ["length_norm=nan must be a finite number"]
+        assert not (tmp_path / "o" / "captions.jsonl").exists()
 
     @pytest.mark.parametrize("checkpoint", ["nope.ackp", "."], ids=["missing", "directory"])
     def test_unreadable_checkpoint_exits_2(self, tmp_path, capsys, checkpoint):

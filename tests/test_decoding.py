@@ -512,3 +512,21 @@ class TestLockstep:
         with pytest.raises(ValidationError):
             step([bos[0], np.column_stack([bos[1], bos[1]])])  # lengths differ
         assert [len(rows) for rows in step([bos[0], bos[1][:0]])] == [1, 0]
+
+
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [
+        ({"length_norm": math.nan}, "length_norm"),
+        ({"length_norm": math.inf}, "length_norm"),
+        ({"length_norm": "1"}, "length_norm"),
+        ({"beam_size": 2.5}, "beam_size"),
+        ({"beam_size": 0}, "beam_size"),
+        ({"max_len": True}, "max_len"),
+    ],
+)
+def test_decode_config_rejects_bad_fields(kwargs, field):
+    with pytest.raises(ValidationError) as info:
+        DecodeConfig(**kwargs)
+    assert info.value.exit_code == 2
+    assert [item.split("=")[0] for item in info.value.items] == [field]

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import bruteforce_cider_d
+from oracles import bruteforce_cider_d, dict_cider_d, ngram_counts
 from polycap.errors import ValidationError
 from polycap.evaluation import (
     EmbedderError,
@@ -18,7 +18,6 @@ from polycap.evaluation import (
     cider_d,
     cross_language_similarity,
     evaluate_captions,
-    ngram_counts,
     sbert_sim,
 )
 from polycap.text import Language, tokenize
@@ -35,6 +34,94 @@ class TestNgramCounts:
 
     def test_empty(self):
         assert ngram_counts([]) == {}
+
+
+def assert_same_as_dict_scorer(candidates, references):
+    """cider_d reproduces the per-caption dictionary scorer bit for bit."""
+    got, want = cider_d(candidates, references), dict_cider_d(candidates, references)
+    assert [(k, v.hex()) for k, v in got.per_item.items()] == [
+        (k, v.hex()) for k, v in want.per_item.items()
+    ]
+    assert got.corpus_score.hex() == want.corpus_score.hex()
+    return got
+
+
+def random_corpus(rng, words, n_items, n_refs, lengths):
+    make = lambda: " ".join(rng.choice(words, size=int(rng.integers(*lengths))))
+    candidates = {f"it{i}": make() for i in range(n_items)}
+    references = {item: [make() for _ in range(int(rng.integers(*n_refs)))] for item in candidates}
+    return candidates, references
+
+
+class TestCiderArrayScorer:
+    def test_bit_identical_to_dict_scorer_on_random_corpora(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(300):
+            words = [f"w{i}" for i in range(int(rng.integers(1, 40)))]
+            candidates, references = random_corpus(
+                rng, words, int(rng.integers(2, 13)), (1, 11), (int(rng.integers(0, 2)), 16)
+            )
+            assert_same_as_dict_scorer(candidates, references)
+
+    def test_bit_identical_on_zipf_corpus(self):
+        rng = np.random.default_rng(5)
+        ranks = np.arange(1, 2001)
+        p = (1.0 / ranks) / (1.0 / ranks).sum()
+        words = np.array([f"w{i}" for i in ranks])
+        make = lambda: " ".join(rng.choice(words, size=int(rng.integers(6, 15)), p=p))
+        candidates = {f"clip{i:03d}": make() for i in range(200)}
+        references = {item: [make() for _ in range(5)] for item in candidates}
+        assert_same_as_dict_scorer(candidates, references)
+
+    def test_every_candidate_empty(self):
+        candidates = {"a": "", "b": "...", "c": ""}
+        references = {"a": ["dog barks"], "b": ["rain falls", "rain"], "c": ["a car"]}
+        result = assert_same_as_dict_scorer(candidates, references)
+        assert result.per_item == {"a": 0.0, "b": 0.0, "c": 0.0}
+        assert result.corpus_score == 0.0
+        # no caption in the corpus has a single token
+        result = assert_same_as_dict_scorer({"a": "", "b": "!"}, {"a": [""], "b": ["", "?"]})
+        assert result.corpus_score == 0.0
+
+    def test_every_reference_empty(self):
+        candidates = {"a": "dog barks", "b": "rain falls"}
+        references = {"a": [""], "b": ["", "!"]}
+        result = assert_same_as_dict_scorer(candidates, references)
+        assert result.corpus_score == 0.0
+
+    def test_one_token_captions(self):
+        candidates = {"a": "dog", "b": "rain", "c": "car"}
+        references = {"a": ["dog"], "b": ["rain", "wind"], "c": ["dog"]}
+        assert_same_as_dict_scorer(candidates, references)
+
+    def test_repeated_words_and_duplicate_references(self):
+        candidates = {"a": "dog dog dog barks dog", "b": "rain rain", "c": "the the the"}
+        references = {
+            "a": ["dog barks dog", "dog barks dog", "dog dog"],
+            "b": ["rain rain rain", "rain rain rain"],
+            "c": ["the the", "the cat the cat"],
+        }
+        assert_same_as_dict_scorer(candidates, references)
+
+    def test_non_ascii_words(self):
+        candidates = {"fr": "la pluie tombe très fort", "es": "el pájaro canta aquí", "de": "größer hund"}
+        references = {
+            "fr": ["la pluie tombe très fort", "il pleut très fort"],
+            "es": ["un pájaro canta", "el pájaro canta aquí y allá"],
+            "de": ["ein größer hund bellt", "straße"],
+        }
+        assert_same_as_dict_scorer(candidates, references)
+
+    def test_matches_bruteforce_oracle_on_a_30_item_corpus(self):
+        rng = np.random.default_rng(30)
+        candidates, references = random_corpus(rng, [f"w{i}" for i in range(25)], 30, (1, 6), (1, 14))
+        result = cider_d(candidates, references)
+        oracle = bruteforce_cider_d(
+            {i: tokenize(c) for i, c in candidates.items()},
+            {i: [tokenize(r) for r in refs] for i, refs in references.items()},
+        )
+        for item in candidates:
+            assert result.per_item[item] == pytest.approx(oracle[item], abs=1e-9)
 
 
 class TestCiderD:

@@ -1,3 +1,7 @@
+import json
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -253,6 +257,38 @@ class TestCheckpoint:
         # saving the loaded model reproduces the file byte for byte
         save_checkpoint(loaded, tmp_path / "again.ackp")
         assert (tmp_path / "again.ackp").read_bytes() == path.read_bytes()
+
+    def test_file_bytes_match_the_documented_layout(self, tmp_path, en_vocab):
+        model = MultilingualModel(tiny_model_config(), {Language.EN: en_vocab, Language.FR: en_vocab}, seed=4)
+        path = tmp_path / "m.ackp"
+        save_checkpoint(model, path)
+        vocab_doc = {"tokens": list(en_vocab.tokens), "specials": {"pad": 0, "bos": 1, "eos": 2, "unk": 3}}
+        meta = {
+            "model_config": model.config.to_dict(),
+            "languages": ["en", "fr"],
+            "vocabs": {code: vocab_doc for code in ("en", "fr")},
+        }
+        meta_bytes = json.dumps(meta, ensure_ascii=False, sort_keys=True).encode("utf-8")
+        params = model.named_parameters()
+        expected = [b"ACKP", struct.pack("<II", 1, len(meta_bytes)), meta_bytes, struct.pack("<I", len(params))]
+        for name, t in params.items():
+            expected += [struct.pack("<I", len(name)), name.encode("utf-8"), struct.pack("<I", t.data.ndim)]
+            expected += [struct.pack(f"<{t.data.ndim}I", *t.data.shape), t.data.astype("<f8").tobytes()]
+        assert path.read_bytes() == b"".join(expected)
+
+    def test_save_writes_tensors_without_copying_them(self, tmp_path, en_vocab):
+        cfg = tiny_model_config(d_in=32, d_model=128, n_heads=4, d_ff=512, n_layers=2)
+        model = MultilingualModel(cfg, {Language.EN: en_vocab}, seed=0)
+        path = tmp_path / "m.ackp"
+        tracemalloc.start()
+        try:
+            save_checkpoint(model, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size > 2_000_000
+        assert peak < 0.25 * size, (peak, size)
 
     def test_reject_garbage(self, tmp_path):
         path = tmp_path / "bad.ackp"

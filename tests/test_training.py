@@ -443,6 +443,16 @@ def test_config_from_non_object_is_validation_error(config_cls, doc):
         ("adam_betas", [0.9, "0.99"]),
         ("seed", 1.5),
         ("seed", -1),
+        ("weight_decay", "x"),
+        ("weight_decay", -1),
+        ("adam_eps", "x"),
+        ("adam_eps", 0.0),
+        ("lr0", math.nan),
+        ("lr0", math.inf),
+        ("label_smoothing_eps", "x"),
+        ("mixup_alpha", -0.5),
+        ("mixup_lambda", 2.0),
+        ("mixup_lambda", "x"),
     ],
 )
 def test_train_config_field_types_are_checked(field, value):
@@ -450,3 +460,27 @@ def test_train_config_field_types_are_checked(field, value):
         TrainConfig.from_dict({field: value})
     assert info.value.exit_code == 2
     assert [item.split("=")[0] for item in info.value.items] == [field]
+
+
+def test_specaug_fields_are_checked():
+    with pytest.raises(ValidationError) as info:
+        TrainConfig.from_dict({"specaug": {"n_time_masks": 2.5, "max_time_width": -1}})
+    assert info.value.items == [
+        "specaug.n_time_masks=2.5 must be an integer >= 0",
+        "specaug.max_time_width=-1 must be an integer >= 0",
+    ]
+
+
+def test_every_bad_train_field_is_listed_in_one_error():
+    doc = {"lr0": math.nan, "weight_decay": "x", "mixup_lambda": 2.0, "specaug": {"max_channel_width": True}}
+    with pytest.raises(ValidationError) as info:
+        TrainConfig.from_dict(doc)
+    assert [item.split("=")[0] for item in info.value.items] == [
+        "lr0", "weight_decay", "mixup_lambda", "specaug.max_channel_width"
+    ]
+
+
+def test_valid_optional_fields_are_accepted():
+    cfg = TrainConfig.from_dict({"mixup_lambda": 0.3, "specaug": None, "weight_decay": 0})
+    assert cfg.mixup_lambda == 0.3 and cfg.specaug is None
+    assert TrainConfig.from_dict({}).specaug == SpecAugmentConfig()
