@@ -21,7 +21,7 @@ from pathlib import Path
 import polycap
 from polycap import corpus as corpus_mod
 from polycap import decoding, evaluation, model as model_mod, training
-from polycap.errors import ToolkitError, ValidationError
+from polycap.errors import ToolkitError, ValidationError, is_integer
 from polycap.files import atomic_write
 from polycap.text import Language, Vocabulary, build_vocabulary, load_stopwords, tokenize
 
@@ -160,12 +160,20 @@ def _load_train_config(path: Path) -> dict:
             for key in ("manifest", "embeddings_dir")
             if not isinstance(data.get(key), str)
         ]
+        problems += [
+            f"'data.{key}' must be a split name"
+            for key in ("train_split", "val_split")
+            if data.get(key) is not None and not isinstance(data[key], str)
+        ]
     languages = doc.get("languages", [])
     if not isinstance(languages, list) or not all(isinstance(code, str) for code in languages):
         problems.append("'languages' must be a list of language codes")
     problems += [
         f"'{key}' must be an object" for key in ("model", "train") if not isinstance(doc.get(key, {}), dict)
     ]
+    min_count = doc.get("min_count", 1)
+    if not is_integer(min_count) or min_count < 1:
+        problems.append("'min_count' must be an integer >= 1")
     if problems:
         raise ValidationError(f"bad train config {path}", items=problems)
     return doc

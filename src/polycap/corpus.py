@@ -66,8 +66,6 @@ class EmbeddingSequence:
             raise ValidationError(f"{self.audio_id}: embedding data must be 2-D")
         if self.frames < 1 or self.dim < 1:
             raise ValidationError(f"{self.audio_id}: empty embedding matrix")
-        if not np.isfinite(self.data).all():
-            raise NonFiniteDataError(f"{self.audio_id}: embedding contains non-finite values")
 
     @property
     def frames(self) -> int:
@@ -88,7 +86,10 @@ def write_embedding(path: str | Path, seq: EmbeddingSequence) -> None:
 def load_embedding(path: str | Path, audio_id: str | None = None) -> EmbeddingSequence:
     """Parse an AEMB file bit-exactly, validating header and payload."""
     path = Path(path)
-    raw = path.read_bytes()
+    try:
+        raw = path.read_bytes()
+    except OSError as exc:
+        raise EmbeddingFormatError(f"{path}: cannot read embedding file ({exc.strerror})") from exc
     if len(raw) < 16:
         raise BadHeaderError(f"{path}: file shorter than the 16-byte AEMB header")
     if raw[:4] != AEMB_MAGIC:
@@ -186,6 +187,9 @@ def load_manifests(path: str | Path) -> dict[str, CaptionManifest]:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             problems.append(f"line {lineno}: invalid JSON ({exc.msg})")
+            continue
+        if not isinstance(obj, dict):
+            problems.append(f"line {lineno}: not a JSON object")
             continue
         audio_id = obj.get("audio_id")
         split = obj.get("split")

@@ -9,8 +9,9 @@ under length normalization wins. Ties break on lexicographic token ids.
 
 Independent searches can step in lockstep, one group each, so one scorer
 call serves them all: `caption_clip` searches every language of a clip
-together through the model's shared trunk. A single search is the one-group
-case.
+together through the model's shared trunk. The search hands the scorer each
+row's parent, by which a cached scorer gathers its cache. A single search is
+the one-group case.
 """
 
 from __future__ import annotations
@@ -27,9 +28,10 @@ from polycap.text import Language, StopwordList, Vocabulary
 
 # step function: (k, t) int prefix matrix -> (k, vocab) log-probability rows
 StepFn = Callable[[np.ndarray], np.ndarray]
-# grouped step function: one (k_g, t) prefix matrix per group -> one
-# (k_g, vocab_g) row matrix per group; a group may have k_g = 0 rows
-GroupStepFn = Callable[[list[np.ndarray]], list[np.ndarray]]
+# grouped step function: per group, (k_g, t) prefix rows and (k_g,) parents
+# (row i extends row parents[i] of the previous call; BOS has parent 0) ->
+# (k_g, vocab_g) log-probability rows; a group may have k_g = 0 rows
+GroupStepFn = Callable[[list[np.ndarray], list[np.ndarray]], list[np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -89,8 +91,9 @@ def _best_candidates(scores: np.ndarray, allowed: np.ndarray, ids: np.ndarray, n
 
 class _Beam:
     """One group's search state. The k active hypotheses are arrays: their
-    BOS-prefixed id rows, log-probs and a (k, vocab) boolean ban of the
-    non-stopword words each has used. Finished hypotheses go to a pool."""
+    BOS-prefixed id rows, each row's parent in the previous round, log-probs
+    and a (k, vocab) boolean ban of the non-stopword words each has used.
+    Finished hypotheses go to a pool."""
 
     def __init__(self, vocab: Vocabulary, stopwords: StopwordList | frozenset[str] | None):
         stop_set = frozenset() if stopwords is None else frozenset(getattr(stopwords, "words", stopwords))
@@ -100,6 +103,7 @@ class _Beam:
         is_stop = np.fromiter((t in stop_set for t in vocab.tokens), dtype=bool, count=vocab.size)
         self.bannable = self.is_word & ~is_stop
         self.ids = np.full((1, 1), vocab.bos_id, dtype=np.int64)
+        self.parents = np.zeros(1, dtype=np.intp)  # BOS extends the scorer's one empty row
         self.log_prob = np.zeros(1)
         self.banned = np.zeros((1, vocab.size), dtype=bool)
         self.finished: list[tuple[tuple[int, ...], float]] = []
@@ -119,6 +123,7 @@ class _Beam:
         picks = _best_candidates(scores, self.is_word & ~self.banned, self.ids, beam_size)
         parents, tokens = np.divmod(picks, self.vocab.size)
         self.ids = np.column_stack([self.ids[parents], tokens])
+        self.parents = parents
         self.log_prob = scores.ravel()[picks]
         self.banned = self.banned[parents]
         self.banned[np.arange(len(picks)), tokens] = self.bannable[tokens]
@@ -144,20 +149,21 @@ def grouped_beam_search(
     """Best finished hypothesis of each of G independent searches, stepped
     in lockstep under the no-repeat constraint.
 
-    step_fn maps G (k_g, t) matrices of BOS-prefixed id rows to G (k_g,
-    vocab_g) log-probability rows for the next token, so one call scores
-    every group's hypotheses. Each group keeps its own ids, ban mask,
-    finished pool and tie-break. A round sends every EOS column to the
-    finished pool and keeps each group's best beam_size word candidates. A
-    group left without candidates goes on with zero rows; the search ends
-    when every group has none, or after the word budget.
+    step_fn maps G (k_g, t) matrices of BOS-prefixed id rows and their G
+    (k_g,) parent indices to G (k_g, vocab_g) log-probability rows for the
+    next token, so one call scores every group's hypotheses. Each group keeps
+    its own ids, ban mask, finished pool and tie-break. A round sends every
+    EOS column to the finished pool and keeps each group's best beam_size
+    word candidates. A group left without candidates goes on with zero rows;
+    the search ends when every group has none, or after the word budget.
     """
     beams = [_Beam(vocab, stop) for vocab, stop in zip(vocabs, stopwords, strict=True)]
     # every round appends one token; +1 round lets max_len-word hyps take EOS
     for words in range(cfg.max_len + 1):
+        scored = step_fn([beam.ids for beam in beams], [beam.parents for beam in beams])
         rows = [
             np.asarray(r, dtype=np.float64).reshape(len(beam.ids), beam.vocab.size)
-            for beam, r in zip(beams, step_fn([beam.ids for beam in beams]), strict=True)
+            for beam, r in zip(beams, scored, strict=True)
         ]
         for beam, group_rows in zip(beams, rows):
             beam.finish(group_rows)
@@ -180,7 +186,7 @@ def beam_search(
     one-group `grouped_beam_search`. step_fn maps a (k, t) matrix of
     BOS-prefixed id rows to (k, vocab) log-probability rows; it is never
     called with zero rows."""
-    return grouped_beam_search(lambda prefixes: [step_fn(prefixes[0])], [vocab], [stopwords], cfg)[0]
+    return grouped_beam_search(lambda prefixes, _: [step_fn(prefixes[0])], [vocab], [stopwords], cfg)[0]
 
 
 def grouped_model_step_fn(
@@ -191,57 +197,21 @@ def grouped_model_step_fn(
     through the shared trunk.
 
     Group g's rows equal the log-softmax of `MultilingualModel.forward` in
-    languages[g] on the same prefixes (eval mode). When every prefix of a
-    group extends a row of that group in the previous call by one token
-    (matched on prefix[:-1]), the per-row cache is gathered by parent and
-    only the new position is computed; any other call rebuilds the cache from
-    its prefixes. Every group's prefixes have the same length; a group may
-    have zero rows.
+    languages[g] on the same prefixes (eval mode). Each call gathers the
+    per-row cache by the given parents and computes only the new position,
+    the prefixes' last column. A group may have zero rows, but not all.
     """
     audio = np.asarray(audio, dtype=np.float64)
-    if audio.ndim != 2:
-        raise ValidationError("the model scorer expects a single (frames, dim) audio sequence")
+    if audio.ndim != 2 or audio.shape[1] != model.config.d_in:
+        raise ValidationError(f"expected one (frames, {model.config.d_in}) audio sequence, got {audio.shape}")
     decoder = IncrementalDecoder(model, audio, languages)
-    vocab_sizes = [model.vocab(lang).size for lang in languages]
-    # per group: the last call's rows -> their cache row
-    previous: list[dict[tuple[int, ...], int]] = [{} for _ in languages]
 
-    def step(prefixes: Sequence[np.ndarray]) -> list[np.ndarray]:
-        nonlocal previous
-        prefixes = [np.asarray(p, dtype=np.int64) for p in prefixes]
-        if len(prefixes) != len(languages) or any(p.ndim != 2 or p.shape[1] < 1 for p in prefixes):
-            raise ValidationError(
-                f"step expects {len(languages)} (k, t) prefix matrices with t >= 1"
-            )
-        lengths = sorted({p.shape[1] for p in prefixes})
-        if len(lengths) > 1:
-            raise ValidationError(f"groups step in lockstep but have prefix lengths {lengths}")
-        known, previous = previous, [{} for _ in languages]  # stays empty if this call fails midway
-        if not any(len(p) for p in prefixes):
-            return [np.empty((0, size)) for size in vocab_sizes]
-        parents = [
-            [group.get(tuple(row)) for row in p[:, :-1].tolist()] for group, p in zip(known, prefixes)
-        ]
-        if any(None in group for group in parents):
-            decoder.reset([len(p) for p in prefixes])
-            for column in range(lengths[0] - 1):
-                decoder.advance([p[:, column] for p in prefixes])
-        else:
-            decoder.reorder([np.array(group, dtype=np.intp) for group in parents])
-        logits = decoder.advance([p[:, -1] for p in prefixes])
-        previous = [{tuple(row): i for i, row in enumerate(p.tolist())} for p in prefixes]
+    def step(prefixes: Sequence[np.ndarray], parents: Sequence[np.ndarray]) -> list[np.ndarray]:
+        decoder.reorder(parents)
+        logits = decoder.advance([np.asarray(p)[:, -1] for p in prefixes])
         return [ad.log_softmax(ad.Tensor(group)).data for group in logits]
 
     return step
-
-
-def model_step_fn(
-    model: MultilingualModel, audio: np.ndarray, language: Language
-) -> StepFn:
-    """Adapt a model + one audio sequence into a cached beam-search step
-    function: the one-group `grouped_model_step_fn`."""
-    step = grouped_model_step_fn(model, audio, [language])
-    return lambda prefixes: step([prefixes])[0]
 
 
 def caption_clip(

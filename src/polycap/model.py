@@ -337,14 +337,9 @@ class MultilingualModel:
 
         Biases, normalization gains and embeddings are excluded.
         """
-        names = set()
-        for name, t in self.named_parameters().items():
-            if not name.endswith(".weight"):
-                continue
-            if ".embedding." in name:
-                continue
-            names.add(name)
-        return frozenset(names)
+        return frozenset(
+            name for name in self.named_parameters() if name.endswith(".weight") and ".embedding." not in name
+        )
 
     # -- forward -------------------------------------------------------
 
@@ -427,10 +422,11 @@ class IncrementalDecoder:
     rows of all groups, runs the new position once through the shared trunk
     and slices the output by group for each language's classifier. Each
     layer's self-attention keys/values of the positions decoded so far are
-    cached per row, group after group. `reorder` gathers a group's cached rows
-    by parent index, as a beam keeps, drops or duplicates hypotheses. The
-    logits equal `MultilingualModel.forward` on the full prefixes up to
-    floating-point rounding.
+    cached per row, group after group; each group starts with one empty row.
+    `reorder` gathers a group's cached rows by parent index, as a beam keeps,
+    drops or duplicates hypotheses. The logits equal
+    `MultilingualModel.forward` on the full prefixes up to floating-point
+    rounding.
     """
 
     def __init__(self, model: MultilingualModel, audio: np.ndarray, languages: Sequence[Language]):
@@ -439,20 +435,16 @@ class IncrementalDecoder:
         with ad.no_grad():
             memory = model.encode_audio(audio, False, None)
             self.memory = [layer.cross_attn.keys_values(memory[None]) for layer in model.layers]
-        self.reset([1] * len(self.heads))
-
-    def reset(self, rows: Sequence[int]) -> None:
-        """Drop the cache: the next `advance` is position 0 of rows[g] rows
-        in group g."""
-        cfg = self.model.config
-        self.rows = list(rows)
-        empty = np.zeros((sum(self.rows), 0, cfg.d_model))
-        self.keys = [empty] * cfg.n_layers
-        self.values = [empty] * cfg.n_layers
+        self.rows = [1] * len(self.heads)
+        empty = np.zeros((len(self.heads), 0, model.config.d_model))
+        self.keys = [empty] * model.config.n_layers
+        self.values = [empty] * model.config.n_layers
         self.length = 0
 
     def reorder(self, parents: Sequence[np.ndarray]) -> None:
         """Row i of group g becomes that group's old row parents[g][i]."""
+        if len(parents) != len(self.rows):
+            raise ValidationError(f"expected parents for {len(self.rows)} groups, got {len(parents)}")
         offsets = np.cumsum([0, *self.rows[:-1]])
         rows = np.concatenate(
             [offset + np.asarray(p, dtype=np.intp) for offset, p in zip(offsets, parents)]

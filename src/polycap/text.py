@@ -91,10 +91,6 @@ class Vocabulary:
         return len(self.tokens)
 
     @property
-    def special_ids(self) -> frozenset[int]:
-        return frozenset((self.pad_id, self.bos_id, self.eos_id, self.unk_id))
-
-    @property
     def word_ids(self) -> range:
         """Ids of ordinary word tokens (everything past the specials)."""
         return range(4, len(self.tokens))
@@ -111,8 +107,7 @@ class Vocabulary:
 
     def decode(self, ids: Sequence[int]) -> list[str]:
         """Inverse of encode for in-vocabulary tokens; specials are stripped."""
-        specials = self.special_ids
-        return [self.tokens[i] for i in ids if i not in specials]
+        return [self.tokens[i] for i in ids if i not in range(len(SPECIAL_TOKENS))]
 
     def to_json(self) -> str:
         doc = {

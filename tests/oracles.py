@@ -264,19 +264,25 @@ def reference_beam_search(
     word budget is spent), then keeps the beam_size best candidates by
     (-log_prob, id tuple). The finished hypothesis with the best normalized
     score wins, ties to the smaller id tuple.
+
+    step_fn is called as step_fn(ids, parents): the active id rows and, for
+    each, its index in the previous round's active list (0 for BOS).
     """
 
     def normalized(ids, log_prob):
         return log_prob / ((len(ids) - 1) ** length_norm)
 
-    active = [((vocab.bos_id,), 0.0)]
+    active = [((vocab.bos_id,), 0.0, 0)]  # (ids, log_prob, parent)
     finished = []
     for _ in range(max_len + 1):
         if not active:
             break
-        rows = step_fn(np.array([ids for ids, _ in active], dtype=np.int64))
+        rows = step_fn(
+            np.array([ids for ids, _, _ in active], dtype=np.int64),
+            np.array([parent for _, _, parent in active], dtype=np.intp),
+        )
         candidates = []
-        for (ids, log_prob), row in zip(active, rows):
+        for index, ((ids, log_prob, _), row) in enumerate(zip(active, rows)):
             finished.append((ids + (vocab.eos_id,), log_prob + float(row[vocab.eos_id])))
             if len(ids) - 1 >= max_len:
                 continue
@@ -285,7 +291,7 @@ def reference_beam_search(
                 surface = vocab.tokens[tok]
                 if surface in used and surface not in stopwords:
                     continue
-                candidates.append((ids + (tok,), log_prob + float(row[tok])))
+                candidates.append((ids + (tok,), log_prob + float(row[tok]), index))
         candidates.sort(key=lambda c: (-c[1], c[0]))
         active = candidates[:beam_size]
     ids, log_prob = min(finished, key=lambda f: (-normalized(*f), f[0]))

@@ -114,6 +114,15 @@ class TestStats:
         code = main(["stats", "--manifest", str(manifest), "--languages", "en", "--split", "val"])
         assert code == 2
 
+    def test_non_object_manifest_line_exits_2_with_items(self, tmp_path, capsys):
+        manifest, _ = write_corpus(tmp_path)
+        lines = manifest.read_text("utf-8").splitlines()
+        manifest.write_text("\n".join([lines[0], "[1, 2]", *lines[1:]]) + "\n", "utf-8")
+        assert main(["stats", "--manifest", str(manifest), "--languages", "en"]) == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "ValidationError"
+        assert payload["items"] == ["line 2: not a JSON object"]
+
 
 class TestTrainCaptionEval:
     def test_pipeline_and_reproducibility(self, tmp_path, capsys):
@@ -185,6 +194,39 @@ class TestTrainCaptionEval:
         assert payload["items"] == ["test01: missing embedding file test01.aemb"]
         assert not (tmp_path / "cap" / "captions.jsonl").exists()
 
+    def test_caption_embedding_dim_mismatch_exits_2(self, tmp_path, capsys):
+        manifest, emb_dir = write_corpus(tmp_path)
+        config = write_train_config(tmp_path, manifest, emb_dir, epochs=1)
+        assert main(["train", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
+        other = tmp_path / "emb5"
+        other.mkdir()
+        write_embedding(other / "a.aemb", EmbeddingSequence("a", np.ones((3, 5), dtype=np.float32)))
+        capsys.readouterr()
+        code = main([
+            "caption", "--checkpoint", str(tmp_path / "run" / "checkpoint.ackp"),
+            "--embeddings-dir", str(other), "--out", str(tmp_path / "cap"),
+        ])
+        assert code == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload == {"error": "ValidationError", "message": "expected one (frames, 8) audio sequence, got (3, 5)"}
+        assert not (tmp_path / "cap" / "captions.jsonl").exists()
+
+    def test_caption_unreadable_embedding_exits_2(self, tmp_path, capsys):
+        manifest, emb_dir = write_corpus(tmp_path)
+        config = write_train_config(tmp_path, manifest, emb_dir, epochs=1)
+        assert main(["train", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
+        (emb_dir / "zz.aemb").mkdir()
+        capsys.readouterr()
+        code = main([
+            "caption", "--checkpoint", str(tmp_path / "run" / "checkpoint.ackp"),
+            "--embeddings-dir", str(emb_dir), "--out", str(tmp_path / "cap"),
+        ])
+        assert code == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "EmbeddingFormatError"
+        assert str(emb_dir / "zz.aemb") in payload["message"]
+        assert not (tmp_path / "cap" / "captions.jsonl").exists()
+
     def test_train_smoke_loss_collapses(self, tmp_path):
         # 10-item monolingual corpus, 200 epochs: final loss < 10% of initial
         manifest, emb_dir = write_corpus(tmp_path, n_items=10, languages=("en",))
@@ -227,8 +269,16 @@ class TestTrainCaptionEval:
         [
             ({"embeddings_dir": "emb"}, ["'data.manifest' must be a path string"]),
             ("x", ["'data' must be an object"]),
+            (
+                {"manifest": "m.jsonl", "embeddings_dir": "emb", "train_split": ["train"]},
+                ["'data.train_split' must be a split name"],
+            ),
+            (
+                {"manifest": "m.jsonl", "embeddings_dir": "emb", "val_split": 5},
+                ["'data.val_split' must be a split name"],
+            ),
         ],
-        ids=["no_manifest", "not_an_object"],
+        ids=["no_manifest", "not_an_object", "train_split_list", "val_split_int"],
     )
     def test_malformed_data_block_exits_2_with_items(self, tmp_path, capsys, data, items):
         path = tmp_path / "train.json"
@@ -244,8 +294,9 @@ class TestTrainCaptionEval:
             ("languages", 5, ["'languages' must be a list of language codes"]),
             ("model", "x", ["'model' must be an object"]),
             ("train", "x", ["'train' must be an object"]),
+            ("min_count", "2", ["'min_count' must be an integer >= 1"]),
         ],
-        ids=["languages_int", "model_string", "train_string"],
+        ids=["languages_int", "model_string", "train_string", "min_count_string"],
     )
     def test_malformed_config_shape_exits_2_with_items(self, tmp_path, capsys, key, value, items):
         manifest, emb_dir = write_corpus(tmp_path)

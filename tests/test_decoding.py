@@ -6,7 +6,6 @@ import pytest
 from conftest import tiny_model_config, word_vocab
 from oracles import exhaustive_constrained_search, greedy_constrained_decode, reference_beam_search
 from polycap import autodiff as ad
-from polycap import model as model_mod
 from polycap.decoding import (
     DecodeConfig,
     beam_search,
@@ -14,7 +13,6 @@ from polycap.decoding import (
     caption_clip,
     grouped_beam_search,
     grouped_model_step_fn,
-    model_step_fn,
 )
 from polycap.errors import ValidationError
 from polycap.model import MultilingualModel, SequenceTooLongError
@@ -28,7 +26,7 @@ def constant_scorer(vocab, probs: dict[str, float]):
         row[vocab.index[surface]] = math.log(p)
     row[vocab.eos_id] = math.log(probs["<eos>"]) if "<eos>" in probs else row[vocab.eos_id]
 
-    def step(prefixes):
+    def step(prefixes, parents=None):
         return np.tile(row, (prefixes.shape[0], 1))
 
     return step
@@ -38,7 +36,7 @@ def table_scorer(vocab_size, seed, concentration=1.0):
     """Deterministic context-dependent random log-prob tables."""
     cache = {}
 
-    def step(prefixes):
+    def step(prefixes, parents=None):
         rows = []
         for p in prefixes:
             key = tuple(int(x) for x in p)
@@ -51,6 +49,26 @@ def table_scorer(vocab_size, seed, concentration=1.0):
         return np.array(rows)
 
     return step
+
+
+def full_forward_scorer(model, audio, language):
+    """Uncached log-prob rows: one full eval-mode forward over every prefix."""
+
+    def step(prefixes, parents=None):
+        with ad.no_grad():
+            logits = model.forward(
+                np.broadcast_to(audio, (len(prefixes), *audio.shape)), prefixes, language
+            ).data[:, -1, :]
+        shifted = logits - logits.max(axis=-1, keepdims=True)
+        return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+    return step
+
+
+def cached_scorer(model, audio, language):
+    """The one-group cached model scorer, called as step(ids, parents)."""
+    step = grouped_model_step_fn(model, audio, [language])
+    return lambda prefixes, parents: step([prefixes], [parents])[0]
 
 
 class TestToyTraces:
@@ -128,9 +146,11 @@ class TestOracleEquivalence:
         vocab = tiny_model.vocab(Language.EN)
         rng = np.random.default_rng(4)
         for _ in range(5):
-            step = model_step_fn(tiny_model, rng.normal(size=(3, 6)), Language.EN)
-            got = beam_search(step, vocab, None, DecodeConfig(beam_size=1, max_len=5))
-            want_ids, _ = greedy_constrained_decode(step, vocab, frozenset(), 5, 1.0)
+            audio = rng.normal(size=(3, 6))
+            got = caption_audio(tiny_model, audio, Language.EN, DecodeConfig(beam_size=1, max_len=5), None)
+            want_ids, _ = greedy_constrained_decode(
+                full_forward_scorer(tiny_model, audio, Language.EN), vocab, frozenset(), 5, 1.0
+            )
             assert got.token_ids == want_ids
 
 
@@ -139,7 +159,7 @@ def tied_table_scorer(vocab_size, seed, levels=3, p_inf=0.0):
     exactly; with p_inf, some entries are -inf but still allowed."""
     cache = {}
 
-    def step(prefixes):
+    def step(prefixes, parents=None):
         rows = []
         for p in prefixes:
             key = tuple(int(x) for x in p)
@@ -193,11 +213,9 @@ class TestReferenceEquivalence:
             model = MultilingualModel(cfg, {Language.EN: vocab}, seed=trial)
             audio = rng.normal(size=(4, 5))
             stopwords = frozenset({"w0"})
-            got = beam_search(
-                model_step_fn(model, audio, Language.EN), vocab, stopwords, DecodeConfig(3, 6)
-            )
+            got = caption_audio(model, audio, Language.EN, DecodeConfig(3, 6), stopwords)
             want_ids, want_log_prob, _ = reference_beam_search(
-                model_step_fn(model, audio, Language.EN), vocab, stopwords, 3, 6, 1.0
+                cached_scorer(model, audio, Language.EN), vocab, stopwords, 3, 6, 1.0
             )
             assert got.token_ids == want_ids
             assert got.log_prob == want_log_prob
@@ -213,66 +231,22 @@ class TestCachedScorer:
         audio = rng.normal(size=(int(rng.integers(1, 6)), 5))
         return rng, vocab, model, audio
 
-    @staticmethod
-    def _full(model, audio, prefixes):
-        with ad.no_grad():
-            logits = model.forward(
-                np.broadcast_to(audio, (len(prefixes), *audio.shape)), prefixes, Language.EN
-            ).data[:, -1, :]
-        shifted = logits - logits.max(axis=-1, keepdims=True)
-        return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-
     def test_rows_match_full_forward_on_random_prefix_trees(self):
         for trial in range(8):
             rng, vocab, model, audio = self._setup(trial)
-            step = model_step_fn(model, audio, Language.EN)
+            step = cached_scorer(model, audio, Language.EN)
+            full = full_forward_scorer(model, audio, Language.EN)
             prefixes = np.full((1, 1), vocab.bos_id, dtype=np.int64)
+            parents = np.zeros(1, dtype=np.intp)
             for _ in range(model.config.max_len):
-                got = step(prefixes)
-                np.testing.assert_allclose(got, self._full(model, audio, prefixes), rtol=0, atol=1e-12)
+                np.testing.assert_allclose(step(prefixes, parents), full(prefixes), rtol=0, atol=1e-12)
                 # next call: parents reordered, duplicated or dropped; the beam grows and shrinks
                 rows = int(rng.integers(1, 7))
                 parents = rng.integers(0, len(prefixes), size=rows)
                 tokens = rng.integers(0, vocab.size, size=rows)
                 prefixes = np.column_stack([prefixes[parents], tokens])
-
-    def test_rebuild_path_stays_exact(self):
-        rng, vocab, model, audio = self._setup(3)
-        step = model_step_fn(model, audio, Language.EN)
-        bos = vocab.bos_id
-        calls = [
-            [[bos, 4, 5]],  # first call: longer than one token
-            [[bos, 4, 5, 6], [bos, 4, 5, 7]],  # extends: incremental
-            [[bos, 6, 5, 6, 9]],  # same length + 1 but a new parent: rebuild
-            [[bos, 4]],  # shorter: rebuild
-            [[bos, 4], [bos, 4]],  # same length, duplicates: rebuild
-            [[bos, 4, 8], [bos, 4, 4]],  # extends duplicates
-        ]
-        for prefixes in calls:
-            prefixes = np.array(prefixes, dtype=np.int64)
-            np.testing.assert_allclose(
-                step(prefixes), self._full(model, audio, prefixes), rtol=0, atol=1e-12
-            )
-        too_long = np.full((2, model.config.max_len + 1), bos, dtype=np.int64)
-        with pytest.raises(SequenceTooLongError):
-            step(too_long)
-        # a failed call leaves no stale cache behind
-        prefixes = np.array([[bos, 4, 8, 1]], dtype=np.int64)
-        np.testing.assert_allclose(step(prefixes), self._full(model, audio, prefixes), rtol=0, atol=1e-12)
-
-    def test_beam_search_builds_the_cache_once(self, monkeypatch):
-        _, vocab, model, audio = self._setup(5)
-        resets = []
-        original = model_mod.IncrementalDecoder.reset
-
-        def counting_reset(self, rows):
-            resets.append(rows)
-            original(self, rows)
-
-        monkeypatch.setattr(model_mod.IncrementalDecoder, "reset", counting_reset)
-        step = model_step_fn(model, audio, Language.EN)
-        beam_search(step, vocab, None, DecodeConfig(beam_size=3, max_len=6))
-        assert resets == [[1], [1]]  # construction, then the BOS call; one group of 1 row
+            with pytest.raises(SequenceTooLongError):
+                step(prefixes, parents)
 
 
 class TestNoRepeatProperty:
@@ -319,10 +293,10 @@ class TestMonotoneBeams:
             vocab = word_vocab([f"w{i}" for i in range(n_words)])
             cfg = tiny_model_config(d_in=5, d_model=16, n_heads=2, d_ff=24, max_len=8)
             model = MultilingualModel(cfg, {Language.EN: vocab}, seed=trial)
-            step = model_step_fn(model, rng.normal(size=(4, 5)), Language.EN)
+            audio = rng.normal(size=(4, 5))
             prev = -np.inf
             for k in range(1, 6):
-                res = beam_search(step, vocab, None, DecodeConfig(beam_size=k, max_len=4))
+                res = caption_audio(model, audio, Language.EN, DecodeConfig(beam_size=k, max_len=4), None)
                 assert res.normalized_score >= prev - 1e-12
                 prev = res.normalized_score
 
@@ -359,14 +333,14 @@ class TestModelAdapter:
 
     def test_step_fn_rows_are_log_probs(self, tiny_model):
         rng = np.random.default_rng(1)
-        step = model_step_fn(tiny_model, rng.normal(size=(3, 6)), Language.EN)
-        rows = step(np.array([[1], [1]]))
+        step = cached_scorer(tiny_model, rng.normal(size=(3, 6)), Language.EN)
+        rows = step(np.array([[1], [1]]), np.array([0, 0]))
         assert rows.shape == (2, tiny_model.vocab(Language.EN).size)
         assert np.allclose(np.exp(rows).sum(axis=-1), 1.0)
 
     def test_rejects_batched_audio(self, tiny_model):
         with pytest.raises(ValidationError):
-            model_step_fn(tiny_model, np.zeros((2, 3, 6)), Language.EN)
+            grouped_model_step_fn(tiny_model, np.zeros((2, 3, 6)), [Language.EN])
 
     def test_vocabulary_without_words_decodes_empty_caption(self):
         # a min_count above every word's count keeps only the specials
@@ -421,22 +395,24 @@ class TestLockstep:
             audio = rng.normal(size=(int(rng.integers(1, 6)), 5))
             languages = [model.languages[i] for i in rng.integers(0, 4, size=int(rng.integers(2, 5)))]
             stacked = grouped_model_step_fn(model, audio, languages)
-            serial = [model_step_fn(model, audio, lang) for lang in languages]
+            serial = [cached_scorer(model, audio, lang) for lang in languages]
             vocabs = [model.vocab(lang) for lang in languages]
             prefixes = [np.full((1, 1), v.bos_id, dtype=np.int64) for v in vocabs]
-            for _ in range(model.config.max_len):
-                got = stacked(prefixes)
-                for rows, step, p, v in zip(got, serial, prefixes, vocabs, strict=True):
+            parents = [np.zeros(1, dtype=np.intp) for _ in vocabs]
+            # the search stops once every group is at zero rows, and so does this walk
+            while any(len(p) for p in prefixes) and prefixes[0].shape[1] <= model.config.max_len:
+                got = stacked(prefixes, parents)
+                for rows, step, p, up, v in zip(got, serial, prefixes, parents, vocabs, strict=True):
                     assert rows.shape == (len(p), v.size)
-                    if len(p):
-                        np.testing.assert_allclose(rows, step(p), rtol=0, atol=1e-12)
+                    if len(p):  # a one-group scorer is never called with zero rows
+                        np.testing.assert_allclose(rows, step(p, up), rtol=0, atol=1e-12)
                 # next call: each group's parents reordered, duplicated or
                 # dropped, down to zero rows at times
-                nxt = []
+                nxt, parents = [], []
                 for p, v in zip(prefixes, vocabs):
                     rows = int(rng.integers(0, 6)) if len(p) else 0
-                    parents = rng.integers(0, max(len(p), 1), size=rows)
-                    nxt.append(np.column_stack([p[parents], rng.integers(0, v.size, size=rows)]))
+                    parents.append(rng.integers(0, max(len(p), 1), size=rows))
+                    nxt.append(np.column_stack([p[parents[-1]], rng.integers(0, v.size, size=rows)]))
                 prefixes = nxt
 
     def test_one_group_is_bit_identical_to_the_single_search(self):
@@ -448,13 +424,15 @@ class TestLockstep:
             vocab = model.vocab(lang)
             stopwords = random_stopwords(rng, vocab)
             cfg = DecodeConfig(beam_size=int(rng.integers(1, 6)), max_len=6)
-            want = beam_search(model_step_fn(model, audio, lang), vocab, stopwords, cfg)
-            grouped = grouped_beam_search(
+            want = grouped_beam_search(
                 grouped_model_step_fn(model, audio, [lang]), [vocab], [stopwords], cfg
-            )
-            assert grouped == [want]
+            )[0]
             assert caption_clip(model, audio, [lang], cfg, {lang: stopwords}) == [want]
             assert caption_audio(model, audio, lang, cfg, stopwords) == want
+            # the one-argument search over an uncached scorer finds the same caption
+            uncached = beam_search(full_forward_scorer(model, audio, lang), vocab, stopwords, cfg)
+            assert uncached.token_ids == want.token_ids
+            assert abs(uncached.log_prob - want.log_prob) <= 1e-12
 
     def test_table_scorers_as_groups_match_reference_search(self):
         rng = np.random.default_rng(63)
@@ -476,7 +454,7 @@ class TestLockstep:
                 length_norm=float(rng.choice([0.0, 0.7, 1.0])),
             )
             got = grouped_beam_search(
-                lambda prefixes: [step(p) for step, p in zip(steps, prefixes)], vocabs, stopwords, cfg
+                lambda prefixes, parents: [step(p) for step, p in zip(steps, prefixes)], vocabs, stopwords, cfg
             )
             for result, step, vocab, stop in zip(got, steps, vocabs, stopwords, strict=True):
                 want_ids, want_log_prob, want_norm = reference_beam_search(
@@ -507,11 +485,15 @@ class TestLockstep:
         model = multilingual_model(rng, 2, seed=0)
         step = grouped_model_step_fn(model, rng.normal(size=(3, 5)), model.languages)
         bos = [np.full((1, 1), model.vocab(lang).bos_id) for lang in model.languages]
+        first = [np.zeros(1, dtype=np.intp)] * 2
         with pytest.raises(ValidationError):
-            step(bos[:1])  # one matrix for two groups
+            step(bos, first[:1])  # parents for one of two groups
         with pytest.raises(ValidationError):
-            step([bos[0], np.column_stack([bos[1], bos[1]])])  # lengths differ
-        assert [len(rows) for rows in step([bos[0], bos[1][:0]])] == [1, 0]
+            step(bos[:1], first)  # one matrix for two groups
+        with pytest.raises(ValidationError):
+            step(bos, [first[0], np.zeros(2, dtype=np.intp)])  # two parents, one row
+        step = grouped_model_step_fn(model, rng.normal(size=(3, 5)), model.languages)
+        assert [len(rows) for rows in step([bos[0], bos[1][:0]], [first[0], first[1][:0]])] == [1, 0]
 
 
 @pytest.mark.parametrize(
