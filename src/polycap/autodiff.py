@@ -3,7 +3,8 @@
 Just enough machinery for a transformer decoder: broadcast-aware addition and
 multiplication, indexing, sums, ReLU, embedding lookup, and one node each,
 with a closed-form gradient, for GELU, log-softmax, LayerNorm, a `Linear`
-layer and multi-head attention.
+layer, multi-head attention, inverted dropout over a boolean keep-mask and
+the label-smoothed cross-entropy loss.
 Everything runs in 64-bit so finite-difference gradient checks are
 meaningful and training is bit-for-bit reproducible.
 """
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from scipy import special as sp_special
@@ -90,7 +91,14 @@ class Tensor:
             self.grad += grad
 
     def backward(self) -> None:
-        """Reverse-accumulate gradients from a scalar output."""
+        """Reverse-accumulate gradients from a scalar output.
+
+        The graph is freed as the walk goes: once a node's own backward has
+        run, the node drops its gradient, its closure and its parent edges,
+        and the walk drops the node. So after backward only leaves (tensors
+        made with requires_grad=True, such as parameters) hold `.grad`, plus
+        this root, which keeps its ones.
+        """
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar tensor")
         topo: list[Tensor] = []
@@ -109,12 +117,14 @@ class Tensor:
                 if id(parent) not in seen:
                     stack.append((parent, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()  # the list must not keep a finished node alive
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
-                # free the graph edge eagerly; grads stay on leaves
                 node._backward = None
                 node._parents = ()
+                if node is not self:
+                    node.grad = None
 
     # -- arithmetic ---------------------------------------------------
 
@@ -200,6 +210,21 @@ def gelu(t: Tensor) -> Tensor:
     return Tensor._make(x * cdf2 * 0.5, (t,), backward)
 
 
+def _multipliers(keep: np.ndarray, p: float) -> np.ndarray:
+    """Inverted-dropout multipliers of a boolean keep-mask: 1/(1-p) or 0."""
+    return np.where(keep, 1.0 / (1.0 - p), 0.0)
+
+
+def dropout(t: Tensor, keep: np.ndarray, p: float) -> Tensor:
+    """Inverted dropout with a drawn boolean keep-mask. The node stores only
+    the mask; the float multipliers exist while its forward or backward runs."""
+
+    def backward(g):
+        t._accumulate(g * _multipliers(keep, p))
+
+    return Tensor._make(t.data * _multipliers(keep, p), (t,), backward)
+
+
 def log_softmax(t: Tensor, axis: int = -1) -> Tensor:
     shifted = t.data - t.data.max(axis=axis, keepdims=True)
     out_data = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
@@ -236,6 +261,49 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
     return Tensor._make(out_data, (x, gain, bias), backward)
 
 
+def cross_entropy(
+    logits: Tensor, targets: Sequence[tuple[np.ndarray, np.ndarray]], eps: float
+) -> Tensor:
+    """Weighted cross-entropy against eps-smoothed one-hot targets, as one
+    scalar node.
+
+    `targets` holds (ids, weight) pairs, each shaped like the logits' leading
+    axes. At every position a pair's target puts 1 - eps on its id and
+    spreads eps over the other entries; the loss is the sum over pairs and
+    positions of weight times the cross-entropy of softmax(logits) against
+    that target. Written as sum_j c_j * log_softmax(z)_j, the coefficients c
+    sum to -W, with W a position's total weight, so the node needs only the
+    per-row log-sum-exp: the value is W * lse minus the weighted target
+    logits, and the logits gradient is c + W * softmax, built in one buffer.
+    No dense coefficient or log-softmax array is made.
+    """
+    z = logits.data
+    off = eps / (z.shape[-1] - 1)  # every entry's share of eps
+    on = 1.0 - eps - off  # what a target id gets on top of `off`
+    total = sum(weight for _, weight in targets)
+    positions = tuple(np.indices(total.shape))
+    peak = z.max(axis=-1)
+    shifted = z - peak[..., None]
+    shifted_sum = shifted.sum(axis=-1)
+    np.exp(shifted, out=shifted)
+    log_norm = np.log(shifted.sum(axis=-1))
+    losses = total * (log_norm - off * shifted_sum)
+    for ids, weight in targets:
+        losses -= on * weight * (z[(*positions, ids)] - peak)
+    lse = peak + log_norm
+
+    def backward(g):
+        grad = z - lse[..., None]
+        np.exp(grad, out=grad)  # the softmax
+        grad -= off
+        grad *= (total * g)[..., None]
+        for ids, weight in targets:
+            grad[(*positions, ids)] -= on * weight * g
+        logits._accumulate(grad)
+
+    return Tensor._make(losses.sum(), (logits,), backward)
+
+
 # -- products ---------------------------------------------------------
 
 
@@ -259,18 +327,21 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     return Tensor._make(out_data.reshape(x.shape[:-1] + (d_out,)), (x, weight, bias), backward)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, additive_mask=None, keep=None) -> Tensor:
+def attention(
+    q: Tensor, k: Tensor, v: Tensor, n_heads: int, additive_mask=None, keep=None, p_drop: float = 0.0
+) -> Tensor:
     """Multi-head scaled dot-product attention as one node.
 
     q is (b, t, d), or flat (rows, d) with one position per row; k and v are
     (b or 1, s, d), and a leading 1 broadcasts over the b queries. The node
     splits d into n_heads heads, scales the scores by 1/sqrt(d / n_heads), adds
     the numpy `additive_mask` (broadcast to the (b, n_heads, t, s) scores),
-    takes the softmax over s, multiplies it by the dropout multipliers `keep`
-    (shaped like the scores), sums the values with those weights and merges
-    the heads back to q's shape. The backward is the closed-form attention
-    backward of FlashAttention (Dao et al. 2022) without the tiling: with P
-    the softmax, the score gradient is P * (dP - rowsum(dP * P)).
+    takes the softmax over s, drops it out with the boolean keep-mask `keep`
+    (shaped like the scores) at rate p_drop, sums the values with those
+    weights and merges the heads back to q's shape. The backward is the
+    closed-form attention backward of FlashAttention (Dao et al. 2022)
+    without the tiling: with P the softmax, the score gradient is
+    P * (dP - rowsum(dP * P)).
     """
     d_head = q.shape[-1] // n_heads
     scale = 1.0 / math.sqrt(d_head)
@@ -287,7 +358,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, additive_mask=None,
         scores += additive_mask
     probs = np.exp(scores - scores.max(axis=-1, keepdims=True))
     probs /= probs.sum(axis=-1, keepdims=True)
-    weights = probs if keep is None else probs * keep
+    weights = probs if keep is None else probs * _multipliers(keep, p_drop)
 
     def backward(g):
         g_heads = split(g)
@@ -295,7 +366,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, additive_mask=None,
             v._accumulate(merge(_unbroadcast(weights.swapaxes(-1, -2) @ g_heads, vh.shape), v.shape))
         g_scores = g_heads @ vh.swapaxes(-1, -2)
         if keep is not None:
-            g_scores *= keep
+            g_scores *= _multipliers(keep, p_drop)
         g_scores *= probs
         g_scores -= probs * g_scores.sum(axis=-1, keepdims=True)
         g_scores *= scale

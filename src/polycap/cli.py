@@ -23,7 +23,14 @@ from polycap import corpus as corpus_mod
 from polycap import decoding, evaluation, model as model_mod, training
 from polycap.errors import ToolkitError, ValidationError, is_integer
 from polycap.files import atomic_write
-from polycap.text import Language, Vocabulary, build_vocabulary, load_stopwords, tokenize
+from polycap.text import (
+    SPECIAL_TOKENS,
+    Language,
+    Vocabulary,
+    build_vocabulary,
+    load_stopwords,
+    tokenize,
+)
 
 
 def _sha256_file(path: Path) -> str:
@@ -174,6 +181,8 @@ def _load_train_config(path: Path) -> dict:
     min_count = doc.get("min_count", 1)
     if not is_integer(min_count) or min_count < 1:
         problems.append("'min_count' must be an integer >= 1")
+    if not isinstance(doc.get("out_dir", ""), str):
+        problems.append("'out_dir' must be a path string")
     if problems:
         raise ValidationError(f"bad train config {path}", items=problems)
     return doc
@@ -364,14 +373,22 @@ def cmd_eval(args) -> int:
 
 def _parse_vocab_sizes(spec: str) -> dict[Language, int]:
     out = {}
+    problems = []
     for part in spec.split(","):
         if not part.strip():
             continue
         try:
             code, size = part.split("=")
-            out[Language.parse(code)] = int(size)
+            lang, size = Language.parse(code), int(size)
         except (ValueError, TypeError) as exc:
             raise ValidationError(f"bad vocab size entry {part!r} (want lang=size)") from exc
+        if lang in out:
+            problems.append(f"{lang.value}={size}: language {lang.value!r} given twice")
+        elif size < len(SPECIAL_TOKENS):
+            problems.append(f"{lang.value}={size}: fewer than the {len(SPECIAL_TOKENS)} special tokens")
+        out[lang] = size
+    if problems:
+        raise ValidationError("bad vocab sizes", items=problems)
     if not out:
         raise ValidationError("empty vocab size list")
     return out

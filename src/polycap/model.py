@@ -130,17 +130,18 @@ class LayerNorm:
 def _keep_mask(
     shape: tuple[int, ...], p: float, train: bool, rng: np.random.Generator | None
 ) -> np.ndarray | None:
-    """Inverted-dropout multipliers, 0 or 1/(1-p); None when dropout is off."""
+    """Boolean dropout keep-mask, True with probability 1-p; None when
+    dropout is off."""
     if not train or p <= 0.0:
         return None
     if rng is None:
         raise ValidationError("training-mode forward with dropout needs an RNG")
-    return (rng.random(shape) >= p) / (1.0 - p)
+    return rng.random(shape) >= p
 
 
 def _dropout(x: Tensor, p: float, train: bool, rng: np.random.Generator | None) -> Tensor:
     keep = _keep_mask(x.shape, p, train, rng)
-    return x if keep is None else x * Tensor(keep)
+    return x if keep is None else ad.dropout(x, keep, p)
 
 
 class MultiHeadAttention:
@@ -181,7 +182,7 @@ class MultiHeadAttention:
         q = self.wq(query)
         t = q.shape[1] if len(q.shape) == 3 else 1
         keep = _keep_mask((q.shape[0], self.n_heads, t, keys.shape[1]), self.p_drop, train, rng)
-        return self.wo(ad.attention(q, keys, values, self.n_heads, additive_mask, keep))
+        return self.wo(ad.attention(q, keys, values, self.n_heads, additive_mask, keep, self.p_drop))
 
     def params(self) -> list[tuple[str, Tensor]]:
         out = []
@@ -455,9 +456,12 @@ class IncrementalDecoder:
 
     def advance(self, ids: Sequence[np.ndarray]) -> list[np.ndarray]:
         """Append one token id per row of each group; return each group's
-        (rows, vocab) next-token logits."""
+        (rows, vocab) next-token logits. A group may have zero rows, but not
+        all of them."""
         if [len(group) for group in ids] != self.rows:
             raise ValidationError(f"expected {self.rows} ids per group, got {[len(g) for g in ids]}")
+        if not any(self.rows):
+            raise ValidationError("every group has zero rows: nothing to advance")
         if self.length >= self.model.config.max_len:
             raise SequenceTooLongError(
                 f"target length {self.length + 1} exceeds max_len {self.model.config.max_len}"

@@ -124,7 +124,8 @@ def smoothed_cross_entropy(
     vocab entries. Pad positions contribute nothing; the mean runs over
     non-pad positions only. With a mixup draw the loss is
     lam * CE(targets) + (1 - lam) * CE(targets[partner]), each term averaged
-    over its own non-pad positions, scored from one log-softmax.
+    over its own non-pad positions. The loss is one autodiff node
+    (`autodiff.cross_entropy`).
     """
     if not 0.0 <= eps < 1.0:
         raise ValidationError(f"eps={eps} outside [0, 1)")
@@ -133,22 +134,14 @@ def smoothed_cross_entropy(
         target_sets = [(1.0, target_ids)]
     else:
         target_sets = [(mixup.lam, target_ids), (1.0 - mixup.lam, target_ids[mixup.partner])]
-    weights = []  # per position: the set's share over its non-pad count
+    weighted = []  # per position: the set's share over its non-pad count
     for share, ids in target_sets:
         mask = ids != pad_id
         n_valid = mask.sum()
         if n_valid == 0:
             raise ValidationError("all-pad batch: no target positions to score")
-        weights.append(share * mask / n_valid)
-    # the loss is sum(coef * logp), coef minus the weighted smoothed targets:
-    # off on every entry, 1 - eps on each set's target entry
-    off = eps / (logits.shape[-1] - 1)
-    coef = np.empty(logits.shape)
-    coef[...] = (-off * sum(weights))[..., None]
-    positions = tuple(np.indices(target_ids.shape))
-    for (_, ids), weight in zip(target_sets, weights):
-        coef[(*positions, ids)] -= (1.0 - eps - off) * weight
-    return (ad.log_softmax(logits, axis=-1) * Tensor(coef)).sum()
+        weighted.append((ids, share * mask / n_valid))
+    return ad.cross_entropy(logits, weighted, eps)
 
 
 def draw_mixup(

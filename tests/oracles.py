@@ -2,9 +2,10 @@
 code: a literal transcription of the CIDEr-D formula, the caption-by-caption
 dictionary CIDEr-D scorer that the array scorer must match bit for bit,
 exhaustive constrained sequence search, an object-per-hypothesis beam search,
-central finite differences, and the softmax, log-softmax, LayerNorm, GELU and multi-head
+central finite differences, the softmax, log-softmax, LayerNorm, GELU and multi-head
 attention spelled out as chains of separate steps with the chain rule run back
-through each step. These deliberately share no code with the package paths
+through each step, and the label-smoothed loss as a dense coefficient array
+times the log-softmax. These deliberately share no code with the package paths
 they verify.
 """
 
@@ -419,3 +420,28 @@ def composed_attention(
         return merge(grad.reshape(like.shape[0], -1, *grad.shape[1:]).sum(axis=1), like.shape)
 
     return out, merge(g_qh, q.shape), fold(g_kh, k), fold(g_vh, v)
+
+
+def composed_smoothed_cross_entropy(
+    z: np.ndarray,
+    target_ids: np.ndarray,
+    eps: float,
+    pad_id: int,
+    lam: float | None = None,
+    partner: np.ndarray | None = None,
+) -> tuple[float, np.ndarray]:
+    """Value and logits gradient of sum(coef * log_softmax(z)), with coef
+    minus the position-weighted smoothed targets: eps / (V - 1) on every
+    entry and 1 - eps on each target set's id. Each set's weight is its
+    mixup share over its non-pad count; without `lam` there is one set."""
+    sets = [(1.0, target_ids)] if lam is None else [(lam, target_ids), (1.0 - lam, target_ids[partner])]
+    off = eps / (z.shape[-1] - 1)
+    coef = np.zeros(z.shape)
+    rows, cols = np.indices(target_ids.shape)
+    for share, ids in sets:
+        valid = ids != pad_id
+        weight = share * valid / valid.sum()
+        coef -= off * weight[..., None]
+        coef[rows, cols, ids] -= (1.0 - eps - off) * weight
+    log_probs, grad = composed_log_softmax(z, coef)
+    return float((log_probs * coef).sum()), grad

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -103,13 +105,14 @@ class TestFusedNodes:
         bias = Tensor(np.zeros(4), requires_grad=True)
         weight = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
         mask = np.triu(np.full((3, 5), -1e9), k=1)
-        keep = (rng.random((2, 2, 3, 5)) >= 0.5) * 2.0
+        keep = rng.random((2, 2, 3, 5)) >= 0.5
         for out in (
             ad.log_softmax(x),
             ad.gelu(x),
             ad.layer_norm(x, gain, bias, 1e-5),
             ad.linear(x, weight, bias),
-            ad.attention(x, k, k, 2, mask, keep),
+            ad.attention(x, k, k, 2, mask, keep, 0.5),
+            ad.dropout(x, keep[0, :, :, :4], 0.5),
         ):
             assert all(p._parents == () for p in out._parents)
 
@@ -149,6 +152,30 @@ class TestFusedNodes:
             return (ad.log_softmax(x, axis=-1) * w).sum()
 
         check_grads(loss, {"x": x})
+
+    def test_dropout_gradients(self):
+        rng = np.random.default_rng(26)
+        x = Tensor(rng.normal(size=(2, 3, 5)), requires_grad=True)
+        keep = rng.random((2, 3, 5)) >= 0.3
+        w = Tensor(rng.normal(size=(2, 3, 5)))
+
+        def loss():
+            return (ad.dropout(x, keep, 0.3) * w).sum()
+
+        check_grads(loss, {"x": x})
+
+    def test_dropout_equals_float_multipliers_bit_for_bit(self):
+        # a kept entry is scaled by 1/(1-p), as multiplying by keep / (1-p) does
+        rng = np.random.default_rng(27)
+        x = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
+        g = rng.normal(size=(4, 6))
+        for p in (0.1, 0.2, 0.5):
+            keep = rng.random((4, 6)) >= p
+            x.grad = None
+            out = ad.dropout(x, keep, p)
+            (out * Tensor(g)).sum().backward()
+            assert np.array_equal(out.data, x.data * (keep / (1.0 - p)))
+            assert np.array_equal(x.grad, g * (keep / (1.0 - p)))
 
     def test_gelu_gradients_around_zero(self):
         x = Tensor(np.linspace(-3.0, 3.0, 13).reshape(1, 13), requires_grad=True)
@@ -263,9 +290,11 @@ class TestFlatRowMatmul:
 
 class TestAttention:
     """ad.attention: head split, scaled scores, additive mask, softmax,
-    dropout keep-mask, weighted sum and head merge as one node."""
+    dropout over a boolean keep-mask, weighted sum and head merge as one
+    node."""
 
     N_HEADS = 2
+    P_DROP = 0.3
     # name -> (q shape, leading k/v axis, key positions); d_model 4 in 2 heads
     CASES = {
         "causal": ((2, 3, 4), 2, 3),
@@ -276,7 +305,8 @@ class TestAttention:
     }
 
     def _case(self, name: str):
-        """q, k, v arrays, additive mask and keep-mask of one named case."""
+        """q, k, v arrays, additive mask and boolean keep-mask of one named
+        case."""
         rng = np.random.default_rng(30)
         q_shape, kv_batch, s = self.CASES[name]
         b, t = q_shape[0], (q_shape[1] if len(q_shape) == 3 else 1)
@@ -290,7 +320,7 @@ class TestAttention:
             valid[1, 3:] = False
             mask = np.where(valid, 0.0, -1e9)[:, None, None, :]
         if name.endswith("dropout"):
-            keep = (rng.random((b, self.N_HEADS, t, s)) >= 0.3) / 0.7
+            keep = rng.random((b, self.N_HEADS, t, s)) >= self.P_DROP
         return q, k, v, mask, keep
 
     @pytest.mark.parametrize("name", sorted(CASES))
@@ -300,18 +330,19 @@ class TestAttention:
         w = Tensor(np.random.default_rng(40).normal(size=q.shape))
 
         def loss():
-            return (ad.attention(q, k, v, self.N_HEADS, mask, keep) * w).sum()
+            return (ad.attention(q, k, v, self.N_HEADS, mask, keep, self.P_DROP) * w).sum()
 
         check_grads(loss, {"q": q, "k": k, "v": v})
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_equal_to_composition(self, name):
-        arrays = self._case(name)
-        q, k, v = (Tensor(a, requires_grad=True) for a in arrays[:3])
+        *arrays, mask, keep = self._case(name)
+        q, k, v = (Tensor(a, requires_grad=True) for a in arrays)
         g = np.random.default_rng(41).normal(size=q.shape)
-        out = ad.attention(q, k, v, self.N_HEADS, *arrays[3:])
+        out = ad.attention(q, k, v, self.N_HEADS, mask, keep, self.P_DROP)
         (out * Tensor(g)).sum().backward()
-        want_out, *want_grads = oracles.composed_attention(*arrays[:3], self.N_HEADS, *arrays[3:], g)
+        multipliers = None if keep is None else keep / (1.0 - self.P_DROP)
+        want_out, *want_grads = oracles.composed_attention(*arrays, self.N_HEADS, mask, multipliers, g)
         assert np.max(np.abs(out.data - want_out)) <= 1e-12
         for got, want in zip((q.grad, k.grad, v.grad), want_grads):
             assert got.shape == want.shape
@@ -369,6 +400,36 @@ class TestEngineBehavior:
         x = Tensor(np.ones(3, dtype=np.float32))
         assert x.data.dtype == np.float64
         assert (x + 1).data.dtype == np.float64
+
+    def test_only_leaves_keep_gradients(self):
+        x = Tensor(np.arange(4.0), requires_grad=True)
+        hidden = x * 3.0
+        root = (hidden * hidden).sum()
+        root.backward()
+        assert np.array_equal(x.grad, 18.0 * x.data)
+        assert hidden.grad is None and hidden._parents == ()
+        assert root.grad == 1.0
+
+    def test_backward_frees_the_graph_as_it_goes(self):
+        # a chain of 16 large intermediates: holding each node's output and
+        # gradient until the walk ends would add 16 arrays to the forward's
+        # memory; freeing each node once its backward has run adds about two
+        x = Tensor(np.random.default_rng(14).normal(size=(256, 512)), requires_grad=True)
+        tracemalloc.start()
+        try:
+            h = x
+            for _ in range(16):
+                h = h * 1.01
+            loss = h.sum()
+            del h
+            forward_bytes, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            loss.backward()
+            _, backward_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert backward_peak - forward_bytes <= 3 * x.data.nbytes
+        assert np.allclose(x.grad, 1.01**16)
 
     def test_diamond_graph_single_backward_pass(self):
         # z = a*b + a*b reuses the same node; gradient must not double-count

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -92,6 +93,39 @@ class TestPrepare:
             "--languages", ",", "--out", str(tmp_path / "prep"),
         ])
         assert code == 2
+
+
+class TestRunManifest:
+    """`input_digests` against SHA-256 computed here with hashlib: a file's
+    digest is its bytes' hash; a directory's is the hash of its sorted
+    `name:hash` lines joined by newlines."""
+
+    def test_input_digests_match_independent_sha256(self, tmp_path):
+        manifest, emb_dir = write_corpus(tmp_path)
+        prep = tmp_path / "prep"
+        assert main([
+            "prepare", "--manifest", str(manifest), "--embeddings-dir", str(emb_dir),
+            "--languages", "en,fr", "--out", str(prep),
+        ]) == 0
+        lines = sorted(f"{p.name}:{hashlib.sha256(p.read_bytes()).hexdigest()}" for p in emb_dir.iterdir())
+        assert len(lines) == 9
+        digests = json.loads((prep / "run_manifest.json").read_text())["input_digests"]
+        assert digests == {
+            "manifest": hashlib.sha256(manifest.read_bytes()).hexdigest(),
+            "embeddings_dir": hashlib.sha256("\n".join(lines).encode()).hexdigest(),
+        }
+
+        checkpoint = tmp_path / "model.ackp"
+        vocab = word_vocab(["a", "b"])
+        save_checkpoint(MultilingualModel(tiny_model_config(d_in=8), {Language.EN: vocab}), checkpoint)
+        cap = tmp_path / "cap"
+        assert main([
+            "caption", "--checkpoint", str(checkpoint), "--embeddings-dir", str(emb_dir),
+            "--beam-size", "1", "--max-len", "3", "--out", str(cap),
+        ]) == 0
+        digests = json.loads((cap / "run_manifest.json").read_text())["input_digests"]
+        assert digests["checkpoint"] == hashlib.sha256(checkpoint.read_bytes()).hexdigest()
+        assert digests["embeddings_dir"] == hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
 class TestStats:
@@ -295,8 +329,9 @@ class TestTrainCaptionEval:
             ("model", "x", ["'model' must be an object"]),
             ("train", "x", ["'train' must be an object"]),
             ("min_count", "2", ["'min_count' must be an integer >= 1"]),
+            ("out_dir", 5, ["'out_dir' must be a path string"]),
         ],
-        ids=["languages_int", "model_string", "train_string", "min_count_string"],
+        ids=["languages_int", "model_string", "train_string", "min_count_string", "out_dir_int"],
     )
     def test_malformed_config_shape_exits_2_with_items(self, tmp_path, capsys, key, value, items):
         manifest, emb_dir = write_corpus(tmp_path)
@@ -415,6 +450,18 @@ class TestParams:
 
     def test_bad_vocab_spec(self, tmp_path):
         assert main(["params", "--vocab-sizes", "en=abc"]) == 2
+
+    def test_too_small_or_repeated_vocab_sizes_exit_2_with_items(self, capsys):
+        assert main(["params", "--vocab-sizes", "en=-5,en=7,fr=3,de=4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        payload = json.loads(captured.err)
+        assert payload["error"] == "ValidationError"
+        assert payload["items"] == [
+            "en=-5: fewer than the 4 special tokens",
+            "en=7: language 'en' given twice",
+            "fr=3: fewer than the 4 special tokens",
+        ]
 
     @pytest.mark.parametrize(
         "model, item",

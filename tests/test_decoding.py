@@ -495,6 +495,15 @@ class TestLockstep:
         step = grouped_model_step_fn(model, rng.normal(size=(3, 5)), model.languages)
         assert [len(rows) for rows in step([bos[0], bos[1][:0]], [first[0], first[1][:0]])] == [1, 0]
 
+    def test_step_rejects_every_group_empty(self):
+        # a group may have zero rows, but not all
+        rng = np.random.default_rng(66)
+        model = multilingual_model(rng, 2, seed=0)
+        step = grouped_model_step_fn(model, rng.normal(size=(3, 5)), model.languages)
+        empty = [np.zeros((0, 1), dtype=np.int64)] * 2
+        with pytest.raises(ValidationError, match="zero rows"):
+            step(empty, [np.zeros(0, dtype=np.intp)] * 2)
+
 
 @pytest.mark.parametrize(
     "kwargs, field",

@@ -4,6 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import oracles
 from conftest import synthetic_corpus, tiny_model_config
 from polycap.autodiff import Tensor
 from polycap.errors import RuntimeFailure, ValidationError
@@ -96,6 +97,60 @@ class TestSmoothedCrossEntropy:
         mixed = self._value_and_grad(lambda l: smoothed_cross_entropy(l, targets, 0.1, 0, mixup=draw), data)
         assert plain[0] == mixed[0]
         assert np.array_equal(plain[1], mixed[1])
+
+    # name -> (logits shape, eps, mixup lambda or None)
+    REFERENCE_CASES = {
+        "plain": ((3, 4, 9), 0.1, None),
+        "pad_positions": ((3, 5, 7), 0.2, None),
+        "mixup_with_pads": ((3, 5, 7), 0.1, 0.3),
+        "eps_zero": ((3, 4, 6), 0.0, 0.6),
+        "two_word_vocab": ((3, 4, 2), 0.1, 0.4),
+    }
+
+    @staticmethod
+    def _reference_case(name):
+        shape, eps, lam = TestSmoothedCrossEntropy.REFERENCE_CASES[name]
+        rng = np.random.default_rng(13)
+        data = rng.normal(size=shape) * 3.0
+        targets = rng.integers(1, shape[-1], size=shape[:-1])
+        if name != "plain":
+            targets[0, 2:] = 0  # pad positions, id 0
+            targets[2, -1] = 0
+        partner = np.array([2, 0, 1])
+        draw = None if lam is None else MixupDraw(lam=lam, partner=partner)
+        return data, targets, eps, draw
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_CASES))
+    def test_equals_composed_reference(self, name):
+        # one node against sum(coef * log_softmax(z)) over a dense coefficient array
+        data, targets, eps, draw = self._reference_case(name)
+        value, grad = self._value_and_grad(
+            lambda logits: smoothed_cross_entropy(logits, targets, eps, pad_id=0, mixup=draw), data
+        )
+        mix = {} if draw is None else {"lam": draw.lam, "partner": draw.partner}
+        want_value, want_grad = oracles.composed_smoothed_cross_entropy(data, targets, eps, 0, **mix)
+        assert abs(value - want_value) <= 1e-12
+        assert np.max(np.abs(grad - want_grad)) <= 1e-12
+
+    @pytest.mark.parametrize("name", ["mixup_with_pads", "two_word_vocab"])
+    def test_finite_differences(self, name):
+        data, targets, eps, draw = self._reference_case(name)
+        logits = Tensor(data, requires_grad=True)
+
+        def loss():
+            return smoothed_cross_entropy(logits, targets, eps, pad_id=0, mixup=draw)
+
+        loss().backward()
+        numeric = oracles.finite_difference_grads(lambda: loss().item(), {"z": logits})["z"]
+        # the loss is a mean, so entries are small: bound the absolute error,
+        # which central differences leave near 1e-11 here
+        assert np.max(np.abs(logits.grad - numeric)) <= 1e-9
+        assert np.max(np.abs(logits.grad)) > 1e-3
+
+    def test_one_node(self):
+        logits = Tensor(np.zeros((2, 3, 5)), requires_grad=True)
+        loss = smoothed_cross_entropy(logits, np.array([[1, 2, 0], [3, 4, 4]]), 0.1, pad_id=0)
+        assert loss._parents == (logits,)
 
 
 class TestMixup:
