@@ -1,10 +1,12 @@
 """Minimal reverse-mode automatic differentiation over float64 numpy arrays.
 
 Just enough machinery for a transformer decoder: broadcast-aware addition and
-multiplication, indexing, sums, ReLU, embedding lookup, and one node each,
-with a closed-form gradient, for GELU, log-softmax, LayerNorm, a `Linear`
-layer, multi-head attention, inverted dropout over a boolean keep-mask and
-the label-smoothed cross-entropy loss.
+multiplication, indexing, sums, ReLU, and one node each, with a closed-form
+gradient, for the scaled and mixed token lookup, GELU, log-softmax, LayerNorm,
+a `Linear` layer, multi-head attention, inverted dropout over a boolean
+keep-mask and the label-smoothed cross-entropy loss. Attention and the token
+lookup also take a mask of the live positions of a padded batch, so the
+row-wise nodes between them can run on those rows only.
 Everything runs in 64-bit so finite-difference gradient checks are
 meaningful and training is bit-for-bit reproducible.
 """
@@ -210,19 +212,20 @@ def gelu(t: Tensor) -> Tensor:
     return Tensor._make(x * cdf2 * 0.5, (t,), backward)
 
 
-def _multipliers(keep: np.ndarray, p: float) -> np.ndarray:
-    """Inverted-dropout multipliers of a boolean keep-mask: 1/(1-p) or 0."""
-    return np.where(keep, 1.0 / (1.0 - p), 0.0)
-
-
 def dropout(t: Tensor, keep: np.ndarray, p: float) -> Tensor:
     """Inverted dropout with a drawn boolean keep-mask. The node stores only
-    the mask; the float multipliers exist while its forward or backward runs."""
+    the mask. Multiplying by the mask and then by 1/(1-p) gives the same bits
+    as one multiply by the float multipliers (1/(1-p) or 0), without making
+    them."""
 
     def backward(g):
-        t._accumulate(g * _multipliers(keep, p))
+        grad = g * keep
+        grad *= 1.0 / (1.0 - p)
+        t._accumulate(grad)
 
-    return Tensor._make(t.data * _multipliers(keep, p), (t,), backward)
+    out_data = t.data * keep
+    out_data *= 1.0 / (1.0 - p)
+    return Tensor._make(out_data, (t,), backward)
 
 
 def log_softmax(t: Tensor, axis: int = -1) -> Tensor:
@@ -328,7 +331,14 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 
 
 def attention(
-    q: Tensor, k: Tensor, v: Tensor, n_heads: int, additive_mask=None, keep=None, p_drop: float = 0.0
+    q: Tensor,
+    k: Tensor,
+    v: Tensor,
+    n_heads: int,
+    additive_mask=None,
+    keep=None,
+    p_drop: float = 0.0,
+    live: np.ndarray | None = None,
 ) -> Tensor:
     """Multi-head scaled dot-product attention as one node.
 
@@ -342,55 +352,96 @@ def attention(
     closed-form attention backward of FlashAttention (Dao et al. 2022)
     without the tiling: with P the softmax, the score gradient is
     P * (dP - rowsum(dP * P)).
+
+    `live`, a (b, t) boolean mask, packs the inputs: each flat (rows, d)
+    input among q, k and v then holds the rows of a padded (b, t, d) batch
+    where `live` is True, in row-major order. The node scatters them into
+    zeroed (b, t, d) buffers, attends in that padded layout and returns the
+    live rows of the output; the backward gathers the gradients back.
     """
     d_head = q.shape[-1] // n_heads
     scale = 1.0 / math.sqrt(d_head)
+    packed = [live is not None and x.data.ndim == 2 for x in (q, k, v)]
+
+    def pad(y: np.ndarray, is_packed: bool) -> np.ndarray:
+        if not is_packed:
+            return y
+        out = np.zeros(live.shape + y.shape[-1:])
+        out[live] = y
+        return out
 
     def split(y: np.ndarray) -> np.ndarray:  # (n, t, d) -> (n, n_heads, t, d_head)
         return y.reshape(y.shape[0], -1, n_heads, d_head).swapaxes(1, 2)
 
-    def merge(y: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    def merge(y: np.ndarray, shape: tuple[int, ...], is_packed: bool) -> np.ndarray:
+        if is_packed:
+            return y.swapaxes(1, 2).reshape(live.shape + shape[-1:])[live]
         return y.swapaxes(1, 2).reshape(shape)
 
-    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    qh, kh, vh = (split(pad(x.data, is_packed)) for x, is_packed in zip((q, k, v), packed))
     scores = (qh @ kh.swapaxes(-1, -2)) * scale
     if additive_mask is not None:
         scores += additive_mask
     probs = np.exp(scores - scores.max(axis=-1, keepdims=True))
     probs /= probs.sum(axis=-1, keepdims=True)
-    weights = probs if keep is None else probs * _multipliers(keep, p_drop)
+    weights = probs
+    if keep is not None:  # the bits of probs * where(keep, 1/(1-p), 0), as in `dropout`
+        weights = probs * keep
+        weights *= 1.0 / (1.0 - p_drop)
 
     def backward(g):
-        g_heads = split(g)
+        g_heads = split(pad(g, packed[0]))
         if v.requires_grad:
-            v._accumulate(merge(_unbroadcast(weights.swapaxes(-1, -2) @ g_heads, vh.shape), v.shape))
+            g_values = _unbroadcast(weights.swapaxes(-1, -2) @ g_heads, vh.shape)
+            v._accumulate(merge(g_values, v.shape, packed[2]))
         g_scores = g_heads @ vh.swapaxes(-1, -2)
         if keep is not None:
-            g_scores *= _multipliers(keep, p_drop)
+            g_scores *= keep
+            g_scores *= 1.0 / (1.0 - p_drop)
         g_scores *= probs
         g_scores -= probs * g_scores.sum(axis=-1, keepdims=True)
         g_scores *= scale
         if q.requires_grad:
-            q._accumulate(merge(g_scores @ kh, q.shape))
+            q._accumulate(merge(g_scores @ kh, q.shape, packed[0]))
         if k.requires_grad:
             g_keys = _unbroadcast(qh.swapaxes(-1, -2) @ g_scores, kh.swapaxes(-1, -2).shape)
-            k._accumulate(merge(g_keys.swapaxes(-1, -2), k.shape))
+            k._accumulate(merge(g_keys.swapaxes(-1, -2), k.shape, packed[1]))
 
-    return Tensor._make(merge(weights @ vh, q.shape), (q, k, v), backward)
+    return Tensor._make(merge(weights @ vh, q.shape, packed[0]), (q, k, v), backward)
 
 
 # -- lookups ----------------------------------------------------------
 
 
-def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
-    """Row lookup: out[..., :] = weight[ids[...], :]."""
+def embedding(
+    weight: Tensor, ids: np.ndarray, scale: float = 1.0, mixup=None, live: np.ndarray | None = None
+) -> Tensor:
+    """Row lookup, scaled and mixed: out[...] = weight[ids[...]] * scale.
+
+    `mixup`, a draw with a weight `lam` and a `partner` permutation of the
+    leading axis, then mixes the scaled rows as (E * scale) * lam +
+    (E[partner] * scale) * (1 - lam), in that float order. `live`, a boolean
+    mask over ids' shape, keeps only the rows where it is True (row-major);
+    the backward scatters their gradients back.
+    """
     ids = np.asarray(ids)
-    out_data = weight.data[ids]
+    out_data = weight.data[ids] * scale
+    if mixup is not None:
+        out_data = out_data * mixup.lam + out_data[mixup.partner] * (1.0 - mixup.lam)
+    if live is not None:
+        out_data = out_data[live]
 
     def backward(g):
+        if live is not None:
+            g_full = np.zeros(ids.shape + g.shape[-1:])
+            g_full[live] = g
+            g = g_full
+        if mixup is not None:
+            g_rows = g * mixup.lam
+            np.add.at(g_rows, mixup.partner, g * (1.0 - mixup.lam))
+            g = g_rows
         full = np.zeros_like(weight.data)
-        np.add.at(full, ids.reshape(-1), g.reshape(-1, weight.data.shape[1]))
+        np.add.at(full, ids.reshape(-1), (g * scale).reshape(-1, weight.data.shape[1]))
         weight._accumulate(full)
 
     return Tensor._make(out_data, (weight,), backward)
-

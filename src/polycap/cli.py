@@ -18,6 +18,8 @@ import time
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
+
 import polycap
 from polycap import corpus as corpus_mod
 from polycap import decoding, evaluation, model as model_mod, training
@@ -29,6 +31,7 @@ from polycap.text import (
     Vocabulary,
     build_vocabulary,
     load_stopwords,
+    repeated_languages,
     tokenize,
 )
 
@@ -76,7 +79,11 @@ def _parse_languages(spec: str) -> list[Language]:
     codes = [c for c in (s.strip() for s in spec.split(",")) if c]
     if not codes:
         raise ValidationError("empty language list")
-    return [Language.parse(c) for c in codes]
+    languages = [Language.parse(c) for c in codes]
+    repeated = repeated_languages(languages)
+    if repeated:
+        raise ValidationError(f"language list {spec!r} repeats a language", items=repeated)
+    return languages
 
 
 def _build_vocabularies(
@@ -198,6 +205,9 @@ def cmd_train(args) -> int:
     languages = [Language.parse(c) for c in doc["languages"]]
     if not languages:
         raise ValidationError("config declares an empty language list")
+    repeated = repeated_languages(languages)
+    if repeated:
+        raise ValidationError(f"config {config_path} repeats a language", items=repeated)
 
     train_cfg = training.TrainConfig.from_dict(doc.get("train", {}))
     if args.seed is not None:
@@ -524,7 +534,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # stderr carries only the JSON error: a numpy overflow in a command
+        # surfaces as that command's own error (a non-finite loss, say), not
+        # as a RuntimeWarning line
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except ToolkitError as exc:
         sys.stderr.write(json.dumps(exc.payload(), sort_keys=True) + "\n")
         return exc.exit_code

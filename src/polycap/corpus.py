@@ -22,7 +22,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from polycap.errors import ValidationError
-from polycap.text import Language, tokenize
+from polycap.text import Language, repeated_languages, tokenize
 
 AEMB_MAGIC = b"AEMB"
 AEMB_VERSION = 1
@@ -285,9 +285,9 @@ class CorpusIndex:
     languages: tuple[Language, ...]
 
     def __post_init__(self):
-        problems: list[str] = []
         if not self.languages:
             raise ValidationError("a corpus index needs at least one declared language")
+        problems = repeated_languages(self.languages)
         dims = set()
         for audio_id, caps in self.manifest.entries.items():
             if audio_id not in self.embeddings:

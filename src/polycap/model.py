@@ -139,9 +139,27 @@ def _keep_mask(
     return rng.random(shape) >= p
 
 
-def _dropout(x: Tensor, p: float, train: bool, rng: np.random.Generator | None) -> Tensor:
-    keep = _keep_mask(x.shape, p, train, rng)
-    return x if keep is None else ad.dropout(x, keep, p)
+def _dropout(
+    x: Tensor, p: float, train: bool, rng: np.random.Generator | None, live: np.ndarray | None = None
+) -> Tensor:
+    """Dropout of x. With `live`, x holds the live rows of a padded batch:
+    the mask is drawn at the padded shape, so the draw does not depend on
+    the packing, and then indexed."""
+    shape = x.shape if live is None else live.shape + x.shape[-1:]
+    keep = _keep_mask(shape, p, train, rng)
+    if keep is None:
+        return x
+    return ad.dropout(x, keep if live is None else keep[live], p)
+
+
+def live_positions(lengths: np.ndarray, width: int) -> np.ndarray:
+    """(b, width) boolean mask of each row's first lengths[row] positions."""
+    lengths = np.asarray(lengths)
+    if lengths.ndim != 1 or not np.issubdtype(lengths.dtype, np.integer):
+        raise ValidationError(f"lengths must be a 1-D integer array, got {lengths.dtype} {lengths.shape}")
+    if lengths.size and not 0 <= lengths.min() <= lengths.max() <= width:
+        raise ValidationError(f"lengths must lie in [0, {width}], got {lengths.min()}..{lengths.max()}")
+    return np.arange(width) < lengths[:, None]
 
 
 class MultiHeadAttention:
@@ -160,8 +178,9 @@ class MultiHeadAttention:
         additive_mask: np.ndarray | None,
         train: bool,
         rng: np.random.Generator | None,
+        live: np.ndarray | None = None,
     ) -> Tensor:
-        return self.attend(query, *self.keys_values(memory), additive_mask, train, rng)
+        return self.attend(query, *self.keys_values(memory), additive_mask, train, rng, live)
 
     def keys_values(self, memory: Tensor) -> tuple[Tensor, Tensor]:
         """Projected keys and values of `memory`, (b, s, d_model) each."""
@@ -175,14 +194,21 @@ class MultiHeadAttention:
         additive_mask: np.ndarray | None,
         train: bool,
         rng: np.random.Generator | None,
+        live: np.ndarray | None = None,
     ) -> Tensor:
         """Scaled dot-product attention of `query`, (b, t, d_model) or flat
         (rows, d_model), over keys/values from `keys_values`; a leading axis
-        of 1 on the keys/values broadcasts over the batch."""
+        of 1 on the keys/values broadcasts over the batch. With `live`, a
+        (b, t) mask, flat query, key and value rows are the live positions of
+        a padded batch (see `autodiff.attention`)."""
         q = self.wq(query)
-        t = q.shape[1] if len(q.shape) == 3 else 1
-        keep = _keep_mask((q.shape[0], self.n_heads, t, keys.shape[1]), self.p_drop, train, rng)
-        return self.wo(ad.attention(q, keys, values, self.n_heads, additive_mask, keep, self.p_drop))
+        if live is not None:
+            b, t = live.shape
+        else:
+            b, t = q.shape[0], q.shape[1] if len(q.shape) == 3 else 1
+        s = keys.shape[1] if len(keys.shape) == 3 else t  # flat keys: packed self-attention
+        keep = _keep_mask((b, self.n_heads, t, s), self.p_drop, train, rng)
+        return self.wo(ad.attention(q, keys, values, self.n_heads, additive_mask, keep, self.p_drop, live))
 
     def params(self) -> list[tuple[str, Tensor]]:
         out = []
@@ -205,13 +231,15 @@ class DecoderLayer:
         self.norm2 = LayerNorm(d)
         self.norm3 = LayerNorm(d)
 
-    def __call__(self, x, memory, causal_mask, memory_mask, train, rng):
-        h = self.self_attn(x, x, causal_mask, train, rng)
-        x = self.norm1(x + _dropout(h, self.p_drop, train, rng))
-        h = self.cross_attn(x, memory, memory_mask, train, rng)
-        x = self.norm2(x + _dropout(h, self.p_drop, train, rng))
-        h = self.w2(_dropout(ad.gelu(self.w1(x)), self.p_drop, train, rng))
-        return self.norm3(x + _dropout(h, self.p_drop, train, rng))
+    def __call__(self, x, memory, causal_mask, memory_mask, train, rng, live=None):
+        """x is (b, t, d_model), or with a (b, t) `live` mask the flat rows
+        of the live positions; every op but attention is row-wise."""
+        h = self.self_attn(x, x, causal_mask, train, rng, live)
+        x = self.norm1(x + _dropout(h, self.p_drop, train, rng, live))
+        h = self.cross_attn(x, memory, memory_mask, train, rng, live)
+        x = self.norm2(x + _dropout(h, self.p_drop, train, rng, live))
+        h = self.w2(_dropout(ad.gelu(self.w1(x)), self.p_drop, train, rng, live))
+        return self.norm3(x + _dropout(h, self.p_drop, train, rng, live))
 
     def step(self, x, keys, values, memory_keys, memory_values):
         """Eval-mode block for one new position per row: x is (rows, d_model);
@@ -365,6 +393,7 @@ class MultilingualModel:
         frame_mask: np.ndarray | None = None,
         rng: np.random.Generator | None = None,
         mixup: MixupDraw | None = None,
+        lengths: np.ndarray | None = None,
     ) -> Tensor:
         """Next-token logits, one row per target position.
 
@@ -372,8 +401,14 @@ class MultilingualModel:
         target_ids: (batch, t) decoder input ids (BOS-first).
         frame_mask: (batch, frames) True on valid frames; None means all valid.
         mixup: optional batch interpolation of audio and token embeddings.
-        Causal masking keeps position t blind to positions > t; dropout is
-        active only in train mode.
+        lengths: (batch,) live positions per row. Causal masking keeps
+        position t blind to positions > t, so each row's live positions are a
+        prefix, and the positions after it feed nothing that is kept. The
+        row-wise layers then run on the live rows only, and the logits are
+        (sum(lengths), vocab), row-major over the live positions. None means
+        every position is live: the logits are (batch, t, vocab).
+        Dropout is active only in train mode; its masks are drawn at the
+        padded shape either way.
         """
         if mode not in ("train", "eval"):
             raise ValidationError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -395,13 +430,18 @@ class MultilingualModel:
                 elif mixup.lam < 1.0:
                     frame_mask = frame_mask | frame_mask[mixup.partner]
 
+        live = None if lengths is None else live_positions(lengths, t)
+        if live is not None and len(live) != b:
+            raise ValidationError(f"{len(live)} lengths for a batch of {b} rows")
+
         memory = self.encode_audio(audio, train, rng)
 
-        tok = ad.embedding(head.embedding, target_ids) * math.sqrt(self.config.d_model)
-        if mixup is not None:
-            tok = tok * mixup.lam + tok[mixup.partner] * (1.0 - mixup.lam)
-        x = tok + Tensor(self.pos_encoding[:t])
-        x = _dropout(x, self.config.trunk_dropout, train, rng)
+        tok = ad.embedding(head.embedding, target_ids, math.sqrt(self.config.d_model), mixup, live)
+        pos = self.pos_encoding[:t]
+        if live is not None:
+            pos = np.broadcast_to(pos, live.shape + pos.shape[-1:])[live]
+        x = tok + Tensor(pos)
+        x = _dropout(x, self.config.trunk_dropout, train, rng, live)
 
         causal = np.triu(np.full((t, t), NEG_INF), k=1)[None, None, :, :]
         memory_mask = None
@@ -409,7 +449,7 @@ class MultilingualModel:
             memory_mask = np.where(frame_mask, 0.0, NEG_INF)[:, None, None, :]
 
         for layer in self.layers:
-            x = layer(x, memory, causal, memory_mask, train, rng)
+            x = layer(x, memory, causal, memory_mask, train, rng, live)
         return head.classifier(x)
 
 

@@ -50,6 +50,13 @@ class Language(str, Enum):
 
 _LANGUAGE_ORDER = tuple(Language)
 
+
+def repeated_languages(languages: Sequence[Language]) -> list[str]:
+    """One report item per language listed more than once."""
+    counts = Counter(languages)
+    return [f"{lang.value!r} is listed {n} times" for lang, n in counts.items() if n > 1]
+
+
 # Word tokens: runs of word characters, optionally joined by internal hyphens.
 _TOKEN_RE = re.compile(r"\w+(?:-\w+)*", re.UNICODE)
 _APOSTROPHES = "'’ʼ"

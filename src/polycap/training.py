@@ -23,7 +23,7 @@ from polycap.autodiff import Tensor
 from polycap.corpus import CorpusIndex, sample_caption
 from polycap.errors import RuntimeFailure, ValidationError, is_finite, is_integer, is_real
 from polycap.files import atomic_write
-from polycap.model import MixupDraw, MultilingualModel
+from polycap.model import MixupDraw, MultilingualModel, live_positions
 from polycap.text import Language, tokenize
 
 
@@ -115,8 +115,42 @@ class TrainConfig:
 # -- loss ----------------------------------------------------------------
 
 
+def _weighted_targets(
+    target_ids: np.ndarray, pad_id: int, mixup: MixupDraw | None
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(ids, weight) per target set: a set's share over its non-pad count at
+    its non-pad positions, 0 elsewhere."""
+    target_ids = np.asarray(target_ids)
+    if mixup is None:
+        target_sets = [(1.0, target_ids)]
+    else:
+        target_sets = [(mixup.lam, target_ids), (1.0 - mixup.lam, target_ids[mixup.partner])]
+    weighted = []
+    for share, ids in target_sets:
+        mask = ids != pad_id
+        n_valid = mask.sum()
+        if n_valid == 0:
+            raise ValidationError("all-pad batch: no target positions to score")
+        weighted.append((ids, share * mask / n_valid))
+    return weighted
+
+
+def loss_lengths(target_ids: np.ndarray, pad_id: int, mixup: MixupDraw | None = None) -> np.ndarray:
+    """Per row, how many leading positions a loss term reaches: up to the
+    last position where a target set has nonzero weight. A set whose share
+    is 0 (mixup lambda 0 or 1) reaches nothing."""
+    weighted = _weighted_targets(target_ids, pad_id, mixup)
+    reached = np.logical_or.reduce([weight != 0 for _, weight in weighted])
+    return (reached * np.arange(1, reached.shape[1] + 1)).max(axis=1, initial=0)
+
+
 def smoothed_cross_entropy(
-    logits: Tensor, target_ids: np.ndarray, eps: float, pad_id: int, mixup: MixupDraw | None = None
+    logits: Tensor,
+    target_ids: np.ndarray,
+    eps: float,
+    pad_id: int,
+    mixup: MixupDraw | None = None,
+    lengths: np.ndarray | None = None,
 ) -> Tensor:
     """Mean cross-entropy against eps-smoothed one-hot targets.
 
@@ -124,23 +158,19 @@ def smoothed_cross_entropy(
     vocab entries. Pad positions contribute nothing; the mean runs over
     non-pad positions only. With a mixup draw the loss is
     lam * CE(targets) + (1 - lam) * CE(targets[partner]), each term averaged
-    over its own non-pad positions. The loss is one autodiff node
+    over its own non-pad positions. With `lengths`, the logits are the
+    packed rows `MultilingualModel.forward` returns for those lengths, which
+    must cover every weighted position. The loss is one autodiff node
     (`autodiff.cross_entropy`).
     """
     if not 0.0 <= eps < 1.0:
         raise ValidationError(f"eps={eps} outside [0, 1)")
-    target_ids = np.asarray(target_ids)
-    if mixup is None:
-        target_sets = [(1.0, target_ids)]
-    else:
-        target_sets = [(mixup.lam, target_ids), (1.0 - mixup.lam, target_ids[mixup.partner])]
-    weighted = []  # per position: the set's share over its non-pad count
-    for share, ids in target_sets:
-        mask = ids != pad_id
-        n_valid = mask.sum()
-        if n_valid == 0:
-            raise ValidationError("all-pad batch: no target positions to score")
-        weighted.append((ids, share * mask / n_valid))
+    weighted = _weighted_targets(target_ids, pad_id, mixup)
+    if lengths is not None:
+        live = live_positions(lengths, np.shape(target_ids)[1])
+        if any(weight[~live].any() for _, weight in weighted):
+            raise ValidationError("lengths leave out target positions that the loss weights")
+        weighted = [(ids[live], weight[live]) for ids, weight in weighted]
     return ad.cross_entropy(logits, weighted, eps)
 
 
@@ -376,6 +406,8 @@ class Trainer:
         if cfg.mixup_alpha > 0 or cfg.mixup_lambda is not None:
             mixup = draw_mixup(len(audio_ids), cfg.mixup_alpha, self.rng_mixup, cfg.mixup_lambda)
 
+        # positions no loss term reaches skip every row-wise layer
+        lengths = loss_lengths(targets, vocab.pad_id, mixup)
         logits = self.model.forward(
             audio,
             dec_in,
@@ -384,8 +416,11 @@ class Trainer:
             frame_mask=frame_mask,
             rng=self.rng_dropout,
             mixup=mixup,
+            lengths=lengths,
         )
-        loss = smoothed_cross_entropy(logits, targets, cfg.label_smoothing_eps, vocab.pad_id, mixup)
+        loss = smoothed_cross_entropy(
+            logits, targets, cfg.label_smoothing_eps, vocab.pad_id, mixup, lengths
+        )
 
         value = loss.item()
         if not math.isfinite(value):
@@ -450,12 +485,13 @@ class Trainer:
                         caps.append(record.captions[0])
                 ids = self._encode_captions(caps, language)
                 audio, frame_mask, _ = _pad_audio([corpus.embeddings[a] for a in chunk])
+                lengths = loss_lengths(ids[:, 1:], vocab.pad_id)
                 with ad.no_grad():
                     logits = self.model.forward(
-                        audio, ids[:, :-1], language, mode="eval", frame_mask=frame_mask
+                        audio, ids[:, :-1], language, mode="eval", frame_mask=frame_mask, lengths=lengths
                     )
                     loss = smoothed_cross_entropy(
-                        logits, ids[:, 1:], self.cfg.label_smoothing_eps, vocab.pad_id
+                        logits, ids[:, 1:], self.cfg.label_smoothing_eps, vocab.pad_id, lengths=lengths
                     )
                 losses.append(loss.item())
         return float(np.mean(losses))

@@ -7,6 +7,7 @@ import oracles
 from oracles import finite_difference_grads, relative_error
 from polycap import autodiff as ad
 from polycap.autodiff import Tensor
+from polycap.model import MixupDraw
 
 
 def check_grads(make_loss, params: dict, tol=1e-7):
@@ -66,6 +67,40 @@ class TestBasicOps:
 
         def loss():
             y = ad.embedding(w, ids)
+            return (y * y).sum()
+
+        check_grads(loss, {"w": w})
+
+    def test_scaled_mixed_live_embedding_keeps_the_composed_bits(self):
+        # one node for the lookup, the scale, the mixup and the live-row
+        # selection: its values and gradient are those of the separate ops
+        rng = np.random.default_rng(15)
+        w = Tensor(rng.normal(size=(7, 4)), requires_grad=True)
+        ids = rng.integers(0, 7, size=(3, 5))
+        mixup = MixupDraw(lam=0.3, partner=np.array([2, 0, 1]))
+        live = np.arange(5) < np.array([5, 2, 4])[:, None]
+        out = ad.embedding(w, ids, 2.0, mixup, live)
+        g = rng.normal(size=out.shape)
+        (out * Tensor(g)).sum().backward()
+        fused_grad, w.grad = w.grad, None
+
+        tok = ad.embedding(w, ids) * 2.0
+        composed = tok * 0.3 + tok[mixup.partner] * (1.0 - 0.3)
+        g_full = np.zeros(composed.shape)
+        g_full[live] = g
+        (composed * Tensor(g_full)).sum().backward()
+        assert np.array_equal(out.data, composed.data[live])
+        assert np.array_equal(fused_grad, w.grad)
+
+    def test_scaled_mixed_live_embedding_gradients(self):
+        rng = np.random.default_rng(16)
+        w = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
+        ids = np.array([[0, 0, 2], [5, 0, 2], [1, 3, 0]])
+        mixup = MixupDraw(lam=0.7, partner=np.array([1, 2, 0]))
+        live = np.array([[True, True, False], [True, False, False], [True, True, True]])
+
+        def loss():
+            y = ad.embedding(w, ids, 1.5, mixup, live)
             return (y * y).sum()
 
         check_grads(loss, {"w": w})
@@ -176,6 +211,22 @@ class TestFusedNodes:
             (out * Tensor(g)).sum().backward()
             assert np.array_equal(out.data, x.data * (keep / (1.0 - p)))
             assert np.array_equal(x.grad, g * (keep / (1.0 - p)))
+
+    def test_dropout_multiply_keeps_special_value_bits(self):
+        # x * keep, then * 1/(1-p), has the bits of x * where(keep, 1/(1-p), 0),
+        # signed zeros, infinities and NaNs included, forward and backward
+        specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -2.5, 1e308, -1e-310])
+        x_data = np.repeat(specials, 2)
+        keep = np.tile([True, False], len(specials))
+        g = x_data[::-1].copy()
+        with np.errstate(all="ignore"):
+            for p in (0.1, 0.2, 0.5):
+                multipliers = np.where(keep, 1.0 / (1.0 - p), 0.0)
+                x = Tensor(x_data, requires_grad=True)
+                out = ad.dropout(x, keep, p)
+                (out * Tensor(g)).sum().backward()
+                assert np.array_equal(out.data.view(np.int64), (x_data * multipliers).view(np.int64))
+                assert np.array_equal(x.grad.view(np.int64), (g * multipliers).view(np.int64))
 
     def test_gelu_gradients_around_zero(self):
         x = Tensor(np.linspace(-3.0, 3.0, 13).reshape(1, 13), requires_grad=True)

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
@@ -8,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import tiny_model_config, word_vocab
+import polycap
 from polycap import decoding
 from polycap.cli import main
 from polycap.corpus import EmbeddingSequence, write_embedding
@@ -596,3 +600,69 @@ class TestCliSurface:
         payload = json.loads(capsys.readouterr().err)
         assert payload["error"] == "ValidationError"
         assert payload["message"].startswith("cannot read checkpoint")
+
+
+class TestRepeatedLanguages:
+    """A language listed twice would train every (audio, language) pair
+    twice per epoch, or write every caption twice."""
+
+    @pytest.mark.parametrize("command", ["prepare", "stats", "caption"])
+    def test_repeated_language_flag_exits_2_with_items(self, command, tmp_path, capsys):
+        manifest, emb_dir = write_corpus(tmp_path)
+        vocabs = {Language.EN: word_vocab(["enfa", "enfb"])}
+        save_checkpoint(MultilingualModel(tiny_model_config(d_in=8), vocabs), tmp_path / "m.ackp")
+        out = ["--out", str(tmp_path / "o")]
+        argv = {
+            "prepare": ["--manifest", str(manifest), "--embeddings-dir", str(emb_dir), *out],
+            "stats": ["--manifest", str(manifest)],
+            "caption": ["--checkpoint", str(tmp_path / "m.ackp"), "--embeddings-dir", str(emb_dir), *out],
+        }[command]
+        assert main([command, *argv, "--languages", "en,fr,EN"]) == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "ValidationError"
+        assert payload["items"] == ["'en' is listed 2 times"]
+        assert not (tmp_path / "o").exists()
+
+    def test_repeated_language_in_train_config_exits_2_with_items(self, tmp_path, capsys):
+        manifest, emb_dir = write_corpus(tmp_path)
+        config = write_train_config(tmp_path, manifest, emb_dir, epochs=1)
+        doc = json.loads(config.read_text()) | {"languages": ["en", "fr", "en", "fr", "en"]}
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["train", "--config", str(config), "--out", str(tmp_path / "run")]) == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "ValidationError"
+        assert payload["items"] == ["'en' is listed 3 times", "'fr' is listed 2 times"]
+        assert not (tmp_path / "run").exists()
+
+
+def run_module(*argv: str, cwd: Path) -> subprocess.CompletedProcess:
+    """`python -m polycap ARGV` in a fresh interpreter that imports this
+    checkout's polycap."""
+    src = str(Path(polycap.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "polycap", *argv], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_prints_the_version(self, tmp_path):
+        proc = run_module("--version", cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == f"polycap {polycap.__version__}"
+
+    def test_overflowing_run_writes_only_the_json_error(self, tmp_path):
+        # lr0 1e300 overflows the weights on the first update; numpy's
+        # RuntimeWarnings must not reach stderr ahead of the JSON error
+        manifest, emb_dir = write_corpus(tmp_path)
+        config = write_train_config(tmp_path, manifest, emb_dir, epochs=2)
+        doc = json.loads(config.read_text())
+        doc["train"]["lr0"] = 1e300
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        proc = run_module("train", "--config", str(config), "--out", str(tmp_path / "run"), cwd=tmp_path)
+        assert proc.returncode == 3
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        payload = json.loads(lines[0])
+        assert payload["error"] == "RuntimeFailure"
+        assert payload["message"].startswith("non-finite training loss")

@@ -250,6 +250,16 @@ class TestCorpusIndex:
             CorpusIndex.from_paths(manifest_path, emb_dir, "train", [Language.EN, Language.FR])
         assert any("no fr captions" in item for item in err.value.items)
 
+    def test_repeated_language_is_itemized(self, tmp_path):
+        manifest_path = tmp_path / "m.jsonl"
+        write_manifest(manifest_path, [{"audio_id": "a", "split": "train", "captions": {"en": ["x"]}}])
+        emb_dir = tmp_path / "emb"
+        emb_dir.mkdir()
+        write_embedding(emb_dir / "a.aemb", make_seq("a", frames=3, dim=4))
+        with pytest.raises(ValidationError) as err:
+            CorpusIndex.from_paths(manifest_path, emb_dir, "train", [Language.EN, Language.EN])
+        assert err.value.items == ["'en' is listed 2 times"]
+
     def test_valid_corpus_loads(self, tmp_path):
         manifest_path = tmp_path / "m.jsonl"
         write_manifest(
