@@ -1,12 +1,12 @@
 """Minimal reverse-mode automatic differentiation over float64 numpy arrays.
 
-Just enough machinery for a transformer decoder: broadcast-aware addition and
-multiplication, indexing, sums, ReLU, and one node each, with a closed-form
-gradient, for the scaled and mixed token lookup, GELU, log-softmax, LayerNorm,
-a `Linear` layer, multi-head attention, inverted dropout over a boolean
-keep-mask and the label-smoothed cross-entropy loss. Attention and the token
-lookup also take a mask of the live positions of a padded batch, so the
-row-wise nodes between them can run on those rows only.
+Just enough machinery to train a transformer decoder: broadcast-aware
+addition of two tensors, ReLU, and one node each, with a closed-form
+gradient, for the scaled and mixed token lookup, GELU, LayerNorm, a `Linear`
+layer, multi-head attention, inverted dropout over a boolean keep-mask and
+the label-smoothed cross-entropy loss. Attention and the token lookup also
+take a mask of the live positions of a padded batch, so the row-wise nodes
+between them can run on those rows only.
 Everything runs in 64-bit so finite-difference gradient checks are
 meaningful and training is bit-for-bit reproducible.
 """
@@ -130,12 +130,7 @@ class Tensor:
 
     # -- arithmetic ---------------------------------------------------
 
-    @staticmethod
-    def _coerce(other) -> "Tensor":
-        return other if isinstance(other, Tensor) else Tensor(other)
-
-    def __add__(self, other):
-        other = self._coerce(other)
+    def __add__(self, other: "Tensor") -> "Tensor":
         out_data = self.data + other.data
 
         def backward(g):
@@ -148,44 +143,6 @@ class Tensor:
                 other._accumulate(g_other)
 
         return Tensor._make(out_data, (self, other), backward)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        out_data = self.data * other.data
-
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(g * other.data, self.shape))
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(g * self.data, other.shape))
-
-        return Tensor._make(out_data, (self, other), backward)
-
-    # -- indexing -----------------------------------------------------
-
-    def __getitem__(self, idx):
-        out_data = self.data[idx]
-        shape = self.shape
-
-        def backward(g):
-            full = np.zeros(shape, dtype=np.float64)
-            np.add.at(full, idx, g)  # a repeated index gets every gradient
-            self._accumulate(full)
-
-        return Tensor._make(out_data, (self,), backward)
-
-    # -- reductions ---------------------------------------------------
-
-    def sum(self, axis=None, keepdims: bool = False):
-        out_data = self.data.sum(axis=axis, keepdims=keepdims)
-        shape = self.shape
-
-        def backward(g):
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            self._accumulate(np.broadcast_to(g, shape).copy())
-
-        return Tensor._make(out_data, (self,), backward)
 
 
 # -- pointwise functions ---------------------------------------------
@@ -225,19 +182,6 @@ def dropout(t: Tensor, keep: np.ndarray, p: float) -> Tensor:
 
     out_data = t.data * keep
     out_data *= 1.0 / (1.0 - p)
-    return Tensor._make(out_data, (t,), backward)
-
-
-def log_softmax(t: Tensor, axis: int = -1) -> Tensor:
-    shifted = t.data - t.data.max(axis=axis, keepdims=True)
-    out_data = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-
-    def backward(g):
-        grad = np.exp(out_data)
-        grad *= g.sum(axis=axis, keepdims=True)
-        np.subtract(g, grad, out=grad)
-        t._accumulate(grad)
-
     return Tensor._make(out_data, (t,), backward)
 
 

@@ -21,7 +21,6 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from polycap import autodiff as ad
 from polycap.errors import ValidationError, is_finite, is_integer
 from polycap.model import IncrementalDecoder, MultilingualModel
 from polycap.text import Language, StopwordList, Vocabulary
@@ -189,6 +188,12 @@ def beam_search(
     return grouped_beam_search(lambda prefixes, _: [step_fn(prefixes[0])], [vocab], [stopwords], cfg)[0]
 
 
+def _log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Log-softmax over the last axis, shifted by the row maximum first."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
 def grouped_model_step_fn(
     model: MultilingualModel, audio: np.ndarray, languages: Sequence[Language]
 ) -> GroupStepFn:
@@ -209,7 +214,7 @@ def grouped_model_step_fn(
     def step(prefixes: Sequence[np.ndarray], parents: Sequence[np.ndarray]) -> list[np.ndarray]:
         decoder.reorder(parents)
         logits = decoder.advance([np.asarray(p)[:, -1] for p in prefixes])
-        return [ad.log_softmax(ad.Tensor(group)).data for group in logits]
+        return [_log_softmax(group) for group in logits]
 
     return step
 

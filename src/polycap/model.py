@@ -475,7 +475,7 @@ class IncrementalDecoder:
         self.heads = [model.head(language) for language in languages]
         with ad.no_grad():
             memory = model.encode_audio(audio, False, None)
-            self.memory = [layer.cross_attn.keys_values(memory[None]) for layer in model.layers]
+            self.memory = [layer.cross_attn.keys_values(Tensor(memory.data[None])) for layer in model.layers]
         self.rows = [1] * len(self.heads)
         empty = np.zeros((len(self.heads), 0, model.config.d_model))
         self.keys = [empty] * model.config.n_layers
@@ -509,8 +509,8 @@ class IncrementalDecoder:
         scale = math.sqrt(self.model.config.d_model)
         with ad.no_grad():
             x = Tensor(np.concatenate(
-                [ad.embedding(head.embedding, group).data for head, group in zip(self.heads, ids)]
-            )) * scale
+                [ad.embedding(head.embedding, group, scale).data for head, group in zip(self.heads, ids)]
+            ))
             x = x + Tensor(self.model.pos_encoding[self.length])
             for i, layer in enumerate(self.model.layers):
                 x, self.keys[i], self.values[i] = layer.step(

@@ -4,10 +4,16 @@ import numpy as np
 import pytest
 
 from conftest import tiny_model_config, word_vocab
-from oracles import exhaustive_constrained_search, greedy_constrained_decode, reference_beam_search
+from oracles import (
+    composed_log_softmax,
+    exhaustive_constrained_search,
+    greedy_constrained_decode,
+    reference_beam_search,
+)
 from polycap import autodiff as ad
 from polycap.decoding import (
     DecodeConfig,
+    _log_softmax,
     beam_search,
     caption_audio,
     caption_clip,
@@ -337,6 +343,14 @@ class TestModelAdapter:
         rows = step(np.array([[1], [1]]), np.array([0, 0]))
         assert rows.shape == (2, tiny_model.vocab(Language.EN).size)
         assert np.allclose(np.exp(rows).sum(axis=-1), 1.0)
+
+    def test_log_softmax_equals_composed_oracle_bit_for_bit(self):
+        rng = np.random.default_rng(23)
+        logits = rng.normal(size=(2, 3, 4, 6)) * 3.0
+        logits[..., 4:] += -1e9  # masked entries
+        logits[0, 0, 0, 1:] = -1e9  # a row with one live entry
+        want, _ = composed_log_softmax(logits, np.zeros_like(logits))
+        assert np.array_equal(_log_softmax(logits), want)
 
     def test_rejects_batched_audio(self, tiny_model):
         with pytest.raises(ValidationError):
