@@ -1,12 +1,12 @@
 """Minimal reverse-mode automatic differentiation over float64 numpy arrays.
 
-Just enough machinery to train a transformer decoder: broadcast-aware
-addition of two tensors, ReLU, and one node each, with a closed-form
-gradient, for the scaled and mixed token lookup, GELU, LayerNorm, a `Linear`
-layer, multi-head attention, inverted dropout over a boolean keep-mask and
-the label-smoothed cross-entropy loss. Attention and the token lookup also
-take a mask of the live positions of a padded batch, so the row-wise nodes
-between them can run on those rows only.
+Just enough machinery to train a transformer decoder, one node per layer with
+a closed-form gradient and no generic arithmetic operator: the scaled, mixed
+and position-encoded token lookup, ReLU, GELU, a `Linear` layer, multi-head
+attention, inverted dropout over a boolean keep-mask, the post-norm residual
+LayerNorm(x + dropout(h)) and the label-smoothed cross-entropy loss.
+Attention and the token lookup also take a mask of the live positions of a
+padded batch, so the row-wise nodes between them can run on those rows only.
 Everything runs in 64-bit so finite-difference gradient checks are
 meaningful and training is bit-for-bit reproducible.
 """
@@ -84,8 +84,8 @@ class Tensor:
         The first gradient is taken over without a copy. That is safe because
         every backward hands each parent a buffer that no other live tensor
         holds: a fresh array, or a view of the child's own gradient, which the
-        child no longer reads once its backward has run. `__add__` is the one
-        op that routes one `g` to two parents, and it copies for the second.
+        child no longer reads once its backward has run. `add_norm` is the one
+        node that routes one gradient to two parents; the second gets a copy.
         """
         if self.grad is None:
             self.grad = grad
@@ -128,22 +128,6 @@ class Tensor:
                 if node is not self:
                     node.grad = None
 
-    # -- arithmetic ---------------------------------------------------
-
-    def __add__(self, other: "Tensor") -> "Tensor":
-        out_data = self.data + other.data
-
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(g, self.shape))
-            if other.requires_grad:
-                g_other = _unbroadcast(g, other.shape)
-                if self.requires_grad and np.may_share_memory(g_other, g):
-                    g_other = g_other.copy()
-                other._accumulate(g_other)
-
-        return Tensor._make(out_data, (self, other), backward)
-
 
 # -- pointwise functions ---------------------------------------------
 
@@ -169,25 +153,35 @@ def gelu(t: Tensor) -> Tensor:
     return Tensor._make(x * cdf2 * 0.5, (t,), backward)
 
 
+def _drop(a: np.ndarray, keep: np.ndarray | None, p: float) -> np.ndarray:
+    """Inverted dropout of an array: a * keep, then * 1/(1-p), a fresh array
+    with the bits of one multiply by the float multipliers (1/(1-p) or 0),
+    without making them. `a` itself when keep is None."""
+    if keep is None:
+        return a
+    out = a * keep
+    out *= 1.0 / (1.0 - p)
+    return out
+
+
 def dropout(t: Tensor, keep: np.ndarray, p: float) -> Tensor:
-    """Inverted dropout with a drawn boolean keep-mask. The node stores only
-    the mask. Multiplying by the mask and then by 1/(1-p) gives the same bits
-    as one multiply by the float multipliers (1/(1-p) or 0), without making
-    them."""
+    """Inverted dropout with a drawn boolean keep-mask; the node stores only
+    the mask."""
 
     def backward(g):
-        grad = g * keep
-        grad *= 1.0 / (1.0 - p)
-        t._accumulate(grad)
+        t._accumulate(_drop(g, keep, p))
 
-    out_data = t.data * keep
-    out_data *= 1.0 / (1.0 - p)
-    return Tensor._make(out_data, (t,), backward)
+    return Tensor._make(_drop(t.data, keep, p), (t,), backward)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
-    """Normalize over the last axis, then scale by `gain` and shift by `bias`."""
-    centered = x.data - x.data.mean(axis=-1, keepdims=True)
+def add_norm(x: Tensor, h: Tensor, keep, p: float, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
+    """Post-norm residual ("Add & Norm"): LayerNorm(x + dropout(h)) as one
+    node, normalizing over the last axis, then scaling by `gain` and shifting
+    by `bias`. `keep` is dropout's boolean keep-mask at rate `p`, or None for
+    no dropout. The backward runs the LayerNorm backward once: x gets that
+    gradient, and h gets it through the dropout."""
+    summed = x.data + _drop(h.data, keep, p)
+    centered = summed - summed.mean(axis=-1, keepdims=True)
     inv_std = ((centered * centered).mean(axis=-1, keepdims=True) + eps) ** -0.5
     normed = centered * inv_std
     out_data = normed * gain.data + bias.data
@@ -197,15 +191,17 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
             gain._accumulate(_unbroadcast(g * normed, gain.shape))
         if bias.requires_grad:
             bias._accumulate(_unbroadcast(g, bias.shape))
+        g_normed = g * gain.data
+        grad = normed * (g_normed * normed).mean(axis=-1, keepdims=True)
+        grad += g_normed.mean(axis=-1, keepdims=True)
+        np.subtract(g_normed, grad, out=grad)
+        grad *= inv_std
+        if h.requires_grad:  # a copy when no dropout multiply makes a fresh array
+            h._accumulate(grad.copy() if keep is None else _drop(grad, keep, p))
         if x.requires_grad:
-            g_normed = g * gain.data
-            grad = normed * (g_normed * normed).mean(axis=-1, keepdims=True)
-            grad += g_normed.mean(axis=-1, keepdims=True)
-            np.subtract(g_normed, grad, out=grad)
-            grad *= inv_std
             x._accumulate(grad)
 
-    return Tensor._make(out_data, (x, gain, bias), backward)
+    return Tensor._make(out_data, (x, h, gain, bias), backward)
 
 
 def cross_entropy(
@@ -328,20 +324,14 @@ def attention(
         scores += additive_mask
     probs = np.exp(scores - scores.max(axis=-1, keepdims=True))
     probs /= probs.sum(axis=-1, keepdims=True)
-    weights = probs
-    if keep is not None:  # the bits of probs * where(keep, 1/(1-p), 0), as in `dropout`
-        weights = probs * keep
-        weights *= 1.0 / (1.0 - p_drop)
+    weights = _drop(probs, keep, p_drop)
 
     def backward(g):
         g_heads = split(pad(g, packed[0]))
         if v.requires_grad:
             g_values = _unbroadcast(weights.swapaxes(-1, -2) @ g_heads, vh.shape)
             v._accumulate(merge(g_values, v.shape, packed[2]))
-        g_scores = g_heads @ vh.swapaxes(-1, -2)
-        if keep is not None:
-            g_scores *= keep
-            g_scores *= 1.0 / (1.0 - p_drop)
+        g_scores = _drop(g_heads @ vh.swapaxes(-1, -2), keep, p_drop)
         g_scores *= probs
         g_scores -= probs * g_scores.sum(axis=-1, keepdims=True)
         g_scores *= scale
@@ -358,20 +348,23 @@ def attention(
 
 
 def embedding(
-    weight: Tensor, ids: np.ndarray, scale: float = 1.0, mixup=None, live: np.ndarray | None = None
+    weight: Tensor, ids: np.ndarray, scale: float = 1.0, mixup=None, live=None, positions=None
 ) -> Tensor:
-    """Row lookup, scaled and mixed: out[...] = weight[ids[...]] * scale.
+    """Row lookup, scaled, mixed and position-encoded: out[...] =
+    weight[ids[...]] * scale + positions.
 
     `mixup`, a draw with a weight `lam` and a `partner` permutation of the
-    leading axis, then mixes the scaled rows as (E * scale) * lam +
-    (E[partner] * scale) * (1 - lam), in that float order. `live`, a boolean
+    leading axis, mixes the scaled rows (`mixup.mix`) before the constant
+    `positions`, broadcast to the rows' shape, are added. `live`, a boolean
     mask over ids' shape, keeps only the rows where it is True (row-major);
     the backward scatters their gradients back.
     """
     ids = np.asarray(ids)
     out_data = weight.data[ids] * scale
     if mixup is not None:
-        out_data = out_data * mixup.lam + out_data[mixup.partner] * (1.0 - mixup.lam)
+        out_data = mixup.mix(out_data)
+    if positions is not None:
+        out_data += positions
     if live is not None:
         out_data = out_data[live]
 

@@ -309,21 +309,12 @@ def cmd_caption(args) -> int:
 
 
 def _read_captions_jsonl(path: Path) -> dict[Language, dict[str, str]]:
-    """Captions by language and audio id. Every malformed line is reported,
-    itemized, in one ValidationError."""
+    """Captions by language and audio id. Every malformed or repeated
+    (audio_id, language) line is reported, itemized, in one ValidationError."""
     out: dict[Language, dict[str, str]] = {}
+    first_line: dict[tuple[Language, str], int] = {}
     problems: list[str] = []
-    for lineno, line in enumerate(corpus_mod.read_text(path, "captions file").splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            problems.append(f"line {lineno}: invalid JSON ({exc.msg})")
-            continue
-        if not isinstance(obj, dict):
-            problems.append(f"line {lineno}: not a JSON object")
-            continue
+    for lineno, obj in corpus_mod.jsonl_objects(path, "captions file", problems):
         audio_id, code, caption = obj.get("audio_id"), obj.get("language"), obj.get("caption")
         if not isinstance(audio_id, str) or not audio_id:
             problems.append(f"line {lineno}: audio_id must be a non-empty string")
@@ -333,9 +324,15 @@ def _read_captions_jsonl(path: Path) -> dict[Language, dict[str, str]]:
             problems.append(f"line {lineno}: caption must be a string")
         else:
             try:
-                out.setdefault(Language.parse(code), {})[audio_id] = caption
+                lang = Language.parse(code)
             except ValidationError as exc:
                 problems.append(f"line {lineno}: {exc.message}")
+                continue
+            first = first_line.setdefault((lang, audio_id), lineno)
+            if first != lineno:
+                problems.append(f"line {lineno}: audio_id {audio_id!r} in {lang.value} repeats line {first}")
+                continue
+            out.setdefault(lang, {})[audio_id] = caption
     if problems:
         raise ValidationError(f"captions file {path} failed validation", items=problems)
     if not out:

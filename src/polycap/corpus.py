@@ -170,16 +170,10 @@ def read_text(path: str | Path, what: str) -> str:
         raise ValidationError(f"cannot read {what} {path}: {exc}") from exc
 
 
-def load_manifests(path: str | Path) -> dict[str, CaptionManifest]:
-    """Read a JSON-Lines manifest into per-split manifests.
-
-    Fails fast on duplicate audio ids within a split, unknown languages,
-    unknown splits and empty caption lists.
-    """
-    path = Path(path)
-    per_split: dict[str, dict[str, dict[Language, tuple[str, ...]]]] = {}
-    problems: list[str] = []
-    for lineno, line in enumerate(read_text(path, "manifest").splitlines(), start=1):
+def jsonl_objects(path: Path, what: str, problems: list[str]) -> Iterator[tuple[int, dict]]:
+    """(line number, object) of each non-blank line of a JSON-Lines file; a
+    line that is not a JSON object is reported in `problems` instead."""
+    for lineno, line in enumerate(read_text(path, what).splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
@@ -191,6 +185,19 @@ def load_manifests(path: str | Path) -> dict[str, CaptionManifest]:
         if not isinstance(obj, dict):
             problems.append(f"line {lineno}: not a JSON object")
             continue
+        yield lineno, obj
+
+
+def load_manifests(path: str | Path) -> dict[str, CaptionManifest]:
+    """Read a JSON-Lines manifest into per-split manifests.
+
+    Fails fast on duplicate audio ids within a split, unknown languages,
+    unknown splits and empty caption lists.
+    """
+    path = Path(path)
+    per_split: dict[str, dict[str, dict[Language, tuple[str, ...]]]] = {}
+    problems: list[str] = []
+    for lineno, obj in jsonl_objects(path, "manifest", problems):
         audio_id = obj.get("audio_id")
         split = obj.get("split")
         captions = obj.get("captions")

@@ -94,6 +94,10 @@ class MixupDraw:
         if not 0.0 <= self.lam <= 1.0:
             raise ValidationError(f"mixup lambda {self.lam} outside [0, 1]")
 
+    def mix(self, x: np.ndarray) -> np.ndarray:
+        """Each row of x's leading axis mixed with its partner's row."""
+        return x * self.lam + x[self.partner] * (1.0 - self.lam)
+
 
 def _uniform_init(rng: np.random.Generator | None, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
     if rng is None:  # a loader fills every parameter
@@ -120,36 +124,36 @@ class LayerNorm:
         self.bias = Tensor(np.zeros(d), requires_grad=True)
         self.eps = eps
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return ad.layer_norm(x, self.gain, self.bias, self.eps)
+    def __call__(self, x: Tensor, h: Tensor, keep: np.ndarray | None = None, p: float = 0.0) -> Tensor:
+        """LayerNorm(x + dropout(h)), keep-mask `keep` at rate p (None: no dropout)."""
+        return ad.add_norm(x, h, keep, p, self.gain, self.bias, self.eps)
 
     def params(self) -> list[tuple[str, Tensor]]:
         return [("gain", self.gain), ("bias", self.bias)]
 
 
 def _keep_mask(
-    shape: tuple[int, ...], p: float, train: bool, rng: np.random.Generator | None
+    shape: tuple[int, ...], p: float, train: bool, rng: np.random.Generator | None, live=None
 ) -> np.ndarray | None:
-    """Boolean dropout keep-mask, True with probability 1-p; None when
-    dropout is off."""
+    """Boolean dropout keep-mask for an array of `shape`, True with
+    probability 1-p; None when dropout is off. With `live`, the array holds
+    the live rows of a padded batch: the mask is drawn at the padded shape,
+    so the draw does not depend on the packing, and then indexed."""
     if not train or p <= 0.0:
         return None
     if rng is None:
         raise ValidationError("training-mode forward with dropout needs an RNG")
-    return rng.random(shape) >= p
+    if live is None:
+        return rng.random(shape) >= p
+    return (rng.random(live.shape + shape[-1:]) >= p)[live]
 
 
 def _dropout(
     x: Tensor, p: float, train: bool, rng: np.random.Generator | None, live: np.ndarray | None = None
 ) -> Tensor:
-    """Dropout of x. With `live`, x holds the live rows of a padded batch:
-    the mask is drawn at the padded shape, so the draw does not depend on
-    the packing, and then indexed."""
-    shape = x.shape if live is None else live.shape + x.shape[-1:]
-    keep = _keep_mask(shape, p, train, rng)
-    if keep is None:
-        return x
-    return ad.dropout(x, keep if live is None else keep[live], p)
+    """Dropout of x; `live` as in `_keep_mask`."""
+    keep = _keep_mask(x.shape, p, train, rng, live)
+    return x if keep is None else ad.dropout(x, keep, p)
 
 
 def live_positions(lengths: np.ndarray, width: int) -> np.ndarray:
@@ -235,11 +239,11 @@ class DecoderLayer:
         """x is (b, t, d_model), or with a (b, t) `live` mask the flat rows
         of the live positions; every op but attention is row-wise."""
         h = self.self_attn(x, x, causal_mask, train, rng, live)
-        x = self.norm1(x + _dropout(h, self.p_drop, train, rng, live))
+        x = self.norm1(x, h, _keep_mask(h.shape, self.p_drop, train, rng, live), self.p_drop)
         h = self.cross_attn(x, memory, memory_mask, train, rng, live)
-        x = self.norm2(x + _dropout(h, self.p_drop, train, rng, live))
+        x = self.norm2(x, h, _keep_mask(h.shape, self.p_drop, train, rng, live), self.p_drop)
         h = self.w2(_dropout(ad.gelu(self.w1(x)), self.p_drop, train, rng, live))
-        return self.norm3(x + _dropout(h, self.p_drop, train, rng, live))
+        return self.norm3(x, h, _keep_mask(h.shape, self.p_drop, train, rng, live), self.p_drop)
 
     def step(self, x, keys, values, memory_keys, memory_values):
         """Eval-mode block for one new position per row: x is (rows, d_model);
@@ -250,10 +254,10 @@ class DecoderLayer:
         keys = np.concatenate([keys, new_keys.data[:, None]], axis=1)
         values = np.concatenate([values, new_values.data[:, None]], axis=1)
         h = self.self_attn.attend(x, Tensor(keys), Tensor(values), None, False, None)
-        x = self.norm1(x + h)
+        x = self.norm1(x, h)
         h = self.cross_attn.attend(x, memory_keys, memory_values, None, False, None)
-        x = self.norm2(x + h)
-        x = self.norm3(x + self.w2(ad.gelu(self.w1(x))))
+        x = self.norm2(x, h)
+        x = self.norm3(x, self.w2(ad.gelu(self.w1(x))))
         return x, keys, values
 
     def params(self) -> list[tuple[str, Tensor]]:
@@ -422,7 +426,7 @@ class MultilingualModel:
                 f"target length {t} exceeds max_len {self.config.max_len}"
             )
         if mixup is not None:
-            audio = mixup.lam * audio + (1.0 - mixup.lam) * audio[mixup.partner]
+            audio = mixup.mix(audio)
             if frame_mask is not None:
                 # the partner's frames only become valid when it contributes
                 if mixup.lam == 0.0:
@@ -436,11 +440,8 @@ class MultilingualModel:
 
         memory = self.encode_audio(audio, train, rng)
 
-        tok = ad.embedding(head.embedding, target_ids, math.sqrt(self.config.d_model), mixup, live)
-        pos = self.pos_encoding[:t]
-        if live is not None:
-            pos = np.broadcast_to(pos, live.shape + pos.shape[-1:])[live]
-        x = tok + Tensor(pos)
+        scale = math.sqrt(self.config.d_model)
+        x = ad.embedding(head.embedding, target_ids, scale, mixup, live, self.pos_encoding[:t])
         x = _dropout(x, self.config.trunk_dropout, train, rng, live)
 
         causal = np.triu(np.full((t, t), NEG_INF), k=1)[None, None, :, :]
@@ -507,11 +508,12 @@ class IncrementalDecoder:
                 f"target length {self.length + 1} exceeds max_len {self.model.config.max_len}"
             )
         scale = math.sqrt(self.model.config.d_model)
+        pos = self.model.pos_encoding[self.length]
         with ad.no_grad():
             x = Tensor(np.concatenate(
-                [ad.embedding(head.embedding, group, scale).data for head, group in zip(self.heads, ids)]
+                [ad.embedding(head.embedding, group, scale, positions=pos).data
+                 for head, group in zip(self.heads, ids)]
             ))
-            x = x + Tensor(self.model.pos_encoding[self.length])
             for i, layer in enumerate(self.model.layers):
                 x, self.keys[i], self.values[i] = layer.step(
                     x, self.keys[i], self.values[i], *self.memory[i]

@@ -2,10 +2,10 @@
 code: a literal transcription of the CIDEr-D formula, the caption-by-caption
 dictionary CIDEr-D scorer that the array scorer must match bit for bit,
 exhaustive constrained sequence search, an object-per-hypothesis beam search,
-central finite differences, the softmax, log-softmax, LayerNorm, GELU and multi-head
-attention spelled out as chains of separate steps with the chain rule run back
-through each step, and the label-smoothed loss as a dense coefficient array
-times the log-softmax. These deliberately share no code with the package paths
+central finite differences, the softmax, log-softmax, LayerNorm, dropout then
+add then LayerNorm, GELU and multi-head attention spelled out as chains of
+separate steps with the chain rule run back through each step, and the
+label-smoothed loss as a dense coefficient array times the log-softmax. These deliberately share no code with the package paths
 they verify.
 """
 
@@ -300,21 +300,23 @@ def reference_beam_search(
 
 
 def finite_difference_grads(loss_fn, params: dict, h: float = 1e-5) -> dict:
-    """Central finite differences of a scalar loss for each named array."""
+    """Central finite differences of a scalar loss for each named array.
+    Entries are stepped in place through their own indices, so an array of
+    any memory layout (a strided view included) is perturbed, not a copy."""
     grads = {}
     for name, p in params.items():
-        flat = p.data.reshape(-1)
-        out = np.zeros_like(flat)
-        for i in range(flat.size):
-            orig = flat[i]
+        data = p.data
+        out = np.zeros(data.shape)
+        for idx in np.ndindex(data.shape):
+            orig = data[idx]
             step = h * max(1.0, abs(orig))
-            flat[i] = orig + step
+            data[idx] = orig + step
             lp = loss_fn()
-            flat[i] = orig - step
+            data[idx] = orig - step
             lm = loss_fn()
-            flat[i] = orig
-            out[i] = (lp - lm) / (2.0 * step)
-        grads[name] = out.reshape(p.data.shape)
+            data[idx] = orig
+            out[idx] = (lp - lm) / (2.0 * step)
+        grads[name] = out
     return grads
 
 
@@ -363,6 +365,24 @@ def composed_layer_norm(
     g_centered = g_scaled * scale + 2.0 * centered * g_var / d
     g_x = g_centered - g_centered.sum(axis=-1, keepdims=True) / d
     return out, g_x, g_gain, g_bias
+
+
+def composed_add_norm(
+    x: np.ndarray,
+    h: np.ndarray,
+    multipliers: np.ndarray | None,
+    gain: np.ndarray,
+    bias: np.ndarray,
+    eps: float,
+    g: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Value and (x, h, gain, bias) gradients of LayerNorm(x + h * multipliers),
+    the float dropout multipliers (or none) applied first, then the addition,
+    then the LayerNorm chain above."""
+    dropped = h if multipliers is None else h * multipliers
+    out, g_sum, g_gain, g_bias = composed_layer_norm(x + dropped, gain, bias, eps, g)
+    g_h = g_sum if multipliers is None else g_sum * multipliers
+    return out, g_sum, g_h, g_gain, g_bias
 
 
 def composed_gelu(x: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -121,21 +121,19 @@ def test_criterion_3_gradient_checks():
     ids = np.array([[1, 4, 5, 6], [1, 7, 8, 2]])
     targets = np.array([[4, 5, 6, 2], [7, 8, 2, 0]])
 
-    def loss_value():
-        l_en = model.forward(audio, ids, Language.EN, mode="eval")
-        l_fr = model.forward(audio, ids, Language.FR, mode="eval")
-        return (
-            smoothed_cross_entropy(l_en, targets, 0.1, 0)
-            + smoothed_cross_entropy(l_fr, targets, 0.1, 0)
-        )
+    def losses():
+        return [
+            smoothed_cross_entropy(model.forward(audio, ids, lang, mode="eval"), targets, 0.1, 0)
+            for lang in (Language.EN, Language.FR)
+        ]
 
     params = model.named_parameters()
-    loss = loss_value()
-    loss.backward()
+    for loss in losses():  # the trunk's gradients add up over both
+        loss.backward()
     analytic = {n: p.grad.copy() for n, p in params.items()}
     for p in params.values():
         p.grad = None
-    numeric = finite_difference_grads(lambda: loss_value().item(), params)
+    numeric = finite_difference_grads(lambda: sum(loss.item() for loss in losses()), params)
     errors = {n: relative_error(analytic[n], numeric[n]) for n in params}
     elapsed = time.monotonic() - t0
 

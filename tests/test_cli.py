@@ -439,6 +439,30 @@ class TestEvalToyIdentity:
                 "line 5: caption must be a string",
             ]
 
+    def test_repeated_caption_line_exit_2_names_both_lines(self, tmp_path, capsys):
+        # a second caption for one (audio_id, language) would silently
+        # replace the first, so eval would score one and drop the other
+        manifest, _ = write_corpus(tmp_path)
+        rows = [
+            {"audio_id": "train00", "language": "en", "caption": "enm0 enfa"},
+            {"audio_id": "train00", "language": "de", "caption": "dem0 defa"},
+            {"audio_id": "train01", "language": "en", "caption": "enm1 enfa"},
+            {"audio_id": "train00", "language": "EN", "caption": "enm0 enfb"},
+        ]
+        captions_path = tmp_path / "captions.jsonl"
+        captions_path.write_text("\n".join(json.dumps(r) for r in rows) + "\n", "utf-8")
+        code = main([
+            "eval", "--captions", str(captions_path), "--manifest", str(manifest),
+            "--split", "train", "--out", str(tmp_path / "e"),
+        ])
+        assert code == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "ValidationError"
+        assert payload["items"] == [
+            "line 4: audio_id 'train00' in en repeats line 1"
+        ]
+        assert not (tmp_path / "e").exists()
+
 
 class TestParams:
     def test_default_vocab_sizes_table(self, tmp_path, capsys):

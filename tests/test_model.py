@@ -112,6 +112,16 @@ class TestForward:
         ).data
         assert np.array_equal(plain, mixed)
 
+    def test_mix_keeps_the_bits_of_both_inline_forms(self):
+        # the audio and the token embeddings were once mixed by two inline
+        # expressions; multiplication commutes, so the one mix has both's bits
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(4, 3, 6)) * 100.0
+        draw = MixupDraw(lam=0.37, partner=np.array([2, 0, 3, 1]))
+        mixed = draw.mix(x)
+        assert np.array_equal(mixed, draw.lam * x + (1.0 - draw.lam) * x[draw.partner])
+        assert np.array_equal(mixed, x * draw.lam + x[draw.partner] * (1.0 - draw.lam))
+
 
 class TestTrunkSharing:
     def test_multilingual_step_leaves_other_heads_untouched(self):
@@ -156,21 +166,19 @@ class TestGradients:
         ids = np.array([[1, 4, 5, 6], [1, 7, 8, 2]])
         targets = np.array([[4, 5, 6, 2], [7, 8, 2, 0]])
 
-        def loss_value():
-            l_en = model.forward(audio, ids, Language.EN, mode="eval")
-            l_fr = model.forward(audio, ids, Language.FR, mode="eval")
-            return (
-                smoothed_cross_entropy(l_en, targets, 0.1, 0)
-                + smoothed_cross_entropy(l_fr, targets, 0.1, 0)
-            )
+        def losses():
+            return [
+                smoothed_cross_entropy(model.forward(audio, ids, lang, mode="eval"), targets, 0.1, 0)
+                for lang in (Language.EN, Language.FR)
+            ]
 
         params = model.named_parameters()
-        loss = loss_value()
-        loss.backward()
+        for loss in losses():  # the trunk's gradients add up over both
+            loss.backward()
         analytic = {n: p.grad.copy() for n, p in params.items()}
         for p in params.values():
             p.grad = None
-        numeric = finite_difference_grads(lambda: loss_value().item(), params)
+        numeric = finite_difference_grads(lambda: sum(loss.item() for loss in losses()), params)
         worst = {n: relative_error(analytic[n], numeric[n]) for n in params}
         offenders = {n: e for n, e in worst.items() if e >= 1e-4}
         assert not offenders, offenders

@@ -408,6 +408,35 @@ class TestEpochLoop:
             Trainer(model, index, TrainConfig(epochs=1, specaug=None, mixup_alpha=0.0))
 
 
+class TestGraphSize:
+    def test_one_train_step_builds_a_pinned_graph(self, monkeypatch):
+        # the tensors one update's loss reaches: 57 parameters of a two-layer
+        # model and one language head, plus the loss, the classifier, the
+        # token node and its dropout, three front-end nodes and 17 nodes per
+        # layer. Dropout and mixup are on; a primitive composed again from
+        # elementwise nodes grows this
+        sizes = []
+        backward = Tensor.backward
+
+        def counting_backward(loss):
+            seen, stack = {id(loss)}, [loss]
+            while stack:
+                for parent in stack.pop()._parents:
+                    if id(parent) not in seen:
+                        seen.add(id(parent))
+                        stack.append(parent)
+            sizes.append(len(seen))
+            backward(loss)
+
+        monkeypatch.setattr(Tensor, "backward", counting_backward)
+        index, vocabs = synthetic_corpus([Language.EN], n_items=4)
+        cfg = tiny_model_config(d_in=16, n_layers=2, trunk_dropout=0.1, frontend_dropout=0.2)
+        model = MultilingualModel(cfg, vocabs, seed=1)
+        trainer = Trainer(model, index, TrainConfig(epochs=1, mixup_alpha=0.4, batch_size=4, seed=2))
+        trainer._train_batch(Language.EN, list(index.audio_ids), 1e-3)
+        assert sizes == [98]
+
+
 class TestNonFiniteLoss:
     def test_inf_weights_raise_before_any_update(self):
         trainer, index = make_trainer([Language.EN, Language.FR], n_items=4)
