@@ -3,8 +3,10 @@
 Just enough machinery to train a transformer decoder, one node per layer with
 a closed-form gradient and no generic arithmetic operator: the scaled, mixed
 and position-encoded token lookup, ReLU, GELU, a `Linear` layer, multi-head
-attention, inverted dropout over a boolean keep-mask, the post-norm residual
-LayerNorm(x + dropout(h)) and the label-smoothed cross-entropy loss.
+attention, the post-norm residual LayerNorm(x + dropout(h)) and the
+label-smoothed cross-entropy loss. Dropout is no node of its own: the lookup,
+ReLU, GELU, attention and Add & Norm take a boolean keep-mask and a rate and
+apply inverted dropout (`drop`) inside the node that makes the activation.
 Attention and the token lookup also take a mask of the live positions of a
 padded batch, so the row-wise nodes between them can run on those rows only.
 Everything runs in 64-bit so finite-difference gradient checks are
@@ -132,28 +134,7 @@ class Tensor:
 # -- pointwise functions ---------------------------------------------
 
 
-def relu(t: Tensor) -> Tensor:
-    mask = t.data > 0
-
-    def backward(g):
-        t._accumulate(g * mask)
-
-    return Tensor._make(np.where(mask, t.data, 0.0), (t,), backward)
-
-
-def gelu(t: Tensor) -> Tensor:
-    """Exact GELU: x * Phi(x) with the Gaussian CDF via erf."""
-    x = t.data
-    cdf2 = sp_special.erf(x / math.sqrt(2.0)) + 1.0  # 2 * Phi(x)
-
-    def backward(g):
-        # d/dx x*Phi(x) = Phi(x) + x * phi(x), phi the standard normal density
-        t._accumulate(g * (cdf2 * 0.5 + x * np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)))
-
-    return Tensor._make(x * cdf2 * 0.5, (t,), backward)
-
-
-def _drop(a: np.ndarray, keep: np.ndarray | None, p: float) -> np.ndarray:
+def drop(a: np.ndarray, keep: np.ndarray | None, p: float) -> np.ndarray:
     """Inverted dropout of an array: a * keep, then * 1/(1-p), a fresh array
     with the bits of one multiply by the float multipliers (1/(1-p) or 0),
     without making them. `a` itself when keep is None."""
@@ -164,14 +145,28 @@ def _drop(a: np.ndarray, keep: np.ndarray | None, p: float) -> np.ndarray:
     return out
 
 
-def dropout(t: Tensor, keep: np.ndarray, p: float) -> Tensor:
-    """Inverted dropout with a drawn boolean keep-mask; the node stores only
-    the mask."""
+def relu(t: Tensor, keep: np.ndarray | None = None, p: float = 0.0) -> Tensor:
+    """max(x, 0), then dropped out with the boolean keep-mask `keep` at rate
+    p (None: no dropout)."""
+    mask = t.data > 0
 
     def backward(g):
-        t._accumulate(_drop(g, keep, p))
+        t._accumulate(drop(g, keep, p) * mask)
 
-    return Tensor._make(_drop(t.data, keep, p), (t,), backward)
+    return Tensor._make(drop(np.where(mask, t.data, 0.0), keep, p), (t,), backward)
+
+
+def gelu(t: Tensor, keep: np.ndarray | None = None, p: float = 0.0) -> Tensor:
+    """Exact GELU: x * Phi(x) with the Gaussian CDF via erf, then dropped out
+    as in `relu`."""
+    x = t.data
+    cdf2 = sp_special.erf(x / math.sqrt(2.0)) + 1.0  # 2 * Phi(x)
+
+    def backward(g):
+        # d/dx x*Phi(x) = Phi(x) + x * phi(x), phi the standard normal density
+        t._accumulate(drop(g, keep, p) * (cdf2 * 0.5 + x * np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)))
+
+    return Tensor._make(drop(x * cdf2 * 0.5, keep, p), (t,), backward)
 
 
 def add_norm(x: Tensor, h: Tensor, keep, p: float, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
@@ -180,7 +175,7 @@ def add_norm(x: Tensor, h: Tensor, keep, p: float, gain: Tensor, bias: Tensor, e
     by `bias`. `keep` is dropout's boolean keep-mask at rate `p`, or None for
     no dropout. The backward runs the LayerNorm backward once: x gets that
     gradient, and h gets it through the dropout."""
-    summed = x.data + _drop(h.data, keep, p)
+    summed = x.data + drop(h.data, keep, p)
     centered = summed - summed.mean(axis=-1, keepdims=True)
     inv_std = ((centered * centered).mean(axis=-1, keepdims=True) + eps) ** -0.5
     normed = centered * inv_std
@@ -197,7 +192,7 @@ def add_norm(x: Tensor, h: Tensor, keep, p: float, gain: Tensor, bias: Tensor, e
         np.subtract(g_normed, grad, out=grad)
         grad *= inv_std
         if h.requires_grad:  # a copy when no dropout multiply makes a fresh array
-            h._accumulate(grad.copy() if keep is None else _drop(grad, keep, p))
+            h._accumulate(grad.copy() if keep is None else drop(grad, keep, p))
         if x.requires_grad:
             x._accumulate(grad)
 
@@ -324,14 +319,14 @@ def attention(
         scores += additive_mask
     probs = np.exp(scores - scores.max(axis=-1, keepdims=True))
     probs /= probs.sum(axis=-1, keepdims=True)
-    weights = _drop(probs, keep, p_drop)
+    weights = drop(probs, keep, p_drop)
 
     def backward(g):
         g_heads = split(pad(g, packed[0]))
         if v.requires_grad:
             g_values = _unbroadcast(weights.swapaxes(-1, -2) @ g_heads, vh.shape)
             v._accumulate(merge(g_values, v.shape, packed[2]))
-        g_scores = _drop(g_heads @ vh.swapaxes(-1, -2), keep, p_drop)
+        g_scores = drop(g_heads @ vh.swapaxes(-1, -2), keep, p_drop)
         g_scores *= probs
         g_scores -= probs * g_scores.sum(axis=-1, keepdims=True)
         g_scores *= scale
@@ -348,7 +343,7 @@ def attention(
 
 
 def embedding(
-    weight: Tensor, ids: np.ndarray, scale: float = 1.0, mixup=None, live=None, positions=None
+    weight: Tensor, ids: np.ndarray, scale: float = 1.0, mixup=None, live=None, positions=None, keep=None, p=0.0
 ) -> Tensor:
     """Row lookup, scaled, mixed and position-encoded: out[...] =
     weight[ids[...]] * scale + positions.
@@ -357,7 +352,9 @@ def embedding(
     leading axis, mixes the scaled rows (`mixup.mix`) before the constant
     `positions`, broadcast to the rows' shape, are added. `live`, a boolean
     mask over ids' shape, keeps only the rows where it is True (row-major);
-    the backward scatters their gradients back.
+    the backward scatters their gradients back. The output is then dropped
+    out with the boolean keep-mask `keep`, shaped like it, at rate p (None:
+    no dropout).
     """
     ids = np.asarray(ids)
     out_data = weight.data[ids] * scale
@@ -369,6 +366,7 @@ def embedding(
         out_data = out_data[live]
 
     def backward(g):
+        g = drop(g, keep, p)
         if live is not None:
             g_full = np.zeros(ids.shape + g.shape[-1:])
             g_full[live] = g
@@ -381,4 +379,4 @@ def embedding(
         np.add.at(full, ids.reshape(-1), (g * scale).reshape(-1, weight.data.shape[1]))
         weight._accumulate(full)
 
-    return Tensor._make(out_data, (weight,), backward)
+    return Tensor._make(drop(out_data, keep, p), (weight,), backward)

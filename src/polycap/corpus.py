@@ -196,6 +196,7 @@ def load_manifests(path: str | Path) -> dict[str, CaptionManifest]:
     """
     path = Path(path)
     per_split: dict[str, dict[str, dict[Language, tuple[str, ...]]]] = {}
+    first_line: dict[tuple[str, str], int] = {}
     problems: list[str] = []
     for lineno, obj in jsonl_objects(path, "manifest", problems):
         audio_id = obj.get("audio_id")
@@ -221,12 +222,14 @@ def load_manifests(path: str | Path) -> dict[str, CaptionManifest]:
                 problems.append(f"line {lineno}: captions[{code}] must be a non-empty list of strings")
                 continue
             entry[lang] = tuple(caps)
-        bucket = per_split.setdefault(split, {})
-        if audio_id in bucket:
-            problems.append(f"line {lineno}: duplicate audio_id {audio_id!r} in split {split!r}")
+        first = first_line.setdefault((split, audio_id), lineno)
+        if first != lineno:
+            problems.append(
+                f"line {lineno}: duplicate audio_id {audio_id!r} in split {split!r} repeats line {first}"
+            )
             continue
         if entry:
-            bucket[audio_id] = entry
+            per_split.setdefault(split, {})[audio_id] = entry
     if problems:
         raise ValidationError(f"manifest {path} failed validation", items=problems)
     return {split: CaptionManifest(split=split, entries=entries) for split, entries in per_split.items()}

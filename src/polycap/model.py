@@ -148,14 +148,6 @@ def _keep_mask(
     return (rng.random(live.shape + shape[-1:]) >= p)[live]
 
 
-def _dropout(
-    x: Tensor, p: float, train: bool, rng: np.random.Generator | None, live: np.ndarray | None = None
-) -> Tensor:
-    """Dropout of x; `live` as in `_keep_mask`."""
-    keep = _keep_mask(x.shape, p, train, rng, live)
-    return x if keep is None else ad.dropout(x, keep, p)
-
-
 def live_positions(lengths: np.ndarray, width: int) -> np.ndarray:
     """(b, width) boolean mask of each row's first lengths[row] positions."""
     lengths = np.asarray(lengths)
@@ -242,7 +234,8 @@ class DecoderLayer:
         x = self.norm1(x, h, _keep_mask(h.shape, self.p_drop, train, rng, live), self.p_drop)
         h = self.cross_attn(x, memory, memory_mask, train, rng, live)
         x = self.norm2(x, h, _keep_mask(h.shape, self.p_drop, train, rng, live), self.p_drop)
-        h = self.w2(_dropout(ad.gelu(self.w1(x)), self.p_drop, train, rng, live))
+        h = self.w1(x)
+        h = self.w2(ad.gelu(h, _keep_mask(h.shape, self.p_drop, train, rng, live), self.p_drop))
         return self.norm3(x, h, _keep_mask(h.shape, self.p_drop, train, rng, live), self.p_drop)
 
     def step(self, x, keys, values, memory_keys, memory_values):
@@ -379,13 +372,13 @@ class MultilingualModel:
     def encode_audio(
         self, audio: np.ndarray, train: bool, rng: np.random.Generator | None
     ) -> Tensor:
-        """Project raw audio embeddings through the dropout/dense/ReLU front-end."""
-        x = Tensor(np.asarray(audio, dtype=np.float64))
+        """Project raw audio embeddings through the dropout/dense/ReLU/dropout
+        front-end. No gradient reaches the audio, so its dropout is a plain
+        array multiply outside the graph."""
+        audio = np.asarray(audio, dtype=np.float64)
         p = self.config.frontend_dropout
-        x = _dropout(x, p, train, rng)
-        x = ad.relu(self.frontend(x))
-        x = _dropout(x, p, train, rng)
-        return x
+        x = self.frontend(Tensor(ad.drop(audio, _keep_mask(audio.shape, p, train, rng), p)))
+        return ad.relu(x, _keep_mask(x.shape, p, train, rng), p)
 
     def forward(
         self,
@@ -441,8 +434,9 @@ class MultilingualModel:
         memory = self.encode_audio(audio, train, rng)
 
         scale = math.sqrt(self.config.d_model)
-        x = ad.embedding(head.embedding, target_ids, scale, mixup, live, self.pos_encoding[:t])
-        x = _dropout(x, self.config.trunk_dropout, train, rng, live)
+        p = self.config.trunk_dropout
+        keep = _keep_mask((b, t, self.config.d_model), p, train, rng, live)
+        x = ad.embedding(head.embedding, target_ids, scale, mixup, live, self.pos_encoding[:t], keep, p)
 
         causal = np.triu(np.full((t, t), NEG_INF), k=1)[None, None, :, :]
         memory_mask = None

@@ -59,7 +59,6 @@ class TrainConfig:
     seed: int = 0
     adam_betas: tuple[float, float] = (0.9, 0.999)
     adam_eps: float = 1e-8
-    val_caption_mode: str = "first"  # "first" or "sample"
 
     def __post_init__(self):
         problems = []
@@ -87,8 +86,6 @@ class TrainConfig:
             for name, value in asdict(self.specaug).items():
                 if not is_integer(value) or value < 0:
                     problems.append(f"specaug.{name}={value!r} must be an integer >= 0")
-        if self.val_caption_mode not in ("first", "sample"):
-            problems.append(f"bad val_caption_mode {self.val_caption_mode!r}")
         if problems:
             raise ValidationError("bad training config", items=problems)
 
@@ -468,21 +465,15 @@ class Trainer:
         )
 
     def evaluate_loss(self, corpus: CorpusIndex) -> float:
-        """Mean eval-mode loss over a corpus (no updates, no augmentation)."""
+        """Mean eval-mode loss over a corpus (no updates, no augmentation),
+        each audio scored against its first caption."""
         losses = []
-        rng_val = np.random.default_rng(self.cfg.seed)  # only used in "sample" mode
         for language in corpus.languages:
             vocab = self.model.vocab(language)
             ids_all = list(corpus.audio_ids)
             for i in range(0, len(ids_all), self.cfg.batch_size):
                 chunk = ids_all[i : i + self.cfg.batch_size]
-                caps = []
-                for a in chunk:
-                    record = corpus.manifest.record(a, language)
-                    if self.cfg.val_caption_mode == "sample":
-                        caps.append(sample_caption(record, rng_val))
-                    else:
-                        caps.append(record.captions[0])
+                caps = [corpus.manifest.record(a, language).captions[0] for a in chunk]
                 ids = self._encode_captions(caps, language)
                 audio, frame_mask, _ = _pad_audio([corpus.embeddings[a] for a in chunk])
                 lengths = loss_lengths(ids[:, 1:], vocab.pad_id)

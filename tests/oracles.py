@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 from scipy import special
@@ -392,6 +392,22 @@ def composed_gelu(x: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     out = x * cdf2 * 0.5
     g_u = g * x * 0.5 * (2.0 / math.sqrt(math.pi)) * np.exp(-u * u)
     return out, g * cdf2 * 0.5 + g_u / math.sqrt(2.0)
+
+
+def composed_dropout(
+    activation: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    keep: np.ndarray,
+    p: float,
+    g: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Value and input gradient of an activation followed by inverted
+    dropout: the activation's value, then * keep, then * 1/(1-p). The output
+    gradient `g` takes the same two multiplies on its way back, then the
+    activation's own backward. `activation` maps an output gradient to the
+    activation's value and its input gradient."""
+    scale = 1.0 / (1.0 - p)
+    value, grad = activation(g * keep * scale)
+    return value * keep * scale, grad
 
 
 def composed_attention(

@@ -110,17 +110,19 @@ class TestBasicOps:
         live = np.array([[True, True, False], [True, False, False], [True, True, True]])
         g = rng.normal(size=(int(live.sum()), 4))
         positions = rng.normal(size=(3, 4))  # constants: no gradient
+        for keep in (None, rng.random(g.shape) >= 0.4):  # dropout over the live rows
 
-        def loss():
-            return weighted_sum(ad.embedding(w, ids, 1.5, mixup, live, positions), g)
+            def loss():
+                return weighted_sum(ad.embedding(w, ids, 1.5, mixup, live, positions, keep, 0.4), g)
 
-        check_grads(loss, {"w": w})
+            check_grads(loss, {"w": w})
 
 
 class TestFusedNodes:
-    """GELU, dropout, Add & Norm, Linear and attention are one node each with
-    a closed-form gradient; they match finite differences and the old chains
-    of elementwise nodes (tests/oracles.py)."""
+    """ReLU, GELU, the token lookup, Add & Norm, Linear and attention are one
+    node each with a closed-form gradient, dropout included; they match
+    finite differences and the old chains of elementwise nodes
+    (tests/oracles.py)."""
 
     def test_one_node_each(self):
         rng = np.random.default_rng(20)
@@ -133,11 +135,12 @@ class TestFusedNodes:
         mask = np.triu(np.full((3, 5), -1e9), k=1)
         keep = rng.random((2, 2, 3, 5)) >= 0.5
         for out in (
-            ad.gelu(x),
+            ad.relu(x, keep[0, :, :, :4], 0.5),
+            ad.gelu(x, keep[0, :, :, :4], 0.5),
+            ad.embedding(weight, np.array([[0, 3, 3], [1, 2, 0]]), keep=keep[0, :, :, :4], p=0.5),
             ad.add_norm(x, h, keep[0, :, :, :4], 0.5, gain, bias, 1e-5),
             ad.linear(x, weight, bias),
             ad.attention(x, k, k, 2, mask, keep, 0.5),
-            ad.dropout(x, keep[0, :, :, :4], 0.5),
         ):
             assert all(p._parents == () for p in out._parents)
 
@@ -170,45 +173,67 @@ class TestFusedNodes:
         # the first query sees only the first key: masked weights are exactly 0
         assert np.array_equal(ad.attention(q, k, v, 2, mask).data[:, 0], v.data[:, 0])
 
-    def test_dropout_gradients(self):
+    @staticmethod
+    def _dropped_node(name: str, data: np.ndarray, rng):
+        """A leaf holding the 2-D `data` and the node `name` over it, as a
+        function of dropout's keep-mask and rate. The node's output is shaped
+        like `data`: the lookup reads one row per weight row, some twice."""
+        leaf = Tensor(data, requires_grad=True)
+        if name == "embedding":
+            ids = rng.integers(0, len(data), size=len(data))
+            return leaf, lambda keep=None, p=0.0: ad.embedding(leaf, ids, 1.5, keep=keep, p=p)
+        return leaf, lambda keep=None, p=0.0: getattr(ad, name)(leaf, keep, p)
+
+    @pytest.mark.parametrize("name", ["relu", "gelu", "embedding"])
+    def test_dropout_gradients(self, name):
         rng = np.random.default_rng(26)
-        x = Tensor(rng.normal(size=(2, 3, 5)), requires_grad=True)
-        keep = rng.random((2, 3, 5)) >= 0.3
-        w = rng.normal(size=(2, 3, 5))
+        # ReLU's kink stays farther from every entry than the finite-difference step
+        data = rng.uniform(0.2, 2.0, size=(6, 5)) * rng.choice([-1.0, 1.0], size=(6, 5))
+        leaf, node = self._dropped_node(name, data, rng)
+        keep = rng.random(data.shape) >= 0.3
+        w = rng.normal(size=data.shape)
 
         def loss():
-            return weighted_sum(ad.dropout(x, keep, 0.3), w)
+            return weighted_sum(node(keep, 0.3), w)
 
-        check_grads(loss, {"x": x})
+        check_grads(loss, {name: leaf})
 
-    def test_dropout_equals_float_multipliers_bit_for_bit(self):
-        # a kept entry is scaled by 1/(1-p), as multiplying by keep / (1-p) does
+    @pytest.mark.parametrize("name", ["relu", "gelu", "embedding"])
+    def test_dropout_equals_composition_bit_for_bit(self, name):
+        # the node with a keep-mask has the bits of the node without one,
+        # then * keep, then * 1/(1-p); the gradient is dropped the same way
+        # before the node's own backward
         rng = np.random.default_rng(27)
-        x = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
+        leaf, node = self._dropped_node(name, rng.normal(size=(4, 6)), rng)
         g = rng.normal(size=(4, 6))
+
+        def activation(g_out):
+            out, (grad,) = self._forward_and_grads(node, leaf, g=g_out)
+            return out, grad
+
         for p in (0.1, 0.2, 0.5):
             keep = rng.random((4, 6)) >= p
-            x.grad = None
-            out = ad.dropout(x, keep, p)
-            weighted_sum(out, g).backward()
-            assert np.array_equal(out.data, x.data * (keep / (1.0 - p)))
-            assert np.array_equal(x.grad, g * (keep / (1.0 - p)))
+            out, (grad,) = self._forward_and_grads(lambda: node(keep, p), leaf, g=g)
+            want_out, want_grad = oracles.composed_dropout(activation, keep, p, g)
+            assert np.array_equal(out, want_out)
+            assert np.array_equal(grad, want_grad)
 
-    def test_dropout_multiply_keeps_special_value_bits(self):
+    @pytest.mark.parametrize("name", ["relu", "gelu", "embedding"])
+    def test_dropout_multiply_keeps_special_value_bits(self, name):
         # x * keep, then * 1/(1-p), has the bits of x * where(keep, 1/(1-p), 0),
         # signed zeros, infinities and NaNs included, forward and backward
         specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -2.5, 1e308, -1e-310])
-        x_data = np.repeat(specials, 2)
-        keep = np.tile([True, False], len(specials))
-        g = x_data[::-1].copy()
+        data = np.repeat(specials, 2).reshape(10, 2)
+        keep = np.tile([True, False], (10, 1))
+        g = data[::-1].copy()
         with np.errstate(all="ignore"):
             for p in (0.1, 0.2, 0.5):
                 multipliers = np.where(keep, 1.0 / (1.0 - p), 0.0)
-                x = Tensor(x_data, requires_grad=True)
-                out = ad.dropout(x, keep, p)
-                weighted_sum(out, g).backward()
-                assert np.array_equal(out.data.view(np.int64), (x_data * multipliers).view(np.int64))
-                assert np.array_equal(x.grad.view(np.int64), (g * multipliers).view(np.int64))
+                leaf, node = self._dropped_node(name, data.copy(), np.random.default_rng(28))
+                plain, (plain_grad,) = self._forward_and_grads(node, leaf, g=g * multipliers)
+                out, (grad,) = self._forward_and_grads(lambda: node(keep, p), leaf, g=g)
+                assert np.array_equal(out.view(np.int64), (plain * multipliers).view(np.int64))
+                assert np.array_equal(grad.view(np.int64), plain_grad.view(np.int64))
 
     def test_gelu_gradients_around_zero(self):
         x = Tensor(np.linspace(-3.0, 3.0, 13).reshape(1, 13), requires_grad=True)

@@ -383,6 +383,21 @@ class TestTrainCaptionEval:
         payload = json.loads(capsys.readouterr().err)
         assert "weight_dekay" in payload["message"]
 
+    def test_val_caption_mode_is_an_unknown_key(self, tmp_path, capsys):
+        # the validation loss always scores each audio's first caption; the
+        # option that once chose another is gone, and a config naming it fails
+        manifest, emb_dir = write_corpus(tmp_path)
+        config_path = write_train_config(tmp_path, manifest, emb_dir)
+        config = json.loads(config_path.read_text())
+        config["train"]["val_caption_mode"] = "first"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["train", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "ValidationError"
+        assert payload["message"].startswith("bad training config")
+        assert "val_caption_mode" in payload["message"]
+        assert not (tmp_path / "o").exists()
+
     def test_dim_mismatch_reported(self, tmp_path, capsys):
         manifest, emb_dir = write_corpus(tmp_path, d_in=8)
         config_path = write_train_config(tmp_path, manifest, emb_dir)

@@ -158,6 +158,27 @@ class TestManifest:
             load_manifests(path)
         assert any("duplicate" in item for item in err.value.items)
 
+    def test_duplicate_audio_id_names_the_first_line(self, tmp_path):
+        # each repeat names its own line and the line of the first record; the
+        # same id in another split is no repeat
+        path = tmp_path / "m.jsonl"
+        write_manifest(
+            path,
+            [
+                {"audio_id": "a", "split": "train", "captions": {"en": ["x"]}},
+                {"audio_id": "b", "split": "train", "captions": {"en": ["y"]}},
+                {"audio_id": "a", "split": "test", "captions": {"en": ["z"]}},
+                {"audio_id": "a", "split": "train", "captions": {"en": ["w"]}},
+                {"audio_id": "b", "split": "train", "captions": {"en": ["v"]}},
+            ],
+        )
+        with pytest.raises(ValidationError) as err:
+            load_manifests(path)
+        assert err.value.items == [
+            "line 4: duplicate audio_id 'a' in split 'train' repeats line 1",
+            "line 5: duplicate audio_id 'b' in split 'train' repeats line 2",
+        ]
+
     def test_unknown_language_rejected(self, tmp_path):
         path = tmp_path / "m.jsonl"
         write_manifest(path, [{"audio_id": "a", "split": "train", "captions": {"it": ["ciao"]}}])
