@@ -75,14 +75,24 @@ def write_run_manifest(
     _dump_json(manifest, out_dir / "run_manifest.json")
 
 
-def _parse_languages(spec: str) -> list[Language]:
-    codes = [c for c in (s.strip() for s in spec.split(",")) if c]
+def _code_list(spec: str) -> list[str]:
+    return [c for c in (s.strip() for s in spec.split(",")) if c]
+
+
+def _parse_languages(codes: list[str], source: str) -> list[Language]:
+    """The languages of `codes`, from the flag or config named by `source`.
+    Every unknown code and every repeated language is one error item."""
     if not codes:
-        raise ValidationError("empty language list")
-    languages = [Language.parse(c) for c in codes]
-    repeated = repeated_languages(languages)
-    if repeated:
-        raise ValidationError(f"language list {spec!r} repeats a language", items=repeated)
+        raise ValidationError(f"{source}: empty language list")
+    languages, problems = [], []
+    for code in codes:
+        try:
+            languages.append(Language.parse(code))
+        except ValidationError as exc:
+            problems.append(exc.message)
+    problems += repeated_languages(languages)
+    if problems:
+        raise ValidationError(f"{source}: bad language list", items=problems)
     return languages
 
 
@@ -103,7 +113,7 @@ def _build_vocabularies(
 
 
 def cmd_prepare(args) -> int:
-    languages = _parse_languages(args.languages)
+    languages = _parse_languages(args.languages, "--languages")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     index = corpus_mod.CorpusIndex.from_paths(args.manifest, args.embeddings_dir, args.split, languages)
@@ -132,7 +142,7 @@ def cmd_prepare(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    languages = _parse_languages(args.languages)
+    languages = _parse_languages(args.languages, "--languages")
     manifests = corpus_mod.load_manifests(args.manifest)
     rows = [corpus_mod.compute_stats(manifests, lang, args.split) for lang in languages]
     print(f"{'lang':<6}{'split':<8}{'sent.length':>12}{'word types':>12}{'captions':>10}")
@@ -202,12 +212,7 @@ def cmd_train(args) -> int:
     data = doc["data"]
     manifest_path = (base / data["manifest"]).resolve()
     embeddings_dir = (base / data["embeddings_dir"]).resolve()
-    languages = [Language.parse(c) for c in doc["languages"]]
-    if not languages:
-        raise ValidationError("config declares an empty language list")
-    repeated = repeated_languages(languages)
-    if repeated:
-        raise ValidationError(f"config {config_path} repeats a language", items=repeated)
+    languages = _parse_languages(doc["languages"], f"config {config_path}")
 
     train_cfg = training.TrainConfig.from_dict(doc.get("train", {}))
     if args.seed is not None:
@@ -254,7 +259,9 @@ def cmd_caption(args) -> int:
         beam_size=args.beam_size, max_len=args.max_len, length_norm=args.length_norm
     )
     model = model_mod.load_checkpoint(args.checkpoint)
-    languages = _parse_languages(args.languages) if args.languages else list(model.languages)
+    languages = list(model.languages)
+    if args.languages is not None:
+        languages = _parse_languages(args.languages, "--languages")
     embeddings_dir = Path(args.embeddings_dir)
     if args.manifest:
         audio_ids = list(corpus_mod.load_split(args.manifest, args.split).audio_ids)
@@ -272,7 +279,7 @@ def cmd_caption(args) -> int:
         audio_ids = sorted(p.stem for p in embeddings_dir.glob("*.aemb"))
     if not audio_ids:
         raise ValidationError(f"no embeddings to caption in {embeddings_dir}")
-    stopwords = {lang: load_stopwords(lang) for lang in languages}
+    stopwords = {lang: load_stopwords(lang).words for lang in languages}
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -467,7 +474,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prepare", help="validate a corpus and build vocabularies")
     p.add_argument("--manifest", required=True)
     p.add_argument("--embeddings-dir", required=True)
-    p.add_argument("--languages", required=True, help="comma-separated codes, e.g. en,fr,es,de")
+    p.add_argument(
+        "--languages", type=_code_list, required=True, help="comma-separated codes, e.g. en,fr,es,de"
+    )
     p.add_argument("--split", default="train")
     p.add_argument("--min-count", type=int, default=1)
     p.add_argument("--out", required=True)
@@ -475,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="corpus statistics per language")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--languages", required=True)
+    p.add_argument("--languages", type=_code_list, required=True)
     p.add_argument("--split", default="train")
     p.add_argument("--out")
     p.set_defaults(func=cmd_stats)
@@ -489,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("caption", help="decode captions with constrained beam search")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--embeddings-dir", required=True)
-    p.add_argument("--languages")
+    p.add_argument("--languages", type=_code_list)
     p.add_argument("--manifest")
     p.add_argument("--split", default="test")
     p.add_argument("--beam-size", type=int, default=4)

@@ -23,7 +23,7 @@ import numpy as np
 
 from polycap.errors import ValidationError, is_finite, is_integer
 from polycap.model import IncrementalDecoder, MultilingualModel
-from polycap.text import Language, StopwordList, Vocabulary
+from polycap.text import Language, Vocabulary
 
 # step function: (k, t) int prefix matrix -> (k, vocab) log-probability rows
 StepFn = Callable[[np.ndarray], np.ndarray]
@@ -94,8 +94,8 @@ class _Beam:
     and a (k, vocab) boolean ban of the non-stopword words each has used.
     Finished hypotheses go to a pool."""
 
-    def __init__(self, vocab: Vocabulary, stopwords: StopwordList | frozenset[str] | None):
-        stop_set = frozenset() if stopwords is None else frozenset(getattr(stopwords, "words", stopwords))
+    def __init__(self, vocab: Vocabulary, stopwords: frozenset[str] | None):
+        stop_set = stopwords or frozenset()
         self.vocab = vocab
         self.is_word = np.zeros(vocab.size, dtype=bool)
         self.is_word[np.asarray(vocab.word_ids, dtype=np.intp)] = True
@@ -142,7 +142,7 @@ class _Beam:
 def grouped_beam_search(
     step_fn: GroupStepFn,
     vocabs: Sequence[Vocabulary],
-    stopwords: Sequence[StopwordList | frozenset[str] | None],
+    stopwords: Sequence[frozenset[str] | None],
     cfg: DecodeConfig,
 ) -> list[DecodeResult]:
     """Best finished hypothesis of each of G independent searches, stepped
@@ -178,7 +178,7 @@ def grouped_beam_search(
 def beam_search(
     step_fn: StepFn,
     vocab: Vocabulary,
-    stopwords: StopwordList | frozenset[str] | None,
+    stopwords: frozenset[str] | None,
     cfg: DecodeConfig,
 ) -> DecodeResult:
     """Best finished hypothesis under the no-repeat constraint: the
@@ -202,9 +202,10 @@ def grouped_model_step_fn(
     through the shared trunk.
 
     Group g's rows equal the log-softmax of `MultilingualModel.forward` in
-    languages[g] on the same prefixes (eval mode). Each call gathers the
-    per-row cache by the given parents and computes only the new position,
-    the prefixes' last column. A group may have zero rows, but not all.
+    languages[g] on the same prefixes, without a dropout generator. Each
+    call gathers the per-row cache by the given parents and computes only
+    the new position, the prefixes' last column. A group may have zero rows,
+    but not all.
     """
     audio = np.asarray(audio, dtype=np.float64)
     if audio.ndim != 2 or audio.shape[1] != model.config.d_in:
@@ -224,7 +225,7 @@ def caption_clip(
     audio: np.ndarray,
     languages: Sequence[Language],
     cfg: DecodeConfig,
-    stopwords_by_language: Mapping[Language, StopwordList | frozenset[str] | None],
+    stopwords_by_language: Mapping[Language, frozenset[str] | None],
 ) -> list[DecodeResult]:
     """Decode one caption per language for one audio sequence; the languages
     are searched in lockstep through the shared trunk. A language missing
@@ -244,7 +245,7 @@ def caption_audio(
     audio: np.ndarray,
     language: Language,
     cfg: DecodeConfig,
-    stopwords: StopwordList | frozenset[str] | None,
+    stopwords: frozenset[str] | None,
 ) -> DecodeResult:
     """Decode one caption for one (audio, language) pair: the one-language
     `caption_clip`."""

@@ -56,7 +56,7 @@ class ModelConfig:
 
     def __post_init__(self):
         problems = []
-        dims = (("d_in", 1), ("d_model", 1), ("n_layers", 0), ("n_heads", 1), ("d_ff", 1), ("max_len", 1))
+        dims = (("d_in", 1), ("d_model", 1), ("n_layers", 0), ("n_heads", 1), ("d_ff", 1), ("max_len", 2))
         for name, low in dims:
             value = getattr(self, name)
             if not is_integer(value) or value < low:
@@ -133,16 +133,15 @@ class LayerNorm:
 
 
 def _keep_mask(
-    shape: tuple[int, ...], p: float, train: bool, rng: np.random.Generator | None, live=None
+    shape: tuple[int, ...], p: float, rng: np.random.Generator | None, live=None
 ) -> np.ndarray | None:
     """Boolean dropout keep-mask for an array of `shape`, True with
-    probability 1-p; None when dropout is off. With `live`, the array holds
-    the live rows of a padded batch: the mask is drawn at the padded shape,
-    so the draw does not depend on the packing, and then indexed."""
-    if not train or p <= 0.0:
+    probability 1-p. Dropout runs iff a generator is given: without `rng`, or
+    at p 0, the mask is None and nothing is drawn. With `live`, the array
+    holds the live rows of a padded batch: the mask is drawn at the padded
+    shape, so the draw does not depend on the packing, and then indexed."""
+    if rng is None or p <= 0.0:
         return None
-    if rng is None:
-        raise ValidationError("training-mode forward with dropout needs an RNG")
     if live is None:
         return rng.random(shape) >= p
     return (rng.random(live.shape + shape[-1:]) >= p)[live]
@@ -168,42 +167,30 @@ class MultiHeadAttention:
         self.wo = Linear(rng, d_model, d_model)
 
     def __call__(
-        self,
-        query: Tensor,
-        memory: Tensor,
-        additive_mask: np.ndarray | None,
-        train: bool,
-        rng: np.random.Generator | None,
-        live: np.ndarray | None = None,
+        self, query: Tensor, memory: Tensor, additive_mask: np.ndarray | None, rng, live=None
     ) -> Tensor:
-        return self.attend(query, *self.keys_values(memory), additive_mask, train, rng, live)
+        return self.attend(query, *self.keys_values(memory), additive_mask, rng, live)
 
     def keys_values(self, memory: Tensor) -> tuple[Tensor, Tensor]:
         """Projected keys and values of `memory`, (b, s, d_model) each."""
         return self.wk(memory), self.wv(memory)
 
     def attend(
-        self,
-        query: Tensor,
-        keys: Tensor,
-        values: Tensor,
-        additive_mask: np.ndarray | None,
-        train: bool,
-        rng: np.random.Generator | None,
-        live: np.ndarray | None = None,
+        self, query: Tensor, keys: Tensor, values: Tensor, additive_mask: np.ndarray | None, rng, live=None
     ) -> Tensor:
         """Scaled dot-product attention of `query`, (b, t, d_model) or flat
         (rows, d_model), over keys/values from `keys_values`; a leading axis
         of 1 on the keys/values broadcasts over the batch. With `live`, a
         (b, t) mask, flat query, key and value rows are the live positions of
-        a padded batch (see `autodiff.attention`)."""
+        a padded batch (see `autodiff.attention`). The dropout generator
+        `rng`, if given, draws the attention-weight keep-mask."""
         q = self.wq(query)
         if live is not None:
             b, t = live.shape
         else:
             b, t = q.shape[0], q.shape[1] if len(q.shape) == 3 else 1
         s = keys.shape[1] if len(keys.shape) == 3 else t  # flat keys: packed self-attention
-        keep = _keep_mask((b, self.n_heads, t, s), self.p_drop, train, rng)
+        keep = _keep_mask((b, self.n_heads, t, s), self.p_drop, rng)
         return self.wo(ad.attention(q, keys, values, self.n_heads, additive_mask, keep, self.p_drop, live))
 
     def params(self) -> list[tuple[str, Tensor]]:
@@ -227,28 +214,28 @@ class DecoderLayer:
         self.norm2 = LayerNorm(d)
         self.norm3 = LayerNorm(d)
 
-    def __call__(self, x, memory, causal_mask, memory_mask, train, rng, live=None):
+    def __call__(self, x, memory, causal_mask, memory_mask, rng, live=None):
         """x is (b, t, d_model), or with a (b, t) `live` mask the flat rows
         of the live positions; every op but attention is row-wise."""
-        h = self.self_attn(x, x, causal_mask, train, rng, live)
-        x = self.norm1(x, h, _keep_mask(h.shape, self.p_drop, train, rng, live), self.p_drop)
-        h = self.cross_attn(x, memory, memory_mask, train, rng, live)
-        x = self.norm2(x, h, _keep_mask(h.shape, self.p_drop, train, rng, live), self.p_drop)
+        h = self.self_attn(x, x, causal_mask, rng, live)
+        x = self.norm1(x, h, _keep_mask(h.shape, self.p_drop, rng, live), self.p_drop)
+        h = self.cross_attn(x, memory, memory_mask, rng, live)
+        x = self.norm2(x, h, _keep_mask(h.shape, self.p_drop, rng, live), self.p_drop)
         h = self.w1(x)
-        h = self.w2(ad.gelu(h, _keep_mask(h.shape, self.p_drop, train, rng, live), self.p_drop))
-        return self.norm3(x, h, _keep_mask(h.shape, self.p_drop, train, rng, live), self.p_drop)
+        h = self.w2(ad.gelu(h, _keep_mask(h.shape, self.p_drop, rng, live), self.p_drop))
+        return self.norm3(x, h, _keep_mask(h.shape, self.p_drop, rng, live), self.p_drop)
 
     def step(self, x, keys, values, memory_keys, memory_values):
-        """Eval-mode block for one new position per row: x is (rows, d_model);
-        keys/values, (rows, t, d_model), hold the earlier positions'
+        """Dropout-free block for one new position per row: x is (rows,
+        d_model); keys/values, (rows, t, d_model), hold the earlier positions'
         self-attention cache. Returns the block output and the cache extended
         by the new position."""
         new_keys, new_values = self.self_attn.keys_values(x)
         keys = np.concatenate([keys, new_keys.data[:, None]], axis=1)
         values = np.concatenate([values, new_values.data[:, None]], axis=1)
-        h = self.self_attn.attend(x, Tensor(keys), Tensor(values), None, False, None)
+        h = self.self_attn.attend(x, Tensor(keys), Tensor(values), None, None)
         x = self.norm1(x, h)
-        h = self.cross_attn.attend(x, memory_keys, memory_values, None, False, None)
+        h = self.cross_attn.attend(x, memory_keys, memory_values, None, None)
         x = self.norm2(x, h)
         x = self.norm3(x, self.w2(ad.gelu(self.w1(x))))
         return x, keys, values
@@ -369,16 +356,14 @@ class MultilingualModel:
 
     # -- forward -------------------------------------------------------
 
-    def encode_audio(
-        self, audio: np.ndarray, train: bool, rng: np.random.Generator | None
-    ) -> Tensor:
+    def encode_audio(self, audio: np.ndarray, rng: np.random.Generator | None) -> Tensor:
         """Project raw audio embeddings through the dropout/dense/ReLU/dropout
         front-end. No gradient reaches the audio, so its dropout is a plain
         array multiply outside the graph."""
         audio = np.asarray(audio, dtype=np.float64)
         p = self.config.frontend_dropout
-        x = self.frontend(Tensor(ad.drop(audio, _keep_mask(audio.shape, p, train, rng), p)))
-        return ad.relu(x, _keep_mask(x.shape, p, train, rng), p)
+        x = self.frontend(Tensor(ad.drop(audio, _keep_mask(audio.shape, p, rng), p)))
+        return ad.relu(x, _keep_mask(x.shape, p, rng), p)
 
     def forward(
         self,
@@ -386,7 +371,6 @@ class MultilingualModel:
         target_ids: np.ndarray,
         language: Language,
         *,
-        mode: str = "eval",
         frame_mask: np.ndarray | None = None,
         rng: np.random.Generator | None = None,
         mixup: MixupDraw | None = None,
@@ -404,12 +388,9 @@ class MultilingualModel:
         row-wise layers then run on the live rows only, and the logits are
         (sum(lengths), vocab), row-major over the live positions. None means
         every position is live: the logits are (batch, t, vocab).
-        Dropout is active only in train mode; its masks are drawn at the
-        padded shape either way.
+        rng: dropout runs iff a generator is given (training), its masks
+        drawn at the padded shape; without one the forward is deterministic.
         """
-        if mode not in ("train", "eval"):
-            raise ValidationError(f"mode must be 'train' or 'eval', got {mode!r}")
-        train = mode == "train"
         head = self.head(language)
         audio = np.asarray(audio, dtype=np.float64)
         target_ids = np.asarray(target_ids)
@@ -431,11 +412,11 @@ class MultilingualModel:
         if live is not None and len(live) != b:
             raise ValidationError(f"{len(live)} lengths for a batch of {b} rows")
 
-        memory = self.encode_audio(audio, train, rng)
+        memory = self.encode_audio(audio, rng)
 
         scale = math.sqrt(self.config.d_model)
         p = self.config.trunk_dropout
-        keep = _keep_mask((b, t, self.config.d_model), p, train, rng, live)
+        keep = _keep_mask((b, t, self.config.d_model), p, rng, live)
         x = ad.embedding(head.embedding, target_ids, scale, mixup, live, self.pos_encoding[:t], keep, p)
 
         causal = np.triu(np.full((t, t), NEG_INF), k=1)[None, None, :, :]
@@ -444,12 +425,12 @@ class MultilingualModel:
             memory_mask = np.where(frame_mask, 0.0, NEG_INF)[:, None, None, :]
 
         for layer in self.layers:
-            x = layer(x, memory, causal, memory_mask, train, rng, live)
+            x = layer(x, memory, causal, memory_mask, rng, live)
         return head.classifier(x)
 
 
 class IncrementalDecoder:
-    """Eval-mode next-token logits for one audio sequence in G language
+    """Dropout-free next-token logits for one audio sequence in G language
     groups, one new position per call (incremental decoding, Shazeer 2019).
 
     The front-end output and every layer's cross-attention keys/values are
@@ -469,7 +450,7 @@ class IncrementalDecoder:
         self.model = model
         self.heads = [model.head(language) for language in languages]
         with ad.no_grad():
-            memory = model.encode_audio(audio, False, None)
+            memory = model.encode_audio(audio, None)
             self.memory = [layer.cross_attn.keys_values(Tensor(memory.data[None])) for layer in model.layers]
         self.rows = [1] * len(self.heads)
         empty = np.zeros((len(self.heads), 0, model.config.d_model))

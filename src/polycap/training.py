@@ -409,7 +409,6 @@ class Trainer:
             audio,
             dec_in,
             language,
-            mode="train",
             frame_mask=frame_mask,
             rng=self.rng_dropout,
             mixup=mixup,
@@ -465,7 +464,7 @@ class Trainer:
         )
 
     def evaluate_loss(self, corpus: CorpusIndex) -> float:
-        """Mean eval-mode loss over a corpus (no updates, no augmentation),
+        """Mean dropout-free loss over a corpus (no updates, no augmentation),
         each audio scored against its first caption."""
         losses = []
         for language in corpus.languages:
@@ -479,7 +478,7 @@ class Trainer:
                 lengths = loss_lengths(ids[:, 1:], vocab.pad_id)
                 with ad.no_grad():
                     logits = self.model.forward(
-                        audio, ids[:, :-1], language, mode="eval", frame_mask=frame_mask, lengths=lengths
+                        audio, ids[:, :-1], language, frame_mask=frame_mask, lengths=lengths
                     )
                     loss = smoothed_cross_entropy(
                         logits, ids[:, 1:], self.cfg.label_smoothing_eps, vocab.pad_id, lengths=lengths

@@ -123,7 +123,7 @@ def test_criterion_3_gradient_checks():
 
     def losses():
         return [
-            smoothed_cross_entropy(model.forward(audio, ids, lang, mode="eval"), targets, 0.1, 0)
+            smoothed_cross_entropy(model.forward(audio, ids, lang), targets, 0.1, 0)
             for lang in (Language.EN, Language.FR)
         ]
 

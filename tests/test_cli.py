@@ -383,6 +383,19 @@ class TestTrainCaptionEval:
         payload = json.loads(capsys.readouterr().err)
         assert "weight_dekay" in payload["message"]
 
+    def test_max_len_one_exits_2_naming_max_len(self, tmp_path, capsys):
+        # such a model could be trained but not captioned (no room for a word)
+        manifest, emb_dir = write_corpus(tmp_path)
+        config_path = write_train_config(tmp_path, manifest, emb_dir)
+        config = json.loads(config_path.read_text())
+        config["model"]["max_len"] = 1
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["train", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "ValidationError"
+        assert payload["items"] == ["max_len=1 must be an integer >= 2"]
+        assert not (tmp_path / "o").exists()
+
     def test_val_caption_mode_is_an_unknown_key(self, tmp_path, capsys):
         # the validation loss always scores each audio's first caption; the
         # option that once chose another is gone, and a config naming it fails
@@ -672,6 +685,42 @@ class TestRepeatedLanguages:
         assert payload["error"] == "ValidationError"
         assert payload["items"] == ["'en' is listed 3 times", "'fr' is listed 2 times"]
         assert not (tmp_path / "run").exists()
+
+
+class TestLanguageLists:
+    """Every unknown code of a language list is its own item, not just the
+    first one; an empty list is an error for every command that takes one."""
+
+    UNKNOWN = [f"unknown language code {c!r} (known: en, fr, es, de)" for c in ("xx", "yy")]
+
+    def test_unknown_codes_in_flag_exit_2_with_items(self, tmp_path, capsys):
+        manifest, _ = write_corpus(tmp_path)
+        assert main(["stats", "--manifest", str(manifest), "--languages", "en,xx,yy"]) == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "ValidationError"
+        assert payload["items"] == self.UNKNOWN
+
+    def test_unknown_codes_in_train_config_exit_2_with_items(self, tmp_path, capsys):
+        manifest, emb_dir = write_corpus(tmp_path)
+        config = write_train_config(tmp_path, manifest, emb_dir, epochs=1)
+        doc = json.loads(config.read_text()) | {"languages": ["en", "xx", "yy"]}
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["train", "--config", str(config), "--out", str(tmp_path / "run")]) == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "ValidationError"
+        assert payload["items"] == self.UNKNOWN
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("spec", ["", ","])
+    def test_empty_caption_language_flag_exits_2(self, spec, tmp_path, capsys):
+        # an empty flag once captioned every language of the checkpoint
+        _, emb_dir = write_corpus(tmp_path)
+        vocabs = {Language.EN: word_vocab(["a"])}
+        save_checkpoint(MultilingualModel(tiny_model_config(d_in=8), vocabs), tmp_path / "m.ackp")
+        argv = ["--checkpoint", str(tmp_path / "m.ackp"), "--embeddings-dir", str(emb_dir), "--languages", spec]
+        assert main(["caption", *argv, "--out", str(tmp_path / "o")]) == 2
+        assert json.loads(capsys.readouterr().err)["message"] == "--languages: empty language list"
+        assert not (tmp_path / "o").exists()
 
 
 def run_module(*argv: str, cwd: Path) -> subprocess.CompletedProcess:

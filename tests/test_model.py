@@ -41,6 +41,15 @@ class TestModelConfig:
         with pytest.raises(ValidationError):
             ModelConfig(trunk_dropout=1.0)
 
+    @pytest.mark.parametrize("max_len", [0, 1])
+    def test_max_len_holds_bos_and_one_word(self, max_len):
+        # max_len 1 could be trained but not captioned: the word budget,
+        # max_len - 1, would be 0
+        with pytest.raises(ValidationError) as exc:
+            ModelConfig(max_len=max_len)
+        assert exc.value.items == [f"max_len={max_len} must be an integer >= 2"]
+        assert ModelConfig(max_len=2).max_len == 2
+
 
 class TestForward:
     def test_logit_shape_contract(self):
@@ -51,35 +60,46 @@ class TestForward:
         rng = np.random.default_rng(0)
         audio = rng.normal(size=(2, 31, 768))
         ids = rng.integers(0, vocab.size, size=(2, 5))
-        logits = model.forward(audio, ids, Language.EN, mode="eval")
+        logits = model.forward(audio, ids, Language.EN)
         assert logits.shape == (2, 5, 100)
 
     def test_causality_by_perturbation(self, tiny_model, en_vocab):
         rng = np.random.default_rng(1)
         audio = rng.normal(size=(1, 3, 6))
         ids = np.array([[1, 4, 5, 6, 7]])
-        base = tiny_model.forward(audio, ids, Language.EN, mode="eval").data
+        base = tiny_model.forward(audio, ids, Language.EN).data
         for t in range(1, ids.shape[1]):
             perturbed = ids.copy()
             perturbed[0, t] = 8
-            out = tiny_model.forward(audio, perturbed, Language.EN, mode="eval").data
+            out = tiny_model.forward(audio, perturbed, Language.EN).data
             assert np.array_equal(out[:, :t], base[:, :t]), f"position {t} leaked backwards"
 
     def test_eval_mode_deterministic(self, tiny_model):
         rng = np.random.default_rng(2)
         audio = rng.normal(size=(2, 3, 6))
         ids = np.array([[1, 4, 5], [1, 6, 2]])
-        a = tiny_model.forward(audio, ids, Language.EN, mode="eval").data
-        b = tiny_model.forward(audio, ids, Language.EN, mode="eval").data
+        a = tiny_model.forward(audio, ids, Language.EN).data
+        b = tiny_model.forward(audio, ids, Language.EN).data
         assert np.array_equal(a, b)
 
-    def test_train_mode_dropout_needs_rng(self, en_vocab):
-        cfg = tiny_model_config(trunk_dropout=0.2)
+    @pytest.mark.parametrize("lengths", [None, np.array([3, 2])], ids=["padded", "live_rows"])
+    @pytest.mark.parametrize("trunk, frontend", [(0.0, 0.0), (0.3, 0.0), (0.0, 0.4)])
+    def test_dropout_runs_iff_a_generator_is_given(self, en_vocab, trunk, frontend, lengths):
+        cfg = tiny_model_config(trunk_dropout=trunk, frontend_dropout=frontend)
         model = MultilingualModel(cfg, {Language.EN: en_vocab}, seed=0)
-        audio = np.zeros((1, 3, 6))
-        ids = np.array([[1, 4, 2]])
-        with pytest.raises(ValidationError):
-            model.forward(audio, ids, Language.EN, mode="train")
+        data = np.random.default_rng(6)
+        audio = data.normal(size=(2, 3, 6))
+        ids = np.array([[1, 4, 5], [1, 6, 2]])
+        plain = model.forward(audio, ids, Language.EN, lengths=lengths).data
+        gen = np.random.default_rng(7)
+        state = gen.bit_generator.state
+        dropped = model.forward(audio, ids, Language.EN, rng=gen, lengths=lengths).data
+        if trunk == frontend == 0.0:
+            # no rate to apply: the generator changes no bit and is not drawn from
+            assert np.array_equal(dropped, plain)
+            assert gen.bit_generator.state == state
+        else:
+            assert not np.array_equal(dropped, plain)
 
     def test_unknown_language(self, tiny_model):
         with pytest.raises(UnknownLanguageError):
@@ -95,19 +115,19 @@ class TestForward:
         audio = rng.normal(size=(1, 4, 6))
         mask = np.array([[True, True, True, False]])
         ids = np.array([[1, 4, 5]])
-        ref = tiny_model.forward(audio, ids, Language.EN, mode="eval", frame_mask=mask).data
+        ref = tiny_model.forward(audio, ids, Language.EN, frame_mask=mask).data
         audio2 = audio.copy()
         audio2[0, 3] = 99.0  # padded frame content must not matter
-        out = tiny_model.forward(audio2, ids, Language.EN, mode="eval", frame_mask=mask).data
+        out = tiny_model.forward(audio2, ids, Language.EN, frame_mask=mask).data
         assert np.allclose(ref, out)
 
     def test_mixup_lambda_one_is_identity(self, tiny_model):
         rng = np.random.default_rng(4)
         audio = rng.normal(size=(2, 3, 6))
         ids = np.array([[1, 4, 5], [1, 6, 7]])
-        plain = tiny_model.forward(audio, ids, Language.EN, mode="eval").data
+        plain = tiny_model.forward(audio, ids, Language.EN).data
         mixed = tiny_model.forward(
-            audio, ids, Language.EN, mode="eval",
+            audio, ids, Language.EN,
             mixup=MixupDraw(lam=1.0, partner=np.array([1, 0])),
         ).data
         assert np.array_equal(plain, mixed)
@@ -140,7 +160,7 @@ class TestTrunkSharing:
         rng = np.random.default_rng(0)
         audio = rng.normal(size=(2, 3, 6))
         ids = np.array([[1, 4, 5, 2], [1, 6, 2, 0]])
-        logits = model.forward(audio, ids[:, :-1], Language.EN, mode="eval")
+        logits = model.forward(audio, ids[:, :-1], Language.EN)
         loss = smoothed_cross_entropy(logits, ids[:, 1:], 0.1, vocab.pad_id)
         params = model.named_parameters(Language.EN)
         zero_grads(params)
@@ -168,7 +188,7 @@ class TestGradients:
 
         def losses():
             return [
-                smoothed_cross_entropy(model.forward(audio, ids, lang, mode="eval"), targets, 0.1, 0)
+                smoothed_cross_entropy(model.forward(audio, ids, lang), targets, 0.1, 0)
                 for lang in (Language.EN, Language.FR)
             ]
 
@@ -322,6 +342,20 @@ class TestCheckpoint:
         with pytest.raises(ValidationError, match="trailing"):
             load_checkpoint(path)
 
+    def test_max_len_one_checkpoint_is_rejected(self, tmp_path, tiny_model):
+        # a file written before max_len needed room for a word
+        path = tmp_path / "m.ackp"
+        save_checkpoint(tiny_model, path)
+        raw = path.read_bytes()
+        meta_end = 12 + int.from_bytes(raw[8:12], "little")
+        meta = json.loads(raw[12:meta_end])
+        meta["model_config"]["max_len"] = 1
+        meta_bytes = json.dumps(meta).encode("utf-8")
+        path.write_bytes(raw[:4] + struct.pack("<II", 1, len(meta_bytes)) + meta_bytes + raw[meta_end:])
+        with pytest.raises(ValidationError) as exc:
+            load_checkpoint(path)
+        assert exc.value.items == ["max_len=1 must be an integer >= 2"]
+
     def test_accented_vocabulary_roundtrips(self, tmp_path):
         from polycap.text import build_vocabulary, tokenize
 
@@ -343,10 +377,10 @@ class TestCheckpoint:
         rng = np.random.default_rng(5)
         audio = rng.normal(size=(1, 3, 6))
         ids = np.array([[1, 4, 5]])
-        want = tiny_model.forward(audio, ids, Language.EN, mode="eval").data
+        want = tiny_model.forward(audio, ids, Language.EN).data
         path = tmp_path / "m.ackp"
         save_checkpoint(tiny_model, path)
-        got = load_checkpoint(path).forward(audio, ids, Language.EN, mode="eval").data
+        got = load_checkpoint(path).forward(audio, ids, Language.EN).data
         assert np.array_equal(want, got)
 
 

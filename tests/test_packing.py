@@ -55,7 +55,7 @@ def train_step(model, batch, mixup, lengths, dropout_seed):
     """Training-mode loss and every parameter's gradient."""
     dec_in, targets, audio, frame_mask = batch
     logits = model.forward(
-        audio, dec_in, Language.EN, mode="train", frame_mask=frame_mask,
+        audio, dec_in, Language.EN, frame_mask=frame_mask,
         rng=np.random.default_rng(dropout_seed), mixup=mixup, lengths=lengths,
     )  # fmt: skip
     loss = smoothed_cross_entropy(logits, targets, 0.1, VOCAB.pad_id, mixup, lengths)
@@ -115,7 +115,7 @@ class TestPackedEqualsPadded:
         def loss_value():
             dec_in, targets, audio, frame_mask = batch
             logits = model.forward(
-                audio, dec_in, Language.EN, mode="train", frame_mask=frame_mask,
+                audio, dec_in, Language.EN, frame_mask=frame_mask,
                 rng=np.random.default_rng(4), mixup=mixup, lengths=lengths,
             )  # fmt: skip
             return smoothed_cross_entropy(logits, targets, 0.1, VOCAB.pad_id, mixup, lengths)

@@ -162,9 +162,9 @@ class TestMixup:
         audio = np.stack([np.zeros((3, 6)), np.full((3, 6), 2.0)])
         ids = np.array([[1, 4, 5], [1, 4, 5]])
         mixed = tiny_model.forward(
-            audio, ids, Language.EN, mode="eval", mixup=MixupDraw(lam=0.5, partner=np.array([1, 0]))
+            audio, ids, Language.EN, mixup=MixupDraw(lam=0.5, partner=np.array([1, 0]))
         ).data
-        plain = tiny_model.forward(np.ones((2, 3, 6)), ids, Language.EN, mode="eval").data
+        plain = tiny_model.forward(np.ones((2, 3, 6)), ids, Language.EN).data
         assert np.array_equal(mixed, plain)
 
     def test_beta_draw_statistics(self):

@@ -76,12 +76,12 @@ class TestRaggedTraining:
             audio[i, : f.shape[0]] = f
             mask[i, : f.shape[0]] = True
 
-        batch_logits = model.forward(audio, ids[:, :-1], Language.EN, mode="eval", frame_mask=mask)
+        batch_logits = model.forward(audio, ids[:, :-1], Language.EN, frame_mask=mask)
         batch_loss = smoothed_cross_entropy(batch_logits, ids[:, 1:], 0.0, vocab.pad_id).item()
 
         single_losses = []
         for i, f in enumerate(frames):
-            logits = model.forward(f[None, :, :], ids[i : i + 1, :-1], Language.EN, mode="eval")
+            logits = model.forward(f[None, :, :], ids[i : i + 1, :-1], Language.EN)
             single_losses.append(
                 smoothed_cross_entropy(logits, ids[i : i + 1, 1:], 0.0, vocab.pad_id).item()
             )
@@ -117,12 +117,12 @@ class TestMixupMaskUnion:
         mask = np.array([[True, True, False, False, False], [True] * 5])
         ids = np.array([[1, 4, 5], [1, 6, 7]])
         mix = MixupDraw(lam=0.5, partner=np.array([1, 0]))
-        mixed = model.forward(audio, ids, Language.EN, mode="eval", frame_mask=mask, mixup=mix).data
+        mixed = model.forward(audio, ids, Language.EN, frame_mask=mask, mixup=mix).data
         # with lam=0.5 item 0 sees partner frames 2..4; zeroing those frames
         # in the partner must change item 0's logits
         audio2 = audio.copy()
         audio2[1, 2:] = 0.0
-        changed = model.forward(audio2, ids, Language.EN, mode="eval", frame_mask=mask, mixup=mix).data
+        changed = model.forward(audio2, ids, Language.EN, frame_mask=mask, mixup=mix).data
         assert not np.allclose(mixed[0], changed[0])
 
     def test_lambda_one_keeps_own_mask(self):
@@ -132,8 +132,8 @@ class TestMixupMaskUnion:
         mask = np.array([[True, True, False, False, False], [True] * 5])
         ids = np.array([[1, 4, 5], [1, 6, 7]])
         mix = MixupDraw(lam=1.0, partner=np.array([1, 0]))
-        mixed = model.forward(audio, ids, Language.EN, mode="eval", frame_mask=mask, mixup=mix).data
-        plain = model.forward(audio, ids, Language.EN, mode="eval", frame_mask=mask).data
+        mixed = model.forward(audio, ids, Language.EN, frame_mask=mask, mixup=mix).data
+        plain = model.forward(audio, ids, Language.EN, frame_mask=mask).data
         assert np.array_equal(mixed, plain)
 
 
