@@ -667,6 +667,12 @@ def load_checkpoint(path: str | Path) -> MultilingualModel:
             }
         except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError, AttributeError) as exc:
             raise ValidationError(f"{path}: bad checkpoint metadata ({exc!r})") from exc
+        n_params = param_report(config, {lang: v.size for lang, v in vocabs.items()}).trainable_total
+        if 8 * n_params > size - f.tell():
+            raise ValidationError(
+                f"{path}: metadata describes {n_params} parameters ({8 * n_params} bytes), "
+                f"but only {size - f.tell()} bytes follow it"
+            )
         model = MultilingualModel._unfilled(config, vocabs)
         params = model.named_parameters()
         seen = set()

@@ -223,6 +223,11 @@ def cosine_lr(epoch: int, epochs: int, lr0: float) -> float:
     return lr0 * (1.0 + math.cos(math.pi * epoch / epochs)) / 2.0
 
 
+# Elements per block of `AdamW.step`. A block's operands and scratch stay in
+# cache; whole-array passes over a parameter were bound by memory bandwidth.
+ADAM_BLOCK = 1 << 15
+
+
 class AdamW:
     """AdamW with decoupled weight decay and per-parameter step counts.
 
@@ -243,29 +248,58 @@ class AdamW:
         weight_decay: float,
         decay_names: frozenset[str],
     ) -> None:
+        """Update every named parameter from its `.grad` (zeros when None).
+
+        Each parameter runs over its flat view in blocks of `ADAM_BLOCK`
+        elements, in the textbook order of operations, so every element is
+        bit-identical to m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
+        p = p - lr*m_hat / (sqrt(v_hat) + eps); p = p - lr*wd*p. The new
+        weights go to a new array: callers may hold the old one.
+
+        A block whose new weights are not finite raises RuntimeFailure
+        naming the parameter. That parameter keeps its old weights, but the
+        parameters before it in this step are already updated, and its own
+        step count and moments may be too.
+        """
+        b1, b2, eps = self.b1, self.b2, self.eps
+        upd, den = np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK)
+        finite = np.empty(ADAM_BLOCK, dtype=bool)
         for name, p in named_params.items():
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
             st = self.state.get(name)
             if st is None:
-                st = self.state[name] = {"m": np.zeros_like(p.data), "v": np.zeros_like(p.data), "t": 0}
+                st = self.state[name] = {"m": np.zeros(p.data.shape), "v": np.zeros(p.data.shape), "t": 0}
             st["t"] += 1
-            # In place, in the textbook order of operations, so the result is
-            # bit-identical to m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
-            # p = p - lr*m_hat / (sqrt(v_hat) + eps); p = p - lr*wd*p.
-            m, v = st["m"], st["v"]
-            m *= self.b1
-            m += (1.0 - self.b1) * g
-            v *= self.b2
-            v += (1.0 - self.b2) * g * g
-            update = m / (1.0 - self.b1 ** st["t"])
-            update *= lr
-            denom = v / (1.0 - self.b2 ** st["t"])
-            np.sqrt(denom, out=denom)
-            denom += self.eps
-            update /= denom
-            p.data = p.data - update  # a new array: callers may hold the old one
-            if name in decay_names and weight_decay > 0.0:
-                p.data -= lr * weight_decay * p.data
+            bias1, bias2 = 1.0 - b1 ** st["t"], 1.0 - b2 ** st["t"]
+            decay = name in decay_names and weight_decay > 0.0
+            old = p.data.reshape(-1)
+            grad = np.zeros(old.size) if p.grad is None else p.grad.reshape(-1)
+            m, v = st["m"].reshape(-1), st["v"].reshape(-1)
+            new = np.empty(p.data.shape)
+            flat = new.reshape(-1)
+            for start in range(0, old.size, ADAM_BLOCK):
+                block = slice(start, start + ADAM_BLOCK)
+                g, mb, vb, out = grad[block], m[block], v[block], flat[block]
+                u, d = upd[: g.size], den[: g.size]
+                mb *= b1
+                np.multiply(g, 1.0 - b1, out=u)
+                mb += u
+                vb *= b2
+                np.multiply(g, 1.0 - b2, out=u)
+                u *= g
+                vb += u
+                np.divide(mb, bias1, out=u)
+                u *= lr
+                np.divide(vb, bias2, out=d)
+                np.sqrt(d, out=d)
+                d += eps
+                u /= d
+                np.subtract(old[block], u, out=out)
+                if decay:
+                    np.multiply(out, lr * weight_decay, out=u)
+                    out -= u
+                if not np.isfinite(out, out=finite[: g.size]).all():
+                    raise RuntimeFailure(f"non-finite update of {name!r}", items=[{"parameter": name}])
+            p.data = new
 
 
 def zero_grads(named_params: Mapping[str, Tensor]) -> None:
@@ -380,11 +414,14 @@ class Trainer:
         epoch: int | None = None,
         batch_index: int | None = None,
     ) -> float:
-        """One update on one batch; returns its loss.
+        """One update on one batch; returns its loss. No parameter holds a
+        gradient afterwards.
 
         A non-finite loss raises RuntimeFailure before any gradient is taken,
-        so the weights and optimizer state stay as they were. `epoch` and
-        `batch_index` only locate the batch in that error.
+        so the weights and optimizer state stay as they were. A non-finite
+        update raises RuntimeFailure naming the parameter; the parameters the
+        step updated before it stay updated (see `AdamW.step`). `epoch` and
+        `batch_index` only locate the batch in these errors.
         """
         cfg = self.cfg
         corpus = self.corpus
@@ -419,23 +456,21 @@ class Trainer:
         )
 
         value = loss.item()
+        at = f"at epoch {epoch}, batch {batch_index}, language {language.value!r}"
+        where = {
+            "epoch": epoch, "batch_index": batch_index, "language": language.value, "audio_ids": list(audio_ids)
+        }
         if not math.isfinite(value):
-            raise RuntimeFailure(
-                f"non-finite training loss {value} at epoch {epoch}, batch {batch_index}, "
-                f"language {language.value!r}",
-                items=[
-                    {
-                        "epoch": epoch,
-                        "batch_index": batch_index,
-                        "language": language.value,
-                        "audio_ids": list(audio_ids),
-                    }
-                ],
-            )
+            raise RuntimeFailure(f"non-finite training loss {value} {at}", items=[where])
         params = self.model.named_parameters(language)
-        zero_grads(params)
-        loss.backward()
-        self.optimizer.step(params, lr, cfg.weight_decay, self.decay_names)
+        zero_grads(params)  # a gradient left by the caller's own backward is not this batch's
+        try:
+            loss.backward()
+            self.optimizer.step(params, lr, cfg.weight_decay, self.decay_names)
+        except RuntimeFailure as exc:  # a non-finite update, the step's only failure
+            raise RuntimeFailure(f"{exc.message} {at}", items=[where | exc.items[0]]) from exc
+        finally:
+            zero_grads(params)  # no gradient outlives its step
         return value
 
     def run_epoch(self, epoch: int) -> EpochMetrics:

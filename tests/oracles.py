@@ -5,8 +5,9 @@ exhaustive constrained sequence search, an object-per-hypothesis beam search,
 central finite differences, the softmax, log-softmax, LayerNorm, dropout then
 add then LayerNorm, GELU and multi-head attention spelled out as chains of
 separate steps with the chain rule run back through each step, and the
-label-smoothed loss as a dense coefficient array times the log-softmax. These deliberately share no code with the package paths
-they verify.
+label-smoothed loss as a dense coefficient array times the log-softmax, and
+AdamW as whole-array textbook formulas. These deliberately share no code with
+the package paths they verify.
 """
 
 from __future__ import annotations
@@ -481,3 +482,27 @@ def composed_smoothed_cross_entropy(
         coef[rows, cols, ids] -= (1.0 - eps - off) * weight
     log_probs, grad = composed_log_softmax(z, coef)
     return float((log_probs * coef).sum()), grad
+
+
+class TextbookAdamW:
+    """AdamW with decoupled decay, one whole-array formula per line; a
+    drop-in for `training.AdamW` in a `Trainer`."""
+
+    def __init__(self, betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8):
+        self.b1, self.b2 = betas
+        self.eps = eps
+        self.state: dict[str, dict] = {}
+
+    def step(self, named_params: Mapping, lr: float, weight_decay: float, decay_names: frozenset[str]) -> None:
+        b1, b2 = self.b1, self.b2
+        for name, p in named_params.items():
+            g = p.grad if p.grad is not None else np.zeros(p.data.shape)
+            st = self.state.setdefault(name, {"m": 0.0, "v": 0.0, "t": 0})
+            st["t"] += 1
+            st["m"] = b1 * st["m"] + (1.0 - b1) * g
+            st["v"] = b2 * st["v"] + (1.0 - b2) * g * g
+            m_hat = st["m"] / (1.0 - b1 ** st["t"])
+            v_hat = st["v"] / (1.0 - b2 ** st["t"])
+            p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            if name in decay_names and weight_decay > 0.0:
+                p.data = p.data - lr * weight_decay * p.data

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import resource
+import struct
 import subprocess
 import sys
 import threading
@@ -373,6 +375,21 @@ class TestTrainCaptionEval:
         ]
         assert not (tmp_path / "o" / "checkpoint.ackp").exists()
 
+    def test_overflowing_update_exits_3_and_saves_nothing(self, tmp_path, capsys):
+        manifest, emb_dir = write_corpus(tmp_path)
+        config_path = write_train_config(tmp_path, manifest, emb_dir, epochs=2)
+        config = json.loads(config_path.read_text())
+        config["train"] |= {"lr0": 1e300, "weight_decay": 2.0, "batch_size": 1}
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["train", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 3
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "RuntimeFailure"
+        assert payload["message"].startswith("non-finite update of ")
+        (item,) = payload["items"]
+        assert (item["epoch"], item["batch_index"]) == (0, 0) and len(item["audio_ids"]) == 1
+        assert item["language"] in ("en", "fr") and item["parameter"]
+        assert not (tmp_path / "o" / "checkpoint.ackp").exists()
+
     def test_typoed_config_key_is_validation_error(self, tmp_path, capsys):
         manifest, emb_dir = write_corpus(tmp_path)
         config_path = write_train_config(tmp_path, manifest, emb_dir)
@@ -723,13 +740,13 @@ class TestLanguageLists:
         assert not (tmp_path / "o").exists()
 
 
-def run_module(*argv: str, cwd: Path) -> subprocess.CompletedProcess:
-    """`python -m polycap ARGV` in a fresh interpreter that imports this
-    checkout's polycap."""
+def run_module(*argv: str, cwd: Path, args=("-m", "polycap"), **kwargs) -> subprocess.CompletedProcess:
+    """`python -m polycap ARGV` (or `python ARGS ARGV`) in a fresh
+    interpreter that imports this checkout's polycap."""
     src = str(Path(polycap.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run(
-        [sys.executable, "-m", "polycap", *argv], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, *args, *argv], cwd=cwd, env=env, capture_output=True, text=True, timeout=120, **kwargs
     )
 
 
@@ -754,3 +771,39 @@ class TestModuleEntryPoint:
         payload = json.loads(lines[0])
         assert payload["error"] == "RuntimeFailure"
         assert payload["message"].startswith("non-finite training loss")
+
+    def test_checkpoint_meta_its_file_cannot_back_exits_2_fast(self, tmp_path):
+        # a 10 kB file whose meta says d_model 10^9 once allocated 44.7 GiB
+        # of weights before reading a tensor. The child runs under a 2 GiB
+        # address-space cap, so a regression fails here instead of taking
+        # the machine's memory.
+        path = tmp_path / "m.ackp"
+        vocabs = {Language.EN: word_vocab([f"w{i}" for i in range(20)])}
+        save_checkpoint(MultilingualModel(tiny_model_config(d_in=8), vocabs), path)
+        raw = path.read_bytes()
+        meta_end = 12 + int.from_bytes(raw[8:12], "little")
+        meta = json.loads(raw[12:meta_end])
+        meta["model_config"]["d_model"] = 10**9
+        meta_bytes = json.dumps(meta).encode("utf-8")
+        path.write_bytes(raw[:4] + struct.pack("<II", 1, len(meta_bytes)) + meta_bytes + raw[meta_end:])
+        assert path.stat().st_size < 15_000
+        timed_main = (
+            "import json, sys, time\n"
+            "from polycap.cli import main\n"
+            "t0 = time.monotonic()\n"
+            "code = main(sys.argv[1:])\n"
+            "print(json.dumps({'code': code, 'seconds': time.monotonic() - t0}))\n"
+        )
+        cap = 2 << 30
+        proc = run_module(
+            "caption", "--checkpoint", str(path), "--embeddings-dir", str(tmp_path),
+            "--out", str(tmp_path / "o"), cwd=tmp_path, args=("-c", timed_main),
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        )
+        result = json.loads(proc.stdout)
+        assert result["code"] == 2, proc.stderr
+        assert result["seconds"] < 1.0
+        payload = json.loads(proc.stderr)
+        assert payload["error"] == "ValidationError"
+        assert "bytes follow it" in payload["message"]
+        assert not (tmp_path / "o").exists()

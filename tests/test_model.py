@@ -356,6 +356,25 @@ class TestCheckpoint:
             load_checkpoint(path)
         assert exc.value.items == ["max_len=1 must be an integer >= 2"]
 
+    def test_meta_the_file_cannot_back_is_rejected(self, tmp_path, tiny_model, monkeypatch):
+        # checked before the model is built, so hostile sizes allocate nothing
+        path = tmp_path / "m.ackp"
+        save_checkpoint(tiny_model, path)
+        raw = path.read_bytes()
+        meta_end = 12 + int.from_bytes(raw[8:12], "little")
+        meta = json.loads(raw[12:meta_end])
+        meta["model_config"]["d_model"] = 64
+        meta_bytes = json.dumps(meta).encode("utf-8")
+        path.write_bytes(raw[:4] + struct.pack("<II", 1, len(meta_bytes)) + meta_bytes + raw[meta_end:])
+        monkeypatch.setattr(MultilingualModel, "_unfilled", None)
+        n = param_report(ModelConfig.from_dict(meta["model_config"]), {Language.EN: 11}).trainable_total
+        with pytest.raises(ValidationError) as exc:
+            load_checkpoint(path)
+        assert exc.value.message == (
+            f"{path}: metadata describes {n} parameters ({8 * n} bytes), "
+            f"but only {len(raw) - meta_end} bytes follow it"
+        )
+
     def test_accented_vocabulary_roundtrips(self, tmp_path):
         from polycap.text import build_vocabulary, tokenize
 

@@ -11,6 +11,7 @@ from polycap.errors import RuntimeFailure, ValidationError
 from polycap.model import MixupDraw, ModelConfig, MultilingualModel
 from polycap.text import Language
 from polycap.training import (
+    ADAM_BLOCK,
     AdamW,
     SpecAugmentConfig,
     TrainConfig,
@@ -288,11 +289,23 @@ class TestAdamW:
         assert opt.state["b"]["t"] == 1
 
     def test_matches_textbook_update_bitwise_with_idle_head(self):
+        # sizes on both sides of the block boundaries: one element, exactly
+        # one block, one block plus one, several blocks plus a remainder
         rng = np.random.default_rng(0)
         b1, b2, eps, lr, wd = 0.8, 0.99, 1e-6, 0.05, 0.3
-        names = ("trunk.weight", "trunk.bias", "heads.en.weight", "heads.fr.weight")
-        decay = frozenset({"trunk.weight", "heads.en.weight", "heads.fr.weight"})
-        params = {n: Tensor(rng.normal(size=(3, 4)), requires_grad=True) for n in names}
+        shapes = {
+            "trunk.weight": (3, 4),
+            "trunk.bias": (3, 4),
+            "trunk.gain": (1,),
+            "trunk.ff.weight": (ADAM_BLOCK // 4, 4),
+            "trunk.ff.bias": (ADAM_BLOCK + 1,),
+            "heads.en.weight": (3, ADAM_BLOCK + 5),
+            "heads.en.bias": (1,),
+            "heads.fr.weight": (3, 4),
+            "heads.fr.bias": (2, ADAM_BLOCK + 1),
+        }
+        decay = frozenset({"trunk.weight", "trunk.ff.weight", "heads.en.weight", "heads.fr.weight"})
+        params = {n: Tensor(rng.normal(size=shape), requires_grad=True) for n, shape in shapes.items()}
         ref = {n: {"p": p.data.copy(), "m": 0.0, "v": 0.0, "t": 0} for n, p in params.items()}
         opt = AdamW(betas=(b1, b2), eps=eps)
         for step, head in enumerate(("en", "en", "fr", "en", "en")):
@@ -455,6 +468,78 @@ class TestNonFiniteLoss:
         for name, p in trainer.model.named_parameters().items():
             assert np.array_equal(p.data, before[name]), name
         assert trainer.optimizer.state == {}
+
+    def test_overflowing_update_names_its_own_batch(self):
+        # lr0 1e300 with decay overflows the weights on batch 0's update; the
+        # error once came from batch 1's NaN loss, naming the wrong batch
+        tcfg = TrainConfig(
+            epochs=2, lr0=1e300, weight_decay=2.0, label_smoothing_eps=0.0,
+            mixup_alpha=0.0, specaug=None, batch_size=1, seed=5,
+        )
+        trainer, index = make_trainer([Language.EN, Language.FR], tcfg=tcfg, n_items=3)
+        names = set(trainer.model.named_parameters())
+        with np.errstate(all="ignore"), pytest.raises(RuntimeFailure) as info:
+            trainer.run_epoch(0)
+        err = info.value
+        assert err.exit_code == 3
+        (item,) = err.items
+        assert (item["epoch"], item["batch_index"]) == (0, 0)
+        assert item["parameter"] in names and len(item["audio_ids"]) == 1
+        assert err.message == (
+            f"non-finite update of {item['parameter']!r} at epoch 0, batch 0, language {item['language']!r}"
+        )
+        # the failing parameter keeps its old weights; those updated before it were checked
+        for name, p in trainer.model.named_parameters().items():
+            assert np.isfinite(p.data).all() and p.grad is None, name
+
+
+class TestGradientLifetime:
+    def test_no_gradient_outlives_a_step_or_a_fit(self):
+        trainer, index = make_trainer([Language.EN, Language.FR], n_items=4)
+        trainer._train_batch(Language.FR, list(index.audio_ids)[:2], 1e-3)
+        assert all(p.grad is None for p in trainer.model.named_parameters().values())
+        trainer.fit()
+        assert all(p.grad is None for p in trainer.model.named_parameters().values())
+
+    def test_a_stale_gradient_does_not_leak_into_the_step(self):
+        def step(stale: bool):
+            trainer, index = make_trainer([Language.EN], n_items=4)
+            params = trainer.model.named_parameters()
+            if stale:
+                for p in params.values():
+                    p.grad = np.ones_like(p.data)
+            trainer._train_batch(Language.EN, list(index.audio_ids), 1e-3)
+            return {n: p.data.copy() for n, p in params.items()}
+
+        clean, stale = step(False), step(True)
+        for name in clean:
+            assert np.array_equal(clean[name], stale[name]), name
+
+    def test_full_recipe_fit_matches_textbook_adamw_bitwise(self):
+        # dropout, mixup, SpecAugment, decay and a validation split over 3
+        # epochs: the blocked AdamW against whole-array textbook formulas
+        def fit(optimizer_cls):
+            index, vocabs = synthetic_corpus([Language.EN, Language.FR], n_items=6)
+            val_index, _ = synthetic_corpus([Language.EN, Language.FR], n_items=3, seed=9, split="val")
+            cfg = tiny_model_config(d_in=16, d_model=16, n_heads=2, d_ff=24, max_len=8,
+                                    trunk_dropout=0.1, frontend_dropout=0.2)
+            model = MultilingualModel(cfg, vocabs, seed=1)
+            tcfg = TrainConfig(
+                epochs=3, lr0=5e-3, weight_decay=2.0, label_smoothing_eps=0.1, mixup_alpha=0.4,
+                specaug=SpecAugmentConfig(1, 2, 1, 4), batch_size=3, seed=9,
+            )
+            trainer = Trainer(model, index, tcfg, val_corpus=val_index)
+            trainer.optimizer = optimizer_cls(betas=tcfg.adam_betas, eps=tcfg.adam_eps)
+            history = trainer.fit()
+            losses = [(m.train_loss, m.val_loss) for m in history]
+            return losses, {n: p.data for n, p in model.named_parameters().items()}
+
+        losses, weights = fit(AdamW)
+        want_losses, want_weights = fit(oracles.TextbookAdamW)
+        assert losses == want_losses
+        assert set(weights) == set(want_weights)
+        for name, w in weights.items():
+            assert w.tobytes() == want_weights[name].tobytes(), name
 
 
 class TestRecipeIdentities:
