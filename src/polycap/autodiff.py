@@ -2,15 +2,17 @@
 
 Just enough machinery to train a transformer decoder, one node per layer with
 a closed-form gradient and no generic arithmetic operator: the scaled, mixed
-and position-encoded token lookup, ReLU, GELU, a `Linear` layer, multi-head
-attention, the post-norm residual LayerNorm(x + dropout(h)) and the
-label-smoothed cross-entropy loss. Dropout is no node of its own: the lookup,
-ReLU, GELU, attention and Add & Norm take a boolean keep-mask and a rate and
-apply inverted dropout (`drop`) inside the node that makes the activation.
-Attention and the token lookup also take a mask of the live positions of a
-padded batch, so the row-wise nodes between them can run on those rows only.
-Everything runs in 64-bit so finite-difference gradient checks are
-meaningful and training is bit-for-bit reproducible.
+and position-encoded token lookup, a `Linear` layer with an optional ReLU or
+GELU activation, multi-head attention, the post-norm residual
+LayerNorm(x + dropout(h)) and the label-smoothed cross-entropy loss. Dropout
+is no node of its own: the lookup, Linear, attention and Add & Norm take a
+boolean keep-mask and a rate and apply inverted dropout (`drop`) inside the
+node that makes the activation. Attention and the token lookup also take a
+mask of the live positions of a padded batch, so the row-wise nodes between
+them can run on those rows only. Each node keeps only the arrays its own
+backward reads, and no backward reads its own node's output. Everything runs
+in 64-bit so finite-difference gradient checks are meaningful and training
+is bit-for-bit reproducible.
 """
 
 from __future__ import annotations
@@ -97,11 +99,15 @@ class Tensor:
     def backward(self) -> None:
         """Reverse-accumulate gradients from a scalar output.
 
-        The graph is freed as the walk goes: once a node's own backward has
-        run, the node drops its gradient, its closure and its parent edges,
-        and the walk drops the node. So after backward only leaves (tensors
-        made with requires_grad=True, such as parameters) hold `.grad`, plus
-        this root, which keeps its ones.
+        The graph is freed as the walk goes: before a node's own backward
+        runs, the walk takes the closure and the gradient off the node,
+        clears its closure, gradient and parent edges, and drops its own
+        reference to it. So a node nothing else holds is freed, output
+        included, before its closure runs. That is safe because no closure
+        reads its own node's output, only its parents' arrays and what it
+        kept. After backward only leaves (tensors made with
+        requires_grad=True, such as parameters) hold `.grad`, plus this root,
+        which keeps its ones.
         """
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar tensor")
@@ -122,13 +128,16 @@ class Tensor:
                     stack.append((parent, False))
         self.grad = np.ones_like(self.data)
         while topo:
-            node = topo.pop()  # the list must not keep a finished node alive
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
-                node._backward = None
-                node._parents = ()
-                if node is not self:
-                    node.grad = None
+            node = topo.pop()  # the list must not keep a node alive
+            backward, grad = node._backward, node.grad
+            if backward is None or grad is None:
+                continue  # a leaf keeps its gradient
+            node._backward = None
+            node._parents = ()
+            if node is not self:
+                node.grad = None
+            del node  # the walk's own reference: the node may go now
+            backward(grad)
 
 
 # -- pointwise functions ---------------------------------------------
@@ -145,28 +154,28 @@ def drop(a: np.ndarray, keep: np.ndarray | None, p: float) -> np.ndarray:
     return out
 
 
-def relu(t: Tensor, keep: np.ndarray | None = None, p: float = 0.0) -> Tensor:
-    """max(x, 0), then dropped out with the boolean keep-mask `keep` at rate
-    p (None: no dropout)."""
-    mask = t.data > 0
-
-    def backward(g):
-        t._accumulate(drop(g, keep, p) * mask)
-
-    return Tensor._make(drop(np.where(mask, t.data, 0.0), keep, p), (t,), backward)
-
-
-def gelu(t: Tensor, keep: np.ndarray | None = None, p: float = 0.0) -> Tensor:
-    """Exact GELU: x * Phi(x) with the Gaussian CDF via erf, then dropped out
-    as in `relu`."""
-    x = t.data
-    cdf2 = sp_special.erf(x / math.sqrt(2.0)) + 1.0  # 2 * Phi(x)
-
-    def backward(g):
-        # d/dx x*Phi(x) = Phi(x) + x * phi(x), phi the standard normal density
-        t._accumulate(drop(g, keep, p) * (cdf2 * 0.5 + x * np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)))
-
-    return Tensor._make(drop(x * cdf2 * 0.5, keep, p), (t,), backward)
+def gelu(x: np.ndarray, slope: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+    """Exact GELU of an array, x * Phi(x) with the Gaussian CDF via erf, and
+    with `slope` its derivative Phi(x) + x * phi(x), phi the standard normal
+    density (else None)."""
+    # each step in place where the formula's next operation allows it: the
+    # same operations in the same order, so the same bits, with fewer
+    # temporaries the size of x
+    cdf2 = x / math.sqrt(2.0)
+    sp_special.erf(cdf2, out=cdf2)
+    cdf2 += 1.0  # 2 * Phi(x)
+    derivative = None
+    if slope:  # cdf2 * 0.5 + x * exp(-0.5 * x * x) / sqrt(2 pi)
+        density = -0.5 * x
+        density *= x
+        np.exp(density, out=density)
+        density *= x
+        density /= math.sqrt(2.0 * math.pi)
+        derivative = cdf2 * 0.5
+        derivative += density
+    cdf2 *= x
+    cdf2 *= 0.5
+    return cdf2, derivative
 
 
 def add_norm(x: Tensor, h: Tensor, keep, p: float, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
@@ -245,15 +254,38 @@ def cross_entropy(
 # -- products ---------------------------------------------------------
 
 
-def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """x @ weight + bias over the last axis of x, as one product over the
-    flattened rows of x. The backward is two flat products and a row sum."""
+def linear(
+    x: Tensor, weight: Tensor, bias: Tensor, activation: str | None = None, keep=None, p: float = 0.0
+) -> Tensor:
+    """x @ weight + bias over the last axis of x, then the activation (None,
+    "relu" or "gelu"), then inverted dropout with the boolean keep-mask
+    `keep`, shaped like the output, at rate p (None: no dropout), as one node.
+
+    The product runs over the flattened rows of x. The node keeps the input
+    rows, the keep-mask and the activation's slope (ReLU's `> 0` mask, GELU's
+    derivative), not the pre-activation: the backward drops the output
+    gradient, multiplies it by the slope, and runs two flat products and a
+    row sum. The slope is computed only while a graph is being built.
+    """
     d_in, d_out = weight.shape
     rows = x.data.reshape(-1, d_in)
-    out_data = rows @ weight.data
-    out_data += bias.data
+    out = rows @ weight.data
+    out += bias.data
+    out = out.reshape(x.shape[:-1] + (d_out,))
+    building = _grad_enabled and (x.requires_grad or weight.requires_grad or bias.requires_grad)
+    slope = None
+    if activation == "relu":
+        slope = out > 0
+        out = np.where(slope, out, 0.0)
+    elif activation == "gelu":
+        out, slope = gelu(out, building)  # the module global, so a tracer can wrap it
+    elif activation is not None:
+        raise ValueError(f"unknown activation {activation!r}")
 
     def backward(g):
+        g = drop(g, keep, p)
+        if slope is not None:
+            g = g * slope
         g_rows = g.reshape(-1, d_out)
         if bias.requires_grad:
             bias._accumulate(g_rows.sum(axis=0))
@@ -262,7 +294,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         if weight.requires_grad:
             weight._accumulate(rows.T @ g_rows)
 
-    return Tensor._make(out_data.reshape(x.shape[:-1] + (d_out,)), (x, weight, bias), backward)
+    return Tensor._make(drop(out, keep, p), (x, weight, bias), backward)
 
 
 def attention(
@@ -293,6 +325,10 @@ def attention(
     where `live` is True, in row-major order. The node scatters them into
     zeroed (b, t, d) buffers, attends in that padded layout and returns the
     live rows of the output; the backward gathers the gradients back.
+
+    The node keeps only the softmax and the keep-mask. Its backward pads and
+    splits q, k and v again from the parents' arrays, which the graph holds
+    anyway, and drops the softmax again.
     """
     d_head = q.shape[-1] // n_heads
     scale = 1.0 / math.sqrt(d_head)
@@ -313,15 +349,20 @@ def attention(
             return y.swapaxes(1, 2).reshape(live.shape + shape[-1:])[live]
         return y.swapaxes(1, 2).reshape(shape)
 
-    qh, kh, vh = (split(pad(x.data, is_packed)) for x, is_packed in zip((q, k, v), packed))
+    def heads() -> list[np.ndarray]:
+        return [split(pad(x.data, is_packed)) for x, is_packed in zip((q, k, v), packed)]
+
+    qh, kh, vh = heads()
     scores = (qh @ kh.swapaxes(-1, -2)) * scale
     if additive_mask is not None:
         scores += additive_mask
     probs = np.exp(scores - scores.max(axis=-1, keepdims=True))
     probs /= probs.sum(axis=-1, keepdims=True)
-    weights = drop(probs, keep, p_drop)
+    out_data = merge(drop(probs, keep, p_drop) @ vh, q.shape, packed[0])
 
     def backward(g):
+        qh, kh, vh = heads()
+        weights = drop(probs, keep, p_drop)
         g_heads = split(pad(g, packed[0]))
         if v.requires_grad:
             g_values = _unbroadcast(weights.swapaxes(-1, -2) @ g_heads, vh.shape)
@@ -336,7 +377,7 @@ def attention(
             g_keys = _unbroadcast(qh.swapaxes(-1, -2) @ g_scores, kh.swapaxes(-1, -2).shape)
             k._accumulate(merge(g_keys.swapaxes(-1, -2), k.shape, packed[1]))
 
-    return Tensor._make(merge(weights @ vh, q.shape, packed[0]), (q, k, v), backward)
+    return Tensor._make(out_data, (q, k, v), backward)
 
 
 # -- lookups ----------------------------------------------------------

@@ -61,15 +61,19 @@ def _dump_json(obj, path: Path) -> None:
         f.write(json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=2) + "\n")
 
 
-def write_run_manifest(
-    out_dir: Path, command: str, config: dict, inputs: dict[str, Path], seed: int | None
-) -> None:
+def write_run_manifest(out_dir: Path, command: str, config: dict, inputs: dict, seed: int | None) -> None:
+    """Write run_manifest.json. Each input is a Path, hashed here, or a
+    hashlib object that already hashed the input's bytes as the command read
+    them."""
     manifest = {
         "command": command,
         "toolkit_version": polycap.__version__,
         "seed": seed,
         "config": config,
-        "input_digests": {label: _digest(Path(p)) for label, p in inputs.items()},
+        "input_digests": {
+            label: _digest(source) if isinstance(source, Path) else source.hexdigest()
+            for label, source in inputs.items()
+        },
         "timestamp_unix": time.time(),
     }
     _dump_json(manifest, out_dir / "run_manifest.json")
@@ -258,7 +262,8 @@ def cmd_caption(args) -> int:
     cfg = decoding.DecodeConfig(
         beam_size=args.beam_size, max_len=args.max_len, length_norm=args.length_norm
     )
-    model = model_mod.load_checkpoint(args.checkpoint)
+    checkpoint_digest = hashlib.sha256()  # of the very bytes the model is built from
+    model = model_mod.load_checkpoint(args.checkpoint, checkpoint_digest)
     languages = list(model.languages)
     if args.languages is not None:
         languages = _parse_languages(args.languages, "--languages")
@@ -308,7 +313,7 @@ def cmd_caption(args) -> int:
         out_dir,
         "caption",
         {"decode_config": cfg.to_dict(), "languages": [l.value for l in languages]},
-        {"checkpoint": Path(args.checkpoint), "embeddings_dir": embeddings_dir},
+        {"checkpoint": checkpoint_digest, "embeddings_dir": embeddings_dir},
         seed=None,
     )
     print(f"captioned {len(audio_ids)} audios x {len(languages)} languages -> {out_path}")

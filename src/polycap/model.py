@@ -111,8 +111,10 @@ class Linear:
         self.weight = Tensor(_uniform_init(rng, (d_in, d_out), d_in), requires_grad=True)
         self.bias = Tensor(np.zeros(d_out), requires_grad=True)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return ad.linear(x, self.weight, self.bias)
+    def __call__(self, x: Tensor, activation: str | None = None, keep=None, p: float = 0.0) -> Tensor:
+        """x @ weight + bias, then the activation (None, "relu" or "gelu"),
+        then dropout with the keep-mask `keep` at rate p (None: no dropout)."""
+        return ad.linear(x, self.weight, self.bias, activation, keep, p)
 
     def params(self) -> list[tuple[str, Tensor]]:
         return [("weight", self.weight), ("bias", self.bias)]
@@ -221,8 +223,8 @@ class DecoderLayer:
         x = self.norm1(x, h, _keep_mask(h.shape, self.p_drop, rng, live), self.p_drop)
         h = self.cross_attn(x, memory, memory_mask, rng, live)
         x = self.norm2(x, h, _keep_mask(h.shape, self.p_drop, rng, live), self.p_drop)
-        h = self.w1(x)
-        h = self.w2(ad.gelu(h, _keep_mask(h.shape, self.p_drop, rng, live), self.p_drop))
+        keep = _keep_mask(x.shape[:-1] + self.w1.bias.shape, self.p_drop, rng, live)
+        h = self.w2(self.w1(x, "gelu", keep, self.p_drop))
         return self.norm3(x, h, _keep_mask(h.shape, self.p_drop, rng, live), self.p_drop)
 
     def step(self, x, keys, values, memory_keys, memory_values):
@@ -237,7 +239,7 @@ class DecoderLayer:
         x = self.norm1(x, h)
         h = self.cross_attn.attend(x, memory_keys, memory_values, None, None)
         x = self.norm2(x, h)
-        x = self.norm3(x, self.w2(ad.gelu(self.w1(x))))
+        x = self.norm3(x, self.w2(self.w1(x, "gelu")))
         return x, keys, values
 
     def params(self) -> list[tuple[str, Tensor]]:
@@ -275,7 +277,10 @@ class LanguageHead:
 
 
 def sinusoidal_encoding(max_len: int, d_model: int) -> np.ndarray:
-    """Fixed sine/cosine table added to target-token embeddings."""
+    """Fixed sine/cosine table added to target-token embeddings, one row per
+    position below max_len. Each row is computed on its own, so the table
+    for t positions is the first t rows of any longer one; callers build it
+    only up to the positions they use."""
     pos = np.arange(max_len)[:, None]
     i = np.arange(d_model)[None, :]
     angles = pos / np.power(10000.0, (2 * (i // 2)) / d_model)
@@ -312,7 +317,6 @@ class MultilingualModel:
         self.heads: dict[Language, LanguageHead] = {}
         for lang in sorted(vocabs, key=lambda l: l.ordinal):
             self.heads[lang] = LanguageHead(rng, lang, vocabs[lang], config.d_model)
-        self.pos_encoding = sinusoidal_encoding(config.max_len, config.d_model)
 
     @property
     def languages(self) -> tuple[Language, ...]:
@@ -362,8 +366,9 @@ class MultilingualModel:
         array multiply outside the graph."""
         audio = np.asarray(audio, dtype=np.float64)
         p = self.config.frontend_dropout
-        x = self.frontend(Tensor(ad.drop(audio, _keep_mask(audio.shape, p, rng), p)))
-        return ad.relu(x, _keep_mask(x.shape, p, rng), p)
+        x = Tensor(ad.drop(audio, _keep_mask(audio.shape, p, rng), p))
+        keep = _keep_mask(audio.shape[:-1] + self.frontend.bias.shape, p, rng)
+        return self.frontend(x, "relu", keep, p)
 
     def forward(
         self,
@@ -417,7 +422,8 @@ class MultilingualModel:
         scale = math.sqrt(self.config.d_model)
         p = self.config.trunk_dropout
         keep = _keep_mask((b, t, self.config.d_model), p, rng, live)
-        x = ad.embedding(head.embedding, target_ids, scale, mixup, live, self.pos_encoding[:t], keep, p)
+        positions = sinusoidal_encoding(t, self.config.d_model)
+        x = ad.embedding(head.embedding, target_ids, scale, mixup, live, positions, keep, p)
 
         causal = np.triu(np.full((t, t), NEG_INF), k=1)[None, None, :, :]
         memory_mask = None
@@ -483,7 +489,7 @@ class IncrementalDecoder:
                 f"target length {self.length + 1} exceeds max_len {self.model.config.max_len}"
             )
         scale = math.sqrt(self.model.config.d_model)
-        pos = self.model.pos_encoding[self.length]
+        pos = sinusoidal_encoding(self.length + 1, self.model.config.d_model)[self.length]
         with ad.no_grad():
             x = Tensor(np.concatenate(
                 [ad.embedding(head.embedding, group, scale, positions=pos).data
@@ -627,18 +633,21 @@ def save_checkpoint(model: MultilingualModel, path: str | Path) -> None:
         f.writelines(blob)
 
 
-def load_checkpoint(path: str | Path) -> MultilingualModel:
+def load_checkpoint(path: str | Path, digest=None) -> MultilingualModel:
     """Rebuild a model from a checkpoint, bit-exactly.
 
     Each tensor is read straight into its parameter array. Every read is
     bounds-checked against the file size, so a truncated file, trailing bytes
     or a tensor that does not match the model fail as ValidationError.
+    `digest`, a hashlib object, is fed every byte as it is read, so after a
+    successful load it has hashed exactly the file the model came from.
     """
     path = Path(path)
     try:
         f = path.open("rb")
     except OSError as exc:
         raise ValidationError(f"cannot read checkpoint {path}: {exc}") from exc
+    hashed = (lambda data: None) if digest is None else digest.update
     with f:
         size = os.fstat(f.fileno()).st_size
 
@@ -648,12 +657,16 @@ def load_checkpoint(path: str | Path) -> MultilingualModel:
 
         def read(n: int, what: str) -> bytes:
             need(n, what)
-            return f.read(n)
+            data = f.read(n)
+            hashed(data)
+            return data
 
         def read_u32(what: str) -> int:
             return struct.unpack("<I", read(4, what))[0]
 
-        if f.read(4) != CKPT_MAGIC:
+        magic = f.read(4)
+        hashed(magic)
+        if magic != CKPT_MAGIC:
             raise ValidationError(f"{path}: not a checkpoint file (bad magic)")
         version, meta_len = struct.unpack("<II", read(8, "header"))
         if version != CKPT_VERSION:
@@ -686,7 +699,9 @@ def load_checkpoint(path: str | Path) -> MultilingualModel:
             if target.shape != shape:
                 raise ValidationError(f"{path}: shape mismatch for {name!r}")
             need(target.nbytes, name)
-            f.readinto(memoryview(target).cast("B"))
+            view = memoryview(target).cast("B")
+            f.readinto(view)
+            hashed(view)
             if sys.byteorder == "big":
                 target.byteswap(inplace=True)
             seen.add(name)

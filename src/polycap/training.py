@@ -454,6 +454,7 @@ class Trainer:
         loss = smoothed_cross_entropy(
             logits, targets, cfg.label_smoothing_eps, vocab.pad_id, mixup, lengths
         )
+        del logits  # only the graph holds them, so backward frees them before the head's backward
 
         value = loss.item()
         at = f"at epoch {epoch}, batch {batch_index}, language {language.value!r}"

@@ -395,6 +395,36 @@ def composed_gelu(x: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return out, g * cdf2 * 0.5 + g_u / math.sqrt(2.0)
 
 
+def composed_linear_activation(
+    x: np.ndarray,
+    w: np.ndarray,
+    b: np.ndarray,
+    activation: str | None,
+    multipliers: np.ndarray | None,
+    g: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Value and (x, w, b) gradients of a linear layer, an activation and
+    dropout, one step at a time: the product over x's flattened rows, the
+    bias, then the activation (none, ReLU, or `composed_gelu`), then the
+    float dropout multipliers (or none). The gradient runs the same steps
+    back."""
+    rows = x.reshape(-1, w.shape[0])
+    h = rows @ w
+    h = h + b
+    h = h.reshape(x.shape[:-1] + w.shape[1:])
+    g_act = g if multipliers is None else g * multipliers
+    if activation == "gelu":
+        value, g_h = composed_gelu(h, g_act)
+    elif activation == "relu":
+        value, g_h = np.where(h > 0, h, 0.0), np.where(h > 0, g_act, 0.0)
+    else:
+        value, g_h = h, g_act
+    if multipliers is not None:
+        value = value * multipliers
+    g_rows = g_h.reshape(-1, w.shape[1])
+    return value, (g_rows @ w.T).reshape(x.shape), rows.T @ g_rows, g_rows.sum(axis=0)
+
+
 def composed_dropout(
     activation: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     keep: np.ndarray,

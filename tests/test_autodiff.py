@@ -32,6 +32,15 @@ def plus(a: Tensor, b: Tensor) -> Tensor:
     return Tensor._make(a.data + b.data, (a, b), backward)
 
 
+def activated(x: Tensor, name: str, keep=None, p: float = 0.0) -> Tensor:
+    """The Linear node with an identity weight and a bias of -0.0, the
+    activation `name` of x itself, then dropout. The product and the bias
+    keep finite nonzero entries of x as they are, and with one column every
+    entry: signed zeros, infinities and NaNs too."""
+    d = x.shape[-1]
+    return ad.linear(x, Tensor(np.eye(d)), Tensor(np.full(d, -0.0)), name, keep, p)
+
+
 def check_grads(make_loss, params: dict, tol=1e-7):
     loss = make_loss()
     loss.backward()
@@ -50,7 +59,7 @@ class TestBasicOps:
         w = rng.normal(size=(4, 3))
 
         def loss():
-            return weighted_sum(plus(ad.gelu(x), ad.relu(x)), w)
+            return weighted_sum(plus(activated(x, "gelu"), activated(x, "relu")), w)
 
         check_grads(loss, {"x": x})
 
@@ -119,10 +128,10 @@ class TestBasicOps:
 
 
 class TestFusedNodes:
-    """ReLU, GELU, the token lookup, Add & Norm, Linear and attention are one
-    node each with a closed-form gradient, dropout included; they match
-    finite differences and the old chains of elementwise nodes
-    (tests/oracles.py)."""
+    """Linear (with its ReLU or GELU), the token lookup, Add & Norm and
+    attention are one node each with a closed-form gradient, dropout
+    included; they match finite differences and the old chains of
+    elementwise nodes (tests/oracles.py)."""
 
     def test_one_node_each(self):
         rng = np.random.default_rng(20)
@@ -135,8 +144,8 @@ class TestFusedNodes:
         mask = np.triu(np.full((3, 5), -1e9), k=1)
         keep = rng.random((2, 2, 3, 5)) >= 0.5
         for out in (
-            ad.relu(x, keep[0, :, :, :4], 0.5),
-            ad.gelu(x, keep[0, :, :, :4], 0.5),
+            ad.linear(x, weight, bias, "relu", keep[0, :, :, :4], 0.5),
+            ad.linear(x, weight, bias, "gelu", keep[0, :, :, :4], 0.5),
             ad.embedding(weight, np.array([[0, 3, 3], [1, 2, 0]]), keep=keep[0, :, :, :4], p=0.5),
             ad.add_norm(x, h, keep[0, :, :, :4], 0.5, gain, bias, 1e-5),
             ad.linear(x, weight, bias),
@@ -177,12 +186,13 @@ class TestFusedNodes:
     def _dropped_node(name: str, data: np.ndarray, rng):
         """A leaf holding the 2-D `data` and the node `name` over it, as a
         function of dropout's keep-mask and rate. The node's output is shaped
-        like `data`: the lookup reads one row per weight row, some twice."""
+        like `data`: the lookup reads one row per weight row, some twice, and
+        an activation is the Linear node with an identity weight."""
         leaf = Tensor(data, requires_grad=True)
         if name == "embedding":
             ids = rng.integers(0, len(data), size=len(data))
             return leaf, lambda keep=None, p=0.0: ad.embedding(leaf, ids, 1.5, keep=keep, p=p)
-        return leaf, lambda keep=None, p=0.0: getattr(ad, name)(leaf, keep, p)
+        return leaf, lambda keep=None, p=0.0: activated(leaf, name, keep, p)
 
     @pytest.mark.parametrize("name", ["relu", "gelu", "embedding"])
     def test_dropout_gradients(self, name):
@@ -221,10 +231,11 @@ class TestFusedNodes:
     @pytest.mark.parametrize("name", ["relu", "gelu", "embedding"])
     def test_dropout_multiply_keeps_special_value_bits(self, name):
         # x * keep, then * 1/(1-p), has the bits of x * where(keep, 1/(1-p), 0),
-        # signed zeros, infinities and NaNs included, forward and backward
+        # signed zeros, infinities and NaNs included, forward and backward;
+        # one column, so an identity product keeps every value
         specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -2.5, 1e308, -1e-310])
-        data = np.repeat(specials, 2).reshape(10, 2)
-        keep = np.tile([True, False], (10, 1))
+        data = np.repeat(specials, 2).reshape(20, 1)
+        keep = np.tile([True, False], 10).reshape(20, 1)
         g = data[::-1].copy()
         with np.errstate(all="ignore"):
             for p in (0.1, 0.2, 0.5):
@@ -240,9 +251,24 @@ class TestFusedNodes:
         w = np.random.default_rng(24).normal(size=(1, 13))
 
         def loss():
-            return weighted_sum(ad.gelu(x), w)
+            return weighted_sum(activated(x, "gelu"), w)
 
         check_grads(loss, {"x": x})
+
+    @pytest.mark.parametrize("name", ["relu", "gelu", None])
+    def test_linear_activation_dropout_gradients(self, name):
+        # weight, bias and input together, with and without a keep-mask
+        rng = np.random.default_rng(23)
+        x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+        weight = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+        bias = Tensor(rng.normal(size=(5,)), requires_grad=True)
+        w = rng.normal(size=(2, 3, 5))
+        for keep in (None, rng.random((2, 3, 5)) >= 0.3):
+
+            def loss():
+                return weighted_sum(ad.linear(x, weight, bias, name, keep, 0.3), w)
+
+            check_grads(loss, {"x": x, "weight": weight, "bias": bias})
 
     @staticmethod
     def _forward_and_grads(fn, *tensors, g):
@@ -260,7 +286,7 @@ class TestFusedNodes:
         rng = np.random.default_rng(25)
         x = Tensor(rng.normal(size=(3, 7)) * 2.0, requires_grad=True)
         g = rng.normal(size=x.shape)
-        out, (grad,) = self._forward_and_grads(lambda: ad.gelu(x), x, g=g)
+        out, (grad,) = self._forward_and_grads(lambda: activated(x, "gelu"), x, g=g)
         want_out, want_grad = oracles.composed_gelu(x.data, g)
         self._assert_close(out, want_out)
         self._assert_close(grad, want_grad)
@@ -281,6 +307,29 @@ class TestFusedNodes:
             assert relative_error(out, want_out) <= 1e-12
             for grad, want in zip(grads, want_grads):
                 assert relative_error(grad, want) <= 1e-12
+
+
+    @pytest.mark.parametrize("name", ["relu", "gelu", None])
+    def test_linear_activation_dropout_equals_composition(self, name):
+        # the product, the bias, the activation and the dropout multiply as
+        # one node: the composed forward's bits, its gradients within 1e-12
+        rng = np.random.default_rng(29)
+        x = Tensor(rng.normal(size=(2, 3, 4)) * 2.0, requires_grad=True)
+        weight = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
+        bias = Tensor(rng.normal(size=(6,)), requires_grad=True)
+        g = rng.normal(size=(2, 3, 6))
+        for keep in (rng.random(g.shape) >= 0.25, None):
+            out, grads = self._forward_and_grads(
+                lambda: ad.linear(x, weight, bias, name, keep, 0.25), x, weight, bias, g=g
+            )
+            multipliers = None if keep is None else keep / (1.0 - 0.25)
+            want_out, *want_grads = oracles.composed_linear_activation(
+                x.data, weight.data, bias.data, name, multipliers, g
+            )
+            assert np.array_equal(out, want_out)
+            for grad, want in zip(grads, want_grads):
+                assert grad.shape == want.shape
+                self._assert_close(grad, want)
 
 
 class TestFlatRowMatmul:
@@ -450,29 +499,29 @@ class TestEngineBehavior:
     def test_backward_requires_scalar(self):
         x = Tensor(np.ones((2, 2)), requires_grad=True)
         with pytest.raises(ValueError):
-            ad.relu(x).backward()
+            activated(x, "relu").backward()
 
     def test_grad_accumulates_across_uses(self):
-        x = Tensor(np.array(3.0), requires_grad=True)
-        weighted_sum(x, np.array(2.0)).backward()
-        weighted_sum(ad.relu(x), np.array(5.0)).backward()  # the two add to 7
-        assert x.grad == pytest.approx(7.0)
+        x = Tensor(np.array([3.0]), requires_grad=True)
+        weighted_sum(x, np.array([2.0])).backward()
+        weighted_sum(activated(x, "relu"), np.array([5.0])).backward()  # the two add to 7
+        assert x.grad == pytest.approx([7.0])
 
     def test_no_grad_blocks_graph(self):
         x = Tensor(np.ones(3), requires_grad=True)
         with ad.no_grad():
-            y = ad.relu(x)
+            y = activated(x, "relu")
         assert not y.requires_grad
         assert y._parents == ()
 
     def test_float64_everywhere(self):
         x = Tensor(np.ones(3, dtype=np.float32))
         assert x.data.dtype == np.float64
-        assert ad.gelu(x).data.dtype == np.float64
+        assert activated(x, "gelu").data.dtype == np.float64
 
     def test_only_leaves_keep_gradients(self):
         x = Tensor(np.arange(1.0, 5.0), requires_grad=True)
-        hidden = ad.relu(x)
+        hidden = activated(x, "relu")
         root = weighted_sum(hidden, np.arange(4.0))
         root.backward()
         assert np.array_equal(x.grad, np.arange(4.0))
@@ -490,7 +539,7 @@ class TestEngineBehavior:
         try:
             h = x
             for _ in range(16):
-                h = ad.relu(h)
+                h = activated(h, "relu")
             loss = weighted_sum(h, w)
             del h
             forward_bytes, _ = tracemalloc.get_traced_memory()

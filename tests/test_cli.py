@@ -807,3 +807,36 @@ class TestModuleEntryPoint:
         assert payload["error"] == "ValidationError"
         assert "bytes follow it" in payload["message"]
         assert not (tmp_path / "o").exists()
+
+    def test_checkpoint_with_a_huge_max_len_captions_fast(self, tmp_path):
+        # max_len only bounds positions; a valid checkpoint whose meta says
+        # 10^8 once made the loader fill a 10^8 x d_model positional table.
+        # Under a 2 GiB address-space cap it now loads and captions at once.
+        manifest, emb_dir = write_corpus(tmp_path)
+        path = tmp_path / "m.ackp"
+        save_checkpoint(MultilingualModel(tiny_model_config(d_in=8), {Language.EN: word_vocab(["a", "b"])}), path)
+        raw = path.read_bytes()
+        meta_end = 12 + int.from_bytes(raw[8:12], "little")
+        meta = json.loads(raw[12:meta_end])
+        meta["model_config"]["max_len"] = 10**8
+        meta_bytes = json.dumps(meta).encode("utf-8")
+        path.write_bytes(raw[:4] + struct.pack("<II", 1, len(meta_bytes)) + meta_bytes + raw[meta_end:])
+        timed_main = (
+            "import json, sys, time\n"
+            "from polycap.cli import main\n"
+            "t0 = time.monotonic()\n"
+            "code = main(sys.argv[1:])\n"
+            "print(json.dumps({'code': code, 'seconds': time.monotonic() - t0}))\n"
+        )
+        cap = 2 << 30
+        proc = run_module(
+            "caption", "--checkpoint", str(path), "--embeddings-dir", str(emb_dir),
+            "--beam-size", "2", "--max-len", "4", "--out", str(tmp_path / "o"), cwd=tmp_path,
+            args=("-c", timed_main), preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        )
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert result["code"] == 0, proc.stderr
+        assert result["seconds"] < 1.0
+        lines = (tmp_path / "o" / "captions.jsonl").read_text().splitlines()
+        assert len(lines) == len(list(emb_dir.iterdir()))

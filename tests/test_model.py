@@ -21,6 +21,7 @@ from polycap.model import (
     load_checkpoint,
     param_report,
     save_checkpoint,
+    sinusoidal_encoding,
     size_comparison,
 )
 from polycap.text import Language
@@ -62,6 +63,16 @@ class TestForward:
         ids = rng.integers(0, vocab.size, size=(2, 5))
         logits = model.forward(audio, ids, Language.EN)
         assert logits.shape == (2, 5, 100)
+
+    def test_positional_table_is_a_prefix_of_any_longer_one(self):
+        # the forward and the cached decoder build the table only up to the
+        # positions they use, so a short table must have the bits of the
+        # first rows of a long one
+        for d in (8, 16, 256, 512):
+            for length in (40, 64, 200):
+                full = sinusoidal_encoding(length, d)
+                for t in range(1, length + 1):
+                    assert sinusoidal_encoding(t, d).tobytes() == full[:t].tobytes(), (d, length, t)
 
     def test_causality_by_perturbation(self, tiny_model, en_vocab):
         rng = np.random.default_rng(1)
