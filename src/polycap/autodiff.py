@@ -310,7 +310,9 @@ def attention(
     """Multi-head scaled dot-product attention as one node.
 
     q is (b, t, d), or flat (rows, d) with one position per row; k and v are
-    (b or 1, s, d), and a leading 1 broadcasts over the b queries. The node
+    (b or 1, s, d), and a leading 1 broadcasts over the b queries. The model
+    always passes flat query rows: packed by `live` in training and
+    validation, one position per row in the cached decoder. The node
     splits d into n_heads heads, scales the scores by 1/sqrt(d / n_heads), adds
     the numpy `additive_mask` (broadcast to the (b, n_heads, t, s) scores),
     takes the softmax over s, drops it out with the boolean keep-mask `keep`

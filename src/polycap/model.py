@@ -169,31 +169,32 @@ class MultiHeadAttention:
         self.wo = Linear(rng, d_model, d_model)
 
     def __call__(
-        self, query: Tensor, memory: Tensor, additive_mask: np.ndarray | None, rng, live=None
+        self, query: Tensor, memory, additive_mask: np.ndarray | None, rng, live=None, cache=None
     ) -> Tensor:
-        return self.attend(query, *self.keys_values(memory), additive_mask, rng, live)
-
-    def keys_values(self, memory: Tensor) -> tuple[Tensor, Tensor]:
-        """Projected keys and values of `memory`, (b, s, d_model) each."""
-        return self.wk(memory), self.wv(memory)
-
-    def attend(
-        self, query: Tensor, keys: Tensor, values: Tensor, additive_mask: np.ndarray | None, rng, live=None
-    ) -> Tensor:
-        """Scaled dot-product attention of `query`, (b, t, d_model) or flat
-        (rows, d_model), over keys/values from `keys_values`; a leading axis
-        of 1 on the keys/values broadcasts over the batch. With `live`, a
-        (b, t) mask, flat query, key and value rows are the live positions of
-        a padded batch (see `autodiff.attention`). The dropout generator
-        `rng`, if given, draws the attention-weight keep-mask."""
+        """Scaled dot-product attention of `query`, flat (rows, d_model), over
+        `memory`: a Tensor to project, or a (keys, values) pair from
+        `keys_values`, whose leading axis of 1 broadcasts over the batch.
+        Without `live`, each query row is one position. With `live`, a (b, t)
+        mask, query and flat memory rows are the live positions of a padded
+        batch (see `autodiff.attention`). `cache`, a [keys, values] pair of
+        (rows, t, d_model) arrays, holds the earlier positions' keys/values:
+        the call appends the new position's to it in place and attends over
+        them all. The dropout generator `rng`, if given, draws the
+        attention-weight keep-mask."""
+        keys, values = memory if isinstance(memory, tuple) else self.keys_values(memory)
+        if cache is not None:
+            cache[0] = np.concatenate([cache[0], keys.data[:, None]], axis=1)
+            cache[1] = np.concatenate([cache[1], values.data[:, None]], axis=1)
+            keys, values = Tensor(cache[0]), Tensor(cache[1])
         q = self.wq(query)
-        if live is not None:
-            b, t = live.shape
-        else:
-            b, t = q.shape[0], q.shape[1] if len(q.shape) == 3 else 1
+        b, t = live.shape if live is not None else (q.shape[0], 1)
         s = keys.shape[1] if len(keys.shape) == 3 else t  # flat keys: packed self-attention
         keep = _keep_mask((b, self.n_heads, t, s), self.p_drop, rng)
         return self.wo(ad.attention(q, keys, values, self.n_heads, additive_mask, keep, self.p_drop, live))
+
+    def keys_values(self, memory: Tensor) -> tuple[Tensor, Tensor]:
+        """Projected keys and values of `memory`, one row per memory row."""
+        return self.wk(memory), self.wv(memory)
 
     def params(self) -> list[tuple[str, Tensor]]:
         out = []
@@ -216,31 +217,21 @@ class DecoderLayer:
         self.norm2 = LayerNorm(d)
         self.norm3 = LayerNorm(d)
 
-    def __call__(self, x, memory, causal_mask, memory_mask, rng, live=None):
-        """x is (b, t, d_model), or with a (b, t) `live` mask the flat rows
-        of the live positions; every op but attention is row-wise."""
-        h = self.self_attn(x, x, causal_mask, rng, live)
+    def __call__(self, x, memory, causal_mask, memory_mask, rng, live=None, cache=None):
+        """x holds flat rows: with a (b, t) `live` mask the live positions of
+        a padded batch, without one a single position per row. `memory` and
+        `cache` go to cross- and self-attention (see `MultiHeadAttention`);
+        every op but attention is row-wise. Training, validation and cached
+        decoding all run this body."""
+        # perfbench's tracer tells self- from cross-attention by the query
+        # and the memory being one object, so self-attention passes x twice
+        h = self.self_attn(x, x, causal_mask, rng, live, cache)
         x = self.norm1(x, h, _keep_mask(h.shape, self.p_drop, rng, live), self.p_drop)
         h = self.cross_attn(x, memory, memory_mask, rng, live)
         x = self.norm2(x, h, _keep_mask(h.shape, self.p_drop, rng, live), self.p_drop)
         keep = _keep_mask(x.shape[:-1] + self.w1.bias.shape, self.p_drop, rng, live)
         h = self.w2(self.w1(x, "gelu", keep, self.p_drop))
         return self.norm3(x, h, _keep_mask(h.shape, self.p_drop, rng, live), self.p_drop)
-
-    def step(self, x, keys, values, memory_keys, memory_values):
-        """Dropout-free block for one new position per row: x is (rows,
-        d_model); keys/values, (rows, t, d_model), hold the earlier positions'
-        self-attention cache. Returns the block output and the cache extended
-        by the new position."""
-        new_keys, new_values = self.self_attn.keys_values(x)
-        keys = np.concatenate([keys, new_keys.data[:, None]], axis=1)
-        values = np.concatenate([values, new_values.data[:, None]], axis=1)
-        h = self.self_attn.attend(x, Tensor(keys), Tensor(values), None, None)
-        x = self.norm1(x, h)
-        h = self.cross_attn.attend(x, memory_keys, memory_values, None, None)
-        x = self.norm2(x, h)
-        x = self.norm3(x, self.w2(self.w1(x, "gelu")))
-        return x, keys, values
 
     def params(self) -> list[tuple[str, Tensor]]:
         out = []
@@ -392,7 +383,8 @@ class MultilingualModel:
         prefix, and the positions after it feed nothing that is kept. The
         row-wise layers then run on the live rows only, and the logits are
         (sum(lengths), vocab), row-major over the live positions. None means
-        every position is live: the logits are (batch, t, vocab).
+        every position is live, and the same logits come shaped (batch, t,
+        vocab).
         rng: dropout runs iff a generator is given (training), its masks
         drawn at the padded shape; without one the forward is deterministic.
         """
@@ -413,8 +405,8 @@ class MultilingualModel:
                 elif mixup.lam < 1.0:
                     frame_mask = frame_mask | frame_mask[mixup.partner]
 
-        live = None if lengths is None else live_positions(lengths, t)
-        if live is not None and len(live) != b:
+        live = live_positions(np.full(b, t) if lengths is None else lengths, t)
+        if len(live) != b:
             raise ValidationError(f"{len(live)} lengths for a batch of {b} rows")
 
         memory = self.encode_audio(audio, rng)
@@ -432,7 +424,12 @@ class MultilingualModel:
 
         for layer in self.layers:
             x = layer(x, memory, causal, memory_mask, rng, live)
-        return head.classifier(x)
+        logits = head.classifier(x)
+        if lengths is None:
+            # a view, no node: no backward reads its own node's output, and
+            # the classifier's backward flattens its gradient to rows
+            logits.data = logits.data.reshape(b, t, -1)
+        return logits
 
 
 class IncrementalDecoder:
@@ -442,10 +439,12 @@ class IncrementalDecoder:
     The front-end output and every layer's cross-attention keys/values are
     computed once per clip, at construction, and serve every group. Each
     group's rows look up their own language's embedding; `advance` stacks the
-    rows of all groups, runs the new position once through the shared trunk
-    and slices the output by group for each language's classifier. Each
-    layer's self-attention keys/values of the positions decoded so far are
-    cached per row, group after group; each group starts with one empty row.
+    rows of all groups, runs the new position once through the shared trunk,
+    one flat row per hypothesis through each `DecoderLayer.__call__`, and
+    slices the output by group for each language's classifier. Each layer's
+    self-attention keys/values of the positions decoded so far are cached per
+    row, group after group, in one [keys, values] pair per layer that the
+    layer extends in place; each group starts with one empty row.
     `reorder` gathers a group's cached rows by parent index, as a beam keeps,
     drops or duplicates hypotheses. The logits equal
     `MultilingualModel.forward` on the full prefixes up to floating-point
@@ -460,8 +459,7 @@ class IncrementalDecoder:
             self.memory = [layer.cross_attn.keys_values(Tensor(memory.data[None])) for layer in model.layers]
         self.rows = [1] * len(self.heads)
         empty = np.zeros((len(self.heads), 0, model.config.d_model))
-        self.keys = [empty] * model.config.n_layers
-        self.values = [empty] * model.config.n_layers
+        self.caches = [[empty, empty] for _ in model.layers]
         self.length = 0
 
     def reorder(self, parents: Sequence[np.ndarray]) -> None:
@@ -472,8 +470,8 @@ class IncrementalDecoder:
         rows = np.concatenate(
             [offset + np.asarray(p, dtype=np.intp) for offset, p in zip(offsets, parents)]
         )
-        self.keys = [k[rows] for k in self.keys]
-        self.values = [v[rows] for v in self.values]
+        for cache in self.caches:  # layer by layer, so one layer's old rows go at a time
+            cache[0], cache[1] = cache[0][rows], cache[1][rows]
         self.rows = [len(p) for p in parents]
 
     def advance(self, ids: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -495,10 +493,8 @@ class IncrementalDecoder:
                 [ad.embedding(head.embedding, group, scale, positions=pos).data
                  for head, group in zip(self.heads, ids)]
             ))
-            for i, layer in enumerate(self.model.layers):
-                x, self.keys[i], self.values[i] = layer.step(
-                    x, self.keys[i], self.values[i], *self.memory[i]
-                )
+            for layer, memory, cache in zip(self.model.layers, self.memory, self.caches):
+                x = layer(x, memory, None, None, None, cache=cache)
             ends = np.cumsum(self.rows)
             logits = [
                 head.classifier(Tensor(x.data[end - n : end])).data
@@ -548,27 +544,6 @@ class ParamReport:
             "frozen_encoder": self.frozen_encoder,
             "grand_total": self.grand_total,
         }
-
-
-def count_params(model: MultilingualModel) -> ParamReport:
-    """Exact parameter counts from the live arrays, grouped by component."""
-    frontend = trunk = 0
-    heads: dict[str, dict[str, int]] = {}
-    for name, t in model.named_parameters().items():
-        n = t.data.size
-        if name.startswith("frontend."):
-            frontend += n
-        elif name.startswith("trunk."):
-            trunk += n
-        else:
-            _, code, *rest = name.split(".")
-            part = "embedding" if rest[0] == "embedding" else "classifier"
-            heads.setdefault(code, {"embedding": 0, "classifier": 0})[part] += n
-    return ParamReport(
-        frontend=frontend,
-        trunk=trunk,
-        heads={code: HeadParams(**parts) for code, parts in heads.items()},
-    )
 
 
 def param_report(config: ModelConfig, vocab_sizes: Mapping[Language, int]) -> ParamReport:

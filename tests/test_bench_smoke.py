@@ -49,4 +49,8 @@ def test_traced_train_fills_every_layer_metric():
 def test_traced_caption_run_is_correct():
     # the tracer wraps polycap's decoding entry points and reads their
     # arguments; a traced caption run must still decode and check clean
-    smoke_run("caption", trace=1)
+    metrics = smoke_run("caption", trace=1)["metrics"]
+    # the cached decoder runs the trunk through the same layer calls as
+    # training, so every trunk role the tracer labels reads non-zero
+    for name in ("self_attn", "cross_attn", "ff", "norm"):
+        assert metrics[f"model.{name}_s"]["value"] > 0, name

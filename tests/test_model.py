@@ -17,7 +17,6 @@ from polycap.model import (
     ParamReport,
     SequenceTooLongError,
     UnknownLanguageError,
-    count_params,
     load_checkpoint,
     param_report,
     save_checkpoint,
@@ -231,12 +230,19 @@ class TestParamAccounting:
     def test_live_count_equals_closed_form(self, en_vocab):
         cfg = tiny_model_config(n_layers=2)
         model = MultilingualModel(cfg, {Language.EN: en_vocab, Language.DE: en_vocab}, seed=0)
-        live = count_params(model)
+        sizes = {name: t.data.size for name, t in model.named_parameters().items()}
         closed = param_report(cfg, {Language.EN: en_vocab.size, Language.DE: en_vocab.size})
-        assert live.frontend == closed.frontend
-        assert live.trunk == closed.trunk
-        assert live.heads == closed.heads
-        assert live.trainable_total == closed.trainable_total
+
+        def total(prefix):
+            return sum(n for name, n in sizes.items() if name.startswith(prefix))
+
+        assert closed.frontend == total("frontend.")
+        assert closed.trunk == total("trunk.")
+        assert set(closed.heads) == {"en", "de"}
+        for code, head in closed.heads.items():
+            assert head.embedding == total(f"heads.{code}.embedding.")
+            assert head.classifier == total(f"heads.{code}.classifier.")
+        assert closed.trainable_total == sum(sizes.values())
 
     def test_grand_total_includes_frozen_encoder(self):
         report = param_report(ModelConfig(), {Language.EN: 4861})

@@ -1,6 +1,8 @@
 """The packed train step: with `lengths`, every row-wise layer runs on the
-live target positions only. It must match the padded computation
-(`lengths=None`) under the same dropout draws, up to summation order."""
+live target positions only. It must match the computation over every
+position (`lengths=None`) under the same dropout draws, up to summation
+order. `lengths=None` is the packed path with every position live, its
+logits shaped (b, t, vocab)."""
 
 import numpy as np
 import pytest
@@ -102,6 +104,29 @@ class TestPackedEqualsPadded:
         live = live_positions(lengths, dec_in.shape[1])
         assert packed.shape == (lengths.sum(), VOCAB.size)
         assert np.abs(packed - padded[live]).max() <= TOL * np.abs(padded).max()
+
+    def test_no_lengths_is_every_position_live_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        model = make_model()
+        batch = random_batch(rng)
+        b, t = batch[0].shape
+        mixup = draw(rng, "lambda_drawn", b)
+        assert 0.0 < mixup.lam < 1.0 and not batch[3].all()  # a mix and a partial frame mask
+        full = np.full(b, t)
+        logits = {}
+        for lengths in (None, full):
+            dec_in, targets, audio, frame_mask = batch
+            logits[lengths is None] = model.forward(
+                audio, dec_in, Language.EN, frame_mask=frame_mask,
+                rng=np.random.default_rng(3), mixup=mixup, lengths=lengths,
+            ).data  # fmt: skip
+        assert logits[True].shape == (b, t, VOCAB.size)
+        assert np.array_equal(logits[True], logits[False].reshape(b, t, -1))
+        every_loss, every = train_step(model, batch, mixup, None, dropout_seed=3)
+        packed_loss, packed = train_step(model, batch, mixup, full, dropout_seed=3)
+        assert every_loss == packed_loss
+        for name, want in packed.items():
+            assert np.array_equal(every[name], want), name
 
     def test_packed_path_matches_finite_differences(self):
         rng = np.random.default_rng(9)
