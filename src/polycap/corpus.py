@@ -142,12 +142,6 @@ class CaptionManifest:
     def audio_ids(self) -> tuple[str, ...]:
         return tuple(self.entries.keys())
 
-    def languages(self) -> set[Language]:
-        found: set[Language] = set()
-        for caps in self.entries.values():
-            found.update(caps.keys())
-        return found
-
     def records(self, language: Language) -> Iterator[CaptionRecord]:
         for audio_id, caps in self.entries.items():
             if language in caps:

@@ -9,9 +9,10 @@ under length normalization wins. Ties break on lexicographic token ids.
 
 Independent searches can step in lockstep, one group each, so one scorer
 call serves them all: `caption_clip` searches every language of a clip
-together through the model's shared trunk. The search hands the scorer each
-row's parent, by which a cached scorer gathers its cache. A single search is
-the one-group case.
+together through the model's shared trunk, scored by the cached
+`model.IncrementalDecoder`. The search hands the scorer each row's parent,
+by which the cached scorer gathers its cache. A single search is the
+one-group case.
 """
 
 from __future__ import annotations
@@ -188,38 +189,6 @@ def beam_search(
     return grouped_beam_search(lambda prefixes, _: [step_fn(prefixes[0])], [vocab], [stopwords], cfg)[0]
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    """Log-softmax over the last axis, shifted by the row maximum first."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-
-
-def grouped_model_step_fn(
-    model: MultilingualModel, audio: np.ndarray, languages: Sequence[Language]
-) -> GroupStepFn:
-    """Adapt a model + one audio sequence into a cached grouped step
-    function, one group per language, that scores every group in one pass
-    through the shared trunk.
-
-    Group g's rows equal the log-softmax of `MultilingualModel.forward` in
-    languages[g] on the same prefixes, without a dropout generator. Each
-    call gathers the per-row cache by the given parents and computes only
-    the new position, the prefixes' last column. A group may have zero rows,
-    but not all.
-    """
-    audio = np.asarray(audio, dtype=np.float64)
-    if audio.ndim != 2 or audio.shape[1] != model.config.d_in:
-        raise ValidationError(f"expected one (frames, {model.config.d_in}) audio sequence, got {audio.shape}")
-    decoder = IncrementalDecoder(model, audio, languages)
-
-    def step(prefixes: Sequence[np.ndarray], parents: Sequence[np.ndarray]) -> list[np.ndarray]:
-        decoder.reorder(parents)
-        logits = decoder.advance([np.asarray(p)[:, -1] for p in prefixes])
-        return [_log_softmax(group) for group in logits]
-
-    return step
-
-
 def caption_clip(
     model: MultilingualModel,
     audio: np.ndarray,
@@ -233,7 +202,7 @@ def caption_clip(
     # the model scores at most max_len positions (BOS included)
     cfg = replace(cfg, max_len=min(cfg.max_len, model.config.max_len - 1))
     return grouped_beam_search(
-        grouped_model_step_fn(model, audio, languages),
+        IncrementalDecoder(model, audio, languages),
         [model.vocab(lang) for lang in languages],
         [stopwords_by_language.get(lang) for lang in languages],
         cfg,

@@ -194,8 +194,6 @@ def cider_d(
 class EmbedderProvider(Protocol):
     """Deterministic text -> unit-norm vector provider."""
 
-    name: str
-
     def embed_batch(self, texts: Sequence[str], language: Language) -> np.ndarray: ...
 
 
@@ -210,8 +208,7 @@ def _normalize_rows(vectors: np.ndarray, texts: Sequence[str]) -> np.ndarray:
 class StubEmbedder:
     """Table-driven embedder for tests: exact, deterministic, no service."""
 
-    def __init__(self, table: Mapping[str, Sequence[float]], name: str = "stub"):
-        self.name = name
+    def __init__(self, table: Mapping[str, Sequence[float]]):
         self._table = {text: np.asarray(v, dtype=np.float64) for text, v in table.items()}
 
     def embed_batch(self, texts: Sequence[str], language: Language) -> np.ndarray:
@@ -231,10 +228,9 @@ class HttpEmbedder:
     re-normalized to unit length on receipt.
     """
 
-    def __init__(self, endpoint: str, timeout: float = 30.0, name: str | None = None):
+    def __init__(self, endpoint: str, timeout: float = 30.0):
         self.endpoint = endpoint
         self.timeout = timeout
-        self.name = name or f"http:{endpoint}"
 
     def embed_batch(self, texts: Sequence[str], language: Language) -> np.ndarray:
         payload = json.dumps({"texts": list(texts), "language": language.value}).encode("utf-8")
@@ -352,19 +348,13 @@ def cross_language_similarity(
     if not base_ids:
         raise ValidationError("no items to compare")
     ordered = sorted(base_ids)
-    base_texts = [outputs[base][i] for i in ordered]
-    base_table = _embed_with_item_context(
-        provider, base_texts, base, {t: i for t, i in zip(base_texts, ordered)}
-    )
-    result: dict[Language, float] = {}
+    tables = {}
     for lang, captions in outputs.items():
         texts = [captions[i] for i in ordered]
-        table = _embed_with_item_context(
-            provider, texts, lang, {t: i for t, i in zip(texts, ordered)}
-        )
-        cos = [
-            float(base_table[outputs[base][i]] @ table[captions[i]]) for i in ordered
-        ]
+        tables[lang] = _embed_with_item_context(provider, texts, lang, dict(zip(texts, ordered)))
+    result: dict[Language, float] = {}
+    for lang, captions in outputs.items():
+        cos = [float(tables[base][outputs[base][i]] @ tables[lang][captions[i]]) for i in ordered]
         result[lang] = float(np.mean(cos)) * 100.0
     return result
 

@@ -432,26 +432,30 @@ class MultilingualModel:
         return logits
 
 
+def log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Log-softmax over the last axis, shifted by the row maximum first."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
 class IncrementalDecoder:
-    """Dropout-free next-token logits for one audio sequence in G language
-    groups, one new position per call (incremental decoding, Shazeer 2019).
+    """The cached grouped step function (`decoding.GroupStepFn`) of one audio
+    sequence in G language groups: each call scores one new position
+    (incremental decoding, Shazeer 2019), dropout-free.
 
     The front-end output and every layer's cross-attention keys/values are
     computed once per clip, at construction, and serve every group. Each
-    group's rows look up their own language's embedding; `advance` stacks the
-    rows of all groups, runs the new position once through the shared trunk,
-    one flat row per hypothesis through each `DecoderLayer.__call__`, and
-    slices the output by group for each language's classifier. Each layer's
-    self-attention keys/values of the positions decoded so far are cached per
-    row, group after group, in one [keys, values] pair per layer that the
-    layer extends in place; each group starts with one empty row.
-    `reorder` gathers a group's cached rows by parent index, as a beam keeps,
-    drops or duplicates hypotheses. The logits equal
-    `MultilingualModel.forward` on the full prefixes up to floating-point
-    rounding.
+    layer's self-attention keys/values of the positions decoded so far are
+    cached per row, group after group, in one [keys, values] pair per layer
+    that the layer extends in place; each group starts with one empty row.
+    Group g's rows equal the log-softmax of `MultilingualModel.forward` in
+    languages[g] on the same prefixes, up to floating-point rounding.
     """
 
     def __init__(self, model: MultilingualModel, audio: np.ndarray, languages: Sequence[Language]):
+        audio = np.asarray(audio, dtype=np.float64)
+        if audio.ndim != 2 or audio.shape[1] != model.config.d_in:
+            raise ValidationError(f"expected one (frames, {model.config.d_in}) audio sequence, got {audio.shape}")
         self.model = model
         self.heads = [model.head(language) for language in languages]
         with ad.no_grad():
@@ -462,30 +466,41 @@ class IncrementalDecoder:
         self.caches = [[empty, empty] for _ in model.layers]
         self.length = 0
 
-    def reorder(self, parents: Sequence[np.ndarray]) -> None:
-        """Row i of group g becomes that group's old row parents[g][i]."""
-        if len(parents) != len(self.rows):
-            raise ValidationError(f"expected parents for {len(self.rows)} groups, got {len(parents)}")
-        offsets = np.cumsum([0, *self.rows[:-1]])
-        rows = np.concatenate(
-            [offset + np.asarray(p, dtype=np.intp) for offset, p in zip(offsets, parents)]
-        )
-        for cache in self.caches:  # layer by layer, so one layer's old rows go at a time
-            cache[0], cache[1] = cache[0][rows], cache[1][rows]
-        self.rows = [len(p) for p in parents]
-
-    def advance(self, ids: Sequence[np.ndarray]) -> list[np.ndarray]:
-        """Append one token id per row of each group; return each group's
-        (rows, vocab) next-token logits. A group may have zero rows, but not
-        all of them."""
-        if [len(group) for group in ids] != self.rows:
-            raise ValidationError(f"expected {self.rows} ids per group, got {[len(g) for g in ids]}")
-        if not any(self.rows):
+    def __call__(self, prefixes: Sequence[np.ndarray], parents: Sequence[np.ndarray]) -> list[np.ndarray]:
+        """Each group's (k_g, vocab_g) next-token log-prob rows. Row i of
+        group g extends that group's row parents[g][i] of the previous call
+        by the token prefixes[g][i, -1]. A group may have zero rows, but not
+        all of them. A rejected call leaves the decoder as it was."""
+        if len(prefixes) != len(self.rows) or len(parents) != len(self.rows):
+            raise ValidationError(
+                f"expected {len(self.rows)} groups, got {len(prefixes)} prefix matrices and {len(parents)} parent lists"
+            )
+        ids = [np.asarray(p)[:, -1] for p in prefixes]
+        parents = [np.asarray(p) for p in parents]
+        counts = [len(p) for p in parents]
+        if [len(group) for group in ids] != counts:
+            raise ValidationError(f"expected one prefix row per parent, got {[len(g) for g in ids]} for {counts}")
+        if not any(counts):
             raise ValidationError("every group has zero rows: nothing to advance")
+        problems = [
+            f"group {g}: {what} must be integers in [0, {n}), got {values.tolist()}"
+            for g, (p, group, n_rows, head) in enumerate(zip(parents, ids, self.rows, self.heads))
+            for what, values, n in (("parents", p, n_rows), ("token ids", group, head.vocab.size))
+            if len(values) and not (values.dtype.kind in "iu" and 0 <= values.min() <= values.max() < n)
+        ]
+        if problems:
+            raise ValidationError("bad decode round", items=problems)
         if self.length >= self.model.config.max_len:
             raise SequenceTooLongError(
                 f"target length {self.length + 1} exceeds max_len {self.model.config.max_len}"
             )
+        # an empty group's parents or ids may be a float array, as np.asarray([]) is
+        ids = [group.astype(np.intp) for group in ids]
+        offsets = np.cumsum([0, *self.rows[:-1]])
+        rows = np.concatenate([offset + p.astype(np.intp) for offset, p in zip(offsets, parents)])
+        for cache in self.caches:  # layer by layer, so one layer's old rows go at a time
+            cache[0], cache[1] = cache[0][rows], cache[1][rows]
+        self.rows = counts
         scale = math.sqrt(self.model.config.d_model)
         pos = sinusoidal_encoding(self.length + 1, self.model.config.d_model)[self.length]
         with ad.no_grad():
@@ -495,10 +510,10 @@ class IncrementalDecoder:
             ))
             for layer, memory, cache in zip(self.model.layers, self.memory, self.caches):
                 x = layer(x, memory, None, None, None, cache=cache)
-            ends = np.cumsum(self.rows)
+            ends = np.cumsum(counts)
             logits = [
-                head.classifier(Tensor(x.data[end - n : end])).data
-                for head, n, end in zip(self.heads, self.rows, ends)
+                log_softmax(head.classifier(Tensor(x.data[end - n : end])).data)
+                for head, n, end in zip(self.heads, counts, ends)
             ]
         self.length += 1
         return logits

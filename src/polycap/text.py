@@ -88,6 +88,9 @@ class Vocabulary:
     unk_id = 3
 
     def __post_init__(self):
+        not_str = [f"token {i}: {t!r}" for i, t in enumerate(self.tokens) if not isinstance(t, str)]
+        if not_str:
+            raise ValidationError("vocabulary tokens must be strings", items=not_str)
         if tuple(self.tokens[:4]) != SPECIAL_TOKENS:
             raise ValidationError("vocabulary must start with PAD/BOS/EOS/UNK specials")
         if len(self.index) != len(self.tokens):

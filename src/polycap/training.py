@@ -315,11 +315,9 @@ def _pad_audio(arrays: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np
     frames = np.array([a.shape[0] for a in arrays])
     dim = arrays[0].shape[1]
     out = np.zeros((len(arrays), int(frames.max()), dim), dtype=np.float64)
-    mask = np.zeros((len(arrays), int(frames.max())), dtype=bool)
     for i, a in enumerate(arrays):
         out[i, : a.shape[0]] = a
-        mask[i, : a.shape[0]] = True
-    return out, mask, frames
+    return out, live_positions(frames, out.shape[1]), frames
 
 
 def _pad_ids(seqs: Sequence[list[int]], pad_id: int) -> np.ndarray:

@@ -18,7 +18,7 @@ from polycap import decoding
 from polycap.cli import main
 from polycap.corpus import EmbeddingSequence, write_embedding
 from polycap.model import MultilingualModel, save_checkpoint
-from polycap.text import Language
+from polycap.text import SPECIAL_TOKENS, Language
 
 
 def write_corpus(root: Path, n_items=6, frames=5, d_in=8, languages=("en", "fr"), seed=0):
@@ -63,6 +63,16 @@ def write_train_config(root: Path, manifest: Path, emb_dir: Path, epochs=25, see
     path = root / "train.json"
     path.write_text(json.dumps(config), encoding="utf-8")
     return path
+
+
+def rewrite_meta(path: Path, edit) -> None:
+    """Rewrite a checkpoint's JSON meta block in place with edit(meta)."""
+    raw = path.read_bytes()
+    meta_end = 12 + int.from_bytes(raw[8:12], "little")
+    meta = json.loads(raw[12:meta_end])
+    edit(meta)
+    meta_bytes = json.dumps(meta).encode("utf-8")
+    path.write_bytes(raw[:4] + struct.pack("<II", 1, len(meta_bytes)) + meta_bytes + raw[meta_end:])
 
 
 class TestPrepare:
@@ -670,6 +680,20 @@ class TestCliSurface:
         assert payload["error"] == "ValidationError"
         assert payload["message"].startswith("cannot read checkpoint")
 
+    def test_checkpoint_with_non_string_tokens_exits_2(self, tmp_path, capsys):
+        # such a checkpoint once loaded, and caption failed with a raw
+        # TypeError (exit 3) when it joined a decoded caption's words
+        _, emb_dir = write_corpus(tmp_path)
+        path = tmp_path / "m.ackp"
+        save_checkpoint(MultilingualModel(tiny_model_config(d_in=8), {Language.EN: word_vocab(["a", "b"])}), path)
+        rewrite_meta(path, lambda meta: meta["vocabs"]["en"].update(tokens=[*SPECIAL_TOKENS, 5, 7.5]))
+        code = main(["caption", "--checkpoint", str(path), "--embeddings-dir", str(emb_dir), "--out", str(tmp_path / "o")])
+        assert code == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "ValidationError"
+        assert payload["items"] == ["token 4: 5", "token 5: 7.5"]
+        assert not (tmp_path / "o").exists()
+
 
 class TestRepeatedLanguages:
     """A language listed twice would train every (audio, language) pair
@@ -780,12 +804,7 @@ class TestModuleEntryPoint:
         path = tmp_path / "m.ackp"
         vocabs = {Language.EN: word_vocab([f"w{i}" for i in range(20)])}
         save_checkpoint(MultilingualModel(tiny_model_config(d_in=8), vocabs), path)
-        raw = path.read_bytes()
-        meta_end = 12 + int.from_bytes(raw[8:12], "little")
-        meta = json.loads(raw[12:meta_end])
-        meta["model_config"]["d_model"] = 10**9
-        meta_bytes = json.dumps(meta).encode("utf-8")
-        path.write_bytes(raw[:4] + struct.pack("<II", 1, len(meta_bytes)) + meta_bytes + raw[meta_end:])
+        rewrite_meta(path, lambda meta: meta["model_config"].update(d_model=10**9))
         assert path.stat().st_size < 15_000
         timed_main = (
             "import json, sys, time\n"
@@ -815,12 +834,7 @@ class TestModuleEntryPoint:
         manifest, emb_dir = write_corpus(tmp_path)
         path = tmp_path / "m.ackp"
         save_checkpoint(MultilingualModel(tiny_model_config(d_in=8), {Language.EN: word_vocab(["a", "b"])}), path)
-        raw = path.read_bytes()
-        meta_end = 12 + int.from_bytes(raw[8:12], "little")
-        meta = json.loads(raw[12:meta_end])
-        meta["model_config"]["max_len"] = 10**8
-        meta_bytes = json.dumps(meta).encode("utf-8")
-        path.write_bytes(raw[:4] + struct.pack("<II", 1, len(meta_bytes)) + meta_bytes + raw[meta_end:])
+        rewrite_meta(path, lambda meta: meta["model_config"].update(max_len=10**8))
         timed_main = (
             "import json, sys, time\n"
             "from polycap.cli import main\n"

@@ -13,15 +13,13 @@ from oracles import (
 from polycap import autodiff as ad
 from polycap.decoding import (
     DecodeConfig,
-    _log_softmax,
     beam_search,
     caption_audio,
     caption_clip,
     grouped_beam_search,
-    grouped_model_step_fn,
 )
 from polycap.errors import ValidationError
-from polycap.model import MultilingualModel, SequenceTooLongError
+from polycap.model import IncrementalDecoder, MultilingualModel, SequenceTooLongError, log_softmax
 from polycap.text import Language, build_vocabulary
 
 
@@ -73,7 +71,7 @@ def full_forward_scorer(model, audio, language):
 
 def cached_scorer(model, audio, language):
     """The one-group cached model scorer, called as step(ids, parents)."""
-    step = grouped_model_step_fn(model, audio, [language])
+    step = IncrementalDecoder(model, audio, [language])
     return lambda prefixes, parents: step([prefixes], [parents])[0]
 
 
@@ -350,11 +348,11 @@ class TestModelAdapter:
         logits[..., 4:] += -1e9  # masked entries
         logits[0, 0, 0, 1:] = -1e9  # a row with one live entry
         want, _ = composed_log_softmax(logits, np.zeros_like(logits))
-        assert np.array_equal(_log_softmax(logits), want)
+        assert np.array_equal(log_softmax(logits), want)
 
     def test_rejects_batched_audio(self, tiny_model):
         with pytest.raises(ValidationError):
-            grouped_model_step_fn(tiny_model, np.zeros((2, 3, 6)), [Language.EN])
+            IncrementalDecoder(tiny_model, np.zeros((2, 3, 6)), [Language.EN])
 
     def test_vocabulary_without_words_decodes_empty_caption(self):
         # a min_count above every word's count keeps only the specials
@@ -408,7 +406,7 @@ class TestLockstep:
             model = multilingual_model(rng, 4, seed=trial)
             audio = rng.normal(size=(int(rng.integers(1, 6)), 5))
             languages = [model.languages[i] for i in rng.integers(0, 4, size=int(rng.integers(2, 5)))]
-            stacked = grouped_model_step_fn(model, audio, languages)
+            stacked = IncrementalDecoder(model, audio, languages)
             serial = [cached_scorer(model, audio, lang) for lang in languages]
             vocabs = [model.vocab(lang) for lang in languages]
             prefixes = [np.full((1, 1), v.bos_id, dtype=np.int64) for v in vocabs]
@@ -439,7 +437,7 @@ class TestLockstep:
             stopwords = random_stopwords(rng, vocab)
             cfg = DecodeConfig(beam_size=int(rng.integers(1, 6)), max_len=6)
             want = grouped_beam_search(
-                grouped_model_step_fn(model, audio, [lang]), [vocab], [stopwords], cfg
+                IncrementalDecoder(model, audio, [lang]), [vocab], [stopwords], cfg
             )[0]
             assert caption_clip(model, audio, [lang], cfg, {lang: stopwords}) == [want]
             assert caption_audio(model, audio, lang, cfg, stopwords) == want
@@ -497,7 +495,7 @@ class TestLockstep:
     def test_step_rejects_misshapen_groups(self):
         rng = np.random.default_rng(65)
         model = multilingual_model(rng, 2, seed=0)
-        step = grouped_model_step_fn(model, rng.normal(size=(3, 5)), model.languages)
+        step = IncrementalDecoder(model, rng.normal(size=(3, 5)), model.languages)
         bos = [np.full((1, 1), model.vocab(lang).bos_id) for lang in model.languages]
         first = [np.zeros(1, dtype=np.intp)] * 2
         with pytest.raises(ValidationError):
@@ -506,14 +504,57 @@ class TestLockstep:
             step(bos[:1], first)  # one matrix for two groups
         with pytest.raises(ValidationError):
             step(bos, [first[0], np.zeros(2, dtype=np.intp)])  # two parents, one row
-        step = grouped_model_step_fn(model, rng.normal(size=(3, 5)), model.languages)
+        step = IncrementalDecoder(model, rng.normal(size=(3, 5)), model.languages)
         assert [len(rows) for rows in step([bos[0], bos[1][:0]], [first[0], first[1][:0]])] == [1, 0]
+        # an empty group may come as empty lists, which numpy reads as floats
+        step = IncrementalDecoder(model, rng.normal(size=(3, 5)), model.languages)
+        assert [len(rows) for rows in step([bos[0], np.zeros((0, 1))], [[0], []])] == [1, 0]
+
+    def test_rejected_call_leaves_the_scorer_as_it_was(self):
+        rng = np.random.default_rng(67)
+        model = multilingual_model(rng, 2, seed=0)
+        audio = rng.normal(size=(3, 5))
+        bos = [np.full((1, 1), model.vocab(lang).bos_id) for lang in model.languages]
+        step, fresh = (IncrementalDecoder(model, audio, model.languages) for _ in range(2))
+        for scorer in (step, fresh):
+            scorer(bos, [[0], [0]])
+        two = [np.column_stack([b, [4]]) for b in bos]
+        with pytest.raises(ValidationError):
+            step(two, [[], [0]])  # one prefix row, but no parent, in group 0
+        for got, want in zip(step(two, [[0], [0]]), fresh(two, [[0], [0]]), strict=True):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "group, parent, token",
+        [(0, -1, 4), (1, -1, 4), (0, 2, 4), (1, 2, 4), (0, 1.0, 4), (0, 0, -1), (1, 0, 99), (1, 0, 4.0)],
+    )
+    def test_step_rejects_bad_parents_and_tokens(self, group, parent, token):
+        # each group's parents index its own rows of the previous call, and
+        # each token its own vocabulary, by integers
+        rng = np.random.default_rng(68)
+        model = multilingual_model(rng, 2, seed=0)
+        audio = rng.normal(size=(3, 5))
+        step, fresh = (IncrementalDecoder(model, audio, model.languages) for _ in range(2))
+        bos = [np.full((1, 1), model.vocab(lang).bos_id) for lang in model.languages]
+        two = [np.array([[b[0, 0], 4], [b[0, 0], 5]]) for b in bos]
+        for scorer in (step, fresh):
+            scorer(bos, [[0], [0]])
+            scorer(two, [[0, 0], [0, 0]])  # each group now has two rows
+        third = [np.column_stack([p, [4, 5]]) for p in two]
+        parents = [np.array([1, 0]), np.array([0, 1])]
+        bad_prefixes, bad_parents = [p.tolist() for p in third], [p.tolist() for p in parents]
+        bad_parents[group][0], bad_prefixes[group][0][-1] = parent, token
+        with pytest.raises(ValidationError) as caught:
+            step([np.array(p) for p in bad_prefixes], [np.array(p) for p in bad_parents])
+        assert [item.split(":")[0] for item in caught.value.items] == [f"group {group}"]
+        for got, want in zip(step(third, parents), fresh(third, parents), strict=True):
+            assert np.array_equal(got, want)
 
     def test_step_rejects_every_group_empty(self):
         # a group may have zero rows, but not all
         rng = np.random.default_rng(66)
         model = multilingual_model(rng, 2, seed=0)
-        step = grouped_model_step_fn(model, rng.normal(size=(3, 5)), model.languages)
+        step = IncrementalDecoder(model, rng.normal(size=(3, 5)), model.languages)
         empty = [np.zeros((0, 1), dtype=np.int64)] * 2
         with pytest.raises(ValidationError, match="zero rows"):
             step(empty, [np.zeros(0, dtype=np.intp)] * 2)

@@ -300,6 +300,23 @@ class TestCrossLanguage:
         result = cross_language_similarity(outputs, Language.EN, stub)
         assert result[Language.FR] == pytest.approx(53.333333333333336)
 
+    def test_embeds_each_language_once(self):
+        class CountingStub(StubEmbedder):
+            def embed_batch(self, texts, language):
+                calls.append(language)
+                return super().embed_batch(texts, language)
+
+        calls = []
+        stub = CountingStub({"e1": [1.0, 0.0], "e2": [0.0, 1.0], "f1": [0.6, 0.8], "d1": [0.8, 0.6]})
+        outputs = {
+            Language.EN: {"a": "e1", "b": "e2"},
+            Language.FR: {"a": "f1", "b": "e1"},
+            Language.DE: {"a": "d1", "b": "e2"},
+        }
+        result = cross_language_similarity(outputs, Language.EN, stub)
+        assert sorted(calls) == sorted(outputs)  # the base language too, once
+        assert result == pytest.approx({Language.EN: 100.0, Language.FR: 30.0, Language.DE: 90.0})
+
     def test_id_set_mismatch_errors(self):
         stub = StubEmbedder({"x": [1.0, 0.0]})
         outputs = {

@@ -131,6 +131,12 @@ class TestVocabularySerialization:
         with pytest.raises(ValidationError):
             Vocabulary.from_tokens([*SPECIAL_TOKENS, "a", "a"])
 
+    def test_reject_tokens_that_are_not_strings(self):
+        doc = {"tokens": [*SPECIAL_TOKENS, "a", 5, 7.5], "specials": {"pad": 0, "bos": 1, "eos": 2, "unk": 3}}
+        with pytest.raises(ValidationError) as caught:
+            Vocabulary.from_json(json.dumps(doc))
+        assert caught.value.items == ["token 5: 5", "token 6: 7.5"]
+
 
 class TestStopwords:
     @pytest.mark.parametrize("language", list(Language))
