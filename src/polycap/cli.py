@@ -393,14 +393,23 @@ def cmd_eval(args) -> int:
 def _parse_vocab_sizes(spec: str) -> dict[Language, int]:
     out = {}
     problems = []
-    for part in spec.split(","):
-        if not part.strip():
+    for entry in (part.strip() for part in spec.split(",")):
+        if not entry:
+            continue
+        code, eq, size = entry.partition("=")
+        if not eq:
+            problems.append(f"{entry}: want lang=size")
             continue
         try:
-            code, size = part.split("=")
-            lang, size = Language.parse(code), int(size)
-        except (ValueError, TypeError) as exc:
-            raise ValidationError(f"bad vocab size entry {part!r} (want lang=size)") from exc
+            lang = Language.parse(code)
+        except ValidationError as exc:
+            problems.append(f"{entry}: {exc.message}")
+            continue
+        try:
+            size = int(size)
+        except ValueError:
+            problems.append(f"{entry}: size {size.strip()!r} is not an integer")
+            continue
         if lang in out:
             problems.append(f"{lang.value}={size}: language {lang.value!r} given twice")
         elif size < len(SPECIAL_TOKENS):

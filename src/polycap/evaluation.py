@@ -18,7 +18,7 @@ import json
 import math
 import urllib.error
 import urllib.request
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Mapping, Protocol, Sequence
 
 import numpy as np
@@ -376,18 +376,7 @@ class EvalReport:
     config: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "scores": {
-                code: {
-                    "cider_d_raw": s.cider_d_raw,
-                    "cider_d_pct": s.cider_d_pct,
-                    "sbert_sim_pct": s.sbert_sim_pct,
-                    "n_items": s.n_items,
-                }
-                for code, s in self.scores.items()
-            },
-            "config": self.config,
-        }
+        return asdict(self)
 
 
 def evaluate_captions(

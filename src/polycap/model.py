@@ -399,11 +399,8 @@ class MultilingualModel:
         if mixup is not None:
             audio = mixup.mix(audio)
             if frame_mask is not None:
-                # the partner's frames only become valid when it contributes
-                if mixup.lam == 0.0:
-                    frame_mask = frame_mask[mixup.partner]
-                elif mixup.lam < 1.0:
-                    frame_mask = frame_mask | frame_mask[mixup.partner]
+                # a frame is valid where a row with a nonzero share has it
+                frame_mask = mixup.mix(frame_mask) > 0
 
         live = live_positions(np.full(b, t) if lengths is None else lengths, t)
         if len(live) != b:
@@ -661,15 +658,20 @@ def load_checkpoint(path: str | Path, digest=None) -> MultilingualModel:
         version, meta_len = struct.unpack("<II", read(8, "header"))
         if version != CKPT_VERSION:
             raise ValidationError(f"{path}: unsupported checkpoint version {version}")
+        raw_meta = read(meta_len, "metadata")
         try:
-            meta = json.loads(read(meta_len, "metadata").decode("utf-8"))
+            meta = json.loads(raw_meta.decode("utf-8"))
+            part = "model_config"
             config = ModelConfig.from_dict(meta["model_config"])
-            vocabs = {
-                Language.parse(code): Vocabulary.from_json(json.dumps(doc))
-                for code, doc in meta["vocabs"].items()
-            }
+            vocabs = {}
+            for code, doc in meta["vocabs"].items():
+                part = f"vocabs.{code}"
+                vocabs[Language.parse(code)] = Vocabulary.from_json(json.dumps(doc))
         except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError, AttributeError) as exc:
             raise ValidationError(f"{path}: bad checkpoint metadata ({exc!r})") from exc
+        except ValidationError as exc:
+            items = [f"{part}: {problem}" for problem in (exc.message, *exc.items)]
+            raise ValidationError(f"{path}: bad checkpoint metadata", items=items) from exc
         n_params = param_report(config, {lang: v.size for lang, v in vocabs.items()}).trainable_total
         if 8 * n_params > size - f.tell():
             raise ValidationError(

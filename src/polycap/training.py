@@ -40,11 +40,6 @@ class SpecAugmentConfig:
     n_channel_masks: int = 2
     max_channel_width: int = 96
 
-    def enabled(self) -> bool:
-        return (self.n_time_masks > 0 and self.max_time_width > 0) or (
-            self.n_channel_masks > 0 and self.max_channel_width > 0
-        )
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -386,11 +381,36 @@ class Trainer:
 
     # -- batch assembly --
 
-    def _encode_captions(self, captions: Sequence[str], language: Language) -> np.ndarray:
+    def _batch(
+        self, corpus: CorpusIndex, language: Language, audio_ids: Sequence[str], captions: Sequence[str]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(ids, audio, frame_mask, frame_counts) of one batch: each caption's
+        BOS..EOS ids, cut to max_len - 1 words and padded, and the padded
+        audio of each id."""
         vocab = self.model.vocab(language)
         max_words = self.model.config.max_len - 1
-        ids = [vocab.encode(tokenize(c)[:max_words]) for c in captions]
-        return _pad_ids(ids, vocab.pad_id)
+        ids = _pad_ids([vocab.encode(tokenize(c)[:max_words]) for c in captions], vocab.pad_id)
+        return ids, *_pad_audio([corpus.embeddings[a] for a in audio_ids])
+
+    def _loss(
+        self,
+        language: Language,
+        ids: np.ndarray,
+        audio: np.ndarray,
+        frame_mask: np.ndarray,
+        mixup: MixupDraw | None = None,
+        rng: np.random.Generator | None = None,
+    ) -> Tensor:
+        """The smoothed loss of predicting ids[:, 1:] from ids[:, :-1].
+        Dropout runs iff `rng` is given, mixup iff a draw is given."""
+        dec_in, targets = ids[:, :-1], ids[:, 1:]
+        pad_id = self.model.vocab(language).pad_id
+        # positions no loss term reaches skip every row-wise layer
+        lengths = loss_lengths(targets, pad_id, mixup)
+        logits = self.model.forward(
+            audio, dec_in, language, frame_mask=frame_mask, rng=rng, mixup=mixup, lengths=lengths
+        )
+        return smoothed_cross_entropy(logits, targets, self.cfg.label_smoothing_eps, pad_id, mixup, lengths)
 
     def _make_batches(self, epoch_corpus: CorpusIndex) -> list[tuple[Language, list[str]]]:
         """Language-homogeneous batches covering every (audio, language) pair once."""
@@ -422,37 +442,16 @@ class Trainer:
         `batch_index` only locate the batch in these errors.
         """
         cfg = self.cfg
-        corpus = self.corpus
         captions = [
-            sample_caption(corpus.manifest.record(a, language), self.rng_captions)
-            for a in audio_ids
+            sample_caption(self.corpus.manifest.record(a, language), self.rng_captions) for a in audio_ids
         ]
-        ids = self._encode_captions(captions, language)
-        audio, frame_mask, frame_counts = _pad_audio([corpus.embeddings[a] for a in audio_ids])
-        if cfg.specaug is not None and cfg.specaug.enabled():
+        ids, audio, frame_mask, frame_counts = self._batch(self.corpus, language, audio_ids, captions)
+        if cfg.specaug is not None:
             audio = spec_mask(audio, frame_counts, cfg.specaug, self.rng_specaug)
-
-        dec_in, targets = ids[:, :-1], ids[:, 1:]
-        vocab = self.model.vocab(language)
         mixup = None
         if cfg.mixup_alpha > 0 or cfg.mixup_lambda is not None:
             mixup = draw_mixup(len(audio_ids), cfg.mixup_alpha, self.rng_mixup, cfg.mixup_lambda)
-
-        # positions no loss term reaches skip every row-wise layer
-        lengths = loss_lengths(targets, vocab.pad_id, mixup)
-        logits = self.model.forward(
-            audio,
-            dec_in,
-            language,
-            frame_mask=frame_mask,
-            rng=self.rng_dropout,
-            mixup=mixup,
-            lengths=lengths,
-        )
-        loss = smoothed_cross_entropy(
-            logits, targets, cfg.label_smoothing_eps, vocab.pad_id, mixup, lengths
-        )
-        del logits  # only the graph holds them, so backward frees them before the head's backward
+        loss = self._loss(language, ids, audio, frame_mask, mixup, self.rng_dropout)
 
         value = loss.item()
         at = f"at epoch {epoch}, batch {batch_index}, language {language.value!r}"
@@ -501,23 +500,14 @@ class Trainer:
         """Mean dropout-free loss over a corpus (no updates, no augmentation),
         each audio scored against its first caption."""
         losses = []
+        audio_ids = list(corpus.audio_ids)
         for language in corpus.languages:
-            vocab = self.model.vocab(language)
-            ids_all = list(corpus.audio_ids)
-            for i in range(0, len(ids_all), self.cfg.batch_size):
-                chunk = ids_all[i : i + self.cfg.batch_size]
-                caps = [corpus.manifest.record(a, language).captions[0] for a in chunk]
-                ids = self._encode_captions(caps, language)
-                audio, frame_mask, _ = _pad_audio([corpus.embeddings[a] for a in chunk])
-                lengths = loss_lengths(ids[:, 1:], vocab.pad_id)
+            for i in range(0, len(audio_ids), self.cfg.batch_size):
+                chunk = audio_ids[i : i + self.cfg.batch_size]
+                captions = [corpus.manifest.record(a, language).captions[0] for a in chunk]
+                ids, audio, frame_mask, _ = self._batch(corpus, language, chunk, captions)
                 with ad.no_grad():
-                    logits = self.model.forward(
-                        audio, ids[:, :-1], language, frame_mask=frame_mask, lengths=lengths
-                    )
-                    loss = smoothed_cross_entropy(
-                        logits, ids[:, 1:], self.cfg.label_smoothing_eps, vocab.pad_id, lengths=lengths
-                    )
-                losses.append(loss.item())
+                    losses.append(self._loss(language, ids, audio, frame_mask).item())
         return float(np.mean(losses))
 
     def fit(self, metrics_path: str | Path | None = None) -> list[EpochMetrics]:
@@ -527,6 +517,7 @@ class Trainer:
         lines = []
         for epoch in range(self.cfg.epochs):
             metrics = self.run_epoch(epoch)
+            metrics.visited_pairs = []  # one tuple per visit; the counts stay
             history.append(metrics)
             if metrics_path:
                 lines.append(json.dumps(metrics.to_log_dict(), sort_keys=True) + "\n")

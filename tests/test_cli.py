@@ -534,6 +534,21 @@ class TestParams:
     def test_bad_vocab_spec(self, tmp_path):
         assert main(["params", "--vocab-sizes", "en=abc"]) == 2
 
+    def test_unknown_codes_and_non_integer_sizes_are_all_itemized(self, capsys):
+        # an unknown code or a non-integer size once stopped the parse at the
+        # first such entry, so only 'xx' was reported here
+        assert main(["params", "--vocab-sizes", "xx=5,yy=6,en=abc"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        payload = json.loads(captured.err)
+        assert payload["error"] == "ValidationError"
+        assert payload["message"] == "bad vocab sizes"
+        assert payload["items"] == [
+            "xx=5: unknown language code 'xx' (known: en, fr, es, de)",
+            "yy=6: unknown language code 'yy' (known: en, fr, es, de)",
+            "en=abc: size 'abc' is not an integer",
+        ]
+
     def test_too_small_or_repeated_vocab_sizes_exit_2_with_items(self, capsys):
         assert main(["params", "--vocab-sizes", "en=-5,en=7,fr=3,de=4"]) == 2
         captured = capsys.readouterr()
@@ -680,18 +695,43 @@ class TestCliSurface:
         assert payload["error"] == "ValidationError"
         assert payload["message"].startswith("cannot read checkpoint")
 
-    def test_checkpoint_with_non_string_tokens_exits_2(self, tmp_path, capsys):
-        # such a checkpoint once loaded, and caption failed with a raw
-        # TypeError (exit 3) when it joined a decoded caption's words
+    @pytest.mark.parametrize(
+        "edit, items",
+        [
+            (
+                lambda meta: meta["vocabs"]["en"].update(tokens=[*SPECIAL_TOKENS, 5, 7.5]),
+                ["vocabs.en: vocabulary tokens must be strings", "vocabs.en: token 4: 5", "vocabs.en: token 5: 7.5"],
+            ),
+            (
+                lambda meta: meta["vocabs"]["en"].update(tokens=[*SPECIAL_TOKENS, "a", "a"]),
+                ["vocabs.en: vocabulary contains duplicate tokens"],
+            ),
+            (
+                lambda meta: meta["vocabs"].update(xx=meta["vocabs"]["en"]),
+                ["vocabs.xx: unknown language code 'xx' (known: en, fr, es, de)"],
+            ),
+            (
+                lambda meta: meta["model_config"].update(d_model=0),
+                ["model_config: bad model config", "model_config: d_model=0 must be an integer >= 1"],
+            ),
+        ],
+        ids=["non_string_token", "duplicate_token", "unknown_language", "zero_d_model"],
+    )
+    def test_bad_checkpoint_meta_exits_2_naming_the_file(self, tmp_path, capsys, edit, items):
+        # each once exited 2 with the bare message of the part at fault, naming
+        # neither the file nor the part; non-string tokens before that loaded,
+        # and caption failed with a raw TypeError (exit 3) when it joined a
+        # decoded caption's words
         _, emb_dir = write_corpus(tmp_path)
         path = tmp_path / "m.ackp"
         save_checkpoint(MultilingualModel(tiny_model_config(d_in=8), {Language.EN: word_vocab(["a", "b"])}), path)
-        rewrite_meta(path, lambda meta: meta["vocabs"]["en"].update(tokens=[*SPECIAL_TOKENS, 5, 7.5]))
+        rewrite_meta(path, edit)
         code = main(["caption", "--checkpoint", str(path), "--embeddings-dir", str(emb_dir), "--out", str(tmp_path / "o")])
         assert code == 2
         payload = json.loads(capsys.readouterr().err)
         assert payload["error"] == "ValidationError"
-        assert payload["items"] == ["token 4: 5", "token 5: 7.5"]
+        assert payload["message"] == f"{path}: bad checkpoint metadata"
+        assert payload["items"] == items
         assert not (tmp_path / "o").exists()
 
 

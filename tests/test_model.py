@@ -371,7 +371,8 @@ class TestCheckpoint:
         path.write_bytes(raw[:4] + struct.pack("<II", 1, len(meta_bytes)) + meta_bytes + raw[meta_end:])
         with pytest.raises(ValidationError) as exc:
             load_checkpoint(path)
-        assert exc.value.items == ["max_len=1 must be an integer >= 2"]
+        assert exc.value.message == f"{path}: bad checkpoint metadata"
+        assert exc.value.items == ["model_config: bad model config", "model_config: max_len=1 must be an integer >= 2"]
 
     def test_meta_the_file_cannot_back_is_rejected(self, tmp_path, tiny_model, monkeypatch):
         # checked before the model is built, so hostile sizes allocate nothing

@@ -11,7 +11,8 @@ from conftest import synthetic_corpus, tiny_model_config
 from polycap.autodiff import Tensor
 from polycap.errors import RuntimeFailure, ValidationError
 from polycap.model import MixupDraw, ModelConfig, MultilingualModel
-from polycap.text import Language
+from polycap.corpus import CaptionManifest, CorpusIndex
+from polycap.text import Language, tokenize
 from polycap.training import (
     ADAM_BLOCK,
     AdamW,
@@ -196,7 +197,6 @@ class TestSpecMask:
         cfg = SpecAugmentConfig(n_time_masks=0, max_time_width=0, n_channel_masks=0, max_channel_width=0)
         out = spec_mask(batch, np.array([5, 5]), cfg, rng)
         assert np.array_equal(out, batch)
-        assert not cfg.enabled()
 
     def test_forced_full_extent_zeroes_everything(self):
         batch = np.ones((1, 4, 6))
@@ -373,6 +373,17 @@ class TestEpochLoop:
         assert metrics.n_examples == 6 * 4
         expected = Counter((a, l.value) for a in index.audio_ids for l in languages)
         assert Counter(metrics.visited_pairs) == expected
+
+    def test_fit_keeps_the_counts_but_no_per_pair_record(self):
+        # one tuple per (audio, language) visit: about 13 MB an epoch at
+        # AudioCaps size, kept for every epoch of a fit and read by nothing
+        trainer, _ = make_trainer(list(Language), n_items=6)
+        history = trainer.fit()
+        assert len(history) == trainer.cfg.epochs
+        for metrics in history:
+            assert metrics.visited_pairs == []
+            assert metrics.n_examples == 6 * 4
+            assert metrics.per_language == {l.value: 6 for l in Language}
 
     def test_single_language_reduces_to_monolingual(self):
         trainer, index = make_trainer([Language.EN], n_items=6)
@@ -642,6 +653,55 @@ class TestValidationLoss:
         history = trainer.fit()
         assert all(m.val_loss is not None and np.isfinite(m.val_loss) for m in history)
         assert trainer.evaluate_loss(val_index) == pytest.approx(trainer.evaluate_loss(val_index))
+
+
+    def test_equals_first_caption_losses_composed_by_hand_bit_for_bit(self):
+        # ragged clips and captions, a caption past max_len, unknown words and
+        # a second caption that must not be read; 5 clips in chunks of 2
+        languages = [Language.EN, Language.FR]
+        train_index, vocabs = synthetic_corpus(languages, n_items=4, seed=0)
+        rng = np.random.default_rng(3)
+        frames = [8, 5, 7, 3, 6]
+        words = [2, 4, 7, 3, 5]
+        entries = {
+            f"v{i}": {
+                lang: (" ".join(f"{lang.value}f{(i + j) % 7}" for j in range(n)), f"{lang.value}m0")
+                for lang in languages
+            }
+            for i, n in enumerate(words)
+        }
+        val_index = CorpusIndex(
+            manifest=CaptionManifest(split="val", entries=entries),
+            embeddings={f"v{i}": rng.normal(size=(n, 16)) for i, n in enumerate(frames)},
+            languages=tuple(languages),
+        )
+        cfg = tiny_model_config(d_in=16, d_model=16, n_heads=2, d_ff=24, max_len=6)
+        model = MultilingualModel(cfg, vocabs, seed=0)
+        # mixup, SpecAugment and dropout are on in training; validation uses none
+        tcfg = TrainConfig(epochs=1, label_smoothing_eps=0.1, batch_size=2, seed=1)
+        trainer = Trainer(model, train_index, tcfg)
+
+        losses = []
+        for lang in languages:
+            vocab = vocabs[lang]
+            for start in range(0, len(frames), 2):
+                chunk = list(val_index.audio_ids)[start : start + 2]
+                seqs = [
+                    vocab.encode(tokenize(val_index.manifest.record(a, lang).captions[0])[: cfg.max_len - 1])
+                    for a in chunk
+                ]
+                width = max(len(q) for q in seqs)
+                ids = np.array([q + [vocab.pad_id] * (width - len(q)) for q in seqs])
+                n_frames = max(val_index.embeddings[a].shape[0] for a in chunk)
+                audio = np.zeros((len(chunk), n_frames, 16))
+                for row, a in enumerate(chunk):
+                    audio[row, : val_index.embeddings[a].shape[0]] = val_index.embeddings[a]
+                frame_mask = np.arange(n_frames) < np.array([[val_index.embeddings[a].shape[0]] for a in chunk])
+                lengths = np.array([len(q) - 1 for q in seqs])
+                logits = model.forward(audio, ids[:, :-1], lang, frame_mask=frame_mask, lengths=lengths)
+                losses.append(smoothed_cross_entropy(logits, ids[:, 1:], 0.1, vocab.pad_id, lengths=lengths).item())
+        assert len(losses) == 6
+        assert trainer.evaluate_loss(val_index) == float(np.mean(losses))
 
 
 @pytest.mark.parametrize("doc", ["x", 5, None, ["epochs"]], ids=["string", "int", "null", "list"])

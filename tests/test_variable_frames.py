@@ -136,6 +136,19 @@ class TestMixupMaskUnion:
         plain = model.forward(audio, ids, Language.EN, frame_mask=mask).data
         assert np.array_equal(mixed, plain)
 
+    def test_lambda_zero_takes_the_partners_mask(self):
+        # only the partner contributes, so each row is its partner's plain row
+        # (row 0 sees all 5 of row 1's frames, row 1 only 2 of row 0's)
+        model, _ = self.make_model()
+        rng = np.random.default_rng(3)
+        audio = rng.normal(size=(2, 5, 4))
+        mask = np.array([[True, True, False, False, False], [True] * 5])
+        ids = np.array([[1, 4, 5], [1, 6, 7]])
+        partner = np.array([1, 0])
+        mixed = model.forward(audio, ids, Language.EN, frame_mask=mask, mixup=MixupDraw(lam=0.0, partner=partner)).data
+        plain = model.forward(audio[partner], ids[partner], Language.EN, frame_mask=mask[partner]).data
+        assert np.array_equal(mixed, plain)
+
 
 class TestCaptionTruncation:
     def test_overlong_captions_are_truncated_to_fit(self):
