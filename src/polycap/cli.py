@@ -3,9 +3,9 @@ compare-langs.
 
 Every command is reproducible (same inputs + --seed give byte-identical
 outputs; wall-clock values live only in the run manifest and metrics
-timings) and writes a run manifest next to its outputs with resolved config,
-input digests and the toolkit version. Exit codes: 0 success, 2 validation
-failure, 3 runtime failure; errors are JSON on stderr.
+timings). A command that wrote outputs returns (out_dir, config, inputs[,
+seed]), from which `main` writes the run manifest. Exit codes: 0 success, 2
+validation failure, 3 runtime failure; errors are JSON on stderr.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -61,7 +61,7 @@ def _dump_json(obj, path: Path) -> None:
         f.write(json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=2) + "\n")
 
 
-def write_run_manifest(out_dir: Path, command: str, config: dict, inputs: dict, seed: int | None) -> None:
+def write_run_manifest(out_dir: Path, command: str, config: dict, inputs: dict, seed: int | None = None) -> None:
     """Write run_manifest.json. Each input is a Path, hashed here, or a
     hashlib object that already hashed the input's bytes as the command read
     them."""
@@ -77,6 +77,13 @@ def write_run_manifest(out_dir: Path, command: str, config: dict, inputs: dict, 
         "timestamp_unix": time.time(),
     }
     _dump_json(manifest, out_dir / "run_manifest.json")
+
+
+def _out_dir(path) -> Path:
+    """The output directory `path`, created if need be."""
+    out_dir = Path(path)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
 
 
 def _code_list(spec: str) -> list[str]:
@@ -116,10 +123,9 @@ def _build_vocabularies(
 # -- commands ----------------------------------------------------------------
 
 
-def cmd_prepare(args) -> int:
+def cmd_prepare(args) -> tuple:
     languages = _parse_languages(args.languages, "--languages")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out)
     index = corpus_mod.CorpusIndex.from_paths(args.manifest, args.embeddings_dir, args.split, languages)
     vocab_files = {}
     for lang, vocab in _build_vocabularies(index, languages, args.min_count).items():
@@ -134,18 +140,12 @@ def cmd_prepare(args) -> int:
         "vocabularies": vocab_files,
     }
     _dump_json(summary, out_dir / "corpus_index.json")
-    write_run_manifest(
-        out_dir,
-        "prepare",
-        {"manifest": str(args.manifest), "split": args.split, "min_count": args.min_count},
-        {"manifest": Path(args.manifest), "embeddings_dir": Path(args.embeddings_dir)},
-        seed=None,
-    )
     print(f"prepared {len(index)} audios, {len(languages)} languages -> {out_dir}")
-    return 0
+    config = {"manifest": str(args.manifest), "split": args.split, "min_count": args.min_count}
+    return out_dir, config, {"manifest": Path(args.manifest), "embeddings_dir": Path(args.embeddings_dir)}
 
 
-def cmd_stats(args) -> int:
+def cmd_stats(args) -> tuple | None:
     languages = _parse_languages(args.languages, "--languages")
     manifests = corpus_mod.load_manifests(args.manifest)
     rows = [corpus_mod.compute_stats(manifests, lang, args.split) for lang in languages]
@@ -156,13 +156,10 @@ def cmd_stats(args) -> int:
             f"{r.word_types:>12}{r.n_captions:>10}"
         )
     if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        out_dir = _out_dir(args.out)
         _dump_json([asdict(r) | {"language": r.language.value} for r in rows], out_dir / "stats.json")
-        write_run_manifest(
-            out_dir, "stats", {"split": args.split}, {"manifest": Path(args.manifest)}, seed=None
-        )
-    return 0
+        return out_dir, {"split": args.split}, {"manifest": Path(args.manifest)}
+    return None
 
 
 def _read_config(path: Path) -> dict:
@@ -209,7 +206,7 @@ def _load_train_config(path: Path) -> dict:
     return doc
 
 
-def cmd_train(args) -> int:
+def cmd_train(args) -> tuple:
     config_path = Path(args.config)
     doc = _load_train_config(config_path)
     base = config_path.parent
@@ -220,11 +217,10 @@ def cmd_train(args) -> int:
 
     train_cfg = training.TrainConfig.from_dict(doc.get("train", {}))
     if args.seed is not None:
-        train_cfg = training.TrainConfig.from_dict(train_cfg.to_dict() | {"seed": args.seed})
+        train_cfg = replace(train_cfg, seed=args.seed)
     model_cfg = model_mod.ModelConfig.from_dict(doc.get("model", {}))
 
-    out_dir = Path(args.out or doc.get("out_dir", "run"))
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out or doc.get("out_dir", "run"))
 
     manifests = corpus_mod.load_manifests(manifest_path)
 
@@ -246,19 +242,13 @@ def cmd_train(args) -> int:
     trainer = training.Trainer(model, train_index, train_cfg, val_corpus=val_index)
     history = trainer.fit(metrics_path=out_dir / "metrics.jsonl")
     model_mod.save_checkpoint(model, out_dir / "checkpoint.ackp")
-    write_run_manifest(
-        out_dir,
-        "train",
-        {"model": model_cfg.to_dict(), "train": train_cfg.to_dict(), "languages": doc["languages"]},
-        {"manifest": manifest_path, "embeddings_dir": embeddings_dir},
-        seed=train_cfg.seed,
-    )
     first, last = history[0].train_loss, history[-1].train_loss
     print(f"trained {train_cfg.epochs} epochs: loss {first:.4f} -> {last:.4f}; wrote {out_dir}")
-    return 0
+    config = {"model": model_cfg.to_dict(), "train": train_cfg.to_dict(), "languages": doc["languages"]}
+    return out_dir, config, {"manifest": manifest_path, "embeddings_dir": embeddings_dir}, train_cfg.seed
 
 
-def cmd_caption(args) -> int:
+def cmd_caption(args) -> tuple:
     cfg = decoding.DecodeConfig(
         beam_size=args.beam_size, max_len=args.max_len, length_norm=args.length_norm
     )
@@ -286,8 +276,7 @@ def cmd_caption(args) -> int:
         raise ValidationError(f"no embeddings to caption in {embeddings_dir}")
     stopwords = {lang: load_stopwords(lang).words for lang in languages}
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out)
     out_path = out_dir / "captions.jsonl"
     with atomic_write(out_path) as sink:
         for audio_id in audio_ids:
@@ -309,15 +298,9 @@ def cmd_caption(args) -> int:
                     )
                     + "\n"
                 )
-    write_run_manifest(
-        out_dir,
-        "caption",
-        {"decode_config": cfg.to_dict(), "languages": [l.value for l in languages]},
-        {"checkpoint": checkpoint_digest, "embeddings_dir": embeddings_dir},
-        seed=None,
-    )
     print(f"captioned {len(audio_ids)} audios x {len(languages)} languages -> {out_path}")
-    return 0
+    config = {"decode_config": cfg.to_dict(), "languages": [l.value for l in languages]}
+    return out_dir, config, {"checkpoint": checkpoint_digest, "embeddings_dir": embeddings_dir}
 
 
 def _read_captions_jsonl(path: Path) -> dict[Language, dict[str, str]]:
@@ -352,7 +335,7 @@ def _read_captions_jsonl(path: Path) -> dict[Language, dict[str, str]]:
     return out
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> tuple:
     candidates = _read_captions_jsonl(Path(args.captions))
     manifest = corpus_mod.load_split(args.manifest, args.split)
     references = {
@@ -371,23 +354,15 @@ def cmd_eval(args) -> int:
             "sbert_aggregate": args.sbert_aggregate,
         },
     )
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out)
     _dump_json(report.to_dict(), out_dir / "eval_report.json")
-    write_run_manifest(
-        out_dir,
-        "eval",
-        {"split": args.split},
-        {"captions": Path(args.captions), "manifest": Path(args.manifest)},
-        seed=None,
-    )
     for code, s in report.scores.items():
         sim = f"{s.sbert_sim_pct:.1f}" if s.sbert_sim_pct is not None else "-"
         print(
             f"{code}: CIDEr-D {s.cider_d_raw:.4f} (raw) / {s.cider_d_pct:.1f}% "
             f"SBERT-sim {sim} on {s.n_items} items"
         )
-    return 0
+    return out_dir, {"split": args.split}, {"captions": Path(args.captions), "manifest": Path(args.manifest)}
 
 
 def _parse_vocab_sizes(spec: str) -> dict[Language, int]:
@@ -422,7 +397,7 @@ def _parse_vocab_sizes(spec: str) -> dict[Language, int]:
     return out
 
 
-def cmd_params(args) -> int:
+def cmd_params(args) -> tuple | None:
     config = model_mod.ModelConfig.from_dict(_read_config(Path(args.config)) if args.config else {})
     vocab_sizes = _parse_vocab_sizes(args.vocab_sizes)
     multi = model_mod.param_report(config, vocab_sizes)
@@ -442,8 +417,7 @@ def cmd_params(args) -> int:
         print(f"{'mono-' + code + ' grand total':<28}{mono.grand_total:>14,}")
     print(f"size reduction vs monolinguals: {reduction:.2f}%")
     if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        out_dir = _out_dir(args.out)
         _dump_json(
             {
                 "multilingual": multi.to_dict(),
@@ -452,11 +426,11 @@ def cmd_params(args) -> int:
             },
             out_dir / "params.json",
         )
-        write_run_manifest(out_dir, "params", {"config": config.to_dict()}, {}, seed=None)
-    return 0
+        return out_dir, {"config": config.to_dict()}, {}
+    return None
 
 
-def cmd_compare_langs(args) -> int:
+def cmd_compare_langs(args) -> tuple | None:
     captions = _read_captions_jsonl(Path(args.captions))
     base = Language.parse(args.base)
     provider = evaluation.HttpEmbedder(args.endpoint)
@@ -465,13 +439,10 @@ def cmd_compare_langs(args) -> int:
     for code, pct in table.items():
         print(f"{base.value} vs {code}: {pct:.1f}%")
     if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        out_dir = _out_dir(args.out)
         _dump_json({"base": base.value, "similarity_pct": table}, out_dir / "cross_language.json")
-        write_run_manifest(
-            out_dir, "compare-langs", {"base": base.value}, {"captions": Path(args.captions)}, seed=None
-        )
-    return 0
+        return out_dir, {"base": base.value}, {"captions": Path(args.captions)}
+    return None
 
 
 # -- parser ------------------------------------------------------------------
@@ -558,7 +529,10 @@ def main(argv: list[str] | None = None) -> int:
         # surfaces as that command's own error (a non-finite loss, say), not
         # as a RuntimeWarning line
         with np.errstate(all="ignore"):
-            return args.func(args)
+            record = args.func(args)
+            if record is not None:
+                write_run_manifest(record[0], args.command, *record[1:])
+        return 0
     except ToolkitError as exc:
         sys.stderr.write(json.dumps(exc.payload(), sort_keys=True) + "\n")
         return exc.exit_code
