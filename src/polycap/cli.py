@@ -1,11 +1,12 @@
 """Command-line surface: prepare, stats, train, caption, eval, params,
 compare-langs.
 
-Every command is reproducible (same inputs + --seed give byte-identical
-outputs; wall-clock values live only in the run manifest and metrics
-timings). A command that wrote outputs returns (out_dir, config, inputs[,
-seed]), from which `main` writes the run manifest. Exit codes: 0 success, 2
-validation failure, 3 runtime failure; errors are JSON on stderr.
+Every command is reproducible (same inputs, --seed, numpy/BLAS build and
+BLAS thread settings give byte-identical outputs; wall-clock values live only
+in the run manifest and metrics timings). A command that wrote outputs
+returns (out_dir, config, inputs[, seed]), from which `main` writes the run
+manifest. Exit codes: 0 success, 2 validation failure, 3 runtime failure;
+errors are JSON on stderr.
 """
 
 from __future__ import annotations
@@ -13,17 +14,20 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
+import platform
 import sys
 import time
 from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 import polycap
 from polycap import corpus as corpus_mod
 from polycap import decoding, evaluation, model as model_mod, training
-from polycap.errors import ToolkitError, ValidationError, is_integer
+from polycap.errors import ToolkitError, ValidationError, is_integer, physical_memory
 from polycap.files import atomic_write
 from polycap.text import (
     SPECIAL_TOKENS,
@@ -61,6 +65,27 @@ def _dump_json(obj, path: Path) -> None:
         f.write(json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=2) + "\n")
 
 
+def _environment() -> dict:
+    """What a run's bits depend on besides its inputs and seed: the Python,
+    numpy and scipy builds, the BLAS, and the thread settings. Training at
+    one BLAS thread count and at another gives different weight-gradient
+    bits, so the thread variables are recorded as set (or null)."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (KeyError, TypeError, ValueError):
+        blas = {}
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "thread_vars": {
+            var: os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        },
+        "cpus": len(os.sched_getaffinity(0)),
+    }
+
+
 def write_run_manifest(out_dir: Path, command: str, config: dict, inputs: dict, seed: int | None = None) -> None:
     """Write run_manifest.json. Each input is a Path, hashed here, or a
     hashlib object that already hashed the input's bytes as the command read
@@ -74,6 +99,7 @@ def write_run_manifest(out_dir: Path, command: str, config: dict, inputs: dict, 
             label: _digest(source) if isinstance(source, Path) else source.hexdigest()
             for label, source in inputs.items()
         },
+        "environment": _environment(),
         "timestamp_unix": time.time(),
     }
     _dump_json(manifest, out_dir / "run_manifest.json")
@@ -237,6 +263,13 @@ def cmd_train(args) -> tuple:
         )
 
     vocabs = _build_vocabularies(train_index, languages, doc.get("min_count", 1))
+    n_params = model_mod.param_report(model_cfg, {lang: v.size for lang, v in vocabs.items()}).trainable_total
+    physical = physical_memory()
+    if 32 * n_params > physical:  # weights, gradients and both AdamW moments, float64
+        raise ValidationError("bad model config", items=[
+            f"{n_params} trainable parameters need about {32 * n_params} bytes to train, "
+            f"more than the {physical} bytes of physical memory"
+        ])
     model = model_mod.MultilingualModel(model_cfg, vocabs, seed=train_cfg.seed)
 
     trainer = training.Trainer(model, train_index, train_cfg, val_corpus=val_index)

@@ -291,22 +291,7 @@ class CorpusIndex:
     def __post_init__(self):
         if not self.languages:
             raise ValidationError("a corpus index needs at least one declared language")
-        problems = repeated_languages(self.languages)
-        dims = set()
-        for audio_id, caps in self.manifest.entries.items():
-            if audio_id not in self.embeddings:
-                problems.append(f"{audio_id}: no embedding")
-            else:
-                dims.add(self.embeddings[audio_id].shape[1])
-            for lang in self.languages:
-                if lang not in caps:
-                    problems.append(f"{audio_id}: no {lang.value} captions")
-        if len(dims) > 1:
-            problems.append(f"inconsistent embedding dims: {sorted(dims)}")
-        if problems:
-            raise ValidationError(
-                f"corpus validation failed for split {self.manifest.split!r}", items=problems
-            )
+        _check_split(self.manifest, self.embeddings, self.languages, {})
 
     @property
     def audio_ids(self) -> tuple[str, ...]:
@@ -340,18 +325,44 @@ class CorpusIndex:
         """An index over an already loaded split, reading its embeddings."""
         embeddings_dir = Path(embeddings_dir)
         embeddings: dict[str, np.ndarray] = {}
-        problems: list[str] = []
+        file_problems: dict[str, str] = {}
         for audio_id in manifest.audio_ids:
             path = embeddings_dir / f"{audio_id}.aemb"
             if not path.is_file():
-                problems.append(f"{audio_id}: missing embedding file {path.name}")
+                file_problems[audio_id] = f"missing embedding file {path.name}"
                 continue
             try:
                 embeddings[audio_id] = load_embedding(path, audio_id).data
             except EmbeddingFormatError as exc:
-                problems.append(f"{audio_id}: {exc.message}")
-        if problems:
-            raise ValidationError(
-                f"corpus validation failed for split {manifest.split!r}", items=problems
-            )
+                file_problems[audio_id] = exc.message
+        if file_problems:  # raises, with every other problem of the split too
+            _check_split(manifest, embeddings, languages, file_problems)
         return cls(manifest=manifest, embeddings=embeddings, languages=tuple(languages))
+
+
+def _check_split(
+    manifest: CaptionManifest,
+    embeddings: Mapping[str, np.ndarray],
+    languages: Sequence[Language],
+    file_problems: Mapping[str, str],
+) -> None:
+    """Raise one itemized ValidationError for every problem of a split: each
+    audio's embedding file problem (from `file_problems`) or missing
+    embedding, each missing caption language, repeated languages and
+    inconsistent embedding dims."""
+    problems = repeated_languages(languages)
+    dims = set()
+    for audio_id, caps in manifest.entries.items():
+        if audio_id in file_problems:
+            problems.append(f"{audio_id}: {file_problems[audio_id]}")
+        elif audio_id not in embeddings:
+            problems.append(f"{audio_id}: no embedding")
+        else:
+            dims.add(embeddings[audio_id].shape[1])
+        for lang in languages:
+            if lang not in caps:
+                problems.append(f"{audio_id}: no {lang.value} captions")
+    if len(dims) > 1:
+        problems.append(f"inconsistent embedding dims: {sorted(dims)}")
+    if problems:
+        raise ValidationError(f"corpus validation failed for split {manifest.split!r}", items=problems)

@@ -22,7 +22,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from polycap.errors import ValidationError, is_finite, is_integer
+from polycap.errors import ValidationError, is_finite, is_integer, physical_memory
 from polycap.model import IncrementalDecoder, MultilingualModel
 from polycap.text import Language, Vocabulary
 
@@ -189,6 +189,23 @@ def beam_search(
     return grouped_beam_search(lambda prefixes, _: [step_fn(prefixes[0])], [vocab], [stopwords], cfg)[0]
 
 
+def _round_bytes(model: MultilingualModel, languages: Sequence[Language], cfg: DecodeConfig) -> int:
+    """An upper bound on the bytes of `caption_clip`'s largest decode round.
+    A language holds at most beam_size rows, and at most words**t after t
+    words; past beam_size.bit_length() words that second bound exceeds
+    beam_size. Each row holds logits, log-probs and scores (float64) and a
+    ban and an allowed mask (bool) over the largest vocabulary, and every
+    layer's self-attention keys and values over all positions, plus one
+    layer's gathered copy."""
+    beam = int(cfg.beam_size)
+    length = min(cfg.max_len, beam.bit_length())
+    rows = sum(min(beam, len(model.vocab(lang).word_ids) ** length) for lang in languages)
+    vocab = max((model.vocab(lang).size for lang in languages), default=0)
+    positions = cfg.max_len + 1  # BOS and every word
+    c = model.config
+    return rows * vocab * (3 * 8 + 2) + 2 * (c.n_layers + 1) * rows * positions * c.d_model * 8
+
+
 def caption_clip(
     model: MultilingualModel,
     audio: np.ndarray,
@@ -201,6 +218,12 @@ def caption_clip(
     from stopwords_by_language has no stopwords."""
     # the model scores at most max_len positions (BOS included)
     cfg = replace(cfg, max_len=min(cfg.max_len, model.config.max_len - 1))
+    need, physical = _round_bytes(model, languages, cfg), physical_memory()
+    if need > physical:
+        raise ValidationError("bad decoding config", items=[
+            f"beam_size={cfg.beam_size}: a decode round needs about {need} bytes, "
+            f"more than the {physical} bytes of physical memory"
+        ])
     return grouped_beam_search(
         IncrementalDecoder(model, audio, languages),
         [model.vocab(lang) for lang in languages],

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 
 
 class ToolkitError(Exception):
@@ -53,3 +54,10 @@ def is_real(value) -> bool:
 def is_finite(value) -> bool:
     """A real number that is neither infinite nor NaN, not a bool."""
     return is_real(value) and math.isfinite(value)
+
+
+def physical_memory() -> int:
+    """Bytes of physical memory. Work estimated above it is refused as a
+    ValidationError: allocating it would end in a MemoryError or the OOM
+    killer, not in a report of the input at fault."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")

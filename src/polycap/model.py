@@ -26,7 +26,7 @@ from polycap import autodiff as ad
 from polycap.autodiff import Tensor
 from polycap.errors import ValidationError, is_integer, is_real
 from polycap.files import atomic_write
-from polycap.text import Language, Vocabulary
+from polycap.text import Language, Vocabulary, repeated_languages
 
 FROZEN_ENCODER_PARAMS = 28_000_000  # reporting constant; the audio encoder is external
 NEG_INF = -1e9
@@ -663,15 +663,19 @@ def load_checkpoint(path: str | Path, digest=None) -> MultilingualModel:
             meta = json.loads(raw_meta.decode("utf-8"))
             part = "model_config"
             config = ModelConfig.from_dict(meta["model_config"])
-            vocabs = {}
+            vocabs, languages = {}, []
             for code, doc in meta["vocabs"].items():
                 part = f"vocabs.{code}"
-                vocabs[Language.parse(code)] = Vocabulary.from_json(json.dumps(doc))
+                languages.append(Language.parse(code))
+                vocabs[languages[-1]] = Vocabulary.from_json(json.dumps(doc))
         except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError, AttributeError) as exc:
             raise ValidationError(f"{path}: bad checkpoint metadata ({exc!r})") from exc
         except ValidationError as exc:
             items = [f"{part}: {problem}" for problem in (exc.message, *exc.items)]
             raise ValidationError(f"{path}: bad checkpoint metadata", items=items) from exc
+        repeats = repeated_languages(languages)  # `en` and `EN` would share one head
+        if repeats:
+            raise ValidationError(f"{path}: bad checkpoint metadata", items=[f"vocabs: {r}" for r in repeats])
         n_params = param_report(config, {lang: v.size for lang, v in vocabs.items()}).trainable_total
         if 8 * n_params > size - f.tell():
             raise ValidationError(

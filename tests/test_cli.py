@@ -102,6 +102,29 @@ class TestPrepare:
         assert payload["error"] == "ValidationError"
         assert any("train03" in item for item in payload["items"])
 
+    def test_every_problem_of_a_split_in_one_report(self, tmp_path, capsys):
+        # a file problem once stopped the check before captions were looked
+        # at, so these three took three runs to see
+        manifest, emb_dir = write_corpus(tmp_path)
+        (emb_dir / "train01.aemb").unlink()
+        truncated = emb_dir / "train02.aemb"
+        truncated.write_bytes(truncated.read_bytes()[:-4])
+        rows = [json.loads(line) for line in manifest.read_text().splitlines()]
+        del rows[3]["captions"]["fr"]
+        manifest.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
+        code = main([
+            "prepare", "--manifest", str(manifest), "--embeddings-dir", str(emb_dir),
+            "--languages", "en,fr", "--out", str(tmp_path / "prep"),
+        ])
+        assert code == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["message"] == "corpus validation failed for split 'train'"
+        assert payload["items"] == [
+            "train01: missing embedding file train01.aemb",
+            f"train02: {truncated}: payload length mismatch, header implies 160 bytes, found 156",
+            "train03: no fr captions",
+        ]
+
     def test_empty_language_list_is_usage_error(self, tmp_path, capsys):
         manifest, emb_dir = write_corpus(tmp_path)
         code = main([
@@ -142,6 +165,35 @@ class TestRunManifest:
         digests = json.loads((cap / "run_manifest.json").read_text())["input_digests"]
         assert digests["checkpoint"] == hashlib.sha256(checkpoint.read_bytes()).hexdigest()
         assert digests["embeddings_dir"] == hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+    def test_environment_records_the_blas_thread_setting(self, tmp_path):
+        # a fit's weight-gradient bits differ between 1 and 2 BLAS threads,
+        # so the manifest names the setting a run had
+        manifest, emb_dir = write_corpus(tmp_path)
+        config = write_train_config(tmp_path, manifest, emb_dir, epochs=2)
+        count_threads = (
+            "import os, sys\n"
+            "from polycap.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(code, len(os.listdir('/proc/self/task')))\n"
+        )
+        environments = {}
+        for threads in ("1", "2"):
+            out = tmp_path / f"run{threads}"
+            proc = run_module(
+                "train", "--config", str(config), "--out", str(out), cwd=tmp_path,
+                args=("-c", count_threads), env={"OPENBLAS_NUM_THREADS": threads},
+            )
+            code, n_threads = map(int, proc.stdout.split()[-2:])
+            assert code == 0, proc.stderr
+            assert n_threads - 1 <= 2  # the BLAS workers besides the main thread
+            environments[threads] = json.loads((out / "run_manifest.json").read_text())["environment"]
+        assert [env["thread_vars"]["OPENBLAS_NUM_THREADS"] for env in environments.values()] == ["1", "2"]
+        assert {key: value for key, value in environments["1"].items() if key != "thread_vars"} == {
+            key: value for key, value in environments["2"].items() if key != "thread_vars"
+        }
+        assert environments["1"]["numpy"] == np.__version__
+        assert environments["1"]["cpus"] == len(os.sched_getaffinity(0))
 
 
 class TestStats:
@@ -598,29 +650,74 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
 
+@pytest.fixture
+def embed_endpoint():
+    server = HTTPServer(("127.0.0.1", 0), _Handler)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    yield f"http://127.0.0.1:{server.server_port}/embed"
+    server.shutdown()
+
+
 class TestCompareLangs:
-    def test_cross_language_table(self, tmp_path, capsys):
-        server = HTTPServer(("127.0.0.1", 0), _Handler)
-        threading.Thread(target=server.serve_forever, daemon=True).start()
-        try:
-            captions_path = tmp_path / "captions.jsonl"
-            rows = [
-                {"audio_id": "a", "language": "en", "caption": "rain falls"},
-                {"audio_id": "a", "language": "fr", "caption": "la pluie tombe"},
-            ]
-            captions_path.write_text("\n".join(json.dumps(r) for r in rows) + "\n", "utf-8")
-            out = tmp_path / "cmp"
-            code = main([
-                "compare-langs", "--captions", str(captions_path), "--base", "en",
-                "--endpoint", f"http://127.0.0.1:{server.server_port}/embed",
-                "--out", str(out),
-            ])
-            assert code == 0
-            doc = json.loads((out / "cross_language.json").read_text())
-            assert doc["similarity_pct"]["fr"] == pytest.approx(60.0)
-            assert doc["similarity_pct"]["en"] == pytest.approx(100.0)
-        finally:
-            server.shutdown()
+    def test_cross_language_table(self, tmp_path, capsys, embed_endpoint):
+        captions_path = tmp_path / "captions.jsonl"
+        rows = [
+            {"audio_id": "a", "language": "en", "caption": "rain falls"},
+            {"audio_id": "a", "language": "fr", "caption": "la pluie tombe"},
+        ]
+        captions_path.write_text("\n".join(json.dumps(r) for r in rows) + "\n", "utf-8")
+        out = tmp_path / "cmp"
+        code = main([
+            "compare-langs", "--captions", str(captions_path), "--base", "en",
+            "--endpoint", embed_endpoint, "--out", str(out),
+        ])
+        assert code == 0
+        doc = json.loads((out / "cross_language.json").read_text())
+        assert doc["similarity_pct"]["fr"] == pytest.approx(60.0)
+        assert doc["similarity_pct"]["en"] == pytest.approx(100.0)
+
+
+def command_argv(command: str, root: Path, endpoint: str) -> list[str]:
+    """Valid arguments, --out aside, for `command` over a tiny corpus in root."""
+    manifest, emb_dir = write_corpus(root)
+    captions = root / "captions.jsonl"
+    rows = [
+        {"audio_id": audio_id, "language": lang, "caption": caption}
+        for audio_id in ("test00", "test01")
+        for lang, caption in (("en", "rain falls"), ("fr", "la pluie tombe"))
+    ]
+    captions.write_text("\n".join(json.dumps(r) for r in rows) + "\n", "utf-8")
+    checkpoint = root / "m.ackp"
+    save_checkpoint(MultilingualModel(tiny_model_config(d_in=8), {Language.EN: word_vocab(["a", "b"])}), checkpoint)
+    return {
+        "prepare": ["--manifest", str(manifest), "--embeddings-dir", str(emb_dir), "--languages", "en,fr"],
+        "stats": ["--manifest", str(manifest), "--languages", "en,fr"],
+        "train": ["--config", str(write_train_config(root, manifest, emb_dir, epochs=1))],
+        "caption": ["--checkpoint", str(checkpoint), "--embeddings-dir", str(emb_dir), "--max-len", "3"],
+        "eval": ["--captions", str(captions), "--manifest", str(manifest)],
+        "params": [],
+        "compare-langs": ["--captions", str(captions), "--endpoint", endpoint],
+    }[command]
+
+
+class TestManifestCommand:
+    """`main` writes each run manifest under the subcommand's own name, and
+    only for a command that wrote outputs."""
+
+    @pytest.mark.parametrize("command", ["prepare", "stats", "train", "caption", "eval", "params", "compare-langs"])
+    def test_manifest_names_its_command(self, command, tmp_path, embed_endpoint, capsys):
+        out = tmp_path / "out"
+        assert main([command, *command_argv(command, tmp_path, embed_endpoint), "--out", str(out)]) == 0
+        assert json.loads((out / "run_manifest.json").read_text())["command"] == command
+
+    @pytest.mark.parametrize("command", ["stats", "params", "compare-langs"])
+    def test_no_out_writes_no_manifest(self, command, tmp_path, embed_endpoint, monkeypatch, capsys):
+        argv = [command, *command_argv(command, tmp_path, embed_endpoint)]
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.rglob("*"))
+        assert main(argv) == 0
+        assert capsys.readouterr().out
+        assert sorted(tmp_path.rglob("*")) == before
 
 
 class TestUnreadableInputs:
@@ -714,8 +811,23 @@ class TestCliSurface:
                 lambda meta: meta["model_config"].update(d_model=0),
                 ["model_config: bad model config", "model_config: d_model=0 must be an integer >= 1"],
             ),
+            # `EN` once replaced `en`: sizes 6 and 7 failed later on a tensor
+            # shape, equal sizes loaded silently
+            (
+                lambda meta: meta["vocabs"].update(
+                    EN=dict(meta["vocabs"]["en"], tokens=[*meta["vocabs"]["en"]["tokens"], "c"])
+                ),
+                ["vocabs: 'en' is listed 2 times"],
+            ),
+            (
+                lambda meta: meta["vocabs"].update(EN=meta["vocabs"]["en"]),
+                ["vocabs: 'en' is listed 2 times"],
+            ),
         ],
-        ids=["non_string_token", "duplicate_token", "unknown_language", "zero_d_model"],
+        ids=[
+            "non_string_token", "duplicate_token", "unknown_language", "zero_d_model",
+            "repeated_language_other_size", "repeated_language_same_size",
+        ],
     )
     def test_bad_checkpoint_meta_exits_2_naming_the_file(self, tmp_path, capsys, edit, items):
         # each once exited 2 with the bare message of the part at fault, naming
@@ -804,14 +916,35 @@ class TestLanguageLists:
         assert not (tmp_path / "o").exists()
 
 
-def run_module(*argv: str, cwd: Path, args=("-m", "polycap"), **kwargs) -> subprocess.CompletedProcess:
+def run_module(*argv: str, cwd: Path, args=("-m", "polycap"), env=(), **kwargs) -> subprocess.CompletedProcess:
     """`python -m polycap ARGV` (or `python ARGS ARGV`) in a fresh
-    interpreter that imports this checkout's polycap."""
+    interpreter that imports this checkout's polycap, with the variables of
+    `env` added to this process's environment."""
     src = str(Path(polycap.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = dict(os.environ, **dict(env), PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run(
         [sys.executable, *args, *argv], cwd=cwd, env=env, capture_output=True, text=True, timeout=120, **kwargs
     )
+
+
+def run_capped_main(*argv: str, cwd: Path, cap: int = 2 << 30) -> tuple[subprocess.CompletedProcess, dict]:
+    """`polycap.cli.main(ARGV)` in a fresh interpreter under a `cap`-byte
+    address-space limit, so a regression that allocates fails here instead of
+    taking the machine's memory. Returns the process and main's exit code and
+    seconds, imports not counted."""
+    timed_main = (
+        "import json, sys, time\n"
+        "from polycap.cli import main\n"
+        "t0 = time.monotonic()\n"
+        "code = main(sys.argv[1:])\n"
+        "print(json.dumps({'code': code, 'seconds': time.monotonic() - t0}))\n"
+    )
+    proc = run_module(
+        *argv, cwd=cwd, args=("-c", timed_main),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc, json.loads(proc.stdout.splitlines()[-1])
 
 
 class TestModuleEntryPoint:
@@ -846,20 +979,10 @@ class TestModuleEntryPoint:
         save_checkpoint(MultilingualModel(tiny_model_config(d_in=8), vocabs), path)
         rewrite_meta(path, lambda meta: meta["model_config"].update(d_model=10**9))
         assert path.stat().st_size < 15_000
-        timed_main = (
-            "import json, sys, time\n"
-            "from polycap.cli import main\n"
-            "t0 = time.monotonic()\n"
-            "code = main(sys.argv[1:])\n"
-            "print(json.dumps({'code': code, 'seconds': time.monotonic() - t0}))\n"
-        )
-        cap = 2 << 30
-        proc = run_module(
+        proc, result = run_capped_main(
             "caption", "--checkpoint", str(path), "--embeddings-dir", str(tmp_path),
-            "--out", str(tmp_path / "o"), cwd=tmp_path, args=("-c", timed_main),
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+            "--out", str(tmp_path / "o"), cwd=tmp_path,
         )
-        result = json.loads(proc.stdout)
         assert result["code"] == 2, proc.stderr
         assert result["seconds"] < 1.0
         payload = json.loads(proc.stderr)
@@ -875,22 +998,48 @@ class TestModuleEntryPoint:
         path = tmp_path / "m.ackp"
         save_checkpoint(MultilingualModel(tiny_model_config(d_in=8), {Language.EN: word_vocab(["a", "b"])}), path)
         rewrite_meta(path, lambda meta: meta["model_config"].update(max_len=10**8))
-        timed_main = (
-            "import json, sys, time\n"
-            "from polycap.cli import main\n"
-            "t0 = time.monotonic()\n"
-            "code = main(sys.argv[1:])\n"
-            "print(json.dumps({'code': code, 'seconds': time.monotonic() - t0}))\n"
-        )
-        cap = 2 << 30
-        proc = run_module(
+        proc, result = run_capped_main(
             "caption", "--checkpoint", str(path), "--embeddings-dir", str(emb_dir),
             "--beam-size", "2", "--max-len", "4", "--out", str(tmp_path / "o"), cwd=tmp_path,
-            args=("-c", timed_main), preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
         )
-        assert proc.returncode == 0, proc.stderr
-        result = json.loads(proc.stdout.splitlines()[-1])
         assert result["code"] == 0, proc.stderr
         assert result["seconds"] < 1.0
         lines = (tmp_path / "o" / "captions.jsonl").read_text().splitlines()
         assert len(lines) == len(list(emb_dir.iterdir()))
+
+    @pytest.mark.parametrize("n_words, code", [(20, 2), (2, 0)], ids=["refused", "bounded_by_the_vocabulary"])
+    def test_huge_beam_exits_2_fast_unless_the_vocabulary_bounds_it(self, tmp_path, n_words, code):
+        # beam 200000 on a default-size checkpoint once exited 3 with a raw
+        # MemoryError for a (200000, 2, 256) cache array. 20 words can fill
+        # 10^12 rows; 2 words fill at most 2^9 in the 9 words max_len 10 allows.
+        _, emb_dir = write_corpus(tmp_path)
+        path = tmp_path / "m.ackp"
+        vocabs = {Language.EN: word_vocab([f"w{i}" for i in range(n_words)])}
+        save_checkpoint(MultilingualModel(tiny_model_config(d_in=8), vocabs), path)
+        proc, result = run_capped_main(
+            "caption", "--checkpoint", str(path), "--embeddings-dir", str(emb_dir),
+            "--beam-size", str(10**12), "--out", str(tmp_path / "o"), cwd=tmp_path,
+        )
+        assert result["code"] == code, proc.stderr
+        assert result["seconds"] < 1.0
+        if code == 2:
+            payload = json.loads(proc.stderr)
+            assert payload["message"] == "bad decoding config"
+            [item] = payload["items"]
+            assert item.startswith(f"beam_size={10**12}: a decode round needs about ")
+
+    def test_model_too_big_to_train_exits_2_fast(self, tmp_path):
+        # a d_ff typo once reached MultilingualModel, which draws every weight
+        manifest, emb_dir = write_corpus(tmp_path)
+        config = write_train_config(tmp_path, manifest, emb_dir, epochs=1)
+        doc = json.loads(config.read_text())
+        doc["model"]["d_ff"] = 10**12
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        proc, result = run_capped_main("train", "--config", str(config), "--out", str(tmp_path / "run"), cwd=tmp_path)
+        assert result["code"] == 2, proc.stderr
+        assert result["seconds"] < 1.0
+        payload = json.loads(proc.stderr)
+        assert payload["message"] == "bad model config"
+        [item] = payload["items"]
+        assert " trainable parameters need about " in item and "physical memory" in item
+        assert not (tmp_path / "run" / "checkpoint.ackp").exists()

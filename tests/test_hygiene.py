@@ -1,0 +1,55 @@
+"""Static checks over the package source: no unused import, and no
+module-level private function that nothing in the package references."""
+
+import ast
+from pathlib import Path
+
+import polycap
+
+SRC = Path(polycap.__file__).resolve().parent
+MODULES = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+
+
+def used_names(tree: ast.AST) -> set[str]:
+    """Every name the module reads, every attribute it names, and the
+    entries of its __all__."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            names.update(ast.literal_eval(node.value))
+    return names
+
+
+def test_no_unused_imports():
+    unused = []
+    for name, tree in MODULES.items():
+        used = used_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in used:
+                        unused.append(f"{name}:{node.lineno}: {bound}")
+    assert unused == []
+
+
+def test_no_unreferenced_private_functions():
+    used = set().union(*(used_names(tree) for tree in MODULES.values()))
+    unreferenced = [
+        f"{name}:{node.lineno}: {node.name}"
+        for name, tree in MODULES.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and node.name not in used
+    ]
+    assert unreferenced == []
