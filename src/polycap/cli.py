@@ -292,29 +292,28 @@ def cmd_caption(args) -> tuple:
         languages = _parse_languages(args.languages, "--languages")
     embeddings_dir = Path(args.embeddings_dir)
     if args.manifest:
-        audio_ids = list(corpus_mod.load_split(args.manifest, args.split).audio_ids)
-        missing = [
-            f"{audio_id}: missing embedding file {audio_id}.aemb"
-            for audio_id in audio_ids
-            if not (embeddings_dir / f"{audio_id}.aemb").is_file()
-        ]
-        if missing:
-            raise ValidationError(
-                f"split {args.split!r} lists audios without embeddings in {embeddings_dir}",
-                items=missing,
-            )
+        audio_ids = corpus_mod.load_split(args.manifest, args.split).audio_ids
     else:
         audio_ids = sorted(p.stem for p in embeddings_dir.glob("*.aemb"))
     if not audio_ids:
         raise ValidationError(f"no embeddings to caption in {embeddings_dir}")
+    clips, problems = corpus_mod.read_embeddings(embeddings_dir, audio_ids)
+    d_in = model.config.d_in
+    for audio_id, clip in clips.items():
+        if clip.shape[1] != d_in:
+            problems[audio_id] = f"embedding dim {clip.shape[1]} does not match model d_in {d_in}"
+    if problems:
+        raise ValidationError(
+            f"embeddings in {embeddings_dir} failed validation",
+            items=[f"{audio_id}: {problems[audio_id]}" for audio_id in audio_ids if audio_id in problems],
+        )
     stopwords = {lang: load_stopwords(lang).words for lang in languages}
 
     out_dir = _out_dir(args.out)
     out_path = out_dir / "captions.jsonl"
     with atomic_write(out_path) as sink:
         for audio_id in audio_ids:
-            seq = corpus_mod.load_embedding(embeddings_dir / f"{audio_id}.aemb", audio_id)
-            results = decoding.caption_clip(model, seq.data, languages, cfg, stopwords)
+            results = decoding.caption_clip(model, clips[audio_id], languages, cfg, stopwords)
             for lang, result in zip(languages, results):
                 sink.write(
                     json.dumps(

@@ -31,27 +31,8 @@ SPLITS = ("train", "val", "test")
 
 
 class EmbeddingFormatError(ValidationError):
-    """Base for malformed AEMB files."""
-
-
-class BadMagicError(EmbeddingFormatError):
-    pass
-
-
-class UnsupportedVersionError(EmbeddingFormatError):
-    pass
-
-
-class BadHeaderError(EmbeddingFormatError):
-    pass
-
-
-class PayloadMismatchError(EmbeddingFormatError):
-    pass
-
-
-class NonFiniteDataError(EmbeddingFormatError):
-    pass
+    """A malformed or unreadable AEMB file; the message names the path and
+    the reason."""
 
 
 @dataclass(frozen=True)
@@ -88,27 +69,46 @@ def load_embedding(path: str | Path, audio_id: str | None = None) -> EmbeddingSe
     path = Path(path)
     try:
         raw = path.read_bytes()
-    except OSError as exc:
-        raise EmbeddingFormatError(f"{path}: cannot read embedding file ({exc.strerror})") from exc
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        raise EmbeddingFormatError(f"{path}: cannot read embedding file ({reason})") from exc
     if len(raw) < 16:
-        raise BadHeaderError(f"{path}: file shorter than the 16-byte AEMB header")
+        raise EmbeddingFormatError(f"{path}: file shorter than the 16-byte AEMB header")
     if raw[:4] != AEMB_MAGIC:
-        raise BadMagicError(f"{path}: bad magic {raw[:4]!r}, expected {AEMB_MAGIC!r}")
+        raise EmbeddingFormatError(f"{path}: bad magic {raw[:4]!r}, expected {AEMB_MAGIC!r}")
     version, dim, frames = struct.unpack("<III", raw[4:16])
     if version != AEMB_VERSION:
-        raise UnsupportedVersionError(f"{path}: unsupported version {version}")
+        raise EmbeddingFormatError(f"{path}: unsupported version {version}")
     if dim < 1 or frames < 1:
-        raise BadHeaderError(f"{path}: invalid shape {frames}x{dim} in header")
+        raise EmbeddingFormatError(f"{path}: invalid shape {frames}x{dim} in header")
     expected = 4 * dim * frames
     payload = raw[16:]
     if len(payload) != expected:
-        raise PayloadMismatchError(
+        raise EmbeddingFormatError(
             f"{path}: payload length mismatch, header implies {expected} bytes, found {len(payload)}"
         )
     data = np.frombuffer(payload, dtype="<f4").reshape(frames, dim)
     if not np.isfinite(data).all():
-        raise NonFiniteDataError(f"{path}: embedding contains non-finite values")
+        raise EmbeddingFormatError(f"{path}: embedding contains non-finite values")
     return EmbeddingSequence(audio_id=audio_id or path.stem, data=data)
+
+
+def read_embeddings(
+    embeddings_dir: str | Path, audio_ids: Sequence[str]
+) -> tuple[dict[str, np.ndarray], dict[str, str]]:
+    """Each audio's (frames, dim) matrix from `<audio_id>.aemb` in
+    `embeddings_dir`, and the problem of each audio whose file is absent or
+    cannot be read as AEMB."""
+    embeddings_dir = Path(embeddings_dir)
+    embeddings: dict[str, np.ndarray] = {}
+    problems: dict[str, str] = {}
+    for audio_id in audio_ids:
+        path = embeddings_dir / f"{audio_id}.aemb"
+        try:
+            embeddings[audio_id] = load_embedding(path, audio_id).data
+        except EmbeddingFormatError as exc:
+            problems[audio_id] = exc.message if path.exists() else f"missing embedding file {path.name}"
+    return embeddings, problems
 
 
 @dataclass(frozen=True)
@@ -323,18 +323,7 @@ class CorpusIndex:
         languages: Sequence[Language],
     ) -> "CorpusIndex":
         """An index over an already loaded split, reading its embeddings."""
-        embeddings_dir = Path(embeddings_dir)
-        embeddings: dict[str, np.ndarray] = {}
-        file_problems: dict[str, str] = {}
-        for audio_id in manifest.audio_ids:
-            path = embeddings_dir / f"{audio_id}.aemb"
-            if not path.is_file():
-                file_problems[audio_id] = f"missing embedding file {path.name}"
-                continue
-            try:
-                embeddings[audio_id] = load_embedding(path, audio_id).data
-            except EmbeddingFormatError as exc:
-                file_problems[audio_id] = exc.message
+        embeddings, file_problems = read_embeddings(embeddings_dir, manifest.audio_ids)
         if file_problems:  # raises, with every other problem of the split too
             _check_split(manifest, embeddings, languages, file_problems)
         return cls(manifest=manifest, embeddings=embeddings, languages=tuple(languages))

@@ -310,7 +310,11 @@ class TestTrainCaptionEval:
         ])
         assert code == 2
         payload = json.loads(capsys.readouterr().err)
-        assert payload == {"error": "ValidationError", "message": "expected one (frames, 8) audio sequence, got (3, 5)"}
+        assert payload == {
+            "error": "ValidationError",
+            "message": f"embeddings in {other} failed validation",
+            "items": ["a: embedding dim 5 does not match model d_in 8"],
+        }
         assert not (tmp_path / "cap" / "captions.jsonl").exists()
 
     def test_caption_unreadable_embedding_exits_2(self, tmp_path, capsys):
@@ -325,9 +329,40 @@ class TestTrainCaptionEval:
         ])
         assert code == 2
         payload = json.loads(capsys.readouterr().err)
-        assert payload["error"] == "EmbeddingFormatError"
-        assert str(emb_dir / "zz.aemb") in payload["message"]
+        assert payload["error"] == "ValidationError"
+        assert payload["items"] == [f"zz: {emb_dir / 'zz.aemb'}: cannot read embedding file (Is a directory)"]
         assert not (tmp_path / "cap" / "captions.jsonl").exists()
+
+    @pytest.mark.parametrize("source", ["manifest", "glob"])
+    def test_every_bad_clip_in_one_report_before_decoding(self, source, tmp_path, capsys, monkeypatch):
+        # a wrong-dim clip once failed in the decoder after every earlier clip
+        # was decoded, naming no clip, and the clips after it went unread
+        manifest, emb_dir = write_corpus(tmp_path)
+        save_checkpoint(MultilingualModel(tiny_model_config(d_in=8), {Language.EN: word_vocab(["a"])}), tmp_path / "m.ackp")
+        (emb_dir / "test00.aemb").unlink()
+        if source == "glob":  # a dangling link is globbed but absent
+            (emb_dir / "test00.aemb").symlink_to("nowhere.aemb")
+        write_embedding(emb_dir / "test01.aemb", EmbeddingSequence("test01", np.ones((3, 5), dtype=np.float32)))
+        truncated = emb_dir / "test02.aemb"
+        truncated.write_bytes(truncated.read_bytes()[:-4])
+        calls = []
+        monkeypatch.setattr(decoding, "caption_clip", lambda *a: calls.append(a))
+        argv = ["--checkpoint", str(tmp_path / "m.ackp"), "--embeddings-dir", str(emb_dir), "--out", str(tmp_path / "cap")]
+        if source == "manifest":
+            argv += ["--manifest", str(manifest), "--split", "test"]
+        assert main(["caption", *argv]) == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload == {
+            "error": "ValidationError",
+            "message": f"embeddings in {emb_dir} failed validation",
+            "items": [
+                "test00: missing embedding file test00.aemb",
+                "test01: embedding dim 5 does not match model d_in 8",
+                f"test02: {truncated}: payload length mismatch, header implies 160 bytes, found 156",
+            ],
+        }
+        assert calls == []
+        assert not (tmp_path / "cap").exists()
 
     def test_train_smoke_loss_collapses(self, tmp_path):
         # 10-item monolingual corpus, 200 epochs: final loss < 10% of initial

@@ -7,18 +7,15 @@ from scipy import stats
 
 from polycap.corpus import (
     AEMB_MAGIC,
-    BadHeaderError,
-    BadMagicError,
     CaptionManifest,
     CaptionRecord,
     CorpusIndex,
+    EmbeddingFormatError,
     EmbeddingSequence,
-    NonFiniteDataError,
-    PayloadMismatchError,
-    UnsupportedVersionError,
     compute_stats,
     load_embedding,
     load_manifests,
+    read_embeddings,
     sample_caption,
     write_embedding,
 )
@@ -52,13 +49,13 @@ class TestEmbeddingFormat:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.aemb"
         path.write_bytes(b"NOPE" + b"\0" * 20)
-        with pytest.raises(BadMagicError):
+        with pytest.raises(EmbeddingFormatError, match=r"bad magic b'NOPE', expected b'AEMB'"):
             load_embedding(path)
 
     def test_bad_version(self, tmp_path):
         path = tmp_path / "bad.aemb"
         path.write_bytes(AEMB_MAGIC + struct.pack("<III", 9, 2, 2) + b"\0" * 16)
-        with pytest.raises(UnsupportedVersionError):
+        with pytest.raises(EmbeddingFormatError, match="unsupported version 9"):
             load_embedding(path)
 
     def test_truncated_payload(self, tmp_path):
@@ -66,19 +63,19 @@ class TestEmbeddingFormat:
         write_embedding(path, make_seq(frames=4, dim=4))
         raw = path.read_bytes()
         path.write_bytes(raw[:-3])
-        with pytest.raises(PayloadMismatchError, match="payload length mismatch"):
+        with pytest.raises(EmbeddingFormatError, match="payload length mismatch, header implies 64 bytes, found 61"):
             load_embedding(path)
 
     def test_zero_shape_header(self, tmp_path):
         path = tmp_path / "zero.aemb"
         path.write_bytes(AEMB_MAGIC + struct.pack("<III", 1, 0, 3))
-        with pytest.raises(BadHeaderError):
+        with pytest.raises(EmbeddingFormatError, match="invalid shape 3x0 in header"):
             load_embedding(path)
 
     def test_short_file(self, tmp_path):
         path = tmp_path / "short.aemb"
         path.write_bytes(b"AEM")
-        with pytest.raises(BadHeaderError):
+        with pytest.raises(EmbeddingFormatError, match="file shorter than the 16-byte AEMB header"):
             load_embedding(path)
 
     def test_nan_payload(self, tmp_path):
@@ -88,12 +85,30 @@ class TestEmbeddingFormat:
         data[1, 1] = np.nan
         raw = AEMB_MAGIC + struct.pack("<III", 1, 2, 2) + data.astype("<f4").tobytes()
         path.write_bytes(raw)
-        with pytest.raises(NonFiniteDataError):
+        with pytest.raises(EmbeddingFormatError, match="embedding contains non-finite values"):
             load_embedding(path)
 
     def test_constructor_rejects_empty(self):
         with pytest.raises(ValidationError):
             EmbeddingSequence("x", np.zeros((0, 4), dtype=np.float32))
+
+
+class TestReadEmbeddings:
+    def test_arrays_and_problems_by_audio_id(self, tmp_path):
+        ok = make_seq("ok", frames=3, dim=4)
+        write_embedding(tmp_path / "ok.aemb", ok)
+        write_embedding(tmp_path / "short.aemb", make_seq("short", frames=3, dim=4))
+        (tmp_path / "short.aemb").write_bytes((tmp_path / "short.aemb").read_bytes()[:-1])
+        (tmp_path / "dir.aemb").mkdir()
+        embeddings, problems = read_embeddings(tmp_path, ["ok", "gone", "short", "dir", "nul\0id"])
+        assert list(embeddings) == ["ok"]
+        assert np.array_equal(embeddings["ok"], ok.data)
+        assert problems["gone"] == "missing embedding file gone.aemb"
+        assert problems["nul\0id"] == "missing embedding file nul\0id.aemb"
+        # a path that exists keeps the reader's own message, which names it
+        assert problems["short"] == f"{tmp_path / 'short.aemb'}: payload length mismatch, header implies 48 bytes, found 47"
+        assert problems["dir"].startswith(f"{tmp_path / 'dir.aemb'}: cannot read embedding file")
+        assert list(problems) == ["gone", "short", "dir", "nul\0id"]
 
 
 class TestSampleCaption:
