@@ -106,9 +106,13 @@ def write_run_manifest(out_dir: Path, command: str, config: dict, inputs: dict, 
 
 
 def _out_dir(path) -> Path:
-    """The output directory `path`, created if need be."""
+    """The output directory `path`, created if need be. Commands call it
+    only once their inputs have validated."""
     out_dir = Path(path)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"cannot create output directory {out_dir} ({exc.strerror})") from exc
     return out_dir
 
 
@@ -151,8 +155,8 @@ def _build_vocabularies(
 
 def cmd_prepare(args) -> tuple:
     languages = _parse_languages(args.languages, "--languages")
-    out_dir = _out_dir(args.out)
     index = corpus_mod.CorpusIndex.from_paths(args.manifest, args.embeddings_dir, args.split, languages)
+    out_dir = _out_dir(args.out)
     vocab_files = {}
     for lang, vocab in _build_vocabularies(index, languages, args.min_count).items():
         path = out_dir / f"vocab.{lang.value}.json"
@@ -246,21 +250,22 @@ def cmd_train(args) -> tuple:
         train_cfg = replace(train_cfg, seed=args.seed)
     model_cfg = model_mod.ModelConfig.from_dict(doc.get("model", {}))
 
-    out_dir = _out_dir(args.out or doc.get("out_dir", "run"))
-
     manifests = corpus_mod.load_manifests(manifest_path)
 
     def index(split: str) -> corpus_mod.CorpusIndex:
         manifest = corpus_mod.select_split(manifests, split, manifest_path)
         return corpus_mod.CorpusIndex.from_manifest(manifest, embeddings_dir, languages)
 
-    train_index = index(data.get("train_split", "train"))
-    val_split = data.get("val_split")
+    train_split, val_split = data.get("train_split", "train"), data.get("val_split")
+    train_index = index(train_split)
     val_index = index(val_split) if val_split else None
-    if train_index.embed_dim != model_cfg.d_in:
-        raise ValidationError(
-            f"embedding dim {train_index.embed_dim} does not match model d_in {model_cfg.d_in}"
-        )
+    dim_problems = [
+        f"split {split!r}: embedding dim {split_index.embed_dim}"
+        for split, split_index in ((train_split, train_index), (val_split, val_index))
+        if split_index is not None and split_index.embed_dim != model_cfg.d_in
+    ]
+    if dim_problems:
+        raise ValidationError(f"embedding dims do not match model d_in {model_cfg.d_in}", items=dim_problems)
 
     vocabs = _build_vocabularies(train_index, languages, doc.get("min_count", 1))
     n_params = model_mod.param_report(model_cfg, {lang: v.size for lang, v in vocabs.items()}).trainable_total
@@ -271,6 +276,7 @@ def cmd_train(args) -> tuple:
             f"more than the {physical} bytes of physical memory"
         ])
     model = model_mod.MultilingualModel(model_cfg, vocabs, seed=train_cfg.seed)
+    out_dir = _out_dir(args.out or doc.get("out_dir", "run"))
 
     trainer = training.Trainer(model, train_index, train_cfg, val_corpus=val_index)
     history = trainer.fit(metrics_path=out_dir / "metrics.jsonl")
@@ -290,6 +296,9 @@ def cmd_caption(args) -> tuple:
     languages = list(model.languages)
     if args.languages is not None:
         languages = _parse_languages(args.languages, "--languages")
+        headless = [f"no head for language {lang.value!r}" for lang in languages if lang not in model.heads]
+        if headless:
+            raise ValidationError(f"--languages: not all in checkpoint {args.checkpoint}", items=headless)
     embeddings_dir = Path(args.embeddings_dir)
     if args.manifest:
         audio_ids = corpus_mod.load_split(args.manifest, args.split).audio_ids

@@ -775,6 +775,71 @@ class TestUnreadableInputs:
         assert (str(bad) if command == "params" else nope) in payload["message"]
 
 
+class TestOutputDirectory:
+    """`--out` is made only once a command's inputs have validated, and an
+    `--out` that cannot be a directory is itself a validation failure."""
+
+    @pytest.mark.parametrize("case", ["prepare_no_manifest", "train_no_manifest", "train_bad_dims", "caption_headless"])
+    def test_failed_validation_leaves_no_out(self, case, tmp_path, capsys):
+        # prepare and train once made --out first; a val split's dim was
+        # never checked, so train ran an epoch and then failed with exit 3;
+        # a headless caption language failed alone, after --out was made
+        manifest, emb_dir = write_corpus(tmp_path)
+        config = write_train_config(tmp_path, manifest, emb_dir, epochs=1)
+        doc = json.loads(config.read_text())
+        vocabs = {Language.EN: word_vocab(["a"]), Language.FR: word_vocab(["b"])}
+        save_checkpoint(MultilingualModel(tiny_model_config(d_in=8), vocabs), tmp_path / "m.ackp")
+        nope = tmp_path / "nope.jsonl"
+        if case == "train_no_manifest":
+            doc["data"]["manifest"] = nope.name
+        if case == "train_bad_dims":
+            doc["data"]["val_split"] = "test"
+            for path in emb_dir.glob("*.aemb"):
+                dim = 16 if path.stem.startswith("train") else 5
+                write_embedding(path, EmbeddingSequence(path.stem, np.ones((3, dim), dtype=np.float32)))
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        argv, message, items = {
+            "prepare_no_manifest": (
+                ["prepare", "--manifest", str(nope), "--embeddings-dir", str(emb_dir), "--languages", "en"],
+                f"cannot read manifest {nope}: ",
+                None,
+            ),
+            "train_no_manifest": (["train", "--config", str(config)], f"cannot read manifest {nope}: ", None),
+            "train_bad_dims": (
+                ["train", "--config", str(config)],
+                "embedding dims do not match model d_in 8",
+                ["split 'train': embedding dim 16", "split 'test': embedding dim 5"],
+            ),
+            "caption_headless": (
+                ["caption", "--checkpoint", str(tmp_path / "m.ackp"), "--embeddings-dir", str(emb_dir),
+                 "--languages", "de,es,en"],
+                f"--languages: not all in checkpoint {tmp_path / 'm.ackp'}",
+                ["no head for language 'de'", "no head for language 'es'"],
+            ),
+        }[case]
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "ValidationError"
+        assert payload["message"].startswith(message)
+        assert payload.get("items") == items
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["prepare", "stats"])
+    def test_out_that_cannot_be_a_directory_exits_2(self, command, tmp_path, capsys):
+        # once exit 3 with a raw FileExistsError or NotADirectoryError
+        manifest, emb_dir = write_corpus(tmp_path)
+        afile = tmp_path / "afile"
+        afile.write_text("kept", encoding="utf-8")
+        out, argv, reason = {
+            "prepare": (afile, ["--manifest", str(manifest), "--embeddings-dir", str(emb_dir)], "File exists"),
+            "stats": (afile / "sub", ["--manifest", str(manifest)], "Not a directory"),
+        }[command]
+        assert main([command, *argv, "--languages", "en", "--out", str(out)]) == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload == {"error": "ValidationError", "message": f"cannot create output directory {out} ({reason})"}
+        assert afile.read_text(encoding="utf-8") == "kept"
+
+
 class TestCliSurface:
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
