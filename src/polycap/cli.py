@@ -299,6 +299,7 @@ def cmd_caption(args) -> tuple:
         headless = [f"no head for language {lang.value!r}" for lang in languages if lang not in model.heads]
         if headless:
             raise ValidationError(f"--languages: not all in checkpoint {args.checkpoint}", items=headless)
+    decoding.fit_decode_config(model, languages, cfg)  # a beam too big for memory fails before any clip
     embeddings_dir = Path(args.embeddings_dir)
     if args.manifest:
         audio_ids = corpus_mod.load_split(args.manifest, args.split).audio_ids

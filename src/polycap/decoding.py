@@ -206,6 +206,20 @@ def _round_bytes(model: MultilingualModel, languages: Sequence[Language], cfg: D
     return rows * vocab * (3 * 8 + 2) + 2 * (c.n_layers + 1) * rows * positions * c.d_model * 8
 
 
+def fit_decode_config(model: MultilingualModel, languages: Sequence[Language], cfg: DecodeConfig) -> DecodeConfig:
+    """`cfg` for decoding `languages` with `model`: max_len cut to the
+    positions the model scores (BOS included). A search whose largest decode
+    round would exceed physical memory is a ValidationError."""
+    cfg = replace(cfg, max_len=min(cfg.max_len, model.config.max_len - 1))
+    need, physical = _round_bytes(model, languages, cfg), physical_memory()
+    if need > physical:
+        raise ValidationError("bad decoding config", items=[
+            f"beam_size={cfg.beam_size}: a decode round needs about {need} bytes, "
+            f"more than the {physical} bytes of physical memory"
+        ])
+    return cfg
+
+
 def caption_clip(
     model: MultilingualModel,
     audio: np.ndarray,
@@ -216,14 +230,7 @@ def caption_clip(
     """Decode one caption per language for one audio sequence; the languages
     are searched in lockstep through the shared trunk. A language missing
     from stopwords_by_language has no stopwords."""
-    # the model scores at most max_len positions (BOS included)
-    cfg = replace(cfg, max_len=min(cfg.max_len, model.config.max_len - 1))
-    need, physical = _round_bytes(model, languages, cfg), physical_memory()
-    if need > physical:
-        raise ValidationError("bad decoding config", items=[
-            f"beam_size={cfg.beam_size}: a decode round needs about {need} bytes, "
-            f"more than the {physical} bytes of physical memory"
-        ])
+    cfg = fit_decode_config(model, languages, cfg)
     return grouped_beam_search(
         IncrementalDecoder(model, audio, languages),
         [model.vocab(lang) for lang in languages],

@@ -1127,6 +1127,7 @@ class TestModuleEntryPoint:
             assert payload["message"] == "bad decoding config"
             [item] = payload["items"]
             assert item.startswith(f"beam_size={10**12}: a decode round needs about ")
+            assert not (tmp_path / "o").exists()  # refused before any clip, so before --out
 
     def test_model_too_big_to_train_exits_2_fast(self, tmp_path):
         # a d_ff typo once reached MultilingualModel, which draws every weight
