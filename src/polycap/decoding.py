@@ -11,8 +11,7 @@ Independent searches can step in lockstep, one group each, so one scorer
 call serves them all: `caption_clip` searches every language of a clip
 together through the model's shared trunk, scored by the cached
 `model.IncrementalDecoder`. The search hands the scorer each row's parent,
-by which the cached scorer gathers its cache. A single search is the
-one-group case.
+by which the cached scorer gathers its cache.
 """
 
 from __future__ import annotations
@@ -26,8 +25,6 @@ from polycap.errors import ValidationError, is_finite, is_integer, physical_memo
 from polycap.model import IncrementalDecoder, MultilingualModel
 from polycap.text import Language, Vocabulary
 
-# step function: (k, t) int prefix matrix -> (k, vocab) log-probability rows
-StepFn = Callable[[np.ndarray], np.ndarray]
 # grouped step function: per group, (k_g, t) prefix rows and (k_g,) parents
 # (row i extends row parents[i] of the previous call; BOS has parent 0) ->
 # (k_g, vocab_g) log-probability rows; a group may have k_g = 0 rows
@@ -174,19 +171,6 @@ def grouped_beam_search(
         if not any(len(beam.ids) for beam in beams):
             break
     return [beam.result(cfg.length_norm) for beam in beams]
-
-
-def beam_search(
-    step_fn: StepFn,
-    vocab: Vocabulary,
-    stopwords: frozenset[str] | None,
-    cfg: DecodeConfig,
-) -> DecodeResult:
-    """Best finished hypothesis under the no-repeat constraint: the
-    one-group `grouped_beam_search`. step_fn maps a (k, t) matrix of
-    BOS-prefixed id rows to (k, vocab) log-probability rows; it is never
-    called with zero rows."""
-    return grouped_beam_search(lambda prefixes, _: [step_fn(prefixes[0])], [vocab], [stopwords], cfg)[0]
 
 
 def _round_bytes(model: MultilingualModel, languages: Sequence[Language], cfg: DecodeConfig) -> int:

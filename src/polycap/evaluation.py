@@ -205,21 +205,6 @@ def _normalize_rows(vectors: np.ndarray, texts: Sequence[str]) -> np.ndarray:
     return vectors / norms[:, None]
 
 
-class StubEmbedder:
-    """Table-driven embedder for tests: exact, deterministic, no service."""
-
-    def __init__(self, table: Mapping[str, Sequence[float]]):
-        self._table = {text: np.asarray(v, dtype=np.float64) for text, v in table.items()}
-
-    def embed_batch(self, texts: Sequence[str], language: Language) -> np.ndarray:
-        rows = []
-        for text in texts:
-            if text not in self._table:
-                raise EmbedderError(f"stub embedder has no vector for {text!r}")
-            rows.append(self._table[text])
-        return _normalize_rows(np.stack(rows), texts)
-
-
 class HttpEmbedder:
     """Client for an external embedding service.
 

@@ -333,7 +333,6 @@ class EpochMetrics:
     n_updates: int
     seconds: float
     per_language: dict[str, int] = field(default_factory=dict)
-    visited_pairs: list[tuple[str, str]] = field(default_factory=list, repr=False)
 
     def to_log_dict(self) -> dict:
         return {
@@ -478,22 +477,19 @@ class Trainer:
         batches = self._make_batches(self.corpus)
         losses = []
         per_language: dict[str, int] = {}
-        visited: list[tuple[str, str]] = []
         for batch_index, (language, audio_ids) in enumerate(batches):
             losses.append(self._train_batch(language, audio_ids, lr, epoch, batch_index))
             per_language[language.value] = per_language.get(language.value, 0) + len(audio_ids)
-            visited.extend((a, language.value) for a in audio_ids)
         val_loss = self.evaluate_loss(self.val_corpus) if self.val_corpus is not None else None
         return EpochMetrics(
             epoch=epoch,
             lr=lr,
             train_loss=float(np.mean(losses)),
             val_loss=val_loss,
-            n_examples=len(visited),
+            n_examples=sum(per_language.values()),
             n_updates=len(batches),
             seconds=time.monotonic() - t0,
             per_language=per_language,
-            visited_pairs=visited,
         )
 
     def evaluate_loss(self, corpus: CorpusIndex) -> float:
@@ -517,7 +513,6 @@ class Trainer:
         lines = []
         for epoch in range(self.cfg.epochs):
             metrics = self.run_epoch(epoch)
-            metrics.visited_pairs = []  # one tuple per visit; the counts stay
             history.append(metrics)
             if metrics_path:
                 lines.append(json.dumps(metrics.to_log_dict(), sort_keys=True) + "\n")

@@ -7,6 +7,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from polycap.corpus import CaptionManifest, CorpusIndex
+from polycap.decoding import DecodeConfig, DecodeResult, grouped_beam_search
 from polycap.model import ModelConfig, MultilingualModel
 from polycap.text import SPECIAL_TOKENS, Language, Vocabulary, build_vocabulary, tokenize
 
@@ -61,6 +62,29 @@ def synthetic_corpus(
         for lang in languages
     }
     return index, vocabs
+
+
+def beam_search(step_fn, vocab: Vocabulary, stopwords, cfg: DecodeConfig) -> DecodeResult:
+    """One search: the one-group `grouped_beam_search` under a step_fn that
+    maps a (k, t) prefix matrix to (k, vocab) log-probability rows."""
+    return grouped_beam_search(lambda prefixes, _: [step_fn(prefixes[0])], [vocab], [stopwords], cfg)[0]
+
+
+def run_epoch_pairs(trainer, epoch: int = 0):
+    """`trainer.run_epoch(epoch)` and the (audio_id, language code) pair of
+    every example in the batches it trained on, one per visit."""
+    pairs = []
+    train_batch = trainer._train_batch
+
+    def spy(language, audio_ids, *args):
+        pairs.extend((a, language.value) for a in audio_ids)
+        return train_batch(language, audio_ids, *args)
+
+    trainer._train_batch = spy
+    try:
+        return trainer.run_epoch(epoch), pairs
+    finally:
+        del trainer._train_batch
 
 
 @pytest.fixture

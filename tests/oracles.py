@@ -259,7 +259,7 @@ def reference_beam_search(
     length_norm: float,
 ) -> tuple[tuple[int, ...], float, float]:
     """Object-per-hypothesis constrained beam search, the loop form of
-    polycap.decoding.beam_search. Returns (ids, log_prob, normalized score).
+    polycap.decoding.grouped_beam_search over one group. Returns (ids, log_prob, normalized score).
 
     Each round expands every active hypothesis by EOS (to the finished pool)
     and by every word it has not used (stopwords exempt; only EOS once the

@@ -12,7 +12,14 @@ from collections import Counter
 
 import numpy as np
 
-from conftest import synthetic_caption, synthetic_corpus, tiny_model_config, word_vocab
+from conftest import (
+    beam_search,
+    run_epoch_pairs,
+    synthetic_caption,
+    synthetic_corpus,
+    tiny_model_config,
+    word_vocab,
+)
 from oracles import (
     bruteforce_cider_d,
     exhaustive_constrained_search,
@@ -20,7 +27,7 @@ from oracles import (
     relative_error,
 )
 from polycap.cli import main
-from polycap.decoding import DecodeConfig, beam_search, caption_audio
+from polycap.decoding import DecodeConfig, caption_audio
 from polycap.evaluation import cider_d
 from polycap.model import MultilingualModel
 from polycap.text import Language, tokenize
@@ -266,9 +273,9 @@ def test_criterion_6_multilingual_epoch_coverage():
         epochs=1, lr0=1e-3, weight_decay=0.0, label_smoothing_eps=0.0,
         mixup_alpha=0.0, specaug=None, batch_size=1, seed=2,
     )
-    metrics = Trainer(model, index, tcfg).run_epoch(0)
+    metrics, pairs = run_epoch_pairs(Trainer(model, index, tcfg))
     expected = Counter((a, l.value) for a in index.audio_ids for l in languages)
-    coverage_exact = Counter(metrics.visited_pairs) == expected
+    coverage_exact = Counter(pairs) == expected
     ok = metrics.n_updates == 200 and metrics.n_examples == 200 and coverage_exact
     report(
         "criterion 6 (epoch coverage)",

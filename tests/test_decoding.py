@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import tiny_model_config, word_vocab
+from conftest import beam_search, tiny_model_config, word_vocab
 from oracles import (
     composed_log_softmax,
     exhaustive_constrained_search,
@@ -13,7 +13,6 @@ from oracles import (
 from polycap import autodiff as ad
 from polycap.decoding import (
     DecodeConfig,
-    beam_search,
     caption_audio,
     caption_clip,
     grouped_beam_search,

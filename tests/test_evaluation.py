@@ -14,13 +14,28 @@ from polycap.errors import ValidationError
 from polycap.evaluation import (
     EmbedderError,
     HttpEmbedder,
-    StubEmbedder,
+    _normalize_rows,
     cider_d,
     cross_language_similarity,
     evaluate_captions,
     sbert_sim,
 )
 from polycap.text import Language, tokenize
+
+
+class StubEmbedder:
+    """Table-driven embedder: exact, deterministic, no service."""
+
+    def __init__(self, table):
+        self._table = {text: np.asarray(v, dtype=np.float64) for text, v in table.items()}
+
+    def embed_batch(self, texts, language):
+        rows = []
+        for text in texts:
+            if text not in self._table:
+                raise EmbedderError(f"stub embedder has no vector for {text!r}")
+            rows.append(self._table[text])
+        return _normalize_rows(np.stack(rows), texts)
 
 
 class TestNgramCounts:

@@ -2,12 +2,13 @@ import math
 import tracemalloc
 import weakref
 from collections import Counter
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import oracles
-from conftest import synthetic_corpus, tiny_model_config
+from conftest import run_epoch_pairs, synthetic_corpus, tiny_model_config
 from polycap.autodiff import Tensor
 from polycap.errors import RuntimeFailure, ValidationError
 from polycap.model import MixupDraw, ModelConfig, MultilingualModel
@@ -369,19 +370,20 @@ class TestEpochLoop:
     def test_multilingual_epoch_exact_pair_coverage(self):
         languages = list(Language)
         trainer, index = make_trainer(languages, n_items=6)
-        metrics = trainer.run_epoch(0)
+        metrics, pairs = run_epoch_pairs(trainer)
         assert metrics.n_examples == 6 * 4
         expected = Counter((a, l.value) for a in index.audio_ids for l in languages)
-        assert Counter(metrics.visited_pairs) == expected
+        assert Counter(pairs) == expected
 
     def test_fit_keeps_the_counts_but_no_per_pair_record(self):
-        # one tuple per (audio, language) visit: about 13 MB an epoch at
-        # AudioCaps size, kept for every epoch of a fit and read by nothing
+        # a per-pair list would be about 13 MB an epoch at AudioCaps size,
+        # kept for every epoch of a fit; each epoch's record holds counts only
         trainer, _ = make_trainer(list(Language), n_items=6)
         history = trainer.fit()
         assert len(history) == trainer.cfg.epochs
         for metrics in history:
-            assert metrics.visited_pairs == []
+            lists = [f.name for f in fields(metrics) if isinstance(getattr(metrics, f.name), (list, tuple))]
+            assert lists == []
             assert metrics.n_examples == 6 * 4
             assert metrics.per_language == {l.value: 6 for l in Language}
 

@@ -6,9 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import tiny_model_config, word_vocab
+from conftest import beam_search, tiny_model_config, word_vocab
 from polycap.corpus import CaptionManifest, CorpusIndex
-from polycap.decoding import DecodeConfig, beam_search, caption_audio
+from polycap.decoding import DecodeConfig, caption_audio
 from polycap.model import MixupDraw, MultilingualModel
 from polycap.text import Language, build_vocabulary, tokenize
 from polycap.training import SpecAugmentConfig, TrainConfig, Trainer, spec_mask
