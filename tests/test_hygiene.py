@@ -1,5 +1,6 @@
-"""Static checks over the package source: no unused import, and no
-module-level private function that nothing in the package references."""
+"""Static checks over the package source: no unused import, no
+module-level private function that nothing in the package references, and
+no public module-level function or class that only the tests use."""
 
 import ast
 from pathlib import Path
@@ -8,6 +9,7 @@ import polycap
 
 SRC = Path(polycap.__file__).resolve().parent
 MODULES = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def used_names(tree: ast.AST) -> set[str]:
@@ -50,6 +52,27 @@ def test_no_unreferenced_private_functions():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         and node.name.startswith("_")
         and not node.name.startswith("__")
+        and node.name not in used
+    ]
+    assert unreferenced == []
+
+
+def test_no_public_names_only_the_tests_use():
+    """A public function or class must be read by the package or by the
+    bench harness; one that only the tests reach belongs in the tests."""
+    bench = [
+        ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(BENCH.glob("*.py"))
+        if not path.name.startswith("test_")
+    ]
+    assert bench, f"no bench modules under {BENCH}"
+    used = set().union(*(used_names(tree) for tree in [*MODULES.values(), *bench]))
+    unreferenced = [
+        f"{name}:{node.lineno}: {node.name}"
+        for name, tree in MODULES.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
         and node.name not in used
     ]
     assert unreferenced == []
