@@ -77,10 +77,11 @@ def tokenize(text: str) -> list[str]:
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Dense token <-> id map with specials pinned at ids 0..3."""
+    """Dense token <-> id map with specials pinned at ids 0..3; `index` is
+    derived from `tokens`."""
 
     tokens: tuple[str, ...]
-    index: dict[str, int] = field(repr=False)
+    index: dict[str, int] = field(init=False, repr=False)
 
     pad_id = 0
     bos_id = 1
@@ -93,6 +94,7 @@ class Vocabulary:
             raise ValidationError("vocabulary tokens must be strings", items=not_str)
         if tuple(self.tokens[:4]) != SPECIAL_TOKENS:
             raise ValidationError("vocabulary must start with PAD/BOS/EOS/UNK specials")
+        object.__setattr__(self, "index", {t: i for i, t in enumerate(self.tokens)})
         if len(self.index) != len(self.tokens):
             raise ValidationError("vocabulary contains duplicate tokens")
 
@@ -107,8 +109,7 @@ class Vocabulary:
 
     @classmethod
     def from_tokens(cls, tokens: Iterable[str]) -> "Vocabulary":
-        toks = tuple(tokens)
-        return cls(tokens=toks, index={t: i for i, t in enumerate(toks)})
+        return cls(tuple(tokens))
 
     def encode(self, caption: Sequence[str]) -> list[int]:
         """Map tokens to ids, wrap with BOS..EOS; unknown tokens become UNK."""

@@ -137,6 +137,20 @@ class TestVocabularySerialization:
             Vocabulary.from_json(json.dumps(doc))
         assert caught.value.items == ["token 5: 5", "token 6: 7.5"]
 
+    def test_reject_tokens_that_cannot_be_keys(self):
+        doc = {"tokens": [*SPECIAL_TOKENS, ["a"]], "specials": {"pad": 0, "bos": 1, "eos": 2, "unk": 3}}
+        with pytest.raises(ValidationError) as caught:
+            Vocabulary.from_json(json.dumps(doc))
+        assert caught.value.items == ["token 4: ['a']"]
+
+    def test_index_is_derived_from_the_tokens(self):
+        # an index that disagreed with the tokens made a real token encode as UNK
+        with pytest.raises(TypeError):
+            Vocabulary(tokens=(*SPECIAL_TOKENS, "a"), index={**{t: i for i, t in enumerate(SPECIAL_TOKENS)}, "b": 4})
+        vocab = Vocabulary((*SPECIAL_TOKENS, "a", "b"))
+        assert vocab.index == {**{t: i for i, t in enumerate(SPECIAL_TOKENS)}, "a": 4, "b": 5}
+        assert vocab.encode(["a", "b", "c"]) == [vocab.bos_id, 4, 5, vocab.unk_id, vocab.eos_id]
+
 
 class TestStopwords:
     @pytest.mark.parametrize("language", list(Language))
