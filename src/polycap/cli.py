@@ -48,16 +48,20 @@ def _sha256_file(path: Path) -> str:
     return h.hexdigest()
 
 
-def _digest(path: Path) -> str:
-    """Content hash of a file, or of a directory's sorted (name, hash) lines."""
-    if path.is_file():
-        return _sha256_file(path)
-    if path.is_dir():
-        lines = sorted(
-            f"{p.relative_to(path)}:{_sha256_file(p)}" for p in path.rglob("*") if p.is_file()
-        )
+def _digest(source: Path | dict[str, Path]) -> str:
+    """Content hash of a file, or of files by name: the hash of their sorted
+    `name:hash` lines."""
+    if isinstance(source, dict):
+        lines = sorted(f"{name}:{_sha256_file(path)}" for name, path in source.items())
         return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
-    raise ValidationError(f"no such input: {path}")
+    if source.is_file():
+        return _sha256_file(source)
+    raise ValidationError(f"no such input: {source}")
+
+
+def _clip_files(embeddings_dir, audio_ids) -> dict[str, Path]:
+    """The AEMB file of each audio id, by its name in `embeddings_dir`."""
+    return {f"{a}.aemb": Path(embeddings_dir) / f"{a}.aemb" for a in audio_ids}
 
 
 def _dump_json(obj, path: Path) -> None:
@@ -87,16 +91,16 @@ def _environment() -> dict:
 
 
 def write_run_manifest(out_dir: Path, command: str, config: dict, inputs: dict, seed: int | None = None) -> None:
-    """Write run_manifest.json. Each input is a Path, hashed here, or a
-    hashlib object that already hashed the input's bytes as the command read
-    them."""
+    """Write run_manifest.json. Each input is a file Path or a dict of named
+    files (the clips a command read), hashed here, or a hashlib object that
+    already hashed the input's bytes as the command read them."""
     manifest = {
         "command": command,
         "toolkit_version": polycap.__version__,
         "seed": seed,
         "config": config,
         "input_digests": {
-            label: _digest(source) if isinstance(source, Path) else source.hexdigest()
+            label: _digest(source) if isinstance(source, (Path, dict)) else source.hexdigest()
             for label, source in inputs.items()
         },
         "environment": _environment(),
@@ -172,7 +176,8 @@ def cmd_prepare(args) -> tuple:
     _dump_json(summary, out_dir / "corpus_index.json")
     print(f"prepared {len(index)} audios, {len(languages)} languages -> {out_dir}")
     config = {"manifest": str(args.manifest), "split": args.split, "min_count": args.min_count}
-    return out_dir, config, {"manifest": Path(args.manifest), "embeddings_dir": Path(args.embeddings_dir)}
+    clips = _clip_files(args.embeddings_dir, index.audio_ids)
+    return out_dir, config, {"manifest": Path(args.manifest), "embeddings_dir": clips}
 
 
 def cmd_stats(args) -> tuple | None:
@@ -284,7 +289,9 @@ def cmd_train(args) -> tuple:
     first, last = history[0].train_loss, history[-1].train_loss
     print(f"trained {train_cfg.epochs} epochs: loss {first:.4f} -> {last:.4f}; wrote {out_dir}")
     config = {"model": model_cfg.to_dict(), "train": train_cfg.to_dict(), "languages": doc["languages"]}
-    return out_dir, config, {"manifest": manifest_path, "embeddings_dir": embeddings_dir}, train_cfg.seed
+    audio_ids = [*train_index.audio_ids, *(val_index.audio_ids if val_index else ())]
+    inputs = {"manifest": manifest_path, "embeddings_dir": _clip_files(embeddings_dir, audio_ids)}
+    return out_dir, config, inputs, train_cfg.seed
 
 
 def cmd_caption(args) -> tuple:
@@ -342,7 +349,11 @@ def cmd_caption(args) -> tuple:
                 )
     print(f"captioned {len(audio_ids)} audios x {len(languages)} languages -> {out_path}")
     config = {"decode_config": cfg.to_dict(), "languages": [l.value for l in languages]}
-    return out_dir, config, {"checkpoint": checkpoint_digest, "embeddings_dir": embeddings_dir}
+    inputs = {"checkpoint": checkpoint_digest, "embeddings_dir": _clip_files(embeddings_dir, audio_ids)}
+    if args.manifest:
+        config["split"] = args.split
+        inputs["manifest"] = Path(args.manifest)
+    return out_dir, config, inputs
 
 
 def _read_captions_jsonl(path: Path) -> dict[Language, dict[str, str]]:

@@ -134,10 +134,20 @@ class TestPrepare:
         assert code == 2
 
 
+def clips_digest(emb_dir: Path, prefix: str = "") -> str:
+    """SHA-256 of the sorted `name:hash` lines of the clips in emb_dir whose
+    names start with prefix."""
+    lines = sorted(
+        f"{p.name}:{hashlib.sha256(p.read_bytes()).hexdigest()}" for p in emb_dir.glob(f"{prefix}*.aemb")
+    )
+    assert lines
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
 class TestRunManifest:
     """`input_digests` against SHA-256 computed here with hashlib: a file's
-    digest is its bytes' hash; a directory's is the hash of its sorted
-    `name:hash` lines joined by newlines."""
+    digest is its bytes' hash; the embeddings' is the hash of the sorted
+    `name:hash` lines, joined by newlines, of the clips the command read."""
 
     def test_input_digests_match_independent_sha256(self, tmp_path):
         manifest, emb_dir = write_corpus(tmp_path)
@@ -146,12 +156,11 @@ class TestRunManifest:
             "prepare", "--manifest", str(manifest), "--embeddings-dir", str(emb_dir),
             "--languages", "en,fr", "--out", str(prep),
         ]) == 0
-        lines = sorted(f"{p.name}:{hashlib.sha256(p.read_bytes()).hexdigest()}" for p in emb_dir.iterdir())
-        assert len(lines) == 9
+        assert len(list(emb_dir.glob("train*.aemb"))) == 6 and len(list(emb_dir.iterdir())) == 9
         digests = json.loads((prep / "run_manifest.json").read_text())["input_digests"]
         assert digests == {
             "manifest": hashlib.sha256(manifest.read_bytes()).hexdigest(),
-            "embeddings_dir": hashlib.sha256("\n".join(lines).encode()).hexdigest(),
+            "embeddings_dir": clips_digest(emb_dir, "train"),  # the split's 6 clips, not all 9
         }
 
         checkpoint = tmp_path / "model.ackp"
@@ -164,7 +173,47 @@ class TestRunManifest:
         ]) == 0
         digests = json.loads((cap / "run_manifest.json").read_text())["input_digests"]
         assert digests["checkpoint"] == hashlib.sha256(checkpoint.read_bytes()).hexdigest()
-        assert digests["embeddings_dir"] == hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digests["embeddings_dir"] == clips_digest(emb_dir)  # the glob read every clip
+
+    def test_caption_with_a_manifest_records_the_manifest_split_and_clips(self, tmp_path):
+        manifest, emb_dir = write_corpus(tmp_path)
+        checkpoint = tmp_path / "model.ackp"
+        vocab = word_vocab(["a", "b"])
+        save_checkpoint(MultilingualModel(tiny_model_config(d_in=8), {Language.EN: vocab}), checkpoint)
+        records = {}
+        for split in ("test", "train"):
+            out = tmp_path / split
+            assert main([
+                "caption", "--checkpoint", str(checkpoint), "--embeddings-dir", str(emb_dir),
+                "--manifest", str(manifest), "--split", split,
+                "--beam-size", "1", "--max-len", "3", "--out", str(out),
+            ]) == 0
+            records[split] = json.loads((out / "run_manifest.json").read_text())
+        assert records["test"]["config"]["split"] == "test"
+        assert records["test"]["input_digests"] == {
+            "checkpoint": hashlib.sha256(checkpoint.read_bytes()).hexdigest(),
+            "manifest": hashlib.sha256(manifest.read_bytes()).hexdigest(),
+            "embeddings_dir": clips_digest(emb_dir, "test"),  # the split's 3 clips
+        }
+        # two splits of one directory are two different records
+        assert records["train"]["config"]["split"] == "train"
+        assert records["train"]["input_digests"]["embeddings_dir"] == clips_digest(emb_dir, "train")
+
+    def test_files_the_command_did_not_read_leave_the_digest(self, tmp_path):
+        manifest, emb_dir = write_corpus(tmp_path)
+        digests = []
+        for run in ("before", "after"):
+            out = tmp_path / run
+            assert main([
+                "prepare", "--manifest", str(manifest), "--embeddings-dir", str(emb_dir),
+                "--languages", "en", "--out", str(out),
+            ]) == 0
+            digests.append(json.loads((out / "run_manifest.json").read_text())["input_digests"])
+            (emb_dir / "notes.txt").write_text("not a clip\n", encoding="utf-8")
+            (emb_dir / "sub").mkdir(exist_ok=True)
+            (emb_dir / "sub" / "train00.aemb").write_bytes(b"stray")
+        assert digests[0] == digests[1]
+        assert digests[0]["embeddings_dir"] == clips_digest(emb_dir, "train")
 
     def test_environment_records_the_blas_thread_setting(self, tmp_path):
         # a fit's weight-gradient bits differ between 1 and 2 BLAS threads,
