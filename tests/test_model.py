@@ -1,12 +1,23 @@
+import functools
 import json
+import math
+import os
+import resource
 import struct
+import subprocess
+import sys
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import tiny_model_config, word_vocab
 from oracles import finite_difference_grads, relative_error
+import polycap
 from polycap.errors import ValidationError
 from polycap.model import (
     FROZEN_ENCODER_PARAMS,
@@ -419,6 +430,99 @@ class TestCheckpoint:
         save_checkpoint(tiny_model, path)
         got = load_checkpoint(path).forward(audio, ids, Language.EN).data
         assert np.array_equal(want, got)
+
+
+U32 = st.integers(0, 2**32 - 1)
+CONFIG_SIZES = ("d_in", "d_model", "n_layers", "n_heads", "d_ff", "max_len")
+
+
+def size_fields(raw: bytes) -> list[int]:
+    """Byte offset of every u32 size field of a checkpoint: the meta length,
+    the tensor count, and each tensor's name length, rank and dims."""
+    meta_len = struct.unpack_from("<I", raw, 8)[0]
+    at = 12 + meta_len
+    offsets = [8, at]
+    count = struct.unpack_from("<I", raw, at)[0]
+    at += 4
+    for _ in range(count):
+        offsets.append(at)
+        at += 4 + struct.unpack_from("<I", raw, at)[0]
+        offsets.append(at)
+        ndim = struct.unpack_from("<I", raw, at)[0]
+        shape = struct.unpack_from(f"<{ndim}I", raw, at + 4)
+        offsets += [at + 4 + 4 * j for j in range(ndim)]
+        at += 4 + 4 * ndim + 8 * math.prod(shape)
+    assert at == len(raw)
+    return offsets
+
+
+@functools.cache
+def base_checkpoint() -> tuple[bytes, dict[str, np.ndarray]]:
+    """A valid two-language checkpoint's bytes and its parameters."""
+    vocab = word_vocab(["a", "b", "c"])
+    model = MultilingualModel(tiny_model_config(), {Language.EN: vocab, Language.FR: vocab}, seed=2)
+    with tempfile.TemporaryDirectory() as tmp:
+        save_checkpoint(model, Path(tmp) / "m.ackp")
+        raw = (Path(tmp) / "m.ackp").read_bytes()
+    return raw, {name: t.data for name, t in model.named_parameters().items()}
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(config=st.dictionaries(st.sampled_from(CONFIG_SIZES), U32, max_size=2),
+       fields=st.lists(st.tuples(st.integers(0, 2**20), U32), max_size=3))
+def inflated_checkpoints_load_exactly_or_fail_validation(config, fields):
+    """A checkpoint with model_config sizes set from `config`, then the u32
+    size fields picked by `fields` (index modulo their count, new value) set,
+    either loads with every parameter bit-exact or raises ValidationError."""
+    raw, params = base_checkpoint()
+    meta_len = struct.unpack_from("<I", raw, 8)[0]
+    meta = json.loads(raw[12 : 12 + meta_len])
+    meta["model_config"].update(config)
+    meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
+    data = bytearray(raw[:8] + struct.pack("<I", len(meta_bytes)) + meta_bytes + raw[12 + meta_len :])
+    offsets = size_fields(bytes(data))
+    for index, value in fields:
+        struct.pack_into("<I", data, offsets[index % len(offsets)], value)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.ackp"
+        path.write_bytes(data)
+        try:
+            model = load_checkpoint(path)
+        except ValidationError:
+            return
+    loaded = {name: t.data for name, t in model.named_parameters().items()}
+    assert loaded.keys() == params.keys()
+    for name, want in params.items():
+        assert loaded[name].tobytes() == want.tobytes(), name
+
+
+class TestHostileCheckpointSizes:
+    def test_the_search_base_is_valid_and_every_size_field_is_found(self, tmp_path):
+        raw, params = base_checkpoint()
+        (tmp_path / "m.ackp").write_bytes(raw)
+        loaded = load_checkpoint(tmp_path / "m.ackp").named_parameters()
+        assert all(loaded[name].data.tobytes() == want.tobytes() for name, want in params.items())
+        assert len(size_fields(raw)) == 2 + sum(2 + p.ndim for p in params.values())
+
+    def test_inflated_sizes_end_in_validation_error(self, tmp_path):
+        # every size up to 2**32 - 1, searched in a child under a 2 GiB
+        # address-space limit, so a size check that lets an allocation
+        # through fails here instead of taking the machine's memory
+        search = (
+            "import sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "import test_model\n"
+            "test_model.inflated_checkpoints_load_exactly_or_fail_validation()\n"
+        )
+        src = str(Path(polycap.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        cap = 2 << 30
+        proc = subprocess.run(
+            [sys.executable, "-c", search, str(Path(__file__).resolve().parent)],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=600,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        )
+        assert proc.returncode == 0, proc.stderr[-4000:]
 
 
 class TestInitDeterminism:
