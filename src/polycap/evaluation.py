@@ -6,10 +6,11 @@ document frequency over the evaluated corpus's reference sets, candidate
 counts clipped to reference counts, cosine per n with a Gaussian length
 penalty (sigma=6), averaged over references and n, scaled by 10.
 
-Sentence similarity is computed against a pluggable embedder: a deterministic
-table-driven stub ships for tests, plus a client for an external service
-speaking ``{"texts": [...], "language": ...} -> {"vectors": [[...]]}`` over
-HTTP. The multilingual sentence encoder itself is not part of this toolkit.
+Sentence similarity is computed against a pluggable embedder: a client for
+an external service speaking ``{"texts": [...], "language": ...} ->
+{"vectors": [[...]]}`` over HTTP, or any other `EmbedderProvider` (the tests
+use a deterministic stub). The multilingual sentence encoder itself is not
+part of this toolkit.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ import math
 import os
 import struct
 import sys
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -99,39 +99,24 @@ class MixupDraw:
         return x * self.lam + x[self.partner] * (1.0 - self.lam)
 
 
-def _uniform_init(rng: np.random.Generator | None, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
-    if rng is None:  # a loader fills every parameter
-        return np.empty(shape)
-    bound = 1.0 / math.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape)
-
-
 class Linear:
-    def __init__(self, rng: np.random.Generator | None, d_in: int, d_out: int):
-        self.weight = Tensor(_uniform_init(rng, (d_in, d_out), d_in), requires_grad=True)
-        self.bias = Tensor(np.zeros(d_out), requires_grad=True)
+    def __init__(self, params: Mapping[str, Tensor], name: str):
+        self.weight, self.bias = params[f"{name}.weight"], params[f"{name}.bias"]
 
     def __call__(self, x: Tensor, activation: str | None = None, keep=None, p: float = 0.0) -> Tensor:
         """x @ weight + bias, then the activation (None, "relu" or "gelu"),
         then dropout with the keep-mask `keep` at rate p (None: no dropout)."""
         return ad.linear(x, self.weight, self.bias, activation, keep, p)
 
-    def params(self) -> list[tuple[str, Tensor]]:
-        return [("weight", self.weight), ("bias", self.bias)]
-
 
 class LayerNorm:
-    def __init__(self, d: int, eps: float = 1e-5):
-        self.gain = Tensor(np.ones(d), requires_grad=True)
-        self.bias = Tensor(np.zeros(d), requires_grad=True)
+    def __init__(self, params: Mapping[str, Tensor], name: str, eps: float = 1e-5):
+        self.gain, self.bias = params[f"{name}.gain"], params[f"{name}.bias"]
         self.eps = eps
 
     def __call__(self, x: Tensor, h: Tensor, keep: np.ndarray | None = None, p: float = 0.0) -> Tensor:
         """LayerNorm(x + dropout(h)), keep-mask `keep` at rate p (None: no dropout)."""
         return ad.add_norm(x, h, keep, p, self.gain, self.bias, self.eps)
-
-    def params(self) -> list[tuple[str, Tensor]]:
-        return [("gain", self.gain), ("bias", self.bias)]
 
 
 def _keep_mask(
@@ -160,13 +145,10 @@ def live_positions(lengths: np.ndarray, width: int) -> np.ndarray:
 
 
 class MultiHeadAttention:
-    def __init__(self, rng: np.random.Generator | None, d_model: int, n_heads: int, p_drop: float):
+    def __init__(self, params: Mapping[str, Tensor], name: str, n_heads: int, p_drop: float):
         self.n_heads = n_heads
         self.p_drop = p_drop
-        self.wq = Linear(rng, d_model, d_model)
-        self.wk = Linear(rng, d_model, d_model)
-        self.wv = Linear(rng, d_model, d_model)
-        self.wo = Linear(rng, d_model, d_model)
+        self.wq, self.wk, self.wv, self.wo = (Linear(params, f"{name}.{w}") for w in ("wq", "wk", "wv", "wo"))
 
     def __call__(
         self, query: Tensor, memory, additive_mask: np.ndarray | None, rng, live=None, cache=None
@@ -196,26 +178,17 @@ class MultiHeadAttention:
         """Projected keys and values of `memory`, one row per memory row."""
         return self.wk(memory), self.wv(memory)
 
-    def params(self) -> list[tuple[str, Tensor]]:
-        out = []
-        for name, lin in (("wq", self.wq), ("wk", self.wk), ("wv", self.wv), ("wo", self.wo)):
-            out.extend((f"{name}.{p}", t) for p, t in lin.params())
-        return out
-
 
 class DecoderLayer:
     """Post-norm decoder block: masked self-attention, cross-attention, GELU FF."""
 
-    def __init__(self, rng: np.random.Generator | None, cfg: ModelConfig):
-        d = cfg.d_model
+    def __init__(self, params: Mapping[str, Tensor], name: str, cfg: ModelConfig):
         self.p_drop = cfg.trunk_dropout
-        self.self_attn = MultiHeadAttention(rng, d, cfg.n_heads, cfg.trunk_dropout)
-        self.cross_attn = MultiHeadAttention(rng, d, cfg.n_heads, cfg.trunk_dropout)
-        self.w1 = Linear(rng, d, cfg.d_ff)
-        self.w2 = Linear(rng, cfg.d_ff, d)
-        self.norm1 = LayerNorm(d)
-        self.norm2 = LayerNorm(d)
-        self.norm3 = LayerNorm(d)
+        self.self_attn = MultiHeadAttention(params, f"{name}.self_attn", cfg.n_heads, cfg.trunk_dropout)
+        self.cross_attn = MultiHeadAttention(params, f"{name}.cross_attn", cfg.n_heads, cfg.trunk_dropout)
+        self.w1 = Linear(params, f"{name}.ff.w1")
+        self.w2 = Linear(params, f"{name}.ff.w2")
+        self.norm1, self.norm2, self.norm3 = (LayerNorm(params, f"{name}.norm{k}") for k in (1, 2, 3))
 
     def __call__(self, x, memory, causal_mask, memory_mask, rng, live=None, cache=None):
         """x holds flat rows: with a (b, t) `live` mask the live positions of
@@ -233,38 +206,42 @@ class DecoderLayer:
         h = self.w2(self.w1(x, "gelu", keep, self.p_drop))
         return self.norm3(x, h, _keep_mask(h.shape, self.p_drop, rng, live), self.p_drop)
 
-    def params(self) -> list[tuple[str, Tensor]]:
-        out = []
-        for name, mod in (
-            ("self_attn", self.self_attn),
-            ("cross_attn", self.cross_attn),
-            ("ff.w1", self.w1),
-            ("ff.w2", self.w2),
-            ("norm1", self.norm1),
-            ("norm2", self.norm2),
-            ("norm3", self.norm3),
-        ):
-            out.extend((f"{name}.{p}", t) for p, t in mod.params())
-        return out
-
 
 class LanguageHead:
     """Per-language token embedding and output classifier (untied)."""
 
-    def __init__(self, rng: np.random.Generator | None, language: Language, vocab: Vocabulary, d_model: int):
+    def __init__(self, params: Mapping[str, Tensor], name: str, language: Language, vocab: Vocabulary):
         self.language = language
         self.vocab = vocab
-        self.embedding = Tensor(
-            _uniform_init(rng, (vocab.size, d_model), d_model), requires_grad=True
-        )
-        self.classifier = Linear(rng, d_model, vocab.size)
+        self.embedding = params[f"{name}.embedding.weight"]
+        self.classifier = Linear(params, f"{name}.classifier")
 
-    def params(self) -> list[tuple[str, Tensor]]:
-        return [
-            ("embedding.weight", self.embedding),
-            ("classifier.weight", self.classifier.weight),
-            ("classifier.bias", self.classifier.bias),
-        ]
+
+def parameter_table(config: ModelConfig, vocab_sizes: Mapping[Language, int]) -> dict[str, tuple[int, ...]]:
+    """Every trainable parameter's name and shape, in the order the model
+    draws their initial values and a checkpoint stores them: the front-end,
+    each decoder layer, then each head in language order."""
+    d, table = config.d_model, {}
+
+    def linear(name: str, d_in: int, d_out: int) -> None:
+        table[f"{name}.weight"] = (d_in, d_out)
+        table[f"{name}.bias"] = (d_out,)
+
+    linear("frontend", config.d_in, d)
+    for i in range(config.n_layers):
+        layer = f"trunk.layers.{i}"
+        for attn in ("self_attn", "cross_attn"):
+            for w in ("wq", "wk", "wv", "wo"):
+                linear(f"{layer}.{attn}.{w}", d, d)
+        linear(f"{layer}.ff.w1", d, config.d_ff)
+        linear(f"{layer}.ff.w2", config.d_ff, d)
+        for k in (1, 2, 3):
+            table[f"{layer}.norm{k}.gain"] = (d,)
+            table[f"{layer}.norm{k}.bias"] = (d,)
+    for lang in sorted(vocab_sizes, key=lambda l: l.ordinal):
+        table[f"heads.{lang.value}.embedding.weight"] = (vocab_sizes[lang], d)
+        linear(f"heads.{lang.value}.classifier", d, vocab_sizes[lang])
+    return table
 
 
 def sinusoidal_encoding(max_len: int, d_model: int) -> np.ndarray:
@@ -287,7 +264,7 @@ class MultilingualModel:
 
     @classmethod
     def _unfilled(cls, config: ModelConfig, vocabs: Mapping[Language, Vocabulary]) -> "MultilingualModel":
-        """Weight matrices allocated but not initialized, for a loader that
+        """Every parameter allocated but not initialized, for a loader that
         fills every parameter."""
         model = cls.__new__(cls)
         model._build(config, vocabs, None)
@@ -299,15 +276,30 @@ class MultilingualModel:
         vocabs: Mapping[Language, Vocabulary],
         rng: np.random.Generator | None,
     ) -> None:
+        """Every parameter of the table, in table order: weight matrices
+        uniform in +-1/sqrt(fan-in) (an embedding's fan-in is d_model),
+        biases zeros, LayerNorm gains ones; without `rng`, uninitialized."""
         if not vocabs:
             raise ValidationError("model needs at least one language head")
         self.config = config
-        self.frontend = Linear(rng, config.d_in, config.d_model)
-        self.layers = [DecoderLayer(rng, config) for _ in range(config.n_layers)]
-        # heads initialized in stable language order so seeds are reproducible
-        self.heads: dict[Language, LanguageHead] = {}
-        for lang in sorted(vocabs, key=lambda l: l.ordinal):
-            self.heads[lang] = LanguageHead(rng, lang, vocabs[lang], config.d_model)
+        self._params: dict[str, Tensor] = {}
+        for name, shape in parameter_table(config, {lang: v.size for lang, v in vocabs.items()}).items():
+            if rng is None:  # a loader fills every parameter
+                data = np.empty(shape)
+            elif name.endswith(".bias"):
+                data = np.zeros(shape)
+            elif name.endswith(".gain"):
+                data = np.ones(shape)
+            else:
+                bound = 1.0 / math.sqrt(config.d_model if name.endswith(".embedding.weight") else shape[0])
+                data = rng.uniform(-bound, bound, size=shape)
+            self._params[name] = Tensor(data, requires_grad=True)
+        self.frontend = Linear(self._params, "frontend")
+        self.layers = [DecoderLayer(self._params, f"trunk.layers.{i}", config) for i in range(config.n_layers)]
+        self.heads = {
+            lang: LanguageHead(self._params, f"heads.{lang.value}", lang, vocabs[lang])
+            for lang in sorted(vocabs, key=lambda l: l.ordinal)
+        }
 
     @property
     def languages(self) -> tuple[Language, ...]:
@@ -327,18 +319,13 @@ class MultilingualModel:
     # -- parameters ----------------------------------------------------
 
     def named_parameters(self, language: Language | None = None) -> dict[str, Tensor]:
-        """Trunk parameters plus either one language's head or all heads."""
-        out: dict[str, Tensor] = {}
-        for name, t in self.frontend.params():
-            out[f"frontend.{name}"] = t
-        for i, layer in enumerate(self.layers):
-            for name, t in layer.params():
-                out[f"trunk.layers.{i}.{name}"] = t
-        heads = [self.head(language)] if language is not None else list(self.heads.values())
-        for head in heads:
-            for name, t in head.params():
-                out[f"heads.{head.language.value}.{name}"] = t
-        return out
+        """Trunk parameters plus either one language's head or all heads, in
+        `parameter_table` order."""
+        if language is None:
+            return dict(self._params)
+        self.head(language)  # an unknown language fails here
+        own = f"heads.{language.value}."
+        return {name: t for name, t in self._params.items() if not name.startswith("heads.") or name.startswith(own)}
 
     def decay_parameter_names(self) -> frozenset[str]:
         """Weight matrices subject to decoupled weight decay.
@@ -559,20 +546,21 @@ class ParamReport:
 
 
 def param_report(config: ModelConfig, vocab_sizes: Mapping[Language, int]) -> ParamReport:
-    """Closed-form parameter counts for a configuration (no tensors allocated)."""
-    d, dff = config.d_model, config.d_ff
-    attn = 4 * d * d + 4 * d
-    ff = d * dff + dff + dff * d + d
-    norms = 3 * 2 * d
-    per_layer = 2 * attn + ff + norms
-    heads = {
-        lang.value: HeadParams(embedding=v * d, classifier=d * v + v)
-        for lang, v in vocab_sizes.items()
-    }
+    """Parameter counts for a configuration, from the table's entries for the
+    front-end, each head, and layer 0 times n_layers: every layer has the same
+    shapes, so no tensor and no table of every layer is built."""
+    table = parameter_table(replace(config, n_layers=1), vocab_sizes)
+
+    def count(prefix: str) -> int:
+        return sum(math.prod(shape) for name, shape in table.items() if name.startswith(prefix))
+
     return ParamReport(
-        frontend=config.d_in * d + d,
-        trunk=config.n_layers * per_layer,
-        heads=heads,
+        frontend=count("frontend."),
+        trunk=config.n_layers * count("trunk.layers.0."),
+        heads={
+            lang.value: HeadParams(count(f"heads.{lang.value}.embedding."), count(f"heads.{lang.value}.classifier."))
+            for lang in vocab_sizes
+        },
     )
 
 
@@ -592,6 +580,26 @@ def size_comparison(mono_reports: Sequence[ParamReport], multi_report: ParamRepo
 
 
 # -- checkpointing ------------------------------------------------------
+
+
+def _tensor_block_bytes(config: ModelConfig, vocab_sizes: Mapping[Language, int]) -> int:
+    """Exact size of a checkpoint's tensor block for a configuration: the
+    u32 tensor count, then per tensor its u32 name length and rank, name,
+    u32 dims and float64 data. Layer i's names hold len(str(i)) digits where
+    layer 0's hold one, so the size follows from one layer's entries."""
+
+    def nbytes(name: str, shape: tuple[int, ...]) -> int:
+        return 8 + len(name.encode("utf-8")) + 4 * len(shape) + 8 * math.prod(shape)
+
+    n = config.n_layers
+    digits = n + sum(n - 10**w for w in range(1, len(str(n))))  # sum(len(str(i)) for i in range(n))
+    block = 4
+    for name, shape in parameter_table(replace(config, n_layers=1), vocab_sizes).items():
+        if name.startswith("trunk.layers.0."):
+            block += n * (nbytes(name, shape) - 1) + digits
+        else:
+            block += nbytes(name, shape)
+    return block
 
 
 def save_checkpoint(model: MultilingualModel, path: str | Path) -> None:
@@ -676,11 +684,12 @@ def load_checkpoint(path: str | Path, digest=None) -> MultilingualModel:
         repeats = repeated_languages(languages)  # `en` and `EN` would share one head
         if repeats:
             raise ValidationError(f"{path}: bad checkpoint metadata", items=[f"vocabs: {r}" for r in repeats])
-        n_params = param_report(config, {lang: v.size for lang, v in vocabs.items()}).trainable_total
-        if 8 * n_params > size - f.tell():
+        # checked before the model is built, so no size a meta block claims allocates anything
+        block, follow = _tensor_block_bytes(config, {lang: v.size for lang, v in vocabs.items()}), size - f.tell()
+        if follow != block:
             raise ValidationError(
-                f"{path}: metadata describes {n_params} parameters ({8 * n_params} bytes), "
-                f"but only {size - f.tell()} bytes follow it"
+                f"{path}: metadata implies a {block}-byte tensor block, but {follow} bytes follow it "
+                f"({'truncated' if follow < block else f'{follow - block} trailing bytes'})"
             )
         model = MultilingualModel._unfilled(config, vocabs)
         params = model.named_parameters()

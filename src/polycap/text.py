@@ -144,10 +144,6 @@ class Vocabulary:
         with atomic_write(path) as f:
             f.write(self.to_json() + "\n")
 
-    @classmethod
-    def load(cls, path: str | Path) -> "Vocabulary":
-        return cls.from_json(Path(path).read_text(encoding="utf-8"))
-
 
 def build_vocabulary(corpus: Iterable[Sequence[str]], min_count: int = 1) -> Vocabulary:
     """Build a vocabulary from tokenized captions.
@@ -181,9 +177,6 @@ class StopwordList:
         bad = [w for w in self.words if w != w.lower()]
         if bad:
             raise ValidationError(f"stopwords must be lowercase: {bad[:5]}")
-
-    def __contains__(self, word: str) -> bool:
-        return word in self.words
 
 
 def load_stopwords(language: Language) -> StopwordList:

@@ -5,9 +5,10 @@ exhaustive constrained sequence search, an object-per-hypothesis beam search,
 central finite differences, the softmax, log-softmax, LayerNorm, dropout then
 add then LayerNorm, GELU and multi-head attention spelled out as chains of
 separate steps with the chain rule run back through each step, and the
-label-smoothed loss as a dense coefficient array times the log-softmax, and
-AdamW as whole-array textbook formulas. These deliberately share no code with
-the package paths they verify.
+label-smoothed loss as a dense coefficient array times the log-softmax,
+AdamW as whole-array textbook formulas, and a seed's initial parameters drawn
+one module after another. These deliberately share no code with the package
+paths they verify.
 """
 
 from __future__ import annotations
@@ -536,3 +537,38 @@ class TextbookAdamW:
             p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + self.eps)
             if name in decay_names and weight_decay > 0.0:
                 p.data = p.data - lr * weight_decay * p.data
+
+
+def initial_parameters(
+    d_in: int, d_model: int, n_layers: int, d_ff: int, vocab_sizes: Sequence[tuple[str, int]], seed: int
+) -> dict[str, np.ndarray]:
+    """A model's initial parameters by name, drawn as the README documents:
+    one generator from `seed`; every weight matrix uniform in
+    +-1/sqrt(fan-in), drawn in the order front-end, each layer's
+    self-attention q/k/v/o, cross-attention q/k/v/o, feed-forward in and out,
+    then per head in the given (language) order its embedding (fan-in
+    d_model) and classifier; biases zero, LayerNorm gains one."""
+    rng = np.random.default_rng(seed)
+    out: dict[str, np.ndarray] = {}
+
+    def uniform(fan_in, shape):
+        return rng.uniform(-1.0 / math.sqrt(fan_in), 1.0 / math.sqrt(fan_in), size=shape)
+
+    def dense(name, n_in, n_out):
+        out[name + ".weight"] = uniform(n_in, (n_in, n_out))
+        out[name + ".bias"] = np.zeros(n_out)
+
+    dense("frontend", d_in, d_model)
+    for i in range(n_layers):
+        for block in ("self_attn", "cross_attn"):
+            for proj in ("wq", "wk", "wv", "wo"):
+                dense(f"trunk.layers.{i}.{block}.{proj}", d_model, d_model)
+        dense(f"trunk.layers.{i}.ff.w1", d_model, d_ff)
+        dense(f"trunk.layers.{i}.ff.w2", d_ff, d_model)
+        for norm in ("norm1", "norm2", "norm3"):
+            out[f"trunk.layers.{i}.{norm}.gain"] = np.ones(d_model)
+            out[f"trunk.layers.{i}.{norm}.bias"] = np.zeros(d_model)
+    for code, size in vocab_sizes:
+        out[f"heads.{code}.embedding.weight"] = uniform(d_model, (size, d_model))
+        dense(f"heads.{code}.classifier", d_model, size)
+    return out

@@ -1,6 +1,7 @@
 """Static checks over the package source: no unused import, no
 module-level private function that nothing in the package references, and
-no public module-level function or class that only the tests use."""
+no public module-level function or class, and no public method or property
+of a class, that only the tests use."""
 
 import ast
 from pathlib import Path
@@ -58,8 +59,9 @@ def test_no_unreferenced_private_functions():
 
 
 def test_no_public_names_only_the_tests_use():
-    """A public function or class must be read by the package or by the
-    bench harness; one that only the tests reach belongs in the tests."""
+    """A public function, class, method or property must be read by the
+    package or by the bench harness; one that only the tests reach belongs
+    in the tests. Dunders are exempt: the language calls them."""
     bench = [
         ast.parse(path.read_text(encoding="utf-8"))
         for path in sorted(BENCH.glob("*.py"))
@@ -67,12 +69,16 @@ def test_no_public_names_only_the_tests_use():
     ]
     assert bench, f"no bench modules under {BENCH}"
     used = set().union(*(used_names(tree) for tree in [*MODULES.values(), *bench]))
-    unreferenced = [
-        f"{name}:{node.lineno}: {node.name}"
-        for name, tree in MODULES.items()
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
-        and node.name not in used
-    ]
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    unreferenced = []
+    for name, tree in MODULES.items():
+        for node in tree.body:
+            if isinstance(node, (*defs, ast.ClassDef)) and not node.name.startswith("_") and node.name not in used:
+                unreferenced.append(f"{name}:{node.lineno}: {node.name}")
+            if isinstance(node, ast.ClassDef):
+                unreferenced += [
+                    f"{name}:{method.lineno}: {node.name}.{method.name}"
+                    for method in node.body
+                    if isinstance(method, defs) and not method.name.startswith("_") and method.name not in used
+                ]
     assert unreferenced == []

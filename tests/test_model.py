@@ -16,8 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import tiny_model_config, word_vocab
-from oracles import finite_difference_grads, relative_error
+from oracles import finite_difference_grads, initial_parameters, relative_error
 import polycap
+import polycap.cli
 from polycap.errors import ValidationError
 from polycap.model import (
     FROZEN_ENCODER_PARAMS,
@@ -30,6 +31,7 @@ from polycap.model import (
     UnknownLanguageError,
     load_checkpoint,
     param_report,
+    parameter_table,
     save_checkpoint,
     sinusoidal_encoding,
     size_comparison,
@@ -238,23 +240,6 @@ class TestParamAccounting:
         cfg = ModelConfig(n_layers=0)
         assert param_report(cfg, {}).trunk == 0
 
-    def test_live_count_equals_closed_form(self, en_vocab):
-        cfg = tiny_model_config(n_layers=2)
-        model = MultilingualModel(cfg, {Language.EN: en_vocab, Language.DE: en_vocab}, seed=0)
-        sizes = {name: t.data.size for name, t in model.named_parameters().items()}
-        closed = param_report(cfg, {Language.EN: en_vocab.size, Language.DE: en_vocab.size})
-
-        def total(prefix):
-            return sum(n for name, n in sizes.items() if name.startswith(prefix))
-
-        assert closed.frontend == total("frontend.")
-        assert closed.trunk == total("trunk.")
-        assert set(closed.heads) == {"en", "de"}
-        for code, head in closed.heads.items():
-            assert head.embedding == total(f"heads.{code}.embedding.")
-            assert head.classifier == total(f"heads.{code}.classifier.")
-        assert closed.trainable_total == sum(sizes.values())
-
     def test_grand_total_includes_frozen_encoder(self):
         report = param_report(ModelConfig(), {Language.EN: 4861})
         assert report.grand_total == report.trainable_total + FROZEN_ENCODER_PARAMS
@@ -293,6 +278,48 @@ class TestParamAccounting:
         b = param_report(ModelConfig(), {Language.FR: 10})
         with pytest.raises(ValidationError):
             size_comparison([a], b)
+
+
+class TestParameterTable:
+    @pytest.mark.parametrize("n_layers, n_heads", [(0, 2), (1, 1), (2, 2)])
+    def test_initial_parameters_match_the_oracle(self, n_layers, n_heads):
+        cfg = tiny_model_config(n_layers=n_layers, n_heads=n_heads)
+        vocabs = {Language.DE: word_vocab(["a", "b", "c"]), Language.EN: word_vocab(["a", "b", "c", "d", "e"])}
+        got = MultilingualModel(cfg, vocabs, seed=5).named_parameters()
+        want = initial_parameters(cfg.d_in, cfg.d_model, n_layers, cfg.d_ff, [("en", 9), ("de", 7)], seed=5)
+        assert list(got) == list(want)  # the checkpoint order too
+        for name, array in want.items():
+            assert got[name].data.tobytes() == array.tobytes(), name
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(
+        dims=st.tuples(st.integers(1, 4), st.integers(1, 3), st.integers(1, 3), st.integers(0, 12), st.integers(1, 5)),
+        sizes=st.dictionaries(st.sampled_from(list(Language)), st.integers(4, 12), min_size=1),
+    )
+    def test_table_is_what_the_model_holds_reports_and_saves(self, dims, sizes):
+        d_in, n_heads, width, n_layers, d_ff = dims
+        cfg = tiny_model_config(d_in=d_in, d_model=n_heads * width, n_heads=n_heads, n_layers=n_layers, d_ff=d_ff)
+        vocabs = {lang: word_vocab([f"w{i}" for i in range(size - 4)]) for lang, size in sizes.items()}
+        model = MultilingualModel(cfg, vocabs)
+        table = parameter_table(cfg, sizes)
+        assert table == {name: t.shape for name, t in model.named_parameters().items()}
+        assert list(table) == list(model.named_parameters())
+
+        def total(prefix):
+            return sum(math.prod(shape) for name, shape in table.items() if name.startswith(prefix))
+
+        report = param_report(cfg, sizes)
+        assert (report.frontend, report.trunk) == (total("frontend."), total("trunk."))
+        for lang in sizes:
+            head = report.heads[lang.value]
+            assert head.embedding == total(f"heads.{lang.value}.embedding.")
+            assert head.classifier == total(f"heads.{lang.value}.classifier.")
+        assert report.trainable_total == total("")
+        # the loader's exact-size check accepts what the saver writes, layer 10 and up included
+        with tempfile.TemporaryDirectory() as tmp:
+            save_checkpoint(model, Path(tmp) / "m.ackp")
+            loaded = load_checkpoint(Path(tmp) / "m.ackp").named_parameters()
+        assert list(loaded) == list(table)
 
 
 class TestCheckpoint:
@@ -395,14 +422,45 @@ class TestCheckpoint:
         meta["model_config"]["d_model"] = 64
         meta_bytes = json.dumps(meta).encode("utf-8")
         path.write_bytes(raw[:4] + struct.pack("<II", 1, len(meta_bytes)) + meta_bytes + raw[meta_end:])
+        # the tensor block a model of the rewritten meta saves
+        wide = MultilingualModel(ModelConfig.from_dict(meta["model_config"]), {Language.EN: tiny_model.vocab(Language.EN)})
+        save_checkpoint(wide, tmp_path / "wide.ackp")
+        wide_raw = (tmp_path / "wide.ackp").read_bytes()
+        block = len(wide_raw) - 12 - int.from_bytes(wide_raw[8:12], "little")
         monkeypatch.setattr(MultilingualModel, "_unfilled", None)
-        n = param_report(ModelConfig.from_dict(meta["model_config"]), {Language.EN: 11}).trainable_total
         with pytest.raises(ValidationError) as exc:
             load_checkpoint(path)
         assert exc.value.message == (
-            f"{path}: metadata describes {n} parameters ({8 * n} bytes), "
-            f"but only {len(raw) - meta_end} bytes follow it"
+            f"{path}: metadata implies a {block}-byte tensor block, "
+            f"but {len(raw) - meta_end} bytes follow it (truncated)"
         )
+
+    def test_many_narrow_layers_exit_2_before_anything_is_built(self, tmp_path, monkeypatch, capsys):
+        # 4,000 one-wide layers padded with 8 bytes a parameter: a bound on
+        # tensor data alone lets this 0.83 MB file through, and building its
+        # layers' objects took 40 MB before the first tensor name failed
+        vocab = word_vocab(["a", "b", "c"])
+        cfg = tiny_model_config(d_in=1, d_model=1, d_ff=1, n_heads=1)
+        save_checkpoint(MultilingualModel(cfg, {Language.EN: vocab}), tmp_path / "m.ackp")
+        raw = (tmp_path / "m.ackp").read_bytes()
+        meta = json.loads(raw[12 : 12 + int.from_bytes(raw[8:12], "little")])
+        meta["model_config"]["n_layers"] = 4000
+        n = param_report(ModelConfig.from_dict(meta["model_config"]), {Language.EN: vocab.size}).trainable_total
+        meta_bytes = json.dumps(meta).encode("utf-8")
+        path = tmp_path / "narrow.ackp"
+        path.write_bytes(raw[:4] + struct.pack("<II", 1, len(meta_bytes)) + meta_bytes + bytes(8 * n))
+        assert path.stat().st_size > 800_000
+        monkeypatch.setattr(MultilingualModel, "_unfilled", None)
+        argv = ["caption", "--checkpoint", str(path), "--embeddings-dir", str(tmp_path), "--out", str(tmp_path / "o")]
+        tracemalloc.start()
+        try:
+            code = polycap.cli.main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "tensor block" in json.loads(capsys.readouterr().err)["message"]
+        assert peak < 1 << 20, peak
 
     def test_accented_vocabulary_roundtrips(self, tmp_path):
         from polycap.text import build_vocabulary, tokenize
@@ -419,7 +477,7 @@ class TestCheckpoint:
         vocab.save(vocab_path)
         from polycap.text import Vocabulary
 
-        assert Vocabulary.load(vocab_path).tokens == vocab.tokens
+        assert Vocabulary.from_json(vocab_path.read_text("utf-8")).tokens == vocab.tokens
 
     def test_loaded_model_forward_matches(self, tmp_path, tiny_model):
         rng = np.random.default_rng(5)

@@ -114,7 +114,7 @@ class TestVocabularySerialization:
         vocab = build_vocabulary([["duck", "a", "dog"], ["a"]])
         path = tmp_path / "vocab.json"
         vocab.save(path)
-        loaded = Vocabulary.load(path)
+        loaded = Vocabulary.from_json(path.read_text("utf-8"))
         assert loaded.tokens == vocab.tokens
 
     def test_json_fields(self):
@@ -160,5 +160,5 @@ class TestStopwords:
         assert all(w == w.lower() for w in stopwords.words)
 
     def test_contains(self):
-        assert "the" in load_stopwords(Language.EN)
-        assert "quacking" not in load_stopwords(Language.EN)
+        assert "the" in load_stopwords(Language.EN).words
+        assert "quacking" not in load_stopwords(Language.EN).words
