@@ -201,7 +201,7 @@ def _read_config(path: Path) -> dict:
     text = corpus_mod.read_text(path, "config")
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON, or an integer past Python's digit limit
         raise ValidationError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValidationError(f"config {path} is not a JSON object")
@@ -275,7 +275,7 @@ def cmd_train(args) -> tuple:
     vocabs = _build_vocabularies(train_index, languages, doc.get("min_count", 1))
     n_params = model_mod.param_report(model_cfg, {lang: v.size for lang, v in vocabs.items()}).trainable_total
     physical = physical_memory()
-    if 32 * n_params > physical:  # weights, gradients and both AdamW moments, float64
+    if 32 * n_params > physical:  # the state held all run, not a step's peak: weights, grads, 2 AdamW moments
         raise ValidationError("bad model config", items=[
             f"{n_params} trainable parameters need about {32 * n_params} bytes to train, "
             f"more than the {physical} bytes of physical memory"

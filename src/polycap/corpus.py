@@ -173,8 +173,8 @@ def jsonl_objects(path: Path, what: str, problems: list[str]) -> Iterator[tuple[
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            problems.append(f"line {lineno}: invalid JSON ({exc.msg})")
+        except ValueError as exc:  # malformed JSON, or an integer past Python's digit limit
+            problems.append(f"line {lineno}: invalid JSON ({getattr(exc, 'msg', exc)})")
             continue
         if not isinstance(obj, dict):
             problems.append(f"line {lineno}: not a JSON object")

@@ -174,20 +174,23 @@ def grouped_beam_search(
 
 
 def _round_bytes(model: MultilingualModel, languages: Sequence[Language], cfg: DecodeConfig) -> int:
-    """An upper bound on the bytes of `caption_clip`'s largest decode round.
-    A language holds at most beam_size rows, and at most words**t after t
-    words; past beam_size.bit_length() words that second bound exceeds
-    beam_size. Each row holds logits, log-probs and scores (float64) and a
-    ban and an allowed mask (bool) over the largest vocabulary, and every
-    layer's self-attention keys and values over all positions, plus one
-    layer's gathered copy."""
+    """An estimate of the bytes of `caption_clip`'s largest decode round,
+    from its per-row terms. A language holds at most beam_size rows, and at
+    most words**t after t words; past beam_size.bit_length() words that
+    second bound exceeds beam_size. Over the largest vocabulary a row holds
+    at most five 8-byte arrays at once (log-probs, scores, and the picked
+    candidates' indices, scores and partitioned copy) and three bool ones
+    (ban, allowed, a temporary); over all positions, every layer's
+    self-attention keys and values plus one layer's gathered copy. From
+    about 1 MB up, a round's measured peak stays below it; below that, what
+    it leaves out (the clip's cross-attention keys and values) can exceed it."""
     beam = int(cfg.beam_size)
     length = min(cfg.max_len, beam.bit_length())
     rows = sum(min(beam, len(model.vocab(lang).word_ids) ** length) for lang in languages)
     vocab = max((model.vocab(lang).size for lang in languages), default=0)
     positions = cfg.max_len + 1  # BOS and every word
     c = model.config
-    return rows * vocab * (3 * 8 + 2) + 2 * (c.n_layers + 1) * rows * positions * c.d_model * 8
+    return rows * vocab * (5 * 8 + 3) + 2 * (c.n_layers + 1) * rows * positions * c.d_model * 8
 
 
 def fit_decode_config(model: MultilingualModel, languages: Sequence[Language], cfg: DecodeConfig) -> DecodeConfig:

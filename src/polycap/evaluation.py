@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import math
-import urllib.error
 import urllib.request
 from dataclasses import asdict, dataclass, field
 from typing import Mapping, Protocol, Sequence
@@ -226,7 +225,7 @@ class HttpEmbedder:
         try:
             with urllib.request.urlopen(request, timeout=self.timeout) as response:
                 body = json.loads(response.read().decode("utf-8"))
-        except (urllib.error.URLError, UnicodeDecodeError, json.JSONDecodeError, OSError) as exc:
+        except (OSError, ValueError) as exc:  # URLError is an OSError; bad UTF-8 or JSON a ValueError
             raise EmbedderError(f"embedding service failed: {exc}") from exc
         vectors = body.get("vectors") if isinstance(body, dict) else None
         if not isinstance(vectors, list) or len(vectors) != len(texts):

@@ -582,14 +582,21 @@ def size_comparison(mono_reports: Sequence[ParamReport], multi_report: ParamRepo
 # -- checkpointing ------------------------------------------------------
 
 
+def _record_header(name: str, shape: tuple[int, ...]) -> bytes:
+    """The bytes of a checkpoint's tensor record before its float64 data:
+    u32 name length, UTF-8 name, u32 rank, then one u32 per dimension."""
+    encoded = name.encode("utf-8")
+    return struct.pack(f"<I{len(encoded)}sI{len(shape)}I", len(encoded), encoded, len(shape), *shape)
+
+
 def _tensor_block_bytes(config: ModelConfig, vocab_sizes: Mapping[Language, int]) -> int:
     """Exact size of a checkpoint's tensor block for a configuration: the
-    u32 tensor count, then per tensor its u32 name length and rank, name,
-    u32 dims and float64 data. Layer i's names hold len(str(i)) digits where
-    layer 0's hold one, so the size follows from one layer's entries."""
+    u32 tensor count, then per tensor its record header and float64 data.
+    Layer i's names hold len(str(i)) digits where layer 0's hold one, so the
+    size follows from one layer's entries."""
 
     def nbytes(name: str, shape: tuple[int, ...]) -> int:
-        return 8 + len(name.encode("utf-8")) + 4 * len(shape) + 8 * math.prod(shape)
+        return len(_record_header(name, shape)) + 8 * math.prod(shape)
 
     n = config.n_layers
     digits = n + sum(n - 10**w for w in range(1, len(str(n))))  # sum(len(str(i)) for i in range(n))
@@ -608,22 +615,14 @@ def save_checkpoint(model: MultilingualModel, path: str | Path) -> None:
     meta = {
         "model_config": model.config.to_dict(),
         "languages": [lang.value for lang in model.languages],
-        "vocabs": {
-            lang.value: json.loads(model.vocab(lang).to_json()) for lang in model.languages
-        },
+        "vocabs": {lang.value: model.vocab(lang).to_doc() for lang in model.languages},
     }
     meta_bytes = json.dumps(meta, ensure_ascii=False, sort_keys=True).encode("utf-8")
     params = model.named_parameters()
-    blob = [CKPT_MAGIC, struct.pack("<II", CKPT_VERSION, len(meta_bytes)), meta_bytes]
-    blob.append(struct.pack("<I", len(params)))
+    blob = [CKPT_MAGIC, struct.pack("<II", CKPT_VERSION, len(meta_bytes)), meta_bytes, struct.pack("<I", len(params))]
     for name, t in params.items():
-        name_bytes = name.encode("utf-8")
         arr = np.ascontiguousarray(t.data, dtype="<f8")
-        blob.append(struct.pack("<I", len(name_bytes)))
-        blob.append(name_bytes)
-        blob.append(struct.pack("<I", arr.ndim))
-        blob.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        blob.append(memoryview(arr).cast("B"))  # the parameter's own bytes, no copy
+        blob += [_record_header(name, arr.shape), memoryview(arr).cast("B")]  # the parameter's own bytes, no copy
     with atomic_write(path, binary=True) as f:
         f.writelines(blob)
 
@@ -631,11 +630,13 @@ def save_checkpoint(model: MultilingualModel, path: str | Path) -> None:
 def load_checkpoint(path: str | Path, digest=None) -> MultilingualModel:
     """Rebuild a model from a checkpoint, bit-exactly.
 
-    Each tensor is read straight into its parameter array. Every read is
-    bounds-checked against the file size, so a truncated file, trailing bytes
-    or a tensor that does not match the model fail as ValidationError.
-    `digest`, a hashlib object, is fed every byte as it is read, so after a
-    successful load it has hashed exactly the file the model came from.
+    The meta block fixes the exact size of the tensor block and every
+    record's header, in `parameter_table` order, so a file of another size,
+    or a record that is not the next table entry, fails as ValidationError
+    before or instead of reading past it. Each tensor is read straight into
+    its parameter array. `digest`, a hashlib object, is fed every byte as it
+    is read, so after a successful load it has hashed exactly the file the
+    model came from.
     """
     path = Path(path)
     try:
@@ -646,27 +647,22 @@ def load_checkpoint(path: str | Path, digest=None) -> MultilingualModel:
     with f:
         size = os.fstat(f.fileno()).st_size
 
-        def need(n: int, what: str) -> None:
-            if f.tell() + n > size:
-                raise ValidationError(f"{path}: truncated checkpoint (reading {what})")
-
-        def read(n: int, what: str) -> bytes:
-            need(n, what)
+        def read(n: int) -> bytes:
             data = f.read(n)
             hashed(data)
             return data
 
-        def read_u32(what: str) -> int:
-            return struct.unpack("<I", read(4, what))[0]
-
-        magic = f.read(4)
-        hashed(magic)
-        if magic != CKPT_MAGIC:
+        head = read(12)
+        if head[:4] != CKPT_MAGIC:
             raise ValidationError(f"{path}: not a checkpoint file (bad magic)")
-        version, meta_len = struct.unpack("<II", read(8, "header"))
+        if len(head) < 12:
+            raise ValidationError(f"{path}: truncated checkpoint (reading header)")
+        version, meta_len = struct.unpack("<II", head[4:])
         if version != CKPT_VERSION:
             raise ValidationError(f"{path}: unsupported checkpoint version {version}")
-        raw_meta = read(meta_len, "metadata")
+        if meta_len > size - 12:
+            raise ValidationError(f"{path}: truncated checkpoint (reading metadata)")
+        raw_meta = read(meta_len)
         try:
             meta = json.loads(raw_meta.decode("utf-8"))
             part = "model_config"
@@ -675,8 +671,10 @@ def load_checkpoint(path: str | Path, digest=None) -> MultilingualModel:
             for code, doc in meta["vocabs"].items():
                 part = f"vocabs.{code}"
                 languages.append(Language.parse(code))
-                vocabs[languages[-1]] = Vocabulary.from_json(json.dumps(doc))
-        except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError, AttributeError) as exc:
+                vocabs[languages[-1]] = Vocabulary.from_doc(doc)
+            # a dimension past u32 fails to pack (struct.error): no file holds it
+            block = _tensor_block_bytes(config, {lang: v.size for lang, v in vocabs.items()})
+        except (ValueError, KeyError, TypeError, AttributeError, struct.error) as exc:
             raise ValidationError(f"{path}: bad checkpoint metadata ({exc!r})") from exc
         except ValidationError as exc:
             items = [f"{part}: {problem}" for problem in (exc.message, *exc.items)]
@@ -685,7 +683,7 @@ def load_checkpoint(path: str | Path, digest=None) -> MultilingualModel:
         if repeats:
             raise ValidationError(f"{path}: bad checkpoint metadata", items=[f"vocabs: {r}" for r in repeats])
         # checked before the model is built, so no size a meta block claims allocates anything
-        block, follow = _tensor_block_bytes(config, {lang: v.size for lang, v in vocabs.items()}), size - f.tell()
+        follow = size - f.tell()
         if follow != block:
             raise ValidationError(
                 f"{path}: metadata implies a {block}-byte tensor block, but {follow} bytes follow it "
@@ -693,26 +691,18 @@ def load_checkpoint(path: str | Path, digest=None) -> MultilingualModel:
             )
         model = MultilingualModel._unfilled(config, vocabs)
         params = model.named_parameters()
-        seen = set()
-        for _ in range(read_u32("tensor count")):
-            name = read(read_u32("tensor name length"), "tensor name").decode("utf-8", "replace")
-            if name not in params or name in seen:
-                raise ValidationError(f"{path}: unexpected or repeated tensor {name!r}")
-            ndim = read_u32(f"{name} rank")
-            shape = struct.unpack(f"<{ndim}I", read(4 * ndim, f"{name} shape"))
-            target = params[name].data
-            if target.shape != shape:
-                raise ValidationError(f"{path}: shape mismatch for {name!r}")
-            need(target.nbytes, name)
-            view = memoryview(target).cast("B")
-            f.readinto(view)
+        count = read(4)
+        if count != struct.pack("<I", len(params)):
+            raise ValidationError(f"{path}: tensor count {int.from_bytes(count, 'little')} is not {len(params)}")
+        # with the exact size, headers that match in table order keep every read inside the file
+        for i, (name, t) in enumerate(params.items()):
+            header = _record_header(name, t.shape)
+            if read(len(header)) != header:
+                raise ValidationError(f"{path}: tensor {i} is not {name!r} of shape {t.shape}")
+            view = memoryview(t.data).cast("B")
+            if f.readinto(view) != len(view):
+                raise ValidationError(f"{path}: truncated checkpoint (reading {name!r})")
             hashed(view)
             if sys.byteorder == "big":
-                target.byteswap(inplace=True)
-            seen.add(name)
-        if f.tell() != size:
-            raise ValidationError(f"{path}: {size - f.tell()} trailing bytes after the last tensor")
-    missing = set(params) - seen
-    if missing:
-        raise ValidationError(f"{path}: missing tensors", items=sorted(missing))
+                t.data.byteswap(inplace=True)
     return model

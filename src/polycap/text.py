@@ -120,20 +120,20 @@ class Vocabulary:
         """Inverse of encode for in-vocabulary tokens; specials are stripped."""
         return [self.tokens[i] for i in ids if i not in range(len(SPECIAL_TOKENS))]
 
-    def to_json(self) -> str:
-        doc = {
+    def to_doc(self) -> dict:
+        """The vocabulary's JSON document: its tokens and special ids."""
+        return {
             "tokens": list(self.tokens),
             "specials": {"pad": self.pad_id, "bos": self.bos_id, "eos": self.eos_id, "unk": self.unk_id},
         }
-        return json.dumps(doc, ensure_ascii=False, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "Vocabulary":
+    def from_doc(cls, doc) -> "Vocabulary":
+        """The vocabulary a parsed JSON document (see `to_doc`) describes."""
         try:
-            doc = json.loads(text)
             tokens = doc["tokens"]
             specials = doc["specials"]
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (KeyError, TypeError) as exc:
             raise ValidationError(f"malformed vocabulary JSON: {exc}") from exc
         expected = {"pad": 0, "bos": 1, "eos": 2, "unk": 3}
         if specials != expected:
@@ -142,7 +142,7 @@ class Vocabulary:
 
     def save(self, path: str | Path) -> None:
         with atomic_write(path) as f:
-            f.write(self.to_json() + "\n")
+            f.write(json.dumps(self.to_doc(), ensure_ascii=False, sort_keys=True) + "\n")
 
 
 def build_vocabulary(corpus: Iterable[Sequence[str]], min_count: int = 1) -> Vocabulary:

@@ -996,6 +996,49 @@ class TestCliSurface:
         assert not (tmp_path / "o").exists()
 
 
+class TestOversizedJsonIntegers:
+    """A JSON integer past Python's 4,300-digit string limit raises a plain
+    ValueError, not a JSONDecodeError; each reader of outside JSON once let
+    it out as a raw exception (exit 3)."""
+
+    HUGE = "1" * 5000
+
+    def test_config_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "train.json"
+        path.write_text(f'{{"languages": ["en"], "seed": {self.HUGE}}}', "utf-8")
+        assert main(["train", "--config", str(path)]) == 2
+        assert json.loads(capsys.readouterr().err)["message"].startswith(f"cannot read config {path}: Exceeds the limit")
+
+    def test_manifest_exits_2_naming_the_line(self, tmp_path, capsys):
+        manifest, _ = write_corpus(tmp_path)
+        lines = manifest.read_text("utf-8").splitlines()
+        manifest.write_text("\n".join([lines[0], f'{{"audio_id": {self.HUGE}}}', *lines[1:]]) + "\n", "utf-8")
+        assert main(["stats", "--manifest", str(manifest), "--languages", "en"]) == 2
+        [item] = json.loads(capsys.readouterr().err)["items"]
+        assert item.startswith("line 2: invalid JSON (Exceeds the limit")
+
+    def test_captions_file_exits_2_naming_the_line(self, tmp_path, capsys):
+        manifest, _ = write_corpus(tmp_path)
+        captions_path = tmp_path / "captions.jsonl"
+        captions_path.write_text(f'{{"audio_id": "train00", "language": "en", "caption": {self.HUGE}}}\n', "utf-8")
+        argv = ["eval", "--captions", str(captions_path), "--manifest", str(manifest), "--split", "train"]
+        assert main([*argv, "--out", str(tmp_path / "e")]) == 2
+        [item] = json.loads(capsys.readouterr().err)["items"]
+        assert item.startswith("line 1: invalid JSON (Exceeds the limit")
+
+    def test_checkpoint_meta_exits_2_naming_the_file(self, tmp_path, capsys):
+        _, emb_dir = write_corpus(tmp_path)
+        path = tmp_path / "m.ackp"
+        save_checkpoint(MultilingualModel(tiny_model_config(d_in=8), {Language.EN: word_vocab(["a", "b"])}), path)
+        raw = path.read_bytes()
+        meta_end = 12 + int.from_bytes(raw[8:12], "little")
+        meta_bytes = raw[12 : meta_end - 1] + f', "x": {self.HUGE}}}'.encode()
+        path.write_bytes(raw[:4] + struct.pack("<II", 1, len(meta_bytes)) + meta_bytes + raw[meta_end:])
+        code = main(["caption", "--checkpoint", str(path), "--embeddings-dir", str(emb_dir), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["message"].startswith(f"{path}: bad checkpoint metadata (ValueError(")
+
+
 class TestRepeatedLanguages:
     """A language listed twice would train every (audio, language) pair
     twice per epoch, or write every caption twice."""

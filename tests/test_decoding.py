@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,8 +14,10 @@ from oracles import (
 from polycap import autodiff as ad
 from polycap.decoding import (
     DecodeConfig,
+    _round_bytes,
     caption_audio,
     caption_clip,
+    fit_decode_config,
     grouped_beam_search,
 )
 from polycap.errors import ValidationError
@@ -575,3 +578,44 @@ def test_decode_config_rejects_bad_fields(kwargs, field):
         DecodeConfig(**kwargs)
     assert info.value.exit_code == 2
     assert [item.split("=")[0] for item in info.value.items] == [field]
+
+
+class TestRoundMemory:
+    """`_round_bytes` against tracemalloc: each round's peak, counted from
+    before the decoder is built, so the weights are left out. Below about
+    1 MB the clip's fixed costs outweigh the per-row terms, so every config
+    here is larger."""
+
+    @pytest.mark.parametrize(
+        "beam_size, n_words, n_languages, dims",
+        [
+            (16, 5000, 1, {}),
+            (32, 2000, 4, {}),
+            (64, 500, 1, dict(d_model=128, n_layers=4, d_ff=256)),
+        ],
+        ids=["vocabulary_heavy", "four_languages", "cache_heavy"],
+    )
+    def test_every_round_peaks_within_the_estimate(self, beam_size, n_words, n_languages, dims):
+        languages = list(Language)[:n_languages]
+        vocabs = {lang: word_vocab([f"{lang.value}{i}" for i in range(n_words)]) for lang in languages}
+        cfg = tiny_model_config(**{"d_in": 8, "d_model": 16, "n_layers": 2, "d_ff": 32, "max_len": 20, **dims})
+        model = MultilingualModel(cfg, vocabs, seed=0)
+        decode_cfg = fit_decode_config(model, languages, DecodeConfig(beam_size=beam_size, max_len=12))
+        estimate = _round_bytes(model, languages, decode_cfg)
+        assert estimate >= 1 << 20
+        peaks = []
+        tracemalloc.start()
+        try:
+            decoder = IncrementalDecoder(model, np.random.default_rng(0).normal(size=(10, 8)), languages)
+
+            def step(prefixes, parents):
+                peaks.append(tracemalloc.get_traced_memory()[1])  # the decoder's build, then each round
+                tracemalloc.reset_peak()
+                return decoder(prefixes, parents)
+
+            grouped_beam_search(step, list(vocabs.values()), [None] * n_languages, decode_cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == decode_cfg.max_len + 2
+        assert max(peaks[1:]) <= estimate, (max(peaks[1:]), estimate)

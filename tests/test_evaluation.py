@@ -425,6 +425,8 @@ class TestHttpEmbedder:
             b'{"vectors": [[NaN, 1.0], [0.0, 1.0]]}',
             b'{"vectors": [[Infinity, 1.0], [0.0, 1.0]]}',
             b"\xff\xfe",  # not UTF-8
+            # past Python's integer digit limit: a plain ValueError, not a JSONDecodeError
+            pytest.param(b'{"vectors": [[1' + b"0" * 5000 + b", 1.0], [0.0, 1.0]]}", id="integer_past_digit_limit"),
         ],
     )
     def test_malformed_response_is_embedder_error(self, monkeypatch, body):

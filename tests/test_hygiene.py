@@ -1,7 +1,8 @@
 """Static checks over the package source: no unused import, no
 module-level private function that nothing in the package references, and
 no public module-level function or class, and no public method or property
-of a class, that only the tests use."""
+of a class, that only the tests use; and no except clause that names
+JSONDecodeError."""
 
 import ast
 from pathlib import Path
@@ -82,3 +83,18 @@ def test_no_public_names_only_the_tests_use():
                     if isinstance(method, defs) and not method.name.startswith("_") and method.name not in used
                 ]
     assert unreferenced == []
+
+
+def test_no_except_clause_names_json_decode_error():
+    """json.loads raises a plain ValueError for an integer past Python's
+    integer-string digit limit, and UnicodeDecodeError is a ValueError too: a
+    reader of outside JSON that catches only JSONDecodeError lets such input
+    out as a raw exception (exit 3). Catch ValueError, the parent of both."""
+    named = [
+        f"{name}:{handler.lineno}"
+        for name, tree in MODULES.items()
+        for handler in ast.walk(tree)
+        if isinstance(handler, ast.ExceptHandler) and handler.type is not None
+        and "JSONDecodeError" in used_names(handler.type)
+    ]
+    assert named == []

@@ -9,6 +9,7 @@ import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -397,6 +398,71 @@ class TestCheckpoint:
         with pytest.raises(ValidationError, match="trailing"):
             load_checkpoint(path)
 
+    def test_records_out_of_table_order_are_rejected(self, tmp_path, tiny_model):
+        # the two records have one shape, so the file keeps its size; a
+        # reader that looked each record up by name loaded it
+        path = tmp_path / "m.ackp"
+        save_checkpoint(tiny_model, path)
+        raw = path.read_bytes()
+        spans = record_spans(raw)
+        name = "trunk.layers.0.self_attn.wq.bias"
+        (a, b), (c, d) = spans[name], spans["trunk.layers.0.self_attn.wk.bias"]
+        path.write_bytes(raw[:a] + raw[c:d] + raw[b:c] + raw[a:b] + raw[d:])
+        with pytest.raises(ValidationError) as exc:
+            load_checkpoint(path)
+        shape = tiny_model.named_parameters()[name].data.shape
+        assert exc.value.message == f"{path}: tensor {list(spans).index(name)} is not {name!r} of shape {shape}"
+
+    def test_a_changed_name_byte_is_rejected(self, tmp_path, tiny_model):
+        path = tmp_path / "m.ackp"
+        save_checkpoint(tiny_model, path)
+        raw = bytearray(path.read_bytes())
+        spans = record_spans(bytes(raw))
+        name = "trunk.layers.0.ff.w1.weight"
+        raw[spans[name][0] + 4 + name.index("w1")] = ord("W")
+        path.write_bytes(raw)
+        with pytest.raises(ValidationError) as exc:
+            load_checkpoint(path)
+        shape = tiny_model.named_parameters()[name].data.shape
+        assert exc.value.message == f"{path}: tensor {list(spans).index(name)} is not {name!r} of shape {shape}"
+
+    def test_a_wrong_tensor_count_is_rejected(self, tmp_path, tiny_model):
+        path = tmp_path / "m.ackp"
+        save_checkpoint(tiny_model, path)
+        raw = bytearray(path.read_bytes())
+        at = 12 + int.from_bytes(raw[8:12], "little")
+        n = len(tiny_model.named_parameters())
+        struct.pack_into("<I", raw, at, n + 1)
+        path.write_bytes(raw)
+        with pytest.raises(ValidationError) as exc:
+            load_checkpoint(path)
+        assert exc.value.message == f"{path}: tensor count {n + 1} is not {n}"
+
+    def test_a_file_that_shrinks_while_read_is_rejected(self, tmp_path, tiny_model, monkeypatch):
+        # the size is taken once, before the reads; a file cut after that
+        # leaves the last tensor short
+        path = tmp_path / "m.ackp"
+        save_checkpoint(tiny_model, path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:-8])
+        monkeypatch.setattr(polycap.model, "os", SimpleNamespace(fstat=lambda fd: SimpleNamespace(st_size=len(raw))))
+        with pytest.raises(ValidationError) as exc:
+            load_checkpoint(path)
+        assert exc.value.message == f"{path}: truncated checkpoint (reading {list(record_spans(raw))[-1]!r})"
+
+    def test_a_dimension_past_u32_is_bad_metadata(self, tmp_path, tiny_model):
+        # no record header can hold it, so no file of that meta exists
+        path = tmp_path / "m.ackp"
+        save_checkpoint(tiny_model, path)
+        raw = path.read_bytes()
+        meta_end = 12 + int.from_bytes(raw[8:12], "little")
+        meta = json.loads(raw[12:meta_end])
+        meta["model_config"]["d_ff"] = 2**32
+        meta_bytes = json.dumps(meta).encode("utf-8")
+        path.write_bytes(raw[:4] + struct.pack("<II", 1, len(meta_bytes)) + meta_bytes + raw[meta_end:])
+        with pytest.raises(ValidationError, match="bad checkpoint metadata .*4294967295"):
+            load_checkpoint(path)
+
     def test_max_len_one_checkpoint_is_rejected(self, tmp_path, tiny_model):
         # a file written before max_len needed room for a word
         path = tmp_path / "m.ackp"
@@ -477,7 +543,7 @@ class TestCheckpoint:
         vocab.save(vocab_path)
         from polycap.text import Vocabulary
 
-        assert Vocabulary.from_json(vocab_path.read_text("utf-8")).tokens == vocab.tokens
+        assert Vocabulary.from_doc(json.loads(vocab_path.read_text("utf-8"))).tokens == vocab.tokens
 
     def test_loaded_model_forward_matches(self, tmp_path, tiny_model):
         rng = np.random.default_rng(5)
@@ -488,6 +554,20 @@ class TestCheckpoint:
         save_checkpoint(tiny_model, path)
         got = load_checkpoint(path).forward(audio, ids, Language.EN).data
         assert np.array_equal(want, got)
+
+
+def record_spans(raw: bytes) -> dict[str, tuple[int, int]]:
+    """Each tensor record's name and (start, end) byte offsets in a
+    checkpoint, in file order."""
+    at, spans = 16 + struct.unpack_from("<I", raw, 8)[0], {}
+    while at < len(raw):
+        n = struct.unpack_from("<I", raw, at)[0]
+        ndim = struct.unpack_from("<I", raw, at + 4 + n)[0]
+        shape = struct.unpack_from(f"<{ndim}I", raw, at + 8 + n)
+        end = at + 8 + n + 4 * ndim + 8 * math.prod(shape)
+        spans[raw[at + 4 : at + 4 + n].decode("utf-8")] = (at, end)
+        at = end
+    return spans
 
 
 U32 = st.integers(0, 2**32 - 1)

@@ -114,18 +114,18 @@ class TestVocabularySerialization:
         vocab = build_vocabulary([["duck", "a", "dog"], ["a"]])
         path = tmp_path / "vocab.json"
         vocab.save(path)
-        loaded = Vocabulary.from_json(path.read_text("utf-8"))
+        loaded = Vocabulary.from_doc(json.loads(path.read_text("utf-8")))
         assert loaded.tokens == vocab.tokens
 
     def test_json_fields(self):
         vocab = build_vocabulary([["a"]])
-        doc = json.loads(vocab.to_json())
+        doc = vocab.to_doc()
         assert set(doc) == {"tokens", "specials"}
         assert doc["specials"] == {"pad": 0, "bos": 1, "eos": 2, "unk": 3}
 
     def test_reject_bad_specials(self):
         with pytest.raises(ValidationError):
-            Vocabulary.from_json(json.dumps({"tokens": list(SPECIAL_TOKENS), "specials": {"pad": 1}}))
+            Vocabulary.from_doc({"tokens": list(SPECIAL_TOKENS), "specials": {"pad": 1}})
 
     def test_reject_duplicates(self):
         with pytest.raises(ValidationError):
@@ -134,13 +134,13 @@ class TestVocabularySerialization:
     def test_reject_tokens_that_are_not_strings(self):
         doc = {"tokens": [*SPECIAL_TOKENS, "a", 5, 7.5], "specials": {"pad": 0, "bos": 1, "eos": 2, "unk": 3}}
         with pytest.raises(ValidationError) as caught:
-            Vocabulary.from_json(json.dumps(doc))
+            Vocabulary.from_doc(doc)
         assert caught.value.items == ["token 5: 5", "token 6: 7.5"]
 
     def test_reject_tokens_that_cannot_be_keys(self):
         doc = {"tokens": [*SPECIAL_TOKENS, ["a"]], "specials": {"pad": 0, "bos": 1, "eos": 2, "unk": 3}}
         with pytest.raises(ValidationError) as caught:
-            Vocabulary.from_json(json.dumps(doc))
+            Vocabulary.from_doc(doc)
         assert caught.value.items == ["token 4: ['a']"]
 
     def test_index_is_derived_from_the_tokens(self):
