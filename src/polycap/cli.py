@@ -147,7 +147,7 @@ def _build_vocabularies(
     """One vocabulary per language from the tokenized captions of `index`."""
     return {
         lang: build_vocabulary(
-            [tokenize(c) for record in index.manifest.records(lang) for c in record.captions],
+            [tokenize(c) for caps in index.manifest.entries.values() for c in caps[lang]],
             min_count=min_count,
         )
         for lang in languages
@@ -306,7 +306,9 @@ def cmd_caption(args) -> tuple:
         headless = [f"no head for language {lang.value!r}" for lang in languages if lang not in model.heads]
         if headless:
             raise ValidationError(f"--languages: not all in checkpoint {args.checkpoint}", items=headless)
-    decoding.fit_decode_config(model, languages, cfg)  # a beam too big for memory fails before any clip
+    # max_len cut to the model's positions, decoded with and recorded; a beam
+    # too big for memory fails before any clip
+    cfg = decoding.fit_decode_config(model, languages, cfg)
     embeddings_dir = Path(args.embeddings_dir)
     if args.manifest:
         audio_ids = corpus_mod.load_split(args.manifest, args.split).audio_ids
@@ -392,7 +394,7 @@ def cmd_eval(args) -> tuple:
     candidates = _read_captions_jsonl(Path(args.captions))
     manifest = corpus_mod.load_split(args.manifest, args.split)
     references = {
-        lang: {r.audio_id: list(r.captions) for r in manifest.records(lang)}
+        lang: {audio_id: list(caps[lang]) for audio_id, caps in manifest.entries.items() if lang in caps}
         for lang in candidates
     }
     provider = evaluation.HttpEmbedder(args.sbert_endpoint) if args.sbert_endpoint else None

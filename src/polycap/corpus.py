@@ -111,29 +111,17 @@ def read_embeddings(
     return embeddings, problems
 
 
-@dataclass(frozen=True)
-class CaptionRecord:
-    """Captions for one (audio, language) pair."""
-
-    audio_id: str
-    language: Language
-    captions: tuple[str, ...]
-
-    def __post_init__(self):
-        if not self.captions:
-            raise ValidationError(f"{self.audio_id}/{self.language.value}: empty caption list")
-
-
-def sample_caption(record: CaptionRecord, rng: np.random.Generator) -> str:
-    """Draw one caption uniformly at random from the record."""
-    if len(record.captions) == 1:
-        return record.captions[0]
-    return record.captions[int(rng.integers(len(record.captions)))]
+def sample_caption(captions: tuple[str, ...], rng: np.random.Generator) -> str:
+    """Draw one caption uniformly at random; a single caption draws nothing."""
+    if len(captions) == 1:
+        return captions[0]
+    return captions[int(rng.integers(len(captions)))]
 
 
 @dataclass(frozen=True)
 class CaptionManifest:
-    """All caption records of one split, grouped by audio id."""
+    """The captions of one split: per audio id, each language's non-empty
+    tuple of captions (`load_manifests` rejects an empty list)."""
 
     split: str
     entries: dict[str, dict[Language, tuple[str, ...]]] = field(repr=False)
@@ -142,14 +130,9 @@ class CaptionManifest:
     def audio_ids(self) -> tuple[str, ...]:
         return tuple(self.entries.keys())
 
-    def records(self, language: Language) -> Iterator[CaptionRecord]:
-        for audio_id, caps in self.entries.items():
-            if language in caps:
-                yield CaptionRecord(audio_id, language, caps[language])
-
-    def record(self, audio_id: str, language: Language) -> CaptionRecord:
+    def captions(self, audio_id: str, language: Language) -> tuple[str, ...]:
         try:
-            return CaptionRecord(audio_id, language, self.entries[audio_id][language])
+            return self.entries[audio_id][language]
         except KeyError:
             raise ValidationError(
                 f"no captions for audio {audio_id!r} in language {language.value!r} (split {self.split})"
@@ -261,8 +244,8 @@ def compute_stats(
     manifest = select_split(manifests, split)
     lengths: list[int] = []
     types: set[str] = set()
-    for record in manifest.records(language):
-        for caption in record.captions:
+    for caps in manifest.entries.values():
+        for caption in caps.get(language, ()):
             toks = tokenize(caption)
             lengths.append(len(toks))
             types.update(toks)

@@ -158,17 +158,13 @@ def grouped_beam_search(
     # every round appends one token; +1 round lets max_len-word hyps take EOS
     for words in range(cfg.max_len + 1):
         scored = step_fn([beam.ids for beam in beams], [beam.parents for beam in beams])
-        rows = [
-            np.asarray(r, dtype=np.float64).reshape(len(beam.ids), beam.vocab.size)
-            for beam, r in zip(beams, scored, strict=True)
-        ]
-        for beam, group_rows in zip(beams, rows):
-            beam.finish(group_rows)
-        if words == cfg.max_len:
-            break
-        for beam, group_rows in zip(beams, rows):
-            beam.extend(group_rows, cfg.beam_size)
-        if not any(len(beam.ids) for beam in beams):
+        for beam, rows in zip(beams, scored, strict=True):
+            rows = np.asarray(rows, dtype=np.float64).reshape(len(beam.ids), beam.vocab.size)
+            beam.finish(rows)
+            if words < cfg.max_len:
+                beam.extend(rows, cfg.beam_size)
+        scored = rows = None  # no round's rows stay alive through the next step_fn call
+        if words == cfg.max_len or not any(len(beam.ids) for beam in beams):
             break
     return [beam.result(cfg.length_norm) for beam in beams]
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import urllib.error
 import urllib.request
 from dataclasses import asdict, dataclass, field
 from typing import Mapping, Protocol, Sequence
@@ -251,12 +252,16 @@ def _embed_with_item_context(
     language: Language,
     text_to_item: Mapping[str, str],
 ) -> dict[str, np.ndarray]:
-    """Embed unique texts in one batch; on failure, attribute the item."""
+    """Embed unique texts in one batch; on failure, attribute the item by
+    retrying one text at a time. A service that was never reached (refused,
+    unresolvable, timed out) fails alike for every text: no retry, no item."""
     unique = list(dict.fromkeys(texts))
     try:
         vectors = provider.embed_batch(unique, language)
     except EmbedderError as exc:
-        if exc.item_id is not None:
+        cause = exc.__cause__
+        unreached = isinstance(cause, OSError) and not isinstance(cause, urllib.error.HTTPError)
+        if exc.item_id is not None or unreached:
             raise
         # retry one text at a time to find the offender
         for text in unique:

@@ -30,6 +30,7 @@ from polycap.text import Language, Vocabulary, repeated_languages
 
 FROZEN_ENCODER_PARAMS = 28_000_000  # reporting constant; the audio encoder is external
 NEG_INF = -1e9
+LAYER_NORM_EPS = 1e-5
 
 CKPT_MAGIC = b"ACKP"
 CKPT_VERSION = 1
@@ -110,13 +111,12 @@ class Linear:
 
 
 class LayerNorm:
-    def __init__(self, params: Mapping[str, Tensor], name: str, eps: float = 1e-5):
+    def __init__(self, params: Mapping[str, Tensor], name: str):
         self.gain, self.bias = params[f"{name}.gain"], params[f"{name}.bias"]
-        self.eps = eps
 
     def __call__(self, x: Tensor, h: Tensor, keep: np.ndarray | None = None, p: float = 0.0) -> Tensor:
         """LayerNorm(x + dropout(h)), keep-mask `keep` at rate p (None: no dropout)."""
-        return ad.add_norm(x, h, keep, p, self.gain, self.bias, self.eps)
+        return ad.add_norm(x, h, keep, p, self.gain, self.bias, LAYER_NORM_EPS)
 
 
 def _keep_mask(
@@ -210,8 +210,7 @@ class DecoderLayer:
 class LanguageHead:
     """Per-language token embedding and output classifier (untied)."""
 
-    def __init__(self, params: Mapping[str, Tensor], name: str, language: Language, vocab: Vocabulary):
-        self.language = language
+    def __init__(self, params: Mapping[str, Tensor], name: str, vocab: Vocabulary):
         self.vocab = vocab
         self.embedding = params[f"{name}.embedding.weight"]
         self.classifier = Linear(params, f"{name}.classifier")
@@ -297,7 +296,7 @@ class MultilingualModel:
         self.frontend = Linear(self._params, "frontend")
         self.layers = [DecoderLayer(self._params, f"trunk.layers.{i}", config) for i in range(config.n_layers)]
         self.heads = {
-            lang: LanguageHead(self._params, f"heads.{lang.value}", lang, vocabs[lang])
+            lang: LanguageHead(self._params, f"heads.{lang.value}", vocabs[lang])
             for lang in sorted(vocabs, key=lambda l: l.ordinal)
         }
 

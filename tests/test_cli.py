@@ -16,9 +16,9 @@ from conftest import tiny_model_config, word_vocab
 import polycap
 from polycap import decoding
 from polycap.cli import main
-from polycap.corpus import EmbeddingSequence, write_embedding
+from polycap.corpus import EmbeddingSequence, load_embedding, write_embedding
 from polycap.model import MultilingualModel, save_checkpoint
-from polycap.text import SPECIAL_TOKENS, Language
+from polycap.text import SPECIAL_TOKENS, Language, load_stopwords
 
 
 def write_corpus(root: Path, n_items=6, frames=5, d_in=8, languages=("en", "fr"), seed=0):
@@ -198,6 +198,32 @@ class TestRunManifest:
         # two splits of one directory are two different records
         assert records["train"]["config"]["split"] == "train"
         assert records["train"]["input_digests"]["embeddings_dir"] == clips_digest(emb_dir, "train")
+
+    def test_caption_records_the_decode_config_it_ran(self, tmp_path):
+        # a model of max_len 6 scores BOS and 5 words, so --max-len 20 decodes
+        # at most 5 words; both records say so, and the captions are the ones
+        # the library decodes from the requested config
+        _, emb_dir = write_corpus(tmp_path)
+        checkpoint = tmp_path / "model.ackp"
+        vocab = word_vocab([f"w{i}" for i in range(8)])
+        model = MultilingualModel(tiny_model_config(d_in=8, max_len=6), {Language.EN: vocab}, seed=5)
+        save_checkpoint(model, checkpoint)
+        out = tmp_path / "cap"
+        assert main([
+            "caption", "--checkpoint", str(checkpoint), "--embeddings-dir", str(emb_dir),
+            "--beam-size", "2", "--max-len", "20", "--out", str(out),
+        ]) == 0
+        ran = {"beam_size": 2, "max_len": 5, "length_norm": 1.0}
+        assert json.loads((out / "run_manifest.json").read_text())["config"]["decode_config"] == ran
+        lines = [json.loads(line) for line in (out / "captions.jsonl").read_text().splitlines()]
+        assert len(lines) == 9
+        requested = decoding.DecodeConfig(beam_size=2, max_len=20)
+        stopwords = {Language.EN: load_stopwords(Language.EN).words}
+        for line in lines:
+            assert line["decode_config"] == ran
+            clip = load_embedding(emb_dir / f"{line['audio_id']}.aemb").data
+            want = decoding.caption_clip(model, clip, [Language.EN], requested, stopwords)[0]
+            assert (line["caption"], line["log_prob"]) == (" ".join(want.tokens), want.log_prob)
 
     def test_files_the_command_did_not_read_leave_the_digest(self, tmp_path):
         manifest, emb_dir = write_corpus(tmp_path)

@@ -8,7 +8,6 @@ from scipy import stats
 from polycap.corpus import (
     AEMB_MAGIC,
     CaptionManifest,
-    CaptionRecord,
     CorpusIndex,
     EmbeddingFormatError,
     EmbeddingSequence,
@@ -113,29 +112,23 @@ class TestReadEmbeddings:
 
 class TestSampleCaption:
     def test_single_caption_any_seed(self):
-        record = CaptionRecord("a", Language.EN, ("only one",))
         for seed in range(5):
-            assert sample_caption(record, np.random.default_rng(seed)) == "only one"
+            assert sample_caption(("only one",), np.random.default_rng(seed)) == "only one"
 
     def test_uniform_over_five(self):
         captions = tuple(f"cap{i}" for i in range(5))
-        record = CaptionRecord("a", Language.EN, captions)
         rng = np.random.default_rng(123)
-        draws = [sample_caption(record, rng) for _ in range(5000)]
+        draws = [sample_caption(captions, rng) for _ in range(5000)]
         counts = np.array([draws.count(c) for c in captions])
         freqs = counts / 5000
         assert np.all(np.abs(freqs - 0.2) <= 0.02)
         assert stats.chisquare(counts).pvalue > 0.01
 
     def test_deterministic_under_seed(self):
-        record = CaptionRecord("a", Language.EN, tuple(f"c{i}" for i in range(5)))
-        a = [sample_caption(record, np.random.default_rng(7)) for _ in range(50)]
-        b = [sample_caption(record, np.random.default_rng(7)) for _ in range(50)]
+        captions = tuple(f"c{i}" for i in range(5))
+        a = [sample_caption(captions, np.random.default_rng(7)) for _ in range(50)]
+        b = [sample_caption(captions, np.random.default_rng(7)) for _ in range(50)]
         assert a == b
-
-    def test_empty_captions_rejected(self):
-        with pytest.raises(ValidationError):
-            CaptionRecord("a", Language.EN, tuple())
 
 
 def write_manifest(path, rows):
@@ -157,8 +150,10 @@ class TestManifest:
         assert set(manifests) == {"train", "test"}
         train = manifests["train"]
         assert train.audio_ids == ("a", "b")
-        assert [r.audio_id for r in train.records(Language.EN)] == ["a", "b"]
-        assert [r.audio_id for r in train.records(Language.FR)] == ["a"]
+        assert [a for a, caps in train.entries.items() if Language.EN in caps] == ["a", "b"]
+        assert [a for a, caps in train.entries.items() if Language.FR in caps] == ["a"]
+        assert train.captions("a", Language.FR) == ("un chien",)
+        assert train.captions("b", Language.EN) == ("a cat",)
 
     def test_duplicate_audio_id_rejected(self, tmp_path):
         path = tmp_path / "m.jsonl"
@@ -206,12 +201,32 @@ class TestManifest:
         with pytest.raises(ValidationError):
             load_manifests(path)
 
-    def test_record_lookup_missing_language(self, tmp_path):
+    def test_empty_caption_lists_rejected(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        write_manifest(
+            path,
+            [
+                {"audio_id": "a", "split": "train", "captions": {"en": []}},
+                {"audio_id": "b", "split": "train", "captions": {}},
+                {"audio_id": "c", "split": "train", "captions": {"en": ["x"]}},
+            ],
+        )
+        with pytest.raises(ValidationError, match="failed validation") as err:
+            load_manifests(path)
+        assert err.value.items == [
+            "line 1: captions[en] must be a non-empty list of strings",
+            "line 2: captions must be a non-empty object",
+        ]
+
+    def test_captions_lookup_missing_language(self, tmp_path):
         path = tmp_path / "m.jsonl"
         write_manifest(path, [{"audio_id": "a", "split": "train", "captions": {"en": ["x"]}}])
         manifest = load_manifests(path)["train"]
-        with pytest.raises(ValidationError):
-            manifest.record("a", Language.DE)
+        assert manifest.captions("a", Language.EN) == ("x",)
+        with pytest.raises(ValidationError, match=r"no captions for audio 'a' in language 'de' \(split train\)"):
+            manifest.captions("a", Language.DE)
+        with pytest.raises(ValidationError, match=r"no captions for audio 'b' in language 'en' \(split train\)"):
+            manifest.captions("b", Language.EN)
 
 
 class TestComputeStats:

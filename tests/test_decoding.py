@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -584,7 +585,23 @@ class TestRoundMemory:
     """`_round_bytes` against tracemalloc: each round's peak, counted from
     before the decoder is built, so the weights are left out. Below about
     1 MB the clip's fixed costs outweigh the per-row terms, so every config
-    here is larger."""
+    here is larger. And no round's rows outlive the round."""
+
+    def test_no_round_rows_live_through_the_next_step_call(self):
+        # every array a step call returns is freed before the search's next call
+        vocabs = [word_vocab([f"t{i}" for i in range(6)]), word_vocab([f"u{i}" for i in range(4)])]
+        scorers = [table_scorer(vocab.size, seed=seed) for seed, vocab in enumerate(vocabs)]
+        returned, calls = [], []
+
+        def step(prefixes, parents):
+            assert all(ref() is None for ref in returned), f"round {len(calls) - 1}'s rows outlived it"
+            calls.append(len(calls))
+            rows = [scorer(p) for scorer, p in zip(scorers, prefixes)]
+            returned[:] = [weakref.ref(r) for r in rows]
+            return rows
+
+        grouped_beam_search(step, vocabs, [None, None], DecodeConfig(beam_size=3, max_len=5))
+        assert len(calls) == 6  # every round ran: BOS and five words
 
     @pytest.mark.parametrize(
         "beam_size, n_words, n_languages, dims",

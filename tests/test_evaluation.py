@@ -414,6 +414,27 @@ class TestHttpEmbedder:
         with pytest.raises(EmbedderError):
             client.embed_batch(["x"], Language.EN)
 
+    @pytest.mark.parametrize("scorer", ["sbert_sim", "cross_language_similarity"])
+    def test_unreachable_endpoint_blames_no_item(self, scorer):
+        # a refused connection fails every text alike: one request, no item
+        calls = []
+
+        class CountingClient(HttpEmbedder):
+            def embed_batch(self, texts, language):
+                calls.append(list(texts))
+                return super().embed_batch(texts, language)
+
+        client = CountingClient("http://127.0.0.1:9/nope", timeout=0.2)
+        with pytest.raises(EmbedderError) as err:
+            if scorer == "sbert_sim":
+                sbert_sim({"item0": "rain falls"}, {"item0": ["la pluie tombe"]}, client, Language.EN)
+            else:
+                outputs = {Language.EN: {"item0": "rain falls"}, Language.FR: {"item0": "la pluie tombe"}}
+                cross_language_similarity(outputs, Language.EN, client)
+        assert err.value.item_id is None
+        assert "items" not in err.value.payload()
+        assert len(calls) == 1
+
     @pytest.mark.parametrize(
         "body",
         [

@@ -689,7 +689,7 @@ class TestValidationLoss:
             for start in range(0, len(frames), 2):
                 chunk = list(val_index.audio_ids)[start : start + 2]
                 seqs = [
-                    vocab.encode(tokenize(val_index.manifest.record(a, lang).captions[0])[: cfg.max_len - 1])
+                    vocab.encode(tokenize(val_index.manifest.captions(a, lang)[0])[: cfg.max_len - 1])
                     for a in chunk
                 ]
                 width = max(len(q) for q in seqs)

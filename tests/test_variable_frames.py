@@ -64,7 +64,7 @@ class TestRaggedTraining:
 
         ids = []
         for audio_id in index.audio_ids:
-            caption = index.manifest.record(audio_id, Language.EN).captions[0]
+            caption = index.manifest.captions(audio_id, Language.EN)[0]
             ids.append(vocab.encode(tokenize(caption)))
         ids = np.array(ids)  # equal caption lengths by construction
 
