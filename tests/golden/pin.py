@@ -1,8 +1,10 @@
 """The golden end-to-end run: prepare, train, caption (a directory and a
-manifest split) and eval over the tiny corpus in this directory.
+manifest split), eval, stats and params over the tiny corpus in this
+directory.
 
-`run_flow` runs the five commands in one child interpreter at one BLAS
-thread, in a copy of this directory, with relative paths; `observe` reads
+`run_flow` runs the seven commands in one child interpreter at one BLAS
+thread, in a copy of this directory, with relative paths, and writes each
+command's stdout to `stdout.txt` in its `--out` directory; `observe` reads
 what they wrote. `tests/test_golden.py` compares that with `pins.json`.
 
 Run this file to rewrite `pins.json` from the current tree:
@@ -42,14 +44,21 @@ STEPS = [
      "--split", "test", "--max-len", "6", "--out", "out/caption_test"],
     ["eval", "--captions", "out/caption_test/captions.jsonl", "--manifest", "manifest.jsonl",
      "--split", "test", "--out", "out/eval"],
+    ["stats", "--manifest", "manifest.jsonl", "--languages", "en,fr", "--split", "train", "--out", "out/stats"],
+    # the default model config: integer counts
+    ["params", "--vocab-sizes", "en=40,fr=50", "--out", "out/params"],
 ]
 CHILD = """
-import json, sys
+import contextlib, io, json, sys
+from pathlib import Path
 from polycap.cli import main
 for argv in json.loads(sys.argv[1]):
-    code = main(argv)
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(argv)
     if code:
         sys.exit(f"polycap {argv[0]} exited {code}")
+    Path(argv[argv.index("--out") + 1], "stdout.txt").write_text(stdout.getvalue(), encoding="utf-8")
 """
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -101,7 +110,8 @@ def stamp(out: Path) -> dict:
 
 def observe(out: Path) -> dict:
     """What the golden test compares: the SHA-256 of every output, and the
-    values its tolerance mode checks (losses, caption words, eval scores)."""
+    values its tolerance mode checks (losses, caption words, eval scores,
+    corpus statistics)."""
     files = sorted(p for p in out.rglob("*") if p.is_file())
     metrics = map(json.loads, (out / "train" / "metrics.jsonl").read_text(encoding="utf-8").splitlines())
     captions = {
@@ -123,6 +133,7 @@ def observe(out: Path) -> dict:
             code: {k: v for k, v in scores.items() if isinstance(v, float)}
             for code, scores in report["scores"].items()
         },
+        "stats": json.loads((out / "stats" / "stats.json").read_text(encoding="utf-8")),
     }
 
 

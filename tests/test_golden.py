@@ -4,7 +4,7 @@ On the numpy, scipy and BLAS build the pins were made under, every output's
 SHA-256 must match ("exact" mode). On another build, the outputs no float
 computation reaches (the prepare step's) must still match, and the rest is
 checked by value: losses within 1e-9 relative, caption words equal, eval
-scores within 1e-12 ("tolerance" mode). The test names its mode and never
+scores and corpus statistics within 1e-12 ("tolerance" mode). The test names its mode and never
 skips. `tests/golden/pin.py` runs the same flow and rewrites the pins.
 """
 
@@ -14,7 +14,9 @@ import pytest
 
 from golden.pin import PINS, observe, run_flow
 
-BUILD_FREE = "prepare/"  # vocabularies, corpus index and manifest: counting, no float arithmetic
+# vocabularies, corpus index and manifest: counting, no float arithmetic;
+# parameter counts: integers and one Python division
+BUILD_FREE = ("prepare/", "params/")
 
 
 @pytest.fixture(scope="module")
@@ -42,3 +44,4 @@ def test_outputs_match_the_pins(golden):
         assert got["eval_scores"] == {
             code: pytest.approx(scores, rel=1e-12, abs=1e-12) for code, scores in pins["eval_scores"].items()
         }
+        assert got["stats"] == [pytest.approx(row, rel=1e-12, abs=1e-12) for row in pins["stats"]]
