@@ -18,7 +18,7 @@ import os
 import platform
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -187,12 +187,12 @@ def cmd_stats(args) -> tuple | None:
     print(f"{'lang':<6}{'split':<8}{'sent.length':>12}{'word types':>12}{'captions':>10}")
     for r in rows:
         print(
-            f"{r.language.value:<6}{r.split:<8}{r.avg_sentence_length:>12.2f}"
-            f"{r.word_types:>12}{r.n_captions:>10}"
+            f"{r['language']:<6}{r['split']:<8}{r['avg_sentence_length']:>12.2f}"
+            f"{r['word_types']:>12}{r['n_captions']:>10}"
         )
     if args.out:
         out_dir = _out_dir(args.out)
-        _dump_json([asdict(r) | {"language": r.language.value} for r in rows], out_dir / "stats.json")
+        _dump_json(rows, out_dir / "stats.json")
         return out_dir, {"split": args.split}, {"manifest": Path(args.manifest)}
     return None
 
@@ -273,7 +273,7 @@ def cmd_train(args) -> tuple:
         raise ValidationError(f"embedding dims do not match model d_in {model_cfg.d_in}", items=dim_problems)
 
     vocabs = _build_vocabularies(train_index, languages, doc.get("min_count", 1))
-    n_params = model_mod.param_report(model_cfg, {lang: v.size for lang, v in vocabs.items()}).trainable_total
+    n_params = model_mod.param_report(model_cfg, {lang: v.size for lang, v in vocabs.items()})["trainable_total"]
     physical = physical_memory()
     if 32 * n_params > physical:  # the state held all run, not a step's peak: weights, grads, 2 AdamW moments
         raise ValidationError("bad model config", items=[
@@ -410,12 +410,12 @@ def cmd_eval(args) -> tuple:
         },
     )
     out_dir = _out_dir(args.out)
-    _dump_json(report.to_dict(), out_dir / "eval_report.json")
-    for code, s in report.scores.items():
-        sim = f"{s.sbert_sim_pct:.1f}" if s.sbert_sim_pct is not None else "-"
+    _dump_json(report, out_dir / "eval_report.json")
+    for code, s in report["scores"].items():
+        sim = f"{s['sbert_sim_pct']:.1f}" if s["sbert_sim_pct"] is not None else "-"
         print(
-            f"{code}: CIDEr-D {s.cider_d_raw:.4f} (raw) / {s.cider_d_pct:.1f}% "
-            f"SBERT-sim {sim} on {s.n_items} items"
+            f"{code}: CIDEr-D {s['cider_d_raw']:.4f} (raw) / {s['cider_d_pct']:.1f}% "
+            f"SBERT-sim {sim} on {s['n_items']} items"
         )
     return out_dir, {"split": args.split}, {"captions": Path(args.captions), "manifest": Path(args.manifest)}
 
@@ -456,31 +456,24 @@ def cmd_params(args) -> tuple | None:
     config = model_mod.ModelConfig.from_dict(_read_config(Path(args.config)) if args.config else {})
     vocab_sizes = _parse_vocab_sizes(args.vocab_sizes)
     multi = model_mod.param_report(config, vocab_sizes)
-    monos = [model_mod.param_report(config, {lang: size}) for lang, size in vocab_sizes.items()]
-    reduction = model_mod.size_comparison(monos, multi)
+    monos = {lang.value: model_mod.param_report(config, {lang: size}) for lang, size in vocab_sizes.items()}
+    reduction = model_mod.size_comparison(list(monos.values()), multi)
     print(f"{'component':<28}{'params':>14}")
-    print(f"{'frontend':<28}{multi.frontend:>14,}")
-    print(f"{'trunk':<28}{multi.trunk:>14,}")
-    for code, head in multi.heads.items():
-        print(f"{'head.' + code + '.embedding':<28}{head.embedding:>14,}")
-        print(f"{'head.' + code + '.classifier':<28}{head.classifier:>14,}")
-    print(f"{'multilingual trainable':<28}{multi.trainable_total:>14,}")
-    print(f"{'multilingual grand total':<28}{multi.grand_total:>14,}")
-    for mono in monos:
-        code = next(iter(mono.heads))
-        print(f"{'mono-' + code + ' trainable':<28}{mono.trainable_total:>14,}")
-        print(f"{'mono-' + code + ' grand total':<28}{mono.grand_total:>14,}")
+    print(f"{'frontend':<28}{multi['frontend']:>14,}")
+    print(f"{'trunk':<28}{multi['trunk']:>14,}")
+    for code, head in multi["heads"].items():
+        print(f"{'head.' + code + '.embedding':<28}{head['embedding']:>14,}")
+        print(f"{'head.' + code + '.classifier':<28}{head['classifier']:>14,}")
+    print(f"{'multilingual trainable':<28}{multi['trainable_total']:>14,}")
+    print(f"{'multilingual grand total':<28}{multi['grand_total']:>14,}")
+    for code, mono in monos.items():
+        print(f"{'mono-' + code + ' trainable':<28}{mono['trainable_total']:>14,}")
+        print(f"{'mono-' + code + ' grand total':<28}{mono['grand_total']:>14,}")
     print(f"size reduction vs monolinguals: {reduction:.2f}%")
     if args.out:
         out_dir = _out_dir(args.out)
-        _dump_json(
-            {
-                "multilingual": multi.to_dict(),
-                "monolingual": {next(iter(m.heads)): m.to_dict() for m in monos},
-                "reduction_pct": reduction,
-            },
-            out_dir / "params.json",
-        )
+        doc = {"multilingual": multi, "monolingual": monos, "reduction_pct": reduction}
+        _dump_json(doc, out_dir / "params.json")
         return out_dir, {"config": config.to_dict()}, {}
     return None
 

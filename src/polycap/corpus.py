@@ -226,21 +226,10 @@ def load_split(path: str | Path, split: str) -> CaptionManifest:
     return select_split(load_manifests(path), split, path)
 
 
-@dataclass(frozen=True)
-class CorpusStats:
-    """Table-1 style statistics for one (language, split) pair."""
-
-    language: Language
-    split: str
-    avg_sentence_length: float
-    word_types: int
-    n_captions: int
-
-
-def compute_stats(
-    manifests: Mapping[str, CaptionManifest], language: Language, split: str
-) -> CorpusStats:
-    """Average caption length in tokens and unique-token count for a pair."""
+def compute_stats(manifests: Mapping[str, CaptionManifest], language: Language, split: str) -> dict:
+    """One `stats.json` row, Table-1 style: `language` (its code), `split`,
+    `avg_sentence_length` (mean caption length in tokens), `word_types`
+    (unique tokens) and `n_captions`."""
     manifest = select_split(manifests, split)
     lengths: list[int] = []
     types: set[str] = set()
@@ -249,14 +238,13 @@ def compute_stats(
             toks = tokenize(caption)
             lengths.append(len(toks))
             types.update(toks)
-    avg = float(np.mean(lengths)) if lengths else 0.0
-    return CorpusStats(
-        language=language,
-        split=split,
-        avg_sentence_length=avg,
-        word_types=len(types),
-        n_captions=len(lengths),
-    )
+    return {
+        "language": language.value,
+        "split": split,
+        "avg_sentence_length": float(np.mean(lengths)) if lengths else 0.0,
+        "word_types": len(types),
+        "n_captions": len(lengths),
+    }
 
 
 @dataclass(frozen=True)

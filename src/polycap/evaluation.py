@@ -19,7 +19,7 @@ import json
 import math
 import urllib.error
 import urllib.request
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Protocol, Sequence
 
 import numpy as np
@@ -352,32 +352,17 @@ def cross_language_similarity(
 # -- report assembly -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LanguageScores:
-    cider_d_raw: float
-    cider_d_pct: float
-    sbert_sim_pct: float | None
-    n_items: int
-
-
-@dataclass(frozen=True)
-class EvalReport:
-    scores: dict[str, LanguageScores]
-    config: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
 def evaluate_captions(
     candidates_by_language: Mapping[Language, Mapping[str, str]],
     references_by_language: Mapping[Language, Mapping[str, Sequence[str]]],
     provider: EmbedderProvider | None = None,
     aggregate: str = "mean",
     config_echo: Mapping | None = None,
-) -> EvalReport:
-    """Score each language's candidates and assemble one report."""
-    scores: dict[str, LanguageScores] = {}
+) -> dict:
+    """Score each language's candidates: the `eval_report.json` document,
+    `scores` by language code (`cider_d_raw`, `cider_d_pct`, `sbert_sim_pct`,
+    null without a provider, and `n_items`) and `config`, the echo given."""
+    scores = {}
     for lang, cands in candidates_by_language.items():
         if lang not in references_by_language:
             raise ValidationError(f"no references for language {lang.value!r}")
@@ -388,10 +373,10 @@ def evaluate_captions(
             if provider is not None
             else None
         )
-        scores[lang.value] = LanguageScores(
-            cider_d_raw=cider.corpus_score,
-            cider_d_pct=cider.corpus_pct,
-            sbert_sim_pct=sim,
-            n_items=len(cands),
-        )
-    return EvalReport(scores=scores, config=dict(config_echo or {}))
+        scores[lang.value] = {
+            "cider_d_raw": cider.corpus_score,
+            "cider_d_pct": cider.corpus_pct,
+            "sbert_sim_pct": sim,
+            "n_items": len(cands),
+        }
+    return {"scores": scores, "config": dict(config_echo or {})}

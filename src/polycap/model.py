@@ -16,7 +16,7 @@ import math
 import os
 import struct
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -505,77 +505,47 @@ class IncrementalDecoder:
 # -- parameter accounting ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class HeadParams:
-    embedding: int
-    classifier: int
-
-    @property
-    def total(self) -> int:
-        return self.embedding + self.classifier
-
-
-@dataclass(frozen=True)
-class ParamReport:
-    frontend: int
-    trunk: int
-    heads: dict[str, HeadParams] = field(default_factory=dict)
-    frozen_encoder: int = FROZEN_ENCODER_PARAMS
-
-    @property
-    def trainable_total(self) -> int:
-        return self.frontend + self.trunk + sum(h.total for h in self.heads.values())
-
-    @property
-    def grand_total(self) -> int:
-        return self.trainable_total + self.frozen_encoder
-
-    def to_dict(self) -> dict:
-        return {
-            "frontend": self.frontend,
-            "trunk": self.trunk,
-            "heads": {
-                code: {"embedding": h.embedding, "classifier": h.classifier, "total": h.total}
-                for code, h in self.heads.items()
-            },
-            "trainable_total": self.trainable_total,
-            "frozen_encoder": self.frozen_encoder,
-            "grand_total": self.grand_total,
-        }
-
-
-def param_report(config: ModelConfig, vocab_sizes: Mapping[Language, int]) -> ParamReport:
-    """Parameter counts for a configuration, from the table's entries for the
-    front-end, each head, and layer 0 times n_layers: every layer has the same
-    shapes, so no tensor and no table of every layer is built."""
+def param_report(config: ModelConfig, vocab_sizes: Mapping[Language, int]) -> dict:
+    """A configuration's `params.json` entry: `frontend`, `trunk`, `heads` by
+    language code (`embedding`, `classifier`, `total`), `trainable_total`,
+    `frozen_encoder` and `grand_total`. Counted from the table's entries for
+    the front-end, each head, and layer 0 times n_layers: every layer has the
+    same shapes, so no tensor and no table of every layer is built."""
     table = parameter_table(replace(config, n_layers=1), vocab_sizes)
 
     def count(prefix: str) -> int:
         return sum(math.prod(shape) for name, shape in table.items() if name.startswith(prefix))
 
-    return ParamReport(
-        frontend=count("frontend."),
-        trunk=config.n_layers * count("trunk.layers.0."),
-        heads={
-            lang.value: HeadParams(count(f"heads.{lang.value}.embedding."), count(f"heads.{lang.value}.classifier."))
-            for lang in vocab_sizes
-        },
-    )
+    heads = {}
+    for lang in vocab_sizes:
+        head = {part: count(f"heads.{lang.value}.{part}.") for part in ("embedding", "classifier")}
+        heads[lang.value] = head | {"total": sum(head.values())}
+    frontend, trunk = count("frontend."), config.n_layers * count("trunk.layers.0.")
+    trainable = frontend + trunk + sum(head["total"] for head in heads.values())
+    return {
+        "frontend": frontend,
+        "trunk": trunk,
+        "heads": heads,
+        "trainable_total": trainable,
+        "frozen_encoder": FROZEN_ENCODER_PARAMS,
+        "grand_total": trainable + FROZEN_ENCODER_PARAMS,
+    }
 
 
-def size_comparison(mono_reports: Sequence[ParamReport], multi_report: ParamReport) -> float:
-    """Relative size reduction (%) of one multilingual model vs. monolinguals.
+def size_comparison(mono_reports: Sequence[dict], multi_report: dict) -> float:
+    """Relative size reduction (%) of one multilingual model vs. monolinguals,
+    from their `param_report` entries.
 
     Compares grand totals: (sum of mono totals - multi total) / sum of monos.
     """
-    mono_langs = sorted(code for r in mono_reports for code in r.heads)
-    multi_langs = sorted(multi_report.heads)
+    mono_langs = sorted(code for r in mono_reports for code in r["heads"])
+    multi_langs = sorted(multi_report["heads"])
     if mono_langs != multi_langs:
         raise ValidationError(
             f"language sets differ: monolinguals {mono_langs} vs multilingual {multi_langs}"
         )
-    mono_sum = sum(r.grand_total for r in mono_reports)
-    return (mono_sum - multi_report.grand_total) / mono_sum * 100.0
+    mono_sum = sum(r["grand_total"] for r in mono_reports)
+    return (mono_sum - multi_report["grand_total"]) / mono_sum * 100.0
 
 
 # -- checkpointing ------------------------------------------------------

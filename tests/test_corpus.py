@@ -241,13 +241,13 @@ class TestComputeStats:
         entries = {"a": {Language.EN: ("a b c", "a b")}}
         manifests = {"train": CaptionManifest(split="train", entries=entries)}
         stats_ = compute_stats(manifests, Language.EN, "train")
-        assert stats_.avg_sentence_length == pytest.approx(2.5)
-        assert stats_.word_types == 3
+        assert stats_["avg_sentence_length"] == pytest.approx(2.5)
+        assert stats_["word_types"] == 3
 
     def test_empty_language_gives_zeros(self):
         stats_ = compute_stats(self.manifests(), Language.DE, "train")
-        assert stats_.avg_sentence_length == 0.0
-        assert stats_.word_types == 0
+        assert stats_["avg_sentence_length"] == 0.0
+        assert stats_["word_types"] == 0
 
     def test_missing_split_errors(self):
         with pytest.raises(ValidationError):
@@ -259,7 +259,7 @@ class TestComputeStats:
             "b": {Language.EN: ("a b",)},
         }
         manifests = {"train": CaptionManifest(split="train", entries=entries)}
-        assert compute_stats(manifests, Language.EN, "train").word_types == 2
+        assert compute_stats(manifests, Language.EN, "train")["word_types"] == 2
 
     def test_permutation_invariant(self):
         entries = {
@@ -271,7 +271,7 @@ class TestComputeStats:
         m2 = {"train": CaptionManifest(split="train", entries=reordered)}
         s1 = compute_stats(m1, Language.EN, "train")
         s2 = compute_stats(m2, Language.EN, "train")
-        assert (s1.avg_sentence_length, s1.word_types) == (s2.avg_sentence_length, s2.word_types)
+        assert (s1["avg_sentence_length"], s1["word_types"]) == (s2["avg_sentence_length"], s2["word_types"])
 
 
 class TestCorpusIndex:

@@ -462,18 +462,18 @@ class TestEvaluateCaptions:
         candidates = {Language.EN: {"i1": "a b c d", "i2": "e f g h"}}
         references = {Language.EN: {"i1": ["a b c d"], "i2": ["e f g h"]}}
         report = evaluate_captions(candidates, references, provider=stub, config_echo={"k": 1})
-        scores = report.scores["en"]
-        assert scores.cider_d_raw == 10.0
-        assert scores.cider_d_pct == 1000.0
-        assert scores.sbert_sim_pct == pytest.approx(100.0)
-        assert scores.n_items == 2
-        assert report.config == {"k": 1}
+        scores = report["scores"]["en"]
+        assert scores["cider_d_raw"] == 10.0
+        assert scores["cider_d_pct"] == 1000.0
+        assert scores["sbert_sim_pct"] == pytest.approx(100.0)
+        assert scores["n_items"] == 2
+        assert report["config"] == {"k": 1}
 
     def test_without_provider(self):
         candidates = {Language.EN: {"i1": "a b c d", "i2": "e f g h"}}
         references = {Language.EN: {"i1": ["a b c d"], "i2": ["e f g h"]}}
         report = evaluate_captions(candidates, references)
-        assert report.scores["en"].sbert_sim_pct is None
+        assert report["scores"]["en"]["sbert_sim_pct"] is None
 
     def test_missing_reference_language(self):
         with pytest.raises(ValidationError):
