@@ -175,7 +175,12 @@ def cmd_prepare(args) -> tuple:
     }
     _dump_json(summary, out_dir / "corpus_index.json")
     print(f"prepared {len(index)} audios, {len(languages)} languages -> {out_dir}")
-    config = {"manifest": str(args.manifest), "split": args.split, "min_count": args.min_count}
+    config = {
+        "manifest": str(args.manifest),
+        "split": args.split,
+        "min_count": args.min_count,
+        "languages": [l.value for l in languages],
+    }
     clips = _clip_files(args.embeddings_dir, index.audio_ids)
     return out_dir, config, {"manifest": Path(args.manifest), "embeddings_dir": clips}
 
@@ -193,7 +198,8 @@ def cmd_stats(args) -> tuple | None:
     if args.out:
         out_dir = _out_dir(args.out)
         _dump_json(rows, out_dir / "stats.json")
-        return out_dir, {"split": args.split}, {"manifest": Path(args.manifest)}
+        config = {"split": args.split, "languages": [l.value for l in languages]}
+        return out_dir, config, {"manifest": Path(args.manifest)}
     return None
 
 
@@ -398,16 +404,9 @@ def cmd_eval(args) -> tuple:
         for lang in candidates
     }
     provider = evaluation.HttpEmbedder(args.sbert_endpoint) if args.sbert_endpoint else None
+    config = {"split": args.split, "sbert_endpoint": args.sbert_endpoint, "sbert_aggregate": args.sbert_aggregate}
     report = evaluation.evaluate_captions(
-        candidates,
-        references,
-        provider=provider,
-        aggregate=args.sbert_aggregate,
-        config_echo={
-            "split": args.split,
-            "sbert_endpoint": args.sbert_endpoint,
-            "sbert_aggregate": args.sbert_aggregate,
-        },
+        candidates, references, provider=provider, aggregate=args.sbert_aggregate, config_echo=config
     )
     out_dir = _out_dir(args.out)
     _dump_json(report, out_dir / "eval_report.json")
@@ -417,7 +416,7 @@ def cmd_eval(args) -> tuple:
             f"{code}: CIDEr-D {s['cider_d_raw']:.4f} (raw) / {s['cider_d_pct']:.1f}% "
             f"SBERT-sim {sim} on {s['n_items']} items"
         )
-    return out_dir, {"split": args.split}, {"captions": Path(args.captions), "manifest": Path(args.manifest)}
+    return out_dir, config, {"captions": Path(args.captions), "manifest": Path(args.manifest)}
 
 
 def _parse_vocab_sizes(spec: str) -> dict[Language, int]:
@@ -474,7 +473,8 @@ def cmd_params(args) -> tuple | None:
         out_dir = _out_dir(args.out)
         doc = {"multilingual": multi, "monolingual": monos, "reduction_pct": reduction}
         _dump_json(doc, out_dir / "params.json")
-        return out_dir, {"config": config.to_dict()}, {}
+        sizes = {lang.value: size for lang, size in vocab_sizes.items()}
+        return out_dir, {"config": config.to_dict(), "vocab_sizes": sizes}, {}
     return None
 
 
@@ -489,7 +489,7 @@ def cmd_compare_langs(args) -> tuple | None:
     if args.out:
         out_dir = _out_dir(args.out)
         _dump_json({"base": base.value, "similarity_pct": table}, out_dir / "cross_language.json")
-        return out_dir, {"base": base.value}, {"captions": Path(args.captions)}
+        return out_dir, {"base": base.value, "endpoint": args.endpoint}, {"captions": Path(args.captions)}
     return None
 
 

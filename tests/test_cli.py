@@ -749,7 +749,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-        vectors = [self.table[t] for t in body["texts"]]
+        vectors = [self.table.get(t, [0.0, 1.0]) for t in body["texts"]]
         payload = json.dumps({"vectors": vectors}).encode()
         self.send_response(200)
         self.send_header("Content-Length", str(len(payload)))
@@ -819,6 +819,32 @@ class TestManifestCommand:
         out = tmp_path / "out"
         assert main([command, *command_argv(command, tmp_path, embed_endpoint), "--out", str(out)]) == 0
         assert json.loads((out / "run_manifest.json").read_text())["command"] == command
+
+    @pytest.mark.parametrize(
+        "command, option, first, second",
+        [
+            ("prepare", "--languages", "en,fr", "en"),
+            ("stats", "--languages", "en,fr", "en"),
+            ("params", "--vocab-sizes", "en=10,fr=12", "en=10,fr=13"),
+            ("eval", "--sbert-endpoint", "{endpoint}", "{endpoint}/v2"),
+            ("eval", "--sbert-aggregate", "mean", "max"),
+            ("compare-langs", "--endpoint", "{endpoint}", "{endpoint}/v2"),
+        ],
+    )
+    def test_config_records_every_option_the_outputs_depend_on(
+        self, command, option, first, second, tmp_path, embed_endpoint, capsys
+    ):
+        # two runs that differ only in `option`: a flag given last overrides
+        # the one command_argv gives (the embedding server ignores the path)
+        argv = [command, *command_argv(command, tmp_path, embed_endpoint)]
+        if command == "eval":
+            argv += ["--sbert-endpoint", embed_endpoint]
+        configs = []
+        for run, value in enumerate((first, second)):
+            out = tmp_path / f"out{run}"
+            assert main([*argv, option, value.format(endpoint=embed_endpoint), "--out", str(out)]) == 0
+            configs.append(json.loads((out / "run_manifest.json").read_text())["config"])
+        assert configs[0] != configs[1]
 
     @pytest.mark.parametrize("command", ["stats", "params", "compare-langs"])
     def test_no_out_writes_no_manifest(self, command, tmp_path, embed_endpoint, monkeypatch, capsys):
