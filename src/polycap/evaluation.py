@@ -15,6 +15,7 @@ part of this toolkit.
 
 from __future__ import annotations
 
+import http.client
 import json
 import math
 import urllib.error
@@ -226,7 +227,9 @@ class HttpEmbedder:
         try:
             with urllib.request.urlopen(request, timeout=self.timeout) as response:
                 body = json.loads(response.read().decode("utf-8"))
-        except (OSError, ValueError) as exc:  # URLError is an OSError; bad UTF-8 or JSON a ValueError
+        # URLError is an OSError; bad UTF-8 or JSON a ValueError; an answer that
+        # is no HTTP response (bad status line, short body) an HTTPException
+        except (OSError, ValueError, http.client.HTTPException) as exc:
             raise EmbedderError(f"embedding service failed: {exc}") from exc
         vectors = body.get("vectors") if isinstance(body, dict) else None
         if not isinstance(vectors, list) or len(vectors) != len(texts):
@@ -254,13 +257,16 @@ def _embed_with_item_context(
 ) -> dict[str, np.ndarray]:
     """Embed unique texts in one batch; on failure, attribute the item by
     retrying one text at a time. A service that was never reached (refused,
-    unresolvable, timed out) fails alike for every text: no retry, no item."""
+    unresolvable, timed out) or that sent no valid HTTP response fails alike
+    for every text: no retry, no item."""
     unique = list(dict.fromkeys(texts))
     try:
         vectors = provider.embed_batch(unique, language)
     except EmbedderError as exc:
         cause = exc.__cause__
-        unreached = isinstance(cause, OSError) and not isinstance(cause, urllib.error.HTTPError)
+        unreached = isinstance(cause, (OSError, http.client.HTTPException)) and not isinstance(
+            cause, urllib.error.HTTPError
+        )
         if exc.item_id is not None or unreached:
             raise
         # retry one text at a time to find the offender

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import bruteforce_cider_d, dict_cider_d, ngram_counts
+from polycap.cli import main
 from polycap.errors import ValidationError
 from polycap.evaluation import (
     EmbedderError,
@@ -454,6 +455,74 @@ class TestHttpEmbedder:
         monkeypatch.setattr(urllib.request, "urlopen", lambda request, timeout: io.BytesIO(body))
         with pytest.raises(EmbedderError):
             HttpEmbedder("http://embedder.invalid/embed").embed_batch(["x", "y"], Language.EN)
+
+
+class _MalformedHandler(BaseHTTPRequestHandler):
+    """Reads each request, then answers with raw bytes that are no valid
+    HTTP response."""
+
+    answer = b""
+    requests_seen: list[dict] = []
+
+    def do_POST(self):
+        type(self).requests_seen.append(json.loads(self.rfile.read(int(self.headers["Content-Length"]))))
+        self.wfile.write(self.answer)
+
+    def log_message(self, *args):
+        pass
+
+
+MALFORMED_ANSWERS = {
+    "bad_status_line": b"garbage\r\n\r\n",
+    "short_body": b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n{\"vec",
+}
+
+
+@pytest.fixture(params=sorted(MALFORMED_ANSWERS))
+def malformed_server(request):
+    """The URL of a server giving one malformed answer, and the requests it saw."""
+    handler = type("Handler", (_MalformedHandler,), {"answer": MALFORMED_ANSWERS[request.param], "requests_seen": []})
+    server = HTTPServer(("127.0.0.1", 0), handler)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    yield f"http://127.0.0.1:{server.server_port}/embed", handler.requests_seen
+    server.shutdown()
+
+
+class TestMalformedHttpAnswer:
+    """An answer that is no HTTP response fails every text alike: an
+    EmbedderError after one request, with no item and no per-text retry."""
+
+    @pytest.mark.parametrize("scorer", ["sbert_sim", "cross_language_similarity"])
+    def test_is_embedder_error_with_no_item(self, scorer, malformed_server):
+        url, requests_seen = malformed_server
+        client = HttpEmbedder(url, timeout=5.0)
+        with pytest.raises(EmbedderError) as err:
+            if scorer == "sbert_sim":
+                sbert_sim({"item0": "rain falls"}, {"item0": ["la pluie tombe"]}, client, Language.EN)
+            else:
+                outputs = {Language.EN: {"item0": "rain falls"}, Language.FR: {"item0": "la pluie tombe"}}
+                cross_language_similarity(outputs, Language.EN, client)
+        assert "items" not in err.value.payload()
+        assert len(requests_seen) == 1
+
+    def test_eval_exits_3(self, malformed_server, tmp_path, capsys):
+        url, requests_seen = malformed_server
+        manifest, captions = tmp_path / "manifest.jsonl", tmp_path / "captions.jsonl"
+        ids = ("a", "b")
+        manifest.write_text(
+            "".join(json.dumps({"audio_id": i, "split": "test", "captions": {"en": ["rain falls"]}}) + "\n" for i in ids),
+            encoding="utf-8",
+        )
+        captions.write_text(
+            "".join(json.dumps({"audio_id": i, "language": "en", "caption": "rain falls"}) + "\n" for i in ids),
+            encoding="utf-8",
+        )
+        argv = ["eval", "--captions", str(captions), "--manifest", str(manifest), "--sbert-endpoint", url]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 3
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "EmbedderError"
+        assert "items" not in payload
+        assert len(requests_seen) == 1
 
 
 class TestEvaluateCaptions:
