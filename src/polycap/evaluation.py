@@ -367,7 +367,7 @@ def evaluate_captions(
 ) -> dict:
     """Score each language's candidates: the `eval_report.json` document,
     `scores` by language code (`cider_d_raw`, `cider_d_pct`, `sbert_sim_pct`,
-    null without a provider, and `n_items`) and `config`, the echo given."""
+    None without a provider, and `n_items`) and `config`, the echo given."""
     scores = {}
     for lang, cands in candidates_by_language.items():
         if lang not in references_by_language:
