@@ -11,8 +11,9 @@ Run this file to rewrite `pins.json` from the current tree:
 
     PYTHONPATH=src python tests/golden/pin.py
 
-Only do so for a change that is meant to move output bits, and say which
-outputs moved and why.
+It prints each digest that differs from the pins it replaces, and the
+stamp if that changed. Only do so for a change that is meant to move output
+bits, and say which outputs moved and why.
 """
 
 from __future__ import annotations
@@ -137,11 +138,29 @@ def observe(out: Path) -> dict:
     }
 
 
+def moved(old: dict, new: dict) -> list[str]:
+    """One line per output whose digest differs between the `old` and `new`
+    pins (changed, added or gone), and one for the stamp if it changed."""
+    before, after = old.get("digests", {}), new["digests"]
+    lines = [
+        f"{name}: {before.get(name, 'absent')[:8]} -> {after.get(name, 'absent')[:8]}"
+        for name in sorted(before.keys() | after.keys())
+        if before.get(name) != after.get(name)
+    ]
+    if old.get("stamp") != new["stamp"]:
+        old_stamp, new_stamp = (json.dumps(doc.get("stamp"), sort_keys=True) for doc in (old, new))
+        lines.append(f"stamp: {old_stamp} -> {new_stamp}")
+    return lines
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         observed = observe(run_flow(Path(tmp)))
+    old = json.loads(PINS.read_text(encoding="utf-8")) if PINS.exists() else {}
     PINS.write_text(json.dumps(observed, indent=2, sort_keys=True, ensure_ascii=False) + "\n", encoding="utf-8")
     print(f"wrote {len(observed['digests'])} digests to {PINS}")
+    for line in moved(old, observed) or ["nothing moved"]:
+        print(f"  {line}")
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from golden.pin import PINS, observe, run_flow
+from golden.pin import PINS, moved, observe, run_flow
 
 # vocabularies, corpus index and manifest: counting, no float arithmetic;
 # parameter counts: integers and one Python division
@@ -45,3 +45,16 @@ def test_outputs_match_the_pins(golden):
             code: pytest.approx(scores, rel=1e-12, abs=1e-12) for code, scores in pins["eval_scores"].items()
         }
         assert got["stats"] == [pytest.approx(row, rel=1e-12, abs=1e-12) for row in pins["stats"]]
+
+
+def test_pin_reports_what_moved():
+    stamp = {"numpy": "2", "scipy": "1", "blas": {}}
+    old = {"stamp": stamp, "digests": {"a": "1" * 64, "b": "2" * 64, "gone": "3" * 64}}
+    new = {"stamp": stamp | {"numpy": "3"}, "digests": {"a": "1" * 64, "b": "4" * 64, "new": "5" * 64}}
+    assert moved(old, new) == [
+        "b: 22222222 -> 44444444",
+        "gone: 33333333 -> absent",
+        "new: absent -> 55555555",
+        'stamp: {"blas": {}, "numpy": "2", "scipy": "1"} -> {"blas": {}, "numpy": "3", "scipy": "1"}',
+    ]
+    assert moved(new, new) == []
