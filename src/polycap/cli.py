@@ -292,7 +292,7 @@ def cmd_train(args) -> tuple:
     trainer = training.Trainer(model, train_index, train_cfg, val_corpus=val_index)
     history = trainer.fit(metrics_path=out_dir / "metrics.jsonl")
     model_mod.save_checkpoint(model, out_dir / "checkpoint.ackp")
-    first, last = history[0].train_loss, history[-1].train_loss
+    first, last = history[0]["train_loss"], history[-1]["train_loss"]
     print(f"trained {train_cfg.epochs} epochs: loss {first:.4f} -> {last:.4f}; wrote {out_dir}")
     config = {"model": model_cfg.to_dict(), "train": train_cfg.to_dict(), "languages": doc["languages"]}
     audio_ids = [*train_index.audio_ids, *(val_index.audio_ids if val_index else ())]

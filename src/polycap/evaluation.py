@@ -47,10 +47,6 @@ class CiderResult:
     corpus_score: float  # raw scale, 0..10
     per_item: dict[str, float]
 
-    @property
-    def corpus_pct(self) -> float:
-        return self.corpus_score * 100.0
-
 
 def _distinct(keys: np.ndarray) -> np.ndarray:
     """Sorted distinct keys (a sort is faster than np.unique's hash table)."""
@@ -381,7 +377,7 @@ def evaluate_captions(
         )
         scores[lang.value] = {
             "cider_d_raw": cider.corpus_score,
-            "cider_d_pct": cider.corpus_pct,
+            "cider_d_pct": cider.corpus_score * 100.0,
             "sbert_sim_pct": sim,
             "n_items": len(cands),
         }

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -323,27 +323,6 @@ def _pad_ids(seqs: Sequence[list[int]], pad_id: int) -> np.ndarray:
     return out
 
 
-@dataclass
-class EpochMetrics:
-    epoch: int
-    lr: float
-    train_loss: float
-    val_loss: float | None
-    n_examples: int
-    n_updates: int
-    seconds: float
-    per_language: dict[str, int] = field(default_factory=dict)
-
-    def to_log_dict(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "lr": self.lr,
-            "train_loss": self.train_loss,
-            "val_loss": self.val_loss,
-            "seconds": self.seconds,
-        }
-
-
 class Trainer:
     """Drives epochs over a corpus index; owns optimizer and RNG streams.
 
@@ -470,8 +449,12 @@ class Trainer:
             zero_grads(params)  # no gradient outlives its step
         return value
 
-    def run_epoch(self, epoch: int) -> EpochMetrics:
-        """One multilingual epoch: each (audio, language) pair exactly once."""
+    def run_epoch(self, epoch: int) -> dict:
+        """One multilingual epoch: each (audio, language) pair exactly once.
+        Returns the epoch's record, the line `fit` logs: `epoch`, `lr`,
+        `train_loss`, `val_loss` (None without a validation corpus),
+        `seconds`, `n_examples`, `n_updates` and `per_language` (pairs by
+        language code)."""
         t0 = time.monotonic()
         lr = cosine_lr(epoch, self.cfg.epochs, self.cfg.lr0)
         batches = self._make_batches(self.corpus)
@@ -481,16 +464,16 @@ class Trainer:
             losses.append(self._train_batch(language, audio_ids, lr, epoch, batch_index))
             per_language[language.value] = per_language.get(language.value, 0) + len(audio_ids)
         val_loss = self.evaluate_loss(self.val_corpus) if self.val_corpus is not None else None
-        return EpochMetrics(
-            epoch=epoch,
-            lr=lr,
-            train_loss=float(np.mean(losses)),
-            val_loss=val_loss,
-            n_examples=sum(per_language.values()),
-            n_updates=len(batches),
-            seconds=time.monotonic() - t0,
-            per_language=per_language,
-        )
+        return {
+            "epoch": epoch,
+            "lr": lr,
+            "train_loss": float(np.mean(losses)),
+            "val_loss": val_loss,
+            "seconds": time.monotonic() - t0,
+            "n_examples": sum(per_language.values()),
+            "n_updates": len(batches),
+            "per_language": per_language,
+        }
 
     def evaluate_loss(self, corpus: CorpusIndex) -> float:
         """Mean dropout-free loss over a corpus (no updates, no augmentation),
@@ -506,16 +489,17 @@ class Trainer:
                     losses.append(self._loss(language, ids, audio, frame_mask).item())
         return float(np.mean(losses))
 
-    def fit(self, metrics_path: str | Path | None = None) -> list[EpochMetrics]:
-        """Train for cfg.epochs epochs. With a metrics path, the JSONL log of
-        every finished epoch is rewritten atomically after each epoch."""
+    def fit(self, metrics_path: str | Path | None = None) -> list[dict]:
+        """Train for cfg.epochs epochs; returns every epoch's record. With a
+        metrics path, the JSONL log of every finished epoch's record is
+        rewritten atomically after each epoch."""
         history = []
         lines = []
         for epoch in range(self.cfg.epochs):
-            metrics = self.run_epoch(epoch)
-            history.append(metrics)
+            record = self.run_epoch(epoch)
+            history.append(record)
             if metrics_path:
-                lines.append(json.dumps(metrics.to_log_dict(), sort_keys=True) + "\n")
+                lines.append(json.dumps(record, sort_keys=True) + "\n")
                 with atomic_write(metrics_path) as f:
                     f.writelines(lines)
         return history

@@ -199,7 +199,7 @@ def test_criterion_4_multilingual_overfit_and_exact_decode():
         "criterion 4 (overfit + exact decode)",
         ok,
         f"{n_exact}/40 exact decodes after {epochs} epochs "
-        f"(loss {history[0].train_loss:.3f} -> {history[-1].train_loss:.4f}), "
+        f"(loss {history[0]['train_loss']:.3f} -> {history[-1]['train_loss']:.4f}), "
         f"train CIDEr-D per language {cider_by_lang}, {elapsed:.0f} s",
     )
 
@@ -276,11 +276,11 @@ def test_criterion_6_multilingual_epoch_coverage():
     metrics, pairs = run_epoch_pairs(Trainer(model, index, tcfg))
     expected = Counter((a, l.value) for a in index.audio_ids for l in languages)
     coverage_exact = Counter(pairs) == expected
-    ok = metrics.n_updates == 200 and metrics.n_examples == 200 and coverage_exact
+    ok = metrics["n_updates"] == 200 and metrics["n_examples"] == 200 and coverage_exact
     report(
         "criterion 6 (epoch coverage)",
         ok,
-        f"{metrics.n_updates} updates, {metrics.n_examples} examples, "
+        f"{metrics['n_updates']} updates, {metrics['n_examples']} examples, "
         f"exact multiset coverage = {coverage_exact}",
     )
 

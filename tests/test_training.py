@@ -1,8 +1,8 @@
+import json
 import math
 import tracemalloc
 import weakref
 from collections import Counter
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -371,7 +371,7 @@ class TestEpochLoop:
         languages = list(Language)
         trainer, index = make_trainer(languages, n_items=6)
         metrics, pairs = run_epoch_pairs(trainer)
-        assert metrics.n_examples == 6 * 4
+        assert metrics["n_examples"] == 6 * 4
         expected = Counter((a, l.value) for a in index.audio_ids for l in languages)
         assert Counter(pairs) == expected
 
@@ -382,16 +382,25 @@ class TestEpochLoop:
         history = trainer.fit()
         assert len(history) == trainer.cfg.epochs
         for metrics in history:
-            lists = [f.name for f in fields(metrics) if isinstance(getattr(metrics, f.name), (list, tuple))]
+            lists = [key for key, value in metrics.items() if isinstance(value, (list, tuple))]
             assert lists == []
-            assert metrics.n_examples == 6 * 4
-            assert metrics.per_language == {l.value: 6 for l in Language}
+            assert metrics["n_examples"] == 6 * 4
+            assert metrics["per_language"] == {l.value: 6 for l in Language}
+
+    def test_each_metrics_line_is_the_epoch_record(self, tmp_path):
+        trainer, _ = make_trainer([Language.EN, Language.FR], n_items=4)
+        path = tmp_path / "metrics.jsonl"
+        history = trainer.fit(path)
+        keys = {"epoch", "lr", "train_loss", "val_loss", "seconds", "n_examples", "n_updates", "per_language"}
+        assert all(set(record) == keys for record in history)
+        assert [record["epoch"] for record in history] == list(range(trainer.cfg.epochs))
+        assert [json.loads(line) for line in path.read_text().splitlines()] == history
 
     def test_single_language_reduces_to_monolingual(self):
         trainer, index = make_trainer([Language.EN], n_items=6)
         metrics = trainer.run_epoch(0)
-        assert metrics.n_examples == 6
-        assert set(metrics.per_language) == {"en"}
+        assert metrics["n_examples"] == 6
+        assert set(metrics["per_language"]) == {"en"}
 
     def test_batch_size_one_updates_equal_pairs(self):
         tcfg = TrainConfig(
@@ -400,8 +409,8 @@ class TestEpochLoop:
         )
         trainer, _ = make_trainer(list(Language), tcfg=tcfg, n_items=5)
         metrics = trainer.run_epoch(0)
-        assert metrics.n_updates == 20
-        assert metrics.n_examples == 20
+        assert metrics["n_updates"] == 20
+        assert metrics["n_examples"] == 20
 
     def test_bitwise_determinism_same_seed(self):
         def run():
@@ -426,7 +435,7 @@ class TestEpochLoop:
         model = MultilingualModel(cfg, vocabs, seed=1)
         history = Trainer(model, index, tcfg).fit()
         assert len(history) == 2
-        assert all(np.isfinite(m.train_loss) for m in history)
+        assert all(np.isfinite(m["train_loss"]) for m in history)
 
     def test_missing_language_head_rejected(self):
         index, vocabs = synthetic_corpus([Language.EN, Language.FR], n_items=4)
@@ -592,7 +601,7 @@ class TestGradientLifetime:
             trainer = Trainer(model, index, tcfg, val_corpus=val_index)
             trainer.optimizer = optimizer_cls(betas=tcfg.adam_betas, eps=tcfg.adam_eps)
             history = trainer.fit()
-            losses = [(m.train_loss, m.val_loss) for m in history]
+            losses = [(m["train_loss"], m["val_loss"]) for m in history]
             return losses, {n: p.data for n, p in model.named_parameters().items()}
 
         losses, weights = fit(AdamW)
@@ -639,7 +648,7 @@ class TestRecipeIdentities:
             mixup_alpha=0.0, specaug=None, batch_size=5, seed=3,
         )
         history = Trainer(model, index, tcfg).fit()
-        assert history[-1].train_loss < 0.1 * history[0].train_loss
+        assert history[-1]["train_loss"] < 0.1 * history[0]["train_loss"]
 
 
 class TestValidationLoss:
@@ -653,7 +662,7 @@ class TestValidationLoss:
                            mixup_alpha=0.0, batch_size=5, seed=1)
         trainer = Trainer(model, train_index, tcfg, val_corpus=val_index)
         history = trainer.fit()
-        assert all(m.val_loss is not None and np.isfinite(m.val_loss) for m in history)
+        assert all(m["val_loss"] is not None and np.isfinite(m["val_loss"]) for m in history)
         assert trainer.evaluate_loss(val_index) == pytest.approx(trainer.evaluate_loss(val_index))
 
 

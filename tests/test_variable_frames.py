@@ -49,7 +49,7 @@ class TestRaggedTraining:
             mixup_alpha=0.4, specaug=SpecAugmentConfig(1, 3, 1, 4), batch_size=3, seed=2,
         )
         history = Trainer(model, index, tcfg).fit()
-        assert all(np.isfinite(m.train_loss) for m in history)
+        assert all(np.isfinite(m["train_loss"]) for m in history)
 
     def test_padded_batch_equals_unpadded_singles(self):
         # a ragged batch (short item zero-padded + masked) must score exactly
@@ -167,7 +167,7 @@ class TestCaptionTruncation:
         tcfg = TrainConfig(epochs=1, lr0=1e-3, weight_decay=0.0, mixup_alpha=0.0,
                            specaug=None, batch_size=2, seed=1)
         metrics = Trainer(model, index, tcfg).run_epoch(0)
-        assert np.isfinite(metrics.train_loss)
+        assert np.isfinite(metrics["train_loss"])
 
 
 class TestEmptyCaptionDecode:
