@@ -22,7 +22,6 @@ from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy import special as sp_special
 
 _grad_enabled = True
 
@@ -158,11 +157,15 @@ def gelu(x: np.ndarray, slope: bool = False) -> tuple[np.ndarray, np.ndarray | N
     """Exact GELU of an array, x * Phi(x) with the Gaussian CDF via erf, and
     with `slope` its derivative Phi(x) + x * phi(x), phi the standard normal
     density (else None)."""
+    # imported here: only train and caption reach GELU, and the import costs
+    # every other process about 0.25 s and a second BLAS thread pool
+    from scipy import special
+
     # each step in place where the formula's next operation allows it: the
     # same operations in the same order, so the same bits, with fewer
     # temporaries the size of x
     cdf2 = x / math.sqrt(2.0)
-    sp_special.erf(cdf2, out=cdf2)
+    special.erf(cdf2, out=cdf2)
     cdf2 += 1.0  # 2 * Phi(x)
     derivative = None
     if slope:  # cdf2 * 0.5 + x * exp(-0.5 * x * x) / sqrt(2 pi)

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import resource
+import shutil
 import struct
 import subprocess
 import sys
@@ -1288,3 +1289,41 @@ class TestModuleEntryPoint:
         [item] = payload["items"]
         assert " trainable parameters need about " in item and "physical memory" in item
         assert not (tmp_path / "run" / "checkpoint.ackp").exists()
+
+
+class TestScipySpecialImport:
+    # GELU's erf is the package's one use of scipy.special, whose import
+    # costs a process about 0.25 s and a second BLAS thread pool
+    CHILD = (
+        "import json, sys\n"
+        "from polycap.cli import main\n"
+        "loaded = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert main(argv) == 0, argv\n"
+        "    loaded.append('scipy.special' in sys.modules)\n"
+        "print(json.dumps(loaded))\n"
+    )
+
+    def test_only_train_and_caption_load_it(self, tmp_path):
+        golden = Path(__file__).resolve().parent / "golden"
+        shutil.copytree(golden / "emb", tmp_path / "emb")
+        for name in ("manifest.jsonl", "train.json"):
+            shutil.copy(golden / name, tmp_path / name)
+        with (tmp_path / "captions.jsonl").open("w", encoding="utf-8") as f:
+            for audio_id in ("clip07", "clip08", "clip09"):
+                for code in ("en", "fr"):
+                    f.write(json.dumps({"audio_id": audio_id, "language": code, "caption": "un chien"}) + "\n")
+        steps = [
+            ["prepare", "--manifest", "manifest.jsonl", "--embeddings-dir", "emb", "--languages", "en,fr",
+             "--out", "prepare"],
+            ["stats", "--manifest", "manifest.jsonl", "--languages", "en,fr", "--split", "train"],
+            ["eval", "--captions", "captions.jsonl", "--manifest", "manifest.jsonl", "--split", "test",
+             "--out", "eval"],
+            ["params", "--vocab-sizes", "en=40,fr=50"],
+            ["train", "--config", "train.json", "--out", "train"],
+        ]
+        proc = run_module(
+            json.dumps(steps), cwd=tmp_path, args=("-c", self.CHILD), env={"OPENBLAS_NUM_THREADS": "1"}
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == [False, False, False, False, True]
