@@ -135,6 +135,8 @@ class Tensor:
             node._parents = ()
             if node is not self:
                 node.grad = None
+            else:  # the root keeps its ones; a closure may write into what it is handed
+                grad = grad.copy()
             del node  # the walk's own reference: the node may go now
             backward(grad)
 
@@ -288,7 +290,10 @@ def linear(
     def backward(g):
         g = drop(g, keep, p)
         if slope is not None:
-            g = g * slope
+            # in place: g is drop's fresh array, or the gradient this node
+            # was handed, which no other live tensor holds (the contract of
+            # `Tensor._accumulate`)
+            g *= slope
         g_rows = g.reshape(-1, d_out)
         if bias.requires_grad:
             bias._accumulate(g_rows.sum(axis=0))

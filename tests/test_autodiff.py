@@ -528,6 +528,14 @@ class TestEngineBehavior:
         assert hidden.grad is None and hidden._parents == ()
         assert root.grad == 1.0
 
+    def test_root_keeps_its_ones_when_its_own_backward_writes_in_place(self):
+        # a one-element Linear root: ReLU's backward multiplies the gradient
+        # it is handed by the zero slope in place
+        x = Tensor(np.array([-2.0]), requires_grad=True)
+        root = activated(x, "relu")
+        root.backward()
+        assert root.grad == 1.0 and x.grad == 0.0
+
     def test_backward_frees_the_graph_as_it_goes(self):
         # a chain of 16 large intermediates: holding each node's output and
         # gradient until the walk ends would add 16 arrays to the forward's
