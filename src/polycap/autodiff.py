@@ -162,7 +162,6 @@ def gelu(x: np.ndarray, slope: bool = False) -> tuple[np.ndarray, np.ndarray | N
     # imported here: only train and caption reach GELU, and the import costs
     # every other process about 0.25 s and a second BLAS thread pool
     from scipy import special
-
     # each step in place where the formula's next operation allows it: the
     # same operations in the same order, so the same bits, with fewer
     # temporaries the size of x
@@ -290,9 +289,8 @@ def linear(
     def backward(g):
         g = drop(g, keep, p)
         if slope is not None:
-            # in place: g is drop's fresh array, or the gradient this node
-            # was handed, which no other live tensor holds (the contract of
-            # `Tensor._accumulate`)
+            # in place: g is drop's fresh array, or the gradient this node was
+            # handed, which no other live tensor holds (`Tensor._accumulate`)
             g *= slope
         g_rows = g.reshape(-1, d_out)
         if bias.requires_grad:

@@ -61,7 +61,7 @@ def _digest(source: Path | dict[str, Path]) -> str:
 
 def _clip_files(embeddings_dir, audio_ids) -> dict[str, Path]:
     """The AEMB file of each audio id, by its name in `embeddings_dir`."""
-    return {f"{a}.aemb": Path(embeddings_dir) / f"{a}.aemb" for a in audio_ids}
+    return {corpus_mod.clip_name(a): corpus_mod.clip_path(embeddings_dir, a) for a in audio_ids}
 
 
 def _dump_json(obj, path: Path) -> None:
@@ -319,7 +319,7 @@ def cmd_caption(args) -> tuple:
     if args.manifest:
         audio_ids = corpus_mod.load_split(args.manifest, args.split).audio_ids
     else:
-        audio_ids = sorted(p.stem for p in embeddings_dir.glob("*.aemb"))
+        audio_ids = corpus_mod.clip_ids(embeddings_dir)
     if not audio_ids:
         raise ValidationError(f"no embeddings to caption in {embeddings_dir}")
     clips, problems = corpus_mod.read_embeddings(embeddings_dir, audio_ids)

@@ -93,17 +93,30 @@ def load_embedding(path: str | Path, audio_id: str | None = None) -> EmbeddingSe
     return EmbeddingSequence(audio_id=audio_id or path.stem, data=data)
 
 
+def clip_name(audio_id: str) -> str:
+    """The name of an audio's AEMB file: `<audio_id>.aemb`."""
+    return f"{audio_id}.aemb"
+
+
+def clip_path(embeddings_dir: str | Path, audio_id: str) -> Path:
+    """An audio's AEMB file in `embeddings_dir`."""
+    return Path(embeddings_dir) / clip_name(audio_id)
+
+
+def clip_ids(embeddings_dir: str | Path) -> list[str]:
+    """The audio id of every AEMB file in `embeddings_dir`, sorted."""
+    return sorted(p.stem for p in Path(embeddings_dir).glob(clip_name("*")))
+
+
 def read_embeddings(
     embeddings_dir: str | Path, audio_ids: Sequence[str]
 ) -> tuple[dict[str, np.ndarray], dict[str, str]]:
-    """Each audio's (frames, dim) matrix from `<audio_id>.aemb` in
-    `embeddings_dir`, and the problem of each audio whose file is absent or
-    cannot be read as AEMB."""
-    embeddings_dir = Path(embeddings_dir)
+    """Each audio's (frames, dim) matrix from its `clip_path`, and the
+    problem of each audio whose file is absent or cannot be read as AEMB."""
     embeddings: dict[str, np.ndarray] = {}
     problems: dict[str, str] = {}
     for audio_id in audio_ids:
-        path = embeddings_dir / f"{audio_id}.aemb"
+        path = clip_path(embeddings_dir, audio_id)
         try:
             embeddings[audio_id] = load_embedding(path, audio_id).data
         except EmbeddingFormatError as exc:

@@ -452,9 +452,8 @@ class Trainer:
     def run_epoch(self, epoch: int) -> dict:
         """One multilingual epoch: each (audio, language) pair exactly once.
         Returns the epoch's record, the line `fit` logs: `epoch`, `lr`,
-        `train_loss`, `val_loss` (None without a validation corpus),
-        `seconds`, `n_examples`, `n_updates` and `per_language` (pairs by
-        language code)."""
+        `train_loss`, `val_loss` (None without a validation corpus), `seconds`,
+        `n_examples`, `n_updates` and `per_language` (pairs by language code)."""
         t0 = time.monotonic()
         lr = cosine_lr(epoch, self.cfg.epochs, self.cfg.lr0)
         batches = self._make_batches(self.corpus)

@@ -11,6 +11,8 @@ from polycap.corpus import (
     CorpusIndex,
     EmbeddingFormatError,
     EmbeddingSequence,
+    clip_ids,
+    clip_path,
     compute_stats,
     load_embedding,
     load_manifests,
@@ -108,6 +110,13 @@ class TestReadEmbeddings:
         assert problems["short"] == f"{tmp_path / 'short.aemb'}: payload length mismatch, header implies 48 bytes, found 47"
         assert problems["dir"].startswith(f"{tmp_path / 'dir.aemb'}: cannot read embedding file")
         assert list(problems) == ["gone", "short", "dir", "nul\0id"]
+
+    def test_clip_ids_are_the_sorted_stems_their_paths_name(self, tmp_path):
+        for audio_id in ("b", "a.x", "c"):
+            write_embedding(clip_path(tmp_path, audio_id), make_seq(audio_id, frames=2, dim=3))
+        (tmp_path / "notes.txt").write_text("not a clip")
+        assert clip_ids(tmp_path) == ["a.x", "b", "c"]
+        assert [clip_path(tmp_path, a).name for a in clip_ids(tmp_path)] == ["a.x.aemb", "b.aemb", "c.aemb"]
 
 
 class TestSampleCaption:
