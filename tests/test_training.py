@@ -447,11 +447,13 @@ class TestEpochLoop:
 
 class TestGraphSize:
     def test_one_train_step_builds_a_pinned_graph(self, monkeypatch):
-        # the tensors one update's loss reaches: 57 parameters of a two-layer
-        # model and one language head, plus the loss, the classifier, the
-        # token node, the front-end node and 15 nodes per layer. Dropout and
-        # mixup are on; dropout and the activations add no node of their own,
-        # and a primitive composed again from elementwise nodes grows this
+        # the tensors one update's loss reaches, 9 + 41 per decoder layer
+        # (255 at the default 6 layers): 4 + 15 per layer nodes (the loss,
+        # the classifier, the token node, the front-end node and each
+        # layer's) and 5 + 26 per layer parameters of the trunk and one
+        # language head. Dropout and mixup are on; dropout and the
+        # activations add no node of their own, and a primitive composed
+        # again from elementwise nodes grows this
         sizes = []
         backward = Tensor.backward
 
@@ -467,11 +469,12 @@ class TestGraphSize:
 
         monkeypatch.setattr(Tensor, "backward", counting_backward)
         index, vocabs = synthetic_corpus([Language.EN], n_items=4)
-        cfg = tiny_model_config(d_in=16, n_layers=2, trunk_dropout=0.1, frontend_dropout=0.2)
-        model = MultilingualModel(cfg, vocabs, seed=1)
-        trainer = Trainer(model, index, TrainConfig(epochs=1, mixup_alpha=0.4, batch_size=4, seed=2))
-        trainer._train_batch(Language.EN, list(index.audio_ids), 1e-3)
-        assert sizes == [91]
+        for n_layers in (1, 2):
+            cfg = tiny_model_config(d_in=16, n_layers=n_layers, trunk_dropout=0.1, frontend_dropout=0.2)
+            model = MultilingualModel(cfg, vocabs, seed=1)
+            trainer = Trainer(model, index, TrainConfig(epochs=1, mixup_alpha=0.4, batch_size=4, seed=2))
+            trainer._train_batch(Language.EN, list(index.audio_ids), 1e-3)
+        assert sizes == [9 + 41 * 1, 9 + 41 * 2]
 
     def test_one_train_step_stays_under_a_pinned_memory_peak(self):
         # the memory twin of the pinned node count: the tracemalloc peak of
