@@ -159,9 +159,7 @@ def gelu(x: np.ndarray, slope: bool = False) -> tuple[np.ndarray, np.ndarray | N
     """Exact GELU of an array, x * Phi(x) with the Gaussian CDF via erf, and
     with `slope` its derivative Phi(x) + x * phi(x), phi the standard normal
     density (else None)."""
-    # imported here: only train and caption reach GELU, and the import costs
-    # every other process about 0.25 s and a second BLAS thread pool
-    from scipy import special
+    from scipy import special  # not at module load; `model.DecoderLayer` loads it
     # each step in place where the formula's next operation allows it: the
     # same operations in the same order, so the same bits, with fewer
     # temporaries the size of x

@@ -11,6 +11,7 @@ It stays configurable.
 
 from __future__ import annotations
 
+import importlib
 import json
 import math
 import os
@@ -189,6 +190,9 @@ class DecoderLayer:
         self.w1 = Linear(params, f"{name}.ff.w1")
         self.w2 = Linear(params, f"{name}.ff.w2")
         self.norm1, self.norm2, self.norm3 = (LayerNorm(params, f"{name}.norm{k}") for k in (1, 2, 3))
+        # GELU's scipy.special (about 0.25 s, once per process) loads with the
+        # layer that runs it, not in its first forward
+        importlib.import_module("scipy.special")
 
     def __call__(self, x, memory, causal_mask, memory_mask, rng, live=None, cache=None):
         """x holds flat rows: with a (b, t) `live` mask the live positions of
