@@ -493,12 +493,9 @@ class Trainer:
         metrics path, the JSONL log of every finished epoch's record is
         rewritten atomically after each epoch."""
         history = []
-        lines = []
         for epoch in range(self.cfg.epochs):
-            record = self.run_epoch(epoch)
-            history.append(record)
+            history.append(self.run_epoch(epoch))
             if metrics_path:
-                lines.append(json.dumps(record, sort_keys=True) + "\n")
                 with atomic_write(metrics_path) as f:
-                    f.writelines(lines)
+                    f.writelines(json.dumps(record, sort_keys=True) + "\n" for record in history)
         return history
