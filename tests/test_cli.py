@@ -1293,7 +1293,8 @@ class TestModuleEntryPoint:
 
 class TestScipySpecialImport:
     # GELU's erf is the package's one use of scipy.special, whose import
-    # costs a process about 0.25 s and a second BLAS thread pool
+    # costs a process about 0.25 s and a second BLAS thread pool; only a
+    # command that builds a model loads it
     CHILD = (
         "import json, sys\n"
         "from polycap.cli import main\n"
