@@ -277,19 +277,13 @@ def _embed_with_item_context(
     return dict(zip(unique, vectors))
 
 
-@dataclass(frozen=True)
-class SimilarityResult:
-    corpus_pct: float
-    per_item: dict[str, float]
-
-
 def sbert_sim(
     candidates: Mapping[str, str],
     references: Mapping[str, Sequence[str]],
     provider: EmbedderProvider,
     language: Language,
     aggregate: str = "mean",
-) -> SimilarityResult:
+) -> float:
     """Mean cosine similarity between candidates and their references, as %.
 
     Per item the candidate is compared to each reference and aggregated with
@@ -311,14 +305,12 @@ def sbert_sim(
             texts.append(ref)
             text_to_item.setdefault(ref, item)
     table = _embed_with_item_context(provider, texts, language, text_to_item)
-    per_item: dict[str, float] = {}
+    item_pcts = []
     for item, cand in candidates.items():
         cos = [float(table[cand] @ table[ref]) for ref in references[item]]
         value = max(cos) if aggregate == "max" else float(np.mean(cos))
-        per_item[item] = value * 100.0
-    return SimilarityResult(
-        corpus_pct=float(np.mean(list(per_item.values()))), per_item=per_item
-    )
+        item_pcts.append(value * 100.0)
+    return float(np.mean(item_pcts))
 
 
 def cross_language_similarity(
@@ -370,11 +362,7 @@ def evaluate_captions(
             raise ValidationError(f"no references for language {lang.value!r}")
         refs = references_by_language[lang]
         cider = cider_d(cands, refs)
-        sim = (
-            sbert_sim(cands, refs, provider, lang, aggregate).corpus_pct
-            if provider is not None
-            else None
-        )
+        sim = sbert_sim(cands, refs, provider, lang, aggregate) if provider is not None else None
         scores[lang.value] = {
             "cider_d_raw": cider.corpus_score,
             "cider_d_pct": cider.corpus_score * 100.0,

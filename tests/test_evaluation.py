@@ -250,26 +250,26 @@ class TestSbertSim:
     def test_identical_strings_score_100(self):
         stub = StubEmbedder({"a dog": [1.0, 0.0], "other": [0.0, 1.0]})
         result = sbert_sim({"i": "a dog"}, {"i": ["a dog"]}, stub, Language.EN)
-        assert result.corpus_pct == pytest.approx(100.0)
+        assert result == pytest.approx(100.0)
 
     def test_orthogonal_vectors_score_0(self):
         stub = StubEmbedder({"a": [1.0, 0.0], "b": [0.0, 1.0]})
         result = sbert_sim({"i": "a"}, {"i": ["b"]}, stub, Language.EN)
-        assert result.corpus_pct == pytest.approx(0.0)
+        assert result == pytest.approx(0.0)
 
     def test_hand_dot_product(self):
         # (1,0) . (0.6,0.8) = 0.6 -> 60.0
         stub = StubEmbedder({"cand": [1.0, 0.0], "ref": [0.6, 0.8]})
         result = sbert_sim({"i": "cand"}, {"i": ["ref"]}, stub, Language.EN)
-        assert result.corpus_pct == pytest.approx(60.0)
+        assert result == pytest.approx(60.0)
 
     def test_mean_vs_max_aggregation(self):
         stub = StubEmbedder({"c": [1.0, 0.0], "r1": [1.0, 0.0], "r2": [0.0, 1.0]})
         refs = {"i": ["r1", "r2"]}
         mean = sbert_sim({"i": "c"}, refs, stub, Language.EN, aggregate="mean")
         best = sbert_sim({"i": "c"}, refs, stub, Language.EN, aggregate="max")
-        assert mean.corpus_pct == pytest.approx(50.0)
-        assert best.corpus_pct == pytest.approx(100.0)
+        assert mean == pytest.approx(50.0)
+        assert best == pytest.approx(100.0)
 
     def test_unknown_text_raises_embedder_error(self):
         stub = StubEmbedder({"known": [1.0, 0.0]})
@@ -280,7 +280,7 @@ class TestSbertSim:
     def test_deterministic(self):
         stub = StubEmbedder({"a": [0.3, 0.7], "b": [0.9, 0.1]})
         runs = [
-            sbert_sim({"i": "a"}, {"i": ["b"]}, stub, Language.EN).corpus_pct for _ in range(3)
+            sbert_sim({"i": "a"}, {"i": ["b"]}, stub, Language.EN) for _ in range(3)
         ]
         assert len(set(runs)) == 1
 
@@ -402,7 +402,7 @@ class TestHttpEmbedder:
             Language.FR,
         )
         assert len(_EmbeddingHandler.requests_seen) == 1
-        assert result.corpus_pct == pytest.approx((0.6 + 0.0) / 2 * 100)
+        assert result == pytest.approx((0.6 + 0.0) / 2 * 100)
 
     def test_server_failure_surfaces_item(self, embedding_server):
         client = HttpEmbedder(embedding_server)
