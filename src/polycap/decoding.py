@@ -21,7 +21,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from polycap.errors import ValidationError, is_finite, is_integer, physical_memory
+from polycap.errors import ValidationError, integer_problems, is_finite, physical_memory
 from polycap.model import IncrementalDecoder, MultilingualModel
 from polycap.text import Language, Vocabulary
 
@@ -38,11 +38,7 @@ class DecodeConfig:
     length_norm: float = 1.0  # 1.0 = mean log-probability
 
     def __post_init__(self):
-        problems = [
-            f"{name}={value!r} must be an integer >= 1"
-            for name, value in (("beam_size", self.beam_size), ("max_len", self.max_len))
-            if not is_integer(value) or value < 1
-        ]
+        problems = integer_problems((("beam_size", self.beam_size, 1), ("max_len", self.max_len, 1)))
         if not is_finite(self.length_norm):
             problems.append(f"length_norm={self.length_norm!r} must be a finite number")
         if problems:

@@ -46,6 +46,15 @@ def is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def integer_problems(fields) -> list[str]:
+    """One report item per (name, value, low) whose value is not an integer >= low."""
+    return [
+        f"{name}={value!r} must be an integer >= {low}"
+        for name, value, low in fields
+        if not is_integer(value) or value < low
+    ]
+
+
 def is_real(value) -> bool:
     """A real number, not a bool."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)

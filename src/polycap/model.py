@@ -25,7 +25,7 @@ import numpy as np
 
 from polycap import autodiff as ad
 from polycap.autodiff import Tensor
-from polycap.errors import ValidationError, is_integer, is_real
+from polycap.errors import ValidationError, integer_problems, is_real
 from polycap.files import atomic_write
 from polycap.text import Language, Vocabulary, repeated_languages
 
@@ -57,12 +57,8 @@ class ModelConfig:
     max_len: int = 40
 
     def __post_init__(self):
-        problems = []
         dims = (("d_in", 1), ("d_model", 1), ("n_layers", 0), ("n_heads", 1), ("d_ff", 1), ("max_len", 2))
-        for name, low in dims:
-            value = getattr(self, name)
-            if not is_integer(value) or value < low:
-                problems.append(f"{name}={value!r} must be an integer >= {low}")
+        problems = integer_problems((name, getattr(self, name), low) for name, low in dims)
         for name in ("trunk_dropout", "frontend_dropout"):
             p = getattr(self, name)
             if not is_real(p) or not 0.0 <= p < 1.0:

@@ -21,7 +21,7 @@ import numpy as np
 from polycap import autodiff as ad
 from polycap.autodiff import Tensor
 from polycap.corpus import CorpusIndex, sample_caption
-from polycap.errors import RuntimeFailure, ValidationError, is_finite, is_integer, is_real
+from polycap.errors import RuntimeFailure, ValidationError, integer_problems, is_finite, is_real
 from polycap.files import atomic_write
 from polycap.model import MixupDraw, MultilingualModel, live_positions
 from polycap.text import Language, tokenize
@@ -70,17 +70,13 @@ class TrainConfig:
                 continue
             if not (is_finite(value) and ok(value)):
                 problems.append(f"{name}={value!r} must be {rule}")
-        for name, low in (("epochs", 1), ("batch_size", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if not is_integer(value) or value < low:
-                problems.append(f"{name}={value!r} must be an integer >= {low}")
+        counts = (("epochs", 1), ("batch_size", 1), ("seed", 0))
+        problems += integer_problems((name, getattr(self, name), low) for name, low in counts)
         betas = self.adam_betas
         if len(betas) != 2 or not all(is_real(b) and 0.0 <= b < 1.0 for b in betas):
             problems.append(f"adam_betas={list(betas)!r} must be a pair of numbers in [0, 1)")
         if self.specaug is not None:
-            for name, value in asdict(self.specaug).items():
-                if not is_integer(value) or value < 0:
-                    problems.append(f"specaug.{name}={value!r} must be an integer >= 0")
+            problems += integer_problems((f"specaug.{name}", value, 0) for name, value in asdict(self.specaug).items())
         if problems:
             raise ValidationError("bad training config", items=problems)
 
