@@ -18,7 +18,7 @@ import os
 import platform
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -214,13 +214,38 @@ def _read_config(path: Path) -> dict:
     return doc
 
 
-def _load_train_config(path: Path) -> dict:
+# the keys a train config may hold; `model` and `train` hold the fields of
+# ModelConfig and TrainConfig, which their `from_dict` checks
+TRAIN_CONFIG_KEYS = ("data", "languages", "model", "train", "min_count")
+TRAIN_DATA_KEYS = ("manifest", "embeddings_dir", "train_split", "val_split")
+
+
+@dataclass(frozen=True)
+class TrainRun:
+    """A parsed train config; its data paths resolved against the config file."""
+
+    manifest: Path
+    embeddings_dir: Path
+    train_split: str
+    val_split: str | None
+    languages: list[Language]
+    model: model_mod.ModelConfig
+    train: training.TrainConfig
+    min_count: int
+
+
+def _load_train_config(path: Path) -> TrainRun:
+    """The only reader of a train config. Each unknown key and each problem
+    of the document's shape is one item of a single report. It reads no file
+    the config names."""
     doc = _read_config(path)
     problems = [f"missing required key {key!r}" for key in ("data", "languages") if key not in doc]
+    problems += [f"unknown key {key!r}" for key in doc if key not in TRAIN_CONFIG_KEYS]
     data = doc.get("data", {})
     if not isinstance(data, dict):
         problems.append("'data' must be an object")
     elif "data" in doc:
+        problems += [f"unknown key 'data.{key}'" for key in data if key not in TRAIN_DATA_KEYS]
         problems += [
             f"'data.{key}' must be a path string"
             for key in ("manifest", "embeddings_dir")
@@ -240,63 +265,58 @@ def _load_train_config(path: Path) -> dict:
     min_count = doc.get("min_count", 1)
     if not is_integer(min_count) or min_count < 1:
         problems.append("'min_count' must be an integer >= 1")
-    if not isinstance(doc.get("out_dir", ""), str):
-        problems.append("'out_dir' must be a path string")
     if problems:
         raise ValidationError(f"bad train config {path}", items=problems)
-    return doc
+    return TrainRun(
+        manifest=(path.parent / data["manifest"]).resolve(),
+        embeddings_dir=(path.parent / data["embeddings_dir"]).resolve(),
+        train_split=data.get("train_split", "train"),
+        val_split=data.get("val_split"),
+        languages=_parse_languages(languages, f"config {path}"),
+        train=training.TrainConfig.from_dict(doc.get("train", {})),
+        model=model_mod.ModelConfig.from_dict(doc.get("model", {})),
+        min_count=min_count,
+    )
 
 
 def cmd_train(args) -> tuple:
-    config_path = Path(args.config)
-    doc = _load_train_config(config_path)
-    base = config_path.parent
-    data = doc["data"]
-    manifest_path = (base / data["manifest"]).resolve()
-    embeddings_dir = (base / data["embeddings_dir"]).resolve()
-    languages = _parse_languages(doc["languages"], f"config {config_path}")
-
-    train_cfg = training.TrainConfig.from_dict(doc.get("train", {}))
-    if args.seed is not None:
-        train_cfg = replace(train_cfg, seed=args.seed)
-    model_cfg = model_mod.ModelConfig.from_dict(doc.get("model", {}))
-
-    manifests = corpus_mod.load_manifests(manifest_path)
+    run = _load_train_config(Path(args.config))
+    train_cfg = run.train if args.seed is None else replace(run.train, seed=args.seed)
+    manifests = corpus_mod.load_manifests(run.manifest)
 
     def index(split: str) -> corpus_mod.CorpusIndex:
-        manifest = corpus_mod.select_split(manifests, split, manifest_path)
-        return corpus_mod.CorpusIndex.from_manifest(manifest, embeddings_dir, languages)
+        manifest = corpus_mod.select_split(manifests, split, run.manifest)
+        return corpus_mod.CorpusIndex.from_manifest(manifest, run.embeddings_dir, run.languages)
 
-    train_split, val_split = data.get("train_split", "train"), data.get("val_split")
-    train_index = index(train_split)
-    val_index = index(val_split) if val_split else None
+    train_index = index(run.train_split)
+    val_index = index(run.val_split) if run.val_split else None
     dim_problems = [
         f"split {split!r}: embedding dim {split_index.embed_dim}"
-        for split, split_index in ((train_split, train_index), (val_split, val_index))
-        if split_index is not None and split_index.embed_dim != model_cfg.d_in
+        for split, split_index in ((run.train_split, train_index), (run.val_split, val_index))
+        if split_index is not None and split_index.embed_dim != run.model.d_in
     ]
     if dim_problems:
-        raise ValidationError(f"embedding dims do not match model d_in {model_cfg.d_in}", items=dim_problems)
+        raise ValidationError(f"embedding dims do not match model d_in {run.model.d_in}", items=dim_problems)
 
-    vocabs = _build_vocabularies(train_index, languages, doc.get("min_count", 1))
-    n_params = model_mod.param_report(model_cfg, {lang: v.size for lang, v in vocabs.items()})["trainable_total"]
+    vocabs = _build_vocabularies(train_index, run.languages, run.min_count)
+    n_params = model_mod.param_report(run.model, {lang: v.size for lang, v in vocabs.items()})["trainable_total"]
     physical = physical_memory()
     if 32 * n_params > physical:  # the state held all run, not a step's peak: weights, grads, 2 AdamW moments
         raise ValidationError("bad model config", items=[
             f"{n_params} trainable parameters need about {32 * n_params} bytes to train, "
             f"more than the {physical} bytes of physical memory"
         ])
-    model = model_mod.MultilingualModel(model_cfg, vocabs, seed=train_cfg.seed)
-    out_dir = _out_dir(args.out or doc.get("out_dir", "run"))
+    model = model_mod.MultilingualModel(run.model, vocabs, seed=train_cfg.seed)
+    out_dir = _out_dir(args.out)
 
     trainer = training.Trainer(model, train_index, train_cfg, val_corpus=val_index)
     history = trainer.fit(metrics_path=out_dir / "metrics.jsonl")
     model_mod.save_checkpoint(model, out_dir / "checkpoint.ackp")
     first, last = history[0]["train_loss"], history[-1]["train_loss"]
     print(f"trained {train_cfg.epochs} epochs: loss {first:.4f} -> {last:.4f}; wrote {out_dir}")
-    config = {"model": model_cfg.to_dict(), "train": train_cfg.to_dict(), "languages": doc["languages"]}
+    config = {"model": run.model.to_dict(), "train": asdict(train_cfg), "languages": [l.value for l in run.languages]}
     audio_ids = [*train_index.audio_ids, *(val_index.audio_ids if val_index else ())]
-    inputs = {"manifest": manifest_path, "embeddings_dir": _clip_files(embeddings_dir, audio_ids)}
+    inputs = {"manifest": run.manifest, "embeddings_dir": _clip_files(run.embeddings_dir, audio_ids)}
     return out_dir, config, inputs, train_cfg.seed
 
 
@@ -525,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train from a JSON config")
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int)
-    p.add_argument("--out")
+    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("caption", help="decode captions with constrained beam search")

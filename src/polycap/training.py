@@ -48,7 +48,6 @@ class TrainConfig:
     weight_decay: float = 2.0
     label_smoothing_eps: float = 0.1
     mixup_alpha: float = 0.4
-    mixup_lambda: float | None = None  # fixed lambda override, mainly for tests
     specaug: SpecAugmentConfig | None = SpecAugmentConfig()
     batch_size: int = 32
     seed: int = 0
@@ -62,12 +61,9 @@ class TrainConfig:
             ("weight_decay", lambda v: v >= 0, "a finite number >= 0"),
             ("label_smoothing_eps", lambda v: 0 <= v < 1, "a number in [0, 1)"),
             ("mixup_alpha", lambda v: v >= 0, "a finite number >= 0"),
-            ("mixup_lambda", lambda v: 0 <= v <= 1, "null or a number in [0, 1]"),
             ("adam_eps", lambda v: v > 0, "a finite number > 0"),
         ):
             value = getattr(self, name)
-            if name == "mixup_lambda" and value is None:
-                continue
             if not (is_finite(value) and ok(value)):
                 problems.append(f"{name}={value!r} must be {rule}")
         counts = (("epochs", 1), ("batch_size", 1), ("seed", 0))
@@ -79,11 +75,6 @@ class TrainConfig:
             problems += integer_problems((f"specaug.{name}", value, 0) for name, value in asdict(self.specaug).items())
         if problems:
             raise ValidationError("bad training config", items=problems)
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["adam_betas"] = list(self.adam_betas)
-        return d
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "TrainConfig":
@@ -162,16 +153,10 @@ def smoothed_cross_entropy(
     return ad.cross_entropy(logits, weighted, eps)
 
 
-def draw_mixup(
-    batch_size: int, alpha: float, rng: np.random.Generator, fixed_lambda: float | None = None
-) -> MixupDraw:
+def draw_mixup(batch_size: int, alpha: float, rng: np.random.Generator) -> MixupDraw:
     """Sample a batch mixup draw: lambda ~ Beta(alpha, alpha) plus a partner permutation."""
     partner = rng.permutation(batch_size)
-    if fixed_lambda is not None:
-        lam = float(fixed_lambda)
-    else:
-        lam = float(rng.beta(alpha, alpha))
-    return MixupDraw(lam=lam, partner=partner)
+    return MixupDraw(lam=float(rng.beta(alpha, alpha)), partner=partner)
 
 
 # -- embedding-sequence masking ------------------------------------------
@@ -422,9 +407,7 @@ class Trainer:
         ids, audio, frame_mask, frame_counts = self._batch(self.corpus, language, audio_ids, captions)
         if cfg.specaug is not None:
             audio = spec_mask(audio, frame_counts, cfg.specaug, self.rng_specaug)
-        mixup = None
-        if cfg.mixup_alpha > 0 or cfg.mixup_lambda is not None:
-            mixup = draw_mixup(len(audio_ids), cfg.mixup_alpha, self.rng_mixup, cfg.mixup_lambda)
+        mixup = draw_mixup(len(audio_ids), cfg.mixup_alpha, self.rng_mixup) if cfg.mixup_alpha > 0 else None
         loss = self._loss(language, ids, audio, frame_mask, mixup, self.rng_dropout)
 
         value = loss.item()

@@ -26,10 +26,11 @@ from oracles import (
     finite_difference_grads,
     relative_error,
 )
+from polycap import training
 from polycap.cli import main
 from polycap.decoding import DecodeConfig, caption_audio
 from polycap.evaluation import cider_d
-from polycap.model import MultilingualModel
+from polycap.model import MixupDraw, MultilingualModel
 from polycap.text import Language, tokenize
 from polycap.training import TrainConfig, Trainer, cosine_lr, smoothed_cross_entropy
 
@@ -285,17 +286,18 @@ def test_criterion_6_multilingual_epoch_coverage():
     )
 
 
-def test_criterion_7_recipe_identities():
+def test_criterion_7_recipe_identities(monkeypatch):
+    # the mixup run draws its partners from the mixup stream as usual, but lambda is 1
+    monkeypatch.setattr(
+        training, "draw_mixup", lambda n, alpha, rng: MixupDraw(lam=1.0, partner=rng.permutation(n))
+    )
+
     def run(mixup_on: bool):
         base = dict(
             epochs=3, lr0=1e-3, weight_decay=0.5, label_smoothing_eps=0.0,
             specaug=None, batch_size=4, seed=13,
         )
-        tcfg = (
-            TrainConfig(mixup_alpha=0.4, mixup_lambda=1.0, **base)
-            if mixup_on
-            else TrainConfig(mixup_alpha=0.0, **base)
-        )
+        tcfg = TrainConfig(mixup_alpha=0.4 if mixup_on else 0.0, **base)
         index, vocabs = synthetic_corpus([Language.EN, Language.DE], n_items=8, seed=3)
         cfg = tiny_model_config(d_in=16, d_model=16, n_heads=2, d_ff=24, max_len=8)
         model = MultilingualModel(cfg, vocabs, seed=6)

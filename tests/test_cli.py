@@ -475,7 +475,24 @@ class TestTrainCaptionEval:
     def test_bad_config_exits_2(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{\"languages\": []}", encoding="utf-8")
-        assert main(["train", "--config", str(path)]) == 2
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+
+    def test_unknown_keys_exit_2_in_one_report(self, tmp_path, capsys):
+        # once silently ignored: this run trained, exited 0 and logged val_loss null
+        manifest, emb_dir = write_corpus(tmp_path)
+        config_path = write_train_config(tmp_path, manifest, emb_dir, epochs=1)
+        config = json.loads(config_path.read_text())
+        config["data"]["val_splt"] = config["data"].pop("val_split")
+        config |= {"min_cuont": 5, "out_dir": "o"}
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(config_path), "--out", str(out)]) == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["message"] == f"bad train config {config_path}"
+        assert payload["items"] == [
+            "unknown key 'min_cuont'", "unknown key 'out_dir'", "unknown key 'data.val_splt'"
+        ]
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "data, items",
@@ -508,7 +525,7 @@ class TestTrainCaptionEval:
             ("model", "x", ["'model' must be an object"]),
             ("train", "x", ["'train' must be an object"]),
             ("min_count", "2", ["'min_count' must be an integer >= 1"]),
-            ("out_dir", 5, ["'out_dir' must be a path string"]),
+            ("out_dir", 5, ["unknown key 'out_dir'"]),
         ],
         ids=["languages_int", "model_string", "train_string", "min_count_string", "out_dir_int"],
     )
@@ -953,6 +970,15 @@ class TestCliSurface:
             main(["frobnicate"])
         assert exit_info.value.code == 2
 
+    def test_train_requires_out(self, tmp_path, capsys):
+        # once an undocumented config key, `out_dir`, or "run" under the working directory
+        manifest, emb_dir = write_corpus(tmp_path)
+        config_path = write_train_config(tmp_path, manifest, emb_dir, epochs=1)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["train", "--config", str(config_path)])
+        assert exit_info.value.code == 2
+        assert "the following arguments are required: --out" in capsys.readouterr().err
+
     def test_unexpected_failure_is_exit_3(self, tmp_path, capsys, monkeypatch):
         _, emb_dir = write_corpus(tmp_path)
         vocabs = {Language.EN: word_vocab(["enfa", "enfb"])}
@@ -1059,7 +1085,7 @@ class TestOversizedJsonIntegers:
     def test_config_exits_2(self, tmp_path, capsys):
         path = tmp_path / "train.json"
         path.write_text(f'{{"languages": ["en"], "seed": {self.HUGE}}}', "utf-8")
-        assert main(["train", "--config", str(path)]) == 2
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert json.loads(capsys.readouterr().err)["message"].startswith(f"cannot read config {path}: Exceeds the limit")
 
     def test_manifest_exits_2_naming_the_line(self, tmp_path, capsys):

@@ -9,6 +9,7 @@ import pytest
 
 import oracles
 from conftest import run_epoch_pairs, synthetic_corpus, tiny_model_config
+from polycap import training
 from polycap.autodiff import Tensor
 from polycap.errors import RuntimeFailure, ValidationError
 from polycap.model import MixupDraw, ModelConfig, MultilingualModel
@@ -616,16 +617,18 @@ class TestGradientLifetime:
 
 
 class TestRecipeIdentities:
-    def test_mixup_lambda_one_equals_plain_run_step_for_step(self):
+    def test_mixup_lambda_one_equals_plain_run_step_for_step(self, monkeypatch):
+        # the mixup run draws its partners from the mixup stream as usual, but lambda is 1
+        monkeypatch.setattr(
+            training, "draw_mixup", lambda n, alpha, rng: MixupDraw(lam=1.0, partner=rng.permutation(n))
+        )
+
         def run(mixup_on: bool):
             base = dict(
                 epochs=3, lr0=1e-3, weight_decay=0.5, label_smoothing_eps=0.0,
                 specaug=None, batch_size=3, seed=21,
             )
-            if mixup_on:
-                tcfg = TrainConfig(mixup_alpha=0.4, mixup_lambda=1.0, **base)
-            else:
-                tcfg = TrainConfig(mixup_alpha=0.0, **base)
+            tcfg = TrainConfig(mixup_alpha=0.4 if mixup_on else 0.0, **base)
             index, vocabs = synthetic_corpus([Language.EN, Language.FR], n_items=6, seed=8)
             cfg = tiny_model_config(d_in=16, d_model=16, n_heads=2, d_ff=24, max_len=8)
             model = MultilingualModel(cfg, vocabs, seed=4)
@@ -745,8 +748,6 @@ def test_config_from_non_object_is_validation_error(config_cls, doc):
         ("lr0", math.inf),
         ("label_smoothing_eps", "x"),
         ("mixup_alpha", -0.5),
-        ("mixup_lambda", 2.0),
-        ("mixup_lambda", "x"),
     ],
 )
 def test_train_config_field_types_are_checked(field, value):
@@ -766,15 +767,21 @@ def test_specaug_fields_are_checked():
 
 
 def test_every_bad_train_field_is_listed_in_one_error():
-    doc = {"lr0": math.nan, "weight_decay": "x", "mixup_lambda": 2.0, "specaug": {"max_channel_width": True}}
+    doc = {"lr0": math.nan, "weight_decay": "x", "specaug": {"max_channel_width": True}}
     with pytest.raises(ValidationError) as info:
         TrainConfig.from_dict(doc)
     assert [item.split("=")[0] for item in info.value.items] == [
-        "lr0", "weight_decay", "mixup_lambda", "specaug.max_channel_width"
+        "lr0", "weight_decay", "specaug.max_channel_width"
     ]
 
 
 def test_valid_optional_fields_are_accepted():
-    cfg = TrainConfig.from_dict({"mixup_lambda": 0.3, "specaug": None, "weight_decay": 0})
-    assert cfg.mixup_lambda == 0.3 and cfg.specaug is None
+    cfg = TrainConfig.from_dict({"specaug": None, "weight_decay": 0})
+    assert cfg.specaug is None
     assert TrainConfig.from_dict({}).specaug == SpecAugmentConfig()
+
+
+def test_mixup_lambda_is_no_field():
+    # a fixed lambda was once a config field that only tests set
+    with pytest.raises(ValidationError, match="mixup_lambda"):
+        TrainConfig.from_dict({"mixup_lambda": 0.3})
