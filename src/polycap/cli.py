@@ -18,6 +18,7 @@ import os
 import platform
 import sys
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -205,10 +206,18 @@ def cmd_stats(args) -> tuple | None:
 
 def _read_config(path: Path) -> dict:
     text = corpus_mod.read_text(path, "config")
+    repeated = []
+
+    def unique_keys(pairs: list) -> dict:  # json.loads alone keeps the last of two equal keys
+        repeated.extend(f"repeated key {key!r}" for key, n in Counter(k for k, _ in pairs).items() if n > 1)
+        return dict(pairs)
+
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=unique_keys)
     except ValueError as exc:  # malformed JSON, or an integer past Python's digit limit
         raise ValidationError(f"cannot read config {path}: {exc}") from exc
+    if repeated:
+        raise ValidationError(f"config {path} repeats keys", items=repeated)
     if not isinstance(doc, dict):
         raise ValidationError(f"config {path} is not a JSON object")
     return doc

@@ -494,6 +494,29 @@ class TestTrainCaptionEval:
         ]
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "params"])
+    def test_repeated_config_key_exits_2(self, tmp_path, capsys, command):
+        # json.loads alone keeps the last of two equal keys: the first train block was dropped
+        manifest, emb_dir = write_corpus(tmp_path)
+        config_path = write_train_config(tmp_path, manifest, emb_dir, epochs=1)
+        text, argv, items = {
+            "train": (
+                config_path.read_text()[:-1] + ', "train": {"epochs": 2}}',
+                ["train", "--config", str(config_path), "--out", str(tmp_path / "o")],
+                ["repeated key 'train'"],
+            ),
+            "params": (
+                '{"d_model": 16, "n_heads": 2, "n_heads": 4, "d_model": 32}',
+                ["params", "--config", str(config_path), "--vocab-sizes", "en=10"],
+                ["repeated key 'd_model'", "repeated key 'n_heads'"],
+            ),
+        }[command]
+        config_path.write_text(text, encoding="utf-8")
+        assert main(argv) == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload == {"error": "ValidationError", "message": f"config {config_path} repeats keys", "items": items}
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize(
         "data, items",
         [
