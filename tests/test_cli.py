@@ -7,6 +7,7 @@ import struct
 import subprocess
 import sys
 import threading
+from dataclasses import fields
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
@@ -16,10 +17,11 @@ import pytest
 from conftest import tiny_model_config, word_vocab
 import polycap
 from polycap import decoding
-from polycap.cli import main
+from polycap.cli import TRAIN_CONFIG_KEYS, TRAIN_DATA_KEYS, _load_train_config, main
 from polycap.corpus import EmbeddingSequence, load_embedding, write_embedding
-from polycap.model import MultilingualModel, save_checkpoint
+from polycap.model import ModelConfig, MultilingualModel, save_checkpoint
 from polycap.text import SPECIAL_TOKENS, Language, load_stopwords
+from polycap.training import SpecAugmentConfig, TrainConfig
 
 
 def write_corpus(root: Path, n_items=6, frames=5, d_in=8, languages=("en", "fr"), seed=0):
@@ -1377,3 +1379,25 @@ class TestScipySpecialImport:
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout.splitlines()[-1]) == [False, False, False, False, True]
+
+
+class TestTrainConfigSchema:
+    """The README's training-config example names every key the reader
+    accepts, so a key added to the schema is documented with it."""
+
+    def test_readme_example_names_the_whole_schema(self, tmp_path):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text("utf-8")
+        example = readme.split("### Training config\n", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "run.json"
+        path.write_text(example, "utf-8")
+        run = _load_train_config(path)  # reads no file the config names: none exists here
+        root = tmp_path.resolve()
+        assert (run.manifest, run.embeddings_dir) == (root / "manifest.jsonl", root / "emb")
+        doc = json.loads(example)
+        train = doc["train"]
+        assert sorted(doc) == sorted(TRAIN_CONFIG_KEYS)
+        assert sorted(doc["data"]) == sorted(TRAIN_DATA_KEYS)
+        for obj, config_cls in (
+            (doc["model"], ModelConfig), (train, TrainConfig), (train["specaug"], SpecAugmentConfig)
+        ):
+            assert sorted(obj) == sorted(f.name for f in fields(config_cls)), config_cls.__name__
