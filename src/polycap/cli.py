@@ -18,7 +18,6 @@ import os
 import platform
 import sys
 import time
-from collections import Counter
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -28,8 +27,8 @@ import scipy
 import polycap
 from polycap import corpus as corpus_mod
 from polycap import decoding, evaluation, model as model_mod, training
-from polycap.errors import ToolkitError, ValidationError, is_integer, physical_memory
-from polycap.files import atomic_write
+from polycap.errors import ToolkitError, ValidationError, config_from_json, is_integer, physical_memory
+from polycap.files import atomic_write, parse_json
 from polycap.text import (
     SPECIAL_TOKENS,
     Language,
@@ -205,15 +204,8 @@ def cmd_stats(args) -> tuple | None:
 
 
 def _read_config(path: Path) -> dict:
-    text = corpus_mod.read_text(path, "config")
-    repeated = []
-
-    def unique_keys(pairs: list) -> dict:  # json.loads alone keeps the last of two equal keys
-        repeated.extend(f"repeated key {key!r}" for key, n in Counter(k for k, _ in pairs).items() if n > 1)
-        return dict(pairs)
-
     try:
-        doc = json.loads(text, object_pairs_hook=unique_keys)
+        doc, repeated = parse_json(corpus_mod.read_text(path, "config"))
     except ValueError as exc:  # malformed JSON, or an integer past Python's digit limit
         raise ValidationError(f"cannot read config {path}: {exc}") from exc
     if repeated:
@@ -223,85 +215,65 @@ def _read_config(path: Path) -> dict:
     return doc
 
 
-# the keys a train config may hold; `model` and `train` hold the fields of
-# ModelConfig and TrainConfig, which their `from_dict` checks
-TRAIN_CONFIG_KEYS = ("data", "languages", "model", "train", "min_count")
-TRAIN_DATA_KEYS = ("manifest", "embeddings_dir", "train_split", "val_split")
+@dataclass(frozen=True)
+class TrainData:
+    """A train config's `data` object, its paths relative to the config file until loaded."""
+
+    manifest: Path
+    embeddings_dir: Path
+    train_split: str = "train"
+    val_split: str | None = None
 
 
 @dataclass(frozen=True)
 class TrainRun:
-    """A parsed train config; its data paths resolved against the config file."""
+    """A train config: its fields are the document's keys, at every depth."""
 
-    manifest: Path
-    embeddings_dir: Path
-    train_split: str
-    val_split: str | None
+    data: TrainData
     languages: list[Language]
-    model: model_mod.ModelConfig
-    train: training.TrainConfig
-    min_count: int
+    model: model_mod.ModelConfig = model_mod.ModelConfig()
+    train: training.TrainConfig = training.TrainConfig()
+    min_count: int = 1
 
 
 def _load_train_config(path: Path) -> TrainRun:
-    """The only reader of a train config. Each unknown key and each problem
-    of the document's shape is one item of a single report. It reads no file
-    the config names."""
-    doc = _read_config(path)
-    problems = [f"missing required key {key!r}" for key in ("data", "languages") if key not in doc]
-    problems += [f"unknown key {key!r}" for key in doc if key not in TRAIN_CONFIG_KEYS]
-    data = doc.get("data", {})
-    if not isinstance(data, dict):
-        problems.append("'data' must be an object")
-    elif "data" in doc:
-        problems += [f"unknown key 'data.{key}'" for key in data if key not in TRAIN_DATA_KEYS]
-        problems += [
-            f"'data.{key}' must be a path string"
-            for key in ("manifest", "embeddings_dir")
-            if not isinstance(data.get(key), str)
-        ]
-        problems += [
-            f"'data.{key}' must be a split name"
-            for key in ("train_split", "val_split")
-            if data.get(key) is not None and not isinstance(data[key], str)
-        ]
-    languages = doc.get("languages", [])
-    if not isinstance(languages, list) or not all(isinstance(code, str) for code in languages):
-        problems.append("'languages' must be a list of language codes")
-    problems += [
-        f"'{key}' must be an object" for key in ("model", "train") if not isinstance(doc.get(key, {}), dict)
+    """The run a train config file states, its data paths resolved against
+    the file and its languages parsed; it reads no file the config names."""
+    run = config_from_json(TrainRun, _read_config(path), f"bad train config {path}")
+    data = run.data
+    problems = [
+        f"'{key}' must be {rule}"
+        for key, ok, rule in (
+            ("data.manifest", isinstance(data.manifest, str), "a path string"),
+            ("data.embeddings_dir", isinstance(data.embeddings_dir, str), "a path string"),
+            ("data.train_split", isinstance(data.train_split, str), "a split name"),
+            ("data.val_split", data.val_split is None or isinstance(data.val_split, str), "a split name"),
+            ("languages", isinstance(run.languages, list) and all(isinstance(c, str) for c in run.languages),
+             "a list of language codes"),
+            ("min_count", is_integer(run.min_count) and run.min_count >= 1, "an integer >= 1"),
+        )
+        if not ok
     ]
-    min_count = doc.get("min_count", 1)
-    if not is_integer(min_count) or min_count < 1:
-        problems.append("'min_count' must be an integer >= 1")
     if problems:
         raise ValidationError(f"bad train config {path}", items=problems)
-    return TrainRun(
-        manifest=(path.parent / data["manifest"]).resolve(),
-        embeddings_dir=(path.parent / data["embeddings_dir"]).resolve(),
-        train_split=data.get("train_split", "train"),
-        val_split=data.get("val_split"),
-        languages=_parse_languages(languages, f"config {path}"),
-        train=training.TrainConfig.from_dict(doc.get("train", {})),
-        model=model_mod.ModelConfig.from_dict(doc.get("model", {})),
-        min_count=min_count,
-    )
+    paths = {key: (path.parent / getattr(data, key)).resolve() for key in ("manifest", "embeddings_dir")}
+    return replace(run, data=replace(data, **paths), languages=_parse_languages(run.languages, f"config {path}"))
 
 
 def cmd_train(args) -> tuple:
     run = _load_train_config(Path(args.config))
     train_cfg = run.train if args.seed is None else replace(run.train, seed=args.seed)
-    manifests = corpus_mod.load_manifests(run.manifest)
+    manifests = corpus_mod.load_manifests(run.data.manifest)
 
     def index(split: str) -> corpus_mod.CorpusIndex:
-        manifest = corpus_mod.select_split(manifests, split, run.manifest)
-        return corpus_mod.CorpusIndex.from_manifest(manifest, run.embeddings_dir, run.languages)
+        manifest = corpus_mod.select_split(manifests, split, run.data.manifest)
+        return corpus_mod.CorpusIndex.from_manifest(manifest, run.data.embeddings_dir, run.languages)
 
-    train_index = index(run.train_split)
-    val_index = index(run.val_split) if run.val_split else None
+    train_index = index(run.data.train_split)
+    val_index = index(run.data.val_split) if run.data.val_split else None
     dim_problems = [
         f"split {split!r}: embedding dim {split_index.embed_dim}"
-        for split, split_index in ((run.train_split, train_index), (run.val_split, val_index))
+        for split, split_index in ((run.data.train_split, train_index), (run.data.val_split, val_index))
         if split_index is not None and split_index.embed_dim != run.model.d_in
     ]
     if dim_problems:
@@ -323,16 +295,15 @@ def cmd_train(args) -> tuple:
     model_mod.save_checkpoint(model, out_dir / "checkpoint.ackp")
     first, last = history[0]["train_loss"], history[-1]["train_loss"]
     print(f"trained {train_cfg.epochs} epochs: loss {first:.4f} -> {last:.4f}; wrote {out_dir}")
-    config = {"model": run.model.to_dict(), "train": asdict(train_cfg), "languages": [l.value for l in run.languages]}
+    config = asdict(replace(run, train=train_cfg, languages=[l.value for l in run.languages]))
+    del config["data"]["manifest"], config["data"]["embeddings_dir"]  # resolved, they would name the machine
     audio_ids = [*train_index.audio_ids, *(val_index.audio_ids if val_index else ())]
-    inputs = {"manifest": run.manifest, "embeddings_dir": _clip_files(run.embeddings_dir, audio_ids)}
+    inputs = {"manifest": run.data.manifest, "embeddings_dir": _clip_files(run.data.embeddings_dir, audio_ids)}
     return out_dir, config, inputs, train_cfg.seed
 
 
 def cmd_caption(args) -> tuple:
-    cfg = decoding.DecodeConfig(
-        beam_size=args.beam_size, max_len=args.max_len, length_norm=args.length_norm
-    )
+    cfg = decoding.DecodeConfig(beam_size=args.beam_size, max_len=args.max_len, length_norm=args.length_norm)
     checkpoint_digest = hashlib.sha256()  # of the very bytes the model is built from
     model = model_mod.load_checkpoint(args.checkpoint, checkpoint_digest)
     languages = list(model.languages)
@@ -365,27 +336,22 @@ def cmd_caption(args) -> tuple:
 
     out_dir = _out_dir(args.out)
     out_path = out_dir / "captions.jsonl"
+    decode_config = asdict(cfg)
     with atomic_write(out_path) as sink:
         for audio_id in audio_ids:
             results = decoding.caption_clip(model, clips[audio_id], languages, cfg, stopwords)
             for lang, result in zip(languages, results):
-                sink.write(
-                    json.dumps(
-                        {
-                            "audio_id": audio_id,
-                            "language": lang.value,
-                            "caption": " ".join(result.tokens),
-                            "log_prob": result.log_prob,
-                            "normalized_score": result.normalized_score,
-                            "decode_config": cfg.to_dict(),
-                        },
-                        sort_keys=True,
-                        ensure_ascii=False,
-                    )
-                    + "\n"
-                )
+                record = {
+                    "audio_id": audio_id,
+                    "language": lang.value,
+                    "caption": " ".join(result.tokens),
+                    "log_prob": result.log_prob,
+                    "normalized_score": result.normalized_score,
+                    "decode_config": decode_config,
+                }
+                sink.write(json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n")
     print(f"captioned {len(audio_ids)} audios x {len(languages)} languages -> {out_path}")
-    config = {"decode_config": cfg.to_dict(), "languages": [l.value for l in languages]}
+    config = {"decode_config": decode_config, "languages": [l.value for l in languages]}
     inputs = {"checkpoint": checkpoint_digest, "embeddings_dir": _clip_files(embeddings_dir, audio_ids)}
     if args.manifest:
         config["split"] = args.split
@@ -481,7 +447,8 @@ def _parse_vocab_sizes(spec: str) -> dict[Language, int]:
 
 
 def cmd_params(args) -> tuple | None:
-    config = model_mod.ModelConfig.from_dict(_read_config(Path(args.config)) if args.config else {})
+    doc = _read_config(Path(args.config)) if args.config else {}
+    config = config_from_json(model_mod.ModelConfig, doc, "bad model config")
     vocab_sizes = _parse_vocab_sizes(args.vocab_sizes)
     multi = model_mod.param_report(config, vocab_sizes)
     monos = {lang.value: model_mod.param_report(config, {lang: size}) for lang, size in vocab_sizes.items()}

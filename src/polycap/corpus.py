@@ -13,7 +13,6 @@ driven by caller-owned numpy Generators.
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,6 +21,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from polycap.errors import ValidationError
+from polycap.files import parse_json
 from polycap.text import Language, repeated_languages, tokenize
 
 AEMB_MAGIC = b"AEMB"
@@ -162,20 +162,21 @@ def read_text(path: str | Path, what: str) -> str:
 
 def jsonl_objects(path: Path, what: str, problems: list[str]) -> Iterator[tuple[int, dict]]:
     """(line number, object) of each non-blank line of a JSON-Lines file; a
-    line that is not a JSON object is reported in `problems` instead."""
+    line that is no JSON object, or repeats a key, is reported in `problems`."""
     for lineno, line in enumerate(read_text(path, what).splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
         try:
-            obj = json.loads(line)
+            obj, repeated = parse_json(line)
         except ValueError as exc:  # malformed JSON, or an integer past Python's digit limit
             problems.append(f"line {lineno}: invalid JSON ({getattr(exc, 'msg', exc)})")
             continue
+        problems.extend(f"line {lineno}: {item}" for item in repeated)
         if not isinstance(obj, dict):
             problems.append(f"line {lineno}: not a JSON object")
-            continue
-        yield lineno, obj
+        elif not repeated:
+            yield lineno, obj
 
 
 def load_manifests(path: str | Path) -> dict[str, CaptionManifest]:

@@ -16,7 +16,7 @@ by which the cached scorer gathers its cache.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -43,9 +43,6 @@ class DecodeConfig:
             problems.append(f"length_norm={self.length_norm!r} must be a finite number")
         if problems:
             raise ValidationError("bad decoding config", items=problems)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)

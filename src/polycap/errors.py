@@ -7,9 +7,11 @@ structured diagnostics on stderr. ``exit_code`` follows the CLI contract:
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import numbers
 import os
+import typing
 
 
 class ToolkitError(Exception):
@@ -53,6 +55,42 @@ def integer_problems(fields) -> list[str]:
         for name, value, low in fields
         if not is_integer(value) or value < low
     ]
+
+
+def config_from_json(cls, doc, what: str):
+    """The config dataclass `cls` built from its JSON object `doc`. Each key
+    that is no field, each missing required field and each value that should
+    be an object but is not, at any depth, is one item (by its dotted path) of
+    one ValidationError `what`, raised before any class checks its values. A
+    dataclass field is built from its own object (or is null, if its type
+    allows None), a tuple field from a JSON list."""
+    problems = []
+
+    def build(cls, doc, where: str, check: bool):
+        if not isinstance(doc, dict):
+            kind = type(doc).__name__
+            problems.append(f"'{where[:-1]}' must be an object" if where else f"expected an object, got {kind}")
+            return None
+        hints, values = typing.get_type_hints(cls), {}
+        problems.extend(f"unknown key '{where}{key}'" for key in doc if key not in hints)
+        for f in dataclasses.fields(cls):
+            if f.name not in doc:
+                if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+                    problems.append(f"missing required key '{where}{f.name}'")
+                continue
+            value, kinds = doc[f.name], typing.get_args(hints[f.name]) or (hints[f.name],)
+            nested = [kind for kind in kinds if dataclasses.is_dataclass(kind)]
+            if nested and not (value is None and type(None) in kinds):
+                value = build(nested[0], value, f"{where}{f.name}.", check)
+            elif typing.get_origin(hints[f.name]) is tuple and isinstance(value, list):
+                value = tuple(value)
+            values[f.name] = value
+        return None if check else cls(**values)
+
+    build(cls, doc, "", check=True)
+    if problems:
+        raise ValidationError(what, items=problems)
+    return build(cls, doc, "", check=False)
 
 
 def is_real(value) -> bool:

@@ -26,6 +26,7 @@ from typing import Mapping, Protocol, Sequence
 import numpy as np
 
 from polycap.errors import RuntimeFailure, ValidationError
+from polycap.files import parse_json
 from polycap.text import Language, tokenize
 
 CIDER_N_MAX = 4
@@ -222,11 +223,13 @@ class HttpEmbedder:
         )
         try:
             with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                body = json.loads(response.read().decode("utf-8"))
+                body, repeated = parse_json(response.read().decode("utf-8"))
         # URLError is an OSError; bad UTF-8 or JSON a ValueError; an answer that
         # is no HTTP response (bad status line, short body) an HTTPException
         except (OSError, ValueError, http.client.HTTPException) as exc:
             raise EmbedderError(f"embedding service failed: {exc}") from exc
+        if repeated:
+            raise EmbedderError(f"embedding service returned {', '.join(repeated)}")
         vectors = body.get("vectors") if isinstance(body, dict) else None
         if not isinstance(vectors, list) or len(vectors) != len(texts):
             raise EmbedderError(

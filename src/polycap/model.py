@@ -25,8 +25,8 @@ import numpy as np
 
 from polycap import autodiff as ad
 from polycap.autodiff import Tensor
-from polycap.errors import ValidationError, integer_problems, is_real
-from polycap.files import atomic_write
+from polycap.errors import ValidationError, config_from_json, integer_problems, is_real
+from polycap.files import atomic_write, parse_json
 from polycap.text import Language, Vocabulary, repeated_languages
 
 FROZEN_ENCODER_PARAMS = 28_000_000  # reporting constant; the audio encoder is external
@@ -70,15 +70,6 @@ class ModelConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "ModelConfig":
-        if not isinstance(d, Mapping):
-            raise ValidationError(f"bad model config: expected an object, got {type(d).__name__}")
-        try:
-            return cls(**dict(d))
-        except TypeError as exc:
-            raise ValidationError(f"bad model config: {exc}") from exc
 
 
 @dataclass
@@ -633,9 +624,9 @@ def load_checkpoint(path: str | Path, digest=None) -> MultilingualModel:
             raise ValidationError(f"{path}: truncated checkpoint (reading metadata)")
         raw_meta = read(meta_len)
         try:
-            meta = json.loads(raw_meta.decode("utf-8"))
+            meta, repeated = parse_json(raw_meta.decode("utf-8"))
             part = "model_config"
-            config = ModelConfig.from_dict(meta["model_config"])
+            config = config_from_json(ModelConfig, meta["model_config"], "bad model config")
             vocabs, languages = {}, []
             for code, doc in meta["vocabs"].items():
                 part = f"vocabs.{code}"
@@ -648,9 +639,9 @@ def load_checkpoint(path: str | Path, digest=None) -> MultilingualModel:
         except ValidationError as exc:
             items = [f"{part}: {problem}" for problem in (exc.message, *exc.items)]
             raise ValidationError(f"{path}: bad checkpoint metadata", items=items) from exc
-        repeats = repeated_languages(languages)  # `en` and `EN` would share one head
+        repeats = [*repeated, *(f"vocabs: {r}" for r in repeated_languages(languages))]  # `en` and `EN` share a head
         if repeats:
-            raise ValidationError(f"{path}: bad checkpoint metadata", items=[f"vocabs: {r}" for r in repeats])
+            raise ValidationError(f"{path}: bad checkpoint metadata", items=repeats)
         # checked before the model is built, so no size a meta block claims allocates anything
         follow = size - f.tell()
         if follow != block:

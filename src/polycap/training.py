@@ -69,26 +69,13 @@ class TrainConfig:
         counts = (("epochs", 1), ("batch_size", 1), ("seed", 0))
         problems += integer_problems((name, getattr(self, name), low) for name, low in counts)
         betas = self.adam_betas
-        if len(betas) != 2 or not all(is_real(b) and 0.0 <= b < 1.0 for b in betas):
-            problems.append(f"adam_betas={list(betas)!r} must be a pair of numbers in [0, 1)")
+        if not (isinstance(betas, tuple) and len(betas) == 2 and all(is_real(b) and 0.0 <= b < 1.0 for b in betas)):
+            shown = list(betas) if isinstance(betas, tuple) else betas  # as the JSON list it was read from
+            problems.append(f"adam_betas={shown!r} must be a pair of numbers in [0, 1)")
         if self.specaug is not None:
             problems += integer_problems((f"specaug.{name}", value, 0) for name, value in asdict(self.specaug).items())
         if problems:
             raise ValidationError("bad training config", items=problems)
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "TrainConfig":
-        if not isinstance(d, Mapping):
-            raise ValidationError(f"bad training config: expected an object, got {type(d).__name__}")
-        d = dict(d)
-        try:
-            if "specaug" in d and d["specaug"] is not None:
-                d["specaug"] = SpecAugmentConfig(**d["specaug"])
-            if "adam_betas" in d:
-                d["adam_betas"] = tuple(d["adam_betas"])
-            return cls(**d)
-        except TypeError as exc:
-            raise ValidationError(f"bad training config: {exc}") from exc
 
 
 # -- loss ----------------------------------------------------------------

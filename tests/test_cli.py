@@ -17,7 +17,7 @@ import pytest
 from conftest import tiny_model_config, word_vocab
 import polycap
 from polycap import decoding
-from polycap.cli import TRAIN_CONFIG_KEYS, TRAIN_DATA_KEYS, _load_train_config, main
+from polycap.cli import TrainData, TrainRun, _load_train_config, main
 from polycap.corpus import EmbeddingSequence, load_embedding, write_embedding
 from polycap.model import ModelConfig, MultilingualModel, save_checkpoint
 from polycap.text import SPECIAL_TOKENS, Language, load_stopwords
@@ -522,7 +522,11 @@ class TestTrainCaptionEval:
     @pytest.mark.parametrize(
         "data, items",
         [
-            ({"embeddings_dir": "emb"}, ["'data.manifest' must be a path string"]),
+            ({"embeddings_dir": "emb"}, ["missing required key 'data.manifest'"]),
+            (
+                {"manifest": 5, "embeddings_dir": "emb", "train_split": None},
+                ["'data.manifest' must be a path string", "'data.train_split' must be a split name"],
+            ),
             ("x", ["'data' must be an object"]),
             (
                 {"manifest": "m.jsonl", "embeddings_dir": "emb", "train_split": ["train"]},
@@ -533,7 +537,7 @@ class TestTrainCaptionEval:
                 ["'data.val_split' must be a split name"],
             ),
         ],
-        ids=["no_manifest", "not_an_object", "train_split_list", "val_split_int"],
+        ids=["no_manifest", "manifest_int", "not_an_object", "train_split_list", "val_split_int"],
     )
     def test_malformed_data_block_exits_2_with_items(self, tmp_path, capsys, data, items):
         path = tmp_path / "train.json"
@@ -549,10 +553,15 @@ class TestTrainCaptionEval:
             ("languages", 5, ["'languages' must be a list of language codes"]),
             ("model", "x", ["'model' must be an object"]),
             ("train", "x", ["'train' must be an object"]),
+            ("model", None, ["'model' must be an object"]),
+            ("train", None, ["'train' must be an object"]),
             ("min_count", "2", ["'min_count' must be an integer >= 1"]),
             ("out_dir", 5, ["unknown key 'out_dir'"]),
         ],
-        ids=["languages_int", "model_string", "train_string", "min_count_string", "out_dir_int"],
+        ids=[
+            "languages_int", "model_string", "train_string", "model_null", "train_null", "min_count_string",
+            "out_dir_int",
+        ],
     )
     def test_malformed_config_shape_exits_2_with_items(self, tmp_path, capsys, key, value, items):
         manifest, emb_dir = write_corpus(tmp_path)
@@ -613,7 +622,34 @@ class TestTrainCaptionEval:
         config_path.write_text(json.dumps(config), encoding="utf-8")
         assert main(["train", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 2
         payload = json.loads(capsys.readouterr().err)
-        assert "weight_dekay" in payload["message"]
+        assert payload["message"] == f"bad train config {config_path}"
+        assert payload["items"] == ["unknown key 'train.weight_dekay'"]
+
+    @pytest.mark.parametrize(
+        "edit, items",
+        [
+            (
+                lambda doc: doc["train"].update(epohcs=3, lr=0.1),
+                ["unknown key 'train.epohcs'", "unknown key 'train.lr'"],
+            ),
+            (
+                lambda doc: (doc["model"].update(d_modle=8), doc["train"].update(specaug={"n_time_mask": 1})),
+                ["unknown key 'model.d_modle'", "unknown key 'train.specaug.n_time_mask'"],
+            ),
+        ],
+        ids=["two_in_train", "model_and_specaug"],
+    )
+    def test_every_unknown_key_at_any_depth_is_an_item(self, tmp_path, capsys, edit, items):
+        # `TrainConfig.from_dict` once named only the first unknown key, in a TypeError's message
+        manifest, emb_dir = write_corpus(tmp_path)
+        config_path = write_train_config(tmp_path, manifest, emb_dir)
+        config = json.loads(config_path.read_text())
+        edit(config)
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["train", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload == {"error": "ValidationError", "message": f"bad train config {config_path}", "items": items}
+        assert not (tmp_path / "o").exists()
 
     def test_max_len_one_exits_2_naming_max_len(self, tmp_path, capsys):
         # such a model could be trained but not captioned (no room for a word)
@@ -639,8 +675,8 @@ class TestTrainCaptionEval:
         assert main(["train", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 2
         payload = json.loads(capsys.readouterr().err)
         assert payload["error"] == "ValidationError"
-        assert payload["message"].startswith("bad training config")
-        assert "val_caption_mode" in payload["message"]
+        assert payload["message"] == f"bad train config {config_path}"
+        assert payload["items"] == ["unknown key 'train.val_caption_mode'"]
         assert not (tmp_path / "o").exists()
 
     def test_dim_mismatch_reported(self, tmp_path, capsys):
@@ -783,6 +819,17 @@ class TestParams:
         assert payload["error"] == "ValidationError"
         assert payload["items"] == [item]
 
+    def test_every_unknown_key_exits_2_as_an_item(self, tmp_path, capsys):
+        # `ModelConfig.from_dict` once named only the first, in a TypeError's message
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"d_modle": 16, "n_heads": 2, "layers": 3}), encoding="utf-8")
+        assert main(["params", "--config", str(path)]) == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload == {
+            "error": "ValidationError", "message": "bad model config",
+            "items": ["unknown key 'd_modle'", "unknown key 'layers'"],
+        }
+
 
 class _Handler(BaseHTTPRequestHandler):
     table = {
@@ -888,6 +935,25 @@ class TestManifestCommand:
             assert main([*argv, option, value.format(endpoint=embed_endpoint), "--out", str(out)]) == 0
             configs.append(json.loads((out / "run_manifest.json").read_text())["config"])
         assert configs[0] != configs[1]
+
+    @pytest.mark.parametrize("key, first, second", [("min_count", 1, 2), ("val_split", None, "test")])
+    def test_train_records_min_count_and_splits(self, key, first, second, tmp_path, capsys):
+        # the vocabularies, checkpoint and metrics depend on them; runs that
+        # differed only in one of them once wrote equal config blocks
+        manifest, emb_dir = write_corpus(tmp_path)
+        config_path = write_train_config(tmp_path, manifest, emb_dir, epochs=1)
+        doc = json.loads(config_path.read_text())
+        configs = []
+        for run, value in enumerate((first, second)):
+            (doc["data"] if key == "val_split" else doc)[key] = value
+            config_path.write_text(json.dumps(doc), encoding="utf-8")
+            out = tmp_path / f"out{run}"
+            assert main(["train", "--config", str(config_path), "--out", str(out)]) == 0
+            configs.append(json.loads((out / "run_manifest.json").read_text())["config"])
+        assert configs[0] != configs[1]
+        # the data paths are not recorded: resolved, they name the machine; the input digests cover the files
+        assert configs[0]["data"] == {"train_split": "train", "val_split": None}
+        assert sorted(configs[0]) == ["data", "languages", "min_count", "model", "train"]
 
     @pytest.mark.parametrize("command", ["stats", "params", "compare-langs"])
     def test_no_out_writes_no_manifest(self, command, tmp_path, embed_endpoint, monkeypatch, capsys):
@@ -1064,6 +1130,10 @@ class TestCliSurface:
                 lambda meta: meta["model_config"].update(d_model=0),
                 ["model_config: bad model config", "model_config: d_model=0 must be an integer >= 1"],
             ),
+            (
+                lambda meta: meta["model_config"].update(d_modle=8),
+                ["model_config: bad model config", "model_config: unknown key 'd_modle'"],
+            ),
             # `EN` once replaced `en`: sizes 6 and 7 failed later on a tensor
             # shape, equal sizes loaded silently
             (
@@ -1078,7 +1148,7 @@ class TestCliSurface:
             ),
         ],
         ids=[
-            "non_string_token", "duplicate_token", "unknown_language", "zero_d_model",
+            "non_string_token", "duplicate_token", "unknown_language", "zero_d_model", "unknown_model_key",
             "repeated_language_other_size", "repeated_language_same_size",
         ],
     )
@@ -1141,6 +1211,50 @@ class TestOversizedJsonIntegers:
         code = main(["caption", "--checkpoint", str(path), "--embeddings-dir", str(emb_dir), "--out", str(tmp_path / "o")])
         assert code == 2
         assert json.loads(capsys.readouterr().err)["message"].startswith(f"{path}: bad checkpoint metadata (ValueError(")
+
+
+class TestRepeatedJsonKeys:
+    """Every reader of outside JSON reports a key repeated within one object;
+    a plain `json.loads` keeps the last of the two, silently."""
+
+    def test_manifest_exits_2_naming_each_key_and_line(self, tmp_path, capsys):
+        # line 2 once loaded as clip 'c' with only the caption "y", and line 3 without its English captions
+        manifest, _ = write_corpus(tmp_path)
+        lines = manifest.read_text("utf-8").splitlines()
+        extra = [
+            '{"audio_id": "b", "audio_id": "c", "split": "train", "captions": {"en": ["x"], "en": ["y"]}}',
+            '{"audio_id": "d", "split": "train", "captions": {"en": ["x"]}, "captions": {"fr": ["y"]}}',
+        ]
+        manifest.write_text("\n".join([lines[0], *extra, *lines[1:]]) + "\n", "utf-8")
+        assert main(["stats", "--manifest", str(manifest), "--languages", "en"]) == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["message"] == f"manifest {manifest} failed validation"
+        assert payload["items"] == [
+            "line 2: repeated key 'en'", "line 2: repeated key 'audio_id'", "line 3: repeated key 'captions'"
+        ]
+
+    def test_captions_file_exits_2_naming_the_line(self, tmp_path, capsys):
+        manifest, _ = write_corpus(tmp_path)
+        captions_path = tmp_path / "captions.jsonl"
+        captions_path.write_text('{"audio_id": "train00", "language": "en", "caption": "a", "caption": "b"}\n', "utf-8")
+        argv = ["eval", "--captions", str(captions_path), "--manifest", str(manifest), "--split", "train"]
+        assert main([*argv, "--out", str(tmp_path / "e")]) == 2
+        assert json.loads(capsys.readouterr().err)["items"] == ["line 1: repeated key 'caption'"]
+        assert not (tmp_path / "e").exists()
+
+    def test_checkpoint_meta_exits_2_naming_the_key(self, tmp_path, capsys):
+        _, emb_dir = write_corpus(tmp_path)
+        path = tmp_path / "m.ackp"
+        save_checkpoint(MultilingualModel(tiny_model_config(d_in=8), {Language.EN: word_vocab(["a", "b"])}), path)
+        raw = path.read_bytes()
+        meta_end = 12 + int.from_bytes(raw[8:12], "little")
+        meta_bytes = raw[12 : meta_end - 1] + b', "languages": ["en"]}'
+        path.write_bytes(raw[:4] + struct.pack("<II", 1, len(meta_bytes)) + meta_bytes + raw[meta_end:])
+        argv = ["caption", "--checkpoint", str(path), "--embeddings-dir", str(emb_dir), "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["message"] == f"{path}: bad checkpoint metadata"
+        assert payload["items"] == ["repeated key 'languages'"]
 
 
 class TestRepeatedLanguages:
@@ -1382,8 +1496,9 @@ class TestScipySpecialImport:
 
 
 class TestTrainConfigSchema:
-    """The README's training-config example names every key the reader
-    accepts, so a key added to the schema is documented with it."""
+    """The README's training-config example names every field of the config
+    dataclasses, at every depth, so a field added to the schema is
+    documented with it."""
 
     def test_readme_example_names_the_whole_schema(self, tmp_path):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text("utf-8")
@@ -1392,12 +1507,14 @@ class TestTrainConfigSchema:
         path.write_text(example, "utf-8")
         run = _load_train_config(path)  # reads no file the config names: none exists here
         root = tmp_path.resolve()
-        assert (run.manifest, run.embeddings_dir) == (root / "manifest.jsonl", root / "emb")
+        assert (run.data.manifest, run.data.embeddings_dir) == (root / "manifest.jsonl", root / "emb")
+        assert (run.model, run.train, run.min_count) == (ModelConfig(), TrainConfig(), 1)  # the defaults, as it says
         doc = json.loads(example)
-        train = doc["train"]
-        assert sorted(doc) == sorted(TRAIN_CONFIG_KEYS)
-        assert sorted(doc["data"]) == sorted(TRAIN_DATA_KEYS)
         for obj, config_cls in (
-            (doc["model"], ModelConfig), (train, TrainConfig), (train["specaug"], SpecAugmentConfig)
+            (doc, TrainRun),
+            (doc["data"], TrainData),
+            (doc["model"], ModelConfig),
+            (doc["train"], TrainConfig),
+            (doc["train"]["specaug"], SpecAugmentConfig),
         ):
             assert sorted(obj) == sorted(f.name for f in fields(config_cls)), config_cls.__name__

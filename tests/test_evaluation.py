@@ -456,6 +456,14 @@ class TestHttpEmbedder:
         with pytest.raises(EmbedderError):
             HttpEmbedder("http://embedder.invalid/embed").embed_batch(["x", "y"], Language.EN)
 
+    def test_repeated_key_in_answer_is_embedder_error(self, monkeypatch):
+        # plain json.loads silently kept the second `vectors` list
+        body = b'{"vectors": [[1.0, 0.0], [0.0, 1.0]], "vectors": [[0.0, 1.0], [1.0, 0.0]]}'
+        monkeypatch.setattr(urllib.request, "urlopen", lambda request, timeout: io.BytesIO(body))
+        with pytest.raises(EmbedderError) as info:
+            HttpEmbedder("http://embedder.invalid/embed").embed_batch(["x", "y"], Language.EN)
+        assert info.value.message == "embedding service returned repeated key 'vectors'"
+
 
 class _MalformedHandler(BaseHTTPRequestHandler):
     """Reads each request, then answers with raw bytes that are no valid

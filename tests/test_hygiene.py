@@ -1,8 +1,8 @@
 """Static checks over the package source: no unused import, no
 module-level private function that nothing in the package references, and
 no public module-level function or class, and no public method or property
-of a class, that only the tests use; and no except clause that names
-JSONDecodeError."""
+of a class, that only the tests use; no except clause that names
+JSONDecodeError; and no JSON parse outside `files.parse_json`."""
 
 import ast
 from pathlib import Path
@@ -98,3 +98,24 @@ def test_no_except_clause_names_json_decode_error():
         and "JSONDecodeError" in used_names(handler.type)
     ]
     assert named == []
+
+
+def test_json_is_parsed_only_by_the_one_parser():
+    """`files.parse_json` is the one parser of JSON text: it reports each key
+    repeated within an object, which `json.loads` alone drops silently, and
+    raises only ValueError, which every caller catches. A reader that called
+    `json.load` or `json.loads` itself would skip both rules."""
+    [parser] = [node for node in MODULES["files.py"].body if getattr(node, "name", None) == "parse_json"]
+    inside = {id(node) for node in ast.walk(parser)}
+    elsewhere = [
+        f"{name}:{node.lineno}"
+        for name, tree in MODULES.items()
+        for node in ast.walk(tree)
+        if id(node) not in inside
+        and (
+            isinstance(node, ast.Attribute) and node.attr in ("load", "loads")
+            and isinstance(node.value, ast.Name) and node.value.id == "json"
+            or isinstance(node, ast.ImportFrom) and node.module == "json"
+        )
+    ]
+    assert elsewhere == []

@@ -482,7 +482,7 @@ class TestCheckpoint:
         meta_bytes = json.dumps(meta).encode("utf-8")
         path.write_bytes(raw[:4] + struct.pack("<II", 1, len(meta_bytes)) + meta_bytes + raw[meta_end:])
         # the tensor block a model of the rewritten meta saves
-        wide = MultilingualModel(ModelConfig.from_dict(meta["model_config"]), {Language.EN: tiny_model.vocab(Language.EN)})
+        wide = MultilingualModel(ModelConfig(**meta["model_config"]), {Language.EN: tiny_model.vocab(Language.EN)})
         save_checkpoint(wide, tmp_path / "wide.ackp")
         wide_raw = (tmp_path / "wide.ackp").read_bytes()
         block = len(wide_raw) - 12 - int.from_bytes(wide_raw[8:12], "little")
@@ -504,7 +504,7 @@ class TestCheckpoint:
         raw = (tmp_path / "m.ackp").read_bytes()
         meta = json.loads(raw[12 : 12 + int.from_bytes(raw[8:12], "little")])
         meta["model_config"]["n_layers"] = 4000
-        n = param_report(ModelConfig.from_dict(meta["model_config"]), {Language.EN: vocab.size})["trainable_total"]
+        n = param_report(ModelConfig(**meta["model_config"]), {Language.EN: vocab.size})["trainable_total"]
         meta_bytes = json.dumps(meta).encode("utf-8")
         path = tmp_path / "narrow.ackp"
         path.write_bytes(raw[:4] + struct.pack("<II", 1, len(meta_bytes)) + meta_bytes + bytes(8 * n))

@@ -11,7 +11,7 @@ import oracles
 from conftest import run_epoch_pairs, synthetic_corpus, tiny_model_config
 from polycap import training
 from polycap.autodiff import Tensor
-from polycap.errors import RuntimeFailure, ValidationError
+from polycap.errors import RuntimeFailure, ValidationError, config_from_json
 from polycap.model import MixupDraw, ModelConfig, MultilingualModel
 from polycap.corpus import CaptionManifest, CorpusIndex
 from polycap.text import Language, tokenize
@@ -721,11 +721,17 @@ class TestValidationLoss:
         assert trainer.evaluate_loss(val_index) == float(np.mean(losses))
 
 
+# each config dataclass is read from its JSON object by `config_from_json`,
+# the one reader of `train --config`, `params --config` and a checkpoint's
+# model config
+
+
 @pytest.mark.parametrize("doc", ["x", 5, None, ["epochs"]], ids=["string", "int", "null", "list"])
 @pytest.mark.parametrize("config_cls", [ModelConfig, TrainConfig], ids=["model", "train"])
 def test_config_from_non_object_is_validation_error(config_cls, doc):
-    with pytest.raises(ValidationError, match="expected an object"):
-        config_cls.from_dict(doc)
+    with pytest.raises(ValidationError) as info:
+        config_from_json(config_cls, doc, "bad config")
+    assert info.value.items == [f"expected an object, got {type(doc).__name__}"]
 
 
 @pytest.mark.parametrize(
@@ -738,6 +744,7 @@ def test_config_from_non_object_is_validation_error(config_cls, doc):
         ("adam_betas", [0.9, 0.99, 0.5]),
         ("adam_betas", [0.9, 1.0]),
         ("adam_betas", [0.9, "0.99"]),
+        ("adam_betas", 5),  # once a raw TypeError inside the message's list(betas)
         ("seed", 1.5),
         ("seed", -1),
         ("weight_decay", "x"),
@@ -752,14 +759,14 @@ def test_config_from_non_object_is_validation_error(config_cls, doc):
 )
 def test_train_config_field_types_are_checked(field, value):
     with pytest.raises(ValidationError) as info:
-        TrainConfig.from_dict({field: value})
+        config_from_json(TrainConfig, {field: value}, "bad config")
     assert info.value.exit_code == 2
     assert [item.split("=")[0] for item in info.value.items] == [field]
 
 
 def test_specaug_fields_are_checked():
     with pytest.raises(ValidationError) as info:
-        TrainConfig.from_dict({"specaug": {"n_time_masks": 2.5, "max_time_width": -1}})
+        config_from_json(TrainConfig, {"specaug": {"n_time_masks": 2.5, "max_time_width": -1}}, "bad config")
     assert info.value.items == [
         "specaug.n_time_masks=2.5 must be an integer >= 0",
         "specaug.max_time_width=-1 must be an integer >= 0",
@@ -769,19 +776,36 @@ def test_specaug_fields_are_checked():
 def test_every_bad_train_field_is_listed_in_one_error():
     doc = {"lr0": math.nan, "weight_decay": "x", "specaug": {"max_channel_width": True}}
     with pytest.raises(ValidationError) as info:
-        TrainConfig.from_dict(doc)
+        config_from_json(TrainConfig, doc, "bad config")
     assert [item.split("=")[0] for item in info.value.items] == [
         "lr0", "weight_decay", "specaug.max_channel_width"
     ]
 
 
 def test_valid_optional_fields_are_accepted():
-    cfg = TrainConfig.from_dict({"specaug": None, "weight_decay": 0})
+    cfg = config_from_json(TrainConfig, {"specaug": None, "weight_decay": 0}, "bad config")
     assert cfg.specaug is None
-    assert TrainConfig.from_dict({}).specaug == SpecAugmentConfig()
+    assert config_from_json(TrainConfig, {}, "bad config").specaug == SpecAugmentConfig()
+    assert config_from_json(TrainConfig, {"adam_betas": [0.8, 0.9]}, "bad config").adam_betas == (0.8, 0.9)
 
 
 def test_mixup_lambda_is_no_field():
     # a fixed lambda was once a config field that only tests set
-    with pytest.raises(ValidationError, match="mixup_lambda"):
-        TrainConfig.from_dict({"mixup_lambda": 0.3})
+    with pytest.raises(ValidationError) as info:
+        config_from_json(TrainConfig, {"mixup_lambda": 0.3}, "bad config")
+    assert info.value.items == ["unknown key 'mixup_lambda'"]
+
+
+@pytest.mark.parametrize("specaug", ["x", [1]], ids=["string", "list"])
+def test_a_nested_config_that_is_no_object_is_an_item(specaug):
+    # once a raw TypeError's text as the message, `SpecAugmentConfig(**specaug)`
+    with pytest.raises(ValidationError) as info:
+        config_from_json(TrainConfig, {"specaug": specaug}, "bad config")
+    assert info.value.items == ["'specaug' must be an object"]
+
+
+def test_shape_problems_are_reported_before_any_value():
+    # a bad value is a class's own report, made only once the document's shape is sound
+    with pytest.raises(ValidationError) as info:
+        config_from_json(TrainConfig, {"epochs": 0, "specaug": {"n_time_masks": -1, "width": 2}}, "bad config")
+    assert (info.value.message, info.value.items) == ("bad config", ["unknown key 'specaug.width'"])
