@@ -48,20 +48,16 @@ def _sha256_file(path: Path) -> str:
     return h.hexdigest()
 
 
-def _digest(source: Path | dict[str, Path]) -> str:
-    """Content hash of a file, or of files by name: the hash of their sorted
+def _digest(source: Path | dict) -> str:
+    """Content hash of a file, or of files by name, each a hashlib object
+    that hashed the file's bytes as they were read: the hash of their sorted
     `name:hash` lines."""
     if isinstance(source, dict):
-        lines = sorted(f"{name}:{_sha256_file(path)}" for name, path in source.items())
+        lines = sorted(f"{name}:{digest.hexdigest()}" for name, digest in source.items())
         return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
     if source.is_file():
         return _sha256_file(source)
     raise ValidationError(f"no such input: {source}")
-
-
-def _clip_files(embeddings_dir, audio_ids) -> dict[str, Path]:
-    """The AEMB file of each audio id, by its name in `embeddings_dir`."""
-    return {corpus_mod.clip_name(a): corpus_mod.clip_path(embeddings_dir, a) for a in audio_ids}
 
 
 def _dump_json(obj, path: Path) -> None:
@@ -91,9 +87,9 @@ def _environment() -> dict:
 
 
 def write_run_manifest(out_dir: Path, command: str, config: dict, inputs: dict, seed: int | None = None) -> None:
-    """Write run_manifest.json. Each input is a file Path or a dict of named
-    files (the clips a command read), hashed here, or a hashlib object that
-    already hashed the input's bytes as the command read them."""
+    """Write run_manifest.json. Each input is a file Path, hashed here, or a
+    hashlib object that already hashed the input's bytes as the command read
+    them, or a dict of such objects by file name (the clips a command read)."""
     manifest = {
         "command": command,
         "toolkit_version": polycap.__version__,
@@ -159,10 +155,12 @@ def _build_vocabularies(
 
 def cmd_prepare(args) -> tuple:
     languages = _parse_languages(args.languages, "--languages")
-    index = corpus_mod.CorpusIndex.from_paths(args.manifest, args.embeddings_dir, args.split, languages)
+    clip_digests = {}
+    index = corpus_mod.CorpusIndex.from_paths(args.manifest, args.embeddings_dir, args.split, languages, clip_digests)
+    vocabs = _build_vocabularies(index, languages, args.min_count)  # checks min_count before --out is made
     out_dir = _out_dir(args.out)
     vocab_files = {}
-    for lang, vocab in _build_vocabularies(index, languages, args.min_count).items():
+    for lang, vocab in vocabs.items():
         path = out_dir / f"vocab.{lang.value}.json"
         vocab.save(path)
         vocab_files[lang.value] = {"path": path.name, "size": vocab.size}
@@ -181,8 +179,7 @@ def cmd_prepare(args) -> tuple:
         "min_count": args.min_count,
         "languages": [l.value for l in languages],
     }
-    clips = _clip_files(args.embeddings_dir, index.audio_ids)
-    return out_dir, config, {"manifest": Path(args.manifest), "embeddings_dir": clips}
+    return out_dir, config, {"manifest": Path(args.manifest), "embeddings_dir": clip_digests}
 
 
 def cmd_stats(args) -> tuple | None:
@@ -264,10 +261,11 @@ def cmd_train(args) -> tuple:
     run = _load_train_config(Path(args.config))
     train_cfg = run.train if args.seed is None else replace(run.train, seed=args.seed)
     manifests = corpus_mod.load_manifests(run.data.manifest)
+    clip_digests = {}
 
     def index(split: str) -> corpus_mod.CorpusIndex:
         manifest = corpus_mod.select_split(manifests, split, run.data.manifest)
-        return corpus_mod.CorpusIndex.from_manifest(manifest, run.data.embeddings_dir, run.languages)
+        return corpus_mod.CorpusIndex.from_manifest(manifest, run.data.embeddings_dir, run.languages, clip_digests)
 
     train_index = index(run.data.train_split)
     val_index = index(run.data.val_split) if run.data.val_split else None
@@ -297,9 +295,7 @@ def cmd_train(args) -> tuple:
     print(f"trained {train_cfg.epochs} epochs: loss {first:.4f} -> {last:.4f}; wrote {out_dir}")
     config = asdict(replace(run, train=train_cfg, languages=[l.value for l in run.languages]))
     del config["data"]["manifest"], config["data"]["embeddings_dir"]  # resolved, they would name the machine
-    audio_ids = [*train_index.audio_ids, *(val_index.audio_ids if val_index else ())]
-    inputs = {"manifest": run.data.manifest, "embeddings_dir": _clip_files(run.data.embeddings_dir, audio_ids)}
-    return out_dir, config, inputs, train_cfg.seed
+    return out_dir, config, {"manifest": run.data.manifest, "embeddings_dir": clip_digests}, train_cfg.seed
 
 
 def cmd_caption(args) -> tuple:
@@ -322,7 +318,8 @@ def cmd_caption(args) -> tuple:
         audio_ids = corpus_mod.clip_ids(embeddings_dir)
     if not audio_ids:
         raise ValidationError(f"no embeddings to caption in {embeddings_dir}")
-    clips, problems = corpus_mod.read_embeddings(embeddings_dir, audio_ids)
+    clip_digests = {}
+    clips, problems = corpus_mod.read_embeddings(embeddings_dir, audio_ids, clip_digests)
     d_in = model.config.d_in
     for audio_id, clip in clips.items():
         if clip.shape[1] != d_in:
@@ -352,7 +349,7 @@ def cmd_caption(args) -> tuple:
                 sink.write(json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n")
     print(f"captioned {len(audio_ids)} audios x {len(languages)} languages -> {out_path}")
     config = {"decode_config": decode_config, "languages": [l.value for l in languages]}
-    inputs = {"checkpoint": checkpoint_digest, "embeddings_dir": _clip_files(embeddings_dir, audio_ids)}
+    inputs = {"checkpoint": checkpoint_digest, "embeddings_dir": clip_digests}
     if args.manifest:
         config["split"] = args.split
         inputs["manifest"] = Path(args.manifest)

@@ -13,6 +13,7 @@ driven by caller-owned numpy Generators.
 
 from __future__ import annotations
 
+import hashlib
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -64,14 +65,17 @@ def write_embedding(path: str | Path, seq: EmbeddingSequence) -> None:
     Path(path).write_bytes(header + data.tobytes())
 
 
-def load_embedding(path: str | Path, audio_id: str | None = None) -> EmbeddingSequence:
-    """Parse an AEMB file bit-exactly, validating header and payload."""
+def load_embedding(path: str | Path, audio_id: str | None = None, digest=None) -> EmbeddingSequence:
+    """Parse an AEMB file bit-exactly, validating header and payload.
+    `digest`, a hashlib object, is fed the bytes read, as `load_checkpoint` does."""
     path = Path(path)
     try:
         raw = path.read_bytes()
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         reason = exc.strerror if isinstance(exc, OSError) else exc
         raise EmbeddingFormatError(f"{path}: cannot read embedding file ({reason})") from exc
+    if digest is not None:
+        digest.update(raw)
     if len(raw) < 16:
         raise EmbeddingFormatError(f"{path}: file shorter than the 16-byte AEMB header")
     if raw[:4] != AEMB_MAGIC:
@@ -109,16 +113,20 @@ def clip_ids(embeddings_dir: str | Path) -> list[str]:
 
 
 def read_embeddings(
-    embeddings_dir: str | Path, audio_ids: Sequence[str]
+    embeddings_dir: str | Path, audio_ids: Sequence[str], digests: dict | None = None
 ) -> tuple[dict[str, np.ndarray], dict[str, str]]:
     """Each audio's (frames, dim) matrix from its `clip_path`, and the
-    problem of each audio whose file is absent or cannot be read as AEMB."""
+    problem of each audio whose file is absent or cannot be read as AEMB.
+    `digests`, if given, gains a SHA-256 of the bytes read, by `clip_name`."""
     embeddings: dict[str, np.ndarray] = {}
     problems: dict[str, str] = {}
     for audio_id in audio_ids:
         path = clip_path(embeddings_dir, audio_id)
+        digest = None
+        if digests is not None:  # a fresh hash: train and val splits may share a clip
+            digest = digests[path.name] = hashlib.sha256()
         try:
-            embeddings[audio_id] = load_embedding(path, audio_id).data
+            embeddings[audio_id] = load_embedding(path, audio_id, digest).data
         except EmbeddingFormatError as exc:
             problems[audio_id] = exc.message if path.exists() else f"missing embedding file {path.name}"
     return embeddings, problems
@@ -297,8 +305,9 @@ class CorpusIndex:
         embeddings_dir: str | Path,
         split: str,
         languages: Sequence[Language],
+        digests: dict | None = None,
     ) -> "CorpusIndex":
-        return cls.from_manifest(load_split(manifest_path, split), embeddings_dir, languages)
+        return cls.from_manifest(load_split(manifest_path, split), embeddings_dir, languages, digests)
 
     @classmethod
     def from_manifest(
@@ -306,9 +315,10 @@ class CorpusIndex:
         manifest: CaptionManifest,
         embeddings_dir: str | Path,
         languages: Sequence[Language],
+        digests: dict | None = None,
     ) -> "CorpusIndex":
-        """An index over an already loaded split, reading its embeddings."""
-        embeddings, file_problems = read_embeddings(embeddings_dir, manifest.audio_ids)
+        """An index over an already loaded split, reading (and hashing, see `read_embeddings`) its embeddings."""
+        embeddings, file_problems = read_embeddings(embeddings_dir, manifest.audio_ids, digests)
         if file_problems:  # raises, with every other problem of the split too
             _check_split(manifest, embeddings, languages, file_problems)
         return cls(manifest=manifest, embeddings=embeddings, languages=tuple(languages))

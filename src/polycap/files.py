@@ -43,7 +43,9 @@ def parse_json(text: str) -> tuple[object, list[str]]:
     repeated = []
 
     def unique_keys(pairs: list) -> dict:
-        repeated.extend(f"repeated key {key!r}" for key, n in Counter(k for k, _ in pairs).items() if n > 1)
-        return dict(pairs)
+        obj = dict(pairs)
+        if len(obj) < len(pairs):  # only a repeated key shrinks the dict
+            repeated.extend(f"repeated key {key!r}" for key, n in Counter(k for k, _ in pairs).items() if n > 1)
+        return obj
 
     return json.loads(text, object_pairs_hook=unique_keys), repeated

@@ -41,14 +41,14 @@ class Language(str, Enum):
 
     @classmethod
     def parse(cls, code: str) -> "Language":
-        try:
-            return cls(code.strip().lower())
-        except ValueError:
-            known = ", ".join(lang.value for lang in cls)
-            raise ValidationError(f"unknown language code {code!r} (known: {known})") from None
+        lang = _BY_CODE.get(code.strip().lower())
+        if lang is None:
+            raise ValidationError(f"unknown language code {code!r} (known: {', '.join(_BY_CODE)})")
+        return lang
 
 
 _LANGUAGE_ORDER = tuple(Language)
+_BY_CODE = {lang.value: lang for lang in Language}
 
 
 def repeated_languages(languages: Sequence[Language]) -> list[str]:
@@ -59,20 +59,27 @@ def repeated_languages(languages: Sequence[Language]) -> list[str]:
 
 # Word tokens: runs of word characters, optionally joined by internal hyphens.
 _TOKEN_RE = re.compile(r"\w+(?:-\w+)*", re.UNICODE)
-_APOSTROPHES = "'’ʼ"
+_APOSTROPHES = "'’ʼ"  # each splits a word; U+02BC is a letter, so `\w` alone would keep it
 
 
 def tokenize(text: str) -> list[str]:
-    """Split text into lowercase word tokens.
-
-    Punctuation is stripped, apostrophes split the word and empty pieces are
-    dropped, intra-word hyphens are kept. Empty input gives an empty list.
+    """Split text into lowercase word tokens: the matches of `_TOKEN_RE` once
+    each apostrophe is a space, so punctuation is stripped and intra-word
+    hyphens are kept. No token spans whitespace, and a word of `isalnum`
+    characters (each a `\\w` but `_`) is one whole token, so only the other
+    words reach the regex. Empty input gives an empty list.
     """
     lowered = text.lower()
     for ch in _APOSTROPHES:
         if ch in lowered:
             lowered = lowered.replace(ch, " ")
-    return _TOKEN_RE.findall(lowered)
+    tokens = []
+    for word in lowered.split():
+        if word.isalnum():
+            tokens.append(word)
+        else:
+            tokens += _TOKEN_RE.findall(word)
+    return tokens
 
 
 @dataclass(frozen=True)
@@ -157,10 +164,8 @@ def build_vocabulary(corpus: Iterable[Sequence[str]], min_count: int = 1) -> Voc
     counts: Counter[str] = Counter()
     for caption in corpus:
         counts.update(caption)
-    kept = sorted(
-        (tok for tok, c in counts.items() if c >= min_count),
-        key=lambda tok: (-counts[tok], tok),
-    )
+    # a stable sort by count keeps equal counts in the token order of the first sort
+    kept = sorted(sorted(tok for tok, c in counts.items() if c >= min_count), key=counts.__getitem__, reverse=True)
     return Vocabulary.from_tokens([*SPECIAL_TOKENS, *kept])
 
 

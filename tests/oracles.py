@@ -6,14 +6,16 @@ central finite differences, the softmax, log-softmax, LayerNorm, dropout then
 add then LayerNorm, GELU and multi-head attention spelled out as chains of
 separate steps with the chain rule run back through each step, and the
 label-smoothed loss as a dense coefficient array times the log-softmax,
-AdamW as whole-array textbook formulas, and a seed's initial parameters drawn
-one module after another. These deliberately share no code with the package
-paths they verify.
+AdamW as whole-array textbook formulas, a seed's initial parameters drawn
+one module after another, the tokenizer as one regex pass over the whole
+text, and the vocabulary order as one sort by (-count, token). These
+deliberately share no code with the package paths they verify.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
 from typing import Callable, Mapping, Sequence
 
@@ -572,3 +574,19 @@ def initial_parameters(
         out[f"heads.{code}.embedding.weight"] = uniform(d_model, (size, d_model))
         dense(f"heads.{code}.classifier", d_model, size)
     return out
+
+
+def regex_tokenize(text: str) -> list[str]:
+    """Lowercase, every apostrophe turned into a space, then each run of word
+    characters, optionally joined by internal hyphens, in one regex pass."""
+    lowered = text.lower()
+    for apostrophe in "'’ʼ":
+        lowered = lowered.replace(apostrophe, " ")
+    return re.findall(r"\w+(?:-\w+)*", lowered)
+
+
+def vocabulary_order(corpus: Sequence[Sequence[str]], min_count: int) -> list[str]:
+    """The word tokens seen at least `min_count` times, by count descending,
+    equal counts by token."""
+    counts = Counter(tok for caption in corpus for tok in caption)
+    return sorted((tok for tok, c in counts.items() if c >= min_count), key=lambda tok: (-counts[tok], tok))

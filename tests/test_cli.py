@@ -128,6 +128,20 @@ class TestPrepare:
             "train03: no fr captions",
         ]
 
+    @pytest.mark.parametrize("min_count", ["0", "-3"])
+    def test_min_count_below_one_exits_2_and_makes_no_out(self, min_count, tmp_path, capsys):
+        # the vocabularies, which check min_count, were once built after --out was made
+        manifest, emb_dir = write_corpus(tmp_path)
+        out = tmp_path / "prep"
+        code = main([
+            "prepare", "--manifest", str(manifest), "--embeddings-dir", str(emb_dir),
+            "--languages", "en,fr", "--min-count", min_count, "--out", str(out),
+        ])
+        assert code == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload == {"error": "ValidationError", "message": f"min_count must be >= 1, got {min_count}"}
+        assert not out.exists()
+
     def test_empty_language_list_is_usage_error(self, tmp_path, capsys):
         manifest, emb_dir = write_corpus(tmp_path)
         code = main([
@@ -177,6 +191,36 @@ class TestRunManifest:
         digests = json.loads((cap / "run_manifest.json").read_text())["input_digests"]
         assert digests["checkpoint"] == hashlib.sha256(checkpoint.read_bytes()).hexdigest()
         assert digests["embeddings_dir"] == clips_digest(emb_dir)  # the glob read every clip
+
+    @pytest.mark.parametrize("command", ["prepare", "train", "caption"])
+    def test_no_clip_file_is_read_twice(self, command, tmp_path, monkeypatch):
+        # the manifest's clip digests once came from a second read of every
+        # clip; now they hash the bytes the command parsed
+        from polycap import cli, corpus
+
+        manifest, emb_dir = write_corpus(tmp_path)
+        config = write_train_config(tmp_path, manifest, emb_dir, epochs=1)
+        doc = json.loads(config.read_text())
+        doc["data"]["val_split"] = "test"
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        checkpoint = tmp_path / "m.ackp"
+        save_checkpoint(MultilingualModel(tiny_model_config(d_in=8), {Language.EN: word_vocab(["a"])}), checkpoint)
+        reads = []
+        real_load, real_hash = corpus.load_embedding, cli._sha256_file
+        monkeypatch.setattr(corpus, "load_embedding", lambda path, *rest: reads.append(path) or real_load(path, *rest))
+        monkeypatch.setattr(cli, "_sha256_file", lambda path: reads.append(path) or real_hash(path))
+        out = tmp_path / "out"
+        argv = {
+            "prepare": ["prepare", "--manifest", str(manifest), "--embeddings-dir", str(emb_dir), "--languages", "en"],
+            "train": ["train", "--config", str(config)],
+            "caption": ["caption", "--checkpoint", str(checkpoint), "--embeddings-dir", str(emb_dir),
+                        "--beam-size", "1", "--max-len", "3"],
+        }[command]
+        assert main([*argv, "--out", str(out)]) == 0
+        clips = sorted(path.name for path in reads if path.suffix == ".aemb")
+        assert clips == sorted(p.name for p in emb_dir.glob("train*.aemb" if command == "prepare" else "*.aemb"))
+        digest = json.loads((out / "run_manifest.json").read_text())["input_digests"]["embeddings_dir"]
+        assert digest == clips_digest(emb_dir, "train" if command == "prepare" else "")
 
     def test_caption_with_a_manifest_records_the_manifest_split_and_clips(self, tmp_path):
         manifest, emb_dir = write_corpus(tmp_path)
@@ -416,7 +460,8 @@ class TestTrainCaptionEval:
         # a wrong-dim clip once failed in the decoder after every earlier clip
         # was decoded, naming no clip, and the clips after it went unread
         manifest, emb_dir = write_corpus(tmp_path)
-        save_checkpoint(MultilingualModel(tiny_model_config(d_in=8), {Language.EN: word_vocab(["a"])}), tmp_path / "m.ackp")
+        checkpoint = tmp_path / "m.ackp"
+        save_checkpoint(MultilingualModel(tiny_model_config(d_in=8), {Language.EN: word_vocab(["a"])}), checkpoint)
         (emb_dir / "test00.aemb").unlink()
         if source == "glob":  # a dangling link is globbed but absent
             (emb_dir / "test00.aemb").symlink_to("nowhere.aemb")
@@ -955,6 +1000,17 @@ class TestManifestCommand:
         assert configs[0]["data"] == {"train_split": "train", "val_split": None}
         assert sorted(configs[0]) == ["data", "languages", "min_count", "model", "train"]
 
+    def test_seed_flag_trains_as_the_config_seed(self, tmp_path, capsys):
+        manifest, emb_dir = write_corpus(tmp_path)
+        flagged = write_train_config(tmp_path, manifest, emb_dir, epochs=2, seed=7)
+        assert main(["train", "--config", str(flagged), "--seed", "5", "--out", str(tmp_path / "flag")]) == 0
+        configured = write_train_config(tmp_path, manifest, emb_dir, epochs=2, seed=5)
+        assert main(["train", "--config", str(configured), "--out", str(tmp_path / "conf")]) == 0
+        flag, conf = (tmp_path / "flag", tmp_path / "conf")
+        assert (flag / "checkpoint.ackp").read_bytes() == (conf / "checkpoint.ackp").read_bytes()
+        record = json.loads((flag / "run_manifest.json").read_text())
+        assert record["seed"] == 5 and record["config"]["train"]["seed"] == 5
+
     @pytest.mark.parametrize("command", ["stats", "params", "compare-langs"])
     def test_no_out_writes_no_manifest(self, command, tmp_path, embed_endpoint, monkeypatch, capsys):
         argv = [command, *command_argv(command, tmp_path, embed_endpoint)]
@@ -1232,6 +1288,27 @@ class TestRepeatedJsonKeys:
         assert payload["items"] == [
             "line 2: repeated key 'en'", "line 2: repeated key 'audio_id'", "line 3: repeated key 'captions'"
         ]
+
+    @pytest.mark.parametrize("where", ["manifest", "config"])
+    def test_key_repeated_only_in_a_nested_object_exits_2(self, where, tmp_path, capsys):
+        # the keys are counted only when an object's dict comes out shorter
+        # than its pairs; the outer objects here repeat nothing
+        manifest, emb_dir = write_corpus(tmp_path)
+        config = write_train_config(tmp_path, manifest, emb_dir, epochs=1)
+        if where == "manifest":
+            lines = manifest.read_text("utf-8").splitlines()
+            line = '{"audio_id": "b", "split": "train", "captions": {"en": ["x"], "fr": ["y"], "en": ["z"]}}'
+            manifest.write_text("\n".join([lines[0], line, *lines[1:]]) + "\n", "utf-8")
+            argv = ["stats", "--manifest", str(manifest), "--languages", "en"]
+            message, items = f"manifest {manifest} failed validation", ["line 2: repeated key 'en'"]
+        else:
+            text = config.read_text()
+            config.write_text(text.replace('"specaug": null', '"specaug": {"n_time_masks": 1, "n_time_masks": 2}'))
+            argv = ["train", "--config", str(config)]
+            message, items = f"config {config} repeats keys", ["repeated key 'n_time_masks'"]
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 2
+        assert json.loads(capsys.readouterr().err) == {"error": "ValidationError", "message": message, "items": items}
+        assert not (tmp_path / "o").exists()
 
     def test_captions_file_exits_2_naming_the_line(self, tmp_path, capsys):
         manifest, _ = write_corpus(tmp_path)

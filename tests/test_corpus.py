@@ -1,3 +1,4 @@
+import hashlib
 import json
 import struct
 
@@ -110,6 +111,25 @@ class TestReadEmbeddings:
         assert problems["short"] == f"{tmp_path / 'short.aemb'}: payload length mismatch, header implies 48 bytes, found 47"
         assert problems["dir"].startswith(f"{tmp_path / 'dir.aemb'}: cannot read embedding file")
         assert list(problems) == ["gone", "short", "dir", "nul\0id"]
+
+    def test_digests_hash_the_bytes_of_each_clip_read(self, tmp_path):
+        for i, audio_id in enumerate(("b", "a", "c")):
+            write_embedding(clip_path(tmp_path, audio_id), make_seq(audio_id, frames=2 + i, dim=3, seed=i))
+        digests = {"kept.aemb": "left as it was"}
+        embeddings, problems = read_embeddings(tmp_path, ["b", "a", "c"], digests)
+        assert problems == {} and list(embeddings) == ["b", "a", "c"]
+        assert digests.pop("kept.aemb") == "left as it was"
+        assert {name: d.hexdigest() for name, d in digests.items()} == {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(tmp_path.glob("*.aemb"))
+        }
+
+    def test_clip_read_twice_is_hashed_once(self, tmp_path):
+        # train and val splits may share a clip: its digest is of one read, not two fed to one hash
+        write_embedding(clip_path(tmp_path, "a"), make_seq("a", frames=2, dim=3))
+        digests = {}
+        read_embeddings(tmp_path, ["a"], digests)
+        read_embeddings(tmp_path, ["a"], digests)
+        assert digests["a.aemb"].hexdigest() == hashlib.sha256(clip_path(tmp_path, "a").read_bytes()).hexdigest()
 
     def test_clip_ids_are_the_sorted_stems_their_paths_name(self, tmp_path):
         for audio_id in ("b", "a.x", "c"):

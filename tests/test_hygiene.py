@@ -2,16 +2,20 @@
 module-level private function that nothing in the package references, and
 no public module-level function or class, and no public method or property
 of a class, that only the tests use; no except clause that names
-JSONDecodeError; and no JSON parse outside `files.parse_json`."""
+JSONDecodeError; no JSON parse outside `files.parse_json`; and no CLI
+option that no test or bench run passes."""
 
+import argparse
 import ast
 from pathlib import Path
 
 import polycap
+from polycap.cli import build_parser
 
 SRC = Path(polycap.__file__).resolve().parent
 MODULES = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
-BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TESTS = Path(__file__).resolve().parent
+BENCH = TESTS.parent / "perfbench"
 
 
 def used_names(tree: ast.AST) -> set[str]:
@@ -119,3 +123,32 @@ def test_json_is_parsed_only_by_the_one_parser():
         )
     ]
     assert elsewhere == []
+
+
+def test_every_cli_option_is_passed_by_some_run():
+    """Each option of each `polycap` subcommand appears in some list or
+    tuple literal that starts with that subcommand (an argv, or a test's
+    (command, option, ...) parameters), in the tests, the golden pin script
+    or the bench workloads. An option no run passes is untested:
+    `prepare --min-count` once left an empty `--out` behind unseen."""
+    [commands] = [a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        (name, option)
+        for name, sub in commands.items()
+        for action in sub._actions
+        for option in action.option_strings
+        if option not in ("-h", "--help")
+    }
+    passed = set()
+    for path in [*sorted(TESTS.glob("*.py")), TESTS / "golden" / "pin.py", BENCH / "workloads.py"]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.List, ast.Tuple)) or not node.elts:
+                continue
+            command, *rest = node.elts
+            if isinstance(command, ast.Constant) and command.value in commands:
+                passed.update(
+                    (command.value, e.value.split("=")[0])
+                    for e in rest
+                    if isinstance(e, ast.Constant) and isinstance(e.value, str)
+                )
+    assert sorted(options - passed) == []

@@ -1,9 +1,10 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import regex_tokenize, vocabulary_order
 from polycap.errors import ValidationError
 from polycap.text import (
     SPECIAL_TOKENS,
@@ -51,6 +52,18 @@ class TestTokenize:
     def test_punctuation_stripped(self):
         assert tokenize("dogs, (really!) bark; loudly?") == ["dogs", "really", "bark", "loudly"]
 
+    # the characters where a per-word fast path could part from one regex pass:
+    # whitespace that is no ASCII space, hyphens, the three apostrophes, a
+    # combining mark, a letter whose lowercase form gains one, digits and `_`
+    EDGE_CHARACTERS = list("\u2028\x1c\x85 -'’ʼ\u0301İ07²_aé.")
+
+    @settings(max_examples=500, derandomize=True)
+    @given(st.text(alphabet=st.one_of(st.characters(), st.sampled_from(EDGE_CHARACTERS)), max_size=40))
+    @example("l'eau d’une rivière ʼn")
+    @example("İstanbul i\u0301 well-known -x- a--b __ a_b 3-2 x²\u2028y\x1cz")
+    def test_equals_one_regex_pass(self, s):
+        assert tokenize(s) == regex_tokenize(s)
+
     @settings(max_examples=200, derandomize=True)
     @given(st.text(max_size=60))
     def test_idempotent_on_own_output(self, s):
@@ -81,6 +94,17 @@ class TestBuildVocabulary:
     def test_deterministic(self):
         corpus = [["b", "a"], ["a", "c"], ["c", "b", "a"]]
         assert build_vocabulary(corpus).tokens == build_vocabulary(list(corpus)).tokens
+
+    @settings(max_examples=300, derandomize=True)
+    @given(
+        # few distinct tokens over many captions: most counts tie
+        st.lists(st.lists(st.sampled_from(["a", "b", "B", "ab", "aa", "é", "e", "z", "-", "10", "9"]), max_size=6),
+                 max_size=30),
+        st.sampled_from([1, 2, 3, 5]),
+    )  # fmt: skip
+    def test_order_is_count_descending_then_token(self, corpus, min_count):
+        vocab = build_vocabulary(corpus, min_count=min_count)
+        assert list(vocab.tokens) == [*SPECIAL_TOKENS, *vocabulary_order(corpus, min_count)]
 
 
 class TestEncodeDecode:
