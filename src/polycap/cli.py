@@ -40,24 +40,14 @@ from polycap.text import (
 )
 
 
-def _sha256_file(path: Path) -> str:
-    h = hashlib.sha256()
-    with path.open("rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
-def _digest(source: Path | dict) -> str:
-    """Content hash of a file, or of files by name, each a hashlib object
-    that hashed the file's bytes as they were read: the hash of their sorted
-    `name:hash` lines."""
+def _digest(source) -> str:
+    """Content hash of an input, a hashlib object that hashed its bytes as
+    they were read, or of files by name, each such an object: the hash of
+    their sorted `name:hash` lines."""
     if isinstance(source, dict):
         lines = sorted(f"{name}:{digest.hexdigest()}" for name, digest in source.items())
         return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
-    if source.is_file():
-        return _sha256_file(source)
-    raise ValidationError(f"no such input: {source}")
+    return source.hexdigest()
 
 
 def _dump_json(obj, path: Path) -> None:
@@ -87,18 +77,15 @@ def _environment() -> dict:
 
 
 def write_run_manifest(out_dir: Path, command: str, config: dict, inputs: dict, seed: int | None = None) -> None:
-    """Write run_manifest.json. Each input is a file Path, hashed here, or a
-    hashlib object that already hashed the input's bytes as the command read
-    them, or a dict of such objects by file name (the clips a command read)."""
+    """Write run_manifest.json. Each input is a hashlib object that hashed
+    the input's bytes as the command read them, or a dict of such objects by
+    file name (the clips a command read)."""
     manifest = {
         "command": command,
         "toolkit_version": polycap.__version__,
         "seed": seed,
         "config": config,
-        "input_digests": {
-            label: _digest(source) if isinstance(source, (Path, dict)) else source.hexdigest()
-            for label, source in inputs.items()
-        },
+        "input_digests": {label: _digest(source) for label, source in inputs.items()},
         "environment": _environment(),
         "timestamp_unix": time.time(),
     }
@@ -155,8 +142,9 @@ def _build_vocabularies(
 
 def cmd_prepare(args) -> tuple:
     languages = _parse_languages(args.languages, "--languages")
-    clip_digests = {}
-    index = corpus_mod.CorpusIndex.from_paths(args.manifest, args.embeddings_dir, args.split, languages, clip_digests)
+    manifest_digest, clip_digests = hashlib.sha256(), {}
+    manifest = corpus_mod.load_split(args.manifest, args.split, manifest_digest)
+    index = corpus_mod.CorpusIndex.from_manifest(manifest, args.embeddings_dir, languages, clip_digests)
     vocabs = _build_vocabularies(index, languages, args.min_count)  # checks min_count before --out is made
     out_dir = _out_dir(args.out)
     vocab_files = {}
@@ -179,12 +167,13 @@ def cmd_prepare(args) -> tuple:
         "min_count": args.min_count,
         "languages": [l.value for l in languages],
     }
-    return out_dir, config, {"manifest": Path(args.manifest), "embeddings_dir": clip_digests}
+    return out_dir, config, {"manifest": manifest_digest, "embeddings_dir": clip_digests}
 
 
 def cmd_stats(args) -> tuple | None:
     languages = _parse_languages(args.languages, "--languages")
-    manifests = corpus_mod.load_manifests(args.manifest)
+    manifest_digest = hashlib.sha256()
+    manifests = corpus_mod.load_manifests(args.manifest, manifest_digest)
     rows = [corpus_mod.compute_stats(manifests, lang, args.split) for lang in languages]
     print(f"{'lang':<6}{'split':<8}{'sent.length':>12}{'word types':>12}{'captions':>10}")
     for r in rows:
@@ -196,7 +185,7 @@ def cmd_stats(args) -> tuple | None:
         out_dir = _out_dir(args.out)
         _dump_json(rows, out_dir / "stats.json")
         config = {"split": args.split, "languages": [l.value for l in languages]}
-        return out_dir, config, {"manifest": Path(args.manifest)}
+        return out_dir, config, {"manifest": manifest_digest}
     return None
 
 
@@ -260,8 +249,8 @@ def _load_train_config(path: Path) -> TrainRun:
 def cmd_train(args) -> tuple:
     run = _load_train_config(Path(args.config))
     train_cfg = run.train if args.seed is None else replace(run.train, seed=args.seed)
-    manifests = corpus_mod.load_manifests(run.data.manifest)
-    clip_digests = {}
+    manifest_digest, clip_digests = hashlib.sha256(), {}
+    manifests = corpus_mod.load_manifests(run.data.manifest, manifest_digest)
 
     def index(split: str) -> corpus_mod.CorpusIndex:
         manifest = corpus_mod.select_split(manifests, split, run.data.manifest)
@@ -295,7 +284,7 @@ def cmd_train(args) -> tuple:
     print(f"trained {train_cfg.epochs} epochs: loss {first:.4f} -> {last:.4f}; wrote {out_dir}")
     config = asdict(replace(run, train=train_cfg, languages=[l.value for l in run.languages]))
     del config["data"]["manifest"], config["data"]["embeddings_dir"]  # resolved, they would name the machine
-    return out_dir, config, {"manifest": run.data.manifest, "embeddings_dir": clip_digests}, train_cfg.seed
+    return out_dir, config, {"manifest": manifest_digest, "embeddings_dir": clip_digests}, train_cfg.seed
 
 
 def cmd_caption(args) -> tuple:
@@ -312,8 +301,9 @@ def cmd_caption(args) -> tuple:
     # too big for memory fails before any clip
     cfg = decoding.fit_decode_config(model, languages, cfg)
     embeddings_dir = Path(args.embeddings_dir)
+    manifest_digest = hashlib.sha256()
     if args.manifest:
-        audio_ids = corpus_mod.load_split(args.manifest, args.split).audio_ids
+        audio_ids = corpus_mod.load_split(args.manifest, args.split, manifest_digest).audio_ids
     else:
         audio_ids = corpus_mod.clip_ids(embeddings_dir)
     if not audio_ids:
@@ -352,17 +342,18 @@ def cmd_caption(args) -> tuple:
     inputs = {"checkpoint": checkpoint_digest, "embeddings_dir": clip_digests}
     if args.manifest:
         config["split"] = args.split
-        inputs["manifest"] = Path(args.manifest)
+        inputs["manifest"] = manifest_digest
     return out_dir, config, inputs
 
 
-def _read_captions_jsonl(path: Path) -> dict[Language, dict[str, str]]:
-    """Captions by language and audio id. Every malformed or repeated
-    (audio_id, language) line is reported, itemized, in one ValidationError."""
+def _read_captions_jsonl(path: Path, digest) -> dict[Language, dict[str, str]]:
+    """Captions by language and audio id, the file's bytes fed to `digest`.
+    Every malformed or repeated (audio_id, language) line is reported,
+    itemized, in one ValidationError."""
     out: dict[Language, dict[str, str]] = {}
     first_line: dict[tuple[Language, str], int] = {}
     problems: list[str] = []
-    for lineno, obj in corpus_mod.jsonl_objects(path, "captions file", problems):
+    for lineno, obj in corpus_mod.jsonl_objects(path, "captions file", problems, digest):
         audio_id, code, caption = obj.get("audio_id"), obj.get("language"), obj.get("caption")
         if not isinstance(audio_id, str) or not audio_id:
             problems.append(f"line {lineno}: audio_id must be a non-empty string")
@@ -389,8 +380,9 @@ def _read_captions_jsonl(path: Path) -> dict[Language, dict[str, str]]:
 
 
 def cmd_eval(args) -> tuple:
-    candidates = _read_captions_jsonl(Path(args.captions))
-    manifest = corpus_mod.load_split(args.manifest, args.split)
+    captions_digest, manifest_digest = hashlib.sha256(), hashlib.sha256()
+    candidates = _read_captions_jsonl(Path(args.captions), captions_digest)
+    manifest = corpus_mod.load_split(args.manifest, args.split, manifest_digest)
     references = {
         lang: {audio_id: list(caps[lang]) for audio_id, caps in manifest.entries.items() if lang in caps}
         for lang in candidates
@@ -408,7 +400,7 @@ def cmd_eval(args) -> tuple:
             f"{code}: CIDEr-D {s['cider_d_raw']:.4f} (raw) / {s['cider_d_pct']:.1f}% "
             f"SBERT-sim {sim} on {s['n_items']} items"
         )
-    return out_dir, config, {"captions": Path(args.captions), "manifest": Path(args.manifest)}
+    return out_dir, config, {"captions": captions_digest, "manifest": manifest_digest}
 
 
 def _parse_vocab_sizes(spec: str) -> dict[Language, int]:
@@ -472,7 +464,8 @@ def cmd_params(args) -> tuple | None:
 
 
 def cmd_compare_langs(args) -> tuple | None:
-    captions = _read_captions_jsonl(Path(args.captions))
+    captions_digest = hashlib.sha256()
+    captions = _read_captions_jsonl(Path(args.captions), captions_digest)
     base = Language.parse(args.base)
     provider = evaluation.HttpEmbedder(args.endpoint)
     result = evaluation.cross_language_similarity(captions, base, provider)
@@ -482,7 +475,7 @@ def cmd_compare_langs(args) -> tuple | None:
     if args.out:
         out_dir = _out_dir(args.out)
         _dump_json({"base": base.value, "similarity_pct": table}, out_dir / "cross_language.json")
-        return out_dir, {"base": base.value, "endpoint": args.endpoint}, {"captions": Path(args.captions)}
+        return out_dir, {"base": base.value, "endpoint": args.endpoint}, {"captions": captions_digest}
     return None
 
 

@@ -22,7 +22,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from polycap.errors import ValidationError
-from polycap.files import parse_json
+from polycap.files import atomic_write, parse_json
 from polycap.text import Language, repeated_languages, tokenize
 
 AEMB_MAGIC = b"AEMB"
@@ -61,8 +61,9 @@ class EmbeddingSequence:
 def write_embedding(path: str | Path, seq: EmbeddingSequence) -> None:
     """Serialize an embedding sequence to the AEMB binary format."""
     data = np.ascontiguousarray(seq.data, dtype="<f4")
-    header = AEMB_MAGIC + struct.pack("<III", AEMB_VERSION, seq.dim, seq.frames)
-    Path(path).write_bytes(header + data.tobytes())
+    with atomic_write(path, binary=True) as f:
+        f.write(AEMB_MAGIC + struct.pack("<III", AEMB_VERSION, seq.dim, seq.frames))
+        f.write(memoryview(data).cast("B"))
 
 
 def load_embedding(path: str | Path, audio_id: str | None = None, digest=None) -> EmbeddingSequence:
@@ -160,18 +161,25 @@ class CaptionManifest:
             ) from None
 
 
-def read_text(path: str | Path, what: str) -> str:
-    """A UTF-8 input file's text; a missing or undecodable file is a ValidationError."""
+def read_text(path: str | Path, what: str, digest=None) -> str:
+    """A UTF-8 input file's text, newlines translated as `Path.read_text`
+    does; a missing or undecodable file is a ValidationError. `digest`, a
+    hashlib object, is fed the bytes read, as `load_embedding` does."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        raw = Path(path).read_bytes()
+        text = raw.decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {what} {path}: {exc}") from exc
+    if digest is not None:
+        digest.update(raw)
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def jsonl_objects(path: Path, what: str, problems: list[str]) -> Iterator[tuple[int, dict]]:
-    """(line number, object) of each non-blank line of a JSON-Lines file; a
-    line that is no JSON object, or repeats a key, is reported in `problems`."""
-    for lineno, line in enumerate(read_text(path, what).splitlines(), start=1):
+def jsonl_objects(path: Path, what: str, problems: list[str], digest=None) -> Iterator[tuple[int, dict]]:
+    """(line number, object) of each non-blank line of a JSON-Lines file (its
+    bytes fed to `digest`, see `read_text`); a line that is no JSON object,
+    or repeats a key, is reported in `problems`."""
+    for lineno, line in enumerate(read_text(path, what, digest).splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
@@ -187,8 +195,9 @@ def jsonl_objects(path: Path, what: str, problems: list[str]) -> Iterator[tuple[
             yield lineno, obj
 
 
-def load_manifests(path: str | Path) -> dict[str, CaptionManifest]:
-    """Read a JSON-Lines manifest into per-split manifests.
+def load_manifests(path: str | Path, digest=None) -> dict[str, CaptionManifest]:
+    """Read a JSON-Lines manifest into per-split manifests, feeding its bytes
+    to `digest` (see `read_text`).
 
     Fails fast on duplicate audio ids within a split, unknown languages,
     unknown splits and empty caption lists.
@@ -197,7 +206,7 @@ def load_manifests(path: str | Path) -> dict[str, CaptionManifest]:
     per_split: dict[str, dict[str, dict[Language, tuple[str, ...]]]] = {}
     first_line: dict[tuple[str, str], int] = {}
     problems: list[str] = []
-    for lineno, obj in jsonl_objects(path, "manifest", problems):
+    for lineno, obj in jsonl_objects(path, "manifest", problems, digest):
         audio_id = obj.get("audio_id")
         split = obj.get("split")
         captions = obj.get("captions")
@@ -243,9 +252,9 @@ def select_split(
     return manifests[split]
 
 
-def load_split(path: str | Path, split: str) -> CaptionManifest:
-    """The manifest of one split of the file at `path`."""
-    return select_split(load_manifests(path), split, path)
+def load_split(path: str | Path, split: str, digest=None) -> CaptionManifest:
+    """The manifest of one split of the file at `path` (hashed into `digest`, see `read_text`)."""
+    return select_split(load_manifests(path, digest), split, path)
 
 
 def compute_stats(manifests: Mapping[str, CaptionManifest], language: Language, split: str) -> dict:

@@ -1,22 +1,42 @@
 """Atomic output files, and the one parser of JSON input.
 
 `atomic_write` writes to a temporary file in the target's directory and moves
-it over the target with one `os.replace` once the write has finished, so a
-crash mid-write never leaves a half-written file. If anything fails first,
-the temporary file is removed and the previous file, if any, is left as it
-was. This guards against the process failing; it does not fsync, so it makes
-no promise across a power loss.
+it to the target once the write has finished, so at every instant the path
+names a whole file, old or new. Over a regular file the move is one
+`renameat2` RENAME_EXCHANGE, then an unlink of the old file, now under the
+temporary name: ext4 (`auto_da_alloc`) writes a file's data out inside a
+rename over another file, a wait the exchange does not take. Otherwise, or
+if the exchange fails, it is one `os.replace`. If anything fails first, the
+temporary file is removed and the previous file, if any, is left as it was.
+This guards against the process failing; it does not fsync, so it makes no
+promise across a power loss.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import json
 import os
 import secrets
 from collections import Counter
 from pathlib import Path
 from typing import IO, Iterator
+
+try:  # glibc 2.28+; None where libc lacks it
+    _renameat2 = ctypes.CDLL(None).renameat2
+except (AttributeError, OSError):
+    _renameat2 = None
+_AT_FDCWD, _RENAME_EXCHANGE = -100, 2
+
+
+def _move_into_place(tmp: Path, path: Path) -> None:
+    """Move the finished file `tmp` to `path` (see the module docstring)."""
+    exchange = _renameat2 is not None and path.is_file() and not path.is_symlink()  # a regular file
+    if exchange and _renameat2(_AT_FDCWD, os.fsencode(tmp), _AT_FDCWD, os.fsencode(path), _RENAME_EXCHANGE) == 0:
+        os.unlink(tmp)  # the old file, now under the temporary name
+    else:
+        os.replace(tmp, path)
 
 
 @contextlib.contextmanager
@@ -29,7 +49,7 @@ def atomic_write(path: str | Path, binary: bool = False) -> Iterator[IO]:
     try:
         with f:
             yield f
-        os.replace(tmp, path)
+        _move_into_place(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)

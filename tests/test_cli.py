@@ -1,4 +1,6 @@
+import builtins
 import hashlib
+import io
 import json
 import os
 import resource
@@ -196,7 +198,7 @@ class TestRunManifest:
     def test_no_clip_file_is_read_twice(self, command, tmp_path, monkeypatch):
         # the manifest's clip digests once came from a second read of every
         # clip; now they hash the bytes the command parsed
-        from polycap import cli, corpus
+        from polycap import corpus
 
         manifest, emb_dir = write_corpus(tmp_path)
         config = write_train_config(tmp_path, manifest, emb_dir, epochs=1)
@@ -206,9 +208,8 @@ class TestRunManifest:
         checkpoint = tmp_path / "m.ackp"
         save_checkpoint(MultilingualModel(tiny_model_config(d_in=8), {Language.EN: word_vocab(["a"])}), checkpoint)
         reads = []
-        real_load, real_hash = corpus.load_embedding, cli._sha256_file
+        real_load = corpus.load_embedding
         monkeypatch.setattr(corpus, "load_embedding", lambda path, *rest: reads.append(path) or real_load(path, *rest))
-        monkeypatch.setattr(cli, "_sha256_file", lambda path: reads.append(path) or real_hash(path))
         out = tmp_path / "out"
         argv = {
             "prepare": ["prepare", "--manifest", str(manifest), "--embeddings-dir", str(emb_dir), "--languages", "en"],
@@ -221,6 +222,35 @@ class TestRunManifest:
         assert clips == sorted(p.name for p in emb_dir.glob("train*.aemb" if command == "prepare" else "*.aemb"))
         digest = json.loads((out / "run_manifest.json").read_text())["input_digests"]["embeddings_dir"]
         assert digest == clips_digest(emb_dir, "train" if command == "prepare" else "")
+
+    @pytest.mark.parametrize("command", ["prepare", "stats", "train", "caption", "eval", "compare-langs"])
+    def test_each_text_input_is_opened_once_and_hashed_as_read(
+        self, command, tmp_path, embed_endpoint, monkeypatch, capsys
+    ):
+        # manifests and captions files were once hashed by a second read
+        argv = [command, *command_argv(command, tmp_path, embed_endpoint)]
+        if command == "caption":
+            argv += ["--manifest", str(tmp_path / "manifest.jsonl"), "--beam-size", "1"]
+        texts = {tmp_path.resolve() / "manifest.jsonl": "manifest", tmp_path.resolve() / "captions.jsonl": "captions"}
+        opened = []
+        real_open = io.open
+
+        def recording_open(file, *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)):
+                opened.append(Path(file).resolve())
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(io, "open", recording_open)
+        monkeypatch.setattr(builtins, "open", recording_open)
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 0
+        monkeypatch.undo()
+        read = [path for path in opened if path in texts]
+        assert sorted(read) == sorted(set(read)) and read
+        digests = json.loads((out / "run_manifest.json").read_text())["input_digests"]
+        assert {texts[path]: hashlib.sha256(path.read_bytes()).hexdigest() for path in read} == {
+            label: digest for label, digest in digests.items() if label in texts.values()
+        }
 
     def test_caption_with_a_manifest_records_the_manifest_split_and_clips(self, tmp_path):
         manifest, emb_dir = write_corpus(tmp_path)
@@ -512,7 +542,7 @@ class TestTrainCaptionEval:
         config_path.write_text(json.dumps(config), encoding="utf-8")
         loads = []
         real_load = corpus.load_manifests
-        monkeypatch.setattr(corpus, "load_manifests", lambda path: loads.append(path) or real_load(path))
+        monkeypatch.setattr(corpus, "load_manifests", lambda path, *rest: loads.append(path) or real_load(path, *rest))
         out = tmp_path / "run"
         assert main(["train", "--config", str(config_path), "--out", str(out)]) == 0
         assert len(loads) == 1

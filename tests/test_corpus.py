@@ -18,6 +18,7 @@ from polycap.corpus import (
     load_embedding,
     load_manifests,
     read_embeddings,
+    read_text,
     sample_caption,
     write_embedding,
 )
@@ -42,6 +43,25 @@ class TestEmbeddingFormat:
         # a second write of the loaded data is byte-identical
         write_embedding(tmp_path / "again.aemb", loaded)
         assert (tmp_path / "again.aemb").read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("frames, dim", [(1, 1), (3, 5), (31, 768)])
+    def test_bytes_match_a_struct_oracle(self, tmp_path, frames, dim):
+        # the header, then each frame's values as little-endian float32,
+        # from a float64 or non-contiguous source as from a float32 one
+        data = np.random.default_rng(frames).normal(size=(dim, frames)).T
+        path = tmp_path / "clip.aemb"
+        write_embedding(path, EmbeddingSequence("clip", data))
+        values = [float(v) for v in data.astype(np.float32).ravel()]
+        want = AEMB_MAGIC + struct.pack("<III", 1, dim, frames) + struct.pack(f"<{frames * dim}f", *values)
+        assert path.read_bytes() == want
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_rewrite_replaces_the_previous_file_whole(self, tmp_path):
+        path = tmp_path / "clip.aemb"
+        write_embedding(path, make_seq(frames=9, dim=4, seed=1))
+        write_embedding(path, make_seq(frames=2, dim=4, seed=2))
+        assert np.array_equal(load_embedding(path).data, make_seq(frames=2, dim=4, seed=2).data)
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_production_scale_shape(self, tmp_path):
         path = tmp_path / "clip.aemb"
@@ -256,6 +276,24 @@ class TestManifest:
             manifest.captions("a", Language.DE)
         with pytest.raises(ValidationError, match=r"no captions for audio 'b' in language 'en' \(split train\)"):
             manifest.captions("b", Language.EN)
+
+
+class TestReadText:
+    def test_text_and_digest_of_the_bytes_read(self, tmp_path):
+        # newlines as Path.read_text gives them; the digest is of the raw bytes
+        path = tmp_path / "m.jsonl"
+        path.write_bytes("a\r\nb\rc\n\u00e9\u2028d".encode("utf-8"))
+        digest = hashlib.sha256()
+        assert read_text(path, "manifest", digest) == path.read_text(encoding="utf-8")
+        assert digest.hexdigest() == hashlib.sha256(path.read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize("raw", [None, b"\xff\xfe"])
+    def test_missing_or_undecodable_file_is_a_validation_error(self, tmp_path, raw):
+        path = tmp_path / "m.jsonl"
+        if raw is not None:
+            path.write_bytes(raw)
+        with pytest.raises(ValidationError, match="cannot read manifest"):
+            read_text(path, "manifest", hashlib.sha256())
 
 
 class TestComputeStats:

@@ -1,7 +1,9 @@
-"""Atomic output writes: a failed write or replace leaves the previous file
-byte-for-byte and no temporary file behind."""
+"""Atomic output writes: a failed write or move leaves the previous file
+byte-for-byte and no temporary file behind; over a regular file the move is
+an exchange of names, elsewhere an `os.replace`."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -16,10 +18,34 @@ from polycap.training import TrainConfig, Trainer
 
 
 def failing_replace(monkeypatch):
-    def replace(src, dst):
+    """Make the move of every finished temporary file into place fail."""
+
+    def move(tmp, path):
         raise OSError("replace failed")
 
+    monkeypatch.setattr(files, "_move_into_place", move)
+
+
+def poisoned_replace(monkeypatch):
+    def replace(src, dst):
+        raise AssertionError("os.replace reached")
+
     monkeypatch.setattr(files.os, "replace", replace)
+
+
+def exchange_works(directory):
+    """Whether libc has renameat2 and the filesystem of `directory` exchanges names."""
+    a, b = directory / ".probe-a", directory / ".probe-b"
+    a.write_bytes(b"a")
+    b.write_bytes(b"b")
+    try:
+        swapped = files._renameat2 is not None and files._renameat2(
+            files._AT_FDCWD, os.fsencode(a), files._AT_FDCWD, os.fsencode(b), files._RENAME_EXCHANGE
+        ) == 0
+        return swapped and a.read_bytes() == b"b"
+    finally:
+        a.unlink()
+        b.unlink()
 
 
 def tiny_model(seed):
@@ -30,6 +56,7 @@ WRITERS = {
     "checkpoint": lambda path, seed: save_checkpoint(tiny_model(seed), path),
     "json": lambda path, seed: cli._dump_json({"seed": seed}, path),
     "vocabulary": lambda path, seed: word_vocab([f"w{i}" for i in range(seed + 1)]).save(path),
+    "embedding": lambda path, seed: write_embedding(path, EmbeddingSequence("a", np.full((2, 3), seed, np.float32))),
 }
 
 
@@ -101,18 +128,79 @@ def test_failed_metrics_replace_keeps_earlier_epochs(tmp_path, monkeypatch):
     model = MultilingualModel(tiny_model_config(), vocabs, seed=0)
     trainer = Trainer(model, index, TrainConfig(epochs=2, batch_size=4, specaug=None, mixup_alpha=0.0))
     path = tmp_path / "metrics.jsonl"
-    real_replace = files.os.replace
+    real_move = files._move_into_place
     written = []
 
-    def replace(src, dst):  # the first epoch's write lands, the second fails
+    def move(tmp, dst):  # the first epoch's write lands, the second fails
         if written:
             raise OSError("replace failed")
-        real_replace(src, dst)
+        real_move(tmp, dst)
         written.append(path.read_bytes())
 
-    monkeypatch.setattr(files.os, "replace", replace)
+    monkeypatch.setattr(files, "_move_into_place", move)
     with pytest.raises(OSError, match="replace failed"):
         trainer.fit(path)
     assert len(written[0].splitlines()) == 1
     assert path.read_bytes() == written[0]
     assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("kind", sorted(WRITERS))
+def test_write_over_a_regular_file_exchanges_without_replace(tmp_path, monkeypatch, kind):
+    # ext4 flushes the new file's data inside a rename over an old one; the
+    # exchange does not wait on that
+    if not exchange_works(tmp_path):
+        pytest.skip("no renameat2 RENAME_EXCHANGE here")
+    write = WRITERS[kind]
+    path = tmp_path / "out"
+    write(path, 0)
+    expected = tmp_path / "expected"
+    write(expected, 1)
+    poisoned_replace(monkeypatch)
+    write(path, 1)
+    assert path.read_bytes() == expected.read_bytes()
+    assert sorted(tmp_path.iterdir()) == [expected, path]
+
+
+@pytest.mark.parametrize("renameat2", [None, lambda *args: -1], ids=["missing", "failing"])
+def test_without_the_exchange_the_write_replaces(tmp_path, monkeypatch, renameat2):
+    path = tmp_path / "out.json"
+    cli._dump_json({"seed": 0}, path)
+    monkeypatch.setattr(files, "_renameat2", renameat2)
+    replaced = []
+    real_replace = files.os.replace
+    monkeypatch.setattr(files.os, "replace", lambda src, dst: replaced.append(dst) or real_replace(src, dst))
+    cli._dump_json({"seed": 1}, path)
+    assert replaced == [path]
+    assert json.loads(path.read_text()) == {"seed": 1}
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_symlink_target_becomes_a_regular_file(tmp_path):
+    pointed = tmp_path / "pointed.json"
+    pointed.write_text("untouched\n", encoding="utf-8")
+    path = tmp_path / "out.json"
+    path.symlink_to(pointed)
+    cli._dump_json({"seed": 1}, path)
+    assert not path.is_symlink() and json.loads(path.read_text()) == {"seed": 1}
+    assert pointed.read_text() == "untouched\n"
+    assert sorted(tmp_path.iterdir()) == [path, pointed]
+
+
+def test_directory_target_raises_and_stays(tmp_path):
+    path = tmp_path / "out"
+    path.mkdir()
+    (path / "inside").write_bytes(b"kept")
+    with pytest.raises(OSError):
+        cli._dump_json({"seed": 1}, path)
+    assert [(p.name, p.read_bytes()) for p in path.iterdir()] == [("inside", b"kept")]
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_no_temporary_file_after_a_write_over_an_existing_file(tmp_path):
+    path = tmp_path / "out.txt"
+    for text in ("old\n", "new\n"):
+        with files.atomic_write(path) as f:
+            f.write(text)
+    assert path.read_text() == "new\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]

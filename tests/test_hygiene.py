@@ -2,8 +2,8 @@
 module-level private function that nothing in the package references, and
 no public module-level function or class, and no public method or property
 of a class, that only the tests use; no except clause that names
-JSONDecodeError; no JSON parse outside `files.parse_json`; and no CLI
-option that no test or bench run passes."""
+JSONDecodeError; no JSON parse outside `files.parse_json`; no file write
+outside `files.py`; and no CLI option that no test or bench run passes."""
 
 import argparse
 import ast
@@ -123,6 +123,32 @@ def test_json_is_parsed_only_by_the_one_parser():
         )
     ]
     assert elsewhere == []
+
+
+def test_files_are_written_only_through_atomic_write():
+    """Every output goes through `files.atomic_write`, so a crash mid-write
+    cannot leave a half-written file: no module but `files.py` calls
+    `write_bytes`, `write_text`, `os.replace`, `os.rename` or `os.open`, or
+    opens a file with a mode that writes (or one not spelled as a literal)."""
+    writes = []
+    for name, tree in MODULES.items():
+        if name == "files.py":
+            continue
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            on_os = isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) and func.value.id == "os"
+            if called in ("write_bytes", "write_text") or on_os and called in ("replace", "rename", "open"):
+                writes.append(f"{name}:{node.lineno}: {called}")
+            elif called == "open":  # open(file, mode) or path.open(mode)
+                positional = node.args[1:] if isinstance(func, ast.Name) else node.args
+                mode = next((k.value for k in node.keywords if k.arg == "mode"), None)
+                mode = mode or (positional[0] if positional else ast.Constant("r"))
+                if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)) or set(mode.value) & set("wax+"):
+                    writes.append(f"{name}:{node.lineno}: open mode {ast.unparse(mode)}")
+    assert writes == []
 
 
 def test_every_cli_option_is_passed_by_some_run():
