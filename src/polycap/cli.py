@@ -41,9 +41,8 @@ from polycap.text import (
 
 
 def _digest(source) -> str:
-    """Content hash of an input, a hashlib object that hashed its bytes as
-    they were read, or of files by name, each such an object: the hash of
-    their sorted `name:hash` lines."""
+    """Content hash of an input, a hashlib object fed its bytes as they were read, or of
+    files by name, each such an object: the hash of their sorted `name:hash` lines."""
     if isinstance(source, dict):
         lines = sorted(f"{name}:{digest.hexdigest()}" for name, digest in source.items())
         return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
@@ -347,9 +346,8 @@ def cmd_caption(args) -> tuple:
 
 
 def _read_captions_jsonl(path: Path, digest) -> dict[Language, dict[str, str]]:
-    """Captions by language and audio id, the file's bytes fed to `digest`.
-    Every malformed or repeated (audio_id, language) line is reported,
-    itemized, in one ValidationError."""
+    """Captions by language and audio id, the file's bytes fed to `digest`. Every malformed
+    or repeated (audio_id, language) line is reported, itemized, in one ValidationError."""
     out: dict[Language, dict[str, str]] = {}
     first_line: dict[tuple[Language, str], int] = {}
     problems: list[str] = []

@@ -162,9 +162,8 @@ class CaptionManifest:
 
 
 def read_text(path: str | Path, what: str, digest=None) -> str:
-    """A UTF-8 input file's text, newlines translated as `Path.read_text`
-    does; a missing or undecodable file is a ValidationError. `digest`, a
-    hashlib object, is fed the bytes read, as `load_embedding` does."""
+    """A UTF-8 input file's text, newlines as `Path.read_text` gives them, its bytes fed to
+    `digest`, a hashlib object, if given; a missing or undecodable file is a ValidationError."""
     try:
         raw = Path(path).read_bytes()
         text = raw.decode("utf-8")
@@ -176,9 +175,8 @@ def read_text(path: str | Path, what: str, digest=None) -> str:
 
 
 def jsonl_objects(path: Path, what: str, problems: list[str], digest=None) -> Iterator[tuple[int, dict]]:
-    """(line number, object) of each non-blank line of a JSON-Lines file (its
-    bytes fed to `digest`, see `read_text`); a line that is no JSON object,
-    or repeats a key, is reported in `problems`."""
+    """(line number, object) of each non-blank line of a JSON-Lines file, read by `read_text`;
+    a line that is no JSON object, or repeats a key, is reported in `problems`."""
     for lineno, line in enumerate(read_text(path, what, digest).splitlines(), start=1):
         line = line.strip()
         if not line:
@@ -196,8 +194,7 @@ def jsonl_objects(path: Path, what: str, problems: list[str], digest=None) -> It
 
 
 def load_manifests(path: str | Path, digest=None) -> dict[str, CaptionManifest]:
-    """Read a JSON-Lines manifest into per-split manifests, feeding its bytes
-    to `digest` (see `read_text`).
+    """Read a JSON-Lines manifest, its bytes fed to `digest`, into per-split manifests.
 
     Fails fast on duplicate audio ids within a split, unknown languages,
     unknown splits and empty caption lists.
@@ -314,9 +311,8 @@ class CorpusIndex:
         embeddings_dir: str | Path,
         split: str,
         languages: Sequence[Language],
-        digests: dict | None = None,
     ) -> "CorpusIndex":
-        return cls.from_manifest(load_split(manifest_path, split), embeddings_dir, languages, digests)
+        return cls.from_manifest(load_split(manifest_path, split), embeddings_dir, languages)
 
     @classmethod
     def from_manifest(

@@ -1,15 +1,14 @@
 """Atomic output files, and the one parser of JSON input.
 
-`atomic_write` writes to a temporary file in the target's directory and moves
-it to the target once the write has finished, so at every instant the path
-names a whole file, old or new. Over a regular file the move is one
-`renameat2` RENAME_EXCHANGE, then an unlink of the old file, now under the
-temporary name: ext4 (`auto_da_alloc`) writes a file's data out inside a
-rename over another file, a wait the exchange does not take. Otherwise, or
-if the exchange fails, it is one `os.replace`. If anything fails first, the
-temporary file is removed and the previous file, if any, is left as it was.
-This guards against the process failing; it does not fsync, so it makes no
-promise across a power loss.
+`atomic_write` writes a temporary file in the target's directory and moves it
+to the target when the write has finished, so at every instant, whatever the
+process does, the path names a whole file, old or new; a failure first removes
+the temporary file and leaves the previous one as it was. Over a regular file
+the move is one `renameat2` RENAME_EXCHANGE, then an unlink of the old file,
+now under the temporary name; elsewhere, or if the exchange fails, `os.replace`.
+On ext4 (`auto_da_alloc`) a rename over a file first writes the new data out;
+the exchange skips that wait and that ordering. Nothing is fsynced, so a power
+loss soon after a rewrite can leave the path empty or partial, not old or new.
 """
 
 from __future__ import annotations
@@ -19,6 +18,7 @@ import ctypes
 import json
 import os
 import secrets
+import stat
 from collections import Counter
 from pathlib import Path
 from typing import IO, Iterator
@@ -30,11 +30,23 @@ except (AttributeError, OSError):
 _AT_FDCWD, _RENAME_EXCHANGE = -100, 2
 
 
+def _exchange(a: Path, b: Path) -> bool:
+    args = (_AT_FDCWD, os.fsencode(a), _AT_FDCWD, os.fsencode(b), _RENAME_EXCHANGE)
+    return _renameat2 is not None and _renameat2(*args) == 0
+
+
 def _move_into_place(tmp: Path, path: Path) -> None:
     """Move the finished file `tmp` to `path` (see the module docstring)."""
-    exchange = _renameat2 is not None and path.is_file() and not path.is_symlink()  # a regular file
-    if exchange and _renameat2(_AT_FDCWD, os.fsencode(tmp), _AT_FDCWD, os.fsencode(path), _RENAME_EXCHANGE) == 0:
-        os.unlink(tmp)  # the old file, now under the temporary name
+    try:
+        regular = stat.S_ISREG(os.lstat(path).st_mode)
+    except OSError:  # nothing at `path`: os.replace moves it there or says why not
+        regular = False
+    if regular and _exchange(tmp, path):
+        try:
+            os.unlink(tmp)  # the old file, now under the temporary name
+        except OSError:  # `path` changed after the lstat, to a directory say
+            _exchange(tmp, path)  # back as it was; the cleanup removes the new file
+            raise
     else:
         os.replace(tmp, path)
 

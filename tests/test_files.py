@@ -204,3 +204,38 @@ def test_no_temporary_file_after_a_write_over_an_existing_file(tmp_path):
             f.write(text)
     assert path.read_text() == "new\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+def test_target_turned_directory_after_the_check_is_swapped_back(tmp_path, monkeypatch):
+    # the lstat saw a regular file; a directory took its place before the exchange
+    if not exchange_works(tmp_path):
+        pytest.skip("no renameat2 RENAME_EXCHANGE here")
+    path = tmp_path / "out"
+    path.mkdir()
+    (path / "inside").write_bytes(b"kept")
+    monkeypatch.setattr(files.stat, "S_ISREG", lambda mode: True)
+    with pytest.raises(IsADirectoryError):
+        cli._dump_json({"seed": 1}, path)
+    assert [(p.name, p.read_bytes()) for p in path.iterdir()] == [("inside", b"kept")]
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_failed_unlink_after_the_exchange_keeps_previous_file(tmp_path, monkeypatch):
+    if not exchange_works(tmp_path):
+        pytest.skip("no renameat2 RENAME_EXCHANGE here")
+    path = tmp_path / "out.json"
+    cli._dump_json({"seed": 0}, path)
+    before = path.read_bytes()
+    real_unlink, calls = files.os.unlink, []
+
+    def unlink(p):
+        calls.append(p)
+        if len(calls) == 1:
+            raise PermissionError("unlink failed")
+        real_unlink(p)
+
+    monkeypatch.setattr(files.os, "unlink", unlink)
+    with pytest.raises(PermissionError, match="unlink failed"):
+        cli._dump_json({"seed": 1}, path)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
