@@ -129,7 +129,7 @@ def _build_vocabularies(
     """One vocabulary per language from the tokenized captions of `index`."""
     return {
         lang: build_vocabulary(
-            [tokenize(c) for caps in index.manifest.entries.values() for c in caps[lang]],
+            [tokenize(c) for caps in index.captions.values() for c in caps[lang]],
             min_count=min_count,
         )
         for lang in languages
@@ -142,8 +142,8 @@ def _build_vocabularies(
 def cmd_prepare(args) -> tuple:
     languages = _parse_languages(args.languages, "--languages")
     manifest_digest, clip_digests = hashlib.sha256(), {}
-    manifest = corpus_mod.load_split(args.manifest, args.split, manifest_digest)
-    index = corpus_mod.CorpusIndex.from_manifest(manifest, args.embeddings_dir, languages, clip_digests)
+    captions = corpus_mod.load_split(args.manifest, args.split, manifest_digest)
+    index = corpus_mod.CorpusIndex.from_manifest(args.split, captions, args.embeddings_dir, languages, clip_digests)
     vocabs = _build_vocabularies(index, languages, args.min_count)  # checks min_count before --out is made
     out_dir = _out_dir(args.out)
     vocab_files = {}
@@ -172,8 +172,8 @@ def cmd_prepare(args) -> tuple:
 def cmd_stats(args) -> tuple | None:
     languages = _parse_languages(args.languages, "--languages")
     manifest_digest = hashlib.sha256()
-    manifests = corpus_mod.load_manifests(args.manifest, manifest_digest)
-    rows = [corpus_mod.compute_stats(manifests, lang, args.split) for lang in languages]
+    captions = corpus_mod.load_split(args.manifest, args.split, manifest_digest)
+    rows = [corpus_mod.compute_stats(captions, lang, args.split) for lang in languages]
     print(f"{'lang':<6}{'split':<8}{'sent.length':>12}{'word types':>12}{'captions':>10}")
     for r in rows:
         print(
@@ -229,8 +229,9 @@ def _load_train_config(path: Path) -> TrainRun:
     problems = [
         f"'{key}' must be {rule}"
         for key, ok, rule in (
-            ("data.manifest", isinstance(data.manifest, str), "a path string"),
-            ("data.embeddings_dir", isinstance(data.embeddings_dir, str), "a path string"),
+            ("data.manifest", isinstance(data.manifest, str) and "\0" not in data.manifest, "a path string"),
+            ("data.embeddings_dir", isinstance(data.embeddings_dir, str) and "\0" not in data.embeddings_dir,
+             "a path string"),
             ("data.train_split", isinstance(data.train_split, str), "a split name"),
             ("data.val_split", data.val_split is None or isinstance(data.val_split, str), "a split name"),
             ("languages", isinstance(run.languages, list) and all(isinstance(c, str) for c in run.languages),
@@ -252,8 +253,10 @@ def cmd_train(args) -> tuple:
     manifests = corpus_mod.load_manifests(run.data.manifest, manifest_digest)
 
     def index(split: str) -> corpus_mod.CorpusIndex:
-        manifest = corpus_mod.select_split(manifests, split, run.data.manifest)
-        return corpus_mod.CorpusIndex.from_manifest(manifest, run.data.embeddings_dir, run.languages, clip_digests)
+        captions = corpus_mod.select_split(manifests, split, run.data.manifest)
+        return corpus_mod.CorpusIndex.from_manifest(
+            split, captions, run.data.embeddings_dir, run.languages, clip_digests
+        )
 
     train_index = index(run.data.train_split)
     val_index = index(run.data.val_split) if run.data.val_split else None
@@ -302,7 +305,7 @@ def cmd_caption(args) -> tuple:
     embeddings_dir = Path(args.embeddings_dir)
     manifest_digest = hashlib.sha256()
     if args.manifest:
-        audio_ids = corpus_mod.load_split(args.manifest, args.split, manifest_digest).audio_ids
+        audio_ids = list(corpus_mod.load_split(args.manifest, args.split, manifest_digest))
     else:
         audio_ids = corpus_mod.clip_ids(embeddings_dir)
     if not audio_ids:
@@ -380,9 +383,9 @@ def _read_captions_jsonl(path: Path, digest) -> dict[Language, dict[str, str]]:
 def cmd_eval(args) -> tuple:
     captions_digest, manifest_digest = hashlib.sha256(), hashlib.sha256()
     candidates = _read_captions_jsonl(Path(args.captions), captions_digest)
-    manifest = corpus_mod.load_split(args.manifest, args.split, manifest_digest)
+    refs = corpus_mod.load_split(args.manifest, args.split, manifest_digest)
     references = {
-        lang: {audio_id: list(caps[lang]) for audio_id, caps in manifest.entries.items() if lang in caps}
+        lang: {audio_id: list(caps[lang]) for audio_id, caps in refs.items() if lang in caps}
         for lang in candidates
     }
     provider = evaluation.HttpEmbedder(args.sbert_endpoint) if args.sbert_endpoint else None

@@ -7,8 +7,8 @@ Two external formats live here:
 * Caption manifests: JSON Lines, one object per audio,
   ``{"audio_id": ..., "split": ..., "captions": {"en": [...], ...}}``.
 
-Loading is read-only; manifests are immutable after load; all randomness is
-driven by caller-owned numpy Generators.
+Loading is read-only; a loaded split is plain data, `Captions`; all
+randomness is driven by caller-owned numpy Generators.
 """
 
 from __future__ import annotations
@@ -29,6 +29,9 @@ AEMB_MAGIC = b"AEMB"
 AEMB_VERSION = 1
 
 SPLITS = ("train", "val", "test")
+
+# A split: per audio id, each language's non-empty tuple of captions (`load_manifests` rejects an empty list)
+Captions = dict[str, dict[Language, tuple[str, ...]]]
 
 
 class EmbeddingFormatError(ValidationError):
@@ -140,34 +143,13 @@ def sample_caption(captions: tuple[str, ...], rng: np.random.Generator) -> str:
     return captions[int(rng.integers(len(captions)))]
 
 
-@dataclass(frozen=True)
-class CaptionManifest:
-    """The captions of one split: per audio id, each language's non-empty
-    tuple of captions (`load_manifests` rejects an empty list)."""
-
-    split: str
-    entries: dict[str, dict[Language, tuple[str, ...]]] = field(repr=False)
-
-    @property
-    def audio_ids(self) -> tuple[str, ...]:
-        return tuple(self.entries.keys())
-
-    def captions(self, audio_id: str, language: Language) -> tuple[str, ...]:
-        try:
-            return self.entries[audio_id][language]
-        except KeyError:
-            raise ValidationError(
-                f"no captions for audio {audio_id!r} in language {language.value!r} (split {self.split})"
-            ) from None
-
-
 def read_text(path: str | Path, what: str, digest=None) -> str:
     """A UTF-8 input file's text, newlines as `Path.read_text` gives them, its bytes fed to
     `digest`, a hashlib object, if given; a missing or undecodable file is a ValidationError."""
     try:
         raw = Path(path).read_bytes()
         text = raw.decode("utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: undecodable, or a NUL byte in the path
         raise ValidationError(f"cannot read {what} {path}: {exc}") from exc
     if digest is not None:
         digest.update(raw)
@@ -175,9 +157,9 @@ def read_text(path: str | Path, what: str, digest=None) -> str:
 
 
 def jsonl_objects(path: Path, what: str, problems: list[str], digest=None) -> Iterator[tuple[int, dict]]:
-    """(line number, object) of each non-blank line of a JSON-Lines file, read by `read_text`;
-    a line that is no JSON object, or repeats a key, is reported in `problems`."""
-    for lineno, line in enumerate(read_text(path, what, digest).splitlines(), start=1):
+    """(line number, object) of each non-blank line of a JSON-Lines file read by `read_text`, split at "\n"
+    alone (a JSON string may hold U+2028 raw); a line that is no JSON object, or repeats a key, is in `problems`."""
+    for lineno, line in enumerate(read_text(path, what, digest).split("\n"), start=1):
         line = line.strip()
         if not line:
             continue
@@ -193,14 +175,14 @@ def jsonl_objects(path: Path, what: str, problems: list[str], digest=None) -> It
             yield lineno, obj
 
 
-def load_manifests(path: str | Path, digest=None) -> dict[str, CaptionManifest]:
-    """Read a JSON-Lines manifest, its bytes fed to `digest`, into per-split manifests.
+def load_manifests(path: str | Path, digest=None) -> dict[str, Captions]:
+    """Read a JSON-Lines manifest, its bytes fed to `digest`, into the captions of each split.
 
     Fails fast on duplicate audio ids within a split, unknown languages,
     unknown splits and empty caption lists.
     """
     path = Path(path)
-    per_split: dict[str, dict[str, dict[Language, tuple[str, ...]]]] = {}
+    per_split: dict[str, Captions] = {}
     first_line: dict[tuple[str, str], int] = {}
     problems: list[str] = []
     for lineno, obj in jsonl_objects(path, "manifest", problems, digest):
@@ -237,31 +219,28 @@ def load_manifests(path: str | Path, digest=None) -> dict[str, CaptionManifest]:
             per_split.setdefault(split, {})[audio_id] = entry
     if problems:
         raise ValidationError(f"manifest {path} failed validation", items=problems)
-    return {split: CaptionManifest(split=split, entries=entries) for split, entries in per_split.items()}
+    return per_split
 
 
-def select_split(
-    manifests: Mapping[str, CaptionManifest], split: str, source: str | Path = "manifest"
-) -> CaptionManifest:
-    """The manifest of one split; a split absent from `source` is an error."""
+def select_split(manifests: Mapping[str, Captions], split: str, source: str | Path) -> Captions:
+    """The captions of one split; a split absent from `source` is an error."""
     if split not in manifests:
         raise ValidationError(f"split {split!r} not present in {source}")
     return manifests[split]
 
 
-def load_split(path: str | Path, split: str, digest=None) -> CaptionManifest:
-    """The manifest of one split of the file at `path` (hashed into `digest`, see `read_text`)."""
+def load_split(path: str | Path, split: str, digest=None) -> Captions:
+    """The captions of one split of the file at `path` (hashed into `digest`, see `read_text`)."""
     return select_split(load_manifests(path, digest), split, path)
 
 
-def compute_stats(manifests: Mapping[str, CaptionManifest], language: Language, split: str) -> dict:
-    """One `stats.json` row, Table-1 style: `language` (its code), `split`,
-    `avg_sentence_length` (mean caption length in tokens), `word_types`
-    (unique tokens) and `n_captions`."""
-    manifest = select_split(manifests, split)
+def compute_stats(captions: Captions, language: Language, split: str) -> dict:
+    """One `stats.json` row, Table-1 style, over the captions of `split`: `language`
+    (its code), `split`, `avg_sentence_length` (mean caption length in tokens),
+    `word_types` (unique tokens) and `n_captions`."""
     lengths: list[int] = []
     types: set[str] = set()
-    for caps in manifest.entries.values():
+    for caps in captions.values():
         for caption in caps.get(language, ()):
             toks = tokenize(caption)
             lengths.append(len(toks))
@@ -277,24 +256,25 @@ def compute_stats(manifests: Mapping[str, CaptionManifest], language: Language, 
 
 @dataclass(frozen=True)
 class CorpusIndex:
-    """A validated split: manifest entries plus in-memory embeddings.
+    """A validated split: its captions plus in-memory embeddings.
 
     Construction rejects, with an itemized report, any audio missing an
     embedding or missing captions in a declared language.
     """
 
-    manifest: CaptionManifest
+    split: str
+    captions: Captions = field(repr=False)
     embeddings: dict[str, np.ndarray] = field(repr=False)
     languages: tuple[Language, ...]
 
     def __post_init__(self):
         if not self.languages:
             raise ValidationError("a corpus index needs at least one declared language")
-        _check_split(self.manifest, self.embeddings, self.languages, {})
+        _check_split(self.split, self.captions, self.embeddings, self.languages, {})
 
     @property
     def audio_ids(self) -> tuple[str, ...]:
-        return self.manifest.audio_ids
+        return tuple(self.captions)
 
     @property
     def embed_dim(self) -> int:
@@ -302,7 +282,7 @@ class CorpusIndex:
         return first.shape[1]
 
     def __len__(self) -> int:
-        return len(self.manifest.entries)
+        return len(self.captions)
 
     @classmethod
     def from_paths(
@@ -312,25 +292,27 @@ class CorpusIndex:
         split: str,
         languages: Sequence[Language],
     ) -> "CorpusIndex":
-        return cls.from_manifest(load_split(manifest_path, split), embeddings_dir, languages)
+        return cls.from_manifest(split, load_split(manifest_path, split), embeddings_dir, languages)
 
     @classmethod
     def from_manifest(
         cls,
-        manifest: CaptionManifest,
+        split: str,
+        captions: Captions,
         embeddings_dir: str | Path,
         languages: Sequence[Language],
         digests: dict | None = None,
     ) -> "CorpusIndex":
         """An index over an already loaded split, reading (and hashing, see `read_embeddings`) its embeddings."""
-        embeddings, file_problems = read_embeddings(embeddings_dir, manifest.audio_ids, digests)
+        embeddings, file_problems = read_embeddings(embeddings_dir, list(captions), digests)
         if file_problems:  # raises, with every other problem of the split too
-            _check_split(manifest, embeddings, languages, file_problems)
-        return cls(manifest=manifest, embeddings=embeddings, languages=tuple(languages))
+            _check_split(split, captions, embeddings, languages, file_problems)
+        return cls(split=split, captions=captions, embeddings=embeddings, languages=tuple(languages))
 
 
 def _check_split(
-    manifest: CaptionManifest,
+    split: str,
+    captions: Captions,
     embeddings: Mapping[str, np.ndarray],
     languages: Sequence[Language],
     file_problems: Mapping[str, str],
@@ -341,7 +323,7 @@ def _check_split(
     inconsistent embedding dims."""
     problems = repeated_languages(languages)
     dims = set()
-    for audio_id, caps in manifest.entries.items():
+    for audio_id, caps in captions.items():
         if audio_id in file_problems:
             problems.append(f"{audio_id}: {file_problems[audio_id]}")
         elif audio_id not in embeddings:
@@ -354,4 +336,4 @@ def _check_split(
     if len(dims) > 1:
         problems.append(f"inconsistent embedding dims: {sorted(dims)}")
     if problems:
-        raise ValidationError(f"corpus validation failed for split {manifest.split!r}", items=problems)
+        raise ValidationError(f"corpus validation failed for split {split!r}", items=problems)

@@ -389,7 +389,7 @@ class Trainer:
         """
         cfg = self.cfg
         captions = [
-            sample_caption(self.corpus.manifest.captions(a, language), self.rng_captions) for a in audio_ids
+            sample_caption(self.corpus.captions[a][language], self.rng_captions) for a in audio_ids
         ]
         ids, audio, frame_mask, frame_counts = self._batch(self.corpus, language, audio_ids, captions)
         if cfg.specaug is not None:
@@ -448,7 +448,7 @@ class Trainer:
         for language in corpus.languages:
             for i in range(0, len(audio_ids), self.cfg.batch_size):
                 chunk = audio_ids[i : i + self.cfg.batch_size]
-                captions = [corpus.manifest.captions(a, language)[0] for a in chunk]
+                captions = [corpus.captions[a][language][0] for a in chunk]
                 ids, audio, frame_mask, _ = self._batch(corpus, language, chunk, captions)
                 with ad.no_grad():
                     losses.append(self._loss(language, ids, audio, frame_mask).item())

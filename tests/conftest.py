@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from polycap.corpus import CaptionManifest, CorpusIndex
+from polycap.corpus import CorpusIndex
 from polycap.decoding import DecodeConfig, DecodeResult, grouped_beam_search
 from polycap.model import ModelConfig, MultilingualModel
 from polycap.text import SPECIAL_TOKENS, Language, Vocabulary, build_vocabulary, tokenize
@@ -53,7 +53,8 @@ def synthetic_corpus(
         embeddings[audio_id] = rng.normal(size=(n_frames, d_in))
         entries[audio_id] = {lang: (synthetic_caption(lang, i),) for lang in languages}
     index = CorpusIndex(
-        manifest=CaptionManifest(split=split, entries=entries),
+        split=split,
+        captions=entries,
         embeddings=embeddings,
         languages=tuple(languages),
     )

@@ -367,6 +367,7 @@ class TestStats:
         manifest, _ = write_corpus(tmp_path)
         code = main(["stats", "--manifest", str(manifest), "--languages", "en", "--split", "val"])
         assert code == 2
+        assert json.loads(capsys.readouterr().err)["message"] == f"split 'val' not present in {manifest}"
 
     def test_non_object_manifest_line_exits_2_with_items(self, tmp_path, capsys):
         manifest, _ = write_corpus(tmp_path)
@@ -611,8 +612,14 @@ class TestTrainCaptionEval:
                 {"manifest": "m.jsonl", "embeddings_dir": "emb", "val_split": 5},
                 ["'data.val_split' must be a split name"],
             ),
+            # no OS path holds a NUL byte: opening one raises ValueError, not OSError
+            ({"manifest": "m\0.jsonl", "embeddings_dir": "emb"}, ["'data.manifest' must be a path string"]),
+            ({"manifest": "m.jsonl", "embeddings_dir": "emb\0"}, ["'data.embeddings_dir' must be a path string"]),
         ],
-        ids=["no_manifest", "manifest_int", "not_an_object", "train_split_list", "val_split_int"],
+        ids=[
+            "no_manifest", "manifest_int", "not_an_object", "train_split_list", "val_split_int",
+            "manifest_nul", "embeddings_dir_nul",
+        ],
     )
     def test_malformed_data_block_exits_2_with_items(self, tmp_path, capsys, data, items):
         path = tmp_path / "train.json"
@@ -833,6 +840,36 @@ class TestEvalToyIdentity:
             "line 4: audio_id 'train00' in en repeats line 1"
         ]
         assert not (tmp_path / "e").exists()
+
+
+class TestRawLineBreaksInJsonStrings:
+    def test_caption_then_eval_over_a_clip_id_with_u2028(self, tmp_path, capsys):
+        # json.dumps(ensure_ascii=False) writes U+2028, U+2029 and U+0085 raw;
+        # they must not break a JSON-Lines record, in polycap's output or its input
+        rng = np.random.default_rng(0)
+        emb_dir = tmp_path / "emb"
+        emb_dir.mkdir()
+        rows = []
+        for audio_id in ("rain\u2028on\u2029a\x85roof", "wind"):
+            data = rng.normal(size=(5, 8)).astype(np.float32)
+            write_embedding(emb_dir / f"{audio_id}.aemb", EmbeddingSequence(audio_id, data))
+            rows.append({"audio_id": audio_id, "split": "test", "captions": {"en": ["a b\u2028a"]}})
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in rows), "utf-8")
+        checkpoint = tmp_path / "m.ackp"
+        model = MultilingualModel(tiny_model_config(d_in=8), {Language.EN: word_vocab(["a", "b"])})
+        save_checkpoint(model, checkpoint)
+        assert main([
+            "caption", "--checkpoint", str(checkpoint), "--embeddings-dir", str(emb_dir),
+            "--max-len", "3", "--out", str(tmp_path / "c"),
+        ]) == 0
+        captions = tmp_path / "c" / "captions.jsonl"
+        assert "\u2028" in captions.read_text("utf-8")
+        assert main([
+            "eval", "--captions", str(captions), "--manifest", str(manifest), "--out", str(tmp_path / "e"),
+        ]) == 0
+        report = json.loads((tmp_path / "e" / "eval_report.json").read_text("utf-8"))
+        assert report["scores"]["en"]["n_items"] == 2
 
 
 class TestParams:

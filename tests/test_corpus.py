@@ -4,17 +4,19 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from polycap.corpus import (
     AEMB_MAGIC,
-    CaptionManifest,
     CorpusIndex,
     EmbeddingFormatError,
     EmbeddingSequence,
     clip_ids,
     clip_path,
     compute_stats,
+    jsonl_objects,
     load_embedding,
     load_manifests,
     read_embeddings,
@@ -197,12 +199,11 @@ class TestManifest:
         )
         manifests = load_manifests(path)
         assert set(manifests) == {"train", "test"}
-        train = manifests["train"]
-        assert train.audio_ids == ("a", "b")
-        assert [a for a, caps in train.entries.items() if Language.EN in caps] == ["a", "b"]
-        assert [a for a, caps in train.entries.items() if Language.FR in caps] == ["a"]
-        assert train.captions("a", Language.FR) == ("un chien",)
-        assert train.captions("b", Language.EN) == ("a cat",)
+        assert manifests["train"] == {
+            "a": {Language.EN: ("a dog",), Language.FR: ("un chien",)},
+            "b": {Language.EN: ("a cat",)},
+        }
+        assert list(manifests["train"]) == ["a", "b"]
 
     def test_duplicate_audio_id_rejected(self, tmp_path):
         path = tmp_path / "m.jsonl"
@@ -267,16 +268,6 @@ class TestManifest:
             "line 2: captions must be a non-empty object",
         ]
 
-    def test_captions_lookup_missing_language(self, tmp_path):
-        path = tmp_path / "m.jsonl"
-        write_manifest(path, [{"audio_id": "a", "split": "train", "captions": {"en": ["x"]}}])
-        manifest = load_manifests(path)["train"]
-        assert manifest.captions("a", Language.EN) == ("x",)
-        with pytest.raises(ValidationError, match=r"no captions for audio 'a' in language 'de' \(split train\)"):
-            manifest.captions("a", Language.DE)
-        with pytest.raises(ValidationError, match=r"no captions for audio 'b' in language 'en' \(split train\)"):
-            manifest.captions("b", Language.EN)
-
 
 class TestReadText:
     def test_text_and_digest_of_the_bytes_read(self, tmp_path):
@@ -287,46 +278,64 @@ class TestReadText:
         assert read_text(path, "manifest", digest) == path.read_text(encoding="utf-8")
         assert digest.hexdigest() == hashlib.sha256(path.read_bytes()).hexdigest()
 
-    @pytest.mark.parametrize("raw", [None, b"\xff\xfe"])
-    def test_missing_or_undecodable_file_is_a_validation_error(self, tmp_path, raw):
-        path = tmp_path / "m.jsonl"
+    # a NUL byte in the path raises ValueError, not OSError
+    @pytest.mark.parametrize("name, raw", [("m.jsonl", None), ("m.jsonl", b"\xff\xfe"), ("m\0.jsonl", None)])
+    def test_missing_or_undecodable_file_is_a_validation_error(self, tmp_path, name, raw):
+        path = tmp_path / name
         if raw is not None:
             path.write_bytes(raw)
         with pytest.raises(ValidationError, match="cannot read manifest"):
             read_text(path, "manifest", hashlib.sha256())
 
 
+class TestJsonlObjects:
+    # line breaks to str.splitlines that json.dumps(ensure_ascii=False) writes raw
+    RAW_BREAKS = "\u2028\u2029\x85"
+
+    @settings(max_examples=200, derandomize=True)
+    @given(
+        st.lists(
+            st.dictionaries(
+                st.text(alphabet=st.one_of(st.characters(), st.sampled_from(RAW_BREAKS)), max_size=8),
+                st.text(alphabet=st.one_of(st.characters(), st.sampled_from(RAW_BREAKS + "\r\n")), max_size=12),
+                max_size=3,
+            ),
+            max_size=5,
+        )
+    )
+    def test_records_round_trip_one_per_line(self, tmp_path_factory, records):
+        path = tmp_path_factory.mktemp("jsonl") / "records.jsonl"
+        text = "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records)
+        path.write_bytes(text.encode("utf-8"))
+        problems = []
+        assert list(jsonl_objects(path, "records", problems)) == list(enumerate(records, start=1))
+        assert problems == []
+
+
 class TestComputeStats:
-    def manifests(self):
-        entries = {
+    def captions(self):
+        return {
             "a": {Language.EN: ("a b c", "a b")},
             "b": {Language.EN: ("a b",), Language.FR: ("le chat",)},
         }
-        return {"train": CaptionManifest(split="train", entries=entries)}
 
     def test_hand_counts(self):
         entries = {"a": {Language.EN: ("a b c", "a b")}}
-        manifests = {"train": CaptionManifest(split="train", entries=entries)}
-        stats_ = compute_stats(manifests, Language.EN, "train")
+        stats_ = compute_stats(entries, Language.EN, "train")
         assert stats_["avg_sentence_length"] == pytest.approx(2.5)
         assert stats_["word_types"] == 3
 
     def test_empty_language_gives_zeros(self):
-        stats_ = compute_stats(self.manifests(), Language.DE, "train")
+        stats_ = compute_stats(self.captions(), Language.DE, "train")
         assert stats_["avg_sentence_length"] == 0.0
         assert stats_["word_types"] == 0
-
-    def test_missing_split_errors(self):
-        with pytest.raises(ValidationError):
-            compute_stats(self.manifests(), Language.EN, "test")
 
     def test_duplicate_caption_text_keeps_types(self):
         entries = {
             "a": {Language.EN: ("a b", "a b")},
             "b": {Language.EN: ("a b",)},
         }
-        manifests = {"train": CaptionManifest(split="train", entries=entries)}
-        assert compute_stats(manifests, Language.EN, "train")["word_types"] == 2
+        assert compute_stats(entries, Language.EN, "train")["word_types"] == 2
 
     def test_permutation_invariant(self):
         entries = {
@@ -334,10 +343,8 @@ class TestComputeStats:
             "b": {Language.EN: ("w",)},
         }
         reordered = {k: entries[k] for k in reversed(list(entries))}
-        m1 = {"train": CaptionManifest(split="train", entries=entries)}
-        m2 = {"train": CaptionManifest(split="train", entries=reordered)}
-        s1 = compute_stats(m1, Language.EN, "train")
-        s2 = compute_stats(m2, Language.EN, "train")
+        s1 = compute_stats(entries, Language.EN, "train")
+        s2 = compute_stats(reordered, Language.EN, "train")
         assert (s1["avg_sentence_length"], s1["word_types"]) == (s2["avg_sentence_length"], s2["word_types"])
 
 

@@ -13,7 +13,7 @@ from polycap import training
 from polycap.autodiff import Tensor
 from polycap.errors import RuntimeFailure, ValidationError, config_from_json
 from polycap.model import MixupDraw, ModelConfig, MultilingualModel
-from polycap.corpus import CaptionManifest, CorpusIndex
+from polycap.corpus import CorpusIndex
 from polycap.text import Language, tokenize
 from polycap.training import (
     ADAM_BLOCK,
@@ -688,7 +688,8 @@ class TestValidationLoss:
             for i, n in enumerate(words)
         }
         val_index = CorpusIndex(
-            manifest=CaptionManifest(split="val", entries=entries),
+            split="val",
+            captions=entries,
             embeddings={f"v{i}": rng.normal(size=(n, 16)) for i, n in enumerate(frames)},
             languages=tuple(languages),
         )
@@ -704,7 +705,7 @@ class TestValidationLoss:
             for start in range(0, len(frames), 2):
                 chunk = list(val_index.audio_ids)[start : start + 2]
                 seqs = [
-                    vocab.encode(tokenize(val_index.manifest.captions(a, lang)[0])[: cfg.max_len - 1])
+                    vocab.encode(tokenize(val_index.captions[a][lang][0])[: cfg.max_len - 1])
                     for a in chunk
                 ]
                 width = max(len(q) for q in seqs)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import beam_search, tiny_model_config, word_vocab
-from polycap.corpus import CaptionManifest, CorpusIndex
+from polycap.corpus import CorpusIndex
 from polycap.decoding import DecodeConfig, caption_audio
 from polycap.model import MixupDraw, MultilingualModel
 from polycap.text import Language, build_vocabulary, tokenize
@@ -25,7 +25,8 @@ def ragged_corpus(languages, frame_counts, d_in=12, seed=0):
             for lang in languages
         }
     index = CorpusIndex(
-        manifest=CaptionManifest(split="train", entries=entries),
+        split="train",
+        captions=entries,
         embeddings=embeddings,
         languages=tuple(languages),
     )
@@ -64,7 +65,7 @@ class TestRaggedTraining:
 
         ids = []
         for audio_id in index.audio_ids:
-            caption = index.manifest.captions(audio_id, Language.EN)[0]
+            caption = index.captions[audio_id][Language.EN][0]
             ids.append(vocab.encode(tokenize(caption)))
         ids = np.array(ids)  # equal caption lengths by construction
 
@@ -157,7 +158,8 @@ class TestCaptionTruncation:
         words = " ".join(f"t{i}" for i in range(30))  # far beyond max_len
         entries = {"a": {Language.EN: (words,)}, "b": {Language.EN: (words,)}}
         index = CorpusIndex(
-            manifest=CaptionManifest(split="train", entries=entries),
+            split="train",
+            captions=entries,
             embeddings={"a": rng.normal(size=(3, 4)), "b": rng.normal(size=(3, 4))},
             languages=(Language.EN,),
         )
