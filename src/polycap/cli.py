@@ -339,6 +339,10 @@ def cmd_caption(args) -> tuple:
                     "decode_config": decode_config,
                 }
                 sink.write(json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n")
+        # the weights map the file, so a write into it since the load may
+        # have reached them unhashed: checked before captions.jsonl and the
+        # run manifest are written
+        model.source.check_unchanged()
     print(f"captioned {len(audio_ids)} audios x {len(languages)} languages -> {out_path}")
     config = {"decode_config": decode_config, "languages": [l.value for l in languages]}
     inputs = {"checkpoint": checkpoint_digest, "embeddings_dir": clip_digests}

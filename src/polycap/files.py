@@ -1,4 +1,5 @@
-"""Atomic output files, and the one parser of JSON input.
+"""Atomic output files, a non-blocking open of input files, and the one
+parser of JSON input.
 
 `atomic_write` writes a temporary file in the target's directory and moves it
 to the target when the write has finished, so at every instant, whatever the
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import errno
 import json
 import os
 import secrets
@@ -66,6 +68,17 @@ def atomic_write(path: str | Path, binary: bool = False) -> Iterator[IO]:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
+
+
+def open_regular(path: str | Path) -> IO[bytes]:
+    """`path` opened for binary reading if it names a regular file; anything
+    else raises OSError. The open does not wait: a plain open of a FIFO
+    blocks until a writer appears."""
+    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    if not stat.S_ISREG(os.fstat(fd).st_mode):
+        os.close(fd)
+        raise OSError(errno.EINVAL, "not a regular file")
+    return open(fd, "rb")
 
 
 def parse_json(text: str) -> tuple[object, list[str]]:

@@ -14,9 +14,11 @@ from __future__ import annotations
 import importlib
 import json
 import math
+import mmap
 import os
 import struct
 import sys
+import weakref
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -25,8 +27,8 @@ import numpy as np
 
 from polycap import autodiff as ad
 from polycap.autodiff import Tensor
-from polycap.errors import ValidationError, config_from_json, integer_problems, is_real
-from polycap.files import atomic_write, parse_json
+from polycap.errors import RuntimeFailure, ValidationError, config_from_json, integer_problems, is_real
+from polycap.files import atomic_write, open_regular, parse_json
 from polycap.text import Language, Vocabulary, repeated_languages
 
 FROZEN_ENCODER_PARAMS = 28_000_000  # reporting constant; the audio encoder is external
@@ -34,7 +36,8 @@ NEG_INF = -1e9
 LAYER_NORM_EPS = 1e-5
 
 CKPT_MAGIC = b"ACKP"
-CKPT_VERSION = 1
+CKPT_VERSION = 2
+CKPT_ALIGN = {1: 1, 2: 8}  # by version: the file offsets a tensor's data starts at are multiples of this
 
 
 class UnknownLanguageError(ValidationError):
@@ -234,12 +237,12 @@ def parameter_table(config: ModelConfig, vocab_sizes: Mapping[Language, int]) ->
     return table
 
 
-def sinusoidal_encoding(max_len: int, d_model: int) -> np.ndarray:
+def sinusoidal_encoding(max_len: int, d_model: int, start: int = 0) -> np.ndarray:
     """Fixed sine/cosine table added to target-token embeddings, one row per
-    position below max_len. Each row is computed on its own, so the table
-    for t positions is the first t rows of any longer one; callers build it
-    only up to the positions they use."""
-    pos = np.arange(max_len)[:, None]
+    position from `start` up to max_len. Each row is computed on its own,
+    so the rows of positions a..b are the same in any table that holds them;
+    callers build only the positions they use."""
+    pos = np.arange(start, max_len)[:, None]
     i = np.arange(d_model)[None, :]
     angles = pos / np.power(10000.0, (2 * (i // 2)) / d_model)
     table = np.where(i % 2 == 0, np.sin(angles), np.cos(angles))
@@ -249,40 +252,45 @@ def sinusoidal_encoding(max_len: int, d_model: int) -> np.ndarray:
 class MultilingualModel:
     """Shared trunk plus one head per registered language."""
 
+    source: MappedCheckpoint | None = None  # set by `load_checkpoint`
+
     def __init__(self, config: ModelConfig, vocabs: Mapping[Language, Vocabulary], seed: int = 0):
         self._build(config, vocabs, np.random.default_rng(seed))
 
     @classmethod
-    def _unfilled(cls, config: ModelConfig, vocabs: Mapping[Language, Vocabulary]) -> "MultilingualModel":
-        """Every parameter allocated but not initialized, for a loader that
-        fills every parameter."""
+    def _from_arrays(
+        cls, config: ModelConfig, vocabs: Mapping[Language, Vocabulary], arrays: Mapping[str, np.ndarray]
+    ) -> "MultilingualModel":
+        """A model whose parameters are the loader's `arrays`, by table name,
+        used as they are: nothing is allocated or copied."""
         model = cls.__new__(cls)
-        model._build(config, vocabs, None)
+        model._build(config, vocabs, arrays)
         return model
 
     def _build(
         self,
         config: ModelConfig,
         vocabs: Mapping[Language, Vocabulary],
-        rng: np.random.Generator | None,
+        init: np.random.Generator | Mapping[str, np.ndarray],
     ) -> None:
-        """Every parameter of the table, in table order: weight matrices
-        uniform in +-1/sqrt(fan-in) (an embedding's fan-in is d_model),
-        biases zeros, LayerNorm gains ones; without `rng`, uninitialized."""
+        """Every parameter of the table, in table order: the array of its
+        name if `init` maps names to arrays, else drawn from the generator
+        `init`: weight matrices uniform in +-1/sqrt(fan-in) (an embedding's
+        fan-in is d_model), biases zeros, LayerNorm gains ones."""
         if not vocabs:
             raise ValidationError("model needs at least one language head")
         self.config = config
         self._params: dict[str, Tensor] = {}
         for name, shape in parameter_table(config, {lang: v.size for lang, v in vocabs.items()}).items():
-            if rng is None:  # a loader fills every parameter
-                data = np.empty(shape)
+            if isinstance(init, Mapping):
+                data = init[name]
             elif name.endswith(".bias"):
                 data = np.zeros(shape)
             elif name.endswith(".gain"):
                 data = np.ones(shape)
             else:
                 bound = 1.0 / math.sqrt(config.d_model if name.endswith(".embedding.weight") else shape[0])
-                data = rng.uniform(-bound, bound, size=shape)
+                data = init.uniform(-bound, bound, size=shape)
             self._params[name] = Tensor(data, requires_grad=True)
         self.frontend = Linear(self._params, "frontend")
         self.layers = [DecoderLayer(self._params, f"trunk.layers.{i}", config) for i in range(config.n_layers)]
@@ -476,7 +484,7 @@ class IncrementalDecoder:
             cache[0], cache[1] = cache[0][rows], cache[1][rows]
         self.rows = counts
         scale = math.sqrt(self.model.config.d_model)
-        pos = sinusoidal_encoding(self.length + 1, self.model.config.d_model)[self.length]
+        pos = sinusoidal_encoding(self.length + 1, self.model.config.d_model, start=self.length)[0]
         with ad.no_grad():
             x = Tensor(np.concatenate(
                 [ad.embedding(head.embedding, group, scale, positions=pos).data
@@ -543,29 +551,42 @@ def size_comparison(mono_reports: Sequence[dict], multi_report: dict) -> float:
 
 
 def _record_header(name: str, shape: tuple[int, ...]) -> bytes:
-    """The bytes of a checkpoint's tensor record before its float64 data:
-    u32 name length, UTF-8 name, u32 rank, then one u32 per dimension."""
+    """The bytes of a checkpoint's tensor record before its padding and
+    float64 data: u32 name length, UTF-8 name, u32 rank, then one u32 per
+    dimension."""
     encoded = name.encode("utf-8")
     return struct.pack(f"<I{len(encoded)}sI{len(shape)}I", len(encoded), encoded, len(shape), *shape)
 
 
-def _tensor_block_bytes(config: ModelConfig, vocab_sizes: Mapping[Language, int]) -> int:
-    """Exact size of a checkpoint's tensor block for a configuration: the
-    u32 tensor count, then per tensor its record header and float64 data.
-    Layer i's names hold len(str(i)) digits where layer 0's hold one, so the
-    size follows from one layer's entries."""
+def _padding(offset: int, align: int) -> bytes:
+    """The zero bytes that take `offset` up to a multiple of `align`."""
+    return bytes(-offset % align)
+
+
+def _tensor_block_bytes(
+    config: ModelConfig, vocab_sizes: Mapping[Language, int], start: int, align: int
+) -> int:
+    """Exact size of a checkpoint's tensor block for a configuration, the
+    block starting `start` bytes into the file: the u32 tensor count and its
+    padding, then per tensor its record header, padding and float64 data.
+    Every record starts at a multiple of `align`, so its padding follows
+    from its header's length. Layer i's names hold len(str(i)) digits where
+    layer 0's hold one, so the size follows from one layer's entries: the
+    layers numbered with w digits share their record sizes."""
 
     def nbytes(name: str, shape: tuple[int, ...]) -> int:
-        return len(_record_header(name, shape)) + 8 * math.prod(shape)
+        header = len(_record_header(name, shape))
+        return header + -header % align + 8 * math.prod(shape)
 
     n = config.n_layers
-    digits = n + sum(n - 10**w for w in range(1, len(str(n))))  # sum(len(str(i)) for i in range(n))
-    block = 4
+    block = 4 + -(start + 4) % align
     for name, shape in parameter_table(replace(config, n_layers=1), vocab_sizes).items():
-        if name.startswith("trunk.layers.0."):
-            block += n * (nbytes(name, shape) - 1) + digits
-        else:
+        if not name.startswith("trunk.layers.0."):
             block += nbytes(name, shape)
+            continue
+        for w in range(1, len(str(n)) + 1):
+            layers = min(n, 10**w) - (10 ** (w - 1) if w > 1 else 0)
+            block += layers * nbytes(name.replace(".0.", f".{'0' * w}.", 1), shape)
     return block
 
 
@@ -578,51 +599,72 @@ def save_checkpoint(model: MultilingualModel, path: str | Path) -> None:
         "vocabs": {lang.value: model.vocab(lang).to_doc() for lang in model.languages},
     }
     meta_bytes = json.dumps(meta, ensure_ascii=False, sort_keys=True).encode("utf-8")
-    params = model.named_parameters()
-    blob = [CKPT_MAGIC, struct.pack("<II", CKPT_VERSION, len(meta_bytes)), meta_bytes, struct.pack("<I", len(params))]
+    params, align = model.named_parameters(), CKPT_ALIGN[CKPT_VERSION]
+    blob = [CKPT_MAGIC, struct.pack("<II", CKPT_VERSION, len(meta_bytes)), meta_bytes]
+    blob += [struct.pack("<I", len(params)), _padding(12 + len(meta_bytes) + 4, align)]
     for name, t in params.items():
         arr = np.ascontiguousarray(t.data, dtype="<f8")
-        blob += [_record_header(name, arr.shape), memoryview(arr).cast("B")]  # the parameter's own bytes, no copy
+        header = _record_header(name, arr.shape)
+        # the parameter's own bytes, no copy
+        blob += [header, _padding(len(header), align), memoryview(arr).cast("B")]
     with atomic_write(path, binary=True) as f:
         f.writelines(blob)
 
 
+class MappedCheckpoint:
+    """The checkpoint file a loaded model came from, held open: the inode
+    its parameters map, and that inode's size and modification time when
+    the load began."""
+
+    def __init__(self, path: Path, fd: int, stat: os.stat_result):
+        self.path, self._fd, self._stamp = path, fd, (stat.st_size, stat.st_mtime_ns)
+        weakref.finalize(self, os.close, fd)
+
+    def check_unchanged(self) -> None:
+        """Raise RuntimeFailure if the file was written since the load
+        began. The mapping shows such writes in every page it never copied,
+        and the digest taken at load does not."""
+        stat = os.fstat(self._fd)
+        if (stat.st_size, stat.st_mtime_ns) != self._stamp:
+            raise RuntimeFailure(f"checkpoint {self.path} was written to while in use (its size or mtime changed)")
+
+
 def load_checkpoint(path: str | Path, digest=None) -> MultilingualModel:
-    """Rebuild a model from a checkpoint, bit-exactly.
+    """Rebuild a model from a checkpoint of version 1 or 2, bit-exactly.
 
     The meta block fixes the exact size of the tensor block and every
-    record's header, in `parameter_table` order, so a file of another size,
-    or a record that is not the next table entry, fails as ValidationError
-    before or instead of reading past it. Each tensor is read straight into
-    its parameter array. `digest`, a hashlib object, is fed every byte as it
-    is read, so after a successful load it has hashed exactly the file the
-    model came from.
+    record's header and padding, in `parameter_table` order. A file of
+    another size fails as ValidationError before anything is mapped or
+    built, and a record that is not the next table entry, or nonzero
+    padding, fails before any tensor past it is read. The file is mapped
+    copy-on-write: each version-2 tensor, aligned at 8 bytes, is its
+    parameter as a view of the mapping, so no weight is allocated or
+    copied; a version-1 tensor is copied out into an aligned array.
+    `digest`, a hashlib object, is fed the header and meta block as read,
+    then the mapped tensor block, so after a successful load it has hashed
+    exactly the file the model came from. The model's `source` keeps the
+    file open (`MappedCheckpoint`).
     """
     path = Path(path)
     try:
-        f = path.open("rb")
+        f = open_regular(path)  # only a regular file can be mapped
     except OSError as exc:
         raise ValidationError(f"cannot read checkpoint {path}: {exc}") from exc
-    hashed = (lambda data: None) if digest is None else digest.update
     with f:
-        size = os.fstat(f.fileno()).st_size
-
-        def read(n: int) -> bytes:
-            data = f.read(n)
-            hashed(data)
-            return data
-
-        head = read(12)
+        stat = os.fstat(f.fileno())
+        head = f.read(12)
         if head[:4] != CKPT_MAGIC:
             raise ValidationError(f"{path}: not a checkpoint file (bad magic)")
         if len(head) < 12:
             raise ValidationError(f"{path}: truncated checkpoint (reading header)")
         version, meta_len = struct.unpack("<II", head[4:])
-        if version != CKPT_VERSION:
+        align = CKPT_ALIGN.get(version)
+        if align is None:
             raise ValidationError(f"{path}: unsupported checkpoint version {version}")
-        if meta_len > size - 12:
+        if meta_len > stat.st_size - 12:
             raise ValidationError(f"{path}: truncated checkpoint (reading metadata)")
-        raw_meta = read(meta_len)
+        raw_meta = f.read(meta_len)
+        at = 12 + meta_len  # the tensor block's start
         try:
             meta, repeated = parse_json(raw_meta.decode("utf-8"))
             part = "model_config"
@@ -633,7 +675,8 @@ def load_checkpoint(path: str | Path, digest=None) -> MultilingualModel:
                 languages.append(Language.parse(code))
                 vocabs[languages[-1]] = Vocabulary.from_doc(doc)
             # a dimension past u32 fails to pack (struct.error): no file holds it
-            block = _tensor_block_bytes(config, {lang: v.size for lang, v in vocabs.items()})
+            sizes = {lang: v.size for lang, v in vocabs.items()}
+            block = _tensor_block_bytes(config, sizes, at, align)
         except (ValueError, KeyError, TypeError, AttributeError, struct.error) as exc:
             raise ValidationError(f"{path}: bad checkpoint metadata ({exc!r})") from exc
         except ValidationError as exc:
@@ -642,27 +685,46 @@ def load_checkpoint(path: str | Path, digest=None) -> MultilingualModel:
         repeats = [*repeated, *(f"vocabs: {r}" for r in repeated_languages(languages))]  # `en` and `EN` share a head
         if repeats:
             raise ValidationError(f"{path}: bad checkpoint metadata", items=repeats)
-        # checked before the model is built, so no size a meta block claims allocates anything
-        follow = size - f.tell()
+        # checked before the file is mapped and the model built, so no size a meta block claims allocates anything
+        follow = stat.st_size - at
         if follow != block:
             raise ValidationError(
                 f"{path}: metadata implies a {block}-byte tensor block, but {follow} bytes follow it "
                 f"({'truncated' if follow < block else f'{follow - block} trailing bytes'})"
             )
-        model = MultilingualModel._unfilled(config, vocabs)
-        params = model.named_parameters()
-        count = read(4)
-        if count != struct.pack("<I", len(params)):
-            raise ValidationError(f"{path}: tensor count {int.from_bytes(count, 'little')} is not {len(params)}")
-        # with the exact size, headers that match in table order keep every read inside the file
-        for i, (name, t) in enumerate(params.items()):
-            header = _record_header(name, t.shape)
-            if read(len(header)) != header:
-                raise ValidationError(f"{path}: tensor {i} is not {name!r} of shape {t.shape}")
-            view = memoryview(t.data).cast("B")
-            if f.readinto(view) != len(view):
-                raise ValidationError(f"{path}: truncated checkpoint (reading {name!r})")
-            hashed(view)
-            if sys.byteorder == "big":
-                t.data.byteswap(inplace=True)
+        try:
+            mapped = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_COPY)
+        except (OSError, ValueError) as exc:  # a file emptied since the size was taken is ValueError
+            raise ValidationError(f"{path}: cannot map checkpoint ({exc})") from exc
+        source = MappedCheckpoint(path, os.dup(f.fileno()), stat)
+
+    def expect(want: bytes, problem: str) -> None:
+        nonlocal at
+        if mapped[at : at + len(want)] != want:
+            raise ValidationError(f"{path}: {problem}")
+        at += len(want)
+
+    table = parameter_table(config, sizes)
+    count = int.from_bytes(mapped[at : at + 4], "little")
+    expect(struct.pack("<I", len(table)), f"tensor count {count} is not {len(table)}")
+    expect(_padding(at, align), "nonzero padding after the tensor count")
+    # with the exact size, headers that match in table order keep every view inside the file
+    arrays = {}
+    for i, (name, shape) in enumerate(table.items()):
+        expect(_record_header(name, shape), f"tensor {i} is not {name!r} of shape {shape}")
+        expect(_padding(at, align), f"nonzero padding after the header of tensor {i} ({name!r})")
+        n = math.prod(shape)
+        if at + 8 * n > len(mapped):  # the file shrank after its size was taken
+            raise ValidationError(f"{path}: truncated checkpoint (reading {name!r})")
+        data = np.frombuffer(mapped, "<f8", n, at).reshape(shape)
+        # an unaligned version-1 tensor, or a big-endian host, takes a native copy
+        arrays[name] = data.astype(np.float64) if align < 8 or sys.byteorder == "big" else data
+        at += 8 * n
+    if digest is not None:
+        digest.update(head)
+        digest.update(raw_meta)
+        with memoryview(mapped) as view, view[12 + meta_len : at] as tensors:
+            digest.update(tensors)
+    model = MultilingualModel._from_arrays(config, vocabs, arrays)
+    model.source = source
     return model

@@ -1,3 +1,4 @@
+import struct
 import sys
 from pathlib import Path
 
@@ -29,6 +30,26 @@ def tiny_model_config(**overrides) -> ModelConfig:
     )
     base.update(overrides)
     return ModelConfig(**base)
+
+
+def documented_meta(model: MultilingualModel) -> dict:
+    """A model's checkpoint meta block as the README documents it."""
+    specials = {"pad": 0, "bos": 1, "eos": 2, "unk": 3}
+    vocabs = {lang.value: {"tokens": list(model.vocab(lang).tokens), "specials": specials} for lang in model.languages}
+    return {"model_config": model.config.to_dict(), "languages": [lang.value for lang in model.languages], "vocabs": vocabs}
+
+
+def splice_meta(raw: bytes, meta_bytes: bytes) -> bytes:
+    """Checkpoint bytes `raw` with their JSON meta block replaced by
+    `meta_bytes`: the version kept, the meta length set, and in version 2
+    the zero padding after the tensor count refitted, so every record stays
+    at a multiple of 8."""
+    version, meta_len = struct.unpack_from("<II", raw, 4)
+    align = 8 if version == 2 else 1
+    count_end = 16 + meta_len
+    records = raw[count_end + -count_end % align :]
+    head = raw[:4] + struct.pack("<II", version, len(meta_bytes)) + meta_bytes + raw[count_end - 4 : count_end]
+    return head + bytes(-len(head) % align) + records
 
 
 def synthetic_caption(lang: Language, i: int) -> str:

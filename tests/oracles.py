@@ -8,14 +8,17 @@ separate steps with the chain rule run back through each step, and the
 label-smoothed loss as a dense coefficient array times the log-softmax,
 AdamW as whole-array textbook formulas, a seed's initial parameters drawn
 one module after another, the tokenizer as one regex pass over the whole
-text, and the vocabulary order as one sort by (-count, token). These
+text, the vocabulary order as one sort by (-count, token), and the bytes of
+an `.ackp` checkpoint of either version packed field by field. These
 deliberately share no code with the package paths they verify.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import re
+import struct
 from collections import Counter
 from typing import Callable, Mapping, Sequence
 
@@ -590,3 +593,29 @@ def vocabulary_order(corpus: Sequence[Sequence[str]], min_count: int) -> list[st
     equal counts by token."""
     counts = Counter(tok for caption in corpus for tok in caption)
     return sorted((tok for tok, c in counts.items() if c >= min_count), key=lambda tok: (-counts[tok], tok))
+
+
+def checkpoint_bytes(meta: dict, params: Mapping[str, np.ndarray], version: int) -> bytes:
+    """An `.ackp` file of `version` 1 or 2, packed with `struct` from the
+    README's layout: `ACKP`, then little-endian u32 version, meta length,
+    the UTF-8 JSON meta (keys sorted), u32 tensor count, then per tensor
+    u32 name length, UTF-8 name, u32 rank, one u32 per dimension and the
+    little-endian float64 data. Version 2 puts zero bytes after the count
+    and after each record's dimensions, up to the next file offset that is a
+    multiple of 8; version 1 puts none."""
+    meta_bytes = json.dumps(meta, ensure_ascii=False, sort_keys=True).encode("utf-8")
+    out = bytearray(b"ACKP" + struct.pack("<II", version, len(meta_bytes)) + meta_bytes)
+
+    def pad() -> None:
+        while version == 2 and len(out) % 8:
+            out.append(0)
+
+    out += struct.pack("<I", len(params))
+    pad()
+    for name, array in params.items():
+        encoded = name.encode("utf-8")
+        out += struct.pack("<I", len(encoded)) + encoded
+        out += struct.pack("<I", array.ndim) + struct.pack(f"<{array.ndim}I", *array.shape)
+        pad()
+        out += array.astype("<f8").tobytes()
+    return bytes(out)

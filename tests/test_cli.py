@@ -5,7 +5,7 @@ import json
 import os
 import resource
 import shutil
-import struct
+import signal
 import subprocess
 import sys
 import threading
@@ -16,7 +16,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import tiny_model_config, word_vocab
+from conftest import documented_meta, splice_meta, tiny_model_config, word_vocab
+from oracles import checkpoint_bytes
 import polycap
 from polycap import decoding
 from polycap.cli import TrainData, TrainRun, _load_train_config, main
@@ -76,8 +77,7 @@ def rewrite_meta(path: Path, edit) -> None:
     meta_end = 12 + int.from_bytes(raw[8:12], "little")
     meta = json.loads(raw[12:meta_end])
     edit(meta)
-    meta_bytes = json.dumps(meta).encode("utf-8")
-    path.write_bytes(raw[:4] + struct.pack("<II", 1, len(meta_bytes)) + meta_bytes + raw[meta_end:])
+    path.write_bytes(splice_meta(raw, json.dumps(meta).encode("utf-8")))
 
 
 class TestPrepare:
@@ -346,6 +346,86 @@ class TestRunManifest:
         }
         assert environments["1"]["numpy"] == np.__version__
         assert environments["1"]["cpus"] == len(os.sched_getaffinity(0))
+
+
+class TestCheckpointUnderCaption:
+    """`caption` builds its model from the pages of the checkpoint file, so
+    its digest must be the file's, and a write to that file while it runs
+    must not pass unnoticed."""
+
+    def test_both_versions_give_the_files_digest_and_the_same_captions(self, tmp_path):
+        _, emb_dir = write_corpus(tmp_path)
+        model = MultilingualModel(tiny_model_config(d_in=8), {Language.EN: word_vocab(["a", "b"])}, seed=4)
+        params = {name: t.data for name, t in model.named_parameters().items()}
+        captions = []
+        for version in (1, 2):
+            path = tmp_path / f"v{version}.ackp"
+            path.write_bytes(checkpoint_bytes(documented_meta(model), params, version))
+            out = tmp_path / f"cap{version}"
+            argv = ["--embeddings-dir", str(emb_dir), "--beam-size", "2", "--max-len", "3", "--out", str(out)]
+            assert main(["caption", "--checkpoint", str(path), *argv]) == 0
+            digests = json.loads((out / "run_manifest.json").read_text())["input_digests"]
+            assert digests["checkpoint"] == hashlib.sha256(path.read_bytes()).hexdigest()
+            captions.append((out / "captions.jsonl").read_bytes())
+        assert captions[0] == captions[1]
+
+    @pytest.mark.parametrize("write", ["append", "overwrite"])
+    def test_an_in_place_write_exits_3_and_writes_no_manifest(self, tmp_path, monkeypatch, capsys, write):
+        _, emb_dir = write_corpus(tmp_path)
+        path = tmp_path / "m.ackp"
+        save_checkpoint(MultilingualModel(tiny_model_config(d_in=8), {Language.EN: word_vocab(["a", "b"])}), path)
+        os.utime(path, ns=(10**18, 10**18))  # an old mtime, so the write below moves it on any clock
+        caption_clip = decoding.caption_clip
+
+        def write_then_caption(*args):
+            with open(path, "r+b") as f:  # the same inode, as a copy onto the path writes
+                f.seek(0 if write == "append" else -8, os.SEEK_END)
+                f.write(b"\xff" * 8)
+            return caption_clip(*args)
+
+        monkeypatch.setattr(decoding, "caption_clip", write_then_caption)
+        out = tmp_path / "cap"
+        assert main(["caption", "--checkpoint", str(path), "--embeddings-dir", str(emb_dir), "--out", str(out)]) == 3
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "RuntimeFailure" and str(path) in payload["message"]
+        assert not (out / "run_manifest.json").exists() and not (out / "captions.jsonl").exists()
+
+    def test_an_atomic_replacement_leaves_the_run_as_it_was(self, tmp_path, monkeypatch):
+        # the path then names a new inode; the mapped one is unchanged
+        _, emb_dir = write_corpus(tmp_path)
+        cfg, vocabs = tiny_model_config(d_in=8), {Language.EN: word_vocab(["a", "b"])}
+        path = tmp_path / "m.ackp"
+        save_checkpoint(MultilingualModel(cfg, vocabs, seed=1), path)
+        raw = path.read_bytes()
+        argv = ["caption", "--checkpoint", str(path), "--embeddings-dir", str(emb_dir)]
+        assert main([*argv, "--out", str(tmp_path / "clean")]) == 0
+        caption_clip = decoding.caption_clip
+
+        def replace_then_caption(*args):
+            save_checkpoint(MultilingualModel(cfg, vocabs, seed=2), path)
+            return caption_clip(*args)
+
+        monkeypatch.setattr(decoding, "caption_clip", replace_then_caption)
+        assert main([*argv, "--out", str(tmp_path / "cap")]) == 0
+        assert path.read_bytes() != raw
+        digests = json.loads((tmp_path / "cap" / "run_manifest.json").read_text())["input_digests"]
+        assert digests["checkpoint"] == hashlib.sha256(raw).hexdigest()
+        clean = (tmp_path / "clean" / "captions.jsonl").read_bytes()
+        assert (tmp_path / "cap" / "captions.jsonl").read_bytes() == clean
+
+    def test_truncating_the_mapped_file_ends_the_process_with_sigbus(self, tmp_path):
+        # the case the README states as remaining: a mapping cannot outlive its file's pages
+        path = tmp_path / "m.ackp"
+        save_checkpoint(MultilingualModel(tiny_model_config(d_in=8), {Language.EN: word_vocab(["a", "b"])}), path)
+        script = (
+            "import os, sys\n"
+            "from polycap.model import load_checkpoint\n"
+            "model = load_checkpoint(sys.argv[1])\n"
+            "os.truncate(sys.argv[1], 0)\n"
+            "print(sum(float(t.data.sum()) for t in model.named_parameters().values()))\n"
+        )
+        proc = run_module(str(path), cwd=tmp_path, args=("-c", script))
+        assert proc.returncode == -signal.SIGBUS, proc.stderr
 
 
 class TestStats:
@@ -1330,7 +1410,7 @@ class TestOversizedJsonIntegers:
         raw = path.read_bytes()
         meta_end = 12 + int.from_bytes(raw[8:12], "little")
         meta_bytes = raw[12 : meta_end - 1] + f', "x": {self.HUGE}}}'.encode()
-        path.write_bytes(raw[:4] + struct.pack("<II", 1, len(meta_bytes)) + meta_bytes + raw[meta_end:])
+        path.write_bytes(splice_meta(raw, meta_bytes))
         code = main(["caption", "--checkpoint", str(path), "--embeddings-dir", str(emb_dir), "--out", str(tmp_path / "o")])
         assert code == 2
         assert json.loads(capsys.readouterr().err)["message"].startswith(f"{path}: bad checkpoint metadata (ValueError(")
@@ -1393,7 +1473,7 @@ class TestRepeatedJsonKeys:
         raw = path.read_bytes()
         meta_end = 12 + int.from_bytes(raw[8:12], "little")
         meta_bytes = raw[12 : meta_end - 1] + b', "languages": ["en"]}'
-        path.write_bytes(raw[:4] + struct.pack("<II", 1, len(meta_bytes)) + meta_bytes + raw[meta_end:])
+        path.write_bytes(splice_meta(raw, meta_bytes))
         argv = ["caption", "--checkpoint", str(path), "--embeddings-dir", str(emb_dir), "--out", str(tmp_path / "o")]
         assert main(argv) == 2
         payload = json.loads(capsys.readouterr().err)

@@ -239,3 +239,17 @@ def test_failed_unlink_after_the_exchange_keeps_previous_file(tmp_path, monkeypa
         cli._dump_json({"seed": 1}, path)
     assert path.read_bytes() == before
     assert list(tmp_path.iterdir()) == [path]
+
+
+def test_open_regular_reads_a_regular_file_and_refuses_the_rest_at_once(tmp_path):
+    # a FIFO with no writer would block a plain open for reading
+    (tmp_path / "f").write_bytes(b"data")
+    with files.open_regular(tmp_path / "f") as f:
+        assert f.read() == b"data"
+    os.mkfifo(tmp_path / "fifo")
+    (tmp_path / "dir").mkdir()
+    for name in ("fifo", "dir"):
+        with pytest.raises(OSError, match="not a regular file"):
+            files.open_regular(tmp_path / name)
+    with pytest.raises(FileNotFoundError):
+        files.open_regular(tmp_path / "gone")

@@ -1,6 +1,8 @@
 import functools
+import hashlib
 import json
 import math
+import mmap
 import os
 import resource
 import struct
@@ -16,8 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import tiny_model_config, word_vocab
-from oracles import finite_difference_grads, initial_parameters, relative_error
+from conftest import documented_meta, splice_meta, tiny_model_config, word_vocab
+from oracles import checkpoint_bytes, finite_difference_grads, initial_parameters, relative_error
 import polycap
 import polycap.cli
 from polycap.errors import ValidationError
@@ -84,6 +86,13 @@ class TestForward:
                 full = sinusoidal_encoding(length, d)
                 for t in range(1, length + 1):
                     assert sinusoidal_encoding(t, d).tobytes() == full[:t].tobytes(), (d, length, t)
+
+    def test_one_position_row_is_the_tables_row(self):
+        # the cached decoder builds only the row of the position it decodes
+        for d in (1, 6, 8, 256, 512):
+            full = sinusoidal_encoding(41, d)
+            for t in range(41):
+                assert sinusoidal_encoding(t + 1, d, start=t)[0].tobytes() == full[t].tobytes(), (d, t)
 
     def test_causality_by_perturbation(self, tiny_model, en_vocab):
         rng = np.random.default_rng(1)
@@ -316,6 +325,13 @@ class TestParameterTable:
         assert list(loaded) == list(table)
 
 
+def buffer_owner(array: np.ndarray):
+    """The object that exports the memory `array` views, at the root of its bases."""
+    while isinstance(array, np.ndarray):
+        array = array.base
+    return array.obj if isinstance(array, memoryview) else array
+
+
 class TestCheckpoint:
     def test_bit_exact_roundtrip(self, tmp_path, en_vocab):
         cfg = tiny_model_config(n_layers=2)
@@ -330,7 +346,7 @@ class TestCheckpoint:
         assert set(a) == set(b)
         for name in a:
             assert np.array_equal(a[name].data, b[name].data), name
-            assert b[name].data.flags.writeable and b[name].data.flags.owndata, name
+            assert b[name].data.flags.writeable and b[name].data.flags.aligned, name
         # saving the loaded model reproduces the file byte for byte
         save_checkpoint(loaded, tmp_path / "again.ackp")
         assert (tmp_path / "again.ackp").read_bytes() == path.read_bytes()
@@ -339,19 +355,57 @@ class TestCheckpoint:
         model = MultilingualModel(tiny_model_config(), {Language.EN: en_vocab, Language.FR: en_vocab}, seed=4)
         path = tmp_path / "m.ackp"
         save_checkpoint(model, path)
-        vocab_doc = {"tokens": list(en_vocab.tokens), "specials": {"pad": 0, "bos": 1, "eos": 2, "unk": 3}}
-        meta = {
-            "model_config": model.config.to_dict(),
-            "languages": ["en", "fr"],
-            "vocabs": {code: vocab_doc for code in ("en", "fr")},
-        }
-        meta_bytes = json.dumps(meta, ensure_ascii=False, sort_keys=True).encode("utf-8")
-        params = model.named_parameters()
-        expected = [b"ACKP", struct.pack("<II", 1, len(meta_bytes)), meta_bytes, struct.pack("<I", len(params))]
-        for name, t in params.items():
-            expected += [struct.pack("<I", len(name)), name.encode("utf-8"), struct.pack("<I", t.data.ndim)]
-            expected += [struct.pack(f"<{t.data.ndim}I", *t.data.shape), t.data.astype("<f8").tobytes()]
-        assert path.read_bytes() == b"".join(expected)
+        params = {name: t.data for name, t in model.named_parameters().items()}
+        raw = path.read_bytes()
+        assert raw == checkpoint_bytes(documented_meta(model), params, version=2)
+        _, padding, records = layout(raw)
+        assert padding and all(raw[at] == 0 for at in padding)
+        assert [data % 8 for _, data, _ in records.values()] == [0] * len(params)
+
+    def test_load_maps_every_parameter_without_allocating_it(self, tmp_path, en_vocab):
+        cfg = tiny_model_config(d_in=64, d_model=256, n_heads=4, d_ff=2048, n_layers=2)
+        model = MultilingualModel(cfg, {Language.EN: en_vocab}, seed=0)
+        path = tmp_path / "m.ackp"
+        save_checkpoint(model, path)
+        raw = path.read_bytes()
+        digest = hashlib.sha256()
+        tracemalloc.start()
+        try:
+            loaded = load_checkpoint(path, digest)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(raw) > 20_000_000
+        assert peak < 0.01 * len(raw), (peak, len(raw))
+        assert digest.hexdigest() == hashlib.sha256(raw).hexdigest()
+        arrays = [t.data for t in loaded.named_parameters().values()]
+        for array in arrays:
+            assert array.flags.aligned and array.ctypes.data % 8 == 0 and not array.flags.owndata
+        owners = {id(buffer_owner(array)) for array in arrays}
+        assert owners == {id(buffer_owner(arrays[0]))} and isinstance(buffer_owner(arrays[0]), mmap.mmap)
+        # copy-on-write: an update of a loaded parameter leaves the file as it was
+        arrays[0] += 1.0
+        assert path.read_bytes() == raw
+
+    def test_version_1_file_from_the_oracle_loads_bit_exactly(self, tmp_path, en_vocab):
+        # eleven layers, so the record sizes of two-digit layer names count too
+        cfg = tiny_model_config(n_layers=11, d_model=4, n_heads=2, d_ff=3)
+        model = MultilingualModel(cfg, {Language.EN: en_vocab, Language.FR: word_vocab(["a"])}, seed=6)
+        params = {name: t.data for name, t in model.named_parameters().items()}
+        raw = checkpoint_bytes(documented_meta(model), params, version=1)
+        assert any(data % 8 for _, data, _ in layout(raw)[2].values())  # unaligned tensors to copy out
+        path = tmp_path / "v1.ackp"
+        path.write_bytes(raw)
+        digest = hashlib.sha256()
+        loaded = load_checkpoint(path, digest)
+        assert digest.hexdigest() == hashlib.sha256(raw).hexdigest()
+        assert loaded.config == model.config and loaded.languages == model.languages
+        for name, array in loaded.named_parameters().items():
+            assert array.data.tobytes() == params[name].tobytes(), name
+            assert array.data.flags.owndata and array.data.flags.aligned and array.data.flags.writeable, name
+        # a loaded version-1 model saves as the current version
+        save_checkpoint(loaded, tmp_path / "v2.ackp")
+        assert (tmp_path / "v2.ackp").read_bytes() == checkpoint_bytes(documented_meta(model), params, version=2)
 
     def test_save_writes_tensors_without_copying_them(self, tmp_path, en_vocab):
         cfg = tiny_model_config(d_in=32, d_model=128, n_heads=4, d_ff=512, n_layers=2)
@@ -397,27 +451,35 @@ class TestCheckpoint:
         path = tmp_path / "m.ackp"
         save_checkpoint(tiny_model, path)
         raw = path.read_bytes()
-        spans = record_spans(raw)
+        records = layout(raw)[2]
         name = "trunk.layers.0.self_attn.wq.bias"
-        (a, b), (c, d) = spans[name], spans["trunk.layers.0.self_attn.wk.bias"]
+        (a, _, b), (c, _, d) = records[name], records["trunk.layers.0.self_attn.wk.bias"]
         path.write_bytes(raw[:a] + raw[c:d] + raw[b:c] + raw[a:b] + raw[d:])
         with pytest.raises(ValidationError) as exc:
             load_checkpoint(path)
         shape = tiny_model.named_parameters()[name].data.shape
-        assert exc.value.message == f"{path}: tensor {list(spans).index(name)} is not {name!r} of shape {shape}"
+        assert exc.value.message == f"{path}: tensor {list(records).index(name)} is not {name!r} of shape {shape}"
 
     def test_a_changed_name_byte_is_rejected(self, tmp_path, tiny_model):
         path = tmp_path / "m.ackp"
         save_checkpoint(tiny_model, path)
         raw = bytearray(path.read_bytes())
-        spans = record_spans(bytes(raw))
+        records = layout(bytes(raw))[2]
         name = "trunk.layers.0.ff.w1.weight"
-        raw[spans[name][0] + 4 + name.index("w1")] = ord("W")
+        raw[records[name][0] + 4 + name.index("w1")] = ord("W")
         path.write_bytes(raw)
         with pytest.raises(ValidationError) as exc:
             load_checkpoint(path)
         shape = tiny_model.named_parameters()[name].data.shape
-        assert exc.value.message == f"{path}: tensor {list(spans).index(name)} is not {name!r} of shape {shape}"
+        assert exc.value.message == f"{path}: tensor {list(records).index(name)} is not {name!r} of shape {shape}"
+
+    def test_a_fifo_exits_2_without_waiting_for_a_writer(self, tmp_path, capsys):
+        # only a regular file can be mapped; opening a FIFO for reading waits for a writer
+        path = tmp_path / "m.ackp"
+        os.mkfifo(path)
+        argv = ["caption", "--checkpoint", str(path), "--embeddings-dir", str(tmp_path), "--out", str(tmp_path / "o")]
+        assert polycap.cli.main(argv) == 2
+        assert json.loads(capsys.readouterr().err)["message"] == f"cannot read checkpoint {path}: [Errno 22] not a regular file"
 
     def test_a_wrong_tensor_count_is_rejected(self, tmp_path, tiny_model):
         path = tmp_path / "m.ackp"
@@ -431,17 +493,44 @@ class TestCheckpoint:
             load_checkpoint(path)
         assert exc.value.message == f"{path}: tensor count {n + 1} is not {n}"
 
-    def test_a_file_that_shrinks_while_read_is_rejected(self, tmp_path, tiny_model, monkeypatch):
-        # the size is taken once, before the reads; a file cut after that
-        # leaves the last tensor short
+    @pytest.mark.parametrize("where", ["count", "record"])
+    def test_nonzero_padding_exits_2(self, tmp_path, tiny_model, capsys, where):
+        path = tmp_path / "m.ackp"
+        save_checkpoint(tiny_model, path)
+        raw = path.read_bytes()
+        meta_bytes = raw[12 : 12 + int.from_bytes(raw[8:12], "little")]
+        while (16 + len(meta_bytes)) % 8 == 0:  # room for a padding byte after the count
+            meta_bytes += b" "
+        raw = bytearray(splice_meta(raw, meta_bytes))
+        _, padding, records = layout(bytes(raw))
+        if where == "count":
+            at, problem = 16 + len(meta_bytes), "nonzero padding after the tensor count"
+        else:
+            i, name = next((i, name) for i, (name, (_, data, _)) in enumerate(records.items()) if data - 1 in padding)
+            at, problem = records[name][1] - 1, f"nonzero padding after the header of tensor {i} ({name!r})"
+        assert at in padding
+        raw[at] = 1
+        path.write_bytes(raw)
+        argv = ["caption", "--checkpoint", str(path), "--embeddings-dir", str(tmp_path), "--out", str(tmp_path / "o")]
+        assert polycap.cli.main(argv) == 2
+        assert json.loads(capsys.readouterr().err)["message"] == f"{path}: {problem}"
+
+    def test_a_file_that_shrinks_while_read_is_rejected(self, tmp_path, tiny_model, monkeypatch, capsys):
+        # the size is taken once, before the file is mapped; a file cut
+        # after that leaves the last tensor short of the mapping
         path = tmp_path / "m.ackp"
         save_checkpoint(tiny_model, path)
         raw = path.read_bytes()
         path.write_bytes(raw[:-8])
-        monkeypatch.setattr(polycap.model, "os", SimpleNamespace(fstat=lambda fd: SimpleNamespace(st_size=len(raw))))
-        with pytest.raises(ValidationError) as exc:
-            load_checkpoint(path)
-        assert exc.value.message == f"{path}: truncated checkpoint (reading {list(record_spans(raw))[-1]!r})"
+
+        def fstat(fd):
+            return SimpleNamespace(st_size=len(raw), st_mtime_ns=os.fstat(fd).st_mtime_ns)
+
+        monkeypatch.setattr(polycap.model, "os", SimpleNamespace(**{**vars(os), "fstat": fstat}))
+        argv = ["caption", "--checkpoint", str(path), "--embeddings-dir", str(tmp_path), "--out", str(tmp_path / "o")]
+        assert polycap.cli.main(argv) == 2
+        last = list(layout(raw)[2])[-1]
+        assert json.loads(capsys.readouterr().err)["message"] == f"{path}: truncated checkpoint (reading {last!r})"
 
     def test_a_dimension_past_u32_is_bad_metadata(self, tmp_path, tiny_model):
         # no record header can hold it, so no file of that meta exists
@@ -451,8 +540,7 @@ class TestCheckpoint:
         meta_end = 12 + int.from_bytes(raw[8:12], "little")
         meta = json.loads(raw[12:meta_end])
         meta["model_config"]["d_ff"] = 2**32
-        meta_bytes = json.dumps(meta).encode("utf-8")
-        path.write_bytes(raw[:4] + struct.pack("<II", 1, len(meta_bytes)) + meta_bytes + raw[meta_end:])
+        path.write_bytes(splice_meta(raw, json.dumps(meta).encode("utf-8")))
         with pytest.raises(ValidationError, match="bad checkpoint metadata .*4294967295"):
             load_checkpoint(path)
 
@@ -464,15 +552,14 @@ class TestCheckpoint:
         meta_end = 12 + int.from_bytes(raw[8:12], "little")
         meta = json.loads(raw[12:meta_end])
         meta["model_config"]["max_len"] = 1
-        meta_bytes = json.dumps(meta).encode("utf-8")
-        path.write_bytes(raw[:4] + struct.pack("<II", 1, len(meta_bytes)) + meta_bytes + raw[meta_end:])
+        path.write_bytes(splice_meta(raw, json.dumps(meta).encode("utf-8")))
         with pytest.raises(ValidationError) as exc:
             load_checkpoint(path)
         assert exc.value.message == f"{path}: bad checkpoint metadata"
         assert exc.value.items == ["model_config: bad model config", "model_config: max_len=1 must be an integer >= 2"]
 
     def test_meta_the_file_cannot_back_is_rejected(self, tmp_path, tiny_model, monkeypatch):
-        # checked before the model is built, so hostile sizes allocate nothing
+        # checked before the file is mapped and the model built, so hostile sizes allocate nothing
         path = tmp_path / "m.ackp"
         save_checkpoint(tiny_model, path)
         raw = path.read_bytes()
@@ -480,18 +567,18 @@ class TestCheckpoint:
         meta = json.loads(raw[12:meta_end])
         meta["model_config"]["d_model"] = 64
         meta_bytes = json.dumps(meta).encode("utf-8")
-        path.write_bytes(raw[:4] + struct.pack("<II", 1, len(meta_bytes)) + meta_bytes + raw[meta_end:])
-        # the tensor block a model of the rewritten meta saves
+        path.write_bytes(splice_meta(raw, meta_bytes))
+        # the tensor block a model of the rewritten meta saves, after a meta block of this length
         wide = MultilingualModel(ModelConfig(**meta["model_config"]), {Language.EN: tiny_model.vocab(Language.EN)})
         save_checkpoint(wide, tmp_path / "wide.ackp")
-        wide_raw = (tmp_path / "wide.ackp").read_bytes()
-        block = len(wide_raw) - 12 - int.from_bytes(wide_raw[8:12], "little")
-        monkeypatch.setattr(MultilingualModel, "_unfilled", None)
+        block = len(splice_meta((tmp_path / "wide.ackp").read_bytes(), meta_bytes)) - 12 - len(meta_bytes)
+        follow = path.stat().st_size - 12 - len(meta_bytes)
+        monkeypatch.setattr(MultilingualModel, "_from_arrays", None)
+        monkeypatch.setattr(polycap.model, "mmap", None)
         with pytest.raises(ValidationError) as exc:
             load_checkpoint(path)
         assert exc.value.message == (
-            f"{path}: metadata implies a {block}-byte tensor block, "
-            f"but {len(raw) - meta_end} bytes follow it (truncated)"
+            f"{path}: metadata implies a {block}-byte tensor block, but {follow} bytes follow it (truncated)"
         )
 
     def test_many_narrow_layers_exit_2_before_anything_is_built(self, tmp_path, monkeypatch, capsys):
@@ -506,20 +593,22 @@ class TestCheckpoint:
         meta["model_config"]["n_layers"] = 4000
         n = param_report(ModelConfig(**meta["model_config"]), {Language.EN: vocab.size})["trainable_total"]
         meta_bytes = json.dumps(meta).encode("utf-8")
-        path = tmp_path / "narrow.ackp"
-        path.write_bytes(raw[:4] + struct.pack("<II", 1, len(meta_bytes)) + meta_bytes + bytes(8 * n))
-        assert path.stat().st_size > 800_000
-        monkeypatch.setattr(MultilingualModel, "_unfilled", None)
-        argv = ["caption", "--checkpoint", str(path), "--embeddings-dir", str(tmp_path), "--out", str(tmp_path / "o")]
-        tracemalloc.start()
-        try:
-            code = polycap.cli.main(argv)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert code == 2
-        assert "tensor block" in json.loads(capsys.readouterr().err)["message"]
-        assert peak < 1 << 20, peak
+        monkeypatch.setattr(MultilingualModel, "_from_arrays", None)
+        monkeypatch.setattr(polycap.model, "mmap", None)
+        for version in (1, 2):
+            path = tmp_path / f"narrow{version}.ackp"
+            path.write_bytes(b"ACKP" + struct.pack("<II", version, len(meta_bytes)) + meta_bytes + bytes(8 * n))
+            assert path.stat().st_size > 800_000
+            argv = ["caption", "--checkpoint", str(path), "--embeddings-dir", str(tmp_path), "--out", str(tmp_path / "o")]
+            tracemalloc.start()
+            try:
+                code = polycap.cli.main(argv)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 2, version
+            assert "tensor block" in json.loads(capsys.readouterr().err)["message"]
+            assert peak < 1 << 20, (version, peak)
 
     def test_accented_vocabulary_roundtrips(self, tmp_path):
         from polycap.text import build_vocabulary, tokenize
@@ -549,71 +638,74 @@ class TestCheckpoint:
         assert np.array_equal(want, got)
 
 
-def record_spans(raw: bytes) -> dict[str, tuple[int, int]]:
-    """Each tensor record's name and (start, end) byte offsets in a
-    checkpoint, in file order."""
-    at, spans = 16 + struct.unpack_from("<I", raw, 8)[0], {}
-    while at < len(raw):
-        n = struct.unpack_from("<I", raw, at)[0]
+def layout(raw: bytes) -> tuple[list[int], list[int], dict[str, tuple[int, int, int]]]:
+    """A checkpoint walked by its README layout, version 1 or 2: the byte
+    offset of every u32 size field (the meta length, the tensor count, and
+    each tensor's name length, rank and dims), the offset of every padding
+    byte, and each tensor record's name with its (start, data, end) offsets,
+    in file order."""
+    version, meta_len = struct.unpack_from("<II", raw, 4)
+    align = 8 if version == 2 else 1
+    at = 12 + meta_len
+    sizes, padding, records = [8, at], [], {}
+
+    def pad(at: int) -> int:
+        padding.extend(range(at, at + -at % align))
+        return at + -at % align
+
+    count = struct.unpack_from("<I", raw, at)[0]
+    at = pad(at + 4)
+    for _ in range(count):
+        start, n = at, struct.unpack_from("<I", raw, at)[0]
         ndim = struct.unpack_from("<I", raw, at + 4 + n)[0]
         shape = struct.unpack_from(f"<{ndim}I", raw, at + 8 + n)
-        end = at + 8 + n + 4 * ndim + 8 * math.prod(shape)
-        spans[raw[at + 4 : at + 4 + n].decode("utf-8")] = (at, end)
-        at = end
-    return spans
+        sizes += [at, at + 4 + n, *(at + 8 + n + 4 * j for j in range(ndim))]
+        data = pad(at + 8 + n + 4 * ndim)
+        at = data + 8 * math.prod(shape)
+        records[raw[start + 4 : start + 4 + n].decode("utf-8")] = (start, data, at)
+    assert at == len(raw)
+    return sizes, padding, records
 
 
 U32 = st.integers(0, 2**32 - 1)
 CONFIG_SIZES = ("d_in", "d_model", "n_layers", "n_heads", "d_ff", "max_len")
 
 
-def size_fields(raw: bytes) -> list[int]:
-    """Byte offset of every u32 size field of a checkpoint: the meta length,
-    the tensor count, and each tensor's name length, rank and dims."""
-    meta_len = struct.unpack_from("<I", raw, 8)[0]
-    at = 12 + meta_len
-    offsets = [8, at]
-    count = struct.unpack_from("<I", raw, at)[0]
-    at += 4
-    for _ in range(count):
-        offsets.append(at)
-        at += 4 + struct.unpack_from("<I", raw, at)[0]
-        offsets.append(at)
-        ndim = struct.unpack_from("<I", raw, at)[0]
-        shape = struct.unpack_from(f"<{ndim}I", raw, at + 4)
-        offsets += [at + 4 + 4 * j for j in range(ndim)]
-        at += 4 + 4 * ndim + 8 * math.prod(shape)
-    assert at == len(raw)
-    return offsets
-
-
 @functools.cache
-def base_checkpoint() -> tuple[bytes, dict[str, np.ndarray]]:
-    """A valid two-language checkpoint's bytes and its parameters."""
+def base_checkpoint(version: int) -> tuple[bytes, dict[str, np.ndarray]]:
+    """A valid two-language checkpoint's bytes in `version`, the current
+    one saved, version 1 from the oracle, and its parameters."""
     vocab = word_vocab(["a", "b", "c"])
     model = MultilingualModel(tiny_model_config(), {Language.EN: vocab, Language.FR: vocab}, seed=2)
+    params = {name: t.data for name, t in model.named_parameters().items()}
+    if version == 1:
+        return checkpoint_bytes(documented_meta(model), params, version=1), params
     with tempfile.TemporaryDirectory() as tmp:
         save_checkpoint(model, Path(tmp) / "m.ackp")
-        raw = (Path(tmp) / "m.ackp").read_bytes()
-    return raw, {name: t.data for name, t in model.named_parameters().items()}
+        return (Path(tmp) / "m.ackp").read_bytes(), params
 
 
-@settings(max_examples=400, deadline=None, database=None)
-@given(config=st.dictionaries(st.sampled_from(CONFIG_SIZES), U32, max_size=2),
-       fields=st.lists(st.tuples(st.integers(0, 2**20), U32), max_size=3))
-def inflated_checkpoints_load_exactly_or_fail_validation(config, fields):
-    """A checkpoint with model_config sizes set from `config`, then the u32
-    size fields picked by `fields` (index modulo their count, new value) set,
-    either loads with every parameter bit-exact or raises ValidationError."""
-    raw, params = base_checkpoint()
+@settings(max_examples=600, deadline=None, database=None)
+@given(version=st.sampled_from([1, 2]),
+       config=st.dictionaries(st.sampled_from(CONFIG_SIZES), U32, max_size=2),
+       fields=st.lists(st.tuples(st.integers(0, 2**20), U32), max_size=3),
+       pads=st.lists(st.tuples(st.integers(0, 2**20), st.integers(1, 255)), max_size=2))
+def inflated_checkpoints_load_exactly_or_fail_validation(version, config, fields, pads):
+    """A checkpoint of `version` with model_config sizes set from `config`,
+    then the padding bytes picked by `pads` and the u32 size fields picked
+    by `fields` (index modulo their count, new value) set, either loads with
+    every parameter bit-exact, its padding all zero, or raises
+    ValidationError."""
+    raw, params = base_checkpoint(version)
     meta_len = struct.unpack_from("<I", raw, 8)[0]
     meta = json.loads(raw[12 : 12 + meta_len])
     meta["model_config"].update(config)
-    meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
-    data = bytearray(raw[:8] + struct.pack("<I", len(meta_bytes)) + meta_bytes + raw[12 + meta_len :])
-    offsets = size_fields(bytes(data))
+    data = bytearray(splice_meta(raw, json.dumps(meta, sort_keys=True).encode("utf-8")))
+    sizes, padding, _ = layout(bytes(data))
+    for index, value in pads if padding else ():
+        data[padding[index % len(padding)]] = value
     for index, value in fields:
-        struct.pack_into("<I", data, offsets[index % len(offsets)], value)
+        struct.pack_into("<I", data, sizes[index % len(sizes)], value)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "m.ackp"
         path.write_bytes(data)
@@ -621,6 +713,7 @@ def inflated_checkpoints_load_exactly_or_fail_validation(config, fields):
             model = load_checkpoint(path)
         except ValidationError:
             return
+    assert not (pads and padding), "a file with nonzero padding loaded"
     loaded = {name: t.data for name, t in model.named_parameters().items()}
     assert loaded.keys() == params.keys()
     for name, want in params.items():
@@ -629,11 +722,17 @@ def inflated_checkpoints_load_exactly_or_fail_validation(config, fields):
 
 class TestHostileCheckpointSizes:
     def test_the_search_base_is_valid_and_every_size_field_is_found(self, tmp_path):
-        raw, params = base_checkpoint()
-        (tmp_path / "m.ackp").write_bytes(raw)
-        loaded = load_checkpoint(tmp_path / "m.ackp").named_parameters()
-        assert all(loaded[name].data.tobytes() == want.tobytes() for name, want in params.items())
-        assert len(size_fields(raw)) == 2 + sum(2 + p.ndim for p in params.values())
+        for version in (1, 2):
+            raw, params = base_checkpoint(version)
+            (tmp_path / "m.ackp").write_bytes(raw)
+            loaded = load_checkpoint(tmp_path / "m.ackp").named_parameters()
+            assert all(loaded[name].data.tobytes() == want.tobytes() for name, want in params.items())
+            sizes, padding, records = layout(raw)
+            assert len(sizes) == 2 + sum(2 + p.ndim for p in params.values())
+            assert list(records) == list(params)
+            # version 2 pads every record's data to a multiple of 8, version 1 pads nothing
+            assert all(raw[at] == 0 for at in padding) and bool(padding) == (version == 2)
+            assert all(data % 8 == 0 for _, data, _ in records.values()) == (version == 2)
 
     def test_inflated_sizes_end_in_validation_error(self, tmp_path):
         # every size up to 2**32 - 1, searched in a child under a 2 GiB
