@@ -71,7 +71,8 @@ def _environment() -> dict:
         "thread_vars": {
             var: os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
         },
-        "cpus": len(os.sched_getaffinity(0)),
+        # macOS's Python has no sched_getaffinity
+        "cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
     }
 
 
@@ -124,12 +125,12 @@ def _parse_languages(codes: list[str], source: str) -> list[Language]:
 
 
 def _build_vocabularies(
-    index: corpus_mod.CorpusIndex, languages: list[Language], min_count: int
+    captions: corpus_mod.Captions, languages: list[Language], min_count: int
 ) -> dict[Language, Vocabulary]:
-    """One vocabulary per language from the tokenized captions of `index`."""
+    """One vocabulary per language from the tokenized captions of a split."""
     return {
         lang: build_vocabulary(
-            [tokenize(c) for caps in index.captions.values() for c in caps[lang]],
+            [tokenize(c) for caps in captions.values() for c in caps[lang]],
             min_count=min_count,
         )
         for lang in languages
@@ -143,8 +144,10 @@ def cmd_prepare(args) -> tuple:
     languages = _parse_languages(args.languages, "--languages")
     manifest_digest, clip_digests = hashlib.sha256(), {}
     captions = corpus_mod.load_split(args.manifest, args.split, manifest_digest)
-    index = corpus_mod.CorpusIndex.from_manifest(args.split, captions, args.embeddings_dir, languages, clip_digests)
-    vocabs = _build_vocabularies(index, languages, args.min_count)  # checks min_count before --out is made
+    # one clip held at a time: only its width is kept
+    clips = corpus_mod.read_split(args.split, captions, args.embeddings_dir, languages, clip_digests)
+    (embed_dim,) = {clip.shape[1] for _, clip in clips}
+    vocabs = _build_vocabularies(captions, languages, args.min_count)  # checks min_count before --out is made
     out_dir = _out_dir(args.out)
     vocab_files = {}
     for lang, vocab in vocabs.items():
@@ -153,13 +156,13 @@ def cmd_prepare(args) -> tuple:
         vocab_files[lang.value] = {"path": path.name, "size": vocab.size}
     summary = {
         "split": args.split,
-        "n_audios": len(index),
-        "embed_dim": index.embed_dim,
+        "n_audios": len(captions),
+        "embed_dim": embed_dim,
         "languages": [l.value for l in languages],
         "vocabularies": vocab_files,
     }
     _dump_json(summary, out_dir / "corpus_index.json")
-    print(f"prepared {len(index)} audios, {len(languages)} languages -> {out_dir}")
+    print(f"prepared {len(captions)} audios, {len(languages)} languages -> {out_dir}")
     config = {
         "manifest": str(args.manifest),
         "split": args.split,
@@ -255,20 +258,12 @@ def cmd_train(args) -> tuple:
     def index(split: str) -> corpus_mod.CorpusIndex:
         captions = corpus_mod.select_split(manifests, split, run.data.manifest)
         return corpus_mod.CorpusIndex.from_manifest(
-            split, captions, run.data.embeddings_dir, run.languages, clip_digests
+            split, captions, run.data.embeddings_dir, run.languages, clip_digests, run.model.d_in
         )
 
     train_index = index(run.data.train_split)
     val_index = index(run.data.val_split) if run.data.val_split else None
-    dim_problems = [
-        f"split {split!r}: embedding dim {split_index.embed_dim}"
-        for split, split_index in ((run.data.train_split, train_index), (run.data.val_split, val_index))
-        if split_index is not None and split_index.embed_dim != run.model.d_in
-    ]
-    if dim_problems:
-        raise ValidationError(f"embedding dims do not match model d_in {run.model.d_in}", items=dim_problems)
-
-    vocabs = _build_vocabularies(train_index, run.languages, run.min_count)
+    vocabs = _build_vocabularies(train_index.captions, run.languages, run.min_count)
     n_params = model_mod.param_report(run.model, {lang: v.size for lang, v in vocabs.items()})["trainable_total"]
     physical = physical_memory()
     if 32 * n_params > physical:  # the state held all run, not a step's peak: weights, grads, 2 AdamW moments
@@ -311,15 +306,11 @@ def cmd_caption(args) -> tuple:
     if not audio_ids:
         raise ValidationError(f"no embeddings to caption in {embeddings_dir}")
     clip_digests = {}
-    clips, problems = corpus_mod.read_embeddings(embeddings_dir, audio_ids, clip_digests)
-    d_in = model.config.d_in
-    for audio_id, clip in clips.items():
-        if clip.shape[1] != d_in:
-            problems[audio_id] = f"embedding dim {clip.shape[1]} does not match model d_in {d_in}"
+    clips, problems = corpus_mod.read_embeddings(embeddings_dir, audio_ids, clip_digests, model.config.d_in)
     if problems:
         raise ValidationError(
             f"embeddings in {embeddings_dir} failed validation",
-            items=[f"{audio_id}: {problems[audio_id]}" for audio_id in audio_ids if audio_id in problems],
+            items=[f"{audio_id}: {problem}" for audio_id, problem in problems.items()],
         )
     stopwords = {lang: load_stopwords(lang).words for lang in languages}
 

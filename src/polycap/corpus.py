@@ -116,24 +116,55 @@ def clip_ids(embeddings_dir: str | Path) -> list[str]:
     return sorted(p.stem for p in Path(embeddings_dir).glob(clip_name("*")))
 
 
+def read_clip(
+    embeddings_dir: str | Path, audio_id: str, digests: dict | None = None, d_in: int | None = None
+) -> np.ndarray:
+    """An audio's (frames, dim) matrix from its `clip_path`: the one judge of a clip. A file that is
+    absent or cannot be read as AEMB, or, given `d_in`, a clip of another width is a ValidationError
+    whose message is the clip's report item. `digests`, if given, gains a SHA-256 of the bytes read,
+    by `clip_name`."""
+    path = clip_path(embeddings_dir, audio_id)
+    digest = None
+    if digests is not None:  # a fresh hash: train and val splits may share a clip
+        digest = digests[path.name] = hashlib.sha256()
+    try:
+        data = load_embedding(path, audio_id, digest).data
+    except EmbeddingFormatError as exc:
+        raise ValidationError(exc.message if path.exists() else f"missing embedding file {path.name}") from exc
+    if d_in is not None and data.shape[1] != d_in:
+        raise ValidationError(f"embedding dim {data.shape[1]} does not match model d_in {d_in}")
+    return data
+
+
 def read_embeddings(
-    embeddings_dir: str | Path, audio_ids: Sequence[str], digests: dict | None = None
+    embeddings_dir: str | Path, audio_ids: Sequence[str], digests: dict | None = None, d_in: int | None = None
 ) -> tuple[dict[str, np.ndarray], dict[str, str]]:
-    """Each audio's (frames, dim) matrix from its `clip_path`, and the
-    problem of each audio whose file is absent or cannot be read as AEMB.
-    `digests`, if given, gains a SHA-256 of the bytes read, by `clip_name`."""
-    embeddings: dict[str, np.ndarray] = {}
-    problems: dict[str, str] = {}
+    """Each audio's matrix by `read_clip`, and the problem of each audio it refused."""
+    embeddings, problems = {}, {}
     for audio_id in audio_ids:
-        path = clip_path(embeddings_dir, audio_id)
-        digest = None
-        if digests is not None:  # a fresh hash: train and val splits may share a clip
-            digest = digests[path.name] = hashlib.sha256()
         try:
-            embeddings[audio_id] = load_embedding(path, audio_id, digest).data
-        except EmbeddingFormatError as exc:
-            problems[audio_id] = exc.message if path.exists() else f"missing embedding file {path.name}"
+            embeddings[audio_id] = read_clip(embeddings_dir, audio_id, digests, d_in)
+        except ValidationError as exc:
+            problems[audio_id] = exc.message
     return embeddings, problems
+
+
+def read_split(
+    split: str, captions: Captions, embeddings_dir: str | Path, languages: Sequence[Language],
+    digests: dict | None = None, d_in: int | None = None,
+) -> Iterator[tuple[str, np.ndarray]]:
+    """(audio id, matrix) of each clip of a split `read_clip` accepts, one at a time, so a caller
+    keeps only what it needs; once the last is read, the split is validated (`_check_split`)."""
+    widths, problems = set(), {}
+    for audio_id in captions:
+        try:
+            clip = read_clip(embeddings_dir, audio_id, digests, d_in)
+        except ValidationError as exc:
+            problems[audio_id] = exc.message
+            continue
+        widths.add(clip.shape[1])
+        yield audio_id, clip
+    _check_split(split, captions, widths, languages, problems)
 
 
 def sample_caption(captions: tuple[str, ...], rng: np.random.Generator) -> str:
@@ -256,33 +287,16 @@ def compute_stats(captions: Captions, language: Language, split: str) -> dict:
 
 @dataclass(frozen=True)
 class CorpusIndex:
-    """A validated split: its captions plus in-memory embeddings.
-
-    Construction rejects, with an itemized report, any audio missing an
-    embedding or missing captions in a declared language.
-    """
+    """A split's captions plus in-memory embeddings, validated by `from_manifest`."""
 
     split: str
     captions: Captions = field(repr=False)
     embeddings: dict[str, np.ndarray] = field(repr=False)
     languages: tuple[Language, ...]
 
-    def __post_init__(self):
-        if not self.languages:
-            raise ValidationError("a corpus index needs at least one declared language")
-        _check_split(self.split, self.captions, self.embeddings, self.languages, {})
-
     @property
     def audio_ids(self) -> tuple[str, ...]:
         return tuple(self.captions)
-
-    @property
-    def embed_dim(self) -> int:
-        first = next(iter(self.embeddings.values()))
-        return first.shape[1]
-
-    def __len__(self) -> int:
-        return len(self.captions)
 
     @classmethod
     def from_paths(
@@ -302,38 +316,27 @@ class CorpusIndex:
         embeddings_dir: str | Path,
         languages: Sequence[Language],
         digests: dict | None = None,
+        d_in: int | None = None,
     ) -> "CorpusIndex":
-        """An index over an already loaded split, reading (and hashing, see `read_embeddings`) its embeddings."""
-        embeddings, file_problems = read_embeddings(embeddings_dir, list(captions), digests)
-        if file_problems:  # raises, with every other problem of the split too
-            _check_split(split, captions, embeddings, languages, file_problems)
+        """An index over an already loaded split, reading (and hashing) its embeddings by `read_split`."""
+        embeddings = dict(read_split(split, captions, embeddings_dir, languages, digests, d_in))
         return cls(split=split, captions=captions, embeddings=embeddings, languages=tuple(languages))
 
 
 def _check_split(
-    split: str,
-    captions: Captions,
-    embeddings: Mapping[str, np.ndarray],
-    languages: Sequence[Language],
-    file_problems: Mapping[str, str],
+    split: str, captions: Captions, widths: set[int], languages: Sequence[Language], clip_problems: Mapping[str, str]
 ) -> None:
     """Raise one itemized ValidationError for every problem of a split: each
-    audio's embedding file problem (from `file_problems`) or missing
-    embedding, each missing caption language, repeated languages and
-    inconsistent embedding dims."""
-    problems = repeated_languages(languages)
-    dims = set()
+    audio's clip problem (from `read_clip`), each missing caption language,
+    no declared or repeated languages and inconsistent clip widths."""
+    problems = repeated_languages(languages) if languages else ["a corpus index needs at least one declared language"]
     for audio_id, caps in captions.items():
-        if audio_id in file_problems:
-            problems.append(f"{audio_id}: {file_problems[audio_id]}")
-        elif audio_id not in embeddings:
-            problems.append(f"{audio_id}: no embedding")
-        else:
-            dims.add(embeddings[audio_id].shape[1])
+        if audio_id in clip_problems:
+            problems.append(f"{audio_id}: {clip_problems[audio_id]}")
         for lang in languages:
             if lang not in caps:
                 problems.append(f"{audio_id}: no {lang.value} captions")
-    if len(dims) > 1:
-        problems.append(f"inconsistent embedding dims: {sorted(dims)}")
+    if len(widths) > 1:
+        problems.append(f"inconsistent embedding dims: {sorted(widths)}")
     if problems:
         raise ValidationError(f"corpus validation failed for split {split!r}", items=problems)

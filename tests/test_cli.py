@@ -9,6 +9,7 @@ import signal
 import subprocess
 import sys
 import threading
+import tracemalloc
 from dataclasses import fields
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
@@ -129,6 +130,29 @@ class TestPrepare:
             f"train02: {truncated}: payload length mismatch, header implies 160 bytes, found 156",
             "train03: no fr captions",
         ]
+
+    def test_holds_one_clip_at_a_time(self, tmp_path, capsys):
+        # prepare once kept every clip of its split, 3.8 MB here, to read their width
+        emb_dir = tmp_path / "emb"
+        emb_dir.mkdir()
+        rng = np.random.default_rng(0)
+        rows = []
+        for i in range(40):
+            audio_id = f"a{i:02d}"
+            data = rng.normal(size=(31, 768)).astype(np.float32)
+            write_embedding(emb_dir / f"{audio_id}.aemb", EmbeddingSequence(audio_id, data))
+            rows.append({"audio_id": audio_id, "split": "train", "captions": {"en": [f"a dog barks {i}"]}})
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
+        argv = ["prepare", "--manifest", str(manifest), "--embeddings-dir", str(emb_dir), "--languages", "en"]
+        tracemalloc.start()
+        try:
+            assert main([*argv, "--out", str(tmp_path / "prep")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert json.loads((tmp_path / "prep" / "corpus_index.json").read_text())["embed_dim"] == 768
 
     @pytest.mark.parametrize("min_count", ["0", "-3"])
     def test_min_count_below_one_exits_2_and_makes_no_out(self, min_count, tmp_path, capsys):
@@ -318,6 +342,14 @@ class TestRunManifest:
         assert digests[0] == digests[1]
         assert digests[0]["embeddings_dir"] == clips_digest(emb_dir, "train")
 
+    def test_cpus_fall_back_to_cpu_count_without_sched_getaffinity(self, tmp_path, monkeypatch):
+        # macOS's Python has no os.sched_getaffinity: every command with outputs
+        # once exited 3 after writing them, and left no run manifest
+        manifest, _ = write_corpus(tmp_path)
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert main(["stats", "--manifest", str(manifest), "--languages", "en", "--out", str(tmp_path / "o")]) == 0
+        assert json.loads((tmp_path / "o" / "run_manifest.json").read_text())["environment"]["cpus"] == os.cpu_count()
+
     def test_environment_records_the_blas_thread_setting(self, tmp_path):
         # a fit's weight-gradient bits differ between 1 and 2 BLAS threads,
         # so the manifest names the setting a run had
@@ -442,6 +474,21 @@ class TestStats:
         rows = json.loads((out / "stats.json").read_text())
         assert rows[0]["avg_sentence_length"] == pytest.approx(4.0)
         assert rows[0]["word_types"] == 9  # 6 markers + 3 fills
+
+    def test_manifest_from_a_pipe_is_read_and_hashed(self, tmp_path, capsys):
+        # a text input is a stream: `--manifest <(zcat m.jsonl.gz)` works
+        manifest, _ = write_corpus(tmp_path)
+        read_end, write_end = os.pipe()
+        writer = threading.Thread(target=lambda: (os.write(write_end, manifest.read_bytes()), os.close(write_end)))
+        writer.start()
+        try:
+            code = main(["stats", "--manifest", f"/dev/fd/{read_end}", "--languages", "en", "--out", str(tmp_path / "o")])
+        finally:
+            writer.join()
+            os.close(read_end)
+        assert code == 0
+        digests = json.loads((tmp_path / "o" / "run_manifest.json").read_text())["input_digests"]
+        assert digests == {"manifest": hashlib.sha256(manifest.read_bytes()).hexdigest()}
 
     def test_missing_split_fails(self, tmp_path, capsys):
         manifest, _ = write_corpus(tmp_path)
@@ -848,7 +895,33 @@ class TestTrainCaptionEval:
         config["model"]["d_in"] = 16
         config_path.write_text(json.dumps(config), encoding="utf-8")
         assert main(["train", "--config", str(config_path), "--out", str(tmp_path / "x")]) == 2
-        assert "d_in" in json.loads(capsys.readouterr().err)["message"]
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ValidationError",
+            "message": "corpus validation failed for split 'train'",
+            "items": [f"train{i:02d}: embedding dim 8 does not match model d_in 16" for i in range(6)],
+        }
+
+    @pytest.mark.parametrize("command", ["caption", "train"])
+    def test_caption_and_train_report_a_wrong_width_clip_alike(self, command, tmp_path, capsys):
+        # each command once judged a clip's width in its own words
+        manifest, emb_dir = write_corpus(tmp_path)
+        write_embedding(emb_dir / "test01.aemb", EmbeddingSequence("test01", np.ones((3, 5), dtype=np.float32)))
+        config = write_train_config(tmp_path, manifest, emb_dir, epochs=1)
+        doc = json.loads(config.read_text())
+        doc["data"]["val_split"] = "test"
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        checkpoint = tmp_path / "m.ackp"
+        save_checkpoint(MultilingualModel(tiny_model_config(d_in=8), {Language.EN: word_vocab(["a"])}), checkpoint)
+        argv, message = {
+            "caption": (["--checkpoint", str(checkpoint), "--embeddings-dir", str(emb_dir),
+                         "--manifest", str(manifest), "--split", "test"], f"embeddings in {emb_dir} failed validation"),
+            "train": (["--config", str(config)], "corpus validation failed for split 'test'"),
+        }[command]
+        assert main([command, *argv, "--out", str(tmp_path / "o")]) == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["message"] == message
+        assert payload["items"] == ["test01: embedding dim 5 does not match model d_in 8"]
+        assert not (tmp_path / "o").exists()
 
 
 class TestEvalToyIdentity:
@@ -1195,8 +1268,9 @@ class TestOutputDirectory:
     @pytest.mark.parametrize("case", ["prepare_no_manifest", "train_no_manifest", "train_bad_dims", "caption_headless"])
     def test_failed_validation_leaves_no_out(self, case, tmp_path, capsys):
         # prepare and train once made --out first; a val split's dim was
-        # never checked, so train ran an epoch and then failed with exit 3;
-        # a headless caption language failed alone, after --out was made
+        # never checked, so train ran an epoch and then failed with exit 3
+        # (here the train split is right and one val clip is not); a
+        # headless caption language failed alone, after --out was made
         manifest, emb_dir = write_corpus(tmp_path)
         config = write_train_config(tmp_path, manifest, emb_dir, epochs=1)
         doc = json.loads(config.read_text())
@@ -1207,9 +1281,7 @@ class TestOutputDirectory:
             doc["data"]["manifest"] = nope.name
         if case == "train_bad_dims":
             doc["data"]["val_split"] = "test"
-            for path in emb_dir.glob("*.aemb"):
-                dim = 16 if path.stem.startswith("train") else 5
-                write_embedding(path, EmbeddingSequence(path.stem, np.ones((3, dim), dtype=np.float32)))
+            write_embedding(emb_dir / "test00.aemb", EmbeddingSequence("test00", np.ones((3, 5), dtype=np.float32)))
         config.write_text(json.dumps(doc), encoding="utf-8")
         argv, message, items = {
             "prepare_no_manifest": (
@@ -1220,8 +1292,8 @@ class TestOutputDirectory:
             "train_no_manifest": (["train", "--config", str(config)], f"cannot read manifest {nope}: ", None),
             "train_bad_dims": (
                 ["train", "--config", str(config)],
-                "embedding dims do not match model d_in 8",
-                ["split 'train': embedding dim 16", "split 'test': embedding dim 5"],
+                "corpus validation failed for split 'test'",
+                ["test00: embedding dim 5 does not match model d_in 8"],
             ),
             "caption_headless": (
                 ["caption", "--checkpoint", str(tmp_path / "m.ackp"), "--embeddings-dir", str(emb_dir),

@@ -145,6 +145,14 @@ class TestReadEmbeddings:
             p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(tmp_path.glob("*.aemb"))
         }
 
+    def test_width_other_than_d_in_is_a_problem_only_given_d_in(self, tmp_path):
+        write_embedding(clip_path(tmp_path, "a"), make_seq("a", frames=2, dim=3))
+        write_embedding(clip_path(tmp_path, "b"), make_seq("b", frames=2, dim=4))
+        embeddings, problems = read_embeddings(tmp_path, ["a", "b"], d_in=4)
+        assert list(embeddings) == ["b"]
+        assert problems == {"a": "embedding dim 3 does not match model d_in 4"}
+        assert read_embeddings(tmp_path, ["a", "b"])[1] == {}
+
     def test_clip_read_twice_is_hashed_once(self, tmp_path):
         # train and val splits may share a clip: its digest is of one read, not two fed to one hash
         write_embedding(clip_path(tmp_path, "a"), make_seq("a", frames=2, dim=3))
@@ -389,6 +397,19 @@ class TestCorpusIndex:
             CorpusIndex.from_paths(manifest_path, emb_dir, "train", [Language.EN, Language.EN])
         assert err.value.items == ["'en' is listed 2 times"]
 
+    def test_inconsistent_widths_are_one_item_after_the_clip_problems(self, tmp_path):
+        manifest_path = tmp_path / "m.jsonl"
+        write_manifest(manifest_path, [
+            {"audio_id": a, "split": "train", "captions": {"en": ["x"]}} for a in ("a", "b", "c")
+        ])
+        emb_dir = tmp_path / "emb"
+        emb_dir.mkdir()
+        write_embedding(emb_dir / "a.aemb", make_seq("a", frames=3, dim=4))
+        write_embedding(emb_dir / "b.aemb", make_seq("b", frames=3, dim=5))
+        with pytest.raises(ValidationError) as err:
+            CorpusIndex.from_paths(manifest_path, emb_dir, "train", [Language.EN])
+        assert err.value.items == ["c: missing embedding file c.aemb", "inconsistent embedding dims: [4, 5]"]
+
     def test_valid_corpus_loads(self, tmp_path):
         manifest_path = tmp_path / "m.jsonl"
         write_manifest(
@@ -399,5 +420,4 @@ class TestCorpusIndex:
         emb_dir.mkdir()
         write_embedding(emb_dir / "a.aemb", make_seq("a", frames=3, dim=4))
         index = CorpusIndex.from_paths(manifest_path, emb_dir, "train", [Language.EN, Language.FR])
-        assert len(index) == 1
-        assert index.embed_dim == 4
+        assert index.audio_ids == ("a",)
