@@ -305,35 +305,35 @@ def cmd_caption(args) -> tuple:
         audio_ids = corpus_mod.clip_ids(embeddings_dir)
     if not audio_ids:
         raise ValidationError(f"no embeddings to caption in {embeddings_dir}")
-    clip_digests = {}
-    clips, problems = corpus_mod.read_embeddings(embeddings_dir, audio_ids, clip_digests, model.config.d_in)
+    stopwords = {lang: load_stopwords(lang).words for lang in languages}
+    decode_config = asdict(cfg)
+    clip_digests, problems, lines = {}, {}, []
+    for audio_id, clip in corpus_mod.read_clips(embeddings_dir, audio_ids, problems, clip_digests, model.config.d_in):
+        if problems:  # the run fails: the clips left are read for the report, not decoded
+            continue
+        results = decoding.caption_clip(model, clip, languages, cfg, stopwords)
+        for lang, result in zip(languages, results):
+            record = {
+                "audio_id": audio_id,
+                "language": lang.value,
+                "caption": " ".join(result.tokens),
+                "log_prob": result.log_prob,
+                "normalized_score": result.normalized_score,
+                "decode_config": decode_config,
+            }
+            lines.append(json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n")
     if problems:
         raise ValidationError(
             f"embeddings in {embeddings_dir} failed validation",
             items=[f"{audio_id}: {problem}" for audio_id, problem in problems.items()],
         )
-    stopwords = {lang: load_stopwords(lang).words for lang in languages}
-
+    # the weights map the file, so a write into it since the load may have
+    # reached them unhashed: checked before --out is made
+    model.source.check_unchanged()
     out_dir = _out_dir(args.out)
     out_path = out_dir / "captions.jsonl"
-    decode_config = asdict(cfg)
     with atomic_write(out_path) as sink:
-        for audio_id in audio_ids:
-            results = decoding.caption_clip(model, clips[audio_id], languages, cfg, stopwords)
-            for lang, result in zip(languages, results):
-                record = {
-                    "audio_id": audio_id,
-                    "language": lang.value,
-                    "caption": " ".join(result.tokens),
-                    "log_prob": result.log_prob,
-                    "normalized_score": result.normalized_score,
-                    "decode_config": decode_config,
-                }
-                sink.write(json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n")
-        # the weights map the file, so a write into it since the load may
-        # have reached them unhashed: checked before captions.jsonl and the
-        # run manifest are written
-        model.source.check_unchanged()
+        sink.writelines(lines)
     print(f"captioned {len(audio_ids)} audios x {len(languages)} languages -> {out_path}")
     config = {"decode_config": decode_config, "languages": [l.value for l in languages]}
     inputs = {"checkpoint": checkpoint_digest, "embeddings_dir": clip_digests}

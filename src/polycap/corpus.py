@@ -17,7 +17,7 @@ import hashlib
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -136,32 +136,28 @@ def read_clip(
     return data
 
 
-def read_embeddings(
-    embeddings_dir: str | Path, audio_ids: Sequence[str], digests: dict | None = None, d_in: int | None = None
-) -> tuple[dict[str, np.ndarray], dict[str, str]]:
-    """Each audio's matrix by `read_clip`, and the problem of each audio it refused."""
-    embeddings, problems = {}, {}
+def read_clips(
+    embeddings_dir: str | Path, audio_ids: Iterable[str], problems: dict,
+    digests: dict | None = None, d_in: int | None = None,
+) -> Iterator[tuple[str, np.ndarray]]:
+    """(audio id, matrix) of each clip `read_clip` accepts, one at a time, so a caller keeps only
+    what it needs; `problems` gains the report item of each clip it refused, by audio id."""
     for audio_id in audio_ids:
         try:
-            embeddings[audio_id] = read_clip(embeddings_dir, audio_id, digests, d_in)
+            clip = read_clip(embeddings_dir, audio_id, digests, d_in)
         except ValidationError as exc:
             problems[audio_id] = exc.message
-    return embeddings, problems
+        else:
+            yield audio_id, clip
 
 
 def read_split(
     split: str, captions: Captions, embeddings_dir: str | Path, languages: Sequence[Language],
     digests: dict | None = None, d_in: int | None = None,
 ) -> Iterator[tuple[str, np.ndarray]]:
-    """(audio id, matrix) of each clip of a split `read_clip` accepts, one at a time, so a caller
-    keeps only what it needs; once the last is read, the split is validated (`_check_split`)."""
+    """The clips of a split by `read_clips`; once the last is read, the split is validated (`_check_split`)."""
     widths, problems = set(), {}
-    for audio_id in captions:
-        try:
-            clip = read_clip(embeddings_dir, audio_id, digests, d_in)
-        except ValidationError as exc:
-            problems[audio_id] = exc.message
-            continue
+    for audio_id, clip in read_clips(embeddings_dir, captions, problems, digests, d_in):
         widths.add(clip.shape[1])
         yield audio_id, clip
     _check_split(split, captions, widths, languages, problems)

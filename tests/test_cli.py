@@ -131,8 +131,10 @@ class TestPrepare:
             "train03: no fr captions",
         ]
 
-    def test_holds_one_clip_at_a_time(self, tmp_path, capsys):
-        # prepare once kept every clip of its split, 3.8 MB here, to read their width
+    @pytest.mark.parametrize("command", ["prepare", "caption"])
+    def test_holds_one_clip_at_a_time(self, command, tmp_path, capsys):
+        # prepare once kept every clip of its split, 3.8 MB here, to read their width; caption
+        # kept every clip it was given, 4.2 MB, to validate them all before the first decode
         emb_dir = tmp_path / "emb"
         emb_dir.mkdir()
         rng = np.random.default_rng(0)
@@ -144,15 +146,26 @@ class TestPrepare:
             rows.append({"audio_id": audio_id, "split": "train", "captions": {"en": [f"a dog barks {i}"]}})
         manifest = tmp_path / "manifest.jsonl"
         manifest.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
-        argv = ["prepare", "--manifest", str(manifest), "--embeddings-dir", str(emb_dir), "--languages", "en"]
+        checkpoint = tmp_path / "m.ackp"
+        model = MultilingualModel(tiny_model_config(d_in=768), {Language.EN: word_vocab(["a", "b"])})
+        save_checkpoint(model, checkpoint)
+        argv = {
+            "prepare": ["prepare", "--manifest", str(manifest), "--embeddings-dir", str(emb_dir), "--languages", "en"],
+            "caption": ["caption", "--checkpoint", str(checkpoint), "--embeddings-dir", str(emb_dir),
+                        "--beam-size", "2"],
+        }[command]
+        out = tmp_path / "out"
         tracemalloc.start()
         try:
-            assert main([*argv, "--out", str(tmp_path / "prep")]) == 0
+            assert main([*argv, "--out", str(out)]) == 0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
-        assert json.loads((tmp_path / "prep" / "corpus_index.json").read_text())["embed_dim"] == 768
+        if command == "prepare":
+            assert json.loads((out / "corpus_index.json").read_text())["embed_dim"] == 768
+        else:
+            assert len((out / "captions.jsonl").read_text().splitlines()) == 40
 
     @pytest.mark.parametrize("min_count", ["0", "-3"])
     def test_min_count_below_one_exits_2_and_makes_no_out(self, min_count, tmp_path, capsys):
@@ -420,7 +433,7 @@ class TestCheckpointUnderCaption:
         assert main(["caption", "--checkpoint", str(path), "--embeddings-dir", str(emb_dir), "--out", str(out)]) == 3
         payload = json.loads(capsys.readouterr().err)
         assert payload["error"] == "RuntimeFailure" and str(path) in payload["message"]
-        assert not (out / "run_manifest.json").exists() and not (out / "captions.jsonl").exists()
+        assert not out.exists()  # the check runs before --out is made
 
     def test_an_atomic_replacement_leaves_the_run_as_it_was(self, tmp_path, monkeypatch):
         # the path then names a new inode; the mapped one is unchanged
@@ -644,6 +657,36 @@ class TestTrainCaptionEval:
         }
         assert calls == []
         assert not (tmp_path / "cap").exists()
+
+    def test_a_refused_clip_stops_the_decoding(self, tmp_path, capsys, monkeypatch):
+        # clips are decoded as they are read; after a refused one the rest are read for the report only
+        from polycap import corpus
+
+        emb_dir = tmp_path / "emb"
+        emb_dir.mkdir()
+        for audio_id in "abc":
+            data = np.ones((3, 8), dtype=np.float32)
+            write_embedding(emb_dir / f"{audio_id}.aemb", EmbeddingSequence(audio_id, data))
+        truncated = emb_dir / "b.aemb"
+        truncated.write_bytes(truncated.read_bytes()[:-4])
+        checkpoint = tmp_path / "m.ackp"
+        save_checkpoint(MultilingualModel(tiny_model_config(d_in=8), {Language.EN: word_vocab(["a"])}), checkpoint)
+        calls, reads = [], []
+        caption_clip, real_load = decoding.caption_clip, corpus.load_embedding
+        monkeypatch.setattr(decoding, "caption_clip", lambda *a: calls.append(a) or caption_clip(*a))
+        monkeypatch.setattr(corpus, "load_embedding", lambda path, *r: reads.append(path.name) or real_load(path, *r))
+        out = tmp_path / "cap"
+        argv = ["--checkpoint", str(checkpoint), "--embeddings-dir", str(emb_dir), "--out", str(out)]
+        assert main(["caption", *argv]) == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload == {
+            "error": "ValidationError",
+            "message": f"embeddings in {emb_dir} failed validation",
+            "items": [f"b: {truncated}: payload length mismatch, header implies 96 bytes, found 92"],
+        }
+        assert len(calls) <= 1
+        assert reads == ["a.aemb", "b.aemb", "c.aemb"]
+        assert not out.exists()
 
     def test_train_smoke_loss_collapses(self, tmp_path):
         # 10-item monolingual corpus, 200 epochs: final loss < 10% of initial

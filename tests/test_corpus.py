@@ -19,7 +19,7 @@ from polycap.corpus import (
     jsonl_objects,
     load_embedding,
     load_manifests,
-    read_embeddings,
+    read_clips,
     read_text,
     sample_caption,
     write_embedding,
@@ -124,7 +124,8 @@ class TestReadEmbeddings:
         write_embedding(tmp_path / "short.aemb", make_seq("short", frames=3, dim=4))
         (tmp_path / "short.aemb").write_bytes((tmp_path / "short.aemb").read_bytes()[:-1])
         (tmp_path / "dir.aemb").mkdir()
-        embeddings, problems = read_embeddings(tmp_path, ["ok", "gone", "short", "dir", "nul\0id"])
+        problems = {}
+        embeddings = dict(read_clips(tmp_path, ["ok", "gone", "short", "dir", "nul\0id"], problems))
         assert list(embeddings) == ["ok"]
         assert np.array_equal(embeddings["ok"], ok.data)
         assert problems["gone"] == "missing embedding file gone.aemb"
@@ -138,7 +139,8 @@ class TestReadEmbeddings:
         for i, audio_id in enumerate(("b", "a", "c")):
             write_embedding(clip_path(tmp_path, audio_id), make_seq(audio_id, frames=2 + i, dim=3, seed=i))
         digests = {"kept.aemb": "left as it was"}
-        embeddings, problems = read_embeddings(tmp_path, ["b", "a", "c"], digests)
+        problems = {}
+        embeddings = dict(read_clips(tmp_path, ["b", "a", "c"], problems, digests))
         assert problems == {} and list(embeddings) == ["b", "a", "c"]
         assert digests.pop("kept.aemb") == "left as it was"
         assert {name: d.hexdigest() for name, d in digests.items()} == {
@@ -148,17 +150,20 @@ class TestReadEmbeddings:
     def test_width_other_than_d_in_is_a_problem_only_given_d_in(self, tmp_path):
         write_embedding(clip_path(tmp_path, "a"), make_seq("a", frames=2, dim=3))
         write_embedding(clip_path(tmp_path, "b"), make_seq("b", frames=2, dim=4))
-        embeddings, problems = read_embeddings(tmp_path, ["a", "b"], d_in=4)
+        problems = {}
+        embeddings = dict(read_clips(tmp_path, ["a", "b"], problems, d_in=4))
         assert list(embeddings) == ["b"]
         assert problems == {"a": "embedding dim 3 does not match model d_in 4"}
-        assert read_embeddings(tmp_path, ["a", "b"])[1] == {}
+        problems = {}
+        assert [audio_id for audio_id, _ in read_clips(tmp_path, ["a", "b"], problems)] == ["a", "b"]
+        assert problems == {}
 
     def test_clip_read_twice_is_hashed_once(self, tmp_path):
         # train and val splits may share a clip: its digest is of one read, not two fed to one hash
         write_embedding(clip_path(tmp_path, "a"), make_seq("a", frames=2, dim=3))
         digests = {}
-        read_embeddings(tmp_path, ["a"], digests)
-        read_embeddings(tmp_path, ["a"], digests)
+        for _ in range(2):
+            assert [audio_id for audio_id, _ in read_clips(tmp_path, ["a"], {}, digests)] == ["a"]
         assert digests["a.aemb"].hexdigest() == hashlib.sha256(clip_path(tmp_path, "a").read_bytes()).hexdigest()
 
     def test_clip_ids_are_the_sorted_stems_their_paths_name(self, tmp_path):
