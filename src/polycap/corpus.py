@@ -69,36 +69,63 @@ def write_embedding(path: str | Path, seq: EmbeddingSequence) -> None:
         f.write(memoryview(data).cast("B"))
 
 
-def load_embedding(path: str | Path, audio_id: str | None = None, digest=None) -> EmbeddingSequence:
-    """Parse an AEMB file bit-exactly, validating header and payload.
-    `digest`, a hashlib object, is fed the bytes read, as `load_checkpoint` does."""
-    path = Path(path)
-    try:
-        raw = path.read_bytes()
-    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
-        reason = exc.strerror if isinstance(exc, OSError) else exc
-        raise EmbeddingFormatError(f"{path}: cannot read embedding file ({reason})") from exc
-    if digest is not None:
-        digest.update(raw)
-    if len(raw) < 16:
+# Bytes asked of one read: a header's claimed size is not allocated before
+# the file has shown that many bytes.
+READ_CHUNK = 1 << 24
+
+
+def _read_at_most(f, n: int) -> bytes:
+    """Up to `n` bytes of `f`, fewer only at end of file."""
+    chunks = []
+    while n > 0 and (chunk := f.read(min(n, READ_CHUNK))):
+        chunks.append(chunk)
+        n -= len(chunk)
+    return b"".join(chunks)
+
+
+def _header_shape(path: Path, header: bytes) -> tuple[int, int]:
+    """(frames, dim) of a valid AEMB header read from `path`."""
+    if len(header) < 16:
         raise EmbeddingFormatError(f"{path}: file shorter than the 16-byte AEMB header")
-    if raw[:4] != AEMB_MAGIC:
-        raise EmbeddingFormatError(f"{path}: bad magic {raw[:4]!r}, expected {AEMB_MAGIC!r}")
-    version, dim, frames = struct.unpack("<III", raw[4:16])
+    if header[:4] != AEMB_MAGIC:
+        raise EmbeddingFormatError(f"{path}: bad magic {header[:4]!r}, expected {AEMB_MAGIC!r}")
+    version, dim, frames = struct.unpack("<III", header[4:16])
     if version != AEMB_VERSION:
         raise EmbeddingFormatError(f"{path}: unsupported version {version}")
     if dim < 1 or frames < 1:
         raise EmbeddingFormatError(f"{path}: invalid shape {frames}x{dim} in header")
-    expected = 4 * dim * frames
-    payload = raw[16:]
-    if len(payload) != expected:
-        raise EmbeddingFormatError(
-            f"{path}: payload length mismatch, header implies {expected} bytes, found {len(payload)}"
-        )
+    return frames, dim
+
+
+def load_embedding(path: str | Path, digest=None) -> EmbeddingSequence:
+    """Parse an AEMB file bit-exactly, validating header and payload; the
+    sequence is named by the file's stem. It reads the 16-byte header, then
+    the 4*dim*frames payload bytes the header implies, then one byte to find
+    end of file, so a file that never ends (a link to `/dev/zero`, say) is
+    refused, not read whole. `digest`, a hashlib object, is fed the bytes
+    read, as `load_checkpoint` does."""
+    path = Path(path)
+    try:
+        with open(path, "rb") as f:
+            header = f.read(16)
+            frames, dim = _header_shape(path, header)
+            expected = 4 * dim * frames
+            payload = _read_at_most(f, expected)
+            extra = f.read(1)
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        raise EmbeddingFormatError(f"{path}: cannot read embedding file ({reason})") from exc
+    if digest is not None:
+        digest.update(header)
+        digest.update(payload)
+        digest.update(extra)
+    if len(payload) != expected or extra:
+        found = len(payload) if len(payload) < expected else f"more than {expected}"
+        raise EmbeddingFormatError(f"{path}: payload length mismatch, header implies {expected} bytes, found {found}")
     data = np.frombuffer(payload, dtype="<f4").reshape(frames, dim)
     if not np.isfinite(data).all():
         raise EmbeddingFormatError(f"{path}: embedding contains non-finite values")
-    return EmbeddingSequence(audio_id=audio_id or path.stem, data=data)
+    return EmbeddingSequence(audio_id=path.stem, data=data)
 
 
 def clip_name(audio_id: str) -> str:
@@ -128,7 +155,7 @@ def read_clip(
     if digests is not None:  # a fresh hash: train and val splits may share a clip
         digest = digests[path.name] = hashlib.sha256()
     try:
-        data = load_embedding(path, audio_id, digest).data
+        data = load_embedding(path, digest).data
     except EmbeddingFormatError as exc:
         raise ValidationError(exc.message if path.exists() else f"missing embedding file {path.name}") from exc
     if d_in is not None and data.shape[1] != d_in:

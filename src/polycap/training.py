@@ -370,22 +370,14 @@ class Trainer:
         batch_order = self.rng_order.permutation(len(batches))
         return [batches[i] for i in batch_order]
 
-    def _train_batch(
-        self,
-        language: Language,
-        audio_ids: list[str],
-        lr: float,
-        epoch: int | None = None,
-        batch_index: int | None = None,
-    ) -> float:
+    def _train_batch(self, language: Language, audio_ids: list[str], lr: float) -> float:
         """One update on one batch; returns its loss. No parameter holds a
         gradient afterwards.
 
         A non-finite loss raises RuntimeFailure before any gradient is taken,
         so the weights and optimizer state stay as they were. A non-finite
         update raises RuntimeFailure naming the parameter; the parameters the
-        step updated before it stay updated (see `AdamW.step`). `epoch` and
-        `batch_index` only locate the batch in these errors.
+        step updated before it stay updated (see `AdamW.step`).
         """
         cfg = self.cfg
         captions = [
@@ -398,19 +390,13 @@ class Trainer:
         loss = self._loss(language, ids, audio, frame_mask, mixup, self.rng_dropout)
 
         value = loss.item()
-        at = f"at epoch {epoch}, batch {batch_index}, language {language.value!r}"
-        where = {
-            "epoch": epoch, "batch_index": batch_index, "language": language.value, "audio_ids": list(audio_ids)
-        }
         if not math.isfinite(value):
-            raise RuntimeFailure(f"non-finite training loss {value} {at}", items=[where])
+            raise RuntimeFailure(f"non-finite training loss {value}")
         params = self.model.named_parameters(language)
         zero_grads(params)  # a gradient left by the caller's own backward is not this batch's
         try:
             loss.backward()
             self.optimizer.step(params, lr, cfg.weight_decay, self.decay_names)
-        except RuntimeFailure as exc:  # a non-finite update, the step's only failure
-            raise RuntimeFailure(f"{exc.message} {at}", items=[where | exc.items[0]]) from exc
         finally:
             zero_grads(params)  # no gradient outlives its step
         return value
@@ -419,16 +405,28 @@ class Trainer:
         """One multilingual epoch: each (audio, language) pair exactly once.
         Returns the epoch's record, the line `fit` logs: `epoch`, `lr`,
         `train_loss`, `val_loss` (None without a validation corpus), `seconds`,
-        `n_examples`, `n_updates` and `per_language` (pairs by language code)."""
+        `n_examples`, `n_updates` and `per_language` (pairs by language code).
+        A step's RuntimeFailure is raised again naming its batch: the message
+        gains `at epoch E, batch B, language 'xx'`, its first item the
+        `epoch`, `batch_index`, `language` and `audio_ids`. A non-finite
+        validation loss raises RuntimeFailure naming the epoch."""
         t0 = time.monotonic()
         lr = cosine_lr(epoch, self.cfg.epochs, self.cfg.lr0)
         batches = self._make_batches(self.corpus)
         losses = []
         per_language: dict[str, int] = {}
         for batch_index, (language, audio_ids) in enumerate(batches):
-            losses.append(self._train_batch(language, audio_ids, lr, epoch, batch_index))
+            try:
+                losses.append(self._train_batch(language, audio_ids, lr))
+            except RuntimeFailure as exc:  # the step cannot say which batch it was
+                at = f"at epoch {epoch}, batch {batch_index}, language {language.value!r}"
+                where = {"epoch": epoch, "batch_index": batch_index, "language": language.value, "audio_ids": audio_ids}
+                first = where | (exc.items[0] if exc.items else {})
+                raise RuntimeFailure(f"{exc.message} {at}", items=[first]) from exc
             per_language[language.value] = per_language.get(language.value, 0) + len(audio_ids)
         val_loss = self.evaluate_loss(self.val_corpus) if self.val_corpus is not None else None
+        if val_loss is not None and not math.isfinite(val_loss):  # finite weights can still overflow it
+            raise RuntimeFailure(f"non-finite validation loss {val_loss} at epoch {epoch}", items=[{"epoch": epoch}])
         return {
             "epoch": epoch,
             "lr": lr,

@@ -98,9 +98,9 @@ def run_epoch_pairs(trainer, epoch: int = 0):
     pairs = []
     train_batch = trainer._train_batch
 
-    def spy(language, audio_ids, *args):
+    def spy(language, audio_ids, lr):
         pairs.extend((a, language.value) for a in audio_ids)
-        return train_batch(language, audio_ids, *args)
+        return train_batch(language, audio_ids, lr)
 
     trainer._train_batch = spy
     try:

@@ -6,6 +6,7 @@ import os
 import resource
 import shutil
 import signal
+import struct
 import subprocess
 import sys
 import threading
@@ -130,6 +131,28 @@ class TestPrepare:
             f"train02: {truncated}: payload length mismatch, header implies 160 bytes, found 156",
             "train03: no fr captions",
         ]
+
+    def test_endless_and_inflated_clips_exit_2_under_a_memory_cap(self, tmp_path):
+        # a clip linked to /dev/zero was once read until memory ran out, and a
+        # header's claimed size must not be allocated before the file backs it
+        manifest, emb_dir = write_corpus(tmp_path, n_items=3)
+        (emb_dir / "train00.aemb").unlink()
+        (emb_dir / "train00.aemb").symlink_to("/dev/zero")
+        inflated = emb_dir / "train01.aemb"
+        inflated.write_bytes(b"AEMB" + struct.pack("<III", 1, 2**32 - 1, 2**32 - 1) + b"\0" * 8)
+        out = tmp_path / "prep"
+        proc, result = run_capped_main(
+            "prepare", "--manifest", str(manifest), "--embeddings-dir", str(emb_dir),
+            "--languages", "en,fr", "--out", str(out), cwd=tmp_path,
+        )
+        assert result["code"] == 2, proc.stderr
+        payload = json.loads(proc.stderr)
+        implied = 4 * (2**32 - 1) ** 2
+        assert payload["items"] == [
+            rf"train00: {emb_dir / 'train00.aemb'}: bad magic b'\x00\x00\x00\x00', expected b'AEMB'",
+            f"train01: {inflated}: payload length mismatch, header implies {implied} bytes, found 8",
+        ]
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["prepare", "caption"])
     def test_holds_one_clip_at_a_time(self, command, tmp_path, capsys):
@@ -866,6 +889,30 @@ class TestTrainCaptionEval:
         assert item["language"] in ("en", "fr") and item["parameter"]
         assert not (tmp_path / "o" / "checkpoint.ackp").exists()
 
+    def test_non_finite_validation_loss_exits_3_and_logs_no_nan(self, tmp_path, capsys):
+        # lr0 1e100 leaves the weights finite but so large that the
+        # validation loss overflows; it was once logged as NaN, which is no
+        # JSON, and the run exited 0 with a checkpoint
+        golden = Path(__file__).resolve().parent / "golden"
+        shutil.copytree(golden / "emb", tmp_path / "emb")
+        shutil.copy(golden / "manifest.jsonl", tmp_path / "manifest.jsonl")
+        config = json.loads((golden / "train.json").read_text())
+        config["languages"] = ["en"]
+        config["train"] = {
+            "epochs": 1, "batch_size": 64, "seed": 0, "specaug": None,
+            "mixup_alpha": 0.0, "weight_decay": 0.0, "lr0": 1e100,
+        }
+        (tmp_path / "train.json").write_text(json.dumps(config), encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(tmp_path / "train.json"), "--out", str(out)]) == 3
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "RuntimeFailure"
+        assert payload["message"].startswith("non-finite validation loss ")
+        assert payload["message"].endswith(" at epoch 0") and payload["items"] == [{"epoch": 0}]
+        assert not (out / "checkpoint.ackp").exists()
+        for path in out.glob("metrics.jsonl"):
+            assert "NaN" not in path.read_text()
+
     def test_typoed_config_key_is_validation_error(self, tmp_path, capsys):
         manifest, emb_dir = write_corpus(tmp_path)
         config_path = write_train_config(tmp_path, manifest, emb_dir)
@@ -1304,9 +1351,177 @@ class TestUnreadableInputs:
         assert (str(bad) if command == "params" else nope) in payload["message"]
 
 
+# Refused inputs, by case name: each builds its inputs under tmp_path (patching
+# with monkeypatch where it must) and returns the argv, without --out, and the
+# exact error payload the command must exit 2 with.
+REFUSALS = {}
+
+
+def refusal(build):
+    REFUSALS[build.__name__] = build
+    return build
+
+
+def tiny_checkpoint(tmp_path: Path) -> Path:
+    path = tmp_path / "m.ackp"
+    save_checkpoint(MultilingualModel(tiny_model_config(d_in=8), {Language.EN: word_vocab(["a", "b"])}), path)
+    return path
+
+
+def caption_argv(checkpoint: Path, emb_dir: Path) -> list[str]:
+    return ["caption", "--checkpoint", str(checkpoint), "--embeddings-dir", str(emb_dir)]
+
+
+def refused(message: str, *items: str) -> dict:
+    """The payload of a ValidationError: its message, and its items if any."""
+    return {"error": "ValidationError", "message": message} | ({"items": list(items)} if items else {})
+
+
+@refusal
+def train_config_is_an_array(tmp_path, monkeypatch):
+    config = tmp_path / "train.json"
+    config.write_text("[]", encoding="utf-8")
+    return ["train", "--config", str(config)], refused(f"config {config} is not a JSON object")
+
+
+@refusal
+def train_state_above_physical_memory(tmp_path, monkeypatch):
+    manifest, emb_dir = write_corpus(tmp_path)
+    config = write_train_config(tmp_path, manifest, emb_dir, epochs=1)
+    monkeypatch.setattr(polycap.cli, "physical_memory", lambda: 1000)
+    model_config = ModelConfig(**json.loads(config.read_text())["model"])
+    # 6 markers and 3 fillers per language, and the specials
+    sizes = {Language.EN: 9 + len(SPECIAL_TOKENS), Language.FR: 9 + len(SPECIAL_TOKENS)}
+    n = polycap.model.param_report(model_config, sizes)["trainable_total"]
+    item = f"{n} trainable parameters need about {32 * n} bytes to train, more than the 1000 bytes of physical memory"
+    return ["train", "--config", str(config)], refused("bad model config", item)
+
+
+@refusal
+def caption_round_above_physical_memory(tmp_path, monkeypatch):
+    _, emb_dir = write_corpus(tmp_path)
+    checkpoint = tiny_checkpoint(tmp_path)
+    monkeypatch.setattr(decoding, "physical_memory", lambda: 1000)
+    monkeypatch.setattr(polycap.corpus, "load_embedding", lambda *args: pytest.fail("a clip was read"))
+    model = polycap.model.load_checkpoint(checkpoint)
+    cfg = decoding.DecodeConfig(beam_size=4, max_len=model.config.max_len - 1)
+    need = decoding._round_bytes(model, [Language.EN], cfg)
+    item = f"beam_size=4: a decode round needs about {need} bytes, more than the 1000 bytes of physical memory"
+    return caption_argv(checkpoint, emb_dir), refused("bad decoding config", item)
+
+
+@refusal
+def caption_dir_without_clips(tmp_path, monkeypatch):
+    (tmp_path / "emb").mkdir()
+    (tmp_path / "emb" / "notes.txt").write_text("not a clip", encoding="utf-8")
+    argv = caption_argv(tiny_checkpoint(tmp_path), tmp_path / "emb")
+    return argv, refused(f"no embeddings to caption in {tmp_path / 'emb'}")
+
+
+@refusal
+def eval_unknown_language(tmp_path, monkeypatch):
+    manifest, _ = write_corpus(tmp_path)
+    captions = tmp_path / "captions.jsonl"
+    captions.write_text(json.dumps({"audio_id": "test00", "language": "xx", "caption": "a"}) + "\n", encoding="utf-8")
+    item = f"line 1: unknown language code 'xx' (known: {', '.join(lang.value for lang in Language)})"
+    argv = ["eval", "--captions", str(captions), "--manifest", str(manifest)]
+    return argv, refused(f"captions file {captions} failed validation", item)
+
+
+@refusal
+def eval_no_caption_records(tmp_path, monkeypatch):
+    manifest, _ = write_corpus(tmp_path)
+    captions = tmp_path / "captions.jsonl"
+    captions.write_text("\n  \n", encoding="utf-8")
+    argv = ["eval", "--captions", str(captions), "--manifest", str(manifest)]
+    return argv, refused(f"{captions}: no caption records")
+
+
+@refusal
+def params_entry_without_equals(tmp_path, monkeypatch):
+    return ["params", "--vocab-sizes", "en40,fr=50"], refused("bad vocab sizes", "en40: want lang=size")
+
+
+@refusal
+def params_only_commas(tmp_path, monkeypatch):
+    return ["params", "--vocab-sizes", " , ,"], refused("empty vocab size list")
+
+
+@refusal
+def manifest_line_without_audio_id(tmp_path, monkeypatch):
+    manifest, emb_dir = write_corpus(tmp_path)
+    rows = [json.loads(line) for line in manifest.read_text().splitlines()]
+    del rows[1]["audio_id"]
+    manifest.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
+    argv = ["prepare", "--manifest", str(manifest), "--embeddings-dir", str(emb_dir), "--languages", "en"]
+    return argv, refused(f"manifest {manifest} failed validation", "line 2: missing audio_id")
+
+
+@refusal
+def checkpoint_version_3(tmp_path, monkeypatch):
+    path = tiny_checkpoint(tmp_path)
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<I", raw, 4, 3)
+    path.write_bytes(raw)
+    return caption_argv(path, tmp_path), refused(f"{path}: unsupported checkpoint version 3")
+
+
+@refusal
+def checkpoint_vocabulary_not_an_object(tmp_path, monkeypatch):
+    path = tiny_checkpoint(tmp_path)
+    rewrite_meta(path, lambda meta: meta["vocabs"].update(en=["a", "b"]))
+    item = "vocabs.en: malformed vocabulary JSON: list indices must be integers or slices, not str"
+    return caption_argv(path, tmp_path), refused(f"{path}: bad checkpoint metadata", item)
+
+
+@refusal
+def checkpoint_vocabulary_without_leading_specials(tmp_path, monkeypatch):
+    path = tiny_checkpoint(tmp_path)
+
+    def rotate(meta):
+        tokens = meta["vocabs"]["en"]["tokens"]
+        tokens.append(tokens.pop(0))
+
+    rewrite_meta(path, rotate)
+    item = "vocabs.en: vocabulary must start with PAD/BOS/EOS/UNK specials"
+    return caption_argv(path, tmp_path), refused(f"{path}: bad checkpoint metadata", item)
+
+
+@refusal
+def checkpoint_without_vocabularies(tmp_path, monkeypatch):
+    model = MultilingualModel(tiny_model_config(d_in=8), {Language.EN: word_vocab(["a"])})
+    meta = documented_meta(model) | {"languages": [], "vocabs": {}}
+    params = {name: t.data for name, t in model.named_parameters().items() if not name.startswith("heads.")}
+    path = tmp_path / "m.ackp"
+    path.write_bytes(checkpoint_bytes(meta, params, 2))
+    return caption_argv(path, tmp_path), refused("model needs at least one language head")
+
+
+@refusal
+def compare_langs_base_without_captions(tmp_path, monkeypatch):
+    captions = tmp_path / "captions.jsonl"
+    captions.write_text(json.dumps({"audio_id": "a", "language": "en", "caption": "a dog"}) + "\n", encoding="utf-8")
+    monkeypatch.setattr(polycap.evaluation.HttpEmbedder, "embed_batch", lambda *args: pytest.fail("a request was sent"))
+    argv = ["compare-langs", "--captions", str(captions), "--base", "de", "--endpoint", "http://127.0.0.1:9/unused"]
+    return argv, refused("base language 'de' missing from outputs")
+
+
 class TestOutputDirectory:
     """`--out` is made only once a command's inputs have validated, and an
     `--out` that cannot be a directory is itself a validation failure."""
+
+    @pytest.mark.parametrize("case", list(REFUSALS))
+    def test_refused_input_exits_2_with_its_report(self, case, tmp_path, monkeypatch, capsys):
+        argv, payload = REFUSALS[case](tmp_path, monkeypatch)
+        out = tmp_path / "o"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err) == payload
+        assert not out.exists()
+
+    def test_a_blank_vocab_size_entry_is_skipped(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["params", "--vocab-sizes", "en=40, ,fr=50,", "--out", str(out)]) == 0
+        assert list(json.loads((out / "params.json").read_text())["monolingual"]) == ["en", "fr"]
 
     @pytest.mark.parametrize("case", ["prepare_no_manifest", "train_no_manifest", "train_bad_dims", "caption_headless"])
     def test_failed_validation_leaves_no_out(self, case, tmp_path, capsys):

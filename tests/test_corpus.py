@@ -1,6 +1,8 @@
 import hashlib
 import json
+import os
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from polycap import corpus
 from polycap.corpus import (
     AEMB_MAGIC,
     CorpusIndex,
@@ -90,6 +93,36 @@ class TestEmbeddingFormat:
         with pytest.raises(EmbeddingFormatError, match="payload length mismatch, header implies 64 bytes, found 61"):
             load_embedding(path)
 
+    def test_trailing_bytes_are_a_length_mismatch(self, tmp_path):
+        path = tmp_path / "long.aemb"
+        write_embedding(path, make_seq(frames=4, dim=4))
+        path.write_bytes(path.read_bytes() + b"\0" * 5)
+        with pytest.raises(EmbeddingFormatError, match="header implies 64 bytes, found more than 64$"):
+            load_embedding(path)
+
+    def test_payload_larger_than_a_read_chunk(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(corpus, "READ_CHUNK", 7)
+        seq = make_seq(frames=3, dim=5)
+        write_embedding(tmp_path / "clip.aemb", seq)
+        digest = hashlib.sha256()
+        assert np.array_equal(load_embedding(tmp_path / "clip.aemb", digest).data, seq.data)
+        assert digest.hexdigest() == hashlib.sha256((tmp_path / "clip.aemb").read_bytes()).hexdigest()
+
+    def test_a_fifo_is_read_to_its_end_and_hashed(self, tmp_path):
+        seq = make_seq(frames=3, dim=4)
+        write_embedding(tmp_path / "src.aemb", seq)
+        raw = (tmp_path / "src.aemb").read_bytes()
+        os.mkfifo(tmp_path / "clip.aemb")
+        writer = threading.Thread(target=(tmp_path / "clip.aemb").write_bytes, args=(raw,), daemon=True)
+        writer.start()
+        digest = hashlib.sha256()
+        try:
+            loaded = load_embedding(tmp_path / "clip.aemb", digest)
+        finally:
+            writer.join(timeout=10)
+        assert loaded.audio_id == "clip" and np.array_equal(loaded.data, seq.data)
+        assert digest.hexdigest() == hashlib.sha256(raw).hexdigest()
+
     def test_zero_shape_header(self, tmp_path):
         path = tmp_path / "zero.aemb"
         path.write_bytes(AEMB_MAGIC + struct.pack("<III", 1, 0, 3))
@@ -115,6 +148,10 @@ class TestEmbeddingFormat:
     def test_constructor_rejects_empty(self):
         with pytest.raises(ValidationError):
             EmbeddingSequence("x", np.zeros((0, 4), dtype=np.float32))
+
+    def test_constructor_rejects_a_1d_array(self):
+        with pytest.raises(ValidationError, match="^x: embedding data must be 2-D$"):
+            EmbeddingSequence("x", np.zeros(4, dtype=np.float32))
 
 
 class TestReadEmbeddings:

@@ -232,6 +232,10 @@ class TestCiderD:
             cider_d({"a": "x y", "b": "z w"}, {"a": ["x y"]})
         assert err.value.items == ["b"]
 
+    def test_empty_reference_list_errors(self):
+        with pytest.raises(ValidationError, match="^item 'b' has an empty reference list$"):
+            cider_d({"a": "x y", "b": "z w"}, {"a": ["x y"], "b": []})
+
     def test_short_identity_caption_misses_high_orders(self):
         # 2-token captions have no 3/4-grams: those orders contribute 0
         result = cider_d(
@@ -276,6 +280,26 @@ class TestSbertSim:
         with pytest.raises(EmbedderError) as err:
             sbert_sim({"item7": "unknown"}, {"item7": ["known"]}, stub, Language.EN)
         assert err.value.item_id == "item7"
+
+    def test_zero_norm_vector_is_embedder_error_naming_its_item(self):
+        stub = StubEmbedder({"zero": [0.0, 0.0], "ref": [1.0, 0.0]})
+        with pytest.raises(EmbedderError) as err:
+            sbert_sim({"i7": "zero"}, {"i7": ["ref"]}, stub, Language.EN)
+        assert (err.value.message, err.value.item_id) == ("zero-norm embedding for text 'zero'", "i7")
+
+    @pytest.mark.parametrize(
+        "candidates, references, aggregate, message, items",
+        [
+            ({"i": "a"}, {"i": ["a"]}, "median", "aggregate must be 'mean' or 'max', got 'median'", []),
+            ({}, {}, "mean", "empty corpus: no candidates to score", []),
+            ({"i": "a", "j": "a", "k": "a"}, {"i": ["a"]}, "mean", "candidates without references", ["j", "k"]),
+        ],
+        ids=["aggregate", "empty_corpus", "missing_reference"],
+    )
+    def test_refused_input(self, candidates, references, aggregate, message, items):
+        with pytest.raises(ValidationError) as err:
+            sbert_sim(candidates, references, StubEmbedder({"a": [1.0, 0.0]}), Language.EN, aggregate)
+        assert (err.value.message, err.value.items) == (message, items)
 
     def test_deterministic(self):
         stub = StubEmbedder({"a": [0.3, 0.7], "b": [0.9, 0.1]})
@@ -342,6 +366,10 @@ class TestCrossLanguage:
         with pytest.raises(ValidationError) as err:
             cross_language_similarity(outputs, Language.EN, stub)
         assert set(err.value.items) == {"a", "b"}
+
+    def test_no_items_errors(self):
+        with pytest.raises(ValidationError, match="^no items to compare$"):
+            cross_language_similarity({Language.EN: {}, Language.FR: {}}, Language.EN, StubEmbedder({}))
 
 
 class _EmbeddingHandler(BaseHTTPRequestHandler):

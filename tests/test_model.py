@@ -173,6 +173,11 @@ class TestForward:
         assert np.array_equal(mixed, draw.lam * x + (1.0 - draw.lam) * x[draw.partner])
         assert np.array_equal(mixed, x * draw.lam + x[draw.partner] * (1.0 - draw.lam))
 
+    @pytest.mark.parametrize("lam", [-0.01, 1.01])
+    def test_lambda_outside_0_1_errors(self, lam):
+        with pytest.raises(ValidationError, match=rf"^mixup lambda {lam} outside \[0, 1\]$"):
+            MixupDraw(lam=lam, partner=np.array([1, 0]))
+
 
 class TestTrunkSharing:
     def test_multilingual_step_leaves_other_heads_untouched(self):

@@ -9,6 +9,7 @@ from polycap.errors import ValidationError
 from polycap.text import (
     SPECIAL_TOKENS,
     Language,
+    StopwordList,
     Vocabulary,
     build_vocabulary,
     load_stopwords,
@@ -186,3 +187,16 @@ class TestStopwords:
     def test_contains(self):
         assert "the" in load_stopwords(Language.EN).words
         assert "quacking" not in load_stopwords(Language.EN).words
+
+    @pytest.mark.parametrize(
+        "words, message",
+        [
+            (frozenset(), "stopword list for fr is empty"),
+            (frozenset({"le", "La"}), "stopwords must be lowercase: ['La']"),
+        ],
+        ids=["empty", "uppercase"],
+    )
+    def test_empty_or_uppercase_list_errors(self, words, message):
+        with pytest.raises(ValidationError) as err:
+            StopwordList(Language.FR, words)
+        assert err.value.message == message

@@ -65,6 +65,11 @@ class TestSmoothedCrossEntropy:
         with pytest.raises(ValidationError):
             smoothed_cross_entropy(Tensor(np.zeros((1, 2, 4))), np.zeros((1, 2), dtype=int), 0.1, 0)
 
+    @pytest.mark.parametrize("eps", [-0.1, 1.0, 1.5])
+    def test_eps_outside_0_1_errors(self, eps):
+        with pytest.raises(ValidationError, match=rf"^eps={eps} outside \[0, 1\)$"):
+            smoothed_cross_entropy(Tensor(np.zeros((1, 2, 4))), np.array([[1, 2]]), eps, pad_id=0)
+
 
     @staticmethod
     def _value_and_grad(loss_fn, data):
