@@ -28,7 +28,7 @@ import polycap
 from polycap import corpus as corpus_mod
 from polycap import decoding, evaluation, model as model_mod, training
 from polycap.errors import ToolkitError, ValidationError, config_from_json, is_integer, physical_memory
-from polycap.files import atomic_write, parse_json
+from polycap.files import atomic_write, dump_json, parse_json, write_json
 from polycap.text import (
     SPECIAL_TOKENS,
     Language,
@@ -47,11 +47,6 @@ def _digest(source) -> str:
         lines = sorted(f"{name}:{digest.hexdigest()}" for name, digest in source.items())
         return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
     return source.hexdigest()
-
-
-def _dump_json(obj, path: Path) -> None:
-    with atomic_write(path) as f:
-        f.write(json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=2) + "\n")
 
 
 def _environment() -> dict:
@@ -89,17 +84,23 @@ def write_run_manifest(out_dir: Path, command: str, config: dict, inputs: dict, 
         "environment": _environment(),
         "timestamp_unix": time.time(),
     }
-    _dump_json(manifest, out_dir / "run_manifest.json")
+    write_json(out_dir / "run_manifest.json", manifest, indent=2)
 
 
 def _out_dir(path) -> Path:
-    """The output directory `path`, created if need be. Commands call it
-    only once their inputs have validated."""
+    """The output directory `path`, made if need be, without an earlier run's
+    manifest: a directory that holds a manifest holds what that run wrote.
+    Commands call it once their inputs have validated, before any output."""
     out_dir = Path(path)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ValidationError(f"cannot create output directory {out_dir} ({exc.strerror})") from exc
+    manifest = out_dir / "run_manifest.json"
+    try:
+        manifest.unlink(missing_ok=True)
+    except OSError as exc:  # a directory of that name, say
+        raise ValidationError(f"cannot remove {manifest} ({exc.strerror})") from exc
     return out_dir
 
 
@@ -152,7 +153,7 @@ def cmd_prepare(args) -> tuple:
     vocab_files = {}
     for lang, vocab in vocabs.items():
         path = out_dir / f"vocab.{lang.value}.json"
-        vocab.save(path)
+        write_json(path, vocab.to_doc())
         vocab_files[lang.value] = {"path": path.name, "size": vocab.size}
     summary = {
         "split": args.split,
@@ -161,7 +162,7 @@ def cmd_prepare(args) -> tuple:
         "languages": [l.value for l in languages],
         "vocabularies": vocab_files,
     }
-    _dump_json(summary, out_dir / "corpus_index.json")
+    write_json(out_dir / "corpus_index.json", summary, indent=2)
     print(f"prepared {len(captions)} audios, {len(languages)} languages -> {out_dir}")
     config = {
         "manifest": str(args.manifest),
@@ -185,7 +186,7 @@ def cmd_stats(args) -> tuple | None:
         )
     if args.out:
         out_dir = _out_dir(args.out)
-        _dump_json(rows, out_dir / "stats.json")
+        write_json(out_dir / "stats.json", rows, indent=2)
         config = {"split": args.split, "languages": [l.value for l in languages]}
         return out_dir, config, {"manifest": manifest_digest}
     return None
@@ -321,7 +322,7 @@ def cmd_caption(args) -> tuple:
                 "normalized_score": result.normalized_score,
                 "decode_config": decode_config,
             }
-            lines.append(json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n")
+            lines.append(dump_json(record) + "\n")
     if problems:
         raise ValidationError(
             f"embeddings in {embeddings_dir} failed validation",
@@ -389,7 +390,7 @@ def cmd_eval(args) -> tuple:
         candidates, references, provider=provider, aggregate=args.sbert_aggregate, config_echo=config
     )
     out_dir = _out_dir(args.out)
-    _dump_json(report, out_dir / "eval_report.json")
+    write_json(out_dir / "eval_report.json", report, indent=2)
     for code, s in report["scores"].items():
         sim = f"{s['sbert_sim_pct']:.1f}" if s["sbert_sim_pct"] is not None else "-"
         print(
@@ -402,9 +403,7 @@ def cmd_eval(args) -> tuple:
 def _parse_vocab_sizes(spec: str) -> dict[Language, int]:
     out = {}
     problems = []
-    for entry in (part.strip() for part in spec.split(",")):
-        if not entry:
-            continue
+    for entry in _code_list(spec):
         code, eq, size = entry.partition("=")
         if not eq:
             problems.append(f"{entry}: want lang=size")
@@ -453,7 +452,7 @@ def cmd_params(args) -> tuple | None:
     if args.out:
         out_dir = _out_dir(args.out)
         doc = {"multilingual": multi, "monolingual": monos, "reduction_pct": reduction}
-        _dump_json(doc, out_dir / "params.json")
+        write_json(out_dir / "params.json", doc, indent=2)
         sizes = {lang.value: size for lang, size in vocab_sizes.items()}
         return out_dir, {"config": config.to_dict(), "vocab_sizes": sizes}, {}
     return None
@@ -470,7 +469,7 @@ def cmd_compare_langs(args) -> tuple | None:
         print(f"{base.value} vs {code}: {pct:.1f}%")
     if args.out:
         out_dir = _out_dir(args.out)
-        _dump_json({"base": base.value, "similarity_pct": table}, out_dir / "cross_language.json")
+        write_json(out_dir / "cross_language.json", {"base": base.value, "similarity_pct": table}, indent=2)
         return out_dir, {"base": base.value, "endpoint": args.endpoint}, {"captions": captions_digest}
     return None
 

@@ -312,7 +312,6 @@ def compute_stats(captions: Captions, language: Language, split: str) -> dict:
 class CorpusIndex:
     """A split's captions plus in-memory embeddings, validated by `from_manifest`."""
 
-    split: str
     captions: Captions = field(repr=False)
     embeddings: dict[str, np.ndarray] = field(repr=False)
     languages: tuple[Language, ...]
@@ -343,7 +342,7 @@ class CorpusIndex:
     ) -> "CorpusIndex":
         """An index over an already loaded split, reading (and hashing) its embeddings by `read_split`."""
         embeddings = dict(read_split(split, captions, embeddings_dir, languages, digests, d_in))
-        return cls(split=split, captions=captions, embeddings=embeddings, languages=tuple(languages))
+        return cls(captions=captions, embeddings=embeddings, languages=tuple(languages))
 
 
 def _check_split(

@@ -16,7 +16,6 @@ part of this toolkit.
 from __future__ import annotations
 
 import http.client
-import json
 import math
 import urllib.error
 import urllib.request
@@ -26,7 +25,7 @@ from typing import Mapping, Protocol, Sequence
 import numpy as np
 
 from polycap.errors import RuntimeFailure, ValidationError
-from polycap.files import parse_json
+from polycap.files import dump_json, parse_json
 from polycap.text import Language, tokenize
 
 CIDER_N_MAX = 4
@@ -217,7 +216,7 @@ class HttpEmbedder:
         self.timeout = timeout
 
     def embed_batch(self, texts: Sequence[str], language: Language) -> np.ndarray:
-        payload = json.dumps({"texts": list(texts), "language": language.value}).encode("utf-8")
+        payload = dump_json({"texts": list(texts), "language": language.value}).encode("utf-8")
         request = urllib.request.Request(
             self.endpoint, data=payload, headers={"Content-Type": "application/json"}
         )

@@ -1,5 +1,5 @@
-"""Atomic output files, a non-blocking open of input files, and the one
-parser of JSON input.
+"""Atomic output files, a non-blocking open of input files, the one parser
+of JSON input and the one writer of JSON output.
 
 `atomic_write` writes a temporary file in the target's directory and moves it
 to the target when the write has finished, so at every instant, whatever the
@@ -94,3 +94,15 @@ def parse_json(text: str) -> tuple[object, list[str]]:
         return obj
 
     return json.loads(text, object_pairs_hook=unique_keys), repeated
+
+
+def dump_json(obj, indent: int | None = None) -> str:
+    """The JSON text of `obj`: keys sorted, every character written as itself
+    (UTF-8 once encoded, RFC 8259 §8.1), `indent` as in `json.dumps`."""
+    return json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=indent)
+
+
+def write_json(path: str | Path, obj, indent: int | None = None) -> None:
+    """`dump_json(obj, indent)` and a newline, written to `path` by `atomic_write`."""
+    with atomic_write(path) as f:
+        f.write(dump_json(obj, indent) + "\n")

@@ -12,7 +12,6 @@ It stays configurable.
 from __future__ import annotations
 
 import importlib
-import json
 import math
 import mmap
 import os
@@ -28,7 +27,7 @@ import numpy as np
 from polycap import autodiff as ad
 from polycap.autodiff import Tensor
 from polycap.errors import RuntimeFailure, ValidationError, config_from_json, integer_problems, is_real
-from polycap.files import atomic_write, open_regular, parse_json
+from polycap.files import atomic_write, dump_json, open_regular, parse_json
 from polycap.text import Language, Vocabulary, repeated_languages
 
 FROZEN_ENCODER_PARAMS = 28_000_000  # reporting constant; the audio encoder is external
@@ -598,7 +597,7 @@ def save_checkpoint(model: MultilingualModel, path: str | Path) -> None:
         "languages": [lang.value for lang in model.languages],
         "vocabs": {lang.value: model.vocab(lang).to_doc() for lang in model.languages},
     }
-    meta_bytes = json.dumps(meta, ensure_ascii=False, sort_keys=True).encode("utf-8")
+    meta_bytes = dump_json(meta).encode("utf-8")
     params, align = model.named_parameters(), CKPT_ALIGN[CKPT_VERSION]
     blob = [CKPT_MAGIC, struct.pack("<II", CKPT_VERSION, len(meta_bytes)), meta_bytes]
     blob += [struct.pack("<I", len(params)), _padding(12 + len(meta_bytes) + 4, align)]

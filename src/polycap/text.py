@@ -8,17 +8,14 @@ four special tokens pinned to ids 0..3.
 
 from __future__ import annotations
 
-import json
 import re
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
-from pathlib import Path
 from typing import Iterable, Sequence
 
 from polycap.errors import ValidationError
-from polycap.files import atomic_write
 
 PAD_TOKEN = "<pad>"
 BOS_TOKEN = "<bos>"
@@ -146,10 +143,6 @@ class Vocabulary:
         if specials != expected:
             raise ValidationError(f"vocabulary specials must be {expected}, got {specials}")
         return cls.from_tokens(tokens)
-
-    def save(self, path: str | Path) -> None:
-        with atomic_write(path) as f:
-            f.write(json.dumps(self.to_doc(), ensure_ascii=False, sort_keys=True) + "\n")
 
 
 def build_vocabulary(corpus: Iterable[Sequence[str]], min_count: int = 1) -> Vocabulary:

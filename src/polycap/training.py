@@ -9,7 +9,6 @@ flows from per-purpose streams spawned deterministically from one seed.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import dataclass, asdict
@@ -22,7 +21,7 @@ from polycap import autodiff as ad
 from polycap.autodiff import Tensor
 from polycap.corpus import CorpusIndex, sample_caption
 from polycap.errors import RuntimeFailure, ValidationError, integer_problems, is_finite, is_real
-from polycap.files import atomic_write
+from polycap.files import atomic_write, dump_json
 from polycap.model import MixupDraw, MultilingualModel, live_positions
 from polycap.text import Language, tokenize
 
@@ -461,5 +460,5 @@ class Trainer:
             history.append(self.run_epoch(epoch))
             if metrics_path:
                 with atomic_write(metrics_path) as f:
-                    f.writelines(json.dumps(record, sort_keys=True) + "\n" for record in history)
+                    f.writelines(dump_json(record) + "\n" for record in history)
         return history

@@ -64,7 +64,6 @@ def synthetic_corpus(
     n_frames: int = 8,
     d_in: int = 16,
     seed: int = 42,
-    split: str = "train",
 ) -> tuple[CorpusIndex, dict[Language, Vocabulary]]:
     rng = np.random.default_rng(seed)
     entries = {}
@@ -74,7 +73,6 @@ def synthetic_corpus(
         embeddings[audio_id] = rng.normal(size=(n_frames, d_in))
         entries[audio_id] = {lang: (synthetic_caption(lang, i),) for lang in languages}
     index = CorpusIndex(
-        split=split,
         captions=entries,
         embeddings=embeddings,
         languages=tuple(languages),

@@ -73,6 +73,24 @@ def write_train_config(root: Path, manifest: Path, emb_dir: Path, epochs=25, see
     return path
 
 
+# lr0 1e100 leaves the weights finite but so large that the validation loss overflows
+OVERFLOWING_RUN = {
+    "languages": ["en"],
+    "train": {
+        "epochs": 1, "batch_size": 64, "seed": 0, "specaug": None,
+        "mixup_alpha": 0.0, "weight_decay": 0.0, "lr0": 1e100,
+    },
+}
+
+
+def copy_golden_corpus(root: Path) -> dict:
+    """The golden corpus (manifest and clips) copied into `root`, and its train config."""
+    golden = Path(__file__).resolve().parent / "golden"
+    shutil.copytree(golden / "emb", root / "emb")
+    shutil.copy(golden / "manifest.jsonl", root / "manifest.jsonl")
+    return json.loads((golden / "train.json").read_text())
+
+
 def rewrite_meta(path: Path, edit) -> None:
     """Rewrite a checkpoint's JSON meta block in place with edit(meta)."""
     raw = path.read_bytes()
@@ -890,18 +908,9 @@ class TestTrainCaptionEval:
         assert not (tmp_path / "o" / "checkpoint.ackp").exists()
 
     def test_non_finite_validation_loss_exits_3_and_logs_no_nan(self, tmp_path, capsys):
-        # lr0 1e100 leaves the weights finite but so large that the
-        # validation loss overflows; it was once logged as NaN, which is no
-        # JSON, and the run exited 0 with a checkpoint
-        golden = Path(__file__).resolve().parent / "golden"
-        shutil.copytree(golden / "emb", tmp_path / "emb")
-        shutil.copy(golden / "manifest.jsonl", tmp_path / "manifest.jsonl")
-        config = json.loads((golden / "train.json").read_text())
-        config["languages"] = ["en"]
-        config["train"] = {
-            "epochs": 1, "batch_size": 64, "seed": 0, "specaug": None,
-            "mixup_alpha": 0.0, "weight_decay": 0.0, "lr0": 1e100,
-        }
+        # the overflowing validation loss was once logged as NaN, which is
+        # no JSON, and the run exited 0 with a checkpoint
+        config = copy_golden_corpus(tmp_path) | OVERFLOWING_RUN
         (tmp_path / "train.json").write_text(json.dumps(config), encoding="utf-8")
         out = tmp_path / "o"
         assert main(["train", "--config", str(tmp_path / "train.json"), "--out", str(out)]) == 3
@@ -1508,7 +1517,8 @@ def compare_langs_base_without_captions(tmp_path, monkeypatch):
 
 class TestOutputDirectory:
     """`--out` is made only once a command's inputs have validated, and an
-    `--out` that cannot be a directory is itself a validation failure."""
+    `--out` that cannot be a directory is itself a validation failure.
+    Claiming `--out` removes an earlier run's `run_manifest.json` from it."""
 
     @pytest.mark.parametrize("case", list(REFUSALS))
     def test_refused_input_exits_2_with_its_report(self, case, tmp_path, monkeypatch, capsys):
@@ -1566,6 +1576,30 @@ class TestOutputDirectory:
         assert payload["message"].startswith(message)
         assert payload.get("items") == items
         assert not (tmp_path / "o").exists()
+
+    def test_failed_rerun_leaves_no_earlier_manifest(self, tmp_path, capsys):
+        # a rerun that failed at run time once left the first run's manifest
+        # (lr0 0.03) beside that run's checkpoint, describing a run the last
+        # command into --out did not make
+        config = copy_golden_corpus(tmp_path)
+        path, out = tmp_path / "train.json", tmp_path / "o"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["train", "--config", str(path), "--out", str(out)]) == 0
+        assert (out / "run_manifest.json").is_file()
+        path.write_text(json.dumps(config | OVERFLOWING_RUN), encoding="utf-8")
+        assert main(["train", "--config", str(path), "--out", str(out)]) == 3
+        assert json.loads(capsys.readouterr().err)["message"].startswith("non-finite validation loss ")
+        assert not (out / "run_manifest.json").exists()
+
+    def test_manifest_that_cannot_be_removed_exits_2(self, tmp_path, capsys):
+        manifest, _ = write_corpus(tmp_path)
+        out = tmp_path / "o"
+        (out / "run_manifest.json" / "inside").mkdir(parents=True)
+        assert main(["stats", "--manifest", str(manifest), "--languages", "en", "--out", str(out)]) == 2
+        payload = json.loads(capsys.readouterr().err)
+        message = f"cannot remove {out / 'run_manifest.json'} (Is a directory)"
+        assert payload == {"error": "ValidationError", "message": message}
+        assert [p.name for p in out.rglob("*")] == ["run_manifest.json", "inside"]
 
     @pytest.mark.parametrize("command", ["prepare", "stats"])
     def test_out_that_cannot_be_a_directory_exits_2(self, command, tmp_path, capsys):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import synthetic_corpus, tiny_model_config, word_vocab
-from polycap import cli, files
+from polycap import files
 from polycap.cli import main
 from polycap.corpus import EmbeddingSequence, write_embedding
 from polycap.model import MultilingualModel, load_checkpoint, save_checkpoint
@@ -54,8 +54,8 @@ def tiny_model(seed):
 
 WRITERS = {
     "checkpoint": lambda path, seed: save_checkpoint(tiny_model(seed), path),
-    "json": lambda path, seed: cli._dump_json({"seed": seed}, path),
-    "vocabulary": lambda path, seed: word_vocab([f"w{i}" for i in range(seed + 1)]).save(path),
+    "json": lambda path, seed: files.write_json(path, {"seed": seed}, indent=2),
+    "vocabulary": lambda path, seed: files.write_json(path, word_vocab([f"w{i}" for i in range(seed + 1)]).to_doc()),
     "embedding": lambda path, seed: write_embedding(path, EmbeddingSequence("a", np.full((2, 3), seed, np.float32))),
 }
 
@@ -120,7 +120,8 @@ def test_failed_caption_replace_keeps_previous_captions(tmp_path, monkeypatch):
     failing_replace(monkeypatch)
     assert caption(2) == 3
     assert (out / "captions.jsonl").read_bytes() == before
-    assert sorted(p.name for p in out.iterdir()) == ["captions.jsonl", "run_manifest.json"]
+    # the failed run claimed --out: the first run's manifest is gone with it
+    assert sorted(p.name for p in out.iterdir()) == ["captions.jsonl"]
 
 
 def test_failed_metrics_replace_keeps_earlier_epochs(tmp_path, monkeypatch):
@@ -165,12 +166,12 @@ def test_write_over_a_regular_file_exchanges_without_replace(tmp_path, monkeypat
 @pytest.mark.parametrize("renameat2", [None, lambda *args: -1], ids=["missing", "failing"])
 def test_without_the_exchange_the_write_replaces(tmp_path, monkeypatch, renameat2):
     path = tmp_path / "out.json"
-    cli._dump_json({"seed": 0}, path)
+    files.write_json(path, {"seed": 0}, indent=2)
     monkeypatch.setattr(files, "_renameat2", renameat2)
     replaced = []
     real_replace = files.os.replace
     monkeypatch.setattr(files.os, "replace", lambda src, dst: replaced.append(dst) or real_replace(src, dst))
-    cli._dump_json({"seed": 1}, path)
+    files.write_json(path, {"seed": 1}, indent=2)
     assert replaced == [path]
     assert json.loads(path.read_text()) == {"seed": 1}
     assert list(tmp_path.iterdir()) == [path]
@@ -181,7 +182,7 @@ def test_symlink_target_becomes_a_regular_file(tmp_path):
     pointed.write_text("untouched\n", encoding="utf-8")
     path = tmp_path / "out.json"
     path.symlink_to(pointed)
-    cli._dump_json({"seed": 1}, path)
+    files.write_json(path, {"seed": 1}, indent=2)
     assert not path.is_symlink() and json.loads(path.read_text()) == {"seed": 1}
     assert pointed.read_text() == "untouched\n"
     assert sorted(tmp_path.iterdir()) == [path, pointed]
@@ -192,7 +193,7 @@ def test_directory_target_raises_and_stays(tmp_path):
     path.mkdir()
     (path / "inside").write_bytes(b"kept")
     with pytest.raises(OSError):
-        cli._dump_json({"seed": 1}, path)
+        files.write_json(path, {"seed": 1}, indent=2)
     assert [(p.name, p.read_bytes()) for p in path.iterdir()] == [("inside", b"kept")]
     assert list(tmp_path.iterdir()) == [path]
 
@@ -215,7 +216,7 @@ def test_target_turned_directory_after_the_check_is_swapped_back(tmp_path, monke
     (path / "inside").write_bytes(b"kept")
     monkeypatch.setattr(files.stat, "S_ISREG", lambda mode: True)
     with pytest.raises(IsADirectoryError):
-        cli._dump_json({"seed": 1}, path)
+        files.write_json(path, {"seed": 1}, indent=2)
     assert [(p.name, p.read_bytes()) for p in path.iterdir()] == [("inside", b"kept")]
     assert list(tmp_path.iterdir()) == [path]
 
@@ -224,7 +225,7 @@ def test_failed_unlink_after_the_exchange_keeps_previous_file(tmp_path, monkeypa
     if not exchange_works(tmp_path):
         pytest.skip("no renameat2 RENAME_EXCHANGE here")
     path = tmp_path / "out.json"
-    cli._dump_json({"seed": 0}, path)
+    files.write_json(path, {"seed": 0}, indent=2)
     before = path.read_bytes()
     real_unlink, calls = files.os.unlink, []
 
@@ -236,7 +237,7 @@ def test_failed_unlink_after_the_exchange_keeps_previous_file(tmp_path, monkeypa
 
     monkeypatch.setattr(files.os, "unlink", unlink)
     with pytest.raises(PermissionError, match="unlink failed"):
-        cli._dump_json({"seed": 1}, path)
+        files.write_json(path, {"seed": 1}, indent=2)
     assert path.read_bytes() == before
     assert list(tmp_path.iterdir()) == [path]
 

@@ -2,8 +2,10 @@
 module-level private function that nothing in the package references, and
 no public module-level function or class, and no public method or property
 of a class, that only the tests use; no except clause that names
-JSONDecodeError; no JSON parse outside `files.parse_json`; no file write
-outside `files.py`; and no CLI option that no test or bench run passes."""
+JSONDecodeError; no JSON parse outside `files.parse_json`; no JSON
+serialization outside `files.dump_json` but `cli.main`'s error line; no file
+write outside `files.py`; no directory made outside `cli._out_dir`; and no
+CLI option that no test or bench run passes."""
 
 import argparse
 import ast
@@ -104,13 +106,23 @@ def test_no_except_clause_names_json_decode_error():
     assert named == []
 
 
+def nodes_inside(module: str, function: str) -> set[int]:
+    """The ids of every AST node of the module-level `function` of `module`
+    (none if it has no such function: nothing is exempt then)."""
+    return {
+        id(inner)
+        for node in MODULES[module].body
+        if getattr(node, "name", None) == function
+        for inner in ast.walk(node)
+    }
+
+
 def test_json_is_parsed_only_by_the_one_parser():
     """`files.parse_json` is the one parser of JSON text: it reports each key
     repeated within an object, which `json.loads` alone drops silently, and
     raises only ValueError, which every caller catches. A reader that called
     `json.load` or `json.loads` itself would skip both rules."""
-    [parser] = [node for node in MODULES["files.py"].body if getattr(node, "name", None) == "parse_json"]
-    inside = {id(node) for node in ast.walk(parser)}
+    inside = nodes_inside("files.py", "parse_json")
     elsewhere = [
         f"{name}:{node.lineno}"
         for name, tree in MODULES.items()
@@ -123,6 +135,39 @@ def test_json_is_parsed_only_by_the_one_parser():
         )
     ]
     assert elsewhere == []
+
+
+def test_json_is_written_only_by_the_one_writer():
+    """`files.dump_json` is the one serializer of JSON output: keys sorted and
+    every character written as itself, so each document polycap emits is
+    UTF-8 with one key order. The one exemption is `cli.main`'s error line:
+    stderr writes in the locale's encoding with `backslashreplace`, so only
+    ASCII-escaped JSON is valid there under every locale."""
+    inside = nodes_inside("files.py", "dump_json") | nodes_inside("cli.py", "main")
+    elsewhere = [
+        f"{name}:{node.lineno}"
+        for name, tree in MODULES.items()
+        for node in ast.walk(tree)
+        if id(node) not in inside
+        and isinstance(node, ast.Attribute) and node.attr in ("dump", "dumps")
+        and isinstance(node.value, ast.Name) and node.value.id == "json"
+    ]
+    assert elsewhere == []
+
+
+def test_directories_are_made_only_by_out_dir():
+    """`cli._out_dir` claims a command's `--out`: it makes the directory and
+    removes an older run's manifest from it. A module that made a directory
+    itself (`mkdir`, `makedirs`) could write outputs without that claim."""
+    inside = nodes_inside("cli.py", "_out_dir")
+    made = [
+        f"{name}:{node.lineno}: {called}"
+        for name, tree in MODULES.items()
+        for node in ast.walk(tree)
+        if id(node) not in inside and isinstance(node, ast.Call)
+        and (called := getattr(node.func, "attr", getattr(node.func, "id", None))) in ("mkdir", "makedirs")
+    ]
+    assert made == []
 
 
 def test_files_are_written_only_through_atomic_write():

@@ -23,6 +23,7 @@ from oracles import checkpoint_bytes, finite_difference_grads, initial_parameter
 import polycap
 import polycap.cli
 from polycap.errors import ValidationError
+from polycap.files import write_json
 from polycap.model import (
     FROZEN_ENCODER_PARAMS,
     MixupDraw,
@@ -627,7 +628,7 @@ class TestCheckpoint:
         assert loaded.vocab(Language.FR).tokens == vocab.tokens
         assert "très" in loaded.vocab(Language.FR).index
         vocab_path = tmp_path / "v.json"
-        vocab.save(vocab_path)
+        write_json(vocab_path, vocab.to_doc())
         from polycap.text import Vocabulary
 
         assert Vocabulary.from_doc(json.loads(vocab_path.read_text("utf-8"))).tokens == vocab.tokens

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from oracles import regex_tokenize, vocabulary_order
 from polycap.errors import ValidationError
+from polycap.files import write_json
 from polycap.text import (
     SPECIAL_TOKENS,
     Language,
@@ -138,7 +139,7 @@ class TestVocabularySerialization:
     def test_json_roundtrip(self, tmp_path):
         vocab = build_vocabulary([["duck", "a", "dog"], ["a"]])
         path = tmp_path / "vocab.json"
-        vocab.save(path)
+        write_json(path, vocab.to_doc())
         loaded = Vocabulary.from_doc(json.loads(path.read_text("utf-8")))
         assert loaded.tokens == vocab.tokens
 

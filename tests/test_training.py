@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import tracemalloc
@@ -505,6 +506,64 @@ class TestGraphSize:
         assert peak - start <= 3_300_000
 
 
+class TestStepMemory:
+    # tracemalloc peaks of one train step, per phase, over the traced memory
+    # at the step's start, in bytes; the same within a few hundred bytes at
+    # OPENBLAS_NUM_THREADS 1 and 2. The garbage collector runs before each
+    # reading, so no interpreter free list of an earlier phase counts. The
+    # optimizer's is mostly AdamW.step's fixed block scratch, about 557 KB.
+    # A change that moves a pin updates it here and says why in CHANGES.md
+    PINS = {"forward": 333_780, "backward": 372_380, "optimizer": 810_390}
+
+    def test_each_phase_of_a_train_step_stays_at_its_pinned_peak(self, monkeypatch):
+        # tracing starts before the model is built: else the fresh weight
+        # arrays AdamW.step writes read as about 230 KB retained, the arrays
+        # they replace never having been traced
+        tracemalloc.start()
+        try:
+            index, vocabs = synthetic_corpus([Language.EN, Language.FR], n_items=8, n_frames=6, d_in=16)
+            cfg = ModelConfig(d_in=16, d_model=32, n_layers=2, n_heads=4, d_ff=64, max_len=20)
+            model = MultilingualModel(cfg, vocabs, seed=1)
+            trainer = Trainer(model, index, TrainConfig(epochs=2, batch_size=4, seed=0))
+            lr = trainer.cfg.lr0
+            for language, audio_ids in trainer._make_batches(index):  # every head has stepped: its moments exist
+                trainer._train_batch(language, audio_ids, lr)
+            phases = {"forward": [], "backward": [], "optimizer": [], "retained": []}
+            start = 0
+
+            def peak_of_phase():
+                gc.collect()
+                _, peak = tracemalloc.get_traced_memory()
+                tracemalloc.reset_peak()
+                return peak - start
+
+            backward, step = Tensor.backward, training.AdamW.step
+
+            def traced_backward(loss):
+                phases["forward"].append(peak_of_phase())
+                backward(loss)
+
+            def traced_step(*args):
+                phases["backward"].append(peak_of_phase())
+                step(*args)
+                phases["optimizer"].append(peak_of_phase())
+
+            monkeypatch.setattr(Tensor, "backward", traced_backward)
+            monkeypatch.setattr(training.AdamW, "step", traced_step)
+            for language, audio_ids in trainer._make_batches(index)[:3]:
+                gc.collect()
+                start, _ = tracemalloc.get_traced_memory()
+                tracemalloc.reset_peak()
+                trainer._train_batch(language, audio_ids, lr)
+                gc.collect()
+                phases["retained"].append(tracemalloc.get_traced_memory()[0] - start)
+        finally:
+            tracemalloc.stop()
+        for phase, pin in self.PINS.items():
+            assert all(abs(peak - pin) <= 1024 for peak in phases[phase]), (phase, phases[phase])
+        assert all(retained <= 1024 for retained in phases["retained"]), phases["retained"]
+
+
 class TestNonFiniteLoss:
     def test_inf_weights_raise_before_any_update(self):
         trainer, index = make_trainer([Language.EN, Language.FR], n_items=4)
@@ -599,7 +658,7 @@ class TestGradientLifetime:
         # epochs: the blocked AdamW against whole-array textbook formulas
         def fit(optimizer_cls):
             index, vocabs = synthetic_corpus([Language.EN, Language.FR], n_items=6)
-            val_index, _ = synthetic_corpus([Language.EN, Language.FR], n_items=3, seed=9, split="val")
+            val_index, _ = synthetic_corpus([Language.EN, Language.FR], n_items=3, seed=9)
             cfg = tiny_model_config(d_in=16, d_model=16, n_heads=2, d_ff=24, max_len=8,
                                     trunk_dropout=0.1, frontend_dropout=0.2)
             model = MultilingualModel(cfg, vocabs, seed=1)
@@ -666,7 +725,7 @@ class TestValidationLoss:
     def test_val_loss_logged_and_deterministic(self):
         languages = [Language.EN]
         train_index, vocabs = synthetic_corpus(languages, n_items=5, seed=0)
-        val_index, _ = synthetic_corpus(languages, n_items=4, seed=9, split="val")
+        val_index, _ = synthetic_corpus(languages, n_items=4, seed=9)
         cfg = tiny_model_config(d_in=16, d_model=16, n_heads=2, d_ff=24, max_len=8)
         model = MultilingualModel(cfg, vocabs, seed=0)
         tcfg = TrainConfig(epochs=2, lr0=1e-3, weight_decay=0.0, specaug=None,
@@ -693,7 +752,6 @@ class TestValidationLoss:
             for i, n in enumerate(words)
         }
         val_index = CorpusIndex(
-            split="val",
             captions=entries,
             embeddings={f"v{i}": rng.normal(size=(n, 16)) for i, n in enumerate(frames)},
             languages=tuple(languages),

@@ -25,7 +25,6 @@ def ragged_corpus(languages, frame_counts, d_in=12, seed=0):
             for lang in languages
         }
     index = CorpusIndex(
-        split="train",
         captions=entries,
         embeddings=embeddings,
         languages=tuple(languages),
@@ -158,7 +157,6 @@ class TestCaptionTruncation:
         words = " ".join(f"t{i}" for i in range(30))  # far beyond max_len
         entries = {"a": {Language.EN: (words,)}, "b": {Language.EN: (words,)}}
         index = CorpusIndex(
-            split="train",
             captions=entries,
             embeddings={"a": rng.normal(size=(3, 4)), "b": rng.normal(size=(3, 4))},
             languages=(Language.EN,),
