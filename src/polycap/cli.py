@@ -28,7 +28,7 @@ import polycap
 from polycap import corpus as corpus_mod
 from polycap import decoding, evaluation, model as model_mod, training
 from polycap.errors import ToolkitError, ValidationError, config_from_json, is_integer, physical_memory
-from polycap.files import atomic_write, dump_json, parse_json, write_json
+from polycap.files import atomic_write, dump_json, parse_json, remove_temporaries, write_json
 from polycap.text import (
     SPECIAL_TOKENS,
     Language,
@@ -89,18 +89,19 @@ def write_run_manifest(out_dir: Path, command: str, config: dict, inputs: dict, 
 
 def _out_dir(path) -> Path:
     """The output directory `path`, made if need be, without an earlier run's
-    manifest: a directory that holds a manifest holds what that run wrote.
-    Commands call it once their inputs have validated, before any output."""
+    manifest (a directory that holds a manifest holds what that run wrote) or
+    the temporary files of a killed write. Commands call it once their inputs
+    have validated, before any output."""
     out_dir = Path(path)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ValidationError(f"cannot create output directory {out_dir} ({exc.strerror})") from exc
-    manifest = out_dir / "run_manifest.json"
     try:
-        manifest.unlink(missing_ok=True)
-    except OSError as exc:  # a directory of that name, say
-        raise ValidationError(f"cannot remove {manifest} ({exc.strerror})") from exc
+        (out_dir / "run_manifest.json").unlink(missing_ok=True)
+        remove_temporaries(out_dir)
+    except OSError as exc:  # a directory named run_manifest.json, say
+        raise ValidationError(f"cannot remove {exc.filename} ({exc.strerror})") from exc
     return out_dir
 
 
@@ -401,7 +402,7 @@ def cmd_eval(args) -> tuple:
 
 
 def _parse_vocab_sizes(spec: str) -> dict[Language, int]:
-    out = {}
+    pairs = []
     problems = []
     for entry in _code_list(spec):
         code, eq, size = entry.partition("=")
@@ -418,16 +419,15 @@ def _parse_vocab_sizes(spec: str) -> dict[Language, int]:
         except ValueError:
             problems.append(f"{entry}: size {size.strip()!r} is not an integer")
             continue
-        if lang in out:
-            problems.append(f"{lang.value}={size}: language {lang.value!r} given twice")
-        elif size < len(SPECIAL_TOKENS):
+        if size < len(SPECIAL_TOKENS):
             problems.append(f"{lang.value}={size}: fewer than the {len(SPECIAL_TOKENS)} special tokens")
-        out[lang] = size
+        pairs.append((lang, size))
+    problems += repeated_languages([lang for lang, _ in pairs])
     if problems:
         raise ValidationError("bad vocab sizes", items=problems)
-    if not out:
+    if not pairs:
         raise ValidationError("empty vocab size list")
-    return out
+    return dict(pairs)
 
 
 def cmd_params(args) -> tuple | None:
@@ -464,7 +464,7 @@ def cmd_compare_langs(args) -> tuple | None:
     base = Language.parse(args.base)
     provider = evaluation.HttpEmbedder(args.endpoint)
     result = evaluation.cross_language_similarity(captions, base, provider)
-    table = {lang.value: pct for lang, pct in sorted(result.items(), key=lambda kv: kv[0].ordinal)}
+    table = {lang.value: result[lang] for lang in Language if lang in result}
     for code, pct in table.items():
         print(f"{base.value} vs {code}: {pct:.1f}%")
     if args.out:

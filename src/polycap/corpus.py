@@ -232,8 +232,8 @@ def jsonl_objects(path: Path, what: str, problems: list[str], digest=None) -> It
 def load_manifests(path: str | Path, digest=None) -> dict[str, Captions]:
     """Read a JSON-Lines manifest, its bytes fed to `digest`, into the captions of each split.
 
-    Fails fast on duplicate audio ids within a split, unknown languages,
-    unknown splits and empty caption lists.
+    Fails on duplicate audio ids within a split, unknown or repeated languages,
+    unknown splits and empty caption lists, one item each.
     """
     path = Path(path)
     per_split: dict[str, Captions] = {}
@@ -253,16 +253,18 @@ def load_manifests(path: str | Path, digest=None) -> dict[str, Captions]:
             problems.append(f"line {lineno}: captions must be a non-empty object")
             continue
         entry: dict[Language, tuple[str, ...]] = {}
+        langs = []
         for code, caps in captions.items():
             try:
-                lang = Language.parse(code)
-            except ValidationError:
-                problems.append(f"line {lineno}: unknown language {code!r}")
+                langs.append(lang := Language.parse(code))
+            except ValidationError as exc:
+                problems.append(f"line {lineno}: {exc.message}")
                 continue
             if not isinstance(caps, list) or not caps or not all(isinstance(c, str) and c for c in caps):
                 problems.append(f"line {lineno}: captions[{code}] must be a non-empty list of strings")
                 continue
             entry[lang] = tuple(caps)
+        problems.extend(f"line {lineno}: captions: {item}" for item in repeated_languages(langs))
         first = first_line.setdefault((split, audio_id), lineno)
         if first != lineno:
             problems.append(

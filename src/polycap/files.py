@@ -10,6 +10,7 @@ now under the temporary name; elsewhere, or if the exchange fails, `os.replace`.
 On ext4 (`auto_da_alloc`) a rename over a file first writes the new data out;
 the exchange skips that wait and that ordering. Nothing is fsynced, so a power
 loss soon after a rewrite can leave the path empty or partial, not old or new.
+A killed process leaves its temporary file; `remove_temporaries` clears them.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import ctypes
 import errno
 import json
 import os
+import re
 import secrets
 import stat
 from collections import Counter
@@ -53,6 +55,10 @@ def _move_into_place(tmp: Path, path: Path) -> None:
         os.replace(tmp, path)
 
 
+# `atomic_write`'s temporary file for `path`: `.<path's name>.<8 hex digits>.tmp`
+_TEMPORARY = re.compile(r"\..+\.[0-9a-f]{8}\.tmp")
+
+
 @contextlib.contextmanager
 def atomic_write(path: str | Path, binary: bool = False) -> Iterator[IO]:
     """Open a new temporary file for writing, UTF-8 text unless `binary`,
@@ -68,6 +74,15 @@ def atomic_write(path: str | Path, binary: bool = False) -> Iterator[IO]:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
+
+
+def remove_temporaries(directory: Path) -> None:
+    """Remove every regular file in `directory` with a `_TEMPORARY` name: what
+    a write killed before its cleanup leaves."""
+    with os.scandir(directory) as entries:
+        for entry in entries:
+            if _TEMPORARY.fullmatch(entry.name) and entry.is_file(follow_symlinks=False):
+                os.unlink(entry.path)
 
 
 def open_regular(path: str | Path) -> IO[bytes]:

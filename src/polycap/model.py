@@ -230,7 +230,7 @@ def parameter_table(config: ModelConfig, vocab_sizes: Mapping[Language, int]) ->
         for k in (1, 2, 3):
             table[f"{layer}.norm{k}.gain"] = (d,)
             table[f"{layer}.norm{k}.bias"] = (d,)
-    for lang in sorted(vocab_sizes, key=lambda l: l.ordinal):
+    for lang in (lang for lang in Language if lang in vocab_sizes):
         table[f"heads.{lang.value}.embedding.weight"] = (vocab_sizes[lang], d)
         linear(f"heads.{lang.value}.classifier", d, vocab_sizes[lang])
     return table
@@ -294,8 +294,7 @@ class MultilingualModel:
         self.frontend = Linear(self._params, "frontend")
         self.layers = [DecoderLayer(self._params, f"trunk.layers.{i}", config) for i in range(config.n_layers)]
         self.heads = {
-            lang: LanguageHead(self._params, f"heads.{lang.value}", vocabs[lang])
-            for lang in sorted(vocabs, key=lambda l: l.ordinal)
+            lang: LanguageHead(self._params, f"heads.{lang.value}", vocabs[lang]) for lang in Language if lang in vocabs
         }
 
     @property

@@ -25,16 +25,12 @@ SPECIAL_TOKENS = (PAD_TOKEN, BOS_TOKEN, EOS_TOKEN, UNK_TOKEN)
 
 
 class Language(str, Enum):
-    """The four supported caption languages, in stable head-index order."""
+    """The four supported caption languages; member order is head order."""
 
     EN = "en"
     FR = "fr"
     ES = "es"
     DE = "de"
-
-    @property
-    def ordinal(self) -> int:
-        return _LANGUAGE_ORDER.index(self)
 
     @classmethod
     def parse(cls, code: str) -> "Language":
@@ -44,7 +40,6 @@ class Language(str, Enum):
         return lang
 
 
-_LANGUAGE_ORDER = tuple(Language)
 _BY_CODE = {lang.value: lang for lang in Language}
 
 

@@ -1,5 +1,7 @@
+import gc
 import struct
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +32,21 @@ def tiny_model_config(**overrides) -> ModelConfig:
     )
     base.update(overrides)
     return ModelConfig(**base)
+
+
+def peak_bytes(call) -> int:
+    """The `tracemalloc` peak of `call()` over the memory traced at its start,
+    in bytes. The collector runs before the reading starts, so no garbage of
+    earlier work is freed inside it."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
 
 
 def documented_meta(model: MultilingualModel) -> dict:

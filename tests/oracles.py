@@ -8,8 +8,9 @@ separate steps with the chain rule run back through each step, and the
 label-smoothed loss as a dense coefficient array times the log-softmax,
 AdamW as whole-array textbook formulas, a seed's initial parameters drawn
 one module after another, the tokenizer as one regex pass over the whole
-text, the vocabulary order as one sort by (-count, token), and the bytes of
-an `.ackp` checkpoint of either version packed field by field. These
+text, the vocabulary order as one sort by (-count, token), the bytes of
+an `.ackp` checkpoint of either version packed field by field, and the
+decoder's logits computed one example and one head at a time. These
 deliberately share no code with the package paths they verify.
 """
 
@@ -577,6 +578,59 @@ def initial_parameters(
         out[f"heads.{code}.embedding.weight"] = uniform(d_model, (size, d_model))
         dense(f"heads.{code}.classifier", d_model, size)
     return out
+
+
+def reference_logits(params, config, audio, ids, frame_mask, language) -> np.ndarray:
+    """The (b, t, vocab) next-token logits of the post-norm transformer
+    decoder of Vaswani et al. 2017, section 3, written out one example and
+    one attention head at a time from the weights `params` (arrays by
+    `parameter_table` name): the front-end Linear + ReLU over the frames
+    that `frame_mask` (b, frames) marks valid (None: all), the `language`
+    head's token rows times sqrt(d_model) plus the sin/cos table, then per
+    layer masked self-attention, cross-attention over those frames and the
+    exact-GELU feed-forward, each as LayerNorm(x + sublayer(x)) with eps
+    1e-5, then the head's classifier. No packing, cache or dropout."""
+    d, n_heads = config.d_model, config.n_heads
+    d_head = d // n_heads
+    head = f"heads.{language.value}"
+    b, t = ids.shape
+
+    def dense(x, name):
+        return x @ params[f"{name}.weight"] + params[f"{name}.bias"]
+
+    def layer_norm(x, name):
+        mean = x.mean(axis=-1, keepdims=True)
+        var = ((x - mean) ** 2).mean(axis=-1, keepdims=True)
+        return (x - mean) / np.sqrt(var + 1e-5) * params[f"{name}.gain"] + params[f"{name}.bias"]
+
+    def gelu(x):
+        return np.array([[v * 0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) for v in row] for row in x])
+
+    def attend(x, memory, name, allowed):  # allowed[i, j]: query i may see memory row j
+        q, k, v = (dense(y, f"{name}.{w}") for y, w in ((x, "wq"), (memory, "wk"), (memory, "wv")))
+        out = []
+        for h in range(n_heads):
+            cols = slice(h * d_head, (h + 1) * d_head)
+            scores = np.where(allowed, q[:, cols] @ k[:, cols].T / math.sqrt(d_head), -np.inf)
+            weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
+            out.append(weights / weights.sum(axis=-1, keepdims=True) @ v[:, cols])
+        return dense(np.concatenate(out, axis=1), f"{name}.wo")
+
+    angle = [[pos / 10000.0 ** (2 * (i // 2) / d) for i in range(d)] for pos in range(t)]
+    table = np.array([[math.sin(a) if i % 2 == 0 else math.cos(a) for i, a in enumerate(row)] for row in angle])
+    causal = np.tril(np.ones((t, t), dtype=bool))
+    logits = []
+    for n in range(b):
+        valid = np.ones(audio.shape[1], dtype=bool) if frame_mask is None else np.asarray(frame_mask[n], dtype=bool)
+        memory = np.maximum(dense(audio[n][valid], "frontend"), 0.0)
+        x = params[f"{head}.embedding.weight"][ids[n]] * math.sqrt(d) + table
+        for i in range(config.n_layers):
+            layer = f"trunk.layers.{i}"
+            x = layer_norm(x + attend(x, x, f"{layer}.self_attn", causal), f"{layer}.norm1")
+            x = layer_norm(x + attend(x, memory, f"{layer}.cross_attn", True), f"{layer}.norm2")
+            x = layer_norm(x + dense(gelu(dense(x, f"{layer}.ff.w1")), f"{layer}.ff.w2"), f"{layer}.norm3")
+        logits.append(dense(x, f"{head}.classifier"))
+    return np.stack(logits)
 
 
 def regex_tokenize(text: str) -> list[str]:

@@ -1162,9 +1162,15 @@ class TestParams:
         assert payload["error"] == "ValidationError"
         assert payload["items"] == [
             "en=-5: fewer than the 4 special tokens",
-            "en=7: language 'en' given twice",
             "fr=3: fewer than the 4 special tokens",
+            "'en' is listed 2 times",
         ]
+
+    def test_a_language_repeated_in_another_case_exits_2(self, capsys):
+        # `en` and `EN` parse to one language, so they would share one head
+        assert main(["params", "--vocab-sizes", "en=5,EN=6"]) == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["items"] == ["'en' is listed 2 times"]
 
     @pytest.mark.parametrize(
         "model, item",
@@ -1591,6 +1597,35 @@ class TestOutputDirectory:
         assert json.loads(capsys.readouterr().err)["message"].startswith("non-finite validation loss ")
         assert not (out / "run_manifest.json").exists()
 
+    def test_rerun_clears_what_a_killed_write_left(self, tmp_path, capsys):
+        # a prepare killed inside the move of corpus_index.json once left
+        # `.corpus_index.json.<8 hex>.tmp`, and the rerun's manifest sat beside it
+        copy_golden_corpus(tmp_path)
+        killed_in_move = (
+            "import os, signal, sys\n"
+            "from polycap import files\n"
+            "from polycap.cli import main\n"
+            "move = files._move_into_place\n"
+            "def kill(tmp, path):\n"
+            "    if path.name == 'corpus_index.json':\n"
+            "        os.kill(os.getpid(), signal.SIGKILL)\n"
+            "    move(tmp, path)\n"
+            "files._move_into_place = kill\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        out = tmp_path / "p"
+        argv = ["prepare", "--manifest", str(tmp_path / "manifest.jsonl"), "--embeddings-dir", str(tmp_path / "emb")]
+        argv += ["--languages", "en,fr", "--out", str(out)]
+        assert run_module(*argv, cwd=tmp_path, args=("-c", killed_in_move)).returncode == -signal.SIGKILL
+        assert len(list(out.glob(".corpus_index.json.*.tmp"))) == 1
+        kept = [".notes.tmp", "captions.jsonl.0123abcd.tmp", ".vocab.en.json.0123abcd.tmp.bak"]
+        for name in kept:
+            (out / name).write_text("kept", encoding="utf-8")
+        (out / ".dir.0123abcd.tmp").mkdir()
+        assert main(argv) == 0
+        assert not list(out.glob(".corpus_index.json.*"))
+        assert all((out / name).exists() for name in [*kept, ".dir.0123abcd.tmp", "run_manifest.json"])
+
     def test_manifest_that_cannot_be_removed_exits_2(self, tmp_path, capsys):
         manifest, _ = write_corpus(tmp_path)
         out = tmp_path / "o"
@@ -1876,6 +1911,25 @@ class TestRepeatedLanguages:
         assert payload["error"] == "ValidationError"
         assert payload["items"] == ["'en' is listed 3 times", "'fr' is listed 2 times"]
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", ["stats", "prepare", "train"])
+    def test_manifest_naming_a_language_twice_exits_2_with_items(self, command, tmp_path, capsys):
+        # `EN` and " en " both parse to `en`: line 1 once loaded as {en: ("rain falls",)}
+        manifest, emb_dir = write_corpus(tmp_path)
+        rows = [json.loads(line) for line in manifest.read_text("utf-8").splitlines()]
+        rows[0]["captions"] = {"en": ["a dog barks"], "EN": ["rain falls"]}
+        rows[1]["captions"] = {"en": ["a dog barks"], "fr": ["il pleut"], " en ": ["rain falls"]}
+        manifest.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
+        argv = {
+            "stats": ["--manifest", str(manifest), "--languages", "en"],
+            "prepare": ["--manifest", str(manifest), "--embeddings-dir", str(emb_dir), "--languages", "en"],
+            "train": ["--config", str(write_train_config(tmp_path, manifest, emb_dir, epochs=1))],
+        }[command]
+        assert main([command, *argv, "--out", str(tmp_path / "o")]) == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["message"] == f"manifest {manifest} failed validation"
+        assert payload["items"] == [f"line {n}: captions: 'en' is listed 2 times" for n in (1, 2)]
+        assert not (tmp_path / "o").exists()
 
 
 class TestLanguageLists:

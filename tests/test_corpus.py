@@ -295,6 +295,25 @@ class TestManifest:
         with pytest.raises(ValidationError):
             load_manifests(path)
 
+    def test_unknown_or_repeated_languages_are_itemized_per_line(self, tmp_path):
+        # the items are `Language.parse`'s and `repeated_languages`' own
+        path = tmp_path / "m.jsonl"
+        write_manifest(
+            path,
+            [
+                {"audio_id": "a", "split": "train", "captions": {"en": ["x"], "EN": ["y"], " en ": ["z"]}},
+                {"audio_id": "b", "split": "train", "captions": {"xx": ["x"], "fr": ["y"], "FR": ["z"]}},
+                {"audio_id": "c", "split": "train", "captions": {"en": ["x"], "fr": ["y"]}},
+            ],
+        )
+        with pytest.raises(ValidationError, match="failed validation") as err:
+            load_manifests(path)
+        assert err.value.items == [
+            "line 1: captions: 'en' is listed 3 times",
+            "line 2: unknown language code 'xx' (known: en, fr, es, de)",
+            "line 2: captions: 'fr' is listed 2 times",
+        ]
+
     def test_bad_split_rejected(self, tmp_path):
         path = tmp_path / "m.jsonl"
         write_manifest(path, [{"audio_id": "a", "split": "dev", "captions": {"en": ["x"]}}])

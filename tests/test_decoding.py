@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import beam_search, tiny_model_config, word_vocab
+from conftest import beam_search, peak_bytes, tiny_model_config, word_vocab
 from oracles import (
     composed_log_softmax,
     exhaustive_constrained_search,
@@ -22,8 +22,8 @@ from polycap.decoding import (
     grouped_beam_search,
 )
 from polycap.errors import ValidationError
-from polycap.model import IncrementalDecoder, MultilingualModel, SequenceTooLongError, log_softmax
-from polycap.text import Language, build_vocabulary
+from polycap.model import IncrementalDecoder, ModelConfig, MultilingualModel, SequenceTooLongError, log_softmax
+from polycap.text import Language, build_vocabulary, load_stopwords
 
 
 def constant_scorer(vocab, probs: dict[str, float]):
@@ -636,3 +636,23 @@ class TestRoundMemory:
             tracemalloc.stop()
         assert len(peaks) == decode_cfg.max_len + 2
         assert max(peaks[1:]) <= estimate, (max(peaks[1:]), estimate)
+
+
+class TestCaptionMemory:
+    # the tracemalloc peak of one caption_clip call after a warm-up call, in
+    # bytes, mostly Python objects of the search, not arrays: 197,514-198,651
+    # at OPENBLAS_NUM_THREADS 1 and 2, run alone or in the whole suite. A
+    # change that moves the pin updates it here and says why in CHANGES.md
+    PIN = 198_100
+
+    def test_a_caption_call_stays_at_its_pinned_peak(self):
+        languages = [Language.EN, Language.FR]
+        config = ModelConfig(d_in=16, d_model=32, n_layers=2, n_heads=4, d_ff=64, max_len=20)
+        vocabs = {lang: word_vocab([f"{lang.value}{i}" for i in range(40)]) for lang in languages}
+        model = MultilingualModel(config, vocabs, seed=1)
+        audio = np.random.default_rng(0).normal(size=(12, 16))
+        stopwords = {lang: load_stopwords(lang).words for lang in languages}
+        cfg = DecodeConfig(beam_size=4, max_len=12)
+        caption_clip(model, audio, languages, cfg, stopwords)
+        peaks = [peak_bytes(lambda: caption_clip(model, audio, languages, cfg, stopwords)) for _ in range(2)]
+        assert all(abs(peak - self.PIN) <= 2048 for peak in peaks), peaks

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import peak_bytes
 from oracles import bruteforce_cider_d, dict_cider_d, ngram_counts
 from polycap.cli import main
 from polycap.errors import ValidationError
@@ -583,3 +584,25 @@ class TestEvaluateCaptions:
     def test_missing_reference_language(self):
         with pytest.raises(ValidationError):
             evaluate_captions({Language.FR: {"a": "x"}}, {})
+
+
+class TestEvalMemory:
+    # the tracemalloc peak of one evaluate_captions call after a warm-up
+    # call, in bytes: 1,486,243-1,486,817 at OPENBLAS_NUM_THREADS 1 and 2,
+    # run alone or in the whole suite. A change that moves the pin updates
+    # it here and says why in CHANGES.md
+    PIN = 1_486_500
+
+    def test_an_eval_call_stays_at_its_pinned_peak(self):
+        rng = np.random.default_rng(0)
+        words = [f"w{i}" for i in range(30)]
+
+        def sentence():
+            return " ".join(rng.choice(words, size=8))
+
+        languages = [Language.EN, Language.FR]
+        references = {lang: {f"a{i}": [sentence() for _ in range(5)] for i in range(50)} for lang in languages}
+        candidates = {lang: {f"a{i}": sentence() for i in range(50)} for lang in languages}
+        evaluate_captions(candidates, references)
+        peaks = [peak_bytes(lambda: evaluate_captions(candidates, references)) for _ in range(2)]
+        assert all(abs(peak - self.PIN) <= 1024 for peak in peaks), peaks

@@ -4,6 +4,7 @@ an exchange of names, elsewhere an `os.replace`."""
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -205,6 +206,23 @@ def test_no_temporary_file_after_a_write_over_an_existing_file(tmp_path):
             f.write(text)
     assert path.read_text() == "new\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+def test_remove_temporaries_removes_the_files_atomic_write_names_and_no_other(tmp_path):
+    # what a killed write leaves is a file of the temporary name; a symlink or
+    # directory of that form, or a name not of it, stays
+    with files.atomic_write(tmp_path / "vocab.en.json") as f:
+        left = Path(f.name)
+        f.write("{}")
+    assert not left.exists()
+    left.write_text("half written")
+    kept = [".notes.tmp", "captions.jsonl.0123abcd.tmp", ".a.0123ABCD.tmp", ".a.0123abc.tmp", "vocab.en.json"]
+    for name in kept:
+        (tmp_path / name).write_text("kept")
+    (tmp_path / ".dir.0123abcd.tmp").mkdir()
+    (tmp_path / ".link.0123abcd.tmp").symlink_to(tmp_path / ".notes.tmp")
+    files.remove_temporaries(tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*kept, ".dir.0123abcd.tmp", ".link.0123abcd.tmp"])
 
 
 def test_target_turned_directory_after_the_check_is_swapped_back(tmp_path, monkeypatch):

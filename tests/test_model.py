@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import documented_meta, splice_meta, tiny_model_config, word_vocab
-from oracles import checkpoint_bytes, finite_difference_grads, initial_parameters, relative_error
+from oracles import checkpoint_bytes, finite_difference_grads, initial_parameters, reference_logits, relative_error
 import polycap
 import polycap.cli
 from polycap.errors import ValidationError
@@ -178,6 +178,38 @@ class TestForward:
     def test_lambda_outside_0_1_errors(self, lam):
         with pytest.raises(ValidationError, match=rf"^mixup lambda {lam} outside \[0, 1\]$"):
             MixupDraw(lam=lam, partner=np.array([1, 0]))
+
+
+class TestReferenceForward:
+    """`forward` against `oracles.reference_logits`, the decoder written out
+    per example and per head: with the golden pins, the one judge of how the
+    layers are wired (order of sublayers, positions, masks, head choice)."""
+
+    @pytest.mark.parametrize("case", range(24))
+    def test_padded_and_packed_logits_match_the_reference(self, case):
+        rng = np.random.default_rng(case)
+        n_layers, n_heads = case % 4, case // 4 % 4 + 1
+        languages = list(Language)[: case // 2 % 4 + 1]
+        b, frames, t = (int(n) for n in rng.integers(1, 5, size=3) + (0, 1, 1))
+        cfg = tiny_model_config(
+            d_in=int(rng.integers(1, 6)), d_model=n_heads * int(rng.integers(2, 5)), n_layers=n_layers,
+            n_heads=n_heads, d_ff=int(rng.integers(1, 9)), max_len=t,
+        )
+        vocabs = {lang: word_vocab([f"w{i}" for i in range(int(rng.integers(1, 6)))]) for lang in languages}
+        model = MultilingualModel(cfg, vocabs, seed=case)
+        params = {name: p.data for name, p in model.named_parameters().items()}
+        language = languages[case % len(languages)]
+        audio = rng.normal(size=(b, frames, cfg.d_in))  # padded frames too: the mask must hide them
+        frame_mask = None if case % 5 == 0 else np.arange(frames) < rng.integers(1, frames + 1, size=(b, 1))
+        ids = rng.integers(0, vocabs[language].size, size=(b, t))
+        lengths = rng.integers(1, t + 1, size=b)
+        want = reference_logits(params, cfg, audio, ids, frame_mask, language)
+        padded = model.forward(audio, ids, language, frame_mask=frame_mask).data
+        packed = model.forward(audio, ids, language, frame_mask=frame_mask, lengths=lengths).data
+        live = np.arange(t) < lengths[:, None]
+        for got, ref in ((padded, want), (packed, want[live])):
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), case
 
 
 class TestTrunkSharing:
@@ -769,7 +801,7 @@ class TestInitDeterminism:
         for name, p in m1.named_parameters().items():
             assert np.array_equal(p.data, m2.named_parameters()[name].data)
 
-    def test_head_order_is_language_ordinal(self, en_vocab):
+    def test_head_order_is_language_member_order(self, en_vocab):
         model = MultilingualModel(
             tiny_model_config(), {Language.DE: en_vocab, Language.EN: en_vocab}, seed=0
         )

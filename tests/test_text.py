@@ -22,8 +22,8 @@ class TestLanguage:
     def test_exactly_four_members(self):
         assert [l.value for l in Language] == ["en", "fr", "es", "de"]
 
-    def test_stable_ordinals(self):
-        assert [l.ordinal for l in Language] == [0, 1, 2, 3]
+    def test_member_order_is_head_order(self):
+        assert list(Language) == [Language.EN, Language.FR, Language.ES, Language.DE]
 
     def test_parse_is_case_insensitive(self):
         assert Language.parse("EN") is Language.EN
