@@ -292,11 +292,13 @@ class TestManifest:
     def test_unknown_language_rejected(self, tmp_path):
         path = tmp_path / "m.jsonl"
         write_manifest(path, [{"audio_id": "a", "split": "train", "captions": {"it": ["ciao"]}}])
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError) as err:
             load_manifests(path)
+        assert err.value.items == ["line 1: unknown language code 'it' (known: en, fr, es, de)"]
 
-    def test_unknown_or_repeated_languages_are_itemized_per_line(self, tmp_path):
-        # the items are `Language.parse`'s and `repeated_languages`' own
+    def test_repeated_languages_are_itemized_per_line(self, tmp_path):
+        # codes are read as `Language.parse` reads them: a record once kept
+        # only the last of its lists for one language
         path = tmp_path / "m.jsonl"
         write_manifest(
             path,
